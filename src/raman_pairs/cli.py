@@ -25,7 +25,7 @@ from . import __version__
 from .angular_momentum import HalfInt, clebsch_gordan, halfint, wigner_3j, wigner_6j
 from .atomic_model import AtomSpec, load_atom_spec
 from .bell_sim import GENERATOR_ID, chsh, events_to_csv, optimize_chsh, sample_events
-from .entanglement_analysis import conditional_overlap, entanglement_entropy, schmidt
+from .entanglement_analysis import branch_overlap, entanglement_entropy, schmidt
 from .errors import (
     ConfigError,
     InputDomainError,
@@ -60,7 +60,7 @@ _CONFIG_SCHEMA = {
     "validity_threshold": None,
     "output": {"path", "format"},
 }
-_SCAN_KEYS = {"resolution_deg", "measure", "filter_f", "workers"}
+_SCAN_KEYS = {"resolution_deg", "measure", "filter_f"}
 
 
 def _fail_config(message: str) -> None:
@@ -251,17 +251,10 @@ def _json_text(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _analysis_block(config: RunConfig, state: PairState) -> dict:
+def _analysis_block(state: PairState, full_state: PairState) -> dict:
     result = schmidt(state)
     try:
-        overlap = conditional_overlap(
-            config.spec,
-            config.pump,
-            config.condensate,
-            state.detection_direction,
-            validity_threshold=config.validity_threshold,
-        )
-        overlap_doc: float | None = overlap
+        overlap_doc: float | None = branch_overlap(full_state)
         overlap_note = None
     except UndefinedOverlapError as exc:
         overlap_doc = None
@@ -298,14 +291,17 @@ def _require_direction(config: RunConfig) -> np.ndarray:
     return config.direction
 
 
-def _emit_state(config: RunConfig, state: PairState, args) -> None:
+def _emit_state(
+    config: RunConfig, state: PairState, args, full_state: PairState | None = None
+) -> None:
+    """Write ``state``; its branch overlap is that of ``full_state`` (default: itself)."""
     fmt = args.format or config.output_format
     out = args.output or config.output_path
     if fmt == "csv":
         _write_text(_state_csv(state, config.metadata()), out)
     else:
         doc = pair_state_to_json(state, provenance=config.metadata())
-        doc["analysis"] = _analysis_block(config, state)
+        doc["analysis"] = _analysis_block(state, full_state or state)
         _write_text(_json_text(doc), out)
 
 
@@ -338,7 +334,7 @@ def cmd_filter(args) -> int:
         validity_threshold=config.validity_threshold,
     )
     filtered = spectral_filter(state, level)
-    _emit_state(config, filtered, args)
+    _emit_state(config, filtered, args, full_state=state)
     return 0
 
 
@@ -353,7 +349,6 @@ def cmd_scan(args) -> int:
     filter_f = None
     if "filter_f" in config.scan:
         filter_f = config.parse_level(config.scan["filter_f"], "detection.scan.filter_f")
-    workers = config.scan.get("workers")
     scan = scan_sphere(
         config.spec,
         config.pump,
@@ -361,7 +356,6 @@ def cmd_scan(args) -> int:
         resolution,
         config.scan["measure"],
         filter_f=filter_f,
-        workers=int(workers) if workers is not None else None,
         validity_threshold=config.validity_threshold,
     )
     scan = replace(scan, metadata=config.metadata())

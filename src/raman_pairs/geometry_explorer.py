@@ -8,10 +8,13 @@ filter channel) are recorded with a NaN sentinel and flagged rather than
 scored 0: "no scattering" and "unentangled scattering" are different
 statements.
 
-Node evaluations are pure and independent; with ``workers > 1`` they run in
-a process pool over fixed-size chunks, and the result is identical for any
-worker count.  The ``RAMAN_PAIR_THREADS`` environment variable caps the
-worker count (0 means one worker per CPU).
+A scan is serial.  It walks the grid in fixed-size chunks and evaluates
+each chunk with one call of the batched pair-state kernel
+(:func:`~raman_pairs.pair_state.pair_batch`) and the closed-form block
+measures of :mod:`~raman_pairs.entanglement_analysis`: the same code that
+single-direction calls run with N = 1.  Every kernel and measure value is an
+elementwise function of its own direction, so a node gets the same bits in
+any chunk, and a scan equals its node-by-node single-direction results.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import csv
 import io
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,17 +31,21 @@ import numpy as np
 from .angular_momentum import halfint
 from .atomic_model import AtomSpec
 from .entanglement_analysis import (
-    concurrence_after_filter,
-    conditional_overlap,
-    entanglement_entropy,
+    block_grams,
+    block_index,
+    branch_overlap_of_blocks,
+    entropy_of_blocks,
+    filtered_concurrence_of_blocks,
 )
-from .errors import (
-    EmptyScanError,
-    EmptyStateError,
-    InputDomainError,
-    UndefinedOverlapError,
+from .errors import EmptyScanError, InputDomainError
+from .pair_state import (
+    DEFAULT_CHANNEL_RESOLUTION,
+    CondensateSpinor,
+    PumpConfig,
+    frequency_label,
+    pair_batch,
+    warn_unresolved,
 )
-from .pair_state import CondensateSpinor, PairState, PumpConfig, build_pair_state
 
 __all__ = [
     "MEASURES",
@@ -56,7 +62,7 @@ __all__ = [
 MEASURES = ("entropy", "concurrence_after_filter", "conditional_overlap")
 MIN_RESOLUTION = math.pi / 1800.0
 MAX_RESOLUTION = math.pi / 6.0
-_CHUNKSIZE = 64
+_CHUNK = 1024  # scan nodes per kernel call
 
 
 @dataclass(frozen=True)
@@ -91,66 +97,83 @@ def _grid(resolution: float) -> list[tuple[float, float]]:
     return [(t, p) for t in thetas for p in phis]
 
 
-def _evaluate_node(args) -> ScanNode:
-    spec, pump, phi0, measure, filter_f, theta, phi, kwargs = args
-    direction = direction_from_angles(theta, phi)
-    # Renormalize against trig rounding so downstream unit checks hold.
-    direction /= np.linalg.norm(direction)
-    channel_info: tuple[tuple[str, float], ...] = ()
-    state: PairState | None = None
-    try:
-        state = build_pair_state(spec, pump, phi0, direction, **kwargs)
-        channel_info = tuple(
-            (ch.key(), float(p)) for ch, p in state.channel_probabilities()
-        )
-    except EmptyStateError:
-        state = None
-
-    flagged = False
-    value = math.nan
-    try:
-        if measure == "entropy":
-            if state is None:
-                raise EmptyStateError("no scattering at this node")
-            value = entanglement_entropy(state)
-        elif measure == "concurrence_after_filter":
-            if state is None:
-                raise EmptyStateError("no scattering at this node")
-            value = concurrence_after_filter(state, filter_f)
-        else:
-            value = conditional_overlap(
-                spec,
-                pump,
-                phi0,
-                direction,
-                validity_threshold=kwargs.get("validity_threshold", 100.0),
-                enforce_validity=kwargs.get("enforce_validity", True),
-            )
-    except (EmptyStateError, UndefinedOverlapError):
-        flagged = True
-
-    return ScanNode(
-        theta=theta,
-        phi=phi,
-        direction=(float(direction[0]), float(direction[1]), float(direction[2])),
-        measure=value,
-        flagged=flagged,
-        channel_info=channel_info,
+def _node_directions(grid: list[tuple[float, float]]) -> np.ndarray:
+    """Unit vectors of the grid nodes, bit for bit those of direction_from_angles."""
+    directions = np.array(
+        [
+            (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
+            for theta, phi in grid
+        ]
     )
+    # Renormalize against trig rounding so downstream unit checks hold; the
+    # per-row dot product is the one np.linalg.norm takes for one vector.
+    norms = np.array([math.sqrt(row.dot(row)) for row in directions])
+    return directions / norms[:, np.newaxis]
 
 
-def _worker_count(workers: int | None) -> int:
-    if workers is None:
-        raw = os.environ.get("RAMAN_PAIR_THREADS", "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise InputDomainError(f"RAMAN_PAIR_THREADS must be an integer, got {raw!r}")
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    if workers < 1:
-        raise InputDomainError("worker count must be >= 0")
-    return workers
+def _channel_info(
+    order: list[int], weights: list[float], omega_row: list[float], n_levels: int
+) -> tuple[tuple[str, float], ...]:
+    """(key, probability) of the occupied channels in (omega, lambda, F) order."""
+    labels = [frequency_label(omega) for omega in omega_row]
+    info = []
+    for c in order:
+        if weights[c] > 0.0:
+            info.append((f"{labels[c % n_levels]}:{c // n_levels + 1}", weights[c]))
+    return tuple(info)
+
+
+def _evaluate_chunk(
+    spec: AtomSpec,
+    pump: PumpConfig,
+    phi0: CondensateSpinor,
+    measure: str,
+    filter_f,
+    grid: list[tuple[float, float]],
+    kwargs: dict,
+) -> list[ScanNode]:
+    """Scan nodes of one chunk of the grid, from one batched kernel call."""
+    directions = _node_directions(grid)
+    batch = pair_batch(spec, pump, phi0, directions, **kwargs)
+    levels = spec.ground_levels()
+    grams = block_grams(batch.amplitudes, block_index(tuple(f.twice for f in levels)))
+    if measure == "entropy":
+        values = np.where(batch.norms > 0.0, entropy_of_blocks(grams), np.nan)
+    elif measure == "concurrence_after_filter":
+        level = levels.index(filter_f)
+        values = filtered_concurrence_of_blocks(grams, level)
+        present = grams.weights.max(axis=1) > 0.0
+        gaps = np.abs(batch.omega - batch.omega[:, [level]])
+        gaps[:, level] = np.inf
+        close = present & (gaps < DEFAULT_CHANNEL_RESOLUTION)
+        if np.any(present[:, level] & close.any(axis=1)):
+            warn_unresolved(filter_f, stacklevel=3)
+    else:
+        values = branch_overlap_of_blocks(grams)
+
+    # channels sort by (omega, lambda, 2F); the flat channel index
+    # (lambda-1) * nF + i already runs in (lambda, 2F) order
+    n, n_levels = batch.omega.shape
+    channel_order = np.argsort(np.tile(batch.omega, 2), axis=1, kind="stable")
+    # flagged nodes share the math.nan object, so equal scans compare equal
+    return [
+        ScanNode(
+            theta=theta,
+            phi=phi,
+            direction=tuple(direction),
+            measure=math.nan if math.isnan(value) else value,
+            flagged=math.isnan(value),
+            channel_info=_channel_info(order, weights, omega_row, n_levels),
+        )
+        for (theta, phi), direction, value, order, weights, omega_row in zip(
+            grid,
+            directions.tolist(),
+            values.tolist(),
+            channel_order.tolist(),
+            grams.weights.reshape(n, -1).tolist(),
+            batch.omega.tolist(),
+        )
+    ]
 
 
 def scan_sphere(
@@ -161,7 +184,6 @@ def scan_sphere(
     measure: str,
     *,
     filter_f=None,
-    workers: int | None = None,
     validity_threshold: float = 100.0,
     enforce_validity: bool = True,
 ) -> ScanMap:
@@ -186,18 +208,11 @@ def scan_sphere(
         "validity_threshold": validity_threshold,
         "enforce_validity": enforce_validity,
     }
-    jobs = [
-        (spec, pump, phi0, measure, filter_f, theta, phi, kwargs)
-        for theta, phi in _grid(resolution)
-    ]
-    n_workers = _worker_count(workers)
-    if n_workers == 1:
-        nodes = [_evaluate_node(job) for job in jobs]
-    else:
-        import multiprocessing
-
-        with multiprocessing.get_context("fork").Pool(n_workers) as pool:
-            nodes = pool.map(_evaluate_node, jobs, chunksize=_CHUNKSIZE)
+    grid = _grid(resolution)
+    nodes: list[ScanNode] = []
+    for start in range(0, len(grid), _CHUNK):
+        chunk = grid[start : start + _CHUNK]
+        nodes.extend(_evaluate_chunk(spec, pump, phi0, measure, filter_f, chunk, kwargs))
 
     name = measure
     if measure == "concurrence_after_filter":

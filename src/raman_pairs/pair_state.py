@@ -1,4 +1,4 @@
-"""Entangled atom-photon pair states for one detection direction.
+"""Entangled atom-photon pair states for N detection directions.
 
 A pump photon scattered into direction k creates one atom-photon pair.  Per
 polarization branch lambda the atom lands in the normalized spinor
@@ -19,18 +19,20 @@ The joint amplitude tensor is normalized and its global phase fixed so that
 the lexicographically first nonzero (channel, F, m) entry is real positive;
 only relative phases are physical.  Spatial structure is carried solely as
 the recoil momentum label hbar(K - k).
+
+One kernel, :func:`pair_batch`, computes all of this as arrays for N
+directions at once; :func:`build_pair_state` and :func:`scattered_spinor`
+are its N = 1 case, wrapped in objects.
 """
 
 from __future__ import annotations
 
-import json
+import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
+from functools import lru_cache
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
-from scipy.constants import hbar as HBAR
 
 from .angular_momentum import HalfIntLike, halfint
 from .atomic_model import AtomSpec, validity_check
@@ -40,7 +42,14 @@ from .errors import (
     InputDomainError,
     OffResonanceError,
 )
-from .raman_coupling import PhotonMode, coupling_matrix, detection_modes, ground_basis
+from .raman_coupling import (
+    PhotonMode,
+    branch_amplitudes,
+    condensate_factor,
+    ground_basis,
+    polarization_bases,
+    sequential_sum,
+)
 
 __all__ = [
     "PumpConfig",
@@ -48,6 +57,8 @@ __all__ = [
     "ScatteredSpinor",
     "Channel",
     "PairState",
+    "PairBatch",
+    "pair_batch",
     "scattered_spinor",
     "photon_frequency",
     "build_pair_state",
@@ -55,6 +66,9 @@ __all__ = [
     "pair_state_to_json",
     "pair_state_from_json",
 ]
+
+SPEED_OF_LIGHT = 299792458.0  # m/s, exact in the SI
+HBAR = 6.62607015e-34 / (2 * math.pi)  # J s, from the exact SI Planck constant
 
 _GEOM_TOL = 1e-12
 _NORM_TOL = 1e-12
@@ -166,6 +180,11 @@ class ScatteredSpinor:
         return dict(self.amplitudes)
 
 
+def frequency_label(omega: float) -> str:
+    """The "omega_hz" part of a channel label, exact to the last bit."""
+    return repr(omega / (2.0 * np.pi))
+
+
 @dataclass(frozen=True, order=True)
 class Channel:
     """One photon label: frequency (keyed by final F) and polarization index."""
@@ -175,12 +194,16 @@ class Channel:
     doubled_f: int
 
     def key(self) -> str:
-        return f"{self.omega / (2.0 * np.pi)!r}:{self.lam}"
+        return f"{frequency_label(self.omega)}:{self.lam}"
 
 
 @dataclass(frozen=True, eq=False)
 class PairState:
-    """Joint atom-photon amplitude tensor for one detection direction."""
+    """Joint atom-photon amplitude tensor for one detection direction.
+
+    The photon label (F, lambda) pairs only with atomic level F, so every
+    amplitude's channel must carry the 2F of its atom label.
+    """
 
     amplitudes: tuple[tuple[tuple[Channel, tuple[int, int]], complex], ...]
     channels: tuple[Channel, ...]
@@ -192,7 +215,16 @@ class PairState:
     unresolved_channel_pairs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        norm_sq = sum(abs(a) ** 2 for _, a in self.amplitudes)
+        norm_sq = 0.0
+        for (ch, (tf, _)), a in self.amplitudes:
+            if ch.doubled_f != tf:
+                raise InputDomainError(
+                    f"amplitude on atom level 2F={tf} sits in a photon channel of "
+                    f"2F={ch.doubled_f}; a channel pairs only with its own level"
+                )
+            if ch.lam not in (1, 2):
+                raise InputDomainError("polarization index must be 1 or 2")
+            norm_sq += abs(a) ** 2
         if abs(norm_sq - 1.0) > _NORM_TOL:
             raise InputDomainError("pair state must be unit norm")
         if any(ch.omega <= 0 for ch in self.channels):
@@ -227,9 +259,11 @@ class PairState:
         return mat, photon, atom
 
     def channel_probabilities(self) -> tuple[tuple[Channel, float], ...]:
+        # re^2 + im^2 summed in m order: the same bits as the batched
+        # per-block weights of entanglement_analysis.block_grams
         probs: dict[Channel, float] = {ch: 0.0 for ch in self.photon_labels()}
         for (ch, _), amp in self.amplitudes:
-            probs[ch] += abs(amp) ** 2
+            probs[ch] += amp.real * amp.real + amp.imag * amp.imag
         return tuple(sorted(probs.items()))
 
 
@@ -245,20 +279,161 @@ def _require_valid(
     )
     if enforce:
         raise OffResonanceError(message)
-    warnings.warn(message, stacklevel=3)
+    warnings.warn(message, stacklevel=4)
 
 
-def _branch_vectors(
-    spec: AtomSpec, pump: PumpConfig, phi0: CondensateSpinor, k_hat: np.ndarray
-) -> tuple[tuple[PhotonMode, PhotonMode], np.ndarray]:
-    """Unnormalized branch spinors, rows indexed (lambda-1, ground sublevel)."""
-    modes = detection_modes(k_hat)
-    pump_mode = pump.mode()
-    phi_vec = phi0.vector(spec)
-    rows = np.vstack(
-        [coupling_matrix(spec, pump.omega_laser, mode, pump_mode) @ phi_vec for mode in modes]
+@lru_cache(maxsize=32)
+def _layout(spec: AtomSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Ground-level index of each kernel entry (lambda-1) * G + g, and the
+    splitting of each ground level."""
+    levels = spec.ground_levels()
+    level = np.tile([levels.index(g.f) for g in ground_basis(spec)], 2)
+    deltas = np.array([spec.splitting(f) for f in levels])
+    level.flags.writeable = False
+    deltas.flags.writeable = False
+    return level, deltas
+
+
+@lru_cache(maxsize=16)
+def _shared_factor(spec: AtomSpec, pump: PumpConfig, phi0: CondensateSpinor) -> np.ndarray:
+    """The direction-independent factor B of a species, pump and condensate."""
+    factor = condensate_factor(spec, pump.omega_laser, pump.mode(), phi0.vector(spec))
+    factor.flags.writeable = False
+    return factor
+
+
+def _photon_frequencies(spec: AtomSpec, pump: PumpConfig, k: np.ndarray) -> np.ndarray:
+    """Photon frequency per (direction, final ground level), with recoil.
+
+    Fixed-point iteration from the recoil-free value to relative 1e-15.
+    Every element stops at its own convergence step, so it gets the same
+    bits alone or in a batch.
+    """
+    px, py, pz = pump.direction
+    cos_angle = (k[:, 0:1] * px + k[:, 1:2] * py) + k[:, 2:3] * pz
+    k_pump = pump.omega_laser / SPEED_OF_LIGHT
+    pump_sq, two_k_pump = k_pump**2, 2.0 * k_pump
+    base = pump.omega_laser - _layout(spec)[1]
+    omega = np.broadcast_to(base, (len(k), len(base)))
+    active = np.ones(omega.shape, dtype=bool)
+    for _ in range(100):
+        k_out = omega / SPEED_OF_LIGHT
+        recoil = HBAR * (pump_sq + k_out * k_out - two_k_pump * k_out * cos_angle) / (
+            2.0 * spec.mass
+        )
+        new = base - recoil
+        if ((new <= 0) & active).any():
+            raise ConvergenceError("photon frequency iteration left the optical regime")
+        converged = abs(new - omega) <= 1e-15 * abs(new)
+        omega = np.where(active, new, omega)
+        active &= ~converged
+        if not active.any():
+            return omega
+    raise ConvergenceError("photon frequency iteration did not converge")
+
+
+@dataclass(frozen=True, eq=False)
+class PairBatch:
+    """Pair states of N detection directions as arrays.
+
+    ``amplitudes[n, lambda-1, g]`` is the joint amplitude over the canonical
+    ground basis, normalized and phase-fixed as in :class:`PairState`.  The
+    scattered amplitudes are ``norms * phases * amplitudes``: ``norms`` holds
+    their Euclidean norm and ``phases`` the removed global phase factor; a
+    direction where nothing scatters has ``norms`` 0 and all-zero
+    amplitudes.  ``weights`` is the emission weight, ``omega[n, i]`` the
+    photon frequency of final level ``spec.ground_levels()[i]``, and
+    ``order[n]`` lists the flat indices ``(lambda-1) * G + g`` sorted by
+    (channel, atom) label.
+    """
+
+    directions: np.ndarray
+    polarizations: np.ndarray
+    amplitudes: np.ndarray
+    norms: np.ndarray
+    phases: np.ndarray
+    weights: np.ndarray
+    omega: np.ndarray
+    order: np.ndarray
+
+
+def pair_batch(
+    spec: AtomSpec,
+    pump: PumpConfig,
+    phi0: CondensateSpinor,
+    k_hats: np.ndarray,
+    *,
+    validity_threshold: float = 100.0,
+    enforce_validity: bool = True,
+) -> PairBatch:
+    """The pair-state kernel: (N, 3) unit detection directions to N states.
+
+    The condensate factor is computed once per species, pump and condensate;
+    each direction then costs one 3-term contraction per amplitude.  All
+    per-direction arithmetic is elementwise or summed in a fixed order, so
+    the result for a direction does not depend on N or on its place in the
+    batch.
+    """
+    k = np.asarray(k_hats, dtype=float)
+    if k.ndim != 2 or k.shape[1] != 3:
+        raise InputDomainError("detection directions must have shape (N, 3)")
+    lengths = np.sqrt(k[:, 0] * k[:, 0] + k[:, 1] * k[:, 1] + k[:, 2] * k[:, 2])
+    if not (abs(lengths - 1.0) <= _GEOM_TOL).all():
+        raise InputDomainError("detection direction must be a unit vector")
+    _require_valid(spec, pump.omega_laser, validity_threshold, enforce_validity)
+
+    polarizations = polarization_bases(k)
+    factor = _shared_factor(spec, pump, phi0)
+    n, g = len(k), factor.shape[0]
+    rows = branch_amplitudes(factor, polarizations).reshape(n, 2 * g)
+    re, im = rows.real, rows.imag
+    squares = re * re + im * im
+    total_sq = sequential_sum(squares[:, :g] + squares[:, g:])  # both branches per sublevel
+    omega = _photon_frequencies(spec, pump, k)
+
+    # (channel, atom) order: channels sort by (omega, lambda, 2F), atoms by
+    # 2m.  The flat entries already run in (lambda, 2F, 2m) order, so a
+    # stable sort by frequency finishes the job.
+    level, _ = _layout(spec)
+    order = np.argsort(omega[:, level], axis=1, kind="stable")
+
+    # global phase: the first nonzero entry in that order becomes real positive
+    index = np.arange(n)
+    nonzero = (re != 0.0) | (im != 0.0)
+    ref = order[index, nonzero[index[:, np.newaxis], order].argmax(axis=1)]
+    first_re, first_im = re[index, ref], im[index, ref]
+    scattering = total_sq > 0.0
+    first = np.hypot(first_re, first_im)
+    safe_first = np.where(scattering, first, 1.0)
+    phases = np.empty(n, dtype=complex)
+    phases.real = first_re / safe_first
+    phases.imag = first_im / safe_first
+    norms = np.sqrt(total_sq)
+    scale = np.where(scattering, norms, 1.0)
+    cos_p = phases.real[:, np.newaxis]
+    sin_p = phases.imag[:, np.newaxis]
+    amplitudes = np.empty(rows.shape, dtype=complex)
+    amplitudes.real = (re * cos_p + im * sin_p) / scale[:, np.newaxis]
+    amplitudes.imag = (im * cos_p - re * sin_p) / scale[:, np.newaxis]
+    amplitudes[index, ref] = np.where(scattering, first / scale, 0.0)
+
+    return PairBatch(
+        directions=k,
+        polarizations=polarizations,
+        amplitudes=amplitudes.reshape(n, 2, g),
+        norms=norms,
+        phases=phases,
+        weights=pump.atom_number * abs(pump.pump_amplitude) ** 2 * total_sq,
+        omega=omega,
+        order=order,
     )
-    return modes, rows
+
+
+def _one_direction(k_hat: np.ndarray) -> np.ndarray:
+    k = np.asarray(k_hat, dtype=float)
+    if k.shape != (3,):
+        raise InputDomainError("detection direction must be a 3-vector")
+    return k[np.newaxis]
 
 
 def scattered_spinor(
@@ -278,20 +453,29 @@ def scattered_spinor(
     """
     if lam not in (1, 2):
         raise InputDomainError("polarization index must be 1 or 2")
-    _require_valid(spec, pump.omega_laser, validity_threshold, enforce_validity)
-    modes, rows = _branch_vectors(spec, pump, phi0, k_hat)
-    vec = rows[lam - 1]
-    norm = float(np.linalg.norm(vec))
-    mode = modes[lam - 1]
-    if norm == 0.0:
+    batch = pair_batch(
+        spec,
+        pump,
+        phi0,
+        _one_direction(k_hat),
+        validity_threshold=validity_threshold,
+        enforce_validity=enforce_validity,
+    )
+    vec = batch.amplitudes[0, lam - 1] * batch.phases[0]
+    share = float(np.linalg.norm(vec))
+    mode = PhotonMode(
+        direction=batch.directions[0], lam=lam, polarization=batch.polarizations[0, lam - 1]
+    )
+    if share == 0.0:
         return ScatteredSpinor(amplitudes=(), normalization=0.0, photon_mode=mode)
-    basis = ground_basis(spec)
     amps = tuple(
-        ((g.f.twice, g.m.twice), complex(v / norm))
-        for g, v in zip(basis, vec)
+        ((g.f.twice, g.m.twice), complex(v / share))
+        for g, v in zip(ground_basis(spec), vec)
         if v != 0.0
     )
-    return ScatteredSpinor(amplitudes=amps, normalization=norm, photon_mode=mode)
+    return ScatteredSpinor(
+        amplitudes=amps, normalization=share * float(batch.norms[0]), photon_mode=mode
+    )
 
 
 def photon_frequency(
@@ -302,26 +486,12 @@ def photon_frequency(
     Unique in the optical regime; solved by fixed-point iteration from the
     recoil-free value to relative 1e-15.
     """
-    k = np.asarray(k_hat, dtype=float)
+    k = _one_direction(k_hat)
     if abs(np.linalg.norm(k) - 1.0) > _GEOM_TOL:
         raise InputDomainError("detection direction must be a unit vector")
-    delta = spec.splitting(f_final)
-    cos_angle = float(np.dot(pump.direction, k))
-    k_pump = pump.omega_laser / SPEED_OF_LIGHT
-    base = pump.omega_laser - delta
-    omega = base
-    for _ in range(100):
-        k_out = omega / SPEED_OF_LIGHT
-        recoil = HBAR * (k_pump**2 + k_out**2 - 2.0 * k_pump * k_out * cos_angle) / (
-            2.0 * spec.mass
-        )
-        new = base - recoil
-        if new <= 0:
-            raise ConvergenceError("photon frequency iteration left the optical regime")
-        if abs(new - omega) <= 1e-15 * abs(new):
-            return new
-        omega = new
-    raise ConvergenceError("photon frequency iteration did not converge")
+    spec.splitting(f_final)  # rejects a level the species does not have
+    index = spec.ground_levels().index(halfint(f_final))
+    return float(_photon_frequencies(spec, pump, k)[0, index])
 
 
 def _fix_global_phase(
@@ -331,6 +501,15 @@ def _fix_global_phase(
     first = min(entries, key=lambda item: (item[0][0], item[0][1]))[1]
     phase = first / abs(first)
     return [(key, complex(amp / phase)) for key, amp in entries]
+
+
+def warn_unresolved(f: HalfIntLike, stacklevel: int = 2) -> None:
+    """Warn that the selected level's channel overlaps a neighbor's."""
+    warnings.warn(
+        f"selected channel F={halfint(f)} is not spectrally resolvable from its "
+        f"neighbor at the configured resolution",
+        stacklevel=stacklevel + 1,
+    )
 
 
 def build_pair_state(
@@ -344,62 +523,61 @@ def build_pair_state(
     enforce_validity: bool = True,
 ) -> PairState:
     """Assemble the normalized joint state over (channel x polarization) x (F, m)."""
-    _require_valid(spec, pump.omega_laser, validity_threshold, enforce_validity)
-    k = np.asarray(k_hat, dtype=float)
-    modes, rows = _branch_vectors(spec, pump, phi0, k)
-    if not np.any(rows != 0.0):
+    batch = pair_batch(
+        spec,
+        pump,
+        phi0,
+        _one_direction(k_hat),
+        validity_threshold=validity_threshold,
+        enforce_validity=enforce_validity,
+    )
+    if not batch.norms[0] > 0.0:
         raise EmptyStateError(
             "no scattering amplitude into this direction for the given pump "
             "and condensate"
         )
 
     basis = ground_basis(spec)
-    omegas = {
-        f.twice: photon_frequency(spec, pump, k, f) for f in spec.ground_levels()
-    }
-
+    levels, _ = _layout(spec)
+    omegas = batch.omega[0].tolist()
+    amps = batch.amplitudes[0].ravel().tolist()
     entries: list[tuple[tuple[Channel, tuple[int, int]], complex]] = []
     channels: dict[tuple[int, int], Channel] = {}
-    for i_lam, mode in enumerate(modes):
-        for g, amp in zip(basis, rows[i_lam]):
-            if amp == 0.0:
-                continue
-            ch_key = (g.f.twice, mode.lam)
-            if ch_key not in channels:
-                channels[ch_key] = Channel(
-                    omega=omegas[g.f.twice], lam=mode.lam, doubled_f=g.f.twice
-                )
-            entries.append(((channels[ch_key], (g.f.twice, g.m.twice)), complex(amp)))
+    for flat in batch.order[0].tolist():
+        amp = amps[flat]
+        if amp == 0.0:
+            continue
+        lam, ig = divmod(flat, len(basis))
+        g = basis[ig]
+        ch_key = (g.f.twice, lam + 1)
+        if ch_key not in channels:
+            channels[ch_key] = Channel(
+                omega=omegas[levels[flat]], lam=lam + 1, doubled_f=g.f.twice
+            )
+        entries.append(((channels[ch_key], (g.f.twice, g.m.twice)), amp))
 
-    total = np.sqrt(sum(abs(a) ** 2 for _, a in entries))
-    entries = [(key, amp / total) for key, amp in entries]
-    entries = _fix_global_phase(entries)
-    entries.sort(key=lambda item: (item[0][0], item[0][1]))
-
-    branch_norms = np.linalg.norm(rows, axis=1)
-    weight = float(pump.atom_number * abs(pump.pump_amplitude) ** 2 * np.sum(branch_norms**2))
-
+    by_level = {f.twice: w for f, w in zip(spec.ground_levels(), omegas)}
     present_f = sorted({ch.doubled_f for ch in channels.values()})
     unresolved = tuple(
         (fa, fb)
         for idx, fa in enumerate(present_f)
         for fb in present_f[idx + 1 :]
-        if abs(omegas[fa] - omegas[fb]) < channel_resolution
+        if abs(by_level[fa] - by_level[fb]) < channel_resolution
     )
 
     # Reference photon wavevector: the elastic channel of the lowest ground
     # level.  Channel frequencies differ from it only at the 1e-9 level.
-    lowest_f = spec.ground_levels()[0]
-    k_out = k * (omegas[lowest_f.twice] / SPEED_OF_LIGHT)
+    k = batch.directions[0]
+    k_out = k * (omegas[0] / SPEED_OF_LIGHT)
     k_pump_vec = pump.direction * (pump.omega_laser / SPEED_OF_LIGHT)
     recoil = HBAR * k_pump_vec - HBAR * k_out
 
     return PairState(
         amplitudes=tuple(entries),
-        channels=tuple(sorted(channels.values())),
+        channels=tuple(channels.values()),
         recoil_momentum=recoil,
         photon_wavevector=k_out,
-        emission_weight=weight,
+        emission_weight=float(batch.weights[0]),
         detection_direction=k.copy(),
         pump=pump,
         unresolved_channel_pairs=unresolved,
@@ -416,13 +594,8 @@ def spectral_filter(state: PairState, f_select: HalfIntLike) -> PairState:
         raise EmptyStateError(
             f"the F={f} frequency channel carries zero probability; nothing to select"
         )
-    for fa, fb in state.unresolved_channel_pairs:
-        if f.twice in (fa, fb):
-            warnings.warn(
-                f"selected channel F={f} is not spectrally resolvable from its "
-                f"neighbor at the configured resolution",
-                stacklevel=2,
-            )
+    if any(f.twice in pair for pair in state.unresolved_channel_pairs):
+        warn_unresolved(f)
     total = np.sqrt(sum(abs(a) ** 2 for _, a in kept))
     kept = [(key, amp / total) for key, amp in kept]
     kept = _fix_global_phase(kept)
@@ -516,7 +689,3 @@ def pair_state_from_json(doc: dict) -> PairState:
         ),
     )
 
-
-def write_pair_state(state: PairState, path: str | Path, provenance: dict | None = None) -> None:
-    doc = pair_state_to_json(state, provenance)
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")

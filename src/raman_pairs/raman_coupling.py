@@ -10,6 +10,15 @@ in configured units.  ``effective_coupling`` is the excited-manifold-summed
 two-photon amplitude after adiabatic elimination,
 
     G = sum_(F'' m'') g_out*(F'' m'', final) g_in(F'' m'', initial) / Delta(F'_initial).
+
+Acting on a condensate spinor phi0, everything except the detected mode
+collapses into one factor per species, pump and condensate,
+
+    w = g_in . (phi0 / Delta),    B[g, q] = sum_e dip[e, g, q] w_e,
+
+so the scattered amplitudes of N detection directions are the contraction
+``rows[n, lambda, g] = sum_q B[g, q] conj(eps_q* . eps_lambda(k_n))``
+(``condensate_factor`` and ``branch_amplitudes``).
 """
 
 from __future__ import annotations
@@ -31,10 +40,14 @@ from .errors import InputDomainError, SingularDetuningError
 __all__ = [
     "PhotonMode",
     "polarization_basis",
+    "polarization_bases",
     "detection_modes",
     "single_photon_coupling",
     "effective_coupling",
     "coupling_tensor",
+    "condensate_factor",
+    "branch_amplitudes",
+    "sequential_sum",
 ]
 
 _GEOM_TOL = 1e-12
@@ -70,25 +83,40 @@ class PhotonMode:
         object.__setattr__(self, "polarization", pol)
 
 
-def polarization_basis(k_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic orthonormal transverse pair for direction ``k_hat``.
+def polarization_bases(k_hats: np.ndarray) -> np.ndarray:
+    """Deterministic orthonormal transverse pairs for N unit directions.
 
-    Away from the z axis this is the spherical-coordinate pair (theta-hat,
-    phi-hat).  Within 1e-9 rad of +-z it switches to the circular pair
-    (eps_+1, eps_-1), the natural basis on the quantization axis.
+    ``k_hats`` has shape (N, 3); the result has shape (N, 2, 3), row lambda-1
+    holding eps_lambda.  Away from the z axis this is the spherical-coordinate
+    pair (theta-hat, phi-hat).  Within 1e-9 rad of +-z it switches to the
+    circular pair (eps_+1, eps_-1), the natural basis on the quantization
+    axis.  Every entry is an elementwise function of its own direction, so a
+    direction gets the same bits alone or in a batch.
     """
+    k = np.asarray(k_hats, dtype=float)
+    s = np.hypot(k[:, 0], k[:, 1])
+    pole = s < _POLE_CONE
+    safe = np.where(pole, 1.0, s)
+    cos_phi, sin_phi = k[:, 0] / safe, k[:, 1] / safe
+    basis = np.zeros((len(k), 2, 3), dtype=complex)
+    basis[:, 0, 0] = k[:, 2] * cos_phi
+    basis[:, 0, 1] = k[:, 2] * sin_phi
+    basis[:, 0, 2] = -s
+    basis[:, 1, 0] = -sin_phi
+    basis[:, 1, 1] = cos_phi
+    basis[pole] = (spherical_component(+1), spherical_component(-1))
+    return basis
+
+
+def polarization_basis(k_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The transverse pair of :func:`polarization_bases` for one direction."""
     k = np.asarray(k_hat, dtype=float)
     if k.shape != (3,):
         raise InputDomainError("direction must be a 3-vector")
     if abs(np.linalg.norm(k) - 1.0) > _GEOM_TOL:
         raise InputDomainError("direction must be a unit vector")
-    s = np.hypot(k[0], k[1])
-    if s < _POLE_CONE:
-        return spherical_component(+1).copy(), spherical_component(-1).copy()
-    cos_phi, sin_phi = k[0] / s, k[1] / s
-    theta_hat = np.array([k[2] * cos_phi, k[2] * sin_phi, -s], dtype=complex)
-    phi_hat = np.array([-sin_phi, cos_phi, 0.0], dtype=complex)
-    return theta_hat, phi_hat
+    e1, e2 = polarization_bases(k[np.newaxis])[0]
+    return e1, e2
 
 
 def detection_modes(k_hat: np.ndarray) -> tuple[PhotonMode, PhotonMode]:
@@ -205,3 +233,53 @@ def coupling_tensor(
             if value != 0.0:
                 tensor[((fin.f.twice, fin.m.twice), (ini.f.twice, ini.m.twice))] = complex(value)
     return tensor
+
+
+def sequential_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum a real array over its last axis, strictly left to right.
+
+    ``np.sum``, ``einsum`` and ``matmul`` may reorder or fuse additions
+    depending on the array shape and memory layout.  A plain loop gives each
+    batch row the same bits whatever the batch size.
+    """
+    total = np.zeros(terms.shape[:-1])
+    for column in np.moveaxis(terms, -1, 0):
+        total += column
+    return total
+
+
+def condensate_factor(
+    spec: AtomSpec, omega_laser: float, in_mode: PhotonMode, initial: np.ndarray
+) -> np.ndarray:
+    """B[g, q] = sum_e dip[e, g, q] w_e with w = g_in . (initial / Delta).
+
+    ``coupling_matrix(spec, omega_laser, out, in_mode) @ initial`` equals
+    ``sum_q B[:, q] conj(eps_q* . eps_out)`` for every detected mode ``out``.
+    """
+    _, _, dip = _sublevel_tables(spec)
+    w = _mode_coupling_matrix(spec, in_mode) @ (initial / _detunings(spec, omega_laser))
+    return np.einsum("egq,e->gq", dip, w)
+
+
+_SPHERICAL = np.array([spherical_component(q) for q in (-1, 0, +1)])
+_SPHERICAL.flags.writeable = False
+
+
+def branch_amplitudes(factor: np.ndarray, polarizations: np.ndarray) -> np.ndarray:
+    """Scattered amplitudes rows[n, lambda-1, g] for N detected mode pairs.
+
+    ``factor`` is :func:`condensate_factor` (G, 3), ``polarizations`` the
+    (N, 2, 3) output of :func:`polarization_bases`.  Folding the spherical
+    vectors into the factor, ``sum_q B[g, q] conj(eps_q* . eps_lambda)`` is
+    ``eps_lambda* . D_g`` with the Cartesian vector ``D_g = sum_q B[g, q]
+    eps_q``.  The per-direction part is real arithmetic with in-order sums,
+    so a direction gets the same bits alone or in a batch.
+    """
+    dipoles = factor @ _SPHERICAL
+    d_re, d_im = dipoles.real, dipoles.imag
+    pol = polarizations[:, :, np.newaxis, :]
+    p_re, p_im = pol.real, pol.imag
+    rows = np.empty(polarizations.shape[:2] + factor.shape[:1], dtype=complex)
+    rows.real = sequential_sum(d_re * p_re + d_im * p_im)
+    rows.imag = sequential_sum(d_im * p_re - d_re * p_im)
+    return rows

@@ -174,6 +174,16 @@ def test_scan_resolution_out_of_range_exits_2(scan_config, tmp_path, capsys):
     assert "resolution" in err
 
 
+def test_scan_workers_key_exits_2(scan_config, tmp_path, capsys):
+    # scans are serial; a config that still asks for workers is rejected by name
+    edit_config(scan_config, lambda c: c["detection"]["scan"].__setitem__("workers", 2))
+    code, _, err = run(
+        ["scan", "--config", str(scan_config), "--output", str(tmp_path / "x")], capsys
+    )
+    assert code == 2
+    assert "detection.scan.workers" in err
+
+
 def test_scan_requires_output(scan_config, capsys):
     code, _, err = run(["scan", "--config", str(scan_config)], capsys)
     assert code == 2

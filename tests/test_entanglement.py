@@ -8,6 +8,7 @@ import pytest
 from conftest import random_condensate, random_direction, random_pump
 from oracles import oracle_entropy_bits, oracle_schmidt_sq
 from raman_pairs.entanglement_analysis import (
+    branch_overlap,
     concurrence_2x2,
     concurrence_after_filter,
     conditional_overlap,
@@ -202,6 +203,26 @@ def test_concurrence_product_is_zero(spec, pump):
     assert concurrence_after_filter(state, 2) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_filtered_product_state_concurrence_exactly_zero(spec, pump):
+    # sigma+ pump on |2,2>: the F=2 block has rank one in every direction, and
+    # the Lagrange-identity determinant vanishes exactly there (ab - |c|^2
+    # would leave ~1e-16 behind, i.e. a concurrence of ~1e-8)
+    from raman_pairs.atomic_model import spherical_component
+
+    phi0 = CondensateSpinor.single(2, 2)
+    pump_sigma = PumpConfig(
+        direction=Z.copy(),
+        polarization=spherical_component(+1).copy(),
+        omega_laser=pump.omega_laser,
+    )
+    theta, phi = math.radians(30.0), math.radians(60.0)
+    k = np.array(
+        [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
+    )
+    state = build_pair_state(spec, pump_sigma, phi0, k)
+    assert concurrence_after_filter(state, 2) == 0.0
+
+
 def test_concurrence_requires_2x2(state_z):
     with pytest.raises(InputDomainError):
         concurrence_2x2(state_z)  # 4 photon labels
@@ -314,6 +335,19 @@ def test_overlap_cauchy_schwarz(spec):
         except UndefinedOverlapError:
             continue
         assert -1e-12 <= value <= 1.0 + 1e-12
+
+
+def test_branch_overlap_of_state_equals_conditional_overlap(spec, pump):
+    rng = np.random.default_rng(73)
+    for _ in range(30):
+        rpump = random_pump(spec, rng)
+        phi0 = random_condensate(spec, rng)
+        k = random_direction(rng)
+        state = build_pair_state(spec, rpump, phi0, k)
+        assert branch_overlap(state) == conditional_overlap(spec, rpump, phi0, k)
+    state = build_pair_state(spec, pump, CondensateSpinor.single(2, 2), Z)
+    with pytest.raises(UndefinedOverlapError):
+        branch_overlap(state)
 
 
 def test_overlap_undefined_for_zero_branch(spec, pump):

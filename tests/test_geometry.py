@@ -8,6 +8,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_condensate, random_pump
+from raman_pairs import geometry_explorer
 from raman_pairs.angular_momentum import HalfInt
 from raman_pairs.atomic_model import AtomSpec, spherical_component
 from raman_pairs.entanglement_analysis import (
@@ -15,7 +17,12 @@ from raman_pairs.entanglement_analysis import (
     conditional_overlap,
     entanglement_entropy,
 )
-from raman_pairs.errors import EmptyScanError, InputDomainError
+from raman_pairs.errors import (
+    EmptyScanError,
+    EmptyStateError,
+    InputDomainError,
+    UndefinedOverlapError,
+)
 from raman_pairs.geometry_explorer import (
     ScanMap,
     ScanNode,
@@ -28,6 +35,7 @@ from raman_pairs.geometry_explorer import (
 from raman_pairs.pair_state import CondensateSpinor, PumpConfig, build_pair_state
 
 COARSE = math.pi / 6.0
+TWO_PI = 2.0 * math.pi
 
 
 def test_resolution_bounds(spec, pump, phi0):
@@ -113,6 +121,79 @@ def test_measures_match_single_direction_ops(spec, pump, phi0):
             assert node.measure == want
 
 
+ALL_MEASURES = (
+    ("entropy", None),
+    ("concurrence_after_filter", 1),
+    ("concurrence_after_filter", 2),
+    ("conditional_overlap", None),
+)
+
+
+def _property_configs(spec, pump):
+    """Seeded random geometries plus sigma+ on |2,2>, where nodes get flagged."""
+    rng = np.random.default_rng(107)
+    configs = [(random_pump(spec, rng), random_condensate(spec, rng)) for _ in range(3)]
+    sigma_plus = PumpConfig(
+        direction=np.array([0.0, 0.0, 1.0]),
+        polarization=spherical_component(+1).copy(),
+        omega_laser=pump.omega_laser,
+    )
+    return configs + [(sigma_plus, CondensateSpinor.single(2, 2))]
+
+
+def test_scan_nodes_equal_single_direction_calls(spec, pump):
+    # every node, flagged or not, is exactly what the single-direction calls
+    # return for its direction: one kernel, no second implementation
+    for rpump, rphi in _property_configs(spec, pump):
+        for measure, filter_f in ALL_MEASURES:
+            scan = scan_sphere(spec, rpump, rphi, COARSE, measure, filter_f=filter_f)
+            for node in scan.nodes:
+                direction = np.array(node.direction)
+                try:
+                    state = build_pair_state(spec, rpump, rphi, direction)
+                except EmptyStateError:
+                    assert node.flagged and node.channel_info == ()
+                    continue
+                assert node.channel_info == tuple(
+                    (ch.key(), p) for ch, p in state.channel_probabilities()
+                )
+                try:
+                    if measure == "entropy":
+                        want = entanglement_entropy(state)
+                    elif measure == "concurrence_after_filter":
+                        want = concurrence_after_filter(state, filter_f)
+                    else:
+                        want = conditional_overlap(spec, rpump, rphi, direction)
+                except (EmptyStateError, UndefinedOverlapError):
+                    assert node.flagged and math.isnan(node.measure)
+                    continue
+                assert not node.flagged
+                assert node.measure == want
+
+
+def test_chunk_size_does_not_change_scan(spec, pump, monkeypatch):
+    for rpump, rphi in _property_configs(spec, pump)[-2:]:
+        for measure, filter_f in ALL_MEASURES:
+            whole = scan_sphere(spec, rpump, rphi, COARSE, measure, filter_f=filter_f)
+            monkeypatch.setattr(geometry_explorer, "_CHUNK", 7)
+            chunked = scan_sphere(spec, rpump, rphi, COARSE, measure, filter_f=filter_f)
+            monkeypatch.undo()
+            assert chunked.nodes == whole.nodes
+            assert (chunked.resolution, chunked.measure_name, chunked.metadata) == (
+                whole.resolution,
+                whole.measure_name,
+                whole.metadata,
+            )
+
+
+def test_unresolved_filter_channel_warns(spec, pump, phi0, monkeypatch):
+    # as spectral_filter does for one state: a 10 GHz resolution cannot
+    # separate the 1.77 GHz-split sodium channels
+    monkeypatch.setattr(geometry_explorer, "DEFAULT_CHANNEL_RESOLUTION", TWO_PI * 10.0e9)
+    with pytest.warns(UserWarning, match="not spectrally resolvable"):
+        scan_sphere(spec, pump, phi0, COARSE, "concurrence_after_filter", filter_f=1)
+
+
 def test_flagged_nodes_for_undefined_overlap(spec, pump):
     # sigma+ pump on |2,2>: on the detection axis one branch dies, so the
     # conditional overlap is undefined there and those nodes carry the NaN
@@ -179,12 +260,6 @@ def test_argmax_single_unflagged_node():
     direction, value = argmax_direction(scan)
     assert value == 0.25
     np.testing.assert_array_equal(direction, [1.0, 0.0, 0.0])
-
-
-def test_workers_do_not_change_results(spec, pump, phi0):
-    serial = scan_sphere(spec, pump, phi0, COARSE, "entropy", workers=1)
-    parallel = scan_sphere(spec, pump, phi0, COARSE, "entropy", workers=2)
-    assert serial.nodes == parallel.nodes
 
 
 def test_csv_layout_and_flags(spec, pump, phi0):

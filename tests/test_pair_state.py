@@ -20,10 +20,14 @@ from raman_pairs.errors import (
     InputDomainError,
     OffResonanceError,
 )
+from raman_pairs import pair_state
 from raman_pairs.pair_state import (
+    Channel,
     CondensateSpinor,
+    PairState,
     PumpConfig,
     build_pair_state,
+    pair_batch,
     pair_state_from_json,
     pair_state_to_json,
     photon_frequency,
@@ -59,6 +63,69 @@ def test_condensate_rejects_alien_sublevels(spec):
     spinor = CondensateSpinor.single(3, 0)
     with pytest.raises(InputDomainError):
         spinor.vector(spec)
+
+
+def test_constants_match_scipy():
+    # the SI-2019 exact values, bit for bit; scipy stays a test-only oracle
+    assert pair_state.SPEED_OF_LIGHT == SPEED_OF_LIGHT
+    assert pair_state.HBAR == HBAR
+
+
+def test_pair_state_rejects_channel_level_mismatch(state_z):
+    (channel, (tf, tm)), amp = state_z.amplitudes[0]
+    alien = Channel(omega=channel.omega, lam=channel.lam, doubled_f=tf - 2)
+    with pytest.raises(InputDomainError, match="channel"):
+        PairState(
+            amplitudes=(((alien, (tf, tm)), 1.0 + 0.0j),),
+            channels=(alien,),
+            recoil_momentum=state_z.recoil_momentum,
+            photon_wavevector=state_z.photon_wavevector,
+            emission_weight=state_z.emission_weight,
+            detection_direction=state_z.detection_direction,
+            pump=state_z.pump,
+        )
+
+
+# --- batched kernel ---------------------------------------------------------------
+
+
+def test_batch_rows_equal_single_direction_batches(spec):
+    # a direction gets the same bits alone or anywhere in a batch
+    rng = np.random.default_rng(29)
+    pump = random_pump(spec, rng)
+    phi0 = random_condensate(spec, rng)
+    directions = np.array([random_direction(rng) for _ in range(9)] + [Z, -Z])
+    batch = pair_batch(spec, pump, phi0, directions)
+    for n, k in enumerate(directions):
+        one = pair_batch(spec, pump, phi0, k[np.newaxis])
+        for field in ("polarizations", "amplitudes", "norms", "weights", "omega", "order"):
+            np.testing.assert_array_equal(getattr(one, field)[0], getattr(batch, field)[n])
+
+
+def test_batch_matches_coupling_matrix(spec):
+    # the shared-factor contraction reproduces G_out,in @ phi0 for both branches
+    from raman_pairs.raman_coupling import coupling_matrix, detection_modes
+
+    rng = np.random.default_rng(31)
+    pump = random_pump(spec, rng)
+    phi0 = random_condensate(spec, rng)
+    k = random_direction(rng)
+    batch = pair_batch(spec, pump, phi0, k[np.newaxis])
+    rows = np.vstack(
+        [
+            coupling_matrix(spec, pump.omega_laser, mode, pump.mode()) @ phi0.vector(spec)
+            for mode in detection_modes(k)
+        ]
+    )
+    scattered = batch.norms[0] * batch.phases[0] * batch.amplitudes[0]
+    np.testing.assert_allclose(scattered, rows, rtol=0.0, atol=1e-12 * np.abs(rows).max())
+
+
+def test_batch_rejects_non_unit_directions(spec, pump, phi0):
+    with pytest.raises(InputDomainError):
+        pair_batch(spec, pump, phi0, np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]]))
+    with pytest.raises(InputDomainError):
+        pair_batch(spec, pump, phi0, np.array([0.0, 0.0, 1.0]))
 
 
 # --- scattered spinor -----------------------------------------------------------
