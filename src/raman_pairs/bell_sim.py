@@ -15,14 +15,18 @@ b.  The observable is A(a) = cos(2a) sz + sin(2a) sx, hence the symmetric
 Bell state gives E(a, b) = cos(2a - 2b) and the antisymmetric one the same
 pattern with b -> -b.
 
+The optimal angles follow in closed form from the 2x2 Pauli correlation
+matrix T over (z, x): the maximum of S over the four angles is 2 ||T||_F (see
+``optimize_chsh``).
+
 Sampling uses numpy's PCG64 generator, seeded per fixed-size trial chunk via
 SeedSequence spawning, so results are bit-reproducible and independent of any
-future worker partitioning.
+future worker partitioning.  Sampled trials are kept as two int8 index arrays
+(setting and outcome), and the events CSV is written from them chunk by chunk.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,7 +38,6 @@ from .pair_state import PairState
 
 __all__ = [
     "MeasurementSetting",
-    "EventRecord",
     "SampleResult",
     "correlation",
     "chsh",
@@ -42,12 +45,17 @@ __all__ = [
     "sample_events",
     "events_to_csv",
     "GENERATOR_ID",
+    "SETTING_LABELS",
+    "OUTCOME_SIGNS",
 ]
 
 GENERATOR_ID = "numpy.random.PCG64/SeedSequence-spawn/chunk65536"
 _CHUNK = 65536
-_GRID_N = 360  # pi/360 resolution over a half turn
-_SETTING_LABELS = (("a", "b"), ("a", "b_prime"), ("a_prime", "b"), ("a_prime", "b_prime"))
+# Setting index -> (photon, atom) analyzer labels.
+SETTING_LABELS = (("a", "b"), ("a", "b_prime"), ("a_prime", "b"), ("a_prime", "b_prime"))
+# Outcome index -> (photon, atom) outcomes.
+OUTCOME_SIGNS = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]])
+OUTCOME_SIGNS.flags.writeable = False
 
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -65,23 +73,21 @@ class MeasurementSetting:
             raise InputDomainError("analyzer angles must be finite")
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    """One sampled coincidence."""
-
-    trial: int
-    setting_a_label: str
-    setting_b_label: str
-    photon_outcome: int
-    atom_outcome: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleResult:
-    records: tuple[EventRecord, ...]
-    s_estimate: float
-    standard_error: float
-    correlations: tuple[float, ...]
+    """Sampled trials and their CHSH estimate.
+
+    ``setting_index[k]`` indexes ``SETTING_LABELS`` and ``outcome_index[k]``
+    indexes ``OUTCOME_SIGNS`` for trial k (read-only int8 arrays).  A setting
+    pair without trials has correlation ``None``, and then ``s_estimate`` and
+    ``standard_error`` are ``None`` too.
+    """
+
+    setting_index: np.ndarray
+    outcome_index: np.ndarray
+    s_estimate: float | None
+    standard_error: float | None
+    correlations: tuple[float | None, ...]
     counts: tuple[int, ...]
     settings: tuple[float, float, float, float]
     seed: int
@@ -127,60 +133,29 @@ def chsh(state: PairState, a: float, a_prime: float, b: float, b_prime: float) -
     return float(ca @ t @ cb - ca @ t @ cbp + cap @ t @ cb + cap @ t @ cbp)
 
 
-def _best_half_angle(weights: np.ndarray) -> float:
-    """argmax over x of cos(2x) w0 + sin(2x) w1, mapped into [0, pi)."""
-    angle = 0.5 * math.atan2(weights[1], weights[0])
-    return angle % math.pi
+def _half_angle(bloch: np.ndarray) -> float:
+    """The analyzer angle x in [-pi/2, pi/2] whose (cos 2x, sin 2x) is along ``bloch``."""
+    return 0.5 * math.atan2(bloch[1], bloch[0])
 
 
 def optimize_chsh(state: PairState) -> tuple[tuple[float, float, float, float], float]:
-    """Maximize S over the four analyzer angles.
+    """Maximize S over the four analyzer angles, in closed form.
 
-    Grid search at pi/360 resolution followed by exact coordinate-ascent
-    refinement to a local tolerance of 1e-10.  Deterministic: the grid is
-    scanned with ascending a, then row-major (b, b'), then ascending a', and
-    only strict improvements are accepted.
+    With Bloch vectors c(x) = (cos 2x, sin 2x) in the z-x plane,
+    S = c(a).T(c(b) - c(b')) + c(a').T(c(b) + c(b')).  Choosing b, b' = +-theta/2
+    makes c(b) + c(b') = 2 cos(theta) e_z and c(b) - c(b') = 2 sin(theta) e_x;
+    the best a' then points along T e_z and a along T e_x, which leaves
+    S = 2 (cos(theta) |T e_z| + sin(theta) |T e_x|).  With
+    tan(theta) = |T e_x| / |T e_z| this is 2 ||T||_F, the maximum over every
+    choice of the four angles (for any b, b', the vectors c(b) +- c(b') are
+    orthogonal with squared lengths summing to 4).  Angles are returned in
+    [-pi/2, pi/2]; the returned S is evaluated at them.
     """
     t = _pauli_correlation_matrix(_support_matrix(state))
-    xs = np.arange(_GRID_N) * (math.pi / _GRID_N)
-    c = np.stack([np.cos(2.0 * xs), np.sin(2.0 * xs)], axis=1)
-    e_grid = c @ t @ c.T
-
-    # For each (b, b'), the a' part max_a' E(a',b) + E(a',b') is separable.
-    m1 = np.empty((_GRID_N, _GRID_N))
-    a1 = np.empty((_GRID_N, _GRID_N), dtype=int)
-    cols = np.arange(_GRID_N)
-    for ib in range(_GRID_N):
-        combined = e_grid[:, ib][:, np.newaxis] + e_grid
-        a1[ib] = np.argmax(combined, axis=0)
-        m1[ib] = combined[a1[ib], cols]
-
-    best_s = -np.inf
-    best = (0, 0, 0, 0)
-    for ia in range(_GRID_N):
-        g = e_grid[ia][:, np.newaxis] - e_grid[ia][np.newaxis, :] + m1
-        flat = int(np.argmax(g))
-        value = float(g.flat[flat])
-        if value > best_s:
-            ib, ibp = divmod(flat, _GRID_N)
-            best_s = value
-            best = (ia, int(a1[ib, ibp]), ib, ibp)
-
-    a, a_prime, b, b_prime = (float(xs[i]) for i in best)
-    s = best_s
-    for _ in range(500):
-        ca, cap = _bloch(a), _bloch(a_prime)
-        b = _best_half_angle(t.T @ (ca + cap))
-        b_prime = _best_half_angle(t.T @ (cap - ca))
-        cb, cbp = _bloch(b), _bloch(b_prime)
-        a = _best_half_angle(t @ (cb - cbp))
-        a_prime = _best_half_angle(t @ (cb + cbp))
-        new_s = chsh(state, a, a_prime, b, b_prime)
-        if new_s - s <= 1e-10:
-            s = max(s, new_s)
-            break
-        s = new_s
-    return (a, a_prime, b, b_prime), float(s)
+    t_z, t_x = t[:, 0], t[:, 1]
+    theta = math.atan2(math.hypot(*t_x), math.hypot(*t_z))
+    settings = (_half_angle(t_x), _half_angle(t_z), 0.5 * theta, -0.5 * theta)
+    return settings, chsh(state, *settings)
 
 
 def _joint_distributions(
@@ -213,7 +188,8 @@ def sample_events(
     Per trial the setting pair is chosen uniformly from the four (a|a', b|b')
     combinations; outcomes are sampled by inverse transform.  Bit-reproducible
     for a fixed seed; the trial space is consumed in fixed 65536-trial chunks
-    with per-chunk derived seeds.
+    with per-chunk derived seeds, each drawing its setting indices first and
+    its uniforms second.
     """
     if n < 1:
         raise InputDomainError("need at least one trial")
@@ -226,58 +202,64 @@ def sample_events(
 
     n_chunks = (n + _CHUNK - 1) // _CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
-    outcome_sign = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]])
-
-    records: list[EventRecord] = []
-    prod_sums = np.zeros(4)
-    counts = np.zeros(4, dtype=int)
-    trial = 0
+    setting_index = np.empty(n, dtype=np.int8)
+    outcome_index = np.empty(n, dtype=np.int8)
+    # table[4 s + o] counts trials with setting s and outcome o.
+    table = np.zeros(16, dtype=np.int64)
     for chunk_idx in range(n_chunks):
-        size = min(_CHUNK, n - chunk_idx * _CHUNK)
+        start = chunk_idx * _CHUNK
+        size = min(_CHUNK, n - start)
         rng = np.random.Generator(np.random.PCG64(children[chunk_idx]))
-        setting_idx = rng.integers(0, 4, size=size)
+        chunk_settings = rng.integers(0, 4, size=size)
         uniform = rng.random(size)
-        outcome_idx = (
-            uniform[:, np.newaxis] >= cumulative[setting_idx, :-1]
-        ).sum(axis=1)
-        for s_i, o_i in zip(setting_idx, outcome_idx):
-            photon, atom = outcome_sign[o_i]
-            la, lb = _SETTING_LABELS[s_i]
-            records.append(EventRecord(trial, la, lb, int(photon), int(atom)))
-            prod_sums[s_i] += photon * atom
-            counts[s_i] += 1
-            trial += 1
+        chunk_outcomes = (uniform[:, np.newaxis] >= cumulative[chunk_settings, :-1]).sum(axis=1)
+        setting_index[start : start + size] = chunk_settings
+        outcome_index[start : start + size] = chunk_outcomes
+        table += np.bincount(4 * chunk_settings + chunk_outcomes, minlength=16)
+    setting_index.flags.writeable = False
+    outcome_index.flags.writeable = False
 
-    with np.errstate(invalid="ignore", divide="ignore"):
-        correlations = np.where(counts > 0, prod_sums / np.maximum(counts, 1), np.nan)
-    if np.any(counts == 0):
-        s_estimate, std_error = math.nan, math.inf
+    table = table.reshape(4, 4)
+    counts = table.sum(axis=1)
+    prod_sums = table @ OUTCOME_SIGNS.prod(axis=1)  # sums of photon * atom outcomes
+    correlations = tuple(float(p / c) if c else None for p, c in zip(prod_sums, counts))
+    if None in correlations:
+        s_estimate = std_error = None
     else:
-        s_estimate = float(
-            correlations[0] - correlations[1] + correlations[2] + correlations[3]
-        )
-        std_error = float(
-            math.sqrt(sum((1.0 - correlations[i] ** 2) / counts[i] for i in range(4)))
-        )
+        e = correlations
+        s_estimate = e[0] - e[1] + e[2] + e[3]
+        std_error = math.sqrt(sum((1.0 - e[i] ** 2) / counts[i] for i in range(4)))
     return SampleResult(
-        records=tuple(records),
+        setting_index=setting_index,
+        outcome_index=outcome_index,
         s_estimate=s_estimate,
         standard_error=std_error,
-        correlations=tuple(float(x) for x in correlations),
+        correlations=correlations,
         counts=tuple(int(x) for x in counts),
         settings=settings,
         seed=seed,
     )
 
 
-def events_to_csv(records: tuple[EventRecord, ...], path: str | Path) -> None:
-    """Write event records with the documented column layout."""
+# Row format for one trial, indexed by 4 * setting + outcome.
+_ROW_FORMATS = tuple(
+    f"%d,{la},{lb},{photon},{atom}\n"
+    for la, lb in SETTING_LABELS
+    for photon, atom in OUTCOME_SIGNS.tolist()
+)
+
+
+def events_to_csv(result: SampleResult, path: str | Path) -> None:
+    """Write the sampled trials, one row each, one chunk of text at a time.
+
+    Columns: trial, setting_a_label, setting_b_label, photon_outcome,
+    atom_outcome.  Each chunk's rows are one format string joined from
+    ``_ROW_FORMATS`` and filled with the chunk's trial numbers.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["trial", "setting_a_label", "setting_b_label", "photon_outcome", "atom_outcome"]
-        )
-        for rec in records:
-            writer.writerow(
-                [rec.trial, rec.setting_a_label, rec.setting_b_label, rec.photon_outcome, rec.atom_outcome]
-            )
+        fh.write("trial,setting_a_label,setting_b_label,photon_outcome,atom_outcome\n")
+        for start in range(0, len(result.setting_index), _CHUNK):
+            stop = start + _CHUNK
+            codes = 4 * result.setting_index[start:stop] + result.outcome_index[start:stop]
+            rows = "".join(map(_ROW_FORMATS.__getitem__, codes.tolist()))
+            fh.write(rows % tuple(range(start, start + len(codes))))

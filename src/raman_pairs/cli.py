@@ -73,12 +73,24 @@ def _check_keys(obj: dict, allowed, path: str) -> None:
             _fail_config(f"unknown key '{path}{key}'")
 
 
+def _as_number(value, path: str) -> float:
+    """The finite float of a JSON number; strings, booleans, NaN and +-Infinity fail."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    _fail_config(f"'{path}' must be a finite number, got {value!r}")
+
+
 def _as_complex(value, path: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
     if isinstance(value, list) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    _fail_config(f"'{path}' must be a number or an [re, im] pair")
+        return complex(_as_number(value[0], path), _as_number(value[1], path))
+    if isinstance(value, list):
+        _fail_config(f"'{path}' must be a number or an [re, im] pair")
+    return complex(_as_number(value, path))
 
 
 def _as_vector(value, path: str, complex_ok: bool) -> np.ndarray:
@@ -86,7 +98,7 @@ def _as_vector(value, path: str, complex_ok: bool) -> np.ndarray:
         _fail_config(f"'{path}' must be a 3-component list")
     if complex_ok:
         return np.array([_as_complex(v, path) for v in value])
-    return np.array([float(v) for v in value])
+    return np.array([_as_number(v, path) for v in value])
 
 
 class RunConfig:
@@ -149,8 +161,14 @@ class RunConfig:
             if settings is not None:
                 if not isinstance(settings, list) or len(settings) != 4:
                     _fail_config("'chsh.settings_rad' must be a list of 4 angles")
-                self.chsh_settings = tuple(float(x) for x in settings)
-        self.validity_threshold = float(raw.get("validity_threshold", 100.0))
+                self.chsh_settings = tuple(
+                    _as_number(x, "chsh.settings_rad") for x in settings
+                )
+        self.validity_threshold = _as_number(
+            raw.get("validity_threshold", 100.0), "validity_threshold"
+        )
+        if self.validity_threshold < 0:
+            _fail_config("'validity_threshold' must not be negative")
         output = raw.get("output", {})
         self.output_path = output.get("path")
         self.output_format = output.get("format", "json")
@@ -199,9 +217,9 @@ class RunConfig:
             return PumpConfig(
                 direction=direction / norm,
                 polarization=polarization / pol_norm,
-                omega_laser=TWO_PI * float(raw["laser_hz"]),
+                omega_laser=TWO_PI * _as_number(raw["laser_hz"], "pump.laser_hz"),
                 pump_amplitude=_as_complex(raw.get("amplitude", 1.0), "pump.amplitude"),
-                atom_number=float(raw.get("atom_number", 1.0)),
+                atom_number=_as_number(raw.get("atom_number", 1.0), "pump.atom_number"),
             )
         except InputDomainError as exc:
             _fail_config(f"invalid 'pump': {exc}")
@@ -248,7 +266,10 @@ def _write_text(text: str, path: str | None) -> None:
 
 
 def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise PhysicsError(f"output has a non-finite number: {exc}") from None
 
 
 def _analysis_block(state: PairState, full_state: PairState) -> dict:
@@ -345,7 +366,9 @@ def cmd_scan(args) -> int:
     out = args.output or config.output_path
     if out is None:
         _fail_config("scan needs an output prefix: pass --output or set 'output.path'")
-    resolution = math.radians(float(config.scan["resolution_deg"]))
+    resolution = math.radians(
+        _as_number(config.scan["resolution_deg"], "detection.scan.resolution_deg")
+    )
     filter_f = None
     if "filter_f" in config.scan:
         filter_f = config.parse_level(config.scan["filter_f"], "detection.scan.filter_f")
@@ -372,6 +395,10 @@ def cmd_scan(args) -> int:
 def cmd_chsh(args) -> int:
     if args.format == "csv":
         _fail_config("the chsh analysis is JSON only; use --events-csv for event records")
+    if args.samples < 0:
+        _fail_config(f"--samples must be 0 (no sampling) or positive, got {args.samples}")
+    if args.seed < 0:
+        _fail_config(f"--seed must not be negative, got {args.seed}")
     config = RunConfig(Path(args.config))
     state = build_pair_state(
         config.spec,
@@ -417,7 +444,7 @@ def cmd_chsh(args) -> int:
             "counts": list(result.counts),
         }
         if args.events_csv:
-            events_to_csv(result.records, args.events_csv)
+            events_to_csv(result, args.events_csv)
             doc["sampling"]["events_csv"] = str(args.events_csv)
     _write_text(_json_text(doc), args.output or config.output_path)
     return 0

@@ -1,12 +1,15 @@
 """Analytic and sampled CHSH correlations."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import oracle_chsh, oracle_correlation
 from raman_pairs.bell_sim import (
+    OUTCOME_SIGNS,
+    SETTING_LABELS,
     chsh,
     correlation,
     events_to_csv,
@@ -158,16 +161,67 @@ def test_optimize_deterministic(bell):
     assert first == second
 
 
+def random_matrix(rng) -> np.ndarray:
+    m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    return m / np.linalg.norm(m)
+
+
+def oracle_frobenius_bound(m: np.ndarray) -> float:
+    """2 ||T||_F with T[i, j] = E over the z (angle 0) and x (angle pi/4) analyzers."""
+    axes = (0.0, math.pi / 4.0)
+    t = np.array([[oracle_correlation(m, a, b) for b in axes] for a in axes])
+    return 2.0 * math.sqrt(float(np.sum(t**2)))
+
+
+def enumerated_correlations(m: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``oracle_correlation`` over arrays of angles: sum of outcome products x probabilities."""
+    total = np.zeros(np.shape(a))
+    for s_out, (ua0, ua1) in ((1, (np.cos(a), np.sin(a))), (-1, (-np.sin(a), np.cos(a)))):
+        for t_out, (vb0, vb1) in ((1, (np.cos(b), np.sin(b))), (-1, (-np.sin(b), np.cos(b)))):
+            amplitude = (
+                ua0 * (m[0, 0] * vb0 + m[0, 1] * vb1) + ua1 * (m[1, 0] * vb0 + m[1, 1] * vb1)
+            )
+            total += s_out * t_out * np.abs(amplitude) ** 2
+    return total
+
+
+def test_optimize_matches_frobenius_oracle(pump):
+    # The optimum is 2 ||T||_F, and no random choice of the four angles beats it.
+    rng = np.random.default_rng(101)
+    probe = rng.uniform(0.0, math.pi, size=(2, 5))
+    m = random_matrix(rng)
+    assert enumerated_correlations(m, *probe) == pytest.approx(
+        [oracle_correlation(m, x, y) for x, y in probe.T], abs=1e-14
+    )
+    for _ in range(200):
+        m = random_matrix(rng)
+        settings, s = optimize_chsh(synth_state(m, pump))
+        assert s == pytest.approx(oracle_frobenius_bound(m), abs=1e-12)
+        assert oracle_chsh(m, *settings) == pytest.approx(s, abs=1e-12)
+        a, ap, b, bp = rng.uniform(0.0, math.pi, size=(4, 10_000))
+        random_s = (
+            enumerated_correlations(m, a, b)
+            - enumerated_correlations(m, a, bp)
+            + enumerated_correlations(m, ap, b)
+            + enumerated_correlations(m, ap, bp)
+        )
+        assert random_s.max() <= s + 1e-12
+
+
 # --- sampling -------------------------------------------------------------------
 
 
 def test_sampling_reproducible(bell):
     r1 = sample_events(bell, OPTIMAL, 5000, seed=7)
     r2 = sample_events(bell, OPTIMAL, 5000, seed=7)
-    assert r1.records == r2.records
+    assert np.array_equal(r1.setting_index, r2.setting_index)
+    assert np.array_equal(r1.outcome_index, r2.outcome_index)
     assert r1.s_estimate == r2.s_estimate
     r3 = sample_events(bell, OPTIMAL, 5000, seed=8)
-    assert r3.records != r1.records
+    assert not (
+        np.array_equal(r3.setting_index, r1.setting_index)
+        and np.array_equal(r3.outcome_index, r1.outcome_index)
+    )
 
 
 def test_sampling_statistical_contract(bell):
@@ -178,10 +232,10 @@ def test_sampling_statistical_contract(bell):
 
 def test_sampling_marginals_unbiased(bell):
     result = sample_events(bell, OPTIMAL, 100_000, seed=11)
-    photon_mean = np.mean([r.photon_outcome for r in result.records])
-    atom_mean = np.mean([r.atom_outcome for r in result.records])
+    photon_mean = np.mean(OUTCOME_SIGNS[result.outcome_index, 0])
+    atom_mean = np.mean(OUTCOME_SIGNS[result.outcome_index, 1])
     # each marginal is +-1 with p = 1/2; five sigma of the mean
-    five_sigma = 5.0 / math.sqrt(len(result.records))
+    five_sigma = 5.0 / math.sqrt(len(result.outcome_index))
     assert abs(photon_mean) <= five_sigma
     assert abs(atom_mean) <= five_sigma
 
@@ -195,10 +249,9 @@ def test_sampling_internal_consistency(bell):
         ("a_prime", "b"): 2,
         ("a_prime", "b_prime"): 3,
     }
-    for rec in result.records:
-        sums[label_to_index[(rec.setting_a_label, rec.setting_b_label)]].append(
-            rec.photon_outcome * rec.atom_outcome
-        )
+    for s_i, o_i in zip(result.setting_index, result.outcome_index):
+        photon, atom = OUTCOME_SIGNS[o_i]
+        sums[label_to_index[SETTING_LABELS[s_i]]].append(photon * atom)
     for i in range(4):
         assert -1.0 <= result.correlations[i] <= 1.0
         assert result.correlations[i] == pytest.approx(np.mean(sums[i]), abs=1e-14)
@@ -229,16 +282,17 @@ def test_sampling_rejects_zero_trials(bell):
 
 
 def test_sampling_chunk_boundary(bell):
-    # crossing the 65536-trial chunk boundary keeps the earlier records
+    # crossing the 65536-trial chunk boundary keeps the earlier trials
     short = sample_events(bell, OPTIMAL, 65_536, seed=3)
     longer = sample_events(bell, OPTIMAL, 65_536 + 100, seed=3)
-    assert longer.records[: len(short.records)] == short.records
+    assert np.array_equal(longer.setting_index[: len(short.setting_index)], short.setting_index)
+    assert np.array_equal(longer.outcome_index[: len(short.outcome_index)], short.outcome_index)
 
 
 def test_events_csv_layout(bell, tmp_path):
     result = sample_events(bell, OPTIMAL, 50, seed=5)
     path = tmp_path / "events.csv"
-    events_to_csv(result.records, path)
+    events_to_csv(result, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "trial,setting_a_label,setting_b_label,photon_outcome,atom_outcome"
     assert len(lines) == 51
@@ -246,3 +300,46 @@ def test_events_csv_layout(bell, tmp_path):
     assert first[0] == "0"
     assert first[1] in ("a", "a_prime") and first[2] in ("b", "b_prime")
     assert first[3] in ("-1", "1") and first[4] in ("-1", "1")
+
+
+def test_events_csv_rows_match_arrays(bell, tmp_path):
+    # every row across the chunk boundary spells out its trial's indices
+    result = sample_events(bell, OPTIMAL, 65_536 + 100, seed=3)
+    path = tmp_path / "events.csv"
+    events_to_csv(result, path)
+    lines = path.read_text().splitlines()[1:]
+    assert len(lines) == len(result.setting_index)
+    for k in (0, 1, 65_535, 65_536, 65_635):
+        la, lb = SETTING_LABELS[result.setting_index[k]]
+        photon, atom = OUTCOME_SIGNS[result.outcome_index[k]]
+        assert lines[k] == f"{k},{la},{lb},{photon},{atom}"
+
+
+def test_sampled_arrays_are_read_only(bell):
+    result = sample_events(bell, OPTIMAL, 10, seed=1)
+    assert result.setting_index.dtype == np.int8 and result.outcome_index.dtype == np.int8
+    with pytest.raises(ValueError):
+        result.outcome_index[0] = 0
+
+
+def test_sampling_undefined_correlation_is_none(bell):
+    # two trials cannot cover four setting pairs: the empty ones have no value
+    result = sample_events(bell, OPTIMAL, 2, seed=1)
+    assert sum(result.counts) == 2 and 0 in result.counts
+    for count, corr in zip(result.counts, result.correlations):
+        assert (corr is None) == (count == 0)
+    assert result.s_estimate is None
+    assert result.standard_error is None
+
+
+def test_sampling_and_csv_memory_bound(bell, tmp_path):
+    # 10^6 trials are two int8 arrays (2 MB) plus per-chunk temporaries of a
+    # few MB; an object per trial would take over 100 bytes each.
+    tracemalloc.start()
+    try:
+        result = sample_events(bell, OPTIMAL, 1_000_000, seed=7)
+        events_to_csv(result, tmp_path / "events.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6

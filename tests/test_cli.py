@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import shutil
@@ -231,6 +232,116 @@ def test_chsh_unfiltered_exits_3(state_config, capsys):
     code, _, err = run(["chsh", "--config", str(state_config)], capsys)
     assert code == 3
     assert "2x2" in err
+
+
+def test_chsh_pinned_bytes(tmp_path, monkeypatch, capsys):
+    # seeded settings, past the 65536-trial chunk boundary: stdout and events
+    # CSV keep these exact bytes
+    raw = json.loads((DATA / "sodium_chsh.json").read_text())
+    raw["chsh"] = {"settings_rad": [0.0, math.pi / 4.0, math.pi / 8.0, 3.0 * math.pi / 8.0]}
+    (tmp_path / "config.json").write_text(json.dumps(raw, indent=1))
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(
+        ["chsh", "--config", "config.json", "--samples", "65636", "--seed", "3",
+         "--events-csv", "events.csv"],
+        capsys,
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e384603f808638da941e270ab1b49cff48cfbaa30c7ef8f42f507cc16b152508"
+    )
+    assert hashlib.sha256((tmp_path / "events.csv").read_bytes()).hexdigest() == (
+        "02d876b73394f9525ed56f752cff3a23dd9dfc7d81b53d021995361204f0e65c"
+    )
+
+
+def strict_json(text: str):
+    def reject(constant):
+        raise AssertionError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_chsh_empty_setting_pair_is_null(capsys):
+    code, out, _ = run(
+        ["chsh", "--config", str(DATA / "sodium_chsh.json"), "--samples", "2", "--seed", "1"],
+        capsys,
+    )
+    assert code == 0
+    sampling = strict_json(out)["sampling"]
+    assert 0 in sampling["counts"]
+    assert sampling["s_estimate"] is None
+    assert sampling["standard_error"] is None
+    for count, corr in zip(sampling["counts"], sampling["correlations"]):
+        assert (corr is None) == (count == 0)
+
+
+@pytest.mark.parametrize("flag", ["--samples", "--seed"])
+def test_chsh_negative_count_exits_2(flag, capsys):
+    code, _, err = run(["chsh", "--config", str(DATA / "sodium_chsh.json"), flag, "-1"], capsys)
+    assert code == 2
+    assert flag in err
+
+
+def test_non_finite_output_exits_3(state_config, capsys):
+    # finite inputs whose emission weight overflows: no Infinity in the output
+    def mutate(c):
+        c["pump"]["atom_number"] = 1e308
+        c["pump"]["amplitude"] = [1e10, 0.0]
+
+    edit_config(state_config, mutate)
+    code, out, err = run(["state", "--config", str(state_config)], capsys)
+    assert code == 3
+    assert out == ""
+    assert "non-finite" in err
+
+
+def _set_angle(c, v):
+    c["chsh"] = {"settings_rad": [0.0, v, 0.0, 0.0]}
+
+
+_NUMERIC_KEYS = {
+    "chsh.settings_rad": _set_angle,
+    "validity_threshold": lambda c, v: c.__setitem__("validity_threshold", v),
+    "pump.laser_hz": lambda c, v: c["pump"].__setitem__("laser_hz", v),
+    "pump.atom_number": lambda c, v: c["pump"].__setitem__("atom_number", v),
+    "pump.amplitude": lambda c, v: c["pump"].__setitem__("amplitude", [1.0, v]),
+    "pump.direction": lambda c, v: c["pump"].__setitem__("direction", [0.0, v, 0.0]),
+    "pump.polarization": lambda c, v: c["pump"].__setitem__("polarization", [0.0, 0.0, v]),
+    "detection.direction": lambda c, v: c["detection"].__setitem__("direction", [0.0, 0.0, v]),
+    "condensate.amplitudes.2:0": lambda c, v: c["condensate"]["amplitudes"].__setitem__("2:0", v),
+}
+
+
+@pytest.mark.parametrize("value", ["1.0", True, math.nan, math.inf, -math.inf, 10**400])
+@pytest.mark.parametrize("key", sorted(_NUMERIC_KEYS))
+def test_non_finite_config_number_exits_2(key, value, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    shutil.copy(DATA / "sodium_chsh.json", path)
+    edit_config(path, lambda c: _NUMERIC_KEYS[key](c, value))
+    code, out, err = run(["chsh", "--config", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"'{key}'" in err
+
+
+@pytest.mark.parametrize("value", ["15", False, math.nan, math.inf])
+def test_scan_resolution_not_a_number_exits_2(value, scan_config, tmp_path, capsys):
+    edit_config(scan_config, lambda c: c["detection"]["scan"].__setitem__("resolution_deg", value))
+    code, _, err = run(
+        ["scan", "--config", str(scan_config), "--output", str(tmp_path / "x")], capsys
+    )
+    assert code == 2
+    assert "'detection.scan.resolution_deg'" in err
+
+
+def test_negative_validity_threshold_exits_2(capsys, tmp_path):
+    path = tmp_path / "config.json"
+    shutil.copy(DATA / "sodium_chsh.json", path)
+    edit_config(path, lambda c: c.__setitem__("validity_threshold", -1.0))
+    code, _, err = run(["chsh", "--config", str(path)], capsys)
+    assert code == 2
+    assert "validity_threshold" in err
 
 
 # --- tables ----------------------------------------------------------------------
