@@ -43,6 +43,7 @@ from .pair_state import (
     PairState,
     PumpConfig,
     build_pair_state,
+    json_text,
     pair_state_to_json,
     spectral_filter,
 )
@@ -93,12 +94,17 @@ def _as_complex(value, path: str) -> complex:
     return complex(_as_number(value, path))
 
 
-def _as_vector(value, path: str, complex_ok: bool) -> np.ndarray:
+def _as_unit_vector(value, path: str, complex_ok: bool) -> np.ndarray:
+    """A 3-component list scaled to unit length."""
     if not isinstance(value, list) or len(value) != 3:
         _fail_config(f"'{path}' must be a 3-component list")
-    if complex_ok:
-        return np.array([_as_complex(v, path) for v in value])
-    return np.array([_as_number(v, path) for v in value])
+    parse = _as_complex if complex_ok else _as_number
+    vector = np.array([parse(v, path) for v in value])
+    with np.errstate(all="ignore"):
+        unit = vector / np.linalg.norm(vector)
+        if not abs(np.linalg.norm(unit) - 1.0) <= 1e-12:
+            _fail_config(f"'{path}' has a length too small, too large or zero to scale")
+    return unit
 
 
 class RunConfig:
@@ -133,11 +139,9 @@ class RunConfig:
         self.direction: np.ndarray | None = None
         self.scan: dict | None = None
         if "direction" in detection:
-            self.direction = _as_vector(detection["direction"], "detection.direction", False)
-            norm = np.linalg.norm(self.direction)
-            if norm == 0:
-                _fail_config("'detection.direction' must be nonzero")
-            self.direction = self.direction / norm
+            self.direction = _as_unit_vector(
+                detection["direction"], "detection.direction", False
+            )
         else:
             scan = detection["scan"]
             if not isinstance(scan, dict):
@@ -184,8 +188,8 @@ class RunConfig:
             path = Path(value)
             if not path.is_absolute():
                 path = self.path.parent / path
-        if not path.exists():
-            _fail_config(f"atom spec file not found: '{path}'")
+        if not path.is_file():
+            _fail_config(f"'atom_spec_path' names no file: '{path}'")
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         return path, digest, load_atom_spec(path)
 
@@ -205,18 +209,12 @@ class RunConfig:
         for key in ("direction", "polarization", "laser_hz"):
             if key not in raw:
                 _fail_config(f"missing required key 'pump.{key}'")
-        direction = _as_vector(raw["direction"], "pump.direction", False)
-        norm = np.linalg.norm(direction)
-        if norm == 0:
-            _fail_config("'pump.direction' must be nonzero")
-        polarization = _as_vector(raw["polarization"], "pump.polarization", True)
-        pol_norm = np.linalg.norm(polarization)
-        if pol_norm == 0:
-            _fail_config("'pump.polarization' must be nonzero")
+        direction = _as_unit_vector(raw["direction"], "pump.direction", False)
+        polarization = _as_unit_vector(raw["polarization"], "pump.polarization", True)
         try:
             return PumpConfig(
-                direction=direction / norm,
-                polarization=polarization / pol_norm,
+                direction=direction,
+                polarization=polarization,
                 omega_laser=TWO_PI * _as_number(raw["laser_hz"], "pump.laser_hz"),
                 pump_amplitude=_as_complex(raw.get("amplitude", 1.0), "pump.amplitude"),
                 atom_number=_as_number(raw.get("atom_number", 1.0), "pump.atom_number"),
@@ -237,9 +235,12 @@ class RunConfig:
                     f"condensate key {key!r} must look like '2F:2m' with doubled integers"
                 )
             parsed[(tf, tm)] = _as_complex(value, f"condensate.amplitudes.{key}")
-        total = math.sqrt(sum(abs(a) ** 2 for a in parsed.values()))
-        if total == 0:
-            _fail_config("'condensate.amplitudes' must not all vanish")
+        try:
+            total = math.sqrt(sum(abs(a) ** 2 for a in parsed.values()))
+        except OverflowError:
+            total = math.inf
+        if not 0 < total < math.inf:
+            _fail_config("'condensate.amplitudes' must have a nonzero, finite norm")
         normalized = {key: amp / total for key, amp in parsed.items()}
         spinor = CondensateSpinor.from_dict(normalized)
         spinor.vector(self.spec)  # validates sublevel keys against the species
@@ -263,13 +264,6 @@ def _write_text(text: str, path: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text, encoding="utf-8")
-
-
-def _json_text(doc: dict) -> str:
-    try:
-        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    except ValueError as exc:
-        raise PhysicsError(f"output has a non-finite number: {exc}") from None
 
 
 def _analysis_block(state: PairState, full_state: PairState) -> dict:
@@ -323,7 +317,7 @@ def _emit_state(
     else:
         doc = pair_state_to_json(state, provenance=config.metadata())
         doc["analysis"] = _analysis_block(state, full_state or state)
-        _write_text(_json_text(doc), out)
+        _write_text(json_text(doc), out)
 
 
 def cmd_state(args) -> int:
@@ -372,15 +366,18 @@ def cmd_scan(args) -> int:
     filter_f = None
     if "filter_f" in config.scan:
         filter_f = config.parse_level(config.scan["filter_f"], "detection.scan.filter_f")
-    scan = scan_sphere(
-        config.spec,
-        config.pump,
-        config.condensate,
-        resolution,
-        config.scan["measure"],
-        filter_f=filter_f,
-        validity_threshold=config.validity_threshold,
-    )
+    try:
+        scan = scan_sphere(
+            config.spec,
+            config.pump,
+            config.condensate,
+            resolution,
+            config.scan["measure"],
+            filter_f=filter_f,
+            validity_threshold=config.validity_threshold,
+        )
+    except InputDomainError as exc:  # resolution range, measure without filter_f
+        _fail_config(f"invalid 'detection.scan': {exc}")
     scan = replace(scan, metadata=config.metadata())
     csv_path, json_path = write_scan(scan, out)
     direction, value = argmax_direction(scan)
@@ -399,6 +396,8 @@ def cmd_chsh(args) -> int:
         _fail_config(f"--samples must be 0 (no sampling) or positive, got {args.samples}")
     if args.seed < 0:
         _fail_config(f"--seed must not be negative, got {args.seed}")
+    if args.events_csv and not args.samples:
+        _fail_config("--events-csv needs --samples: there are no sampled events to write")
     config = RunConfig(Path(args.config))
     state = build_pair_state(
         config.spec,
@@ -446,7 +445,7 @@ def cmd_chsh(args) -> int:
         if args.events_csv:
             events_to_csv(result, args.events_csv)
             doc["sampling"]["events_csv"] = str(args.events_csv)
-    _write_text(_json_text(doc), args.output or config.output_path)
+    _write_text(json_text(doc), args.output or config.output_path)
     return 0
 
 

@@ -18,9 +18,9 @@ N = 1 case.  Determinants use the Lagrange identity
 ``det = sum_(i<j) |r0_i r1_j - r0_j r1_i|^2``, which stays exact for product
 states where ``ab - |c|^2`` cancels to rounding noise.
 
-The full Schmidt decomposition (:func:`schmidt`) uses a one-sided Jacobi
-SVD implemented here: the amplitude matrices are tiny (at most 8x8) and an
-in-repo routine keeps results bit-reproducible across platforms.
+The full Schmidt decomposition (:func:`schmidt`) solves each block's 2 x 2
+Gram eigenproblem in closed form from the same quantities: no iteration, and
+the same bits on every platform.
 
 Entropy is reported in bits, so a maximally entangled 2x2 state carries
 exactly 1.
@@ -36,7 +36,6 @@ import numpy as np
 
 from .angular_momentum import halfint
 from .errors import (
-    ConvergenceError,
     EmptyStateError,
     InputDomainError,
     UndefinedOverlapError,
@@ -54,7 +53,6 @@ from .raman_coupling import sequential_sum
 
 __all__ = [
     "SchmidtResult",
-    "deterministic_svd",
     "schmidt",
     "entanglement_entropy",
     "concurrence_2x2",
@@ -70,79 +68,7 @@ __all__ = [
     "branch_overlap_of_blocks",
 ]
 
-_JACOBI_TOL = 1e-15
-_JACOBI_MAX_SWEEPS = 60
 _RANK_FLOOR = 1e-15
-
-
-def _jacobi_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonalize the columns of ``a`` (m >= n) by complex Jacobi rotations.
-
-    Returns (a', w) with a' = a @ w, w unitary, and the columns of a'
-    pairwise orthogonal.  Deterministic sweep order (p < q, row major).
-    """
-    a = a.astype(complex, copy=True)
-    n = a.shape[1]
-    w = np.eye(n, dtype=complex)
-    # Columns whose norm falls below this floor are numerically zero; pairs
-    # involving them must be skipped or the relative criterion never settles.
-    norm_floor_sq = (np.linalg.norm(a) * 1e-15) ** 2
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                x, y = a[:, p], a[:, q]
-                alpha = float(np.real(np.vdot(x, x)))
-                beta = float(np.real(np.vdot(y, y)))
-                if alpha <= norm_floor_sq or beta <= norm_floor_sq:
-                    continue
-                gamma = complex(np.vdot(x, y))
-                mag = abs(gamma)
-                if mag <= _JACOBI_TOL * math.sqrt(alpha * beta) or mag == 0.0:
-                    continue
-                rotated = True
-                phase = gamma / mag
-                tau = (alpha - beta) / (2.0 * mag)
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                cos = 1.0 / math.sqrt(1.0 + t * t)
-                sin = cos * t
-                rot = np.array(
-                    [[cos, -sin * phase], [sin * np.conj(phase), cos]], dtype=complex
-                )
-                a[:, [p, q]] = a[:, [p, q]] @ rot
-                w[:, [p, q]] = w[:, [p, q]] @ rot
-        if not rotated:
-            return a, w
-    raise ConvergenceError("Jacobi sweeps did not orthogonalize the columns")
-
-
-def deterministic_svd(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Compact SVD ``matrix = u @ diag(s) @ vh`` by one-sided Jacobi.
-
-    Singular values are returned in descending order; exact ties keep the
-    sweep's column order.  Values below 1e-15 of the largest are dropped.
-    """
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.size == 0:
-        raise InputDomainError("expected a non-empty 2-d matrix")
-    if m.shape[0] < m.shape[1]:
-        u_t, s, vh_t = deterministic_svd(m.conj().T)
-        return vh_t.conj().T, s, u_t.conj().T
-
-    rotated, w = _jacobi_columns(m)
-    norms = np.linalg.norm(rotated, axis=0)
-    order = sorted(range(len(norms)), key=lambda j: -norms[j])
-    top = norms[order[0]] if len(order) else 0.0
-    keep = [j for j in order if norms[j] > _RANK_FLOOR * top and norms[j] > 0.0]
-    if not keep:
-        raise InputDomainError("cannot decompose an all-zero matrix")
-    u = np.stack([rotated[:, j] / norms[j] for j in keep], axis=1)
-    s = np.array([norms[j] for j in keep])
-    vh = w[:, keep].conj().T
-    return u, s, vh
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,18 +102,65 @@ def _canonical_phase(u: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return u, a
 
 
+def _photon_pair(grams: BlockGrams, i: int, big: float) -> tuple[np.ndarray, np.ndarray]:
+    """Unit Gram eigenvectors of block ``i``, for its larger then smaller eigenvalue."""
+    a, b = grams.weights[0, :, i]
+    c = complex(grams.c_re[0, i], grams.c_im[0, i])
+    if c == 0.0:
+        first, second = np.eye(2, dtype=complex)
+        return (first, second) if a >= b else (second, first)
+    v = np.array([big - b, c.conjugate()]) if a >= b else np.array([c, big - a])
+    v = v / abs(v).max()  # keeps the norm from underflowing for a tiny c
+    v = v / np.linalg.norm(v)
+    return v, np.array([-v[1].conjugate(), v[0].conjugate()])
+
+
 def schmidt_of_matrix(
     matrix: np.ndarray,
     photon_labels: tuple[Channel, ...],
     atom_labels: tuple[tuple[int, int], ...],
 ) -> SchmidtResult:
-    u, s, vh = deterministic_svd(matrix)
-    # vh rows are v_j^dagger, which is exactly the atom-side coordinate
-    # vector entering the expansion without conjugation.
+    """Schmidt decomposition block by block, one block per level 2F.
+
+    A block has at most two photon rows, so its squared Schmidt coefficients
+    are the eigenvalues of its 2 x 2 Gram matrix, taken as in
+    :func:`entropy_of_blocks`.  Each photon vector p is a Gram eigenvector
+    and its atom vector is p^dagger M / s, with s the Schmidt coefficient.
+    """
+    m = np.asarray(matrix, dtype=complex)
+    shape = (len(photon_labels), len(atom_labels))
+    if m.size == 0 or m.shape != shape or not np.isfinite(m).all():
+        raise InputDomainError("expected a non-empty, finite matrix over the given labels")
+    row = {(ch.doubled_f, ch.lam): i for i, ch in enumerate(photon_labels)}
+    col = {key: j for j, key in enumerate(atom_labels)}
+    if (len(row), len(col)) != shape:
+        raise InputDomainError("a (2F, lambda) photon label or an atom label repeats")
+    nonzero = zip(*(index.tolist() for index in np.nonzero(m)))
+    entries = [((photon_labels[r], atom_labels[c]), m[r, c]) for r, c in nonzero]
+    for (ch, (tf, tm)), _ in entries:
+        if ch.doubled_f != tf or ch.lam not in (1, 2) or abs(tm) > tf or (tf - tm) % 2:
+            raise InputDomainError(f"no 2 x (2F+1) block holds ({ch}, (2F={tf}, 2m={tm}))")
+    if not entries:
+        raise InputDomainError("cannot decompose an all-zero matrix")
+    grams, levels, amplitudes = _entry_grams(entries)
+    big, small = _block_eigenvalues(grams)
+    values = np.sqrt(np.stack([big[0], small[0]], axis=-1))  # (nF, 2)
+    floor = _RANK_FLOOR * values.max()
+    padded = np.append(amplitudes[0], np.zeros((2, 1)), axis=1)  # block_index pads with G
     pairs = []
-    for j in range(len(s)):
-        pj, aj = _canonical_phase(u[:, j], vh[j, :])
-        pairs.append((float(s[j]), pj, aj))
+    for i, (tf, index) in enumerate(zip(levels, block_index(levels))):
+        # an absent label's entry lands in the extra last slot
+        rows = [row.get((tf, lam), shape[0]) for lam in (1, 2)]
+        cols = [col.get((tf, 2 * j - tf), shape[1]) for j in range(len(index))]
+        for value, vec in zip(values[i].tolist(), _photon_pair(grams, i, big[0, i])):
+            if value > floor:
+                p = np.zeros(shape[0] + 1, dtype=complex)
+                p[rows] = vec
+                at = np.zeros(shape[1] + 1, dtype=complex)
+                at[cols] = vec.conj() @ padded[:, index] / value
+                pairs.append((value, *_canonical_phase(p[:-1], at[:-1])))
+    if not pairs:
+        raise InputDomainError("the matrix is numerically zero")
     pairs.sort(key=lambda item: (-item[0], tuple((z.real, z.imag) for z in item[1])))
     return SchmidtResult(
         coefficients=tuple(c for c, _, _ in pairs),
@@ -200,8 +173,7 @@ def schmidt_of_matrix(
 
 def schmidt(state: PairState) -> SchmidtResult:
     """Schmidt decomposition of the photon x atom amplitude matrix."""
-    matrix, photon_labels, atom_labels = state.matrix()
-    return schmidt_of_matrix(matrix, photon_labels, atom_labels)
+    return schmidt_of_matrix(*state.matrix())
 
 
 # --- closed forms on F blocks -----------------------------------------------
@@ -282,19 +254,24 @@ def _minus_p_log2_p(p: np.ndarray) -> np.ndarray:
     return np.where(positive, -p * np.log2(np.where(positive, p, 1.0)), 0.0)
 
 
-def entropy_of_blocks(grams: BlockGrams) -> np.ndarray:
-    """Entanglement entropy in bits of N normalized states, shape (N,).
+def _block_eigenvalues(grams: BlockGrams) -> tuple[np.ndarray, np.ndarray]:
+    """Larger and smaller Gram eigenvalue of each block, shape (N, nF) each.
 
-    Block eigenvalues: the larger from the trace and discriminant, the
-    smaller as det / larger, which keeps it exact near rank one.
+    The larger from the trace and discriminant, the smaller as det / larger,
+    which keeps it exact near rank one.
     """
     a, b = grams.weights[:, 0], grams.weights[:, 1]
     gap = a - b
     disc = np.sqrt(gap * gap + 4.0 * (grams.c_re * grams.c_re + grams.c_im * grams.c_im))
     big = 0.5 * ((a + b) + disc)
-    small = grams.det / np.where(big > 0.0, big, 1.0)
+    return big, grams.det / np.where(big > 0.0, big, 1.0)
+
+
+def entropy_of_blocks(grams: BlockGrams) -> np.ndarray:
+    """Entanglement entropy in bits of N normalized states, shape (N,)."""
+    big, small = _block_eigenvalues(grams)
     # summed block by block, larger eigenvalue first
-    eigenvalues = np.stack([big, small], axis=-1).reshape(len(a), -1)
+    eigenvalues = np.stack([big, small], axis=-1).reshape(len(big), -1)
     return sequential_sum(_minus_p_log2_p(eigenvalues))
 
 
@@ -316,16 +293,20 @@ def branch_overlap_of_blocks(grams: BlockGrams) -> np.ndarray:
     return np.where(undefined, np.nan, value)
 
 
-def _state_grams(state: PairState) -> tuple[BlockGrams, tuple[int, ...]]:
-    """Gram matrices of one state's blocks, and the 2F of each block."""
-    levels = tuple(sorted({tf for (_, (tf, _)), _ in state.amplitudes}))
+def _entry_grams(entries) -> tuple[BlockGrams, tuple[int, ...], np.ndarray]:
+    """Block Gram matrices of ((channel, (2F, 2m)), amplitude) entries.
+
+    Also returns the 2F of each block and the (1, 2, G) amplitudes behind
+    the matrices, laid out as :func:`block_index` of those levels.
+    """
+    levels = tuple(sorted({tf for (_, (tf, _)), _ in entries}))
     start, offset = 0, {}
     for tf in levels:
         offset[tf] = start
         start += tf + 1
     amplitudes = np.zeros((1, 2, start), dtype=complex)
     filled = set()
-    for (ch, (tf, tm)), amp in state.amplitudes:
+    for (ch, (tf, tm)), amp in entries:
         slot = (ch.lam - 1, offset[tf] + (tm + tf) // 2)
         if slot in filled:
             raise InputDomainError(
@@ -333,12 +314,12 @@ def _state_grams(state: PairState) -> tuple[BlockGrams, tuple[int, ...]]:
             )
         filled.add(slot)
         amplitudes[0][slot] = amp
-    return block_grams(amplitudes, block_index(levels)), levels
+    return block_grams(amplitudes, block_index(levels)), levels, amplitudes
 
 
 def entanglement_entropy(state: PairState) -> float:
     """Entropy of entanglement in bits, -sum c^2 log2 c^2."""
-    grams, _ = _state_grams(state)
+    grams = _entry_grams(state.amplitudes)[0]
     return float(entropy_of_blocks(grams)[0])
 
 
@@ -363,7 +344,7 @@ def concurrence_after_filter(state: PairState, f_select) -> float:
     state: 2|det M| on exact 2x2 support and 0 for any product state.
     """
     f = halfint(f_select)
-    grams, levels = _state_grams(state)
+    grams, levels, _ = _entry_grams(state.amplitudes)
     if f.twice not in levels:
         raise EmptyStateError(
             f"the F={f} frequency channel carries zero probability; nothing to select"
@@ -399,7 +380,7 @@ def branch_overlap(state: PairState) -> float:
     Bit for bit :func:`conditional_overlap` of the state's direction, without
     rebuilding the state.
     """
-    return _overlap(_state_grams(state)[0])
+    return _overlap(_entry_grams(state.amplitudes)[0])
 
 
 def conditional_overlap(

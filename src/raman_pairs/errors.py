@@ -45,6 +45,3 @@ class UndefinedOverlapError(PhysicsError):
 class EmptyScanError(PhysicsError):
     """Every node of a scan is flagged; no maximum exists."""
 
-
-class ConvergenceError(PhysicsError):
-    """An iterative numerical routine failed to converge."""

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,6 +42,7 @@ from .pair_state import (
     CondensateSpinor,
     PumpConfig,
     frequency_label,
+    json_text,
     pair_batch,
     warn_unresolved,
 )
@@ -283,13 +283,14 @@ def scan_to_json_doc(scan: ScanMap) -> dict:
 
 
 def write_scan(scan: ScanMap, prefix: str | Path) -> tuple[Path, Path]:
-    """Write ``<prefix>.csv`` and ``<prefix>.json``; returns both paths."""
+    """Write ``<prefix>.csv`` and strict ``<prefix>.json``; returns both paths.
+
+    A non-finite number is a physics error, raised before either file exists.
+    """
     prefix = Path(prefix)
     csv_path = prefix.with_suffix(".csv")
     json_path = prefix.with_suffix(".json")
+    json_doc = json_text(scan_to_json_doc(scan))
     csv_path.write_text(scan_to_csv_text(scan), encoding="utf-8")
-    json_path.write_text(
-        json.dumps(scan_to_json_doc(scan), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    json_path.write_text(json_doc, encoding="utf-8")
     return csv_path, json_path

@@ -12,8 +12,9 @@ ground level F its own photon frequency, solving
 
     omega = omega_L - delta(F) - hbar |K - k(omega)|^2 / (2 m_atom)
 
-by fixed-point iteration (delta measured from the lowest ground level, which
-is where the condensate sits in the configurations treated here).
+as the stable root of a quadratic (delta measured from the lowest ground
+level, which is where the condensate sits in the configurations treated
+here).
 
 The joint amplitude tensor is normalized and its global phase fixed so that
 the lexicographically first nonzero (channel, F, m) entry is real positive;
@@ -27,6 +28,7 @@ are its N = 1 case, wrapped in objects.
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -37,10 +39,10 @@ import numpy as np
 from .angular_momentum import HalfIntLike, halfint
 from .atomic_model import AtomSpec, validity_check
 from .errors import (
-    ConvergenceError,
     EmptyStateError,
     InputDomainError,
     OffResonanceError,
+    PhysicsError,
 )
 from .raman_coupling import (
     PhotonMode,
@@ -65,6 +67,7 @@ __all__ = [
     "spectral_filter",
     "pair_state_to_json",
     "pair_state_from_json",
+    "json_text",
 ]
 
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact in the SI
@@ -251,11 +254,11 @@ class PairState:
         """Amplitudes as a (photon x atom) matrix over the occupied labels."""
         photon = self.photon_labels()
         atom = self.atom_labels()
+        row = {ch: i for i, ch in enumerate(photon)}
+        col = {key: j for j, key in enumerate(atom)}
         mat = np.zeros((len(photon), len(atom)), dtype=complex)
-        amp = self.as_dict()
-        for i, ch in enumerate(photon):
-            for j, at in enumerate(atom):
-                mat[i, j] = amp.get((ch, at), 0.0)
+        for (ch, key), amp in self.amplitudes:
+            mat[row[ch], col[key]] = amp
         return mat, photon, atom
 
     def channel_probabilities(self) -> tuple[tuple[Channel, float], ...]:
@@ -305,31 +308,25 @@ def _shared_factor(spec: AtomSpec, pump: PumpConfig, phi0: CondensateSpinor) -> 
 def _photon_frequencies(spec: AtomSpec, pump: PumpConfig, k: np.ndarray) -> np.ndarray:
     """Photon frequency per (direction, final ground level), with recoil.
 
-    Fixed-point iteration from the recoil-free value to relative 1e-15.
-    Every element stops at its own convergence step, so it gets the same
-    bits alone or in a batch.
+    With base = omega_L - delta(F) and a = hbar / (2 M c^2), the recoil shift
+    delta = base - omega solves a delta^2 - B delta + delta0 = 0, where
+    delta0 = a (omega_L^2 + base^2 - 2 omega_L base cos) and
+    B = 1 + 2a (base - omega_L cos).  The small root, taken as
+    2 delta0 / (B + sqrt(B^2 - 4 a delta0)), cancels nothing, so omega keeps
+    its last bits; it is elementwise, so a batch changes no bits.
     """
     px, py, pz = pump.direction
     cos_angle = (k[:, 0:1] * px + k[:, 1:2] * py) + k[:, 2:3] * pz
-    k_pump = pump.omega_laser / SPEED_OF_LIGHT
-    pump_sq, two_k_pump = k_pump**2, 2.0 * k_pump
-    base = pump.omega_laser - _layout(spec)[1]
-    omega = np.broadcast_to(base, (len(k), len(base)))
-    active = np.ones(omega.shape, dtype=bool)
-    for _ in range(100):
-        k_out = omega / SPEED_OF_LIGHT
-        recoil = HBAR * (pump_sq + k_out * k_out - two_k_pump * k_out * cos_angle) / (
-            2.0 * spec.mass
-        )
-        new = base - recoil
-        if ((new <= 0) & active).any():
-            raise ConvergenceError("photon frequency iteration left the optical regime")
-        converged = abs(new - omega) <= 1e-15 * abs(new)
-        omega = np.where(active, new, omega)
-        active &= ~converged
-        if not active.any():
-            return omega
-    raise ConvergenceError("photon frequency iteration did not converge")
+    laser = pump.omega_laser
+    base = laser - _layout(spec)[1]
+    a = HBAR / (2.0 * spec.mass * SPEED_OF_LIGHT * SPEED_OF_LIGHT)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        delta0 = a * (laser * laser + base * base - 2.0 * laser * base * cos_angle)
+        b = 1.0 + 2.0 * a * (base - laser * cos_angle)
+        omega = base - 2.0 * delta0 / (b + np.sqrt(b * b - 4.0 * a * delta0))
+    if not (omega > 0.0).all():
+        raise PhysicsError("the recoil leaves the optical regime: no positive frequency")
+    return omega
 
 
 @dataclass(frozen=True, eq=False)
@@ -416,6 +413,10 @@ def pair_batch(
     amplitudes.real = (re * cos_p + im * sin_p) / scale[:, np.newaxis]
     amplitudes.imag = (im * cos_p - re * sin_p) / scale[:, np.newaxis]
     amplitudes[index, ref] = np.where(scattering, first / scale, 0.0)
+    try:
+        intensity = abs(pump.pump_amplitude) ** 2
+    except OverflowError:  # a finite amplitude whose square is not: infinite weights
+        intensity = math.inf
 
     return PairBatch(
         directions=k,
@@ -423,7 +424,7 @@ def pair_batch(
         amplitudes=amplitudes.reshape(n, 2, g),
         norms=norms,
         phases=phases,
-        weights=pump.atom_number * abs(pump.pump_amplitude) ** 2 * total_sq,
+        weights=pump.atom_number * intensity * total_sq,
         omega=omega,
         order=order,
     )
@@ -483,8 +484,8 @@ def photon_frequency(
 ) -> float:
     """Scattered photon frequency for a final ground level, with recoil.
 
-    Unique in the optical regime; solved by fixed-point iteration from the
-    recoil-free value to relative 1e-15.
+    The root of the recoil quadratic with the small, physical recoil shift;
+    a :class:`PhysicsError` if that root is not real and positive.
     """
     k = _one_direction(k_hat)
     if abs(np.linalg.norm(k) - 1.0) > _GEOM_TOL:
@@ -613,6 +614,14 @@ def spectral_filter(state: PairState, f_select: HalfIntLike) -> PairState:
 
 
 # --- serialization ----------------------------------------------------------
+
+
+def json_text(doc: dict) -> str:
+    """Indented, key-sorted strict JSON; a non-finite number is a physics error."""
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise PhysicsError(f"output has a non-finite number: {exc}") from None
 
 
 def _complex_pair(z: complex) -> list[float]:

@@ -12,7 +12,7 @@ package code:
   coupling the nuclear spin first, and applies the electronic Wigner-Eckart
   theorem directly (the package uses the 6-j decomposition).
 * ``oracle_entropy_bits`` / ``oracle_schmidt_sq`` use numpy's LAPACK SVD
-  (the package uses an in-repo Jacobi SVD).
+  (the package solves each F block's 2 x 2 Gram eigenproblem in closed form).
 * ``oracle_correlation`` enumerates projective outcome probabilities
   (the package contracts a Pauli correlation matrix).
 

@@ -191,6 +191,26 @@ def test_scan_requires_output(scan_config, capsys):
     assert "output" in err
 
 
+def test_scan_non_finite_json_exits_3(scan_config, tmp_path, monkeypatch, capsys):
+    # the scan JSON is strict: a non-finite value is a physics error, and
+    # neither file is written
+    from dataclasses import replace
+
+    from raman_pairs import cli
+
+    real_scan_sphere = cli.scan_sphere
+
+    def infinite_resolution(*args, **kwargs):
+        return replace(real_scan_sphere(*args, **kwargs), resolution=math.inf)
+
+    monkeypatch.setattr(cli, "scan_sphere", infinite_resolution)
+    prefix = tmp_path / "x"
+    code, out, err = run(["scan", "--config", str(scan_config), "--output", str(prefix)], capsys)
+    assert code == 3
+    assert "non-finite" in err
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "x.json").exists()
+
+
 # --- chsh ----------------------------------------------------------------------
 
 
@@ -290,6 +310,37 @@ def test_non_finite_output_exits_3(state_config, capsys):
         c["pump"]["amplitude"] = [1e10, 0.0]
 
     edit_config(state_config, mutate)
+    code, out, err = run(["state", "--config", str(state_config)], capsys)
+    assert code == 3
+    assert out == ""
+    assert "non-finite" in err
+
+
+def test_chsh_events_csv_without_samples_exits_2(tmp_path, capsys):
+    target = tmp_path / "events.csv"
+    code, out, err = run(
+        ["chsh", "--config", str(DATA / "sodium_chsh.json"), "--events-csv", str(target)],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "--events-csv" in err
+    assert not target.exists()
+
+
+def test_huge_condensate_amplitude_exits_2(state_config, capsys):
+    # finite, but its square overflows the float range
+    edit_config(state_config, lambda c: c["condensate"].__setitem__("amplitudes", {"2:0": [1e200, 0.0]}))
+    code, out, err = run(["state", "--config", str(state_config)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "'condensate.amplitudes'" in err
+
+
+def test_huge_pump_amplitude_exits_3(state_config, capsys):
+    # finite, but its intensity overflows: the non-finite emission weight is
+    # a physics error, as for a huge atom number
+    edit_config(state_config, lambda c: c["pump"].__setitem__("amplitude", [1e300, 0.0]))
     code, out, err = run(["state", "--config", str(state_config)], capsys)
     assert code == 3
     assert out == ""

@@ -1,0 +1,160 @@
+"""Property test: mutated shipped configs never crash the command line.
+
+Each example takes a shipped config, deletes keys or replaces values (huge,
+NaN, +-Infinity, retyped), and runs one subcommand in-process.  Every run
+must exit 0, 2 or 3 without a traceback, and a configuration error (exit 2)
+must name one of the mutated keys.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import raman_pairs
+from raman_pairs.cli import main
+
+DATA = Path(raman_pairs.__file__).parent / "data"
+
+
+def _shipped(name: str) -> dict:
+    return json.loads((DATA / name).read_text())
+
+
+def _coarse_scan() -> dict:
+    # the shipped 2-degree grid takes ~0.3 s a run; 15 degrees keeps the
+    # examples fast and leaves every key in place
+    config = _shipped("sodium_scan.json")
+    config["detection"]["scan"]["resolution_deg"] = 15.0
+    return config
+
+
+# (config, subcommand arguments); "{out}" becomes a fresh output prefix
+CASES = [
+    (_shipped("sodium_state.json"), ["state"]),
+    (_shipped("sodium_state.json"), ["state", "--format", "csv"]),
+    (_shipped("sodium_state.json"), ["filter", "--f-select", "1"]),
+    (_shipped("sodium_chsh.json"), ["filter"]),
+    (_shipped("sodium_chsh.json"), ["chsh"]),
+    (_shipped("sodium_chsh.json"), ["chsh", "--samples", "40"]),
+    (_coarse_scan(), ["scan", "--output", "{out}"]),
+]
+
+REPLACEMENTS = st.one_of(
+    st.sampled_from(
+        [
+            1e155,
+            1e200,
+            1e300,
+            -1e300,
+            1.7976931348623157e308,
+            5e-324,
+            math.nan,
+            math.inf,
+            -math.inf,
+            10**400,
+            0,
+            -1,
+            True,
+            None,
+            "1",
+            [],
+            {},
+            [1e300, 0.0],
+            [0.0, 0.0, 1e300],
+        ]
+    ),
+    st.floats(),
+    st.integers(),
+    st.text(max_size=4),
+)
+
+
+def _paths(node, prefix=()):
+    """Every key path in a JSON tree: dict keys and list indices."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        path = prefix + (key,)
+        yield path
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, path)
+
+
+def _key_name(path) -> str:
+    """The dotted config key a path belongs to; list indices name their list."""
+    return ".".join(part for part in path if isinstance(part, str))
+
+
+def _mutate(config: dict, path, delete: bool, value) -> bool:
+    """Apply one mutation in place; False if an earlier one removed the path."""
+    node = config
+    for part in path[:-1]:
+        try:
+            node = node[part]
+        except (KeyError, IndexError, TypeError):
+            return False
+        if not isinstance(node, (dict, list)):
+            return False
+    key = path[-1]
+    if isinstance(node, dict) != isinstance(key, str):
+        return False
+    if isinstance(node, list) and key >= len(node):
+        return False
+    if isinstance(node, dict) and key not in node:
+        return False
+    if delete:
+        del node[key]
+    else:
+        node[key] = copy.deepcopy(value)
+    return True
+
+
+def _names_key(message: str, name: str) -> bool:
+    """True if the message names the key, a key inside it or an object holding it."""
+    parts = name.split(".")
+    holders = (".".join(parts[:i]) for i in range(1, len(parts)))
+    return (
+        f"'{name}'" in message
+        or f"'{name}." in message
+        or any(f"'{holder}'" in message for holder in holders)
+    )
+
+
+@st.composite
+def mutated_runs(draw):
+    config, args = draw(st.sampled_from(CASES))
+    config = json.loads(json.dumps(config))
+    paths = list(_paths(config))
+    names = []
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(paths))
+        delete = draw(st.booleans())
+        value = None if delete else draw(REPLACEMENTS)
+        if _mutate(config, path, delete, value):
+            names.append(_key_name(path))
+    return config, args, names
+
+
+@settings(max_examples=250, derandomize=True, deadline=None, database=None)
+@given(mutated_runs())
+def test_mutated_configs_exit_cleanly(run):
+    config, args, names = run
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        argv = [a.replace("{out}", str(Path(tmp) / "out")) for a in args]
+        argv[1:1] = ["--config", str(path)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    message = err.getvalue()
+    assert code in (0, 2, 3), message
+    assert "Traceback" not in message
+    if code == 2:
+        assert any(_names_key(message, name) for name in names), (names, message)

@@ -12,7 +12,6 @@ from raman_pairs.entanglement_analysis import (
     concurrence_2x2,
     concurrence_after_filter,
     conditional_overlap,
-    deterministic_svd,
     entanglement_entropy,
     is_factorized,
     schmidt,
@@ -33,70 +32,6 @@ def binary_entropy(p: float) -> float:
     if p in (0.0, 1.0):
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
-
-
-# --- in-repo SVD -----------------------------------------------------------------
-
-
-def test_jacobi_svd_against_lapack():
-    rng = np.random.default_rng(41)
-    for _ in range(200):
-        m, n = rng.integers(1, 9, size=2)
-        a = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
-        u, s, vh = deterministic_svd(a)
-        np.testing.assert_allclose((u * s) @ vh, a, atol=1e-12)
-        ref = np.linalg.svd(a, compute_uv=False)
-        np.testing.assert_allclose(np.sort(s)[::-1], ref[: len(s)], atol=1e-12)
-        np.testing.assert_allclose(
-            u.conj().T @ u, np.eye(len(s)), atol=1e-12
-        )
-        np.testing.assert_allclose(vh @ vh.conj().T, np.eye(len(s)), atol=1e-12)
-
-
-def test_jacobi_svd_deterministic():
-    rng = np.random.default_rng(43)
-    a = rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))
-    u1, s1, v1 = deterministic_svd(a)
-    u2, s2, v2 = deterministic_svd(a.copy())
-    np.testing.assert_array_equal(s1, s2)
-    np.testing.assert_array_equal(u1, u2)
-    np.testing.assert_array_equal(v1, v2)
-
-
-def test_jacobi_svd_drops_rank_deficiency():
-    col = np.array([[1.0], [2.0], [2.0]]) / 3.0
-    a = col @ np.array([[0.6, 0.8]])
-    u, s, vh = deterministic_svd(a)
-    assert len(s) == 1
-    assert s[0] == pytest.approx(1.0, abs=1e-15)
-
-
-def _random_unitary(rng, n):
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def test_jacobi_svd_degenerate_spectra():
-    # repeated singular values (including a fully degenerate unitary input)
-    rng = np.random.default_rng(43)
-    for spectrum in ([1.0] * 6, [1.0, 1.0, 0.5, 0.5], [2.0, 2.0, 2.0, 1e-3]):
-        n = len(spectrum)
-        a = _random_unitary(rng, n) @ np.diag(spectrum) @ _random_unitary(rng, n)
-        u, s, vh = deterministic_svd(a)
-        np.testing.assert_allclose(np.sort(s)[::-1], np.sort(spectrum)[::-1], atol=1e-12)
-        np.testing.assert_allclose((u * s) @ vh, a, atol=1e-12)
-
-
-def test_jacobi_svd_extreme_aspect_ratios():
-    rng = np.random.default_rng(45)
-    for shape in ((1, 8), (8, 1), (2, 7), (7, 2)):
-        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        u, s, vh = deterministic_svd(a)
-        np.testing.assert_allclose((u * s) @ vh, a, atol=1e-12)
-        np.testing.assert_allclose(
-            np.sort(s)[::-1], np.linalg.svd(a, compute_uv=False)[: len(s)], atol=1e-12
-        )
 
 
 # --- schmidt on pair states -------------------------------------------------------
@@ -180,6 +115,145 @@ def test_entropy_bounds(spec):
         entropy = entanglement_entropy(state)
         bound = math.log2(min(len(state.photon_labels()), len(state.atom_labels())))
         assert -1e-12 <= entropy <= bound + 1e-12
+
+
+# --- closed-form Schmidt blocks ----------------------------------------------------
+
+
+def _sigma_plus_state(spec, pump, k):
+    # sigma+ pump on |2,2>: the F=2 block has rank one in every direction
+    from raman_pairs.atomic_model import spherical_component
+
+    pump_sigma = PumpConfig(
+        direction=Z.copy(),
+        polarization=spherical_component(+1).copy(),
+        omega_laser=pump.omega_laser,
+    )
+    return build_pair_state(spec, pump_sigma, CondensateSpinor.single(2, 2), k)
+
+
+def _assert_schmidt_exact(result, matrix, tol=1e-15):
+    assert np.abs(result.reconstruction() - matrix).max() <= tol
+    for vecs in (result.photon_basis, result.atom_basis):
+        gram = np.array([[np.vdot(vi, vj) for vj in vecs] for vi in vecs])
+        assert np.abs(gram - np.eye(len(vecs))).max() <= tol
+
+
+def test_schmidt_degenerate_block(state_z):
+    # the filtered Bell state is one block with a = b and c = 0 exactly: any
+    # basis diagonalizes the Gram matrix, and the closed form needs the unit
+    # basis there (big - b and c* are both zero)
+    filtered = spectral_filter(state_z, 1)
+    matrix, _, _ = filtered.matrix()
+    gram = matrix @ matrix.conj().T
+    assert gram[0, 0] == gram[1, 1] and gram[0, 1] == 0.0
+    result = schmidt(filtered)
+    assert result.coefficients == (pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15),) * 2
+    _assert_schmidt_exact(result, matrix)
+    assert sorted(tuple(abs(p)) for p in result.photon_basis) == [(0.0, 1.0), (1.0, 0.0)]
+
+
+def test_schmidt_degenerate_spectrum_across_blocks(state_z):
+    # two blocks, each with a degenerate pair: 0.375, 0.375, 0.125, 0.125
+    result = schmidt(state_z)
+    matrix, _, _ = state_z.matrix()
+    np.testing.assert_allclose(
+        np.square(result.coefficients), [0.375, 0.375, 0.125, 0.125], atol=1e-15
+    )
+    _assert_schmidt_exact(result, matrix)
+
+
+def test_schmidt_exact_rank_one_block(spec, pump):
+    # the Lagrange determinant is exactly 0 here, so the smaller Schmidt
+    # coefficient is exactly 0 and dropped; ab - |c|^2 would leave ~1e-8
+    theta, phi = math.radians(30.0), math.radians(60.0)
+    k = np.array(
+        [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
+    )
+    state = spectral_filter(_sigma_plus_state(spec, pump, k), 2)
+    matrix, photon_labels, _ = state.matrix()
+    assert len(photon_labels) == 2
+    result = schmidt(state)
+    assert result.coefficients == (pytest.approx(1.0, abs=1e-15),)
+    _assert_schmidt_exact(result, matrix)
+    assert is_factorized(state)
+
+
+def test_schmidt_block_with_one_photon_row():
+    # F=1 has only its lambda=2 row, F=2 both rows; columns per level differ
+    from raman_pairs.pair_state import Channel
+
+    rng = np.random.default_rng(83)
+    labels = (
+        Channel(omega=2.0, lam=1, doubled_f=4),
+        Channel(omega=2.0, lam=2, doubled_f=4),
+        Channel(omega=3.0, lam=2, doubled_f=2),
+    )
+    atoms = ((2, -2), (2, 0), (4, -2), (4, 0), (4, 2), (4, 4))
+    matrix = np.zeros((3, 6), dtype=complex)
+    matrix[:2, 2:] = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+    matrix[2, :2] = rng.normal(size=2) + 1j * rng.normal(size=2)
+    matrix /= np.linalg.norm(matrix)
+    result = schmidt_of_matrix(matrix, labels, atoms)
+    np.testing.assert_allclose(
+        np.square(result.coefficients), oracle_schmidt_sq(matrix), atol=1e-15
+    )
+    assert min(abs(c - np.linalg.norm(matrix[2])) for c in result.coefficients) <= 1e-15
+    _assert_schmidt_exact(result, matrix)
+
+
+@pytest.mark.parametrize("weights", [(0.36, 0.64), (0.64, 0.36)])
+def test_schmidt_nearly_orthogonal_rows(weights):
+    # |c| ~ 1e-9: big - b (a >= b) or big - a (a < b) is ~|c|^2, and taking it
+    # from the other branch would cancel to rounding noise, which leaves
+    # atom vectors ~1e-7 from orthogonal
+    from raman_pairs.pair_state import Channel
+
+    labels = (Channel(omega=1.0, lam=1, doubled_f=2), Channel(omega=1.0, lam=2, doubled_f=2))
+    atoms = ((2, -2), (2, 0), (2, 2))
+    eps = 1e-9
+    matrix = np.array(
+        [
+            [math.sqrt(weights[0]), eps * (1 + 2j), 0.0],
+            [eps * (3 - 1j), 0.0, math.sqrt(weights[1]) * 1j],
+        ]
+    )
+    result = schmidt_of_matrix(matrix, labels, atoms)
+    np.testing.assert_allclose(
+        np.square(result.coefficients), oracle_schmidt_sq(matrix), atol=1e-15
+    )
+    _assert_schmidt_exact(result, matrix)
+
+
+def test_schmidt_orthonormal_bases_on_random_states(spec):
+    rng = np.random.default_rng(89)
+    for _ in range(100):
+        rpump = random_pump(spec, rng)
+        phi0 = random_condensate(spec, rng)
+        state = build_pair_state(spec, rpump, phi0, random_direction(rng))
+        for candidate in (state, spectral_filter(state, 1), spectral_filter(state, 2)):
+            matrix, _, _ = candidate.matrix()
+            result = schmidt(candidate)
+            np.testing.assert_allclose(
+                np.square(result.coefficients), oracle_schmidt_sq(matrix), atol=1e-15
+            )
+            _assert_schmidt_exact(result, matrix, tol=1e-14)
+
+
+def test_schmidt_rejects_inputs_outside_the_block_structure():
+    from raman_pairs.pair_state import Channel
+
+    atoms = ((2, -2), (2, 2))
+    three = tuple(Channel(omega=w, lam=1, doubled_f=2) for w in (1.0, 2.0, 3.0))
+    with pytest.raises(InputDomainError):
+        schmidt_of_matrix(np.ones((3, 2)), three, atoms)
+    crossed = (Channel(omega=1.0, lam=1, doubled_f=4),)
+    with pytest.raises(InputDomainError):
+        schmidt_of_matrix(np.ones((1, 2)), crossed, atoms)
+    with pytest.raises(InputDomainError):
+        schmidt_of_matrix(np.full((1, 2), np.nan), three[:1], atoms)
+    with pytest.raises(InputDomainError):
+        schmidt_of_matrix(np.zeros((1, 2)), three[:1], atoms)
 
 
 # --- concurrence ------------------------------------------------------------------

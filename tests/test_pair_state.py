@@ -19,6 +19,7 @@ from raman_pairs.errors import (
     EmptyStateError,
     InputDomainError,
     OffResonanceError,
+    PhysicsError,
 )
 from raman_pairs import pair_state
 from raman_pairs.pair_state import (
@@ -207,6 +208,69 @@ def test_infinite_mass_limit_no_recoil(spec, pump):
     )
     omega = photon_frequency(heavy, pump, Z, 1)
     assert omega == pump.omega_laser
+
+
+def _exact_recoil_frequency(spec, pump, k, base):
+    """omega = base - hbar |K - k(omega)|^2 / (2M) solved in 80-digit decimals.
+
+    Every input is the exact value of its float; ``base`` is the float
+    omega_L - delta(F) the package starts from.
+    """
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 80
+        d = Decimal
+        a = d(pair_state.HBAR) / (2 * d(spec.mass) * d(pair_state.SPEED_OF_LIGHT) ** 2)
+        laser = d(pump.omega_laser)
+        cos = sum(d(x) * d(y) for x, y in zip(k, pump.direction))
+        # a w^2 + (1 - 2 a L cos) w + (a L^2 - base) = 0, the positive root
+        lin = 1 - 2 * a * laser * cos
+        const = a * laser * laser - d(base)
+        omega = (-lin + (lin * lin - 4 * a * const).sqrt()) / (2 * a)
+        return float(omega)
+
+
+def test_recoil_root_is_correctly_rounded(spec):
+    rng = np.random.default_rng(97)
+    for _ in range(200):
+        pump = random_pump(spec, rng)
+        k = random_direction(rng)
+        for f in (1, 2):
+            base = pump.omega_laser - spec.splitting(f)
+            want = _exact_recoil_frequency(spec, pump, k, base)
+            assert photon_frequency(spec, pump, k, f) == want
+
+
+def test_recoil_root_of_a_light_species(spec):
+    # at 1e-33 kg the recoil is ~0.4% of the photon energy, so every term
+    # of the quadratic shows; the shift then carries rounding of ~1e-2 ulp
+    # of omega, so the root is within one ulp of the exact one
+    from dataclasses import replace
+
+    light = replace(spec, name="light", mass=1.0e-33)
+    rng = np.random.default_rng(101)
+    for _ in range(100):
+        pump = random_pump(spec, rng)
+        k = random_direction(rng)
+        base = pump.omega_laser - spec.splitting(1)
+        want = _exact_recoil_frequency(light, pump, k, base)
+        got = photon_frequency(light, pump, k, 1)
+        assert abs(got - want) <= np.spacing(want)
+
+
+def test_recoil_outside_optical_regime_raises(spec, pump):
+    # a mass of 1e-40 kg makes the recoil comparable to the photon energy: at
+    # 90 degrees the recoil quadratic has no real root, and in backscatter its
+    # root is a negative frequency
+    from dataclasses import replace
+
+    feather = replace(spec, name="feather", mass=1.0e-40)
+    for k in (Z, -pump.direction):
+        with pytest.raises(PhysicsError, match="optical regime"):
+            photon_frequency(feather, pump, k, 1)
+        with pytest.raises(PhysicsError, match="optical regime"):
+            build_pair_state(feather, pump, CondensateSpinor.single(1, 0), k)
 
 
 def test_channel_splitting_matches_hyperfine(spec, pump):
