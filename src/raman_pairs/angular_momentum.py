@@ -145,19 +145,13 @@ def triangle_ok(a: HalfIntLike, b: HalfIntLike, c: HalfIntLike) -> bool:
     return abs(ta - tb) <= tc <= ta + tb
 
 
-def _factorial(n: int) -> int:
-    if n < 0:
-        raise ValueError("negative factorial")
-    return math.factorial(n)
-
-
 def _triangle_factor(ta: int, tb: int, tc: int) -> Fraction:
     """Exact squared triangle coefficient (a+b-c)!(a-b+c)!(-a+b+c)!/(a+b+c+1)!."""
     return Fraction(
-        _factorial((ta + tb - tc) // 2)
-        * _factorial((ta - tb + tc) // 2)
-        * _factorial((-ta + tb + tc) // 2),
-        _factorial((ta + tb + tc) // 2 + 1),
+        math.factorial((ta + tb - tc) // 2)
+        * math.factorial((ta - tb + tc) // 2)
+        * math.factorial((-ta + tb + tc) // 2),
+        math.factorial((ta + tb + tc) // 2 + 1),
     )
 
 
@@ -185,12 +179,12 @@ def _wigner_3j_exact(
     series = Fraction(0)
     for t in range(tmin, tmax + 1):
         denom = (
-            _factorial(t)
-            * _factorial(t - t1)
-            * _factorial(t - t2)
-            * _factorial(t3 - t)
-            * _factorial(t4 - t)
-            * _factorial(t5 - t)
+            math.factorial(t)
+            * math.factorial(t - t1)
+            * math.factorial(t - t2)
+            * math.factorial(t3 - t)
+            * math.factorial(t4 - t)
+            * math.factorial(t5 - t)
         )
         series += Fraction(-1 if t % 2 else 1, denom)
     if series == 0:
@@ -199,12 +193,12 @@ def _wigner_3j_exact(
     radicand = (
         series**2
         * _triangle_factor(tj1, tj2, tj3)
-        * _factorial((tj1 + tm1) // 2)
-        * _factorial((tj1 - tm1) // 2)
-        * _factorial((tj2 + tm2) // 2)
-        * _factorial((tj2 - tm2) // 2)
-        * _factorial((tj3 + tm3) // 2)
-        * _factorial((tj3 - tm3) // 2)
+        * math.factorial((tj1 + tm1) // 2)
+        * math.factorial((tj1 - tm1) // 2)
+        * math.factorial((tj2 + tm2) // 2)
+        * math.factorial((tj2 - tm2) // 2)
+        * math.factorial((tj3 + tm3) // 2)
+        * math.factorial((tj3 - tm3) // 2)
     )
     # Global phase (-1)^(j1 - j2 - m3); the exponent is an integer here.
     phase = -1 if ((tj1 - tj2 - tm3) // 2) % 2 else 1
@@ -292,15 +286,15 @@ def _wigner_6j_exact(
 
     series = Fraction(0)
     for t in range(tmin, tmax + 1):
-        num = _factorial(t + 1)
+        num = math.factorial(t + 1)
         denom = (
-            _factorial(t - s1)
-            * _factorial(t - s2)
-            * _factorial(t - s3)
-            * _factorial(t - s4)
-            * _factorial(p1 - t)
-            * _factorial(p2 - t)
-            * _factorial(p3 - t)
+            math.factorial(t - s1)
+            * math.factorial(t - s2)
+            * math.factorial(t - s3)
+            * math.factorial(t - s4)
+            * math.factorial(p1 - t)
+            * math.factorial(p2 - t)
+            * math.factorial(p3 - t)
         )
         series += Fraction(-num if t % 2 else num, denom)
     if series == 0:

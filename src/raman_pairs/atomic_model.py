@@ -79,8 +79,10 @@ class AtomSpec:
         for j, label in ((I, "nuclear spin"), (Jg, "ground J"), (Je, "excited J")):
             if j.twice < 0:
                 raise InputDomainError(f"{label} must be non-negative")
-        if self.resonance <= 0 or self.linewidth <= 0 or self.mass <= 0:
+        if not (self.resonance > 0 and self.linewidth > 0 and self.mass > 0):
             raise InputDomainError("resonance, linewidth and mass must be positive")
+        if not 0 < abs(self.reduced_dipole) < np.inf:
+            raise InputDomainError("reduced dipole must be finite and nonzero")
 
         expected = _manifold_levels(I, Jg)
         given = tuple(f for f, _ in self.ground_splittings)
@@ -92,8 +94,15 @@ class AtomSpec:
         split = dict(self.ground_splittings)
         if split[expected[0]] != 0.0:
             raise InputDomainError("lowest ground level must have zero splitting")
-        if any(v < 0 for v in split.values()):
+        if not all(v >= 0 for v in split.values()):
             raise InputDomainError("ground splittings must be non-negative")
+        if len(set(split.values())) < len(split):
+            # a photon channel is keyed by its frequency, so two levels at
+            # one splitting would share their channel keys
+            raise InputDomainError(
+                "ground levels must have distinct splittings, got "
+                + ", ".join(f"F'={f}: {v!r} rad/s" for f, v in self.ground_splittings)
+            )
 
         # The decomposition phase (-1)^(I + J_g + F) must be real for every
         # excited F, i.e. I + J_g + F integer.  Since F pairs I with J_e this

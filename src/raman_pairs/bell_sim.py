@@ -37,7 +37,6 @@ from .errors import InputDomainError
 from .pair_state import PairState
 
 __all__ = [
-    "MeasurementSetting",
     "SampleResult",
     "correlation",
     "chsh",
@@ -59,18 +58,6 @@ OUTCOME_SIGNS.flags.writeable = False
 
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]])
-
-
-@dataclass(frozen=True)
-class MeasurementSetting:
-    """Analyzer angles (radians) for the photon and atom sides."""
-
-    photon_angle: float
-    atom_angle: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.photon_angle) and math.isfinite(self.atom_angle)):
-            raise InputDomainError("analyzer angles must be finite")
 
 
 @dataclass(frozen=True, eq=False)

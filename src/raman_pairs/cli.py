@@ -382,7 +382,7 @@ def cmd_scan(args) -> int:
     csv_path, json_path = write_scan(scan, out)
     direction, value = argmax_direction(scan)
     sys.stdout.write(
-        f"scan {scan.measure_name}: {len(scan.nodes)} nodes -> {csv_path}, {json_path}\n"
+        f"scan {scan.measure_name}: {len(scan.measures)} nodes -> {csv_path}, {json_path}\n"
         f"argmax direction ({direction[0]:+.6f}, {direction[1]:+.6f}, "
         f"{direction[2]:+.6f}) value {value!r}\n"
     )
@@ -450,35 +450,17 @@ def cmd_chsh(args) -> int:
 
 
 def _tables_text(max_doubled_j: int) -> tuple[str, str, str]:
-    def rows_cg():
+    def couplings():
+        """(2j1, 2j2, 2J, 2m1, 2m2) with |m1 + m2| <= J: the CG and 3-j index set."""
         for tj1 in range(max_doubled_j + 1):
             for tj2 in range(max_doubled_j + 1):
                 for tj in range(abs(tj1 - tj2), min(tj1 + tj2, max_doubled_j) + 1, 2):
                     for tm1 in range(-tj1, tj1 + 1, 2):
                         for tm2 in range(-tj2, tj2 + 1, 2):
-                            tm = tm1 + tm2
-                            if abs(tm) > tj:
-                                continue
-                            value = clebsch_gordan(
-                                *(HalfInt(t) for t in (tj1, tm1, tj2, tm2, tj, tm))
-                            )
-                            yield (tj1, tm1, tj2, tm2, tj, tm, value)
+                            if abs(tm1 + tm2) <= tj:
+                                yield tj1, tj2, tj, tm1, tm2
 
-    def rows_3j():
-        for tj1 in range(max_doubled_j + 1):
-            for tj2 in range(max_doubled_j + 1):
-                for tj3 in range(abs(tj1 - tj2), min(tj1 + tj2, max_doubled_j) + 1, 2):
-                    for tm1 in range(-tj1, tj1 + 1, 2):
-                        for tm2 in range(-tj2, tj2 + 1, 2):
-                            tm3 = -(tm1 + tm2)
-                            if abs(tm3) > tj3:
-                                continue
-                            value = wigner_3j(
-                                *(HalfInt(t) for t in (tj1, tj2, tj3, tm1, tm2, tm3))
-                            )
-                            yield (tj1, tj2, tj3, tm1, tm2, tm3, value)
-
-    def rows_6j():
+    def sixj_indices():
         rng = range(max_doubled_j + 1)
         for tj1 in rng:
             for tj2 in rng:
@@ -492,28 +474,32 @@ def _tables_text(max_doubled_j: int) -> tuple[str, str, str]:
                                 min(tj1 + tj5, tj4 + tj2, max_doubled_j) + 1,
                                 2,
                             ):
-                                value = wigner_6j(
-                                    *(HalfInt(t) for t in (tj1, tj2, tj3, tj4, tj5, tj6))
-                                )
-                                yield (tj1, tj2, tj3, tj4, tj5, tj6, value)
+                                yield tj1, tj2, tj3, tj4, tj5, tj6
 
-    def table(header: list[str], rows) -> str:
+    def table(header: list[str], symbol, indices) -> str:
         buf = io.StringIO()
         buf.write(f"# tool=raman-pairs\n# version={__version__}\n")
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            value = row[-1]
+        writer.writerow(header + ["value", "sign", "radicand_num", "radicand_den"])
+        for index in indices:
+            value = symbol(*(HalfInt(t) for t in index))
             writer.writerow(
-                list(row[:-1])
+                list(index)
                 + [repr(value.value), value.sign, value.radicand.numerator, value.radicand.denominator]
             )
         return buf.getvalue()
 
-    labels = ["value", "sign", "radicand_num", "radicand_den"]
-    cg = table(["2j1", "2m1", "2j2", "2m2", "2J", "2M"] + labels, rows_cg())
-    w3j = table(["2j1", "2j2", "2j3", "2m1", "2m2", "2m3"] + labels, rows_3j())
-    w6j = table(["2j1", "2j2", "2j3", "2j4", "2j5", "2j6"] + labels, rows_6j())
+    cg = table(
+        ["2j1", "2m1", "2j2", "2m2", "2J", "2M"],
+        clebsch_gordan,
+        ((j1, m1, j2, m2, j, m1 + m2) for j1, j2, j, m1, m2 in couplings()),
+    )
+    w3j = table(
+        ["2j1", "2j2", "2j3", "2m1", "2m2", "2m3"],
+        wigner_3j,
+        ((j1, j2, j3, m1, m2, -(m1 + m2)) for j1, j2, j3, m1, m2 in couplings()),
+    )
+    w6j = table(["2j1", "2j2", "2j3", "2j4", "2j5", "2j6"], wigner_6j, sixj_indices())
     return cg, w3j, w6j
 
 

@@ -4,9 +4,8 @@ The grid is an equiangular (theta, phi) lattice that contains both poles
 exactly, since the interesting optimum sits on the quantization axis and
 must not fall between nodes.  Directions where no scattering amplitude
 exists (or where the requested measure is undefined, e.g. a zero-weight
-filter channel) are recorded with a NaN sentinel and flagged rather than
-scored 0: "no scattering" and "unentangled scattering" are different
-statements.
+filter channel) get a NaN measure and count as flagged rather than scored
+0: "no scattering" and "unentangled scattering" are different statements.
 
 A scan is serial.  It walks the grid in fixed-size chunks and evaluates
 each chunk with one call of the batched pair-state kernel
@@ -15,6 +14,8 @@ measures of :mod:`~raman_pairs.entanglement_analysis`: the same code that
 single-direction calls run with N = 1.  Every kernel and measure value is an
 elementwise function of its own direction, so a node gets the same bits in
 any chunk, and a scan equals its node-by-node single-direction results.
+A :class:`ScanMap` keeps the kernel's arrays as columns, one row a node;
+the writers turn each column into Python numbers once.
 """
 
 from __future__ import annotations
@@ -49,9 +50,7 @@ from .pair_state import (
 
 __all__ = [
     "MEASURES",
-    "ScanNode",
     "ScanMap",
-    "direction_from_angles",
     "scan_sphere",
     "argmax_direction",
     "scan_to_csv_text",
@@ -65,62 +64,73 @@ MAX_RESOLUTION = math.pi / 6.0
 _CHUNK = 1024  # scan nodes per kernel call
 
 
-@dataclass(frozen=True)
-class ScanNode:
-    theta: float
-    phi: float
-    direction: tuple[float, float, float]
-    measure: float
-    flagged: bool
-    channel_info: tuple[tuple[str, float], ...] = ()
-
-
 @dataclass(frozen=True, eq=False)
 class ScanMap:
-    nodes: tuple[ScanNode, ...]
+    """A measure on the detection sphere as read-only columns, one row a node.
+
+    Node n lies at ``(thetas[n], phis[n])`` with unit vector ``directions[n]``
+    and has ``measures[n]``, NaN where the node is flagged.
+    ``channel_weights[n, (lambda-1) * nF + i]`` is the probability of photon
+    channel (level i, lambda) and ``omega[n, i]`` the photon frequency of
+    level ``i`` of the species' ground levels.
+    """
+
+    thetas: np.ndarray
+    phis: np.ndarray
+    directions: np.ndarray
+    measures: np.ndarray
+    channel_weights: np.ndarray
+    omega: np.ndarray
     resolution: float
     measure_name: str
     metadata: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        for name in ("thetas", "phis", "directions", "measures", "channel_weights", "omega"):
+            column = np.asarray(getattr(self, name), dtype=float)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
-def direction_from_angles(theta: float, phi: float) -> np.ndarray:
-    return np.array(
-        [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
-    )
+    @property
+    def flagged(self) -> np.ndarray:
+        return np.isnan(self.measures)
+
+    def node_channels(self) -> list[tuple[tuple[str, float], ...]]:
+        """Each node's (channel key, probability) of its occupied channels in
+        (omega, lambda, F) order."""
+        # the flat channel index (lambda-1) * nF + i already runs in
+        # (lambda, 2F) order, so one stable sort by frequency finishes it
+        n_levels = self.omega.shape[1]
+        orders = np.argsort(np.tile(self.omega, 2), axis=1, kind="stable").tolist()
+        return [
+            tuple(
+                (f"{frequency_label(omega[c % n_levels])}:{c // n_levels + 1}", weights[c])
+                for c in order
+                if weights[c] > 0.0
+            )
+            for order, weights, omega in zip(
+                orders, self.channel_weights.tolist(), self.omega.tolist()
+            )
+        ]
 
 
-def _grid(resolution: float) -> list[tuple[float, float]]:
+def _grid(resolution: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Angles (theta-major) and unit vectors of the grid nodes."""
     n_theta = max(1, math.ceil(math.pi / resolution - 1e-12))
     n_phi = max(1, math.ceil(2.0 * math.pi / resolution - 1e-12))
-    thetas = [i * math.pi / n_theta for i in range(n_theta + 1)]
-    phis = [j * 2.0 * math.pi / n_phi for j in range(n_phi)]
-    return [(t, p) for t in thetas for p in phis]
-
-
-def _node_directions(grid: list[tuple[float, float]]) -> np.ndarray:
-    """Unit vectors of the grid nodes, bit for bit those of direction_from_angles."""
-    directions = np.array(
-        [
-            (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
-            for theta, phi in grid
-        ]
+    theta = np.arange(n_theta + 1) * math.pi / n_theta
+    phi = np.arange(n_phi) * 2.0 * math.pi / n_phi
+    # math's sin and cos once per grid line, for the bits of the per-node formula
+    sin_t, cos_t = (np.array([f(t) for t in theta.tolist()]) for f in (math.sin, math.cos))
+    sin_p, cos_p = (np.array([f(p) for p in phi.tolist()]) for f in (math.sin, math.cos))
+    directions = np.stack(
+        [np.outer(sin_t, cos_p).ravel(), np.outer(sin_t, sin_p).ravel(), np.repeat(cos_t, n_phi)],
+        axis=1,
     )
     # Renormalize against trig rounding so downstream unit checks hold; the
-    # per-row dot product is the one np.linalg.norm takes for one vector.
-    norms = np.array([math.sqrt(row.dot(row)) for row in directions])
-    return directions / norms[:, np.newaxis]
-
-
-def _channel_info(
-    order: list[int], weights: list[float], omega_row: list[float], n_levels: int
-) -> tuple[tuple[str, float], ...]:
-    """(key, probability) of the occupied channels in (omega, lambda, F) order."""
-    labels = [frequency_label(omega) for omega in omega_row]
-    info = []
-    for c in order:
-        if weights[c] > 0.0:
-            info.append((f"{labels[c % n_levels]}:{c // n_levels + 1}", weights[c]))
-    return tuple(info)
+    # per-row BLAS dot product is the one np.linalg.norm takes for one vector.
+    norms = np.sqrt(np.matmul(directions[:, np.newaxis], directions[:, :, np.newaxis]))
+    return np.repeat(theta, n_phi), np.tile(phi, n_theta + 1), directions / norms[:, 0]
 
 
 def _evaluate_chunk(
@@ -129,11 +139,11 @@ def _evaluate_chunk(
     phi0: CondensateSpinor,
     measure: str,
     filter_f,
-    grid: list[tuple[float, float]],
+    directions: np.ndarray,
     kwargs: dict,
-) -> list[ScanNode]:
-    """Scan nodes of one chunk of the grid, from one batched kernel call."""
-    directions = _node_directions(grid)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Measures, channel weights and photon frequencies of a chunk of nodes,
+    from one batched kernel call."""
     batch = pair_batch(spec, pump, phi0, directions, **kwargs)
     levels = spec.ground_levels()
     grams = block_grams(batch.amplitudes, block_index(tuple(f.twice for f in levels)))
@@ -150,30 +160,7 @@ def _evaluate_chunk(
             warn_unresolved(filter_f, stacklevel=3)
     else:
         values = branch_overlap_of_blocks(grams)
-
-    # channels sort by (omega, lambda, 2F); the flat channel index
-    # (lambda-1) * nF + i already runs in (lambda, 2F) order
-    n, n_levels = batch.omega.shape
-    channel_order = np.argsort(np.tile(batch.omega, 2), axis=1, kind="stable")
-    # flagged nodes share the math.nan object, so equal scans compare equal
-    return [
-        ScanNode(
-            theta=theta,
-            phi=phi,
-            direction=tuple(direction),
-            measure=math.nan if math.isnan(value) else value,
-            flagged=math.isnan(value),
-            channel_info=_channel_info(order, weights, omega_row, n_levels),
-        )
-        for (theta, phi), direction, value, order, weights, omega_row in zip(
-            grid,
-            directions.tolist(),
-            values.tolist(),
-            channel_order.tolist(),
-            grams.weights.reshape(n, -1).tolist(),
-            batch.omega.tolist(),
-        )
-    ]
+    return values, grams.weights.reshape(len(directions), -1), batch.omega
 
 
 def scan_sphere(
@@ -208,34 +195,35 @@ def scan_sphere(
         "validity_threshold": validity_threshold,
         "enforce_validity": enforce_validity,
     }
-    grid = _grid(resolution)
-    nodes: list[ScanNode] = []
-    for start in range(0, len(grid), _CHUNK):
-        chunk = grid[start : start + _CHUNK]
-        nodes.extend(_evaluate_chunk(spec, pump, phi0, measure, filter_f, chunk, kwargs))
+    thetas, phis, directions = _grid(resolution)
+    chunks = []
+    for start in range(0, len(directions), _CHUNK):
+        chunk = directions[start : start + _CHUNK]
+        chunks.append(_evaluate_chunk(spec, pump, phi0, measure, filter_f, chunk, kwargs))
+    measures, channel_weights, omega = (np.concatenate(column) for column in zip(*chunks))
 
     name = measure
     if measure == "concurrence_after_filter":
         name = f"concurrence_after_filter(F={filter_f})"
     return ScanMap(
-        nodes=tuple(nodes),
+        thetas=thetas,
+        phis=phis,
+        directions=directions,
+        measures=measures,
+        channel_weights=channel_weights,
+        omega=omega,
         resolution=resolution,
         measure_name=name,
-        metadata={},
     )
 
 
 def argmax_direction(scan: ScanMap) -> tuple[np.ndarray, float]:
     """Maximum over non-flagged nodes; ties go to the smallest (theta, phi)."""
-    best: ScanNode | None = None
-    for node in scan.nodes:
-        if node.flagged:
-            continue
-        if best is None or node.measure > best.measure:
-            best = node
-    if best is None:
+    flagged = scan.flagged
+    if flagged.all():
         raise EmptyScanError("every node of the scan is flagged")
-    return np.array(best.direction), best.measure
+    best = int(np.argmax(np.where(flagged, -np.inf, scan.measures)))  # first of a tie
+    return scan.directions[best].copy(), float(scan.measures[best])
 
 
 def scan_to_csv_text(scan: ScanMap) -> str:
@@ -247,18 +235,9 @@ def scan_to_csv_text(scan: ScanMap) -> str:
     buf.write(f"# resolution_rad={scan.resolution!r}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["theta_rad", "phi_rad", "kx", "ky", "kz", "measure", "flag"])
-    for node in scan.nodes:
-        writer.writerow(
-            [
-                repr(node.theta),
-                repr(node.phi),
-                repr(node.direction[0]),
-                repr(node.direction[1]),
-                repr(node.direction[2]),
-                "nan" if math.isnan(node.measure) else repr(node.measure),
-                1 if node.flagged else 0,
-            ]
-        )
+    # csv writes a float as its repr, NaN as "nan"
+    columns = (scan.thetas, scan.phis, *scan.directions.T, scan.measures, scan.flagged.astype(int))
+    writer.writerows(zip(*(column.tolist() for column in columns)))
     return buf.getvalue()
 
 
@@ -270,14 +249,21 @@ def scan_to_json_doc(scan: ScanMap) -> dict:
         "metadata": scan.metadata,
         "nodes": [
             {
-                "theta_rad": node.theta,
-                "phi_rad": node.phi,
-                "direction": list(node.direction),
-                "measure": None if math.isnan(node.measure) else node.measure,
-                "flagged": node.flagged,
-                "channels": {key: prob for key, prob in node.channel_info},
+                "theta_rad": theta,
+                "phi_rad": phi,
+                "direction": direction,
+                "measure": None if flag else measure,
+                "flagged": flag,
+                "channels": dict(channels),
             }
-            for node in scan.nodes
+            for theta, phi, direction, measure, flag, channels in zip(
+                scan.thetas.tolist(),
+                scan.phis.tolist(),
+                scan.directions.tolist(),
+                scan.measures.tolist(),
+                scan.flagged.tolist(),
+                scan.node_channels(),
+            )
         ],
     }
 

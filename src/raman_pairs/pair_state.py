@@ -89,19 +89,20 @@ class PumpConfig:
     atom_number: float = 1.0
 
     def __post_init__(self) -> None:
+        # here and in the other constructors every guard fails on NaN
         k = np.asarray(self.direction, dtype=float)
         pol = np.asarray(self.polarization, dtype=complex)
         if k.shape != (3,) or pol.shape != (3,):
             raise InputDomainError("pump direction and polarization must be 3-vectors")
-        if abs(np.linalg.norm(k) - 1.0) > _GEOM_TOL:
+        if not abs(np.linalg.norm(k) - 1.0) <= _GEOM_TOL:
             raise InputDomainError("pump direction must be a unit vector")
-        if abs(np.linalg.norm(pol) - 1.0) > _GEOM_TOL:
+        if not abs(np.linalg.norm(pol) - 1.0) <= _GEOM_TOL:
             raise InputDomainError("pump polarization must be a unit vector")
-        if abs(np.vdot(pol, k)) > _GEOM_TOL:
+        if not abs(np.vdot(pol, k)) <= _GEOM_TOL:
             raise InputDomainError("pump polarization must be transverse")
-        if self.omega_laser <= 0:
+        if not self.omega_laser > 0:
             raise InputDomainError("pump frequency must be positive")
-        if self.atom_number < 1:
+        if not self.atom_number >= 1:
             raise InputDomainError("atom number must be at least 1")
         k.flags.writeable = False
         pol.flags.writeable = False
@@ -120,7 +121,7 @@ class CondensateSpinor:
 
     def __post_init__(self) -> None:
         norm_sq = sum(abs(a) ** 2 for _, a in self.amplitudes)
-        if abs(norm_sq - 1.0) > _NORM_TOL:
+        if not abs(norm_sq - 1.0) <= _NORM_TOL:
             raise InputDomainError(
                 f"condensate spinor must be unit norm, got |.|^2 = {norm_sq!r}"
             )
@@ -166,13 +167,13 @@ class ScatteredSpinor:
     photon_mode: PhotonMode
 
     def __post_init__(self) -> None:
-        if self.normalization < 0:
+        if not self.normalization >= 0:
             raise InputDomainError("branch normalization must be non-negative")
         if (self.normalization == 0.0) != (len(self.amplitudes) == 0):
             raise InputDomainError("zero normalization must pair with an empty spinor")
         if self.amplitudes:
             norm_sq = sum(abs(a) ** 2 for _, a in self.amplitudes)
-            if abs(norm_sq - 1.0) > _NORM_TOL:
+            if not abs(norm_sq - 1.0) <= _NORM_TOL:
                 raise InputDomainError("scattered spinor must be unit norm")
 
     @property
@@ -228,9 +229,9 @@ class PairState:
             if ch.lam not in (1, 2):
                 raise InputDomainError("polarization index must be 1 or 2")
             norm_sq += abs(a) ** 2
-        if abs(norm_sq - 1.0) > _NORM_TOL:
+        if not abs(norm_sq - 1.0) <= _NORM_TOL:
             raise InputDomainError("pair state must be unit norm")
-        if any(ch.omega <= 0 for ch in self.channels):
+        if not all(ch.omega > 0 for ch in self.channels):
             raise InputDomainError("channel frequencies must be positive")
         for name in ("recoil_momentum", "photon_wavevector", "detection_direction"):
             arr = np.asarray(getattr(self, name), dtype=float)

@@ -5,8 +5,8 @@ ground-excited sublevel pair,
 
     g = E_k sum_q (eps_q* . eps_klambda) <F m|e r . eps_q|F' m'>,
 
-in rad/s with hbar divided out and the field-per-photon and reduced dipole
-in configured units.  ``effective_coupling`` is the excited-manifold-summed
+in rad/s with hbar divided out, the field per photon E_k set to 1 and the
+reduced dipole in configured units.  ``effective_coupling`` is the excited-manifold-summed
 two-photon amplitude after adiabatic elimination,
 
     G = sum_(F'' m'') g_out*(F'' m'', final) g_in(F'' m'', initial) / Delta(F'_initial).
@@ -62,18 +62,18 @@ class PhotonMode:
     direction: np.ndarray
     lam: int
     polarization: np.ndarray
-    field_per_photon: float = 1.0
 
     def __post_init__(self) -> None:
+        # every guard is written so that NaN fails it
         k = np.asarray(self.direction, dtype=float)
         pol = np.asarray(self.polarization, dtype=complex)
         if k.shape != (3,) or pol.shape != (3,):
             raise InputDomainError("direction and polarization must be 3-vectors")
-        if abs(np.linalg.norm(k) - 1.0) > _GEOM_TOL:
+        if not abs(np.linalg.norm(k) - 1.0) <= _GEOM_TOL:
             raise InputDomainError("mode direction must be a unit vector")
-        if abs(np.linalg.norm(pol) - 1.0) > _GEOM_TOL:
+        if not abs(np.linalg.norm(pol) - 1.0) <= _GEOM_TOL:
             raise InputDomainError("mode polarization must be a unit vector")
-        if abs(np.vdot(pol, k)) > _GEOM_TOL:
+        if not abs(np.vdot(pol, k)) <= _GEOM_TOL:
             raise InputDomainError("mode polarization must be transverse")
         if self.lam not in (1, 2):
             raise InputDomainError("polarization index must be 1 or 2")
@@ -158,7 +158,7 @@ def _mode_coupling_matrix(spec: AtomSpec, mode: PhotonMode) -> np.ndarray:
     """g[e, g] for one mode over the full sublevel grid."""
     _, _, dip = _sublevel_tables(spec)
     overlaps = _spherical_overlaps(mode.polarization)
-    return mode.field_per_photon * (dip @ overlaps)
+    return dip @ overlaps
 
 
 def single_photon_coupling(
@@ -172,7 +172,7 @@ def single_photon_coupling(
     for iq, q in enumerate((-1, 0, +1)):
         if overlaps[iq] != 0.0:
             total += overlaps[iq] * dipole_matrix_element(spec, excited, ground, q)
-    return mode.field_per_photon * total
+    return total
 
 
 def _detunings(spec: AtomSpec, omega_laser: float) -> np.ndarray:

@@ -200,10 +200,11 @@ def test_criterion_8_scan_maximum_on_axis(spec, pump, phi0):
     direction, value = argmax_direction(scan)
     np.testing.assert_allclose(direction, [0.0, 0.0, 1.0], atol=1e-12)
     assert value >= 1.0 - 1e-6
-    poles = [n for n in scan.nodes if abs(n.direction[2]) == 1.0]
-    off_axis = [n for n in scan.nodes if abs(n.direction[2]) != 1.0 and not n.flagged]
-    assert all(n.measure >= 1.0 - 1e-6 for n in poles)
-    assert max(n.measure for n in off_axis) < min(n.measure for n in poles)
+    on_axis = np.abs(scan.directions[:, 2]) == 1.0
+    poles = scan.measures[on_axis]
+    off_axis = scan.measures[~on_axis & ~scan.flagged]
+    assert all(m >= 1.0 - 1e-6 for m in poles)
+    assert max(off_axis) < min(poles)
     report(8, "2-degree scan: global maximum of filtered concurrence at +-z, value >= 1 - 1e-6")
 
 

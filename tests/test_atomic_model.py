@@ -1,5 +1,6 @@
 """Species structure, spherical basis, and dipole elements vs the uncoupling oracle."""
 
+import dataclasses
 import json
 import math
 
@@ -109,6 +110,29 @@ def test_spec_rejects_incomplete_splittings():
             ground_j=HalfInt(1),
             excited_j=HalfInt(3),
             ground_splittings=((HalfInt(2), 0.0),),
+            resonance=1.0,
+            linewidth=1.0,
+            mass=1.0,
+        )
+
+
+@pytest.mark.parametrize("field", ["resonance", "linewidth", "mass", "reduced_dipole"])
+@pytest.mark.parametrize("value", [math.nan, 0.0])
+def test_spec_rejects_nan_and_zero_line_constants(spec, field, value):
+    # a NaN reduced dipole used to surface as "no scattering amplitude"
+    with pytest.raises(InputDomainError):
+        dataclasses.replace(spec, **{field: value})
+
+
+def test_spec_rejects_equal_splittings():
+    # photon channels are keyed by frequency: equal splittings would share keys
+    with pytest.raises(InputDomainError, match="F'=1: 0.0 rad/s, F'=2: 0.0 rad/s"):
+        AtomSpec(
+            name="bad",
+            nuclear_spin=HalfInt(3),
+            ground_j=HalfInt(1),
+            excited_j=HalfInt(3),
+            ground_splittings=((HalfInt(2), 0.0), (HalfInt(4), 0.0)),
             resonance=1.0,
             linewidth=1.0,
             mass=1.0,

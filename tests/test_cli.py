@@ -328,6 +328,16 @@ def test_chsh_events_csv_without_samples_exits_2(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_equal_ground_splittings_exit_2(state_config, capsys):
+    spec = json.loads((DATA / "sodium.json").read_text())
+    spec["ground_splittings_hz"]["4"] = 0.0
+    (state_config.parent / "flat.json").write_text(json.dumps(spec))
+    edit_config(state_config, lambda raw: raw.update(atom_spec_path="flat.json"))
+    code, out, err = run(["state", "--config", str(state_config)], capsys)
+    assert code == 2 and out == ""
+    assert "distinct splittings" in err and "F'=1: 0.0 rad/s, F'=2: 0.0 rad/s" in err
+
+
 def test_huge_condensate_amplitude_exits_2(state_config, capsys):
     # finite, but its square overflows the float range
     edit_config(state_config, lambda c: c["condensate"].__setitem__("amplitudes", {"2:0": [1e200, 0.0]}))
@@ -418,6 +428,15 @@ def test_tables_values_cross_match_library(tmp_path, capsys):
         value = clebsch_gordan(*(HalfInt(t) for t in (tj1, tm1, tj2, tm2, tj, tm)))
         assert float(row[6]) == value.value
         assert int(row[7]) == value.sign
+
+
+def test_tables_pinned_bytes(capsys):
+    # recorded while the CG and 3-j tables still walked their index set apart
+    code, out, _ = run(["tables", "--max-doubled-j", "6"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7f6f0fa71995f09069af13561a6a013696a556ba6c5d2723a52f883f0cfcf74c"
+    )
 
 
 def test_tables_cap_exceeded_exits_2(capsys):

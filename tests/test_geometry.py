@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from raman_pairs.errors import (
 )
 from raman_pairs.geometry_explorer import (
     ScanMap,
-    ScanNode,
     argmax_direction,
     scan_sphere,
     scan_to_csv_text,
@@ -36,6 +36,7 @@ from raman_pairs.pair_state import CondensateSpinor, PumpConfig, build_pair_stat
 
 COARSE = math.pi / 6.0
 TWO_PI = 2.0 * math.pi
+COLUMNS = ("thetas", "phis", "directions", "measures", "channel_weights", "omega")
 
 
 def test_resolution_bounds(spec, pump, phi0):
@@ -59,39 +60,51 @@ def test_filter_level_required_and_validated(spec, pump, phi0):
 
 def test_coarse_scan_smoke(spec, pump, phi0):
     scan = scan_sphere(spec, pump, phi0, COARSE, "entropy")
-    assert len(scan.nodes) == 7 * 12
-    thetas = sorted({node.theta for node in scan.nodes})
+    assert len(scan.measures) == 7 * 12
+    thetas = sorted(set(scan.thetas.tolist()))
     assert thetas[0] == 0.0 and thetas[-1] == pytest.approx(math.pi)
-    for node in scan.nodes:
-        if not node.flagged:
-            assert math.isfinite(node.measure)
-            assert -1e-12 <= node.measure <= 2.0 + 1e-12
+    for measure, flagged in zip(scan.measures, scan.flagged):
+        if not flagged:
+            assert math.isfinite(measure)
+            assert -1e-12 <= measure <= 2.0 + 1e-12
 
 
 def test_grid_is_sorted_and_covers_poles(spec, pump, phi0):
     scan = scan_sphere(spec, pump, phi0, COARSE, "entropy")
-    keys = [(node.theta, node.phi) for node in scan.nodes]
+    keys = list(zip(scan.thetas.tolist(), scan.phis.tolist()))
     assert keys == sorted(keys)
-    directions = {tuple(np.round(node.direction, 12)) for node in scan.nodes}
+    directions = {tuple(np.round(direction, 12)) for direction in scan.directions}
     assert (0.0, 0.0, 1.0) in directions
     assert (0.0, 0.0, -1.0) in directions
+
+
+def test_grid_directions_equal_the_per_node_formula(spec, pump, phi0):
+    # the columns are built per grid line; each node still gets the bits of
+    # its own unit vector, normalized as np.linalg.norm does for one vector
+    scan = scan_sphere(spec, pump, phi0, math.radians(10.0), "entropy")
+    for theta, phi, direction in zip(scan.thetas, scan.phis, scan.directions):
+        v = np.array(
+            [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
+        )
+        np.testing.assert_array_equal(direction, v / np.linalg.norm(v), strict=True)
 
 
 def test_pole_node_is_bell(spec, pump, phi0):
     scan = scan_sphere(
         spec, pump, phi0, COARSE, "concurrence_after_filter", filter_f=1
     )
-    pole = [n for n in scan.nodes if n.theta == 0.0][0]
-    assert pole.measure == pytest.approx(1.0, abs=1e-9)
+    pole = [m for t, m in zip(scan.thetas, scan.measures) if t == 0.0][0]
+    assert pole == pytest.approx(1.0, abs=1e-9)
 
 
 def test_mirror_symmetry_of_reference_geometry(spec, pump, phi0):
     scan = scan_sphere(
         spec, pump, phi0, COARSE, "concurrence_after_filter", filter_f=1
     )
-    top = [n for n in scan.nodes if n.theta == 0.0][0]
-    bottom = [n for n in scan.nodes if n.theta == pytest.approx(math.pi)][0]
-    assert top.measure == pytest.approx(bottom.measure, abs=1e-9)
+    nodes = list(zip(scan.thetas, scan.measures))
+    top = [m for t, m in nodes if t == 0.0][0]
+    bottom = [m for t, m in nodes if t == pytest.approx(math.pi)][0]
+    assert top == pytest.approx(bottom, abs=1e-9)
 
 
 def test_measures_match_single_direction_ops(spec, pump, phi0):
@@ -103,11 +116,11 @@ def test_measures_match_single_direction_ops(spec, pump, phi0):
         ("conditional_overlap", None),
     ):
         scan = scan_sphere(spec, pump, phi0, COARSE, measure, filter_f=filter_f)
-        candidates = [n for n in scan.nodes if not n.flagged]
+        candidates = np.flatnonzero(~scan.flagged)
         picks = rng.choice(len(candidates), size=10, replace=False)
         for idx in picks:
             node = candidates[idx]
-            direction = np.array(node.direction)
+            direction = scan.directions[node]
             if measure == "entropy":
                 want = entanglement_entropy(
                     build_pair_state(spec, pump, phi0, direction)
@@ -118,7 +131,7 @@ def test_measures_match_single_direction_ops(spec, pump, phi0):
                 )
             else:
                 want = conditional_overlap(spec, pump, phi0, direction)
-            assert node.measure == want
+            assert scan.measures[node] == want
 
 
 ALL_MEASURES = (
@@ -147,14 +160,15 @@ def test_scan_nodes_equal_single_direction_calls(spec, pump):
     for rpump, rphi in _property_configs(spec, pump):
         for measure, filter_f in ALL_MEASURES:
             scan = scan_sphere(spec, rpump, rphi, COARSE, measure, filter_f=filter_f)
-            for node in scan.nodes:
-                direction = np.array(node.direction)
+            for direction, value, flagged, channels in zip(
+                scan.directions, scan.measures, scan.flagged, scan.node_channels()
+            ):
                 try:
                     state = build_pair_state(spec, rpump, rphi, direction)
                 except EmptyStateError:
-                    assert node.flagged and node.channel_info == ()
+                    assert flagged and channels == ()
                     continue
-                assert node.channel_info == tuple(
+                assert channels == tuple(
                     (ch.key(), p) for ch, p in state.channel_probabilities()
                 )
                 try:
@@ -165,10 +179,10 @@ def test_scan_nodes_equal_single_direction_calls(spec, pump):
                     else:
                         want = conditional_overlap(spec, rpump, rphi, direction)
                 except (EmptyStateError, UndefinedOverlapError):
-                    assert node.flagged and math.isnan(node.measure)
+                    assert flagged and math.isnan(value)
                     continue
-                assert not node.flagged
-                assert node.measure == want
+                assert not flagged
+                assert value == want
 
 
 def test_chunk_size_does_not_change_scan(spec, pump, monkeypatch):
@@ -178,12 +192,46 @@ def test_chunk_size_does_not_change_scan(spec, pump, monkeypatch):
             monkeypatch.setattr(geometry_explorer, "_CHUNK", 7)
             chunked = scan_sphere(spec, rpump, rphi, COARSE, measure, filter_f=filter_f)
             monkeypatch.undo()
-            assert chunked.nodes == whole.nodes
+            for column in COLUMNS:
+                np.testing.assert_array_equal(  # NaN equals NaN here
+                    getattr(chunked, column), getattr(whole, column), strict=True
+                )
             assert (chunked.resolution, chunked.measure_name, chunked.metadata) == (
                 whole.resolution,
                 whole.measure_name,
                 whole.metadata,
             )
+
+
+def test_scan_columns_read_only(spec, pump, phi0):
+    scan = scan_sphere(spec, pump, phi0, COARSE, "entropy")
+    for column in COLUMNS:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(scan, column)[0] = 0.0
+
+
+def test_scan_retains_only_its_columns(spec, pump, phi0):
+    # 2 deg grid, sodium: angles, direction, measure, 4 channel weights and
+    # 2 frequencies are 12 doubles (96 bytes) a node; node objects took ~970
+    resolution = math.radians(2.0)
+    scan_sphere(spec, pump, phi0, resolution, "entropy")  # fill the caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        scan = scan_sphere(spec, pump, phi0, resolution, "entropy")
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(scan.measures) == 16380
+    assert retained / len(scan.measures) <= 150
+
+
+def test_argmax_value_is_a_python_float(spec, pump, phi0):
+    # the CLI prints repr(value), which for np.float64 would read differently
+    scan = scan_sphere(spec, pump, phi0, COARSE, "entropy")
+    direction, value = argmax_direction(scan)
+    assert type(value) is float
+    direction[0] = 2.0  # a copy, not a view of the read-only column
 
 
 def test_unresolved_filter_channel_warns(spec, pump, phi0, monkeypatch):
@@ -205,13 +253,11 @@ def test_flagged_nodes_for_undefined_overlap(spec, pump):
         omega_laser=pump.omega_laser,
     )
     scan = scan_sphere(spec, pump_sigma, phi0, COARSE, "conditional_overlap")
-    flagged = [n for n in scan.nodes if n.flagged]
-    clean = [n for n in scan.nodes if not n.flagged]
-    assert flagged and clean
-    for node in flagged:
-        assert math.isnan(node.measure)
+    flagged = scan.flagged
+    assert flagged.any() and not flagged.all()
+    assert np.isnan(scan.measures[flagged]).all()
     # poles are the degenerate directions here
-    assert {n.theta for n in flagged} == {0.0, math.pi}
+    assert set(scan.thetas[flagged].tolist()) == {0.0, math.pi}
 
 
 def test_empty_state_nodes_flagged(spec, pump):
@@ -234,29 +280,51 @@ def test_empty_state_nodes_flagged(spec, pump):
     )
     phi0 = CondensateSpinor.single("3/2", "3/2")
     scan = scan_sphere(inverted, pump_sigma, phi0, COARSE, "entropy")
-    assert all(node.flagged for node in scan.nodes)
+    assert scan.flagged.all()
     with pytest.raises(EmptyScanError):
         argmax_direction(scan)
 
 
-def test_argmax_tie_break_constant_map():
-    nodes = tuple(
-        ScanNode(theta=t, phi=p, direction=(0.0, 0.0, 1.0), measure=0.5, flagged=False)
-        for t in (0.0, 1.0)
-        for p in (0.0, 1.0)
+def _columns_map(thetas, phis, directions, measures) -> ScanMap:
+    """A hand-made map without photon channels."""
+    n = len(measures)
+    return ScanMap(
+        thetas=thetas,
+        phis=phis,
+        directions=directions,
+        measures=measures,
+        channel_weights=np.zeros((n, 0)),
+        omega=np.zeros((n, 0)),
+        resolution=1.0,
+        measure_name="entropy",
     )
-    scan = ScanMap(nodes=nodes, resolution=1.0, measure_name="entropy")
+
+
+def test_argmax_tie_break_constant_map():
+    scan = _columns_map(
+        [0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0], [[0.0, 0.0, 1.0]] * 4, [0.5] * 4
+    )
     direction, value = argmax_direction(scan)
     assert value == 0.5
-    assert scan.nodes[0].theta == 0.0 and scan.nodes[0].phi == 0.0
+    assert scan.thetas[0] == 0.0 and scan.phis[0] == 0.0
+
+
+def test_argmax_tie_goes_to_the_first_node():
+    scan = _columns_map(
+        [0.0, 1.0, 1.0],
+        [0.0, 0.0, 1.0],
+        [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+        [0.25, 0.5, 0.5],
+    )
+    direction, value = argmax_direction(scan)
+    assert value == 0.5
+    np.testing.assert_array_equal(direction, [1.0, 0.0, 0.0])
 
 
 def test_argmax_single_unflagged_node():
-    nodes = (
-        ScanNode(theta=0.0, phi=0.0, direction=(0.0, 0.0, 1.0), measure=math.nan, flagged=True),
-        ScanNode(theta=1.0, phi=0.0, direction=(1.0, 0.0, 0.0), measure=0.25, flagged=False),
+    scan = _columns_map(
+        [0.0, 1.0], [0.0, 0.0], [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]], [math.nan, 0.25]
     )
-    scan = ScanMap(nodes=nodes, resolution=1.0, measure_name="entropy")
     direction, value = argmax_direction(scan)
     assert value == 0.25
     np.testing.assert_array_equal(direction, [1.0, 0.0, 0.0])
@@ -269,10 +337,10 @@ def test_csv_layout_and_flags(spec, pump, phi0):
     header = lines[0].split(",")
     assert header == ["theta_rad", "phi_rad", "kx", "ky", "kz", "measure", "flag"]
     rows = list(csv.reader(io.StringIO("\n".join(lines[1:]))))
-    assert len(rows) == len(scan.nodes)
-    for row, node in zip(rows, scan.nodes):
-        assert float(row[0]) == node.theta
-        assert row[6] == ("1" if node.flagged else "0")
+    assert len(rows) == len(scan.measures)
+    for row, theta, flagged in zip(rows, scan.thetas, scan.flagged):
+        assert float(row[0]) == theta
+        assert row[6] == ("1" if flagged else "0")
 
 
 def test_scan_serialization_deterministic(spec, pump, phi0, tmp_path):
@@ -287,4 +355,4 @@ def test_scan_serialization_deterministic(spec, pump, phi0, tmp_path):
     assert csv_path.exists() and json_path.exists()
     parsed = json.loads(json_path.read_text())
     assert parsed["format"] == "raman-pairs/scan-map/1"
-    assert len(parsed["nodes"]) == len(scan.nodes)
+    assert len(parsed["nodes"]) == len(scan.measures)

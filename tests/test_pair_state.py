@@ -22,11 +22,13 @@ from raman_pairs.errors import (
     PhysicsError,
 )
 from raman_pairs import pair_state
+from raman_pairs.raman_coupling import PhotonMode
 from raman_pairs.pair_state import (
     Channel,
     CondensateSpinor,
     PairState,
     PumpConfig,
+    ScatteredSpinor,
     build_pair_state,
     pair_batch,
     pair_state_from_json,
@@ -85,6 +87,56 @@ def test_pair_state_rejects_channel_level_mismatch(state_z):
             detection_direction=state_z.detection_direction,
             pump=state_z.pump,
         )
+
+
+def _with_nan_amplitude(state):
+    ((key, _), *rest) = state.amplitudes
+    return PairState(
+        amplitudes=((key, complex(math.nan, 0.0)), *rest),
+        channels=state.channels,
+        recoil_momentum=state.recoil_momentum,
+        photon_wavevector=state.photon_wavevector,
+        emission_weight=state.emission_weight,
+        detection_direction=state.detection_direction,
+        pump=state.pump,
+    )
+
+
+_X_MODE = PhotonMode(direction=Z, lam=1, polarization=np.array([1.0, 0, 0]))
+NAN_CONSTRUCTIONS = {
+    "PairState.amplitudes": _with_nan_amplitude,
+    "CondensateSpinor.amplitudes": lambda _: CondensateSpinor((((2, 0), complex(math.nan)),)),
+    "ScatteredSpinor.normalization": lambda _: ScatteredSpinor(
+        amplitudes=(((2, 0), 1.0 + 0.0j),), normalization=math.nan, photon_mode=_X_MODE
+    ),
+    "ScatteredSpinor.amplitudes": lambda _: ScatteredSpinor(
+        amplitudes=(((2, 0), complex(math.nan)),), normalization=1.0, photon_mode=_X_MODE
+    ),
+    "PumpConfig.omega_laser": lambda _: PumpConfig(
+        direction=Z, polarization=np.array([1.0, 0, 0]), omega_laser=math.nan
+    ),
+    "PumpConfig.atom_number": lambda _: PumpConfig(
+        direction=Z, polarization=np.array([1.0, 0, 0]), omega_laser=1.0, atom_number=math.nan
+    ),
+    "PhotonMode.direction": lambda _: PhotonMode(
+        direction=np.array([0.0, 0.0, math.nan]), lam=1, polarization=np.array([1.0, 0, 0])
+    ),
+}
+
+
+@pytest.mark.parametrize("construct", NAN_CONSTRUCTIONS.values(), ids=NAN_CONSTRUCTIONS.keys())
+def test_constructors_reject_nan(construct, state_z):
+    # each guard must fail on NaN, which no comparison satisfies
+    with pytest.raises(InputDomainError):
+        construct(state_z)
+
+
+def test_state_document_with_nan_amplitude_rejected(state_z):
+    doc = json.loads(json.dumps(pair_state_to_json(state_z)))
+    channel = next(iter(doc["amplitudes"].values()))
+    channel[next(iter(channel))] = [math.nan, 0.0]
+    with pytest.raises(InputDomainError, match="unit norm"):
+        pair_state_from_json(doc)
 
 
 # --- batched kernel ---------------------------------------------------------------
