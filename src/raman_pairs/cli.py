@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from . import __version__
 from .angular_momentum import HalfInt, clebsch_gordan, halfint, wigner_3j, wigner_6j
 from .atomic_model import AtomSpec, load_atom_spec
 from .bell_sim import GENERATOR_ID, chsh, events_to_csv, optimize_chsh, sample_events
-from .entanglement_analysis import branch_overlap, entanglement_entropy, schmidt
+from .entanglement_analysis import branch_overlap, entanglement_entropy, schmidt, state_grams
 from .errors import (
     ConfigError,
     InputDomainError,
@@ -74,6 +75,14 @@ def _check_keys(obj: dict, allowed, path: str) -> None:
             _fail_config(f"unknown key '{path}{key}'")
 
 
+def _io(flag: str, path, action):
+    """``action(path)``; an OS error becomes a configuration error naming ``flag`` and the path."""
+    try:
+        return action(path)
+    except OSError as exc:
+        _fail_config(f"{flag} '{path}': {exc.strerror or exc}")
+
+
 def _as_number(value, path: str) -> float:
     """The finite float of a JSON number; strings, booleans, NaN and +-Infinity fail."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -112,7 +121,7 @@ class RunConfig:
 
     def __init__(self, path: Path) -> None:
         self.path = path
-        raw_bytes = path.read_bytes()
+        raw_bytes = _io("--config", path, Path.read_bytes)
         self.sha256 = hashlib.sha256(raw_bytes).hexdigest()
         try:
             raw = json.loads(raw_bytes)
@@ -175,6 +184,8 @@ class RunConfig:
             _fail_config("'validity_threshold' must not be negative")
         output = raw.get("output", {})
         self.output_path = output.get("path")
+        if not isinstance(self.output_path, (str, type(None))):
+            _fail_config("'output.path' must be a string")
         self.output_format = output.get("format", "json")
         if self.output_format not in ("json", "csv"):
             _fail_config("'output.format' must be 'json' or 'csv'")
@@ -259,24 +270,33 @@ class RunConfig:
         return doc
 
 
-def _write_text(text: str, path: str | None) -> None:
+def _output(args, config: RunConfig) -> tuple[str, str | None]:
+    """The output path, and the flag or config key that named it."""
+    if args.output:
+        return "--output", args.output
+    return "'output.path'", config.output_path
+
+
+def _write_text(text: str, args, config: RunConfig) -> None:
+    flag, path = _output(args, config)
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        _io(flag, Path(path), lambda p: p.write_text(text, encoding="utf-8"))
 
 
 def _analysis_block(state: PairState, full_state: PairState) -> dict:
-    result = schmidt(state)
+    grams = state_grams(state)
     try:
-        overlap_doc: float | None = branch_overlap(full_state)
+        full_grams = grams if full_state is state else state_grams(full_state)
+        overlap_doc: float | None = branch_overlap(full_state, full_grams)
         overlap_note = None
     except UndefinedOverlapError as exc:
         overlap_doc = None
         overlap_note = str(exc)
     block = {
-        "entropy_bits": entanglement_entropy(state),
-        "schmidt_coefficients": list(result.coefficients),
+        "entropy_bits": entanglement_entropy(state, grams),
+        "schmidt_coefficients": list(schmidt(state, grams).coefficients),
         "channel_probabilities": {
             ch.key(): prob for ch, prob in state.channel_probabilities()
         },
@@ -293,43 +313,44 @@ def _state_csv(state: PairState, metadata: dict) -> str:
         buf.write(f"# {key}={metadata[key]}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["omega_hz", "lambda", "doubled_F", "doubled_m", "amp_re", "amp_im"])
-    for (ch, (tf, tm)), amp in state.amplitudes:
-        writer.writerow(
+    matrix, photon, atoms = state.matrix()
+    for ch, row in zip(photon, matrix.tolist()):
+        writer.writerows(
             [repr(ch.omega / TWO_PI), ch.lam, tf, tm, repr(amp.real), repr(amp.imag)]
+            for (tf, tm), amp in zip(atoms, row)
+            if amp != 0.0
         )
     return buf.getvalue()
 
 
-def _require_direction(config: RunConfig) -> np.ndarray:
+def _state(config: RunConfig) -> PairState:
+    """The pair state of the configured detection direction."""
     if config.direction is None:
         _fail_config("this command needs 'detection.direction', not a scan block")
-    return config.direction
+    return build_pair_state(
+        config.spec,
+        config.pump,
+        config.condensate,
+        config.direction,
+        validity_threshold=config.validity_threshold,
+    )
 
 
 def _emit_state(
     config: RunConfig, state: PairState, args, full_state: PairState | None = None
 ) -> None:
     """Write ``state``; its branch overlap is that of ``full_state`` (default: itself)."""
-    fmt = args.format or config.output_format
-    out = args.output or config.output_path
-    if fmt == "csv":
-        _write_text(_state_csv(state, config.metadata()), out)
+    if (args.format or config.output_format) == "csv":
+        _write_text(_state_csv(state, config.metadata()), args, config)
     else:
         doc = pair_state_to_json(state, provenance=config.metadata())
         doc["analysis"] = _analysis_block(state, full_state or state)
-        _write_text(json_text(doc), out)
+        _write_text(json_text(doc), args, config)
 
 
 def cmd_state(args) -> int:
     config = RunConfig(Path(args.config))
-    state = build_pair_state(
-        config.spec,
-        config.pump,
-        config.condensate,
-        _require_direction(config),
-        validity_threshold=config.validity_threshold,
-    )
-    _emit_state(config, state, args)
+    _emit_state(config, _state(config), args)
     return 0
 
 
@@ -341,13 +362,7 @@ def cmd_filter(args) -> int:
         level = config.filter_f
     else:
         _fail_config("no filter level: pass --f-select or set 'filter_f' in the config")
-    state = build_pair_state(
-        config.spec,
-        config.pump,
-        config.condensate,
-        _require_direction(config),
-        validity_threshold=config.validity_threshold,
-    )
+    state = _state(config)
     filtered = spectral_filter(state, level)
     _emit_state(config, filtered, args, full_state=state)
     return 0
@@ -357,7 +372,7 @@ def cmd_scan(args) -> int:
     config = RunConfig(Path(args.config))
     if config.scan is None:
         _fail_config("'detection.scan' block required for the scan command")
-    out = args.output or config.output_path
+    flag, out = _output(args, config)
     if out is None:
         _fail_config("scan needs an output prefix: pass --output or set 'output.path'")
     resolution = math.radians(
@@ -379,7 +394,7 @@ def cmd_scan(args) -> int:
     except InputDomainError as exc:  # resolution range, measure without filter_f
         _fail_config(f"invalid 'detection.scan': {exc}")
     scan = replace(scan, metadata=config.metadata())
-    csv_path, json_path = write_scan(scan, out)
+    csv_path, json_path = _io(flag, out, lambda prefix: write_scan(scan, prefix))
     direction, value = argmax_direction(scan)
     sys.stdout.write(
         f"scan {scan.measure_name}: {len(scan.measures)} nodes -> {csv_path}, {json_path}\n"
@@ -399,17 +414,10 @@ def cmd_chsh(args) -> int:
     if args.events_csv and not args.samples:
         _fail_config("--events-csv needs --samples: there are no sampled events to write")
     config = RunConfig(Path(args.config))
-    state = build_pair_state(
-        config.spec,
-        config.pump,
-        config.condensate,
-        _require_direction(config),
-        validity_threshold=config.validity_threshold,
-    )
+    state = _state(config)
     if config.filter_f is not None:
         state = spectral_filter(state, config.filter_f)
-    photon_labels = state.photon_labels()
-    atom_labels = state.atom_labels()
+    _, photon_labels, atom_labels = state.matrix()
     if len(photon_labels) != 2 or len(atom_labels) != 2:
         raise PhysicsError(
             "CHSH needs a 2x2 state (2 photon labels x 2 atom labels); this one has "
@@ -443,9 +451,9 @@ def cmd_chsh(args) -> int:
             "counts": list(result.counts),
         }
         if args.events_csv:
-            events_to_csv(result, args.events_csv)
+            _io("--events-csv", args.events_csv, lambda path: events_to_csv(result, path))
             doc["sampling"]["events_csv"] = str(args.events_csv)
-    _write_text(json_text(doc), args.output or config.output_path)
+    _write_text(json_text(doc), args, config)
     return 0
 
 
@@ -514,7 +522,7 @@ def cmd_tables(args) -> int:
         prefix = Path(args.output)
         for suffix, text in (("cg", cg), ("3j", w3j), ("6j", w6j)):
             path = prefix.parent / f"{prefix.name}_{suffix}.csv"
-            path.write_text(text, encoding="utf-8")
+            _io("--output", path, lambda p: p.write_text(text, encoding="utf-8"))
             sys.stdout.write(f"wrote {path}\n")
     else:
         sys.stdout.write(cg)
@@ -523,7 +531,9 @@ def cmd_tables(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="raman-pairs",
         description=(

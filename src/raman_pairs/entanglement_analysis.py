@@ -3,9 +3,12 @@
 The photon side of a :class:`~raman_pairs.pair_state.PairState` is the set of
 occupied (frequency channel, polarization) labels, the atom side the occupied
 (F, m) sublevels.  The photon label (F, lambda) pairs only with atomic level
-F, so the amplitude matrix is block-diagonal by F with 2 x (2F+1) blocks.
-Each block enters every measure through its 2 x 2 Gram matrix
-[[a, c], [c*, b]] (:func:`block_grams`):
+F, so the amplitude matrix is block-diagonal by F with 2 x (2F+1) blocks,
+and a state's (2, G) amplitude array already holds those blocks side by
+side (:func:`block_index`).  Each block enters every measure through its
+2 x 2 Gram matrix [[a, c], [c*, b]] (:func:`block_grams`; of one state,
+:func:`state_grams`, which a caller computes once and passes to every
+measure):
 
 * entropy: the Gram eigenvalues of all blocks are the squared Schmidt
   coefficients;
@@ -14,9 +17,9 @@ Each block enters every measure through its 2 x 2 Gram matrix
 
 These closed forms work on (N, 2, G) amplitude arrays, so a sphere scan
 evaluates a whole batch of directions at once and a single state is the
-N = 1 case.  Determinants use the Lagrange identity
-``det = sum_(i<j) |r0_i r1_j - r0_j r1_i|^2``, which stays exact for product
-states where ``ab - |c|^2`` cancels to rounding noise.
+N = 1 case, read straight from its array.  Determinants use the Lagrange
+identity ``det = sum_(i<j) |r0_i r1_j - r0_j r1_i|^2``, which stays exact for
+product states where ``ab - |c|^2`` cancels to rounding noise.
 
 The full Schmidt decomposition (:func:`schmidt`) solves each block's 2 x 2
 Gram eigenproblem in closed form from the same quantities: no iteration, and
@@ -35,11 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .angular_momentum import halfint
-from .errors import (
-    EmptyStateError,
-    InputDomainError,
-    UndefinedOverlapError,
-)
+from .errors import EmptyStateError, InputDomainError, UndefinedOverlapError
 from .pair_state import (
     Channel,
     CondensateSpinor,
@@ -63,6 +62,7 @@ __all__ = [
     "BlockGrams",
     "block_index",
     "block_grams",
+    "state_grams",
     "entropy_of_blocks",
     "filtered_concurrence_of_blocks",
     "branch_overlap_of_blocks",
@@ -115,52 +115,32 @@ def _photon_pair(grams: BlockGrams, i: int, big: float) -> tuple[np.ndarray, np.
     return v, np.array([-v[1].conjugate(), v[0].conjugate()])
 
 
-def schmidt_of_matrix(
-    matrix: np.ndarray,
-    photon_labels: tuple[Channel, ...],
-    atom_labels: tuple[tuple[int, int], ...],
-) -> SchmidtResult:
-    """Schmidt decomposition block by block, one block per level 2F.
+def schmidt(state: PairState, grams: BlockGrams | None = None) -> SchmidtResult:
+    """Schmidt decomposition of the photon x atom amplitude matrix, block by block.
 
     A block has at most two photon rows, so its squared Schmidt coefficients
     are the eigenvalues of its 2 x 2 Gram matrix, taken as in
     :func:`entropy_of_blocks`.  Each photon vector p is a Gram eigenvector
     and its atom vector is p^dagger M / s, with s the Schmidt coefficient.
+    ``grams`` is :func:`state_grams` of the state, if already computed.
     """
-    m = np.asarray(matrix, dtype=complex)
-    shape = (len(photon_labels), len(atom_labels))
-    if m.size == 0 or m.shape != shape or not np.isfinite(m).all():
-        raise InputDomainError("expected a non-empty, finite matrix over the given labels")
-    row = {(ch.doubled_f, ch.lam): i for i, ch in enumerate(photon_labels)}
-    col = {key: j for j, key in enumerate(atom_labels)}
-    if (len(row), len(col)) != shape:
-        raise InputDomainError("a (2F, lambda) photon label or an atom label repeats")
-    nonzero = zip(*(index.tolist() for index in np.nonzero(m)))
-    entries = [((photon_labels[r], atom_labels[c]), m[r, c]) for r, c in nonzero]
-    for (ch, (tf, tm)), _ in entries:
-        if ch.doubled_f != tf or ch.lam not in (1, 2) or abs(tm) > tf or (tf - tm) % 2:
-            raise InputDomainError(f"no 2 x (2F+1) block holds ({ch}, (2F={tf}, 2m={tm}))")
-    if not entries:
-        raise InputDomainError("cannot decompose an all-zero matrix")
-    grams, levels, amplitudes = _entry_grams(entries)
+    grams = state_grams(state) if grams is None else grams
+    _, photon_labels, atom_labels = state.matrix()
+    rows, cols = state.support()
     big, small = _block_eigenvalues(grams)
     values = np.sqrt(np.stack([big[0], small[0]], axis=-1))  # (nF, 2)
     floor = _RANK_FLOOR * values.max()
-    padded = np.append(amplitudes[0], np.zeros((2, 1)), axis=1)  # block_index pads with G
+    nf, g = len(state.levels), state.amplitudes.shape[1]
+    padded = np.append(state.amplitudes, np.zeros((2, 1)), axis=1)  # block_index pads with G
     pairs = []
-    for i, (tf, index) in enumerate(zip(levels, block_index(levels))):
-        # an absent label's entry lands in the extra last slot
-        rows = [row.get((tf, lam), shape[0]) for lam in (1, 2)]
-        cols = [col.get((tf, 2 * j - tf), shape[1]) for j in range(len(index))]
+    for i, index in enumerate(block_index(state.levels)):
         for value, vec in zip(values[i].tolist(), _photon_pair(grams, i, big[0, i])):
             if value > floor:
-                p = np.zeros(shape[0] + 1, dtype=complex)
-                p[rows] = vec
-                at = np.zeros(shape[1] + 1, dtype=complex)
-                at[cols] = vec.conj() @ padded[:, index] / value
-                pairs.append((value, *_canonical_phase(p[:-1], at[:-1])))
-    if not pairs:
-        raise InputDomainError("the matrix is numerically zero")
+                p = np.zeros(2 * nf, dtype=complex)  # row (lambda-1) * nF + i
+                p[[i, nf + i]] = vec
+                at = np.zeros(g + 1, dtype=complex)
+                at[index] = vec.conj() @ padded[:, index] / value
+                pairs.append((value, *_canonical_phase(p[rows], at[cols])))
     pairs.sort(key=lambda item: (-item[0], tuple((z.real, z.imag) for z in item[1])))
     return SchmidtResult(
         coefficients=tuple(c for c, _, _ in pairs),
@@ -169,11 +149,6 @@ def schmidt_of_matrix(
         photon_labels=photon_labels,
         atom_labels=atom_labels,
     )
-
-
-def schmidt(state: PairState) -> SchmidtResult:
-    """Schmidt decomposition of the photon x atom amplitude matrix."""
-    return schmidt_of_matrix(*state.matrix())
 
 
 # --- closed forms on F blocks -----------------------------------------------
@@ -293,33 +268,14 @@ def branch_overlap_of_blocks(grams: BlockGrams) -> np.ndarray:
     return np.where(undefined, np.nan, value)
 
 
-def _entry_grams(entries) -> tuple[BlockGrams, tuple[int, ...], np.ndarray]:
-    """Block Gram matrices of ((channel, (2F, 2m)), amplitude) entries.
-
-    Also returns the 2F of each block and the (1, 2, G) amplitudes behind
-    the matrices, laid out as :func:`block_index` of those levels.
-    """
-    levels = tuple(sorted({tf for (_, (tf, _)), _ in entries}))
-    start, offset = 0, {}
-    for tf in levels:
-        offset[tf] = start
-        start += tf + 1
-    amplitudes = np.zeros((1, 2, start), dtype=complex)
-    filled = set()
-    for (ch, (tf, tm)), amp in entries:
-        slot = (ch.lam - 1, offset[tf] + (tm + tf) // 2)
-        if slot in filled:
-            raise InputDomainError(
-                f"two channels carry photon label (2F={tf}, lambda={ch.lam})"
-            )
-        filled.add(slot)
-        amplitudes[0][slot] = amp
-    return block_grams(amplitudes, block_index(levels)), levels, amplitudes
+def state_grams(state: PairState) -> BlockGrams:
+    """:func:`block_grams` of one state, as N = 1 arrays."""
+    return block_grams(state.amplitudes[np.newaxis], block_index(state.levels))
 
 
-def entanglement_entropy(state: PairState) -> float:
+def entanglement_entropy(state: PairState, grams: BlockGrams | None = None) -> float:
     """Entropy of entanglement in bits, -sum c^2 log2 c^2."""
-    grams = _entry_grams(state.amplitudes)[0]
+    grams = state_grams(state) if grams is None else grams
     return float(entropy_of_blocks(grams)[0])
 
 
@@ -344,14 +300,17 @@ def concurrence_after_filter(state: PairState, f_select) -> float:
     state: 2|det M| on exact 2x2 support and 0 for any product state.
     """
     f = halfint(f_select)
-    grams, levels, _ = _entry_grams(state.amplitudes)
-    if f.twice not in levels:
+    value = math.nan
+    if f.twice in state.levels:
+        level = state.levels.index(f.twice)
+        value = float(filtered_concurrence_of_blocks(state_grams(state), level)[0])
+    if math.isnan(value):  # the level is absent or empty
         raise EmptyStateError(
             f"the F={f} frequency channel carries zero probability; nothing to select"
         )
     if any(f.twice in pair for pair in state.unresolved_channel_pairs):
         warn_unresolved(f)
-    return float(filtered_concurrence_of_blocks(grams, levels.index(f.twice))[0])
+    return value
 
 
 def is_factorized(state: PairState, tol: float = 1e-10) -> bool:
@@ -374,13 +333,13 @@ def _overlap(grams: BlockGrams) -> float:
     return value
 
 
-def branch_overlap(state: PairState) -> float:
+def branch_overlap(state: PairState, grams: BlockGrams | None = None) -> float:
     """|<S_k1|S_k2>| between the atomic spinors of an unfiltered state's branches.
 
     Bit for bit :func:`conditional_overlap` of the state's direction, without
     rebuilding the state.
     """
-    return _overlap(_entry_grams(state.amplitudes)[0])
+    return _overlap(state_grams(state) if grams is None else grams)
 
 
 def conditional_overlap(

@@ -274,8 +274,10 @@ def write_scan(scan: ScanMap, prefix: str | Path) -> tuple[Path, Path]:
     A non-finite number is a physics error, raised before either file exists.
     """
     prefix = Path(prefix)
-    csv_path = prefix.with_suffix(".csv")
-    json_path = prefix.with_suffix(".json")
+    if prefix.name in ("", ".", ".."):
+        raise InputDomainError(f"scan output prefix '{prefix}' names a directory, not a file")
+    csv_path = prefix.with_name(prefix.name + ".csv")
+    json_path = prefix.with_name(prefix.name + ".json")
     json_doc = json_text(scan_to_json_doc(scan))
     csv_path.write_text(scan_to_csv_text(scan), encoding="utf-8")
     json_path.write_text(json_doc, encoding="utf-8")

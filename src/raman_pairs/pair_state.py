@@ -23,7 +23,11 @@ the recoil momentum label hbar(K - k).
 
 One kernel, :func:`pair_batch`, computes all of this as arrays for N
 directions at once; :func:`build_pair_state` and :func:`scattered_spinor`
-are its N = 1 case, wrapped in objects.
+are its N = 1 case.  A :class:`PairState` keeps that row as it is: a (2, G)
+amplitude array over the sublevels of its final levels, block-diagonal by
+F, with one photon frequency per level.  Labels, the (photon x atom) matrix,
+channel probabilities and the JSON document are views of those arrays, and
+:func:`spectral_filter` reuses the kernel's normalization and phase rule.
 """
 
 from __future__ import annotations
@@ -31,8 +35,9 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -201,16 +206,30 @@ class Channel:
         return f"{frequency_label(self.omega)}:{self.lam}"
 
 
+@lru_cache(maxsize=32)
+def _sublevels(levels: tuple[int, ...]) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
+    """Level index and (2F, 2m) label of each sublevel of ``levels``, F-major, m ascending."""
+    atoms = tuple((tf, tm) for tf in levels for tm in range(-tf, tf + 1, 2))
+    level = np.repeat(np.arange(len(levels)), [tf + 1 for tf in levels])
+    level.flags.writeable = False
+    return level, atoms
+
+
 @dataclass(frozen=True, eq=False)
 class PairState:
-    """Joint atom-photon amplitude tensor for one detection direction.
+    """Joint atom-photon amplitudes for one detection direction: a row of :class:`PairBatch`.
 
-    The photon label (F, lambda) pairs only with atomic level F, so every
-    amplitude's channel must carry the 2F of its atom label.
+    ``amplitudes[lambda-1, g]`` runs over the sublevels of ``levels`` (2F of
+    each final level, ascending), F-major with m ascending.  The photon label
+    (F, lambda) pairs only with atomic level F, so entry g sits in the
+    channel of its own level, whose frequency is ``omega[i]``.  Labels, the
+    matrix and the channel probabilities are views of these arrays over the
+    entries that carry amplitude.
     """
 
-    amplitudes: tuple[tuple[tuple[Channel, tuple[int, int]], complex], ...]
-    channels: tuple[Channel, ...]
+    amplitudes: np.ndarray
+    levels: tuple[int, ...]
+    omega: np.ndarray
     recoil_momentum: np.ndarray
     photon_wavevector: np.ndarray
     emission_weight: float
@@ -219,56 +238,76 @@ class PairState:
     unresolved_channel_pairs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        norm_sq = 0.0
-        for (ch, (tf, _)), a in self.amplitudes:
-            if ch.doubled_f != tf:
-                raise InputDomainError(
-                    f"amplitude on atom level 2F={tf} sits in a photon channel of "
-                    f"2F={ch.doubled_f}; a channel pairs only with its own level"
-                )
-            if ch.lam not in (1, 2):
-                raise InputDomainError("polarization index must be 1 or 2")
-            norm_sq += abs(a) ** 2
-        if not abs(norm_sq - 1.0) <= _NORM_TOL:
-            raise InputDomainError("pair state must be unit norm")
-        if not all(ch.omega > 0 for ch in self.channels):
-            raise InputDomainError("channel frequencies must be positive")
-        for name in ("recoil_momentum", "photon_wavevector", "detection_direction"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+        object.__setattr__(self, "levels", tuple(self.levels))
+        vectors = ("omega", "recoil_momentum", "photon_wavevector", "detection_direction")
+        for name in ("amplitudes", *vectors):
+            arr = np.array(getattr(self, name), dtype=complex if name == "amplitudes" else float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        levels, amps = self.levels, self.amplitudes
+        if not levels or levels[0] < 0 or any(b <= a for a, b in zip(levels, levels[1:])):
+            raise InputDomainError("levels must be distinct doubled F values, ascending")
+        if amps.shape != (2, len(_sublevels(levels)[1])) or self.omega.shape != (len(levels),):
+            raise InputDomainError(
+                f"levels {levels} need (2, G) amplitudes over their sublevels and one "
+                f"frequency each, got {amps.shape} and {self.omega.shape}"
+            )
+        if not abs(np.vdot(amps, amps).real - 1.0) <= _NORM_TOL:
+            raise InputDomainError("pair state must be unit norm")
+        if not (self.omega > 0).all():
+            raise InputDomainError("channel frequencies must be positive")
 
-    def as_dict(self) -> dict[tuple[Channel, tuple[int, int]], complex]:
-        return dict(self.amplitudes)
+    @cached_property
+    def _view(self) -> tuple:
+        """Occupied rows and columns, the matrix over them, and their labels."""
+        level, atoms = _sublevels(self.levels)
+        nf, g = len(self.levels), len(atoms)
+        # each level's amplitudes go to its own rows (lambda-1) * nF + i; a zero
+        # entry becomes +0.0 whatever the sign of its parts, so the sign of an
+        # all-zero sum downstream (an atan2 argument) cannot flip
+        full = np.zeros((2, nf, g), dtype=complex)
+        full[:, level, np.arange(g)] = np.where(self.amplitudes != 0.0, self.amplitudes, 0.0)
+        full = full.reshape(2 * nf, g)
+        rows = np.argsort(np.tile(self.omega, 2), kind="stable")
+        rows = rows[full[rows].any(axis=1)]
+        cols = np.flatnonzero(full.any(axis=0))
+        matrix = full[np.ix_(rows, cols)]
+        for arr in (rows, cols, matrix):
+            arr.flags.writeable = False
+        omega = self.omega.tolist()
+        photon = tuple(
+            Channel(omega=omega[r % nf], lam=r // nf + 1, doubled_f=self.levels[r % nf])
+            for r in rows.tolist()
+        )
+        return rows, cols, matrix, photon, tuple(atoms[c] for c in cols.tolist())
+
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        """Photon rows (lambda-1) * nF + i and sublevels g that carry amplitude.
+
+        Rows come in (omega, lambda, 2F) order, from one stable sort by
+        frequency as in :func:`pair_batch`; sublevels ascend.
+        """
+        return self._view[:2]
+
+    def matrix(self) -> tuple[np.ndarray, tuple[Channel, ...], tuple[tuple[int, int], ...]]:
+        """Read-only (photon x atom) amplitudes over the labels that carry amplitude,
+        and those photon and atom labels."""
+        return self._view[2:]
 
     def photon_labels(self) -> tuple[Channel, ...]:
         """Channels carrying nonzero amplitude, in (omega, lambda) order."""
-        present = {ch for (ch, _), _ in self.amplitudes}
-        return tuple(sorted(present))
+        return self.matrix()[1]
 
     def atom_labels(self) -> tuple[tuple[int, int], ...]:
         """(2F, 2m) labels carrying nonzero amplitude, ascending."""
-        present = {key for (_, key), _ in self.amplitudes}
-        return tuple(sorted(present))
-
-    def matrix(self) -> tuple[np.ndarray, tuple[Channel, ...], tuple[tuple[int, int], ...]]:
-        """Amplitudes as a (photon x atom) matrix over the occupied labels."""
-        photon = self.photon_labels()
-        atom = self.atom_labels()
-        row = {ch: i for i, ch in enumerate(photon)}
-        col = {key: j for j, key in enumerate(atom)}
-        mat = np.zeros((len(photon), len(atom)), dtype=complex)
-        for (ch, key), amp in self.amplitudes:
-            mat[row[ch], col[key]] = amp
-        return mat, photon, atom
+        return self.matrix()[2]
 
     def channel_probabilities(self) -> tuple[tuple[Channel, float], ...]:
         # re^2 + im^2 summed in m order: the same bits as the batched
         # per-block weights of entanglement_analysis.block_grams
-        probs: dict[Channel, float] = {ch: 0.0 for ch in self.photon_labels()}
-        for (ch, _), amp in self.amplitudes:
-            probs[ch] += amp.real * amp.real + amp.imag * amp.imag
-        return tuple(sorted(probs.items()))
+        matrix, photon, _ = self.matrix()
+        probs = sequential_sum(matrix.real * matrix.real + matrix.imag * matrix.imag)
+        return tuple(zip(photon, probs.tolist()))
 
 
 def _require_valid(
@@ -291,7 +330,7 @@ def _layout(spec: AtomSpec) -> tuple[np.ndarray, np.ndarray]:
     """Ground-level index of each kernel entry (lambda-1) * G + g, and the
     splitting of each ground level."""
     levels = spec.ground_levels()
-    level = np.tile([levels.index(g.f) for g in ground_basis(spec)], 2)
+    level = np.tile(_sublevels(tuple(f.twice for f in levels))[0], 2)
     deltas = np.array([spec.splitting(f) for f in levels])
     level.flags.writeable = False
     deltas.flags.writeable = False
@@ -330,6 +369,44 @@ def _photon_frequencies(spec: AtomSpec, pump: PumpConfig, k: np.ndarray) -> np.n
     return omega
 
 
+def _normalize_and_phase(
+    rows: np.ndarray, omega: np.ndarray, level: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normalize (N, 2G) rows and fix their global phase.
+
+    ``omega[n, i]`` is the photon frequency of level i and ``level`` the
+    level of each flat entry (lambda-1) * G + g.  The first nonzero entry in
+    (channel, atom) order becomes real positive: channels sort by (omega,
+    lambda, 2F) and atoms by 2m, and since the flat entries already run in
+    (lambda, 2F, 2m) order, a stable sort by frequency gives that order.
+    Returns the amplitudes, the squared norms and the removed phase factors;
+    an all-zero row stays all zero.
+    """
+    n, g = rows.shape[0], rows.shape[1] // 2
+    order = np.argsort(omega[:, level], axis=1, kind="stable")
+    re, im = rows.real, rows.imag
+    squares = re * re + im * im
+    total_sq = sequential_sum(squares[:, :g] + squares[:, g:])  # both branches per sublevel
+    index = np.arange(n)
+    nonzero = (re != 0.0) | (im != 0.0)
+    ref = order[index, nonzero[index[:, np.newaxis], order].argmax(axis=1)]
+    first_re, first_im = re[index, ref], im[index, ref]
+    nonempty = total_sq > 0.0
+    first = np.hypot(first_re, first_im)
+    safe_first = np.where(nonempty, first, 1.0)
+    phases = np.empty(n, dtype=complex)
+    phases.real = first_re / safe_first
+    phases.imag = first_im / safe_first
+    scale = np.where(nonempty, np.sqrt(total_sq), 1.0)[:, np.newaxis]
+    cos_p = phases.real[:, np.newaxis]
+    sin_p = phases.imag[:, np.newaxis]
+    amplitudes = np.empty(rows.shape, dtype=complex)
+    amplitudes.real = (re * cos_p + im * sin_p) / scale
+    amplitudes.imag = (im * cos_p - re * sin_p) / scale
+    amplitudes[index, ref] = np.where(nonempty, first / scale[:, 0], 0.0)
+    return amplitudes, total_sq, phases
+
+
 @dataclass(frozen=True, eq=False)
 class PairBatch:
     """Pair states of N detection directions as arrays.
@@ -339,10 +416,8 @@ class PairBatch:
     scattered amplitudes are ``norms * phases * amplitudes``: ``norms`` holds
     their Euclidean norm and ``phases`` the removed global phase factor; a
     direction where nothing scatters has ``norms`` 0 and all-zero
-    amplitudes.  ``weights`` is the emission weight, ``omega[n, i]`` the
-    photon frequency of final level ``spec.ground_levels()[i]``, and
-    ``order[n]`` lists the flat indices ``(lambda-1) * G + g`` sorted by
-    (channel, atom) label.
+    amplitudes.  ``weights`` is the emission weight and ``omega[n, i]`` the
+    photon frequency of final level ``spec.ground_levels()[i]``.
     """
 
     directions: np.ndarray
@@ -352,7 +427,6 @@ class PairBatch:
     phases: np.ndarray
     weights: np.ndarray
     omega: np.ndarray
-    order: np.ndarray
 
 
 def pair_batch(
@@ -384,36 +458,8 @@ def pair_batch(
     factor = _shared_factor(spec, pump, phi0)
     n, g = len(k), factor.shape[0]
     rows = branch_amplitudes(factor, polarizations).reshape(n, 2 * g)
-    re, im = rows.real, rows.imag
-    squares = re * re + im * im
-    total_sq = sequential_sum(squares[:, :g] + squares[:, g:])  # both branches per sublevel
     omega = _photon_frequencies(spec, pump, k)
-
-    # (channel, atom) order: channels sort by (omega, lambda, 2F), atoms by
-    # 2m.  The flat entries already run in (lambda, 2F, 2m) order, so a
-    # stable sort by frequency finishes the job.
-    level, _ = _layout(spec)
-    order = np.argsort(omega[:, level], axis=1, kind="stable")
-
-    # global phase: the first nonzero entry in that order becomes real positive
-    index = np.arange(n)
-    nonzero = (re != 0.0) | (im != 0.0)
-    ref = order[index, nonzero[index[:, np.newaxis], order].argmax(axis=1)]
-    first_re, first_im = re[index, ref], im[index, ref]
-    scattering = total_sq > 0.0
-    first = np.hypot(first_re, first_im)
-    safe_first = np.where(scattering, first, 1.0)
-    phases = np.empty(n, dtype=complex)
-    phases.real = first_re / safe_first
-    phases.imag = first_im / safe_first
-    norms = np.sqrt(total_sq)
-    scale = np.where(scattering, norms, 1.0)
-    cos_p = phases.real[:, np.newaxis]
-    sin_p = phases.imag[:, np.newaxis]
-    amplitudes = np.empty(rows.shape, dtype=complex)
-    amplitudes.real = (re * cos_p + im * sin_p) / scale[:, np.newaxis]
-    amplitudes.imag = (im * cos_p - re * sin_p) / scale[:, np.newaxis]
-    amplitudes[index, ref] = np.where(scattering, first / scale, 0.0)
+    amplitudes, total_sq, phases = _normalize_and_phase(rows, omega, _layout(spec)[0])
     try:
         intensity = abs(pump.pump_amplitude) ** 2
     except OverflowError:  # a finite amplitude whose square is not: infinite weights
@@ -423,11 +469,10 @@ def pair_batch(
         directions=k,
         polarizations=polarizations,
         amplitudes=amplitudes.reshape(n, 2, g),
-        norms=norms,
+        norms=np.sqrt(total_sq),
         phases=phases,
         weights=pump.atom_number * intensity * total_sq,
         omega=omega,
-        order=order,
     )
 
 
@@ -496,15 +541,6 @@ def photon_frequency(
     return float(_photon_frequencies(spec, pump, k)[0, index])
 
 
-def _fix_global_phase(
-    entries: list[tuple[tuple[Channel, tuple[int, int]], complex]],
-) -> list[tuple[tuple[Channel, tuple[int, int]], complex]]:
-    """Rotate so the lexicographically first nonzero entry is real positive."""
-    first = min(entries, key=lambda item: (item[0][0], item[0][1]))[1]
-    phase = first / abs(first)
-    return [(key, complex(amp / phase)) for key, amp in entries]
-
-
 def warn_unresolved(f: HalfIntLike, stacklevel: int = 2) -> None:
     """Warn that the selected level's channel overlaps a neighbor's."""
     warnings.warn(
@@ -539,32 +575,15 @@ def build_pair_state(
             "and condensate"
         )
 
-    basis = ground_basis(spec)
-    levels, _ = _layout(spec)
+    levels = tuple(f.twice for f in spec.ground_levels())
     omegas = batch.omega[0].tolist()
-    amps = batch.amplitudes[0].ravel().tolist()
-    entries: list[tuple[tuple[Channel, tuple[int, int]], complex]] = []
-    channels: dict[tuple[int, int], Channel] = {}
-    for flat in batch.order[0].tolist():
-        amp = amps[flat]
-        if amp == 0.0:
-            continue
-        lam, ig = divmod(flat, len(basis))
-        g = basis[ig]
-        ch_key = (g.f.twice, lam + 1)
-        if ch_key not in channels:
-            channels[ch_key] = Channel(
-                omega=omegas[levels[flat]], lam=lam + 1, doubled_f=g.f.twice
-            )
-        entries.append(((channels[ch_key], (g.f.twice, g.m.twice)), amp))
-
-    by_level = {f.twice: w for f, w in zip(spec.ground_levels(), omegas)}
-    present_f = sorted({ch.doubled_f for ch in channels.values()})
+    # A set, not np.unique: that lazily imports numpy.ma, which costs the
+    # first call of a process some 20 ms.
+    present = sorted(set(_sublevels(levels)[0][batch.amplitudes[0].any(axis=0)].tolist()))
     unresolved = tuple(
-        (fa, fb)
-        for idx, fa in enumerate(present_f)
-        for fb in present_f[idx + 1 :]
-        if abs(by_level[fa] - by_level[fb]) < channel_resolution
+        (levels[a], levels[b])
+        for a, b in combinations(present, 2)
+        if abs(omegas[a] - omegas[b]) < channel_resolution
     )
 
     # Reference photon wavevector: the elastic channel of the lowest ground
@@ -575,8 +594,9 @@ def build_pair_state(
     recoil = HBAR * k_pump_vec - HBAR * k_out
 
     return PairState(
-        amplitudes=tuple(entries),
-        channels=tuple(channels.values()),
+        amplitudes=batch.amplitudes[0],
+        levels=levels,
+        omega=batch.omega[0],
         recoil_momentum=recoil,
         photon_wavevector=k_out,
         emission_weight=float(batch.weights[0]),
@@ -587,31 +607,23 @@ def build_pair_state(
 
 
 def spectral_filter(state: PairState, f_select: HalfIntLike) -> PairState:
-    """Project onto the frequency channel of one final F and renormalize."""
+    """Project onto the frequency channel of one final F and renormalize.
+
+    The other levels are zeroed, and normalization and global phase follow
+    the rule of :func:`pair_batch`.
+    """
     f = halfint(f_select)
-    kept = [
-        (key, amp) for key, amp in state.amplitudes if key[0].doubled_f == f.twice
-    ]
-    if not kept:
+    level = np.tile(_sublevels(state.levels)[0], 2)  # of each flat entry
+    keep = np.array(state.levels)[level] == f.twice
+    rows = np.where(keep, state.amplitudes.ravel(), 0.0)[np.newaxis]
+    amplitudes, total_sq, _ = _normalize_and_phase(rows, state.omega[np.newaxis], level)
+    if not total_sq[0] > 0.0:
         raise EmptyStateError(
             f"the F={f} frequency channel carries zero probability; nothing to select"
         )
     if any(f.twice in pair for pair in state.unresolved_channel_pairs):
         warn_unresolved(f)
-    total = np.sqrt(sum(abs(a) ** 2 for _, a in kept))
-    kept = [(key, amp / total) for key, amp in kept]
-    kept = _fix_global_phase(kept)
-    channels = tuple(sorted({key[0] for key, _ in kept}))
-    return PairState(
-        amplitudes=tuple(kept),
-        channels=channels,
-        recoil_momentum=state.recoil_momentum,
-        photon_wavevector=state.photon_wavevector,
-        emission_weight=state.emission_weight,
-        detection_direction=state.detection_direction,
-        pump=state.pump,
-        unresolved_channel_pairs=state.unresolved_channel_pairs,
-    )
+    return replace(state, amplitudes=amplitudes.reshape(2, -1))
 
 
 # --- serialization ----------------------------------------------------------
@@ -631,9 +643,15 @@ def _complex_pair(z: complex) -> list[float]:
 
 def pair_state_to_json(state: PairState, provenance: dict | None = None) -> dict:
     """JSON-ready document; channels keyed "omega_hz:lambda", atoms "2F:2m"."""
-    amplitude_doc: dict[str, dict[str, list[float]]] = {}
-    for (ch, (tf, tm)), amp in state.amplitudes:
-        amplitude_doc.setdefault(ch.key(), {})[f"{tf}:{tm}"] = _complex_pair(amp)
+    matrix, photon, atoms = state.matrix()
+    amplitude_doc = {
+        ch.key(): {
+            f"{tf}:{tm}": _complex_pair(amp)
+            for (tf, tm), amp in zip(atoms, row.tolist())
+            if amp != 0.0
+        }
+        for ch, row in zip(photon, matrix)
+    }
     pump = state.pump
     doc = {
         "format": "raman-pairs/pair-state/1",
@@ -645,7 +663,7 @@ def pair_state_to_json(state: PairState, provenance: dict | None = None) -> dict
                 "lambda": ch.lam,
                 "doubled_f": ch.doubled_f,
             }
-            for ch in state.channels
+            for ch in photon
         ],
         "amplitudes": amplitude_doc,
         "recoil_momentum_kg_m_per_s": [float(x) for x in state.recoil_momentum],
@@ -674,21 +692,38 @@ def pair_state_from_json(doc: dict) -> PairState:
         pump_amplitude=complex(*pump_doc["amplitude"]),
         atom_number=pump_doc["atom_number"],
     )
-    channels = {
-        ch["key"]: Channel(
-            omega=2.0 * np.pi * ch["omega_hz"], lam=ch["lambda"], doubled_f=ch["doubled_f"]
+    channels = {ch["key"]: ch for ch in doc["channels"]}
+    if len(channels) != len(doc["channels"]):
+        raise InputDomainError(
+            "two photon channels share one key: their levels have equal frequencies"
         )
-        for ch in doc["channels"]
-    }
-    entries = []
-    for ch_key, atoms in doc["amplitudes"].items():
-        for atom_key, (re, im) in atoms.items():
-            tf, tm = (int(x) for x in atom_key.split(":"))
-            entries.append(((channels[ch_key], (tf, tm)), complex(re, im)))
-    entries.sort(key=lambda item: (item[0][0], item[0][1]))
+    omega: dict[int, float] = {}
+    for ch in channels.values():
+        if ch["lambda"] not in (1, 2):
+            raise InputDomainError("polarization index must be 1 or 2")
+        tf, w = ch["doubled_f"], 2.0 * np.pi * ch["omega_hz"]
+        if not isinstance(tf, int) or tf < 0:
+            raise InputDomainError(f"doubled_f must be a non-negative integer, got {tf!r}")
+        if omega.setdefault(tf, w) != w:
+            raise InputDomainError(f"the channels of level 2F={tf} differ in frequency")
+    levels = tuple(sorted(omega))
+    _, atoms = _sublevels(levels)
+    column = {atom: j for j, atom in enumerate(atoms)}
+    amplitudes = np.zeros((2, len(atoms)), dtype=complex)
+    for key, by_atom in doc["amplitudes"].items():
+        ch = channels[key]
+        for atom_key, (re, im) in by_atom.items():
+            atom = tuple(int(x) for x in atom_key.split(":"))
+            if atom[0] != ch["doubled_f"] or atom not in column:
+                raise InputDomainError(
+                    f"atom label {atom_key} sits in photon channel {key} of "
+                    f"2F={ch['doubled_f']}; a channel pairs only with its own level"
+                )
+            amplitudes[ch["lambda"] - 1, column[atom]] = complex(re, im)
     return PairState(
-        amplitudes=tuple(entries),
-        channels=tuple(sorted(channels.values())),
+        amplitudes=amplitudes,
+        levels=levels,
+        omega=[omega[tf] for tf in levels],
         recoil_momentum=np.array(doc["recoil_momentum_kg_m_per_s"], dtype=float),
         photon_wavevector=np.array(doc["photon_wavevector_rad_per_m"], dtype=float),
         emission_weight=doc["emission_weight"],

@@ -6,6 +6,7 @@ import pytest
 from raman_pairs.atomic_model import sodium
 from raman_pairs.pair_state import (
     CondensateSpinor,
+    PairState,
     PumpConfig,
     build_pair_state,
     sodium_condensate,
@@ -83,3 +84,35 @@ def assert_equal_up_to_global_phase(actual: dict, expected: dict, tol: float = 1
         assert abs(actual[key] / phase - want) <= tol, (
             f"amplitude at {key}: {actual[key] / phase} != {want}"
         )
+
+
+def entries(state: PairState) -> dict:
+    """{(channel, (2F, 2m)): amplitude} over the nonzero entries, in (channel, atom) order."""
+    matrix, photon, atoms = state.matrix()
+    return {
+        (ch, atom): complex(matrix[r, c])
+        for r, ch in enumerate(photon)
+        for c, atom in enumerate(atoms)
+        if matrix[r, c] != 0.0
+    }
+
+
+_PLACEHOLDER_PUMP = PumpConfig(
+    direction=np.array([0.0, 0.0, 1.0]),
+    polarization=np.array([1.0, 0.0, 0.0]),
+    omega_laser=1.0e15,
+)
+
+
+def hand_state(levels, omega, amplitudes) -> PairState:
+    """A PairState over ``levels`` with placeholder direction, momenta, weight and pump."""
+    return PairState(
+        amplitudes=amplitudes,
+        levels=levels,
+        omega=omega,
+        recoil_momentum=np.zeros(3),
+        photon_wavevector=np.array([0.0, 0.0, 1.0e7]),
+        emission_weight=1.0,
+        detection_direction=np.array([0.0, 0.0, 1.0]),
+        pump=_PLACEHOLDER_PUMP,
+    )

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import (
     assert_equal_up_to_global_phase,
+    entries,
     random_condensate,
     random_direction,
     random_pump,
@@ -55,7 +56,7 @@ def test_criterion_1_reference_state_amplitudes(state_z):
     ref = 1.0 / (2.0 * math.sqrt(2.0))
     amps = {
         ((ch.doubled_f, ch.lam), atom): value
-        for (ch, atom), value in state_z.amplitudes
+        for (ch, atom), value in entries(state_z).items()
     }
     expected = {
         ((2, 1), (2, -2)): ref,
@@ -70,12 +71,12 @@ def test_criterion_1_reference_state_amplitudes(state_z):
 def test_criterion_2_filtered_bell_states(state_z):
     want = 1.0 / math.sqrt(2.0)
     symmetric = spectral_filter(state_z, 1)
-    amps = {(ch.lam, atom): v for (ch, atom), v in symmetric.amplitudes}
+    amps = {(ch.lam, atom): v for (ch, atom), v in entries(symmetric).items()}
     assert_equal_up_to_global_phase(
         amps, {(1, (2, -2)): want, (2, (2, 2)): want}, tol=1e-10
     )
     antisymmetric = spectral_filter(state_z, 2)
-    amps = {(ch.lam, atom): v for (ch, atom), v in antisymmetric.amplitudes}
+    amps = {(ch.lam, atom): v for (ch, atom), v in entries(antisymmetric).items()}
     assert_equal_up_to_global_phase(
         amps, {(1, (4, -2)): want, (2, (4, 2)): -want}, tol=1e-10
     )
@@ -215,7 +216,7 @@ def test_criterion_9_property_suites(spec, pump, phi0, state_z):
         rpump = random_pump(spec, rng)
         rphi = random_condensate(spec, rng)
         state = build_pair_state(spec, rpump, rphi, random_direction(rng))
-        assert sum(abs(a) ** 2 for _, a in state.amplitudes) == pytest.approx(1.0, abs=1e-12)
+        assert sum(abs(a) ** 2 for a in entries(state).values()) == pytest.approx(1.0, abs=1e-12)
         result = schmidt(state)
         matrix, _, _ = state.matrix()
         assert np.abs(result.reconstruction() - matrix).max() <= 1e-10

@@ -17,7 +17,7 @@ from raman_pairs.bell_sim import (
     sample_events,
 )
 from raman_pairs.errors import InputDomainError
-from raman_pairs.pair_state import Channel, PairState, spectral_filter
+from raman_pairs.pair_state import PairState, spectral_filter
 
 Z = np.array([0.0, 0.0, 1.0])
 ROOT8 = 2.0 * math.sqrt(2.0)
@@ -25,21 +25,13 @@ OPTIMAL = (0.0, math.pi / 4.0, math.pi / 8.0, 3.0 * math.pi / 8.0)
 
 
 def synth_state(matrix, pump) -> PairState:
-    """Wrap a normalized 2x2 amplitude matrix in a PairState."""
-    matrix = np.asarray(matrix, dtype=complex)
-    channels = (
-        Channel(omega=1.0e15, lam=1, doubled_f=2),
-        Channel(omega=1.0e15, lam=2, doubled_f=2),
-    )
-    atoms = ((2, -2), (2, 2))
-    entries = []
-    for i, ch in enumerate(channels):
-        for j, atom in enumerate(atoms):
-            if matrix[i, j] != 0.0:
-                entries.append(((ch, atom), complex(matrix[i, j])))
+    """Wrap a normalized 2x2 amplitude matrix in a PairState of one F=1 level."""
+    amplitudes = np.zeros((2, 3), dtype=complex)
+    amplitudes[:, [0, 2]] = matrix  # atoms (2, -2) and (2, 2)
     return PairState(
-        amplitudes=tuple(entries),
-        channels=channels,
+        amplitudes=amplitudes,
+        levels=(2,),
+        omega=(1.0e15,),
         recoil_momentum=np.zeros(3),
         photon_wavevector=Z * 1.0e7,
         emission_weight=1.0,

@@ -275,6 +275,63 @@ def test_chsh_pinned_bytes(tmp_path, monkeypatch, capsys):
     )
 
 
+# recorded before PairState held the kernel's arrays; the shipped configs'
+# filtered amplitudes are the same bits under the kernel's phase rule
+_SINGLE_DIRECTION_PINS = {
+    ("state",): "09d58668e9319756a301015be4693b5816979175799d07c61cf0cfc57dd9d6ad",
+    ("state", "--format", "csv"): (
+        "e599436fcee4c758a1f5c383805c5ce70b255fcc5135c55c011a8ddd047f7c14"
+    ),
+    ("filter", "--f-select", "1"): (
+        "2482e7d88ee08e63655f8848e07056a01ab4e36a2cb7018c64e98f9e880c57bc"
+    ),
+    ("filter", "--f-select", "1", "--format", "csv"): (
+        "4f576f7fc90cb1d4cfac5d4aacbe2847796a142034596f57ed0ca76eeb40c3a2"
+    ),
+    ("filter", "--f-select", "2"): (
+        "ad227ac7211db9d808e559786ab5017505d2a3587d0ae13156881f80ad39d5fd"
+    ),
+    ("filter", "--f-select", "2", "--format", "csv"): (
+        "477c346f0eea2ef74a57a3c5fdf8110e52ac5931d8db28a60f9298578898e312"
+    ),
+}
+
+
+@pytest.mark.parametrize("args", _SINGLE_DIRECTION_PINS, ids=" ".join)
+def test_single_direction_pinned_bytes(args, capsys):
+    code, out, _ = run([args[0], "--config", str(DATA / "sodium_state.json"), *args[1:]], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _SINGLE_DIRECTION_PINS[args]
+
+
+@pytest.mark.parametrize(
+    "args, most",
+    [(["state", "--format", "json"], 1), (["filter", "--f-select", "1"], 2)],
+)
+def test_one_gram_computation_per_state(args, most, monkeypatch, capsys):
+    # the analysis block computes each state's block Gram matrices once and
+    # hands them to the Schmidt, entropy and overlap measures
+    from raman_pairs import entanglement_analysis
+
+    calls = []
+    real = entanglement_analysis.block_grams
+
+    def counted(*a, **k):
+        calls.append(1)
+        return real(*a, **k)
+
+    monkeypatch.setattr(entanglement_analysis, "block_grams", counted)
+    code, _, _ = run([args[0], "--config", str(DATA / "sodium_state.json"), *args[1:]], capsys)
+    assert code == 0
+    assert 1 <= len(calls) <= most
+
+
+def test_parser_built_once_per_process():
+    from raman_pairs import cli
+
+    assert cli.build_parser() is cli.build_parser()
+
+
 def strict_json(text: str):
     def reject(constant):
         raise AssertionError(f"non-standard JSON constant {constant}")
@@ -403,6 +460,108 @@ def test_negative_validity_threshold_exits_2(capsys, tmp_path):
     code, _, err = run(["chsh", "--config", str(path)], capsys)
     assert code == 2
     assert "validity_threshold" in err
+
+
+# --- file boundaries -------------------------------------------------------------
+
+_STATE = str(DATA / "sodium_state.json")
+_CHSH = str(DATA / "sodium_chsh.json")
+
+# argv, and the flag (or config key) and path the message names; "{tmp}" is
+# a fresh directory, in which "missing" does not exist
+_IO_CASES = {
+    "config missing": (
+        ["state", "--config", "{tmp}/missing.json"], "--config", "{tmp}/missing.json"
+    ),
+    "config directory": (["state", "--config", "{tmp}"], "--config", "{tmp}"),
+    "state output": (
+        ["state", "--config", _STATE, "--output", "{tmp}/missing/s.json"],
+        "--output",
+        "{tmp}/missing/s.json",
+    ),
+    "state csv output": (
+        ["state", "--config", _STATE, "--format", "csv", "--output", "{tmp}/missing/s.csv"],
+        "--output",
+        "{tmp}/missing/s.csv",
+    ),
+    "filter output": (
+        ["filter", "--config", _STATE, "--f-select", "1", "--output", "{tmp}/missing/f.json"],
+        "--output",
+        "{tmp}/missing/f.json",
+    ),
+    "chsh output": (
+        ["chsh", "--config", _CHSH, "--output", "{tmp}/missing/c.json"],
+        "--output",
+        "{tmp}/missing/c.json",
+    ),
+    "chsh events": (
+        ["chsh", "--config", _CHSH, "--samples", "10", "--events-csv", "{tmp}/missing/e.csv"],
+        "--events-csv",
+        "{tmp}/missing/e.csv",
+    ),
+    "tables output": (
+        ["tables", "--max-doubled-j", "1", "--output", "{tmp}/missing/t"],
+        "--output",
+        "{tmp}/missing/t_cg.csv",
+    ),
+    "scan output": (
+        ["scan", "--config", "{scan}", "--output", "{tmp}/missing/s"],
+        "--output",
+        "{tmp}/missing/s",
+    ),
+    "output.path key": (
+        ["state", "--config", "{state}"], "'output.path'", "{tmp}/missing/o.json"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _IO_CASES)
+def test_unusable_path_exits_2(case, scan_config, state_config, tmp_path, capsys):
+    # a path that cannot be read or written is a configuration error that
+    # names the flag (or config key) and the path, not a traceback
+    edit_config(state_config, lambda c: c.update(output={"path": f"{tmp_path}/missing/o.json"}))
+    fill = {"{tmp}": str(tmp_path), "{scan}": str(scan_config), "{state}": str(state_config)}
+
+    def expand(text):
+        for key, value in fill.items():
+            text = text.replace(key, value)
+        return text
+
+    argv, flag, path = _IO_CASES[case]
+    code, out, err = run([expand(a) for a in argv], capsys)
+    assert code == 2, err
+    assert f"{flag} '{expand(path)}'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_output_path_not_a_string_exits_2(state_config, capsys):
+    edit_config(state_config, lambda c: c.update(output={"path": 5}))
+    code, out, err = run(["state", "--config", str(state_config)], capsys)
+    assert code == 2 and out == ""
+    assert "'output.path'" in err
+
+
+@pytest.mark.parametrize("prefix", ["run.v1", "run.v2", "run"])
+def test_scan_prefix_keeps_its_dots(prefix, scan_config, tmp_path, capsys):
+    # <prefix>.csv and <prefix>.json: run.v1 and run.v2 do not overwrite each other
+    argv = ["scan", "--config", str(scan_config), "--output", str(tmp_path / prefix)]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert f"{tmp_path / prefix}.csv, {tmp_path / prefix}.json" in out
+    assert (tmp_path / f"{prefix}.csv").is_file() and (tmp_path / f"{prefix}.json").is_file()
+
+
+@pytest.mark.parametrize("prefix", [".", "..", "sub/.."])
+def test_scan_prefix_naming_a_directory_exits_2(
+    prefix, scan_config, tmp_path, monkeypatch, capsys
+):
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(["scan", "--config", str(scan_config), "--output", prefix], capsys)
+    assert code == 2 and out == ""
+    assert f"'{prefix}' names a directory" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.json", "sub"]
 
 
 # --- tables ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_condensate, random_direction, random_pump
+from conftest import entries, random_condensate, random_direction, random_pump
 from oracles import oracle_branch_amplitudes
 from raman_pairs.atomic_model import detuning
 from raman_pairs.pair_state import build_pair_state, scattered_spinor
@@ -118,7 +118,7 @@ def test_half_integer_species_filter_and_frequency(spec, pump):
     )
     phi0 = CondensateSpinor.single("3/2", "1/2")
     state = build_pair_state(species, pump, phi0, Z)
-    assert sum(abs(a) ** 2 for _, a in state.amplitudes) == pytest.approx(1.0, abs=1e-12)
+    assert sum(abs(a) ** 2 for a in entries(state).values()) == pytest.approx(1.0, abs=1e-12)
     filtered = spectral_filter(state, "5/2")
     assert {ch.doubled_f for ch in filtered.photon_labels()} == {5}
     # channels closer than the resolution are flagged and filtering warns
@@ -148,7 +148,7 @@ def test_full_state_matches_stacked_oracle(spec):
             for key, value in vec.items()
         }
         total = math.sqrt(sum(abs(v) ** 2 for v in stacked.values()))
-        got = {(ch.lam, atom): amp for (ch, atom), amp in state.amplitudes}
+        got = {(ch.lam, atom): amp for (ch, atom), amp in entries(state).items()}
         assert set(got) == set(stacked)
         ref_key = max(stacked, key=lambda k: abs(stacked[k]))
         phase = got[ref_key] / (stacked[ref_key] / total)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_condensate, random_direction, random_pump
+from conftest import hand_state, random_condensate, random_direction, random_pump
 from oracles import oracle_entropy_bits, oracle_schmidt_sq
 from raman_pairs.entanglement_analysis import (
     branch_overlap,
@@ -15,7 +15,6 @@ from raman_pairs.entanglement_analysis import (
     entanglement_entropy,
     is_factorized,
     schmidt,
-    schmidt_of_matrix,
 )
 from raman_pairs.errors import InputDomainError, UndefinedOverlapError
 from raman_pairs.pair_state import (
@@ -194,7 +193,15 @@ def test_schmidt_block_with_one_photon_row():
     matrix[:2, 2:] = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
     matrix[2, :2] = rng.normal(size=2) + 1j * rng.normal(size=2)
     matrix /= np.linalg.norm(matrix)
-    result = schmidt_of_matrix(matrix, labels, atoms)
+    # levels (2F = 2, 4): sublevels (2,-2) (2,0) (2,2) then (4,-4) ... (4,4)
+    amplitudes = np.zeros((2, 8), dtype=complex)
+    amplitudes[:, 4:] = matrix[:2, 2:]
+    amplitudes[1, :2] = matrix[2, :2]
+    state = hand_state((2, 4), (3.0, 2.0), amplitudes)
+    got, photon_labels, atom_labels = state.matrix()
+    np.testing.assert_array_equal(got, matrix)
+    assert (photon_labels, atom_labels) == (labels, atoms)
+    result = schmidt(state)
     np.testing.assert_allclose(
         np.square(result.coefficients), oracle_schmidt_sq(matrix), atol=1e-15
     )
@@ -207,10 +214,6 @@ def test_schmidt_nearly_orthogonal_rows(weights):
     # |c| ~ 1e-9: big - b (a >= b) or big - a (a < b) is ~|c|^2, and taking it
     # from the other branch would cancel to rounding noise, which leaves
     # atom vectors ~1e-7 from orthogonal
-    from raman_pairs.pair_state import Channel
-
-    labels = (Channel(omega=1.0, lam=1, doubled_f=2), Channel(omega=1.0, lam=2, doubled_f=2))
-    atoms = ((2, -2), (2, 0), (2, 2))
     eps = 1e-9
     matrix = np.array(
         [
@@ -218,7 +221,9 @@ def test_schmidt_nearly_orthogonal_rows(weights):
             [eps * (3 - 1j), 0.0, math.sqrt(weights[1]) * 1j],
         ]
     )
-    result = schmidt_of_matrix(matrix, labels, atoms)
+    state = hand_state((2,), (1.0,), matrix)
+    np.testing.assert_array_equal(state.matrix()[0], matrix)
+    result = schmidt(state)
     np.testing.assert_allclose(
         np.square(result.coefficients), oracle_schmidt_sq(matrix), atol=1e-15
     )
@@ -240,20 +245,24 @@ def test_schmidt_orthonormal_bases_on_random_states(spec):
             _assert_schmidt_exact(result, matrix, tol=1e-14)
 
 
-def test_schmidt_rejects_inputs_outside_the_block_structure():
-    from raman_pairs.pair_state import Channel
+def test_schmidt_rejects_inputs_outside_the_block_structure(state_z):
+    # a state is its (2, G) block layout, so what it cannot hold is refused
+    # when it is built: three photon rows for one level, an atom label in a
+    # channel of another level, non-finite or zero amplitudes
+    from raman_pairs.pair_state import pair_state_from_json, pair_state_to_json
 
-    atoms = ((2, -2), (2, 2))
-    three = tuple(Channel(omega=w, lam=1, doubled_f=2) for w in (1.0, 2.0, 3.0))
+    row = np.array([0.6, 0.0, 0.8])
     with pytest.raises(InputDomainError):
-        schmidt_of_matrix(np.ones((3, 2)), three, atoms)
-    crossed = (Channel(omega=1.0, lam=1, doubled_f=4),)
+        hand_state((2,), (1.0,), np.stack([row, row, row]) / math.sqrt(3.0))
+    crossed = pair_state_to_json(state_z)
+    f2_key = next(ch["key"] for ch in crossed["channels"] if ch["doubled_f"] == 4)
+    crossed["amplitudes"][f2_key]["2:0"] = [0.5, 0.0]
     with pytest.raises(InputDomainError):
-        schmidt_of_matrix(np.ones((1, 2)), crossed, atoms)
+        pair_state_from_json(crossed)
     with pytest.raises(InputDomainError):
-        schmidt_of_matrix(np.full((1, 2), np.nan), three[:1], atoms)
+        hand_state((2,), (1.0,), np.full((2, 3), np.nan))
     with pytest.raises(InputDomainError):
-        schmidt_of_matrix(np.zeros((1, 2)), three[:1], atoms)
+        hand_state((2,), (1.0,), np.zeros((2, 3)))
 
 
 # --- concurrence ------------------------------------------------------------------
@@ -305,14 +314,12 @@ def test_concurrence_requires_2x2(state_z):
 def test_entropy_concurrence_identity_random_2x2():
     # for pure 2x2 states: H = h((1 + sqrt(1 - C^2)) / 2)
     rng = np.random.default_rng(61)
-    from raman_pairs.pair_state import Channel
-
-    labels = (Channel(omega=1.0, lam=1, doubled_f=2), Channel(omega=1.0, lam=2, doubled_f=2))
-    atoms = ((2, -2), (2, 2))
     for _ in range(1000):
         m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         m /= np.linalg.norm(m)
-        result = schmidt_of_matrix(m, labels, atoms)
+        amplitudes = np.zeros((2, 3), dtype=complex)
+        amplitudes[:, [0, 2]] = m  # atoms (2, -2) and (2, 2)
+        result = schmidt(hand_state((2,), (1.0,), amplitudes))
         coeffs = list(result.coefficients) + [0.0]
         c = 2.0 * abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
         entropy = -sum(x * x * math.log2(x * x) for x in coeffs if x > 0)
@@ -327,14 +334,9 @@ def test_identical_branches_factorize(spec):
     # a condensate driven so both branches produce the same spinor:
     # detection along the pump axis with circular pump gives branches that
     # differ; instead verify via an explicitly rank-1 matrix
-    from raman_pairs.pair_state import Channel
-
-    labels = (Channel(omega=1.0, lam=1, doubled_f=2), Channel(omega=1.0, lam=2, doubled_f=2))
-    atoms = ((2, -2), (2, 2))
     photon = np.array([0.6, 0.8])
-    atom = np.array([1.0, 1.0j]) / math.sqrt(2.0)
-    matrix = np.outer(photon, atom)
-    result = schmidt_of_matrix(matrix, labels, atoms)
+    atom = np.array([1.0, 0.0, 1.0j]) / math.sqrt(2.0)  # atoms (2, -2) and (2, 2)
+    result = schmidt(hand_state((2,), (1.0,), np.outer(photon, atom)))
     assert len(result.coefficients) == 1
 
 

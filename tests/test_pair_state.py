@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy.constants import hbar as HBAR
 
 from conftest import (
     assert_equal_up_to_global_phase,
+    entries,
     random_condensate,
     random_direction,
     random_pump,
@@ -24,9 +26,7 @@ from raman_pairs.errors import (
 from raman_pairs import pair_state
 from raman_pairs.raman_coupling import PhotonMode
 from raman_pairs.pair_state import (
-    Channel,
     CondensateSpinor,
-    PairState,
     PumpConfig,
     ScatteredSpinor,
     build_pair_state,
@@ -75,31 +75,49 @@ def test_constants_match_scipy():
 
 
 def test_pair_state_rejects_channel_level_mismatch(state_z):
-    (channel, (tf, tm)), amp = state_z.amplitudes[0]
-    alien = Channel(omega=channel.omega, lam=channel.lam, doubled_f=tf - 2)
+    # the (2, G) layout gives every sublevel the channel of its own level; a
+    # document can still put an F=2 atom label in an F=1 channel
+    doc = pair_state_to_json(state_z)
+    f1_key = next(ch["key"] for ch in doc["channels"] if ch["doubled_f"] == 2)
+    doc["amplitudes"][f1_key]["4:0"] = [0.0, 0.0]
     with pytest.raises(InputDomainError, match="channel"):
-        PairState(
-            amplitudes=(((alien, (tf, tm)), 1.0 + 0.0j),),
-            channels=(alien,),
-            recoil_momentum=state_z.recoil_momentum,
-            photon_wavevector=state_z.photon_wavevector,
-            emission_weight=state_z.emission_weight,
-            detection_direction=state_z.detection_direction,
-            pump=state_z.pump,
-        )
+        pair_state_from_json(doc)
+    # both channels of a level carry its one frequency, lambda is 1 or 2, and
+    # 2F is an integer
+    bad = (
+        ("omega_hz", 1.0e14, "differ in frequency"),
+        ("lambda", 3, "1 or 2"),
+        ("doubled_f", 2.5, "non-negative integer"),
+    )
+    for field, value, message in bad:
+        doc = pair_state_to_json(state_z)
+        doc["channels"][0][field] = value
+        with pytest.raises(InputDomainError, match=message):
+            pair_state_from_json(doc)
+    # and amplitudes must cover exactly the sublevels of the levels
+    with pytest.raises(InputDomainError, match="levels"):
+        replace(state_z, amplitudes=state_z.amplitudes[:, :3])
+    with pytest.raises(InputDomainError, match="levels"):
+        replace(state_z, levels=(4, 2))
+
+
+def test_equal_frequency_channels_rejected(state_z):
+    # the document pair_state_to_json writes for two levels of equal splitting:
+    # both F=1 channels share their key with an F=2 channel
+    doc = pair_state_to_json(state_z)
+    by_level = {(ch["doubled_f"], ch["lambda"]): ch for ch in doc["channels"]}
+    for lam in (1, 2):
+        f1, f2 = by_level[(2, lam)], by_level[(4, lam)]
+        doc["amplitudes"][f2["key"]].update(doc["amplitudes"].pop(f1["key"]))
+        f1.update(key=f2["key"], omega_hz=f2["omega_hz"])
+    with pytest.raises(InputDomainError, match="share one key"):
+        pair_state_from_json(doc)
 
 
 def _with_nan_amplitude(state):
-    ((key, _), *rest) = state.amplitudes
-    return PairState(
-        amplitudes=((key, complex(math.nan, 0.0)), *rest),
-        channels=state.channels,
-        recoil_momentum=state.recoil_momentum,
-        photon_wavevector=state.photon_wavevector,
-        emission_weight=state.emission_weight,
-        detection_direction=state.detection_direction,
-        pump=state.pump,
-    )
+    amplitudes = state.amplitudes.copy()
+    amplitudes[0, np.flatnonzero(amplitudes[0])[0]] = complex(math.nan, 0.0)
+    return replace(state, amplitudes=amplitudes)
 
 
 _X_MODE = PhotonMode(direction=Z, lam=1, polarization=np.array([1.0, 0, 0]))
@@ -151,7 +169,7 @@ def test_batch_rows_equal_single_direction_batches(spec):
     batch = pair_batch(spec, pump, phi0, directions)
     for n, k in enumerate(directions):
         one = pair_batch(spec, pump, phi0, k[np.newaxis])
-        for field in ("polarizations", "amplitudes", "norms", "weights", "omega", "order"):
+        for field in ("polarizations", "amplitudes", "norms", "weights", "omega"):
             np.testing.assert_array_equal(getattr(one, field)[0], getattr(batch, field)[n])
 
 
@@ -359,7 +377,7 @@ def test_reference_state_amplitudes(spec, state_z):
     ref = 1.0 / (2.0 * math.sqrt(2.0))
     amps = {
         ((ch.doubled_f, ch.lam), atom): value
-        for (ch, atom), value in state_z.amplitudes
+        for (ch, atom), value in entries(state_z).items()
     }
     expected = {
         ((2, 1), (2, -2)): ref,
@@ -385,12 +403,12 @@ def test_normalized_for_random_geometries(spec):
         phi0 = random_condensate(spec, rng)
         k = random_direction(rng)
         state = build_pair_state(spec, pump, phi0, k)
-        total = sum(abs(a) ** 2 for _, a in state.amplitudes)
+        total = sum(abs(a) ** 2 for a in entries(state).values())
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_global_phase_convention(spec, state_z):
-    first_key, first_amp = state_z.amplitudes[0]
+    (first_key, first_amp), *_ = entries(state_z).items()
     assert first_amp.imag == 0.0
     assert first_amp.real > 0.0
     # lexicographically first channel is the lower frequency (F=2), lambda=1
@@ -406,7 +424,7 @@ def test_branch_reconstruction(spec, pump, phi0):
             branch = scattered_spinor(spec, pump, phi0, k, lam)
             restricted = {
                 atom: amp
-                for (ch, atom), amp in state.amplitudes
+                for (ch, atom), amp in entries(state).items()
                 if ch.lam == lam
             }
             if branch.is_empty:
@@ -510,7 +528,7 @@ def test_one_branch_empty_sentinel(spec, pump):
 def test_filter_f1_symmetric_bell(state_z):
     filtered = spectral_filter(state_z, 1)
     amps = {
-        (ch.lam, atom): value for (ch, atom), value in filtered.amplitudes
+        (ch.lam, atom): value for (ch, atom), value in entries(filtered).items()
     }
     want = 1.0 / math.sqrt(2.0)
     assert_equal_up_to_global_phase(
@@ -521,7 +539,7 @@ def test_filter_f1_symmetric_bell(state_z):
 def test_filter_f2_antisymmetric_bell(state_z):
     filtered = spectral_filter(state_z, 2)
     amps = {
-        (ch.lam, atom): value for (ch, atom), value in filtered.amplitudes
+        (ch.lam, atom): value for (ch, atom), value in entries(filtered).items()
     }
     want = 1.0 / math.sqrt(2.0)
     assert_equal_up_to_global_phase(
@@ -532,17 +550,18 @@ def test_filter_f2_antisymmetric_bell(state_z):
 def test_filter_idempotent(state_z):
     once = spectral_filter(state_z, 1)
     twice = spectral_filter(once, 1)
-    assert [(key, amp) for key, amp in once.amplitudes] == list(twice.amplitudes)
+    np.testing.assert_array_equal(once.amplitudes, twice.amplitudes, strict=True)
+    assert list(entries(once).items()) == list(entries(twice).items())
 
 
 def test_filter_preserves_amplitude_ratios(state_z):
     filtered = spectral_filter(state_z, 2)
     full = {
         (ch.lam, atom): amp
-        for (ch, atom), amp in state_z.amplitudes
+        for (ch, atom), amp in entries(state_z).items()
         if ch.doubled_f == 4
     }
-    kept = {(ch.lam, atom): amp for (ch, atom), amp in filtered.amplitudes}
+    kept = {(ch.lam, atom): amp for (ch, atom), amp in entries(filtered).items()}
     ratio_full = full[(1, (4, -2))] / full[(2, (4, 2))]
     ratio_kept = kept[(1, (4, -2))] / kept[(2, (4, 2))]
     assert ratio_full == pytest.approx(ratio_kept, rel=1e-14)
@@ -569,15 +588,23 @@ def test_filter_zero_probability_channel(spec, pump):
 # --- serialization -----------------------------------------------------------------
 
 
-def test_json_roundtrip(state_z):
-    doc = pair_state_to_json(state_z, provenance={"case": "test"})
-    text = json.dumps(doc, sort_keys=True)
-    rebuilt = pair_state_from_json(json.loads(text))
-    assert rebuilt.as_dict().keys() == state_z.as_dict().keys()
-    for key, amp in state_z.amplitudes:
-        assert rebuilt.as_dict()[key] == amp
-    np.testing.assert_array_equal(rebuilt.recoil_momentum, state_z.recoil_momentum)
-    assert rebuilt.emission_weight == state_z.emission_weight
+def test_json_roundtrip(spec, state_z):
+    # a written document reads back into a state that writes the same
+    # document, for the reference state and for random full and filtered ones
+    rng = np.random.default_rng(113)
+    states = [state_z]
+    for _ in range(30):
+        pump = random_pump(spec, rng)
+        phi0 = random_condensate(spec, rng)
+        state = build_pair_state(spec, pump, phi0, random_direction(rng))
+        states += [state, spectral_filter(state, 1), spectral_filter(state, 2)]
+    for state in states:
+        doc = json.loads(json.dumps(pair_state_to_json(state)))
+        rebuilt = pair_state_from_json(doc)
+        assert pair_state_to_json(rebuilt) == doc
+        assert list(entries(rebuilt).items()) == list(entries(state).items())
+        np.testing.assert_array_equal(rebuilt.recoil_momentum, state.recoil_momentum)
+        assert rebuilt.emission_weight == state.emission_weight
 
 
 def test_json_deterministic(state_z):
