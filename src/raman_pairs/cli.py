@@ -36,7 +36,7 @@ from .errors import (
 from .geometry_explorer import (
     MEASURES,
     argmax_direction,
-    scan_sphere,
+    scan_chunks,
     write_scan,
 )
 from .pair_state import (
@@ -382,7 +382,7 @@ def cmd_scan(args) -> int:
     if "filter_f" in config.scan:
         filter_f = config.parse_level(config.scan["filter_f"], "detection.scan.filter_f")
     try:
-        scan = scan_sphere(
+        chunks = scan_chunks(
             config.spec,
             config.pump,
             config.condensate,
@@ -393,11 +393,13 @@ def cmd_scan(args) -> int:
         )
     except InputDomainError as exc:  # resolution range, measure without filter_f
         _fail_config(f"invalid 'detection.scan': {exc}")
-    scan = replace(scan, metadata=config.metadata())
-    csv_path, json_path = _io(flag, out, lambda prefix: write_scan(scan, prefix))
-    direction, value = argmax_direction(scan)
+    metadata = config.metadata()
+    chunks = (replace(chunk, metadata=metadata) for chunk in chunks)
+    files = _io(flag, out, lambda prefix: write_scan(chunks, prefix))
+    direction, value = argmax_direction(files.best)
     sys.stdout.write(
-        f"scan {scan.measure_name}: {len(scan.measures)} nodes -> {csv_path}, {json_path}\n"
+        f"scan {files.best.measure_name}: {files.nodes} nodes -> {files.csv_path}, "
+        f"{files.json_path}\n"
         f"argmax direction ({direction[0]:+.6f}, {direction[1]:+.6f}, "
         f"{direction[2]:+.6f}) value {value!r}\n"
     )

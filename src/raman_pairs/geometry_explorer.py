@@ -14,17 +14,23 @@ measures of :mod:`~raman_pairs.entanglement_analysis`: the same code that
 single-direction calls run with N = 1.  Every kernel and measure value is an
 elementwise function of its own direction, so a node gets the same bits in
 any chunk, and a scan equals its node-by-node single-direction results.
-A :class:`ScanMap` keeps the kernel's arrays as columns, one row a node;
-the writers turn each column into Python numbers once.
+
+:func:`scan_chunks` yields the scan as a stream of :class:`ScanMap` chunks
+that hold the kernel's arrays as columns, one row a node.  Two consumers
+read it: :func:`scan_sphere` concatenates the chunks into one map, and
+:func:`write_scan` writes each chunk's CSV rows and JSON nodes as soon as
+the chunk is evaluated, so writing a scan holds one chunk whatever the grid.
+The JSON goes through a per-node text template that lays the document out
+byte for byte as ``json.dumps(indent=2, sort_keys=True)`` does.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -37,7 +43,7 @@ from .entanglement_analysis import (
     entropy_of_blocks,
     filtered_concurrence_of_blocks,
 )
-from .errors import EmptyScanError, InputDomainError
+from .errors import EmptyScanError, InputDomainError, PhysicsError
 from .pair_state import (
     DEFAULT_CHANNEL_RESOLUTION,
     CondensateSpinor,
@@ -50,11 +56,12 @@ from .pair_state import (
 
 __all__ = [
     "MEASURES",
+    "ScanFiles",
     "ScanMap",
+    "scan_chunks",
     "scan_sphere",
     "argmax_direction",
     "scan_to_csv_text",
-    "scan_to_json_doc",
     "write_scan",
 ]
 
@@ -62,6 +69,7 @@ MEASURES = ("entropy", "concurrence_after_filter", "conditional_overlap")
 MIN_RESOLUTION = math.pi / 1800.0
 MAX_RESOLUTION = math.pi / 6.0
 _CHUNK = 1024  # scan nodes per kernel call
+_COLUMNS = ("thetas", "phis", "directions", "measures", "channel_weights", "omega")
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +94,7 @@ class ScanMap:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for name in ("thetas", "phis", "directions", "measures", "channel_weights", "omega"):
+        for name in _COLUMNS:
             column = np.asarray(getattr(self, name), dtype=float)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
@@ -114,56 +122,7 @@ class ScanMap:
         ]
 
 
-def _grid(resolution: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Angles (theta-major) and unit vectors of the grid nodes."""
-    n_theta = max(1, math.ceil(math.pi / resolution - 1e-12))
-    n_phi = max(1, math.ceil(2.0 * math.pi / resolution - 1e-12))
-    theta = np.arange(n_theta + 1) * math.pi / n_theta
-    phi = np.arange(n_phi) * 2.0 * math.pi / n_phi
-    # math's sin and cos once per grid line, for the bits of the per-node formula
-    sin_t, cos_t = (np.array([f(t) for t in theta.tolist()]) for f in (math.sin, math.cos))
-    sin_p, cos_p = (np.array([f(p) for p in phi.tolist()]) for f in (math.sin, math.cos))
-    directions = np.stack(
-        [np.outer(sin_t, cos_p).ravel(), np.outer(sin_t, sin_p).ravel(), np.repeat(cos_t, n_phi)],
-        axis=1,
-    )
-    # Renormalize against trig rounding so downstream unit checks hold; the
-    # per-row BLAS dot product is the one np.linalg.norm takes for one vector.
-    norms = np.sqrt(np.matmul(directions[:, np.newaxis], directions[:, :, np.newaxis]))
-    return np.repeat(theta, n_phi), np.tile(phi, n_theta + 1), directions / norms[:, 0]
-
-
-def _evaluate_chunk(
-    spec: AtomSpec,
-    pump: PumpConfig,
-    phi0: CondensateSpinor,
-    measure: str,
-    filter_f,
-    directions: np.ndarray,
-    kwargs: dict,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Measures, channel weights and photon frequencies of a chunk of nodes,
-    from one batched kernel call."""
-    batch = pair_batch(spec, pump, phi0, directions, **kwargs)
-    levels = spec.ground_levels()
-    grams = block_grams(batch.amplitudes, block_index(tuple(f.twice for f in levels)))
-    if measure == "entropy":
-        values = np.where(batch.norms > 0.0, entropy_of_blocks(grams), np.nan)
-    elif measure == "concurrence_after_filter":
-        level = levels.index(filter_f)
-        values = filtered_concurrence_of_blocks(grams, level)
-        present = grams.weights.max(axis=1) > 0.0
-        gaps = np.abs(batch.omega - batch.omega[:, [level]])
-        gaps[:, level] = np.inf
-        close = present & (gaps < DEFAULT_CHANNEL_RESOLUTION)
-        if np.any(present[:, level] & close.any(axis=1)):
-            warn_unresolved(filter_f, stacklevel=3)
-    else:
-        values = branch_overlap_of_blocks(grams)
-    return values, grams.weights.reshape(len(directions), -1), batch.omega
-
-
-def scan_sphere(
+def scan_chunks(
     spec: AtomSpec,
     pump: PumpConfig,
     phi0: CondensateSpinor,
@@ -173,48 +132,76 @@ def scan_sphere(
     filter_f=None,
     validity_threshold: float = 100.0,
     enforce_validity: bool = True,
-) -> ScanMap:
-    """Evaluate an entanglement measure on the full detection sphere."""
+) -> Iterator[ScanMap]:
+    """The scan of :func:`scan_sphere` as consecutive maps of at most ``_CHUNK``
+    nodes, each evaluated when it is drawn; the arguments are checked on the call."""
     if not (MIN_RESOLUTION <= resolution <= MAX_RESOLUTION):
-        raise InputDomainError(
-            f"resolution must lie in [pi/1800, pi/6] rad, got {resolution!r}"
-        )
+        raise InputDomainError(f"resolution must lie in [pi/1800, pi/6] rad, got {resolution!r}")
     if measure not in MEASURES:
-        raise InputDomainError(
-            f"unknown measure {measure!r}; choose one of {', '.join(MEASURES)}"
-        )
+        raise InputDomainError(f"unknown measure {measure!r}; choose one of {', '.join(MEASURES)}")
+    name = measure
     if measure == "concurrence_after_filter":
         if filter_f is None:
             raise InputDomainError("concurrence_after_filter needs a filter level F")
         filter_f = halfint(filter_f)
         if filter_f not in spec.ground_levels():
-            raise InputDomainError(
-                f"F={filter_f} is not a ground level of {spec.name}"
-            )
-    kwargs = {
-        "validity_threshold": validity_threshold,
-        "enforce_validity": enforce_validity,
-    }
-    thetas, phis, directions = _grid(resolution)
-    chunks = []
-    for start in range(0, len(directions), _CHUNK):
-        chunk = directions[start : start + _CHUNK]
-        chunks.append(_evaluate_chunk(spec, pump, phi0, measure, filter_f, chunk, kwargs))
-    measures, channel_weights, omega = (np.concatenate(column) for column in zip(*chunks))
-
-    name = measure
-    if measure == "concurrence_after_filter":
+            raise InputDomainError(f"F={filter_f} is not a ground level of {spec.name}")
         name = f"concurrence_after_filter(F={filter_f})"
-    return ScanMap(
-        thetas=thetas,
-        phis=phis,
-        directions=directions,
-        measures=measures,
-        channel_weights=channel_weights,
-        omega=omega,
-        resolution=resolution,
-        measure_name=name,
-    )
+    kwargs = {"validity_threshold": validity_threshold, "enforce_validity": enforce_validity}
+    return _chunks(spec, pump, phi0, resolution, measure, filter_f, name, kwargs)
+
+
+def _chunks(spec, pump, phi0, resolution, measure, filter_f, name, kwargs) -> Iterator[ScanMap]:
+    """The grid nodes, theta-major, ``_CHUNK`` at a time, each chunk from one kernel call."""
+    n_theta = max(1, math.ceil(math.pi / resolution - 1e-12))
+    n_phi = max(1, math.ceil(2.0 * math.pi / resolution - 1e-12))
+    theta = np.arange(n_theta + 1) * math.pi / n_theta
+    phi = np.arange(n_phi) * 2.0 * math.pi / n_phi
+    # math's sin and cos once per grid line, for the bits of the per-node formula
+    sin_t, cos_t = (np.array([f(t) for t in theta.tolist()]) for f in (math.sin, math.cos))
+    sin_p, cos_p = (np.array([f(p) for p in phi.tolist()]) for f in (math.sin, math.cos))
+    levels = spec.ground_levels()
+    blocks = block_index(tuple(f.twice for f in levels))
+    nodes = (n_theta + 1) * n_phi
+    for start in range(0, nodes, _CHUNK):
+        t, p = np.divmod(np.arange(start, min(start + _CHUNK, nodes)), n_phi)
+        directions = np.stack([sin_t[t] * cos_p[p], sin_t[t] * sin_p[p], cos_t[t]], axis=1)
+        # Renormalize against trig rounding so downstream unit checks hold; the
+        # per-row BLAS dot product is the one np.linalg.norm takes for one vector.
+        norms = np.sqrt(np.matmul(directions[:, np.newaxis], directions[:, :, np.newaxis]))
+        directions /= norms[:, 0]
+        batch = pair_batch(spec, pump, phi0, directions, **kwargs)
+        grams = block_grams(batch.amplitudes, blocks)
+        if measure == "entropy":
+            values = np.where(batch.norms > 0.0, entropy_of_blocks(grams), np.nan)
+        elif measure == "concurrence_after_filter":
+            level = levels.index(filter_f)
+            values = filtered_concurrence_of_blocks(grams, level)
+            present = grams.weights.max(axis=1) > 0.0
+            gaps = np.abs(batch.omega - batch.omega[:, [level]])
+            gaps[:, level] = np.inf
+            close = present & (gaps < DEFAULT_CHANNEL_RESOLUTION)
+            if np.any(present[:, level] & close.any(axis=1)):
+                warn_unresolved(filter_f, stacklevel=3)
+        else:
+            values = branch_overlap_of_blocks(grams)
+        weights = grams.weights.reshape(len(directions), -1)
+        yield ScanMap(theta[t], phi[p], directions, values, weights, batch.omega, resolution, name)
+
+
+def scan_sphere(
+    spec: AtomSpec,
+    pump: PumpConfig,
+    phi0: CondensateSpinor,
+    resolution: float,
+    measure: str,
+    **options,
+) -> ScanMap:
+    """Evaluate an entanglement measure on the full detection sphere; ``options``
+    are the keyword arguments of :func:`scan_chunks`."""
+    chunks = list(scan_chunks(spec, pump, phi0, resolution, measure, **options))
+    columns = {name: np.concatenate([getattr(c, name) for c in chunks]) for name in _COLUMNS}
+    return replace(chunks[0], **columns)
 
 
 def argmax_direction(scan: ScanMap) -> tuple[np.ndarray, float]:
@@ -226,59 +213,132 @@ def argmax_direction(scan: ScanMap) -> tuple[np.ndarray, float]:
     return scan.directions[best].copy(), float(scan.measures[best])
 
 
+def _csv_head(scan: ScanMap) -> str:
+    lines = [f"# {key}={scan.metadata[key]}" for key in sorted(scan.metadata)]
+    lines += [f"# measure={scan.measure_name}", f"# resolution_rad={scan.resolution!r}"]
+    return "\n".join([*lines, "theta_rad,phi_rad,kx,ky,kz,measure,flag\n"])
+
+
+def _csv_rows(scan: ScanMap) -> str:
+    # a float as its repr, NaN as "nan", as the csv module writes them
+    columns = (scan.thetas, scan.phis, *scan.directions.T, scan.measures, scan.flagged.astype(int))
+    rows = zip(*(column.tolist() for column in columns))
+    return "".join([f"{t!r},{p!r},{x!r},{y!r},{z!r},{m!r},{f}\n" for t, p, x, y, z, m, f in rows])
+
+
 def scan_to_csv_text(scan: ScanMap) -> str:
     """Delimited node table with '#' metadata header lines."""
-    buf = io.StringIO()
-    for key in sorted(scan.metadata):
-        buf.write(f"# {key}={scan.metadata[key]}\n")
-    buf.write(f"# measure={scan.measure_name}\n")
-    buf.write(f"# resolution_rad={scan.resolution!r}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["theta_rad", "phi_rad", "kx", "ky", "kz", "measure", "flag"])
-    # csv writes a float as its repr, NaN as "nan"
-    columns = (scan.thetas, scan.phis, *scan.directions.T, scan.measures, scan.flagged.astype(int))
-    writer.writerows(zip(*(column.tolist() for column in columns)))
-    return buf.getvalue()
+    return _csv_head(scan) + _csv_rows(scan)
 
 
-def scan_to_json_doc(scan: ScanMap) -> dict:
-    return {
+def _json_head(scan: ScanMap) -> str:
+    """The scan JSON up to its first node."""
+    head = {
         "format": "raman-pairs/scan-map/1",
         "measure": scan.measure_name,
-        "resolution_rad": scan.resolution,
         "metadata": scan.metadata,
-        "nodes": [
-            {
-                "theta_rad": theta,
-                "phi_rad": phi,
-                "direction": direction,
-                "measure": None if flag else measure,
-                "flagged": flag,
-                "channels": dict(channels),
-            }
-            for theta, phi, direction, measure, flag, channels in zip(
-                scan.thetas.tolist(),
-                scan.phis.tolist(),
-                scan.directions.tolist(),
-                scan.measures.tolist(),
-                scan.flagged.tolist(),
-                scan.node_channels(),
-            )
-        ],
     }
+    return json_text(head)[: -len("\n}\n")] + ',\n  "nodes": [\n'
 
 
-def write_scan(scan: ScanMap, prefix: str | Path) -> tuple[Path, Path]:
-    """Write ``<prefix>.csv`` and strict ``<prefix>.json``; returns both paths.
+def _json_nodes(scan: ScanMap) -> str:
+    """A map's nodes, laid out as ``json.dumps(indent=2, sort_keys=True)`` lays them out.
 
-    A non-finite number is a physics error, raised before either file exists.
+    Floats are written by their repr.  A node's channel keys are sorted as
+    strings; no key ``omega_hz:lambda`` is a proper prefix of another, so
+    sorting whole entry lines sorts their keys.
+    """
+    n_levels = scan.omega.shape[1]
+    hz = (scan.omega / (2.0 * np.pi)).T.tolist()
+    keys = [
+        [f'        "{h!r}:{c // n_levels + 1}": ' for h in hz[c % n_levels]]
+        for c in range(2 * n_levels)
+    ]
+    # one column of entry lines per channel (lambda-1) * nF + i; None where it is empty
+    entries = [
+        [f"{key}{w!r}" if w > 0.0 else None for key, w in zip(column_keys, weights)]
+        for column_keys, weights in zip(keys, scan.channel_weights.T.tolist())
+    ]
+    nodes = []
+    for theta, phi, (x, y, z), measure, flag, node_entries in zip(
+        scan.thetas.tolist(),
+        scan.phis.tolist(),
+        scan.directions.tolist(),
+        scan.measures.tolist(),
+        scan.flagged.tolist(),
+        zip(*entries) if entries else [()] * len(scan.measures),
+    ):
+        lines = sorted(filter(None, node_entries))
+        channels = "{\n" + ",\n".join(lines) + "\n      }" if lines else "{}"
+        nodes.append(
+            f'    {{\n      "channels": {channels},\n      "direction": [\n        {x!r},\n'
+            f'        {y!r},\n        {z!r}\n      ],\n'
+            f'      "flagged": {"true" if flag else "false"},\n'
+            f'      "measure": {"null" if flag else repr(measure)},\n'
+            f'      "phi_rad": {phi!r},\n      "theta_rad": {theta!r}\n    }}'
+        )
+    return ",\n".join(nodes)
+
+
+def _require_writable(scan: ScanMap) -> None:
+    """Strict JSON: every number written is finite and each node's channel keys differ."""
+    values = {name: getattr(scan, name) for name in _COLUMNS}
+    values["measures"] = scan.measures[~scan.flagged]  # a flagged node's NaN is written null
+    values["resolution"] = scan.resolution
+    bad = [name for name, value in values.items() if not np.isfinite(value).all()]
+    if bad:
+        raise PhysicsError(f"scan output has a non-finite number in {', '.join(bad)}")
+    if (np.diff(np.sort(scan.omega, axis=1), axis=1) == 0.0).any():
+        raise PhysicsError("two photon channels share one key: two levels have equal frequencies")
+
+
+class ScanFiles(NamedTuple):
+    """The files :func:`write_scan` wrote, the node count and the best node as
+    a one-row map (a flagged node if every node is flagged)."""
+
+    csv_path: Path
+    json_path: Path
+    nodes: int
+    best: ScanMap
+
+
+def write_scan(scan: ScanMap | Iterable[ScanMap], prefix: str | Path) -> ScanFiles:
+    """Write ``<prefix>.csv`` and strict ``<prefix>.json`` from a map or a
+    stream of chunks, one chunk at a time, and keep the running argmax.
+
+    Both files are written under temporary sibling names and renamed only
+    when all is written: an error, such as a non-finite number (a physics
+    error), leaves neither file nor a temporary one behind.
     """
     prefix = Path(prefix)
     if prefix.name in ("", ".", ".."):
         raise InputDomainError(f"scan output prefix '{prefix}' names a directory, not a file")
-    csv_path = prefix.with_name(prefix.name + ".csv")
-    json_path = prefix.with_name(prefix.name + ".json")
-    json_doc = json_text(scan_to_json_doc(scan))
-    csv_path.write_text(scan_to_csv_text(scan), encoding="utf-8")
-    json_path.write_text(json_doc, encoding="utf-8")
-    return csv_path, json_path
+    paths = [prefix.with_name(f"{prefix.name}.{ext}") for ext in ("csv", "json")]
+    temps = [path.with_name(path.name + ".tmp") for path in paths]
+    nodes, best = 0, None
+    try:
+        with (
+            open(temps[0], "w", encoding="utf-8") as csv_out,
+            open(temps[1], "w", encoding="utf-8") as json_out,
+        ):
+            for chunk in [scan] if isinstance(scan, ScanMap) else scan:
+                if not len(chunk.measures):
+                    continue
+                _require_writable(chunk)
+                csv_out.write((_csv_head(chunk) if best is None else "") + _csv_rows(chunk))
+                json_out.write((_json_head(chunk) if best is None else ",\n") + _json_nodes(chunk))
+                # the first node of a tie wins, as in argmax_direction
+                i = int(np.argmax(np.where(chunk.flagged, -np.inf, chunk.measures)))
+                if best is None or best.flagged[0] or chunk.measures[i] > best.measures[0]:
+                    best = replace(chunk, **{c: getattr(chunk, c)[i : i + 1] for c in _COLUMNS})
+                nodes += len(chunk.measures)
+            if best is None:
+                raise EmptyScanError("the scan has no nodes")
+            json_out.write(f'\n  ],\n  "resolution_rad": {best.resolution!r}\n}}\n')
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    except BaseException:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        raise
+    return ScanFiles(*paths, nodes, best)

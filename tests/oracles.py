@@ -15,12 +15,17 @@ package code:
   (the package solves each F block's 2 x 2 Gram eigenproblem in closed form).
 * ``oracle_correlation`` enumerates projective outcome probabilities
   (the package contracts a Pauli correlation matrix).
+* ``scan_to_json_doc`` / ``oracle_scan_csv`` build a scan's whole document
+  as Python objects and serialize it with ``json.dumps`` and the ``csv``
+  module (the package streams text templates chunk by chunk).
 
 All angular-momentum arguments are doubled integers.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -264,3 +269,45 @@ def oracle_chsh(matrix: np.ndarray, a: float, ap: float, b: float, bp: float) ->
         + oracle_correlation(matrix, ap, b)
         + oracle_correlation(matrix, ap, bp)
     )
+
+
+def scan_to_json_doc(scan) -> dict:
+    """A :class:`~raman_pairs.geometry_explorer.ScanMap` as the scan-map/1
+    document, one dict per node; ``pair_state.json_text`` serializes it."""
+    return {
+        "format": "raman-pairs/scan-map/1",
+        "measure": scan.measure_name,
+        "resolution_rad": scan.resolution,
+        "metadata": scan.metadata,
+        "nodes": [
+            {
+                "theta_rad": theta,
+                "phi_rad": phi,
+                "direction": direction,
+                "measure": None if flag else measure,
+                "flagged": flag,
+                "channels": dict(channels),
+            }
+            for theta, phi, direction, measure, flag, channels in zip(
+                scan.thetas.tolist(),
+                scan.phis.tolist(),
+                scan.directions.tolist(),
+                scan.measures.tolist(),
+                scan.flagged.tolist(),
+                scan.node_channels(),
+            )
+        ],
+    }
+
+
+def oracle_scan_csv(scan) -> str:
+    """A scan's CSV table through the csv module, which writes a float as its repr."""
+    buf = io.StringIO()
+    for key in sorted(scan.metadata):
+        buf.write(f"# {key}={scan.metadata[key]}\n")
+    buf.write(f"# measure={scan.measure_name}\n# resolution_rad={scan.resolution!r}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["theta_rad", "phi_rad", "kx", "ky", "kz", "measure", "flag"])
+    columns = (scan.thetas, scan.phis, *scan.directions.T, scan.measures, scan.flagged.astype(int))
+    writer.writerows(zip(*(column.tolist() for column in columns)))
+    return buf.getvalue()

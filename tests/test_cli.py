@@ -166,6 +166,44 @@ def test_scan_rerun_byte_identical(scan_config, tmp_path, capsys):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
+# stdout, CSV and JSON of sodium_scan.json at 6 degrees, recorded while the
+# writers still built one dict per node and ran json.dumps on the whole map
+SCAN_PINS = {
+    "entropy": (
+        "81e5cdfa398ac0ce7a8e45c1bdaefb762c04a636c9185d6d54138001608b9d94",
+        "44da9cba4735f5ff5043caecf2b933ec42e89175b25e8b6c4d235404c5df2852",
+        "adbd853b7803c859c0ab5e8c8e86c7c8ac1fafa853af6015396221003d094f88",
+    ),
+    "concurrence_after_filter": (
+        "99dcd12cdcfdad9b0904beffc571b2f6a98cf1c153da09741f9b6bacccccebd5",
+        "0b04a163b134b608153255a19e02a2d3e617be07398bf847d442634289aa5c49",
+        "83a3fcb6e20feac2b706deb02c173e1d9f0a4902f3a07308bb16bea1cd0e91c7",
+    ),
+    "conditional_overlap": (
+        "776e8bbffe74d32977bdc0e3cb13399ad0dbac5be32da442b5b11bc300d0f8bb",
+        "b0735eb5180ce9692aa51899353d0d309e4c3d5efd0af8e77f823467caa6df3a",
+        "dd0a04e882d7ed4c3dcd4f085c169f17d035ccc39e6895c4fada085d1660aec4",
+    ),
+}
+
+
+@pytest.mark.parametrize("measure", SCAN_PINS)
+def test_scan_pinned_bytes(measure, tmp_path, monkeypatch, capsys):
+    def mutate(c):
+        c["detection"]["scan"].update(resolution_deg=6.0, measure=measure)
+        if measure != "concurrence_after_filter":
+            del c["detection"]["scan"]["filter_f"]
+
+    config = tmp_path / "scan.json"
+    shutil.copy(DATA / "sodium_scan.json", config)
+    edit_config(config, mutate)
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(["scan", "--config", "scan.json", "--output", "out"], capsys)
+    assert code == 0
+    outputs = [out.encode()] + [(tmp_path / name).read_bytes() for name in ("out.csv", "out.json")]
+    assert [hashlib.sha256(b).hexdigest() for b in outputs] == list(SCAN_PINS[measure])
+
+
 def test_scan_resolution_out_of_range_exits_2(scan_config, tmp_path, capsys):
     edit_config(scan_config, lambda c: c["detection"]["scan"].__setitem__("resolution_deg", 45.0))
     code, _, err = run(
@@ -191,24 +229,55 @@ def test_scan_requires_output(scan_config, capsys):
     assert "output" in err
 
 
+def _poison_chunk(monkeypatch, number: int) -> None:
+    """Make the last concurrence of the scan's ``number``-th kernel chunk infinite."""
+    from raman_pairs import geometry_explorer
+
+    real = geometry_explorer.filtered_concurrence_of_blocks
+    calls = []
+
+    def poisoned(grams, level):
+        values = real(grams, level)
+        calls.append(None)
+        if len(calls) == number:
+            values[-1] = math.inf
+        return values
+
+    monkeypatch.setattr(geometry_explorer, "filtered_concurrence_of_blocks", poisoned)
+
+
 def test_scan_non_finite_json_exits_3(scan_config, tmp_path, monkeypatch, capsys):
     # the scan JSON is strict: a non-finite value is a physics error, and
     # neither file is written
-    from dataclasses import replace
-
-    from raman_pairs import cli
-
-    real_scan_sphere = cli.scan_sphere
-
-    def infinite_resolution(*args, **kwargs):
-        return replace(real_scan_sphere(*args, **kwargs), resolution=math.inf)
-
-    monkeypatch.setattr(cli, "scan_sphere", infinite_resolution)
+    _poison_chunk(monkeypatch, 1)
     prefix = tmp_path / "x"
     code, out, err = run(["scan", "--config", str(scan_config), "--output", str(prefix)], capsys)
     assert code == 3
     assert "non-finite" in err
     assert not (tmp_path / "x.csv").exists() and not (tmp_path / "x.json").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.json"]
+
+
+def test_scan_non_finite_in_last_chunk_leaves_no_file(scan_config, tmp_path, monkeypatch, capsys):
+    # 13 x 24 nodes in 7-node chunks: the 45th and last chunk fails after 44
+    # chunks were written; the temporary files go, and a finished earlier
+    # scan under the same prefix stays as it was
+    from raman_pairs import geometry_explorer
+
+    monkeypatch.setattr(geometry_explorer, "_CHUNK", 7)
+    argv = ["scan", "--config", str(scan_config), "--output", str(tmp_path / "x")]
+    _poison_chunk(monkeypatch, 45)
+    code, out, err = run(argv, capsys)
+    assert code == 3 and out == ""
+    assert "non-finite" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.json"]
+    monkeypatch.undo()
+    assert run(argv, capsys)[0] == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    monkeypatch.setattr(geometry_explorer, "_CHUNK", 7)
+    _poison_chunk(monkeypatch, 45)
+    assert run(argv, capsys)[0] == 3
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 # --- chsh ----------------------------------------------------------------------

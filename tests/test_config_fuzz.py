@@ -1,9 +1,11 @@
-"""Property test: mutated shipped configs never crash the command line.
+"""Property tests: mutated inputs never crash the program.
 
-Each example takes a shipped config, deletes keys or replaces values (huge,
-NaN, +-Infinity, retyped), and runs one subcommand in-process.  Every run
-must exit 0, 2 or 3 without a traceback, and a configuration error (exit 2)
-must name one of the mutated keys.
+Each config example takes a shipped config, deletes keys or replaces values
+(huge, NaN, +-Infinity, retyped), and runs one subcommand in-process.  Every
+run must exit 0, 2 or 3 without a traceback, and a configuration error
+(exit 2) must name one of the mutated keys.  Each state-document example
+mutates a ``pair_state_to_json`` document the same way and also relabels
+keys; reading it back gives a ``PairState`` or an ``InputDomainError``.
 """
 
 import contextlib
@@ -14,11 +16,23 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import raman_pairs
+from raman_pairs.atomic_model import sodium
 from raman_pairs.cli import main
+from raman_pairs.errors import InputDomainError
+from raman_pairs.pair_state import (
+    CondensateSpinor,
+    PairState,
+    PumpConfig,
+    build_pair_state,
+    pair_state_from_json,
+    pair_state_to_json,
+    spectral_filter,
+)
 
 DATA = Path(raman_pairs.__file__).parent / "data"
 
@@ -91,27 +105,36 @@ def _key_name(path) -> str:
     return ".".join(part for part in path if isinstance(part, str))
 
 
-def _mutate(config: dict, path, delete: bool, value) -> bool:
-    """Apply one mutation in place; False if an earlier one removed the path."""
-    node = config
+def _holder(tree: dict, path):
+    """The dict or list that holds the last key of ``path``; None if an
+    earlier mutation removed the path."""
+    node = tree
     for part in path[:-1]:
         try:
             node = node[part]
         except (KeyError, IndexError, TypeError):
-            return False
+            return None
         if not isinstance(node, (dict, list)):
-            return False
+            return None
     key = path[-1]
     if isinstance(node, dict) != isinstance(key, str):
-        return False
+        return None
     if isinstance(node, list) and key >= len(node):
-        return False
+        return None
     if isinstance(node, dict) and key not in node:
+        return None
+    return node
+
+
+def _mutate(config: dict, path, delete: bool, value) -> bool:
+    """Apply one mutation in place; False if an earlier one removed the path."""
+    node = _holder(config, path)
+    if node is None:
         return False
     if delete:
-        del node[key]
+        del node[path[-1]]
     else:
-        node[key] = copy.deepcopy(value)
+        node[path[-1]] = copy.deepcopy(value)
     return True
 
 
@@ -158,3 +181,48 @@ def test_mutated_configs_exit_cleanly(run):
     assert "Traceback" not in message
     if code == 2:
         assert any(_names_key(message, name) for name in names), (names, message)
+
+
+def _state_documents() -> list[dict]:
+    spec = sodium()
+    pump = PumpConfig(
+        direction=np.array([0.0, 1.0, 0.0]),
+        polarization=np.array([0.0, 0.0, 1.0]),
+        omega_laser=2.0 * math.pi * 508838716200000.0,
+        atom_number=1.0e6,
+    )
+    state = build_pair_state(spec, pump, CondensateSpinor.single(2, 0), np.array([0.6, 0.0, 0.8]))
+    states = (state, spectral_filter(state, 1))
+    return [json.loads(json.dumps(pair_state_to_json(s, provenance={"tool": "t"}))) for s in states]
+
+
+DOCUMENTS = _state_documents()
+LABELS = st.one_of(
+    st.sampled_from(["2:x", "x:2", "2", "2:2:2", "", ":", "4:9", "-2:0", "2:-4", "nan:1"]),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = json.loads(json.dumps(draw(st.sampled_from(DOCUMENTS))))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc)) or [("format",)]))
+        kind = draw(st.sampled_from(["delete", "replace", "relabel"]))
+        if kind == "relabel":
+            node, label = _holder(doc, path), draw(LABELS)
+            if isinstance(node, dict):
+                node[label] = node.pop(path[-1])
+        else:
+            _mutate(doc, path, kind == "delete", None if kind == "delete" else draw(REPLACEMENTS))
+    return doc
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(mutated_documents())
+def test_mutated_state_documents_read_cleanly(doc):
+    try:
+        state = pair_state_from_json(doc)
+    except InputDomainError:
+        return
+    assert isinstance(state, PairState)

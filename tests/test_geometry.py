@@ -5,11 +5,13 @@ import io
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import random_condensate, random_pump
+from oracles import oracle_scan_csv, scan_to_json_doc
 from raman_pairs import geometry_explorer
 from raman_pairs.angular_momentum import HalfInt
 from raman_pairs.atomic_model import AtomSpec, spherical_component
@@ -22,17 +24,18 @@ from raman_pairs.errors import (
     EmptyScanError,
     EmptyStateError,
     InputDomainError,
+    PhysicsError,
     UndefinedOverlapError,
 )
 from raman_pairs.geometry_explorer import (
     ScanMap,
     argmax_direction,
+    scan_chunks,
     scan_sphere,
     scan_to_csv_text,
-    scan_to_json_doc,
     write_scan,
 )
-from raman_pairs.pair_state import CondensateSpinor, PumpConfig, build_pair_state
+from raman_pairs.pair_state import CondensateSpinor, PumpConfig, build_pair_state, json_text
 
 COARSE = math.pi / 6.0
 TWO_PI = 2.0 * math.pi
@@ -142,16 +145,33 @@ ALL_MEASURES = (
 )
 
 
-def _property_configs(spec, pump):
-    """Seeded random geometries plus sigma+ on |2,2>, where nodes get flagged."""
-    rng = np.random.default_rng(107)
-    configs = [(random_pump(spec, rng), random_condensate(spec, rng)) for _ in range(3)]
-    sigma_plus = PumpConfig(
+def _sigma_plus(pump) -> PumpConfig:
+    return PumpConfig(
         direction=np.array([0.0, 0.0, 1.0]),
         polarization=spherical_component(+1).copy(),
         omega_laser=pump.omega_laser,
     )
-    return configs + [(sigma_plus, CondensateSpinor.single(2, 2))]
+
+
+def _inverted(spec) -> AtomSpec:
+    """A species whose stretched state cannot absorb sigma+ light at all."""
+    return AtomSpec(
+        name="inverted-test",
+        nuclear_spin=HalfInt(0),
+        ground_j=HalfInt(3),
+        excited_j=HalfInt(1),
+        ground_splittings=((HalfInt(3), 0.0),),
+        resonance=spec.resonance,
+        linewidth=spec.linewidth,
+        mass=spec.mass,
+    )
+
+
+def _property_configs(spec, pump):
+    """Seeded random geometries plus sigma+ on |2,2>, where nodes get flagged."""
+    rng = np.random.default_rng(107)
+    configs = [(random_pump(spec, rng), random_condensate(spec, rng)) for _ in range(3)]
+    return configs + [(_sigma_plus(pump), CondensateSpinor.single(2, 2))]
 
 
 def test_scan_nodes_equal_single_direction_calls(spec, pump):
@@ -247,12 +267,7 @@ def test_flagged_nodes_for_undefined_overlap(spec, pump):
     # conditional overlap is undefined there and those nodes carry the NaN
     # sentinel instead of a zero
     phi0 = CondensateSpinor.single(2, 2)
-    pump_sigma = PumpConfig(
-        direction=np.array([0.0, 0.0, 1.0]),
-        polarization=spherical_component(+1).copy(),
-        omega_laser=pump.omega_laser,
-    )
-    scan = scan_sphere(spec, pump_sigma, phi0, COARSE, "conditional_overlap")
+    scan = scan_sphere(spec, _sigma_plus(pump), phi0, COARSE, "conditional_overlap")
     flagged = scan.flagged
     assert flagged.any() and not flagged.all()
     assert np.isnan(scan.measures[flagged]).all()
@@ -261,25 +276,9 @@ def test_flagged_nodes_for_undefined_overlap(spec, pump):
 
 
 def test_empty_state_nodes_flagged(spec, pump):
-    # species whose stretched state cannot absorb sigma+ light at all:
     # every node is flagged and argmax raises
-    inverted = AtomSpec(
-        name="inverted-test",
-        nuclear_spin=HalfInt(0),
-        ground_j=HalfInt(3),
-        excited_j=HalfInt(1),
-        ground_splittings=((HalfInt(3), 0.0),),
-        resonance=spec.resonance,
-        linewidth=spec.linewidth,
-        mass=spec.mass,
-    )
-    pump_sigma = PumpConfig(
-        direction=np.array([0.0, 0.0, 1.0]),
-        polarization=spherical_component(+1).copy(),
-        omega_laser=pump.omega_laser,
-    )
     phi0 = CondensateSpinor.single("3/2", "3/2")
-    scan = scan_sphere(inverted, pump_sigma, phi0, COARSE, "entropy")
+    scan = scan_sphere(_inverted(spec), _sigma_plus(pump), phi0, COARSE, "entropy")
     assert scan.flagged.all()
     with pytest.raises(EmptyScanError):
         argmax_direction(scan)
@@ -345,14 +344,88 @@ def test_csv_layout_and_flags(spec, pump, phi0):
 
 def test_scan_serialization_deterministic(spec, pump, phi0, tmp_path):
     scan = scan_sphere(spec, pump, phi0, COARSE, "entropy")
-    a = scan_to_csv_text(scan)
-    b = scan_to_csv_text(scan)
-    assert a == b
-    doc = json.dumps(scan_to_json_doc(scan), sort_keys=True)
-    doc2 = json.dumps(scan_to_json_doc(scan), sort_keys=True)
-    assert doc == doc2
-    csv_path, json_path = write_scan(scan, tmp_path / "out")
-    assert csv_path.exists() and json_path.exists()
-    parsed = json.loads(json_path.read_text())
+    assert scan_to_csv_text(scan) == scan_to_csv_text(scan)
+    a = write_scan(scan, tmp_path / "a")
+    b = write_scan(scan, tmp_path / "b")
+    for path_a, path_b in ((a.csv_path, b.csv_path), (a.json_path, b.json_path)):
+        assert path_a.read_bytes() == path_b.read_bytes()
+    assert scan_to_csv_text(scan).encode() == a.csv_path.read_bytes()
+    parsed = json.loads(a.json_path.read_text())
     assert parsed["format"] == "raman-pairs/scan-map/1"
-    assert len(parsed["nodes"]) == len(scan.measures)
+    assert len(parsed["nodes"]) == len(scan.measures) == a.nodes
+
+
+METADATA = {"tool": "raman-pairs", "seed": 7, "note": 'a "quoted" \\ path, caf\u00e9 \u2603'}
+
+
+def _oracle_configs(spec, pump):
+    """(species, pump, condensate, resolution, measures): seeded random
+    geometries at 10-15 degrees, sigma+ on |2,2> (flagged nodes) and a
+    species where every node is flagged (no channels at all)."""
+    rng = np.random.default_rng(151)
+    configs = []
+    for _ in range(3):
+        rpump, rphi = random_pump(spec, rng), random_condensate(spec, rng)
+        configs.append((spec, rpump, rphi, rng.uniform(10, 15), ALL_MEASURES))
+    sigma_plus = _sigma_plus(pump)
+    stretched = CondensateSpinor.single("3/2", "3/2")
+    measures = (("entropy", None), ("concurrence_after_filter", "3/2"), ("conditional_overlap", None))
+    return configs + [
+        (spec, sigma_plus, CondensateSpinor.single(2, 2), 12.0, ALL_MEASURES),
+        (_inverted(spec), sigma_plus, stretched, 12.0, measures),
+    ]
+
+
+def test_streamed_files_equal_the_document_oracle(spec, pump, tmp_path, monkeypatch):
+    # the per-node JSON template against json.dumps of one dict per node, and
+    # the row template against the csv module; 7-node chunks cross many chunk
+    # boundaries, and the running argmax is the argmax of the whole map
+    monkeypatch.setattr(geometry_explorer, "_CHUNK", 7)
+    for species, rpump, rphi, degrees, measures in _oracle_configs(spec, pump):
+        for measure, filter_f in measures:
+            args = (species, rpump, rphi, math.radians(degrees), measure)
+            scan = replace(scan_sphere(*args, filter_f=filter_f), metadata=METADATA)
+            chunks = (replace(c, metadata=METADATA) for c in scan_chunks(*args, filter_f=filter_f))
+            files = write_scan(chunks, tmp_path / "s")
+            assert files.json_path.read_bytes() == json_text(scan_to_json_doc(scan)).encode()
+            assert files.csv_path.read_bytes() == oracle_scan_csv(scan).encode()
+            assert files.nodes == len(scan.measures)
+            if scan.flagged.all():
+                for best in (scan, files.best):
+                    with pytest.raises(EmptyScanError):
+                        argmax_direction(best)
+                continue
+            (want_direction, want), (direction, value) = map(argmax_direction, (scan, files.best))
+            np.testing.assert_array_equal(direction, want_direction, strict=True)
+            assert value == want
+
+
+def test_write_scan_rejects_channels_sharing_a_key(spec, pump, phi0, tmp_path):
+    # a 1 mHz ground splitting vanishes in the photon frequencies' rounding, so
+    # both levels' channels get one "omega_hz:lambda" key: strict JSON cannot
+    # hold both, and a silent merge would drop one level's weight
+    tiny = replace(spec, ground_splittings=((HalfInt(2), 0.0), (HalfInt(4), TWO_PI * 1e-3)))
+    scan = scan_sphere(tiny, pump, phi0, COARSE, "entropy")
+    assert (scan.omega[:, 0] == scan.omega[:, 1]).all()
+    with pytest.raises(PhysicsError, match="share one key"):
+        write_scan(scan, tmp_path / "s")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_scan_memory_is_per_chunk(spec, pump, phi0, tmp_path):
+    # a streamed scan holds one chunk of columns and text at a time, so the
+    # writer's peak does not grow with the grid (json.dumps of the whole map
+    # took about 3.7 kB a node: 60 MB at 2 degrees)
+    write_scan(scan_chunks(spec, pump, phi0, COARSE, "conditional_overlap"), tmp_path / "warm")
+    peaks = {}
+    for degrees in (4.0, 2.0):
+        args = (spec, pump, phi0, math.radians(degrees), "conditional_overlap")
+        tracemalloc.start()
+        try:
+            files = write_scan(scan_chunks(*args), tmp_path / "out")
+            peaks[degrees] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert files.nodes == 16380
+    assert peaks[2.0] <= 5_000 * geometry_explorer._CHUNK
+    assert peaks[2.0] <= 1.1 * peaks[4.0]

@@ -157,6 +157,30 @@ def test_state_document_with_nan_amplitude_rejected(state_z):
         pair_state_from_json(doc)
 
 
+def test_photon_frequency_rejects_nan_direction(spec, pump):
+    # a NaN direction is an input error, not "the recoil leaves the optical regime"
+    with pytest.raises(InputDomainError, match="unit vector"):
+        photon_frequency(spec, pump, np.array([math.nan, 0.0, 0.0]), 1)
+
+
+def test_state_document_bad_labels_name_the_key(state_z):
+    doc = json.loads(json.dumps(pair_state_to_json(state_z)))
+    key = next(iter(doc["amplitudes"]))
+    channel = doc["amplitudes"][key]
+    channel["2:x"] = channel.pop(next(iter(channel)))
+    with pytest.raises(InputDomainError, match=f"'amplitudes.{key}.2:x'"):
+        pair_state_from_json(doc)
+    doc = json.loads(json.dumps(pair_state_to_json(state_z)))
+    doc["amplitudes"]["1.0:1"] = doc["amplitudes"].pop(key)
+    with pytest.raises(InputDomainError, match="'amplitudes.1.0:1'"):
+        pair_state_from_json(doc)
+    # a huge 2F would ask for a sublevel table of that size
+    doc = json.loads(json.dumps(pair_state_to_json(state_z)))
+    doc["channels"][0]["doubled_f"] = 10**9
+    with pytest.raises(InputDomainError, match="non-negative integer"):
+        pair_state_from_json(doc)
+
+
 # --- batched kernel ---------------------------------------------------------------
 
 
