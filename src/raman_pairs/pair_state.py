@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
@@ -50,7 +51,6 @@ from .errors import (
     PhysicsError,
 )
 from .raman_coupling import (
-    PhotonMode,
     branch_amplitudes,
     condensate_factor,
     ground_basis,
@@ -99,9 +99,11 @@ class PumpConfig:
         pol = np.asarray(self.polarization, dtype=complex)
         if k.shape != (3,) or pol.shape != (3,):
             raise InputDomainError("pump direction and polarization must be 3-vectors")
-        if not abs(np.linalg.norm(k) - 1.0) <= _GEOM_TOL:
+        with np.errstate(over="ignore"):  # a huge finite vector fails silently
+            k_norm, pol_norm = np.linalg.norm(k), np.linalg.norm(pol)
+        if not abs(k_norm - 1.0) <= _GEOM_TOL:
             raise InputDomainError("pump direction must be a unit vector")
-        if not abs(np.linalg.norm(pol) - 1.0) <= _GEOM_TOL:
+        if not abs(pol_norm - 1.0) <= _GEOM_TOL:
             raise InputDomainError("pump polarization must be a unit vector")
         if not abs(np.vdot(pol, k)) <= _GEOM_TOL:
             raise InputDomainError("pump polarization must be transverse")
@@ -113,9 +115,6 @@ class PumpConfig:
         pol.flags.writeable = False
         object.__setattr__(self, "direction", k)
         object.__setattr__(self, "polarization", pol)
-
-    def mode(self) -> PhotonMode:
-        return PhotonMode(direction=self.direction, lam=1, polarization=self.polarization)
 
 
 @dataclass(frozen=True)
@@ -169,7 +168,6 @@ class ScatteredSpinor:
 
     amplitudes: tuple[tuple[tuple[int, int], complex], ...]
     normalization: float
-    photon_mode: PhotonMode
 
     def __post_init__(self) -> None:
         if not self.normalization >= 0:
@@ -256,6 +254,12 @@ class PairState:
             raise InputDomainError("pair state must be unit norm")
         if not (self.omega > 0).all():
             raise InputDomainError("channel frequencies must be positive")
+        for name in vectors[1:]:
+            if getattr(self, name).shape != (3,):
+                raise InputDomainError(f"{name} must be a 3-vector")
+        weight = self.emission_weight
+        if not isinstance(weight, numbers.Real) or not weight >= 0:  # NaN fails too
+            raise InputDomainError(f"emission weight must be real and >= 0, got {weight!r}")
 
     @cached_property
     def _view(self) -> tuple:
@@ -340,7 +344,7 @@ def _layout(spec: AtomSpec) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=16)
 def _shared_factor(spec: AtomSpec, pump: PumpConfig, phi0: CondensateSpinor) -> np.ndarray:
     """The direction-independent factor B of a species, pump and condensate."""
-    factor = condensate_factor(spec, pump.omega_laser, pump.mode(), phi0.vector(spec))
+    factor = condensate_factor(spec, pump.omega_laser, pump.polarization, phi0.vector(spec))
     factor.flags.writeable = False
     return factor
 
@@ -510,19 +514,14 @@ def scattered_spinor(
     )
     vec = batch.amplitudes[0, lam - 1] * batch.phases[0]
     share = float(np.linalg.norm(vec))
-    mode = PhotonMode(
-        direction=batch.directions[0], lam=lam, polarization=batch.polarizations[0, lam - 1]
-    )
     if share == 0.0:
-        return ScatteredSpinor(amplitudes=(), normalization=0.0, photon_mode=mode)
+        return ScatteredSpinor(amplitudes=(), normalization=0.0)
     amps = tuple(
         ((g.f.twice, g.m.twice), complex(v / share))
         for g, v in zip(ground_basis(spec), vec)
         if v != 0.0
     )
-    return ScatteredSpinor(
-        amplitudes=amps, normalization=share * float(batch.norms[0]), photon_mode=mode
-    )
+    return ScatteredSpinor(amplitudes=amps, normalization=share * float(batch.norms[0]))
 
 
 def photon_frequency(
@@ -742,8 +741,13 @@ def pair_state_from_json(doc: dict) -> PairState:
         vectors = {}
         for where in _STATE_VECTORS:
             vectors[where] = np.array(doc[where], dtype=float)
+            if vectors[where].shape != (3,):
+                raise ValueError(f"expected a 3-vector, got shape {vectors[where].shape}")
         where = "emission_weight"
-        weight = float(doc[where])
+        weight = doc[where]
+        if isinstance(weight, bool) or not isinstance(weight, (int, float)) or not weight >= 0:
+            raise ValueError(f"expected a number >= 0, got {weight!r}")
+        weight = float(weight)
         where = "unresolved_channel_pairs"
         pairs = tuple((int(a), int(b)) for a, b in doc[where])
     except InputDomainError:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -72,6 +73,16 @@ def random_condensate(spec, rng) -> CondensateSpinor:
     return CondensateSpinor.from_dict(
         {(g.f.twice, g.m.twice): complex(v) for g, v in zip(basis, vec)}
     )
+
+
+def doubled_detunings(spec, pump):
+    """The species and pump with every detuning doubled: the laser offset and
+    the ground splittings together."""
+    doubled = replace(
+        spec, ground_splittings=tuple((f, 2.0 * d) for f, d in spec.ground_splittings)
+    )
+    offset = pump.omega_laser - spec.resonance
+    return doubled, replace(pump, omega_laser=spec.resonance + 2.0 * offset)
 
 
 def assert_equal_up_to_global_phase(actual: dict, expected: dict, tol: float = 1e-10):

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import (
     assert_equal_up_to_global_phase,
+    doubled_detunings,
     entries,
     random_condensate,
     random_direction,
@@ -39,10 +40,13 @@ from raman_pairs.entanglement_analysis import (
 )
 from raman_pairs.geometry_explorer import argmax_direction, scan_sphere, scan_to_csv_text
 from raman_pairs.pair_state import (
+    CondensateSpinor,
     build_pair_state,
+    pair_batch,
     pair_state_to_json,
     spectral_filter,
 )
+from raman_pairs.raman_coupling import ground_basis
 from test_angular_momentum import _symmetry_images, iter_6j_grid, iter_cg_grid
 
 ROOT8 = 2.0 * math.sqrt(2.0)
@@ -221,35 +225,25 @@ def test_criterion_9_property_suites(spec, pump, phi0, state_z):
         matrix, _, _ = state.matrix()
         assert np.abs(result.reconstruction() - matrix).max() <= 1e-10
 
-    # selection-rule zero structure: the reference geometry couples only
-    # m_final = m_initial -+ 1 for sigma+- detection
-    from raman_pairs.raman_coupling import coupling_tensor, detection_modes
-
-    out1, out2 = detection_modes(np.array([0.0, 0.0, 1.0]))
-    for mode, shift in ((out1, -2), (out2, +2)):
-        tensor = coupling_tensor(spec, pump.omega_laser, mode, pump.mode())
-        assert tensor
-        assert all(fin[1] - ini[1] == shift for fin, ini in tensor)
-
-    # detuning linearity: doubling every detuning halves G exactly
-    from raman_pairs.atomic_model import AtomSpec
-
-    doubled = AtomSpec(
-        name=spec.name,
-        nuclear_spin=spec.nuclear_spin,
-        ground_j=spec.ground_j,
-        excited_j=spec.excited_j,
-        ground_splittings=tuple((f, 2.0 * d) for f, d in spec.ground_splittings),
-        resonance=spec.resonance,
-        linewidth=spec.linewidth,
-        mass=spec.mass,
-    )
-    omega2 = spec.resonance + 2.0 * (pump.omega_laser - spec.resonance)
-    t1 = coupling_tensor(spec, pump.omega_laser, out1, pump.mode())
-    t2 = coupling_tensor(doubled, omega2, out1, pump.mode())
-    assert set(t1) == set(t2)
-    for key in t1:
-        assert t2[key] == pytest.approx(0.5 * t1[key], rel=1e-12)
+    # selection rules, on the kernel: the pi pump seen from +-z scatters into
+    # eps_+1 (lambda = 1) and eps_-1 (lambda = 2), so from every single-sublevel
+    # condensate an amplitude is exactly zero unless 2m_final - 2m_initial is
+    # -2 (lambda = 1) or +2 (lambda = 2)
+    basis = ground_basis(spec)
+    final_m = np.array([g.m.twice for g in basis])
+    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    doubled, pump2 = doubled_detunings(spec, pump)
+    for ini in basis:
+        condensate = CondensateSpinor.single(ini.f, ini.m)
+        batch = pair_batch(spec, pump, condensate, poles)
+        assert (batch.norms > 0.0).all()
+        for lam, shift in ((1, -2), (2, +2)):
+            assert (batch.amplitudes[:, lam - 1, final_m - ini.m.twice != shift] == 0.0).all()
+        # detuning linearity: doubling every detuning halves G exactly, so the
+        # norms halve and the normalized amplitudes stay
+        again = pair_batch(doubled, pump2, condensate, poles)
+        np.testing.assert_allclose(again.norms, 0.5 * batch.norms, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(again.amplitudes, batch.amplitudes, rtol=0.0, atol=1e-12)
 
     # byte-identical reruns of the serialized artifacts
     doc_a = json.dumps(pair_state_to_json(state_z), sort_keys=True)
@@ -258,4 +252,4 @@ def test_criterion_9_property_suites(spec, pump, phi0, state_z):
     coarse = scan_sphere(spec, pump, phi0, math.pi / 12.0, "entropy")
     coarse_again = scan_sphere(spec, pump, phi0, math.pi / 12.0, "entropy")
     assert scan_to_csv_text(coarse) == scan_to_csv_text(coarse_again)
-    report(9, "normalization, reconstruction, selection rules, linearity, reruns all green")
+    report(9, "normalization, reconstruction, kernel selection rules and linearity, reruns all green")

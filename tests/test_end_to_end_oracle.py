@@ -15,14 +15,14 @@ from conftest import entries, random_condensate, random_direction, random_pump
 from oracles import oracle_branch_amplitudes
 from raman_pairs.atomic_model import detuning
 from raman_pairs.pair_state import build_pair_state, scattered_spinor
-from raman_pairs.raman_coupling import polarization_basis
+from raman_pairs.raman_coupling import polarization_bases
 
 Z = np.array([0.0, 0.0, 1.0])
 
 
 def oracle_branches(spec, pump, phi0, k_hat):
     deltas = {f.twice: detuning(spec, pump.omega_laser, f) for f in spec.ground_levels()}
-    out1, out2 = polarization_basis(k_hat)
+    out1, out2 = polarization_bases(k_hat[np.newaxis])[0]
     return [
         oracle_branch_amplitudes(
             spec.nuclear_spin.twice,

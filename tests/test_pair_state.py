@@ -24,7 +24,6 @@ from raman_pairs.errors import (
     PhysicsError,
 )
 from raman_pairs import pair_state
-from raman_pairs.raman_coupling import PhotonMode
 from raman_pairs.pair_state import (
     CondensateSpinor,
     PumpConfig,
@@ -55,6 +54,14 @@ def test_pump_invariants():
     with pytest.raises(InputDomainError):
         PumpConfig(direction=np.array([0.0, 1.0, 0.0]), polarization=np.array([0, 0, 1.0]),
                    omega_laser=1.0, atom_number=0.5)
+    # a finite vector whose squared length overflows is rejected without a
+    # RuntimeWarning, which the test configuration turns into an error
+    with pytest.raises(InputDomainError, match="direction must be a unit vector"):
+        PumpConfig(direction=np.array([1e300, 0.0, 0.0]), polarization=np.array([0, 0, 1.0]),
+                   omega_laser=1.0)
+    with pytest.raises(InputDomainError, match="polarization must be a unit vector"):
+        PumpConfig(direction=np.array([0.0, 1.0, 0.0]), polarization=np.array([0, 0, 1e300j]),
+                   omega_laser=1.0)
 
 
 def test_condensate_must_be_normalized():
@@ -120,15 +127,15 @@ def _with_nan_amplitude(state):
     return replace(state, amplitudes=amplitudes)
 
 
-_X_MODE = PhotonMode(direction=Z, lam=1, polarization=np.array([1.0, 0, 0]))
 NAN_CONSTRUCTIONS = {
     "PairState.amplitudes": _with_nan_amplitude,
+    "PairState.emission_weight": lambda state: replace(state, emission_weight=math.nan),
     "CondensateSpinor.amplitudes": lambda _: CondensateSpinor((((2, 0), complex(math.nan)),)),
     "ScatteredSpinor.normalization": lambda _: ScatteredSpinor(
-        amplitudes=(((2, 0), 1.0 + 0.0j),), normalization=math.nan, photon_mode=_X_MODE
+        amplitudes=(((2, 0), 1.0 + 0.0j),), normalization=math.nan
     ),
     "ScatteredSpinor.amplitudes": lambda _: ScatteredSpinor(
-        amplitudes=(((2, 0), complex(math.nan)),), normalization=1.0, photon_mode=_X_MODE
+        amplitudes=(((2, 0), complex(math.nan)),), normalization=1.0
     ),
     "PumpConfig.omega_laser": lambda _: PumpConfig(
         direction=Z, polarization=np.array([1.0, 0, 0]), omega_laser=math.nan
@@ -136,8 +143,9 @@ NAN_CONSTRUCTIONS = {
     "PumpConfig.atom_number": lambda _: PumpConfig(
         direction=Z, polarization=np.array([1.0, 0, 0]), omega_laser=1.0, atom_number=math.nan
     ),
-    "PhotonMode.direction": lambda _: PhotonMode(
-        direction=np.array([0.0, 0.0, math.nan]), lam=1, polarization=np.array([1.0, 0, 0])
+    "PumpConfig.direction": lambda _: PumpConfig(
+        direction=np.array([0.0, 0.0, math.nan]), polarization=np.array([1.0, 0, 0]),
+        omega_laser=1.0,
     ),
 }
 
@@ -179,6 +187,25 @@ def test_state_document_bad_labels_name_the_key(state_z):
     doc["channels"][0]["doubled_f"] = 10**9
     with pytest.raises(InputDomainError, match="non-negative integer"):
         pair_state_from_json(doc)
+    # each vector is a 3-vector, and the weight a real number >= 0
+    bad = [(key, [1.0, 2.0]) for key in pair_state._STATE_VECTORS] + [
+        (key, [[1.0, 2.0, 3.0]]) for key in pair_state._STATE_VECTORS
+    ]
+    bad += [("emission_weight", w) for w in ("7", [7.0], None, True, -1.0, math.nan)]
+    for key, value in bad:
+        doc = json.loads(json.dumps(pair_state_to_json(state_z)))
+        doc[key] = value
+        with pytest.raises(InputDomainError, match=f"'{key}'"):
+            pair_state_from_json(doc)
+
+
+def test_pair_state_rejects_bad_vectors_and_weight(state_z):
+    for field in ("recoil_momentum", "photon_wavevector", "detection_direction"):
+        with pytest.raises(InputDomainError, match=f"{field} must be a 3-vector"):
+            replace(state_z, **{field: np.array([1.0, 2.0])})
+    for weight in (-1.0, 1.0 + 0.0j, "7"):
+        with pytest.raises(InputDomainError, match="emission weight"):
+            replace(state_z, emission_weight=weight)
 
 
 # --- batched kernel ---------------------------------------------------------------
@@ -197,19 +224,21 @@ def test_batch_rows_equal_single_direction_batches(spec):
             np.testing.assert_array_equal(getattr(one, field)[0], getattr(batch, field)[n])
 
 
-def test_batch_matches_coupling_matrix(spec):
-    # the shared-factor contraction reproduces G_out,in @ phi0 for both branches
-    from raman_pairs.raman_coupling import coupling_matrix, detection_modes
+def test_batch_matches_branch_oracle(spec):
+    # the shared-factor contraction reproduces G phi0 for both branches, as
+    # the direct-summation oracle builds it from uncoupling-expansion dipoles
+    from raman_pairs.raman_coupling import ground_basis
+    from test_end_to_end_oracle import oracle_branches
 
     rng = np.random.default_rng(31)
     pump = random_pump(spec, rng)
     phi0 = random_condensate(spec, rng)
     k = random_direction(rng)
     batch = pair_batch(spec, pump, phi0, k[np.newaxis])
-    rows = np.vstack(
+    rows = np.array(
         [
-            coupling_matrix(spec, pump.omega_laser, mode, pump.mode()) @ phi0.vector(spec)
-            for mode in detection_modes(k)
+            [branch.get((g.f.twice, g.m.twice), 0.0) for g in ground_basis(spec)]
+            for branch in oracle_branches(spec, pump, phi0, k)
         ]
     )
     scattered = batch.norms[0] * batch.phases[0] * batch.amplitudes[0]

@@ -1,71 +1,56 @@
-"""Photon modes, single-photon couplings, and the effective two-photon coupling."""
+"""The polarization basis and the two-photon coupling G as the pair-state
+kernel evaluates it: selection rules, the exchange identity, detuning
+linearity and the excited-manifold sum."""
 
-import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import random_direction
+from conftest import doubled_detunings, random_condensate, random_direction, random_pump
 from raman_pairs.angular_momentum import HalfInt
 from raman_pairs.atomic_model import (
+    detuning,
+    dipole_matrix_element,
     excited_sublevel,
     ground_sublevel,
-    spherical_basis_vectors,
     spherical_component,
 )
-from raman_pairs.errors import InputDomainError, SingularDetuningError
-from raman_pairs.raman_coupling import (
-    PhotonMode,
-    coupling_tensor,
-    detection_modes,
-    effective_coupling,
-    polarization_basis,
-    single_photon_coupling,
-)
+from raman_pairs.errors import SingularDetuningError
+from raman_pairs.pair_state import CondensateSpinor, PumpConfig, pair_batch
+from raman_pairs.raman_coupling import ground_basis, polarization_bases
 
-TWO_PI = 2.0 * math.pi
+X = np.array([1.0, 0.0, 0.0])
+Z = np.array([0.0, 0.0, 1.0])
 
 
-def mode_along(direction, polarization, lam=1):
-    return PhotonMode(
-        direction=np.asarray(direction, dtype=float),
-        lam=lam,
-        polarization=np.asarray(polarization, dtype=complex),
-    )
+def basis_of(k):
+    """(eps_1, eps_2) of one direction."""
+    return polarization_bases(np.asarray(k, dtype=float)[np.newaxis])[0]
 
 
-# --- PhotonMode invariants ----------------------------------------------------
+def scattered(spec, pump, phi0, k):
+    """G phi0 for both branches at one direction: the kernel's raw (2, G) amplitudes."""
+    batch = pair_batch(spec, pump, phi0, k[np.newaxis])
+    return batch.norms[0] * batch.phases[0] * batch.amplitudes[0]
 
 
-def test_mode_rejects_non_unit_direction():
-    with pytest.raises(InputDomainError):
-        mode_along([0, 0, 2], [1, 0, 0])
-
-
-def test_mode_rejects_longitudinal_polarization():
-    with pytest.raises(InputDomainError):
-        mode_along([0, 0, 1], [0, 0, 1])
-
-
-def test_mode_rejects_unnormalized_polarization():
-    with pytest.raises(InputDomainError):
-        mode_along([0, 0, 1], [0.5, 0, 0])
+def single(sublevel):
+    return CondensateSpinor.single(sublevel.f, sublevel.m)
 
 
 # --- polarization basis ---------------------------------------------------------
 
 
 def test_basis_on_z_axis_is_circular():
-    e1, e2 = polarization_basis(np.array([0.0, 0.0, 1.0]))
-    np.testing.assert_array_equal(e1, spherical_component(+1))
-    np.testing.assert_array_equal(e2, spherical_component(-1))
-    e1, e2 = polarization_basis(np.array([0.0, 0.0, -1.0]))
-    np.testing.assert_array_equal(e1, spherical_component(+1))
-    np.testing.assert_array_equal(e2, spherical_component(-1))
+    for k in (Z, -Z):
+        e1, e2 = basis_of(k)
+        np.testing.assert_array_equal(e1, spherical_component(+1))
+        np.testing.assert_array_equal(e2, spherical_component(-1))
 
 
 def test_basis_on_x_axis_is_spherical_pair():
-    e1, e2 = polarization_basis(np.array([1.0, 0.0, 0.0]))
+    e1, e2 = basis_of(X)
     np.testing.assert_allclose(e1, np.array([0.0, 0.0, -1.0]), atol=1e-15)
     np.testing.assert_allclose(e2, np.array([0.0, 1.0, 0.0]), atol=1e-15)
 
@@ -74,7 +59,7 @@ def test_basis_transverse_orthonormal_random():
     rng = np.random.default_rng(11)
     for _ in range(1000):
         k = random_direction(rng)
-        e1, e2 = polarization_basis(k)
+        e1, e2 = basis_of(k)
         assert abs(np.vdot(e1, e1) - 1.0) < 1e-12
         assert abs(np.vdot(e2, e2) - 1.0) < 1e-12
         assert abs(np.vdot(e1, e2)) < 1e-12
@@ -82,204 +67,91 @@ def test_basis_transverse_orthonormal_random():
         assert abs(np.vdot(e2, k)) < 1e-12
 
 
-def test_basis_rejects_non_unit():
-    with pytest.raises(InputDomainError):
-        polarization_basis(np.array([1.0, 1.0, 0.0]))
+# --- two-photon coupling ----------------------------------------------------------
 
 
-# --- single photon coupling -----------------------------------------------------
-
-
-def test_pi_mode_uses_only_q0(spec):
-    # a z-polarized mode overlaps only the q=0 spherical component
-    mode = mode_along([0, 1, 0], [0, 0, 1])
-    e = excited_sublevel(2, 1)
-    g = ground_sublevel(1, 1)
-    from raman_pairs.atomic_model import dipole_matrix_element
-
-    got = single_photon_coupling(spec, mode, e, g)
-    want = dipole_matrix_element(spec, e, g, 0)
-    assert got == pytest.approx(want, abs=1e-15)
-
-
-def test_pump_excites_only_f0_f2(spec):
-    mode = mode_along([0, 1, 0], [0, 0, 1])
-    g = ground_sublevel(1, 0)
-    nonzero = []
-    for fe in spec.excited_levels():
-        for tme in range(-fe.twice, fe.twice + 1, 2):
-            e = excited_sublevel(fe, HalfInt(tme))
-            if single_photon_coupling(spec, mode, e, g) != 0.0:
-                nonzero.append((fe.twice, tme))
-    assert nonzero == [(0, 0), (4, 0)]
-
-
-def test_coupling_two_expansion_routes_agree(spec):
-    # direct overlap evaluation vs expanding the polarization in the
-    # spherical basis first
-    rng = np.random.default_rng(5)
-    vectors = spherical_basis_vectors()
-    for _ in range(100):
-        k = random_direction(rng)
-        e1, _ = polarization_basis(k)
-        mode = mode_along(k, e1)
-        components = {q: np.vdot(vectors[q], e1) for q in (-1, 0, +1)}
-        e = excited_sublevel(2, 1)
-        g = ground_sublevel(1, 1)
-        from raman_pairs.atomic_model import dipole_matrix_element
-
-        direct = single_photon_coupling(spec, mode, e, g)
-        expanded = sum(
-            components[q] * dipole_matrix_element(spec, e, g, q) for q in (-1, 0, +1)
-        )
-        assert abs(direct - expanded) < 1e-13
-
-
-def test_coupling_manifold_mismatch(spec):
-    mode = mode_along([0, 1, 0], [0, 0, 1])
-    g = ground_sublevel(1, 0)
-    with pytest.raises(InputDomainError):
-        single_photon_coupling(spec, mode, g, g)
-
-
-# --- effective coupling ----------------------------------------------------------
-
-
-def omega_detuned(spec, ghz=-10.0):
-    return spec.resonance + TWO_PI * ghz * 1e9
-
-
-def test_pi_pi_selection_rule(spec):
+def test_pi_pi_selection_rule(spec, pump):
+    # the reference pump is pi, and so is the lambda = 1 branch on the x axis:
     # pi in / pi out cannot change m
-    pump = mode_along([0, 1, 0], [0, 0, 1])
-    out = mode_along([1, 0, 0], [0, 0, -1])
-    omega = omega_detuned(spec)
-    g = effective_coupling(
-        spec, omega, out, pump, ground_sublevel(1, 1), ground_sublevel(1, 0)
-    )
-    assert g == 0.0
-    g = effective_coupling(
-        spec, omega, out, pump, ground_sublevel(1, 0), ground_sublevel(1, 0)
-    )
-    assert g != 0.0
+    basis = ground_basis(spec)
+    for ini in basis:
+        branch = scattered(spec, pump, single(ini), X)[0]
+        assert all(amp == 0.0 for g, amp in zip(basis, branch) if g.m != ini.m)
+    ini = ground_sublevel(1, 0)
+    assert scattered(spec, pump, single(ini), X)[0, basis.index(ini)] != 0.0
 
 
-def test_sigma_plus_pairs_with_m_minus_one(spec, pump):
-    out1, _ = detection_modes(np.array([0.0, 0.0, 1.0]))
-    nonzero = []
-    for fg in spec.ground_levels():
-        for tm in range(-fg.twice, fg.twice + 1, 2):
-            value = effective_coupling(
-                spec,
-                pump.omega_laser,
-                out1,
-                pump.mode(),
-                ground_sublevel(fg, HalfInt(tm)),
-                ground_sublevel(1, 0),
-            )
-            if value != 0.0:
-                nonzero.append((fg.twice, tm))
+def test_sigma_plus_pairs_with_m_minus_one(spec, pump, phi0):
+    branch = scattered(spec, pump, phi0, Z)[0]
+    nonzero = [(g.f.twice, g.m.twice) for g, amp in zip(ground_basis(spec), branch) if amp != 0.0]
     assert nonzero == [(2, -2), (4, -2)]
 
 
-def test_exchange_identity(spec):
-    # G_ab(f, i) Delta(F_i) = conj(G_ba(i, f) Delta(F_f))
-    from raman_pairs.atomic_model import detuning
-    from raman_pairs.raman_coupling import ground_basis
-
+def test_exchange_identity(spec, pump):
+    # G_ab(f, i) Delta(F_i) = conj(G_ba(i, f) Delta(F_f)): swapping the pump
+    # and the detected mode conjugates the detuning-weighted amplitude
     rng = np.random.default_rng(17)
-    omega = omega_detuned(spec)
+    omega = pump.omega_laser
     basis = ground_basis(spec)
     for _ in range(100):
-        ka = random_direction(rng)
-        kb = random_direction(rng)
-        ea = polarization_basis(ka)[rng.integers(0, 2)]
-        eb = polarization_basis(kb)[rng.integers(0, 2)]
-        mode_a = mode_along(ka, ea)
-        mode_b = mode_along(kb, eb)
-        fin = basis[rng.integers(0, len(basis))]
-        ini = basis[rng.integers(0, len(basis))]
-        lhs = effective_coupling(spec, omega, mode_a, mode_b, fin, ini) * detuning(
-            spec, omega, ini.f
-        )
+        ka, kb = random_direction(rng), random_direction(rng)
+        la, lb = rng.integers(0, 2, size=2)
+        pump_a = PumpConfig(direction=ka, polarization=basis_of(ka)[la], omega_laser=omega)
+        pump_b = PumpConfig(direction=kb, polarization=basis_of(kb)[lb], omega_laser=omega)
+        i_fin, i_ini = rng.integers(0, len(basis), size=2)
+        fin, ini = basis[i_fin], basis[i_ini]
+        lhs = scattered(spec, pump_b, single(ini), ka)[la, i_fin] * detuning(spec, omega, ini.f)
         rhs = np.conj(
-            effective_coupling(spec, omega, mode_b, mode_a, ini, fin)
-            * detuning(spec, omega, fin.f)
+            scattered(spec, pump_a, single(fin), kb)[lb, i_ini] * detuning(spec, omega, fin.f)
         )
         assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(lhs))
 
 
-def test_coupling_tensor_selection_structure(spec, pump):
-    # every entry satisfies m_final = m_initial + q_in - q_out for some
-    # contributing q pair; for sigma+ out and pi in this pins m_f - m_i = -1
-    out1, out2 = detection_modes(np.array([0.0, 0.0, 1.0]))
-    tensor = coupling_tensor(spec, pump.omega_laser, out1, pump.mode())
-    assert tensor
-    for (fin, ini) in tensor:
-        assert fin[1] - ini[1] == -2
-    tensor2 = coupling_tensor(spec, pump.omega_laser, out2, pump.mode())
-    for (fin, ini) in tensor2:
-        assert fin[1] - ini[1] == 2
-
-
-def test_detuning_linearity(spec, pump):
+def test_detuning_linearity(spec):
     # doubling every detuning (laser offset and splittings together) exactly
-    # halves each coupling entry
-    from raman_pairs.atomic_model import AtomSpec
-
-    out1, _ = detection_modes(np.array([0.0, 0.0, 1.0]))
-    base_offset = pump.omega_laser - spec.resonance
-    doubled = AtomSpec(
-        name=spec.name,
-        nuclear_spin=spec.nuclear_spin,
-        ground_j=spec.ground_j,
-        excited_j=spec.excited_j,
-        ground_splittings=tuple((f, 2.0 * d) for f, d in spec.ground_splittings),
-        resonance=spec.resonance,
-        linewidth=spec.linewidth,
-        mass=spec.mass,
-    )
-    omega2 = spec.resonance + 2.0 * base_offset
-    t1 = coupling_tensor(spec, pump.omega_laser, out1, pump.mode())
-    t2 = coupling_tensor(doubled, omega2, out1, pump.mode())
-    assert set(t1) == set(t2)
-    for key in t1:
-        assert t2[key] == pytest.approx(0.5 * t1[key], rel=1e-12)
+    # halves G: the norms halve and the normalized amplitudes stay
+    rng = np.random.default_rng(19)
+    pump = random_pump(spec, rng)
+    phi0 = random_condensate(spec, rng)
+    doubled, pump2 = doubled_detunings(spec, pump)
+    directions = np.array([random_direction(rng) for _ in range(50)] + [Z, -Z, X])
+    one = pair_batch(spec, pump, phi0, directions)
+    two = pair_batch(doubled, pump2, phi0, directions)
+    assert (one.norms > 0.0).all()
+    np.testing.assert_allclose(two.norms, 0.5 * one.norms, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(two.amplitudes, one.amplitudes, rtol=0.0, atol=1e-12)
 
 
-def test_dropping_f2_excited_manifold_breaks_amplitudes(spec, pump):
+def test_dropping_f2_excited_manifold_breaks_amplitudes(spec, pump, phi0):
     # mutation check: the excited-manifold sum must include every allowed
-    # (F'', m''); removing the F''=2 contribution changes the sigma+ branch
-    from raman_pairs.atomic_model import dipole_matrix_element
+    # (F'', m''); summed by hand over all of them it gives the kernel's
+    # sigma+ amplitude, and without the F''=2 contribution it does not
+    e1, _ = basis_of(Z)
+    basis = ground_basis(spec)
+    ini, fin = ground_sublevel(1, 0), ground_sublevel(1, -1)
+    kernel = scattered(spec, pump, phi0, Z)[0, basis.index(fin)]
 
-    out1, _ = detection_modes(np.array([0.0, 0.0, 1.0]))
-    omega = pump.omega_laser
-    ini = ground_sublevel(1, 0)
-    fin = ground_sublevel(1, -1)
-    full = effective_coupling(spec, omega, out1, pump.mode(), fin, ini)
-
-    from raman_pairs.atomic_model import detuning
-
-    mutated = 0.0 + 0.0j
-    for fe in spec.excited_levels():
-        if fe.twice == 4:  # drop the F''=2 manifold
-            continue
-        for tme in range(-fe.twice, fe.twice + 1, 2):
-            e = excited_sublevel(fe, HalfInt(tme))
-            g_out = single_photon_coupling(spec, out1, e, fin)
-            g_in = single_photon_coupling(spec, pump.mode(), e, ini)
-            mutated += np.conj(g_out) * g_in / detuning(spec, omega, ini.f)
-    assert abs(full - mutated) > 1e-3 * abs(full)
-
-
-def test_singular_detuning_raises(spec, pump):
-    out1, _ = detection_modes(np.array([0.0, 0.0, 1.0]))
-    with pytest.raises(SingularDetuningError):
-        effective_coupling(
-            spec,
-            spec.resonance,
-            out1,
-            pump.mode(),
-            ground_sublevel(1, -1),
-            ground_sublevel(1, 0),
+    def g(e, ground, pol):
+        return sum(
+            np.vdot(spherical_component(q), pol) * dipole_matrix_element(spec, e, ground, q)
+            for q in (-1, 0, +1)
         )
+
+    def excited_sum(skip):
+        total = 0.0 + 0.0j
+        for fe in spec.excited_levels():
+            if fe.twice == skip:
+                continue
+            for tme in range(-fe.twice, fe.twice + 1, 2):
+                e = excited_sublevel(fe, HalfInt(tme))
+                total += np.conj(g(e, fin, e1)) * g(e, ini, pump.polarization)
+        return total / detuning(spec, pump.omega_laser, ini.f)
+
+    assert abs(excited_sum(skip=None) - kernel) <= 1e-12 * abs(kernel)
+    assert abs(excited_sum(skip=4) - kernel) > 1e-3 * abs(kernel)  # drop the F''=2 manifold
+
+
+def test_singular_detuning_raises(spec, pump, phi0):
+    resonant = replace(pump, omega_laser=spec.resonance)
+    with pytest.raises(SingularDetuningError), pytest.warns(UserWarning, match="off-resonant"):
+        pair_batch(spec, resonant, phi0, Z[np.newaxis], enforce_validity=False)
