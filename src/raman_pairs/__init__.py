@@ -29,7 +29,6 @@ from .entanglement_analysis import (
     SchmidtResult,
     concurrence_2x2,
     concurrence_after_filter,
-    conditional_overlap,
     entanglement_entropy,
     is_factorized,
     schmidt,
@@ -41,13 +40,10 @@ from .pair_state import (
     PairBatch,
     PairState,
     PumpConfig,
-    ScatteredSpinor,
     build_pair_state,
     pair_batch,
     pair_state_from_json,
     pair_state_to_json,
-    photon_frequency,
-    scattered_spinor,
     sodium_condensate,
     spectral_filter,
 )
@@ -71,13 +67,10 @@ __all__ = [
     "sodium",
     "PumpConfig",
     "CondensateSpinor",
-    "ScatteredSpinor",
     "Channel",
     "PairState",
     "PairBatch",
     "pair_batch",
-    "scattered_spinor",
-    "photon_frequency",
     "build_pair_state",
     "spectral_filter",
     "pair_state_to_json",
@@ -89,7 +82,6 @@ __all__ = [
     "concurrence_2x2",
     "concurrence_after_filter",
     "is_factorized",
-    "conditional_overlap",
     "correlation",
     "chsh",
     "optimize_chsh",

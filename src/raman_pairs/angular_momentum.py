@@ -50,10 +50,6 @@ class HalfInt:
         if not isinstance(self.twice, int):
             raise InputDomainError(f"doubled value must be an int, got {self.twice!r}")
 
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
     def __float__(self) -> float:
         return self.twice / 2.0
 

@@ -13,7 +13,8 @@ measure):
 * entropy: the Gram eigenvalues of all blocks are the squared Schmidt
   coefficients;
 * concurrence after filtering level F: ``2 sqrt(det) / tr`` of that block;
-* conditional overlap: ``|sum_F c| / sqrt(sum_F a * sum_F b)``.
+* branch overlap |<S_k1|S_k2>| (the scan's ``conditional_overlap``
+  measure): ``|sum_F c| / sqrt(sum_F a * sum_F b)``.
 
 These closed forms work on (N, 2, G) amplitude arrays, so a sphere scan
 evaluates a whole batch of directions at once and a single state is the
@@ -39,15 +40,7 @@ import numpy as np
 
 from .angular_momentum import halfint
 from .errors import EmptyStateError, InputDomainError, UndefinedOverlapError
-from .pair_state import (
-    Channel,
-    CondensateSpinor,
-    PairState,
-    PumpConfig,
-    _one_direction,
-    pair_batch,
-    warn_unresolved,
-)
+from .pair_state import Channel, PairState, warn_if_unresolved
 from .raman_coupling import sequential_sum
 
 __all__ = [
@@ -57,7 +50,6 @@ __all__ = [
     "concurrence_2x2",
     "concurrence_after_filter",
     "is_factorized",
-    "conditional_overlap",
     "branch_overlap",
     "BlockGrams",
     "block_index",
@@ -308,8 +300,7 @@ def concurrence_after_filter(state: PairState, f_select) -> float:
         raise EmptyStateError(
             f"the F={f} frequency channel carries zero probability; nothing to select"
         )
-    if any(f.twice in pair for pair in state.unresolved_channel_pairs):
-        warn_unresolved(f)
+    warn_if_unresolved(state, f)
     return value
 
 
@@ -323,7 +314,12 @@ def is_factorized(state: PairState, tol: float = 1e-10) -> bool:
     return len(coeffs) < 2 or coeffs[1] < tol
 
 
-def _overlap(grams: BlockGrams) -> float:
+def branch_overlap(state: PairState, grams: BlockGrams | None = None) -> float:
+    """|<S_k1|S_k2>| between the atomic spinors of an unfiltered state's branches.
+
+    ``grams`` is :func:`state_grams` of the state, if already computed.
+    """
+    grams = state_grams(state) if grams is None else grams
     value = float(branch_overlap_of_blocks(grams)[0])
     if math.isnan(value):
         raise UndefinedOverlapError(
@@ -331,34 +327,3 @@ def _overlap(grams: BlockGrams) -> float:
             "(the state factorizes)"
         )
     return value
-
-
-def branch_overlap(state: PairState, grams: BlockGrams | None = None) -> float:
-    """|<S_k1|S_k2>| between the atomic spinors of an unfiltered state's branches.
-
-    Bit for bit :func:`conditional_overlap` of the state's direction, without
-    rebuilding the state.
-    """
-    return _overlap(state_grams(state) if grams is None else grams)
-
-
-def conditional_overlap(
-    spec,
-    pump: PumpConfig,
-    phi0: CondensateSpinor,
-    k_hat: np.ndarray,
-    *,
-    validity_threshold: float = 100.0,
-    enforce_validity: bool = True,
-) -> float:
-    """|<S_k1|S_k2>| between the atomic spinors of the two photon branches."""
-    batch = pair_batch(
-        spec,
-        pump,
-        phi0,
-        _one_direction(k_hat),
-        validity_threshold=validity_threshold,
-        enforce_validity=enforce_validity,
-    )
-    index = block_index(tuple(f.twice for f in spec.ground_levels()))
-    return _overlap(block_grams(batch.amplitudes, index))

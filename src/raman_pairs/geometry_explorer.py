@@ -45,12 +45,12 @@ from .entanglement_analysis import (
 )
 from .errors import EmptyScanError, InputDomainError, PhysicsError
 from .pair_state import (
-    DEFAULT_CHANNEL_RESOLUTION,
     CondensateSpinor,
     PumpConfig,
     frequency_label,
     json_text,
     pair_batch,
+    unresolved_levels,
     warn_unresolved,
 )
 
@@ -161,7 +161,8 @@ def _chunks(spec, pump, phi0, resolution, measure, filter_f, name, kwargs) -> It
     sin_t, cos_t = (np.array([f(t) for t in theta.tolist()]) for f in (math.sin, math.cos))
     sin_p, cos_p = (np.array([f(p) for p in phi.tolist()]) for f in (math.sin, math.cos))
     levels = spec.ground_levels()
-    blocks = block_index(tuple(f.twice for f in levels))
+    doubled = tuple(f.twice for f in levels)
+    blocks = block_index(doubled)
     nodes = (n_theta + 1) * n_phi
     for start in range(0, nodes, _CHUNK):
         t, p = np.divmod(np.arange(start, min(start + _CHUNK, nodes)), n_phi)
@@ -177,12 +178,8 @@ def _chunks(spec, pump, phi0, resolution, measure, filter_f, name, kwargs) -> It
         elif measure == "concurrence_after_filter":
             level = levels.index(filter_f)
             values = filtered_concurrence_of_blocks(grams, level)
-            present = grams.weights.max(axis=1) > 0.0
-            gaps = np.abs(batch.omega - batch.omega[:, [level]])
-            gaps[:, level] = np.inf
-            close = present & (gaps < DEFAULT_CHANNEL_RESOLUTION)
-            if np.any(present[:, level] & close.any(axis=1)):
-                warn_unresolved(filter_f, stacklevel=3)
+            if unresolved_levels(batch.amplitudes, batch.omega, doubled)[:, level].any():
+                warn_unresolved(filter_f)
         else:
             values = branch_overlap_of_blocks(grams)
         weights = grams.weights.reshape(len(directions), -1)

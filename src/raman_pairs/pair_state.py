@@ -22,12 +22,18 @@ only relative phases are physical.  Spatial structure is carried solely as
 the recoil momentum label hbar(K - k).
 
 One kernel, :func:`pair_batch`, computes all of this as arrays for N
-directions at once; :func:`build_pair_state` and :func:`scattered_spinor`
-are its N = 1 case.  A :class:`PairState` keeps that row as it is: a (2, G)
-amplitude array over the sublevels of its final levels, block-diagonal by
-F, with one photon frequency per level.  Labels, the (photon x atom) matrix,
-channel probabilities and the JSON document are views of those arrays, and
-:func:`spectral_filter` reuses the kernel's normalization and phase rule.
+directions at once; :func:`build_pair_state` is its N = 1 case.  A
+:class:`PairState` keeps that row as it is: a (2, G) amplitude array over
+the sublevels of its final levels, block-diagonal by F, with one photon
+frequency per level (``omega``).  A branch's scattered spinor is the row
+``norms * phases * amplitudes[:, lambda-1]`` of the batch.  Labels, the
+(photon x atom) matrix, channel probabilities and the JSON document are
+views of those arrays, and :func:`spectral_filter` reuses the kernel's
+normalization and phase rule.
+
+Two channels whose frequencies lie closer than
+``DEFAULT_CHANNEL_RESOLUTION`` cannot be told apart by a filter:
+:func:`unresolved_levels` is that rule, for single states and scans alike.
 """
 
 from __future__ import annotations
@@ -38,11 +44,10 @@ import numbers
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from itertools import combinations
 
 import numpy as np
 
-from .angular_momentum import HalfIntLike, halfint
+from .angular_momentum import HalfInt, HalfIntLike, halfint
 from .atomic_model import AtomSpec, validity_check
 from .errors import (
     EmptyStateError,
@@ -61,15 +66,13 @@ from .raman_coupling import (
 __all__ = [
     "PumpConfig",
     "CondensateSpinor",
-    "ScatteredSpinor",
     "Channel",
     "PairState",
     "PairBatch",
     "pair_batch",
-    "scattered_spinor",
-    "photon_frequency",
     "build_pair_state",
     "spectral_filter",
+    "sodium_condensate",
     "pair_state_to_json",
     "pair_state_from_json",
     "json_text",
@@ -124,7 +127,9 @@ class CondensateSpinor:
     amplitudes: tuple[tuple[tuple[int, int], complex], ...]
 
     def __post_init__(self) -> None:
-        norm_sq = sum(abs(a) ** 2 for _, a in self.amplitudes)
+        # squares as products: a huge finite amplitude then makes inf, which
+        # fails the guard, where a float power would raise OverflowError
+        norm_sq = sum(a.real * a.real + a.imag * a.imag for _, a in self.amplitudes)
         if not abs(norm_sq - 1.0) <= _NORM_TOL:
             raise InputDomainError(
                 f"condensate spinor must be unit norm, got |.|^2 = {norm_sq!r}"
@@ -160,31 +165,6 @@ class CondensateSpinor:
 def sodium_condensate() -> CondensateSpinor:
     """The |F'=1, m'=0> condensate used in the sodium example."""
     return CondensateSpinor.single(1, 0)
-
-
-@dataclass(frozen=True, eq=False)
-class ScatteredSpinor:
-    """Normalized internal state of the scattered atom for one branch."""
-
-    amplitudes: tuple[tuple[tuple[int, int], complex], ...]
-    normalization: float
-
-    def __post_init__(self) -> None:
-        if not self.normalization >= 0:
-            raise InputDomainError("branch normalization must be non-negative")
-        if (self.normalization == 0.0) != (len(self.amplitudes) == 0):
-            raise InputDomainError("zero normalization must pair with an empty spinor")
-        if self.amplitudes:
-            norm_sq = sum(abs(a) ** 2 for _, a in self.amplitudes)
-            if not abs(norm_sq - 1.0) <= _NORM_TOL:
-                raise InputDomainError("scattered spinor must be unit norm")
-
-    @property
-    def is_empty(self) -> bool:
-        return self.normalization == 0.0
-
-    def as_dict(self) -> dict[tuple[int, int], complex]:
-        return dict(self.amplitudes)
 
 
 def frequency_label(omega: float) -> str:
@@ -425,7 +405,6 @@ class PairBatch:
     """
 
     directions: np.ndarray
-    polarizations: np.ndarray
     amplitudes: np.ndarray
     norms: np.ndarray
     phases: np.ndarray
@@ -471,7 +450,6 @@ def pair_batch(
 
     return PairBatch(
         directions=k,
-        polarizations=polarizations,
         amplitudes=amplitudes.reshape(n, 2, g),
         norms=np.sqrt(total_sq),
         phases=phases,
@@ -487,66 +465,39 @@ def _one_direction(k_hat: np.ndarray) -> np.ndarray:
     return k[np.newaxis]
 
 
-def scattered_spinor(
-    spec: AtomSpec,
-    pump: PumpConfig,
-    phi0: CondensateSpinor,
-    k_hat: np.ndarray,
-    lam: int,
-    *,
-    validity_threshold: float = 100.0,
-    enforce_validity: bool = True,
-) -> ScatteredSpinor:
-    """Internal state of the atom paired with a photon in branch ``lam``.
+def unresolved_levels(
+    amplitudes: np.ndarray, omega: np.ndarray, levels: tuple[int, ...]
+) -> np.ndarray:
+    """Pairs of levels whose photon channels no filter can separate, as an (N, nF, nF) mask.
 
-    Returns the empty-spinor sentinel (normalization 0) when every amplitude
-    vanishes by selection rules.
+    ``amplitudes`` (N, 2, G) and ``omega`` (N, nF) are rows of the kernel
+    over ``levels``.  Entry [n, i, j] is set where levels i != j both carry
+    amplitude and their frequencies differ by less than
+    ``DEFAULT_CHANNEL_RESOLUTION``.
     """
-    if lam not in (1, 2):
-        raise InputDomainError("polarization index must be 1 or 2")
-    batch = pair_batch(
-        spec,
-        pump,
-        phi0,
-        _one_direction(k_hat),
-        validity_threshold=validity_threshold,
-        enforce_validity=enforce_validity,
-    )
-    vec = batch.amplitudes[0, lam - 1] * batch.phases[0]
-    share = float(np.linalg.norm(vec))
-    if share == 0.0:
-        return ScatteredSpinor(amplitudes=(), normalization=0.0)
-    amps = tuple(
-        ((g.f.twice, g.m.twice), complex(v / share))
-        for g, v in zip(ground_basis(spec), vec)
-        if v != 0.0
-    )
-    return ScatteredSpinor(amplitudes=amps, normalization=share * float(batch.norms[0]))
+    rows, sublevels = np.nonzero(amplitudes.any(axis=1))
+    present = np.zeros(omega.shape, dtype=bool)
+    present[rows, _sublevels(levels)[0][sublevels]] = True
+    both = present[:, :, np.newaxis] & present[:, np.newaxis, :]
+    close = np.abs(omega[:, :, np.newaxis] - omega[:, np.newaxis, :]) < DEFAULT_CHANNEL_RESOLUTION
+    return both & close & ~np.eye(len(levels), dtype=bool)
 
 
-def photon_frequency(
-    spec: AtomSpec, pump: PumpConfig, k_hat: np.ndarray, f_final: HalfIntLike
-) -> float:
-    """Scattered photon frequency for a final ground level, with recoil.
-
-    The root of the recoil quadratic with the small, physical recoil shift;
-    a :class:`PhysicsError` if that root is not real and positive.
-    """
-    k = _one_direction(k_hat)
-    if not abs(np.linalg.norm(k) - 1.0) <= _GEOM_TOL:  # NaN fails too
-        raise InputDomainError("detection direction must be a unit vector")
-    spec.splitting(f_final)  # rejects a level the species does not have
-    index = spec.ground_levels().index(halfint(f_final))
-    return float(_photon_frequencies(spec, pump, k)[0, index])
-
-
-def warn_unresolved(f: HalfIntLike, stacklevel: int = 2) -> None:
-    """Warn that the selected level's channel overlaps a neighbor's."""
+def warn_unresolved(f: HalfIntLike) -> None:
+    """Warn, for the caller's caller's caller, that the selected level's
+    channel overlaps a neighbor's."""
     warnings.warn(
         f"selected channel F={halfint(f)} is not spectrally resolvable from its "
         f"neighbor at the configured resolution",
-        stacklevel=stacklevel + 1,
+        stacklevel=4,
     )
+
+
+def warn_if_unresolved(state: PairState, f: HalfInt) -> None:
+    """:func:`warn_unresolved`, for the caller's caller, if level ``f`` of
+    ``state`` is in one of its unresolved pairs."""
+    if any(f.twice in pair for pair in state.unresolved_channel_pairs):
+        warn_unresolved(f)
 
 
 def build_pair_state(
@@ -555,7 +506,6 @@ def build_pair_state(
     phi0: CondensateSpinor,
     k_hat: np.ndarray,
     *,
-    channel_resolution: float = DEFAULT_CHANNEL_RESOLUTION,
     validity_threshold: float = 100.0,
     enforce_validity: bool = True,
 ) -> PairState:
@@ -576,14 +526,8 @@ def build_pair_state(
 
     levels = tuple(f.twice for f in spec.ground_levels())
     omegas = batch.omega[0].tolist()
-    # A set, not np.unique: that lazily imports numpy.ma, which costs the
-    # first call of a process some 20 ms.
-    present = sorted(set(_sublevels(levels)[0][batch.amplitudes[0].any(axis=0)].tolist()))
-    unresolved = tuple(
-        (levels[a], levels[b])
-        for a, b in combinations(present, 2)
-        if abs(omegas[a] - omegas[b]) < channel_resolution
-    )
+    pairs = np.argwhere(unresolved_levels(batch.amplitudes, batch.omega, levels)[0]).tolist()
+    unresolved = tuple((levels[i], levels[j]) for i, j in pairs if i < j)
 
     # Reference photon wavevector: the elastic channel of the lowest ground
     # level.  Channel frequencies differ from it only at the 1e-9 level.
@@ -620,8 +564,7 @@ def spectral_filter(state: PairState, f_select: HalfIntLike) -> PairState:
         raise EmptyStateError(
             f"the F={f} frequency channel carries zero probability; nothing to select"
         )
-    if any(f.twice in pair for pair in state.unresolved_channel_pairs):
-        warn_unresolved(f)
+    warn_if_unresolved(state, f)
     return replace(state, amplitudes=amplitudes.reshape(2, -1))
 
 

@@ -10,8 +10,10 @@ from raman_pairs.pair_state import (
     PairState,
     PumpConfig,
     build_pair_state,
+    pair_batch,
     sodium_condensate,
 )
+from raman_pairs.raman_coupling import ground_basis
 
 TWO_PI = 2.0 * math.pi
 DETUNING_HZ = -10.0e9  # red detuned 10 GHz, far off resonance
@@ -106,6 +108,18 @@ def entries(state: PairState) -> dict:
         for c, atom in enumerate(atoms)
         if matrix[r, c] != 0.0
     }
+
+
+def kernel_branch(spec, pump, phi0, k_hat, lam, **options) -> tuple[dict, float]:
+    """Branch ``lam`` of the kernel's row for one direction: the scattered
+    amplitudes ``norms * phases * amplitudes[lam-1]``, normalized, as
+    {(2F, 2m): amplitude} over the nonzero entries, and their norm.  An
+    empty branch is an all-zero row, ({}, 0.0)."""
+    batch = pair_batch(spec, pump, phi0, np.asarray(k_hat)[np.newaxis], **options)
+    row = batch.norms[0] * batch.phases[0] * batch.amplitudes[0, lam - 1]
+    norm = float(np.linalg.norm(row))
+    labels = [(g.f.twice, g.m.twice) for g in ground_basis(spec)]
+    return {key: v / norm for key, v in zip(labels, row.tolist()) if v != 0.0}, norm
 
 
 _PLACEHOLDER_PUMP = PumpConfig(

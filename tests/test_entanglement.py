@@ -5,13 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from conftest import hand_state, random_condensate, random_direction, random_pump
+from conftest import (
+    hand_state,
+    kernel_branch,
+    random_condensate,
+    random_direction,
+    random_pump,
+)
 from oracles import oracle_entropy_bits, oracle_schmidt_sq
 from raman_pairs.entanglement_analysis import (
     branch_overlap,
     concurrence_2x2,
     concurrence_after_filter,
-    conditional_overlap,
     entanglement_entropy,
     is_factorized,
     schmidt,
@@ -341,11 +346,10 @@ def test_identical_branches_factorize(spec):
 
 
 def test_zero_branch_factorizes(spec, pump):
-    # sigma+ pump on |2,2>: the sigma- branch at z is the empty sentinel and
+    # sigma+ pump on |2,2>: the sigma- branch at z is an all-zero row and
     # the surviving branch is pure Rayleigh on one channel, so the state is
     # a product
     from raman_pairs.atomic_model import spherical_component
-    from raman_pairs.pair_state import scattered_spinor
 
     phi0 = CondensateSpinor.single(2, 2)
     pump_sigma = PumpConfig(
@@ -353,7 +357,7 @@ def test_zero_branch_factorizes(spec, pump):
         polarization=spherical_component(+1).copy(),
         omega_laser=pump.omega_laser,
     )
-    assert scattered_spinor(spec, pump_sigma, phi0, Z, 2).is_empty
+    assert kernel_branch(spec, pump_sigma, phi0, Z, 2) == ({}, 0.0)
     state = build_pair_state(spec, pump_sigma, phi0, Z)
     assert is_factorized(state)
 
@@ -381,7 +385,8 @@ def test_factorized_iff_low_entropy(spec):
 
 
 def test_overlap_on_axis_is_zero(spec, pump, phi0):
-    assert conditional_overlap(spec, pump, phi0, Z) == pytest.approx(0.0, abs=1e-12)
+    state = build_pair_state(spec, pump, phi0, Z)
+    assert branch_overlap(state) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_overlap_single_ray_is_one(spec, pump):
@@ -397,7 +402,7 @@ def test_overlap_single_ray_is_one(spec, pump):
         omega_laser=pump.omega_laser,
     )
     diagonal = np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0)
-    value = conditional_overlap(spec, pump_sigma, phi0, diagonal)
+    value = branch_overlap(build_pair_state(spec, pump_sigma, phi0, diagonal))
     assert value == pytest.approx(1.0, abs=1e-12)
 
 
@@ -407,26 +412,30 @@ def test_overlap_cauchy_schwarz(spec):
         pump = random_pump(spec, rng)
         phi0 = random_condensate(spec, rng)
         try:
-            value = conditional_overlap(spec, pump, phi0, random_direction(rng))
+            value = branch_overlap(build_pair_state(spec, pump, phi0, random_direction(rng)))
         except UndefinedOverlapError:
             continue
         assert -1e-12 <= value <= 1.0 + 1e-12
 
 
-def test_branch_overlap_of_state_equals_conditional_overlap(spec, pump):
+def test_branch_overlap_matches_oracle_branches(spec):
+    # the closed form on the state's F blocks against |<b1|b2>| / (|b1| |b2|)
+    # of the two branches the direct-summation oracle builds
+    from test_end_to_end_oracle import oracle_branches
+
     rng = np.random.default_rng(73)
     for _ in range(30):
         rpump = random_pump(spec, rng)
         phi0 = random_condensate(spec, rng)
         k = random_direction(rng)
         state = build_pair_state(spec, rpump, phi0, k)
-        assert branch_overlap(state) == conditional_overlap(spec, rpump, phi0, k)
-    state = build_pair_state(spec, pump, CondensateSpinor.single(2, 2), Z)
-    with pytest.raises(UndefinedOverlapError):
-        branch_overlap(state)
+        b1, b2 = oracle_branches(spec, rpump, phi0, k)
+        inner = sum(amp.conjugate() * b2.get(key, 0.0) for key, amp in b1.items())
+        n1, n2 = (math.sqrt(sum(abs(v) ** 2 for v in b.values())) for b in (b1, b2))
+        assert branch_overlap(state) == pytest.approx(abs(inner) / (n1 * n2), abs=1e-12)
 
 
 def test_overlap_undefined_for_zero_branch(spec, pump):
     phi0 = CondensateSpinor.single(2, 2)
     with pytest.raises(UndefinedOverlapError):
-        conditional_overlap(spec, pump, phi0, Z)
+        branch_overlap(build_pair_state(spec, pump, phi0, Z))

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,9 +16,10 @@ from oracles import oracle_scan_csv, scan_to_json_doc
 from raman_pairs import geometry_explorer
 from raman_pairs.angular_momentum import HalfInt
 from raman_pairs.atomic_model import AtomSpec, spherical_component
+from raman_pairs import pair_state
 from raman_pairs.entanglement_analysis import (
+    branch_overlap,
     concurrence_after_filter,
-    conditional_overlap,
     entanglement_entropy,
 )
 from raman_pairs.errors import (
@@ -133,7 +135,7 @@ def test_measures_match_single_direction_ops(spec, pump, phi0):
                     build_pair_state(spec, pump, phi0, direction), filter_f
                 )
             else:
-                want = conditional_overlap(spec, pump, phi0, direction)
+                want = branch_overlap(build_pair_state(spec, pump, phi0, direction))
             assert scan.measures[node] == want
 
 
@@ -197,7 +199,7 @@ def test_scan_nodes_equal_single_direction_calls(spec, pump):
                     elif measure == "concurrence_after_filter":
                         want = concurrence_after_filter(state, filter_f)
                     else:
-                        want = conditional_overlap(spec, rpump, rphi, direction)
+                        want = branch_overlap(state)
                 except (EmptyStateError, UndefinedOverlapError):
                     assert flagged and math.isnan(value)
                     continue
@@ -256,8 +258,11 @@ def test_argmax_value_is_a_python_float(spec, pump, phi0):
 
 def test_unresolved_filter_channel_warns(spec, pump, phi0, monkeypatch):
     # as spectral_filter does for one state: a 10 GHz resolution cannot
-    # separate the 1.77 GHz-split sodium channels
-    monkeypatch.setattr(geometry_explorer, "DEFAULT_CHANNEL_RESOLUTION", TWO_PI * 10.0e9)
+    # separate the 1.77 GHz-split sodium channels, and 1 MHz can
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scan_sphere(spec, pump, phi0, COARSE, "concurrence_after_filter", filter_f=1)
+    monkeypatch.setattr(pair_state, "DEFAULT_CHANNEL_RESOLUTION", TWO_PI * 10.0e9)
     with pytest.warns(UserWarning, match="not spectrally resolvable"):
         scan_sphere(spec, pump, phi0, COARSE, "concurrence_after_filter", filter_f=1)
 
