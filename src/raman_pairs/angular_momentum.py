@@ -1,11 +1,18 @@
 """Exact Clebsch-Gordan coefficients and Wigner 3-j / 6-j symbols.
 
 All quantum numbers are half-integers stored as doubled integers
-(:class:`HalfInt`), which keeps parity bookkeeping exact.  The symbols are
-evaluated from the Racah closed-form sums using arbitrary-precision integer
-arithmetic: every value is carried as ``sign * sqrt(p/q)`` with ``p/q`` a
-non-negative rational in lowest terms, and converted to float only at the
-boundary.  The Condon-Shortley phase convention is used throughout.
+(:class:`HalfInt`), which keeps parity bookkeeping exact.  The 3-j and 6-j
+symbols are evaluated from the Racah closed-form sums in plain Python
+integers: each series is summed over one common denominator, the product of
+each factorial's largest value over the summation range, and the squared
+symbol is then reduced to lowest terms once.  Clebsch-Gordan coefficients
+bridge to the 3-j symbol.  Every value is carried as ``sign * sqrt(p/q)``
+with ``p/q`` a non-negative rational in lowest terms, and converted to float
+only at the boundary.  The Condon-Shortley phase convention is used
+throughout.  The doubled-integer cores ``_clebsch_gordan_exact``,
+``_wigner_3j_exact`` and ``_wigner_6j_exact`` (the last two cached) are the
+one implementation; the public functions validate their arguments and call
+them.
 
 Selection-rule violations (triangle failures, non-conserved projections)
 return an exact zero rather than raising, so callers may sum over full
@@ -47,7 +54,7 @@ class HalfInt:
     twice: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.twice, int):
+        if not isinstance(self.twice, int) or isinstance(self.twice, bool):
             raise InputDomainError(f"doubled value must be an int, got {self.twice!r}")
 
     def __float__(self) -> float:
@@ -112,14 +119,12 @@ class CoupledValue:
 
     @classmethod
     def from_exact(cls, sign: int, radicand: Fraction) -> "CoupledValue":
-        if radicand < 0:
+        p, q = radicand.numerator, radicand.denominator
+        if p < 0:
             raise ValueError("radicand must be non-negative")
-        if sign == 0 or radicand == 0:
+        if sign == 0 or p == 0:
             return cls(0.0, 0, Fraction(0))
-        return cls(sign * math.sqrt(float(radicand)), sign, radicand)
-
-
-_ZERO = CoupledValue(0.0, 0, Fraction(0))
+        return cls(sign * math.sqrt(p / q), sign, radicand)
 
 
 def _check_jm_pair(j: HalfInt, m: HalfInt, label: str) -> None:
@@ -141,14 +146,18 @@ def triangle_ok(a: HalfIntLike, b: HalfIntLike, c: HalfIntLike) -> bool:
     return abs(ta - tb) <= tc <= ta + tb
 
 
-def _triangle_factor(ta: int, tb: int, tc: int) -> Fraction:
-    """Exact squared triangle coefficient (a+b-c)!(a-b+c)!(-a+b+c)!/(a+b+c+1)!."""
-    return Fraction(
+def _triangle_factor(ta: int, tb: int, tc: int) -> tuple[int, int]:
+    """Squared triangle coefficient (a+b-c)!(a-b+c)!(-a+b+c)!/(a+b+c+1)!
+    as an integer (numerator, denominator) pair."""
+    return (
         math.factorial((ta + tb - tc) // 2)
         * math.factorial((ta - tb + tc) // 2)
         * math.factorial((-ta + tb + tc) // 2),
         math.factorial((ta + tb + tc) // 2 + 1),
     )
+
+
+_EXACT_ZERO = (0, Fraction(0))
 
 
 @lru_cache(maxsize=200_000)
@@ -157,9 +166,9 @@ def _wigner_3j_exact(
 ) -> tuple[int, Fraction]:
     """(sign, radicand) of the 3-j symbol via the Racah sum; inputs doubled."""
     if tm1 + tm2 + tm3 != 0:
-        return 0, Fraction(0)
+        return _EXACT_ZERO
     if not (abs(tj1 - tj2) <= tj3 <= tj1 + tj2) or (tj1 + tj2 + tj3) % 2 != 0:
-        return 0, Fraction(0)
+        return _EXACT_ZERO
 
     # Summation bounds for t in the alternating series.
     t1 = (tj2 - tj3 - tm1) // 2
@@ -170,36 +179,39 @@ def _wigner_3j_exact(
     tmin = max(0, t1, t2)
     tmax = min(t3, t4, t5)
     if tmin > tmax:
-        return 0, Fraction(0)
+        return _EXACT_ZERO
 
-    series = Fraction(0)
+    # Each factorial in a term's denominator is largest at one end of the t
+    # range; the product of those largest values is a common denominator of
+    # every term, so each term is an exact integer quotient.
+    f = math.factorial
+    common = f(tmax) * f(tmax - t1) * f(tmax - t2) * f(t3 - tmin) * f(t4 - tmin) * f(t5 - tmin)
+    series = 0
     for t in range(tmin, tmax + 1):
-        denom = (
-            math.factorial(t)
-            * math.factorial(t - t1)
-            * math.factorial(t - t2)
-            * math.factorial(t3 - t)
-            * math.factorial(t4 - t)
-            * math.factorial(t5 - t)
-        )
-        series += Fraction(-1 if t % 2 else 1, denom)
+        term = common // (f(t) * f(t - t1) * f(t - t2) * f(t3 - t) * f(t4 - t) * f(t5 - t))
+        series += -term if t % 2 else term
     if series == 0:
-        return 0, Fraction(0)
+        return _EXACT_ZERO
 
-    radicand = (
-        series**2
-        * _triangle_factor(tj1, tj2, tj3)
-        * math.factorial((tj1 + tm1) // 2)
-        * math.factorial((tj1 - tm1) // 2)
-        * math.factorial((tj2 + tm2) // 2)
-        * math.factorial((tj2 - tm2) // 2)
-        * math.factorial((tj3 + tm3) // 2)
-        * math.factorial((tj3 - tm3) // 2)
-    )
+    num, den = _triangle_factor(tj1, tj2, tj3)
+    for tj, tm in ((tj1, tm1), (tj2, tm2), (tj3, tm3)):
+        num *= f((tj + tm) // 2) * f((tj - tm) // 2)
     # Global phase (-1)^(j1 - j2 - m3); the exponent is an integer here.
     phase = -1 if ((tj1 - tj2 - tm3) // 2) % 2 else 1
-    sign = phase * (1 if series > 0 else -1)
-    return sign, radicand
+    sign = phase if series > 0 else -phase
+    return sign, Fraction(series * series * num, common * common * den)
+
+
+def _clebsch_gordan_exact(
+    tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int
+) -> tuple[int, Fraction]:
+    """(sign, radicand) of <J M | j1 m1; j2 m2> through the 3-j bridge
+    ``(-1)^(j1-j2+M) sqrt(2J+1) (j1 j2 J; m1 m2 -M)``; inputs doubled."""
+    sign, radicand = _wigner_3j_exact(tj1, tj2, tj, tm1, tm2, -tm)
+    if sign == 0:
+        return _EXACT_ZERO
+    phase = -1 if ((tj1 - tj2 + tm) // 2) % 2 else 1
+    return phase * sign, radicand * (tj + 1)
 
 
 def wigner_3j(
@@ -216,10 +228,9 @@ def wigner_3j(
     _check_jm_pair(j1, m1, "j1/m1")
     _check_jm_pair(j2, m2, "j2/m2")
     _check_jm_pair(j3, m3, "j3/m3")
-    sign, radicand = _wigner_3j_exact(
-        j1.twice, j2.twice, j3.twice, m1.twice, m2.twice, m3.twice
+    return CoupledValue.from_exact(
+        *_wigner_3j_exact(j1.twice, j2.twice, j3.twice, m1.twice, m2.twice, m3.twice)
     )
-    return CoupledValue.from_exact(sign, radicand)
 
 
 def clebsch_gordan(
@@ -230,25 +241,16 @@ def clebsch_gordan(
     J: HalfIntLike,
     M: HalfIntLike,
 ) -> CoupledValue:
-    """Clebsch-Gordan coefficient <J M | j1 m1; j2 m2> (Condon-Shortley).
-
-    Computed from the 3-j symbol through the standard bridge
-    ``(-1)^(j1-j2+M) sqrt(2J+1) (j1 j2 J; m1 m2 -M)``.
-    """
+    """Clebsch-Gordan coefficient <J M | j1 m1; j2 m2> (Condon-Shortley),
+    computed from the 3-j symbol."""
     j1, j2, J = halfint(j1), halfint(j2), halfint(J)
     m1, m2, M = halfint(m1), halfint(m2), halfint(M)
     _check_jm_pair(j1, m1, "j1/m1")
     _check_jm_pair(j2, m2, "j2/m2")
     _check_jm_pair(J, M, "J/M")
-    if m1.twice + m2.twice != M.twice:
-        return _ZERO
-    sign3, radicand3 = _wigner_3j_exact(
-        j1.twice, j2.twice, J.twice, m1.twice, m2.twice, -M.twice
+    return CoupledValue.from_exact(
+        *_clebsch_gordan_exact(j1.twice, m1.twice, j2.twice, m2.twice, J.twice, M.twice)
     )
-    if sign3 == 0:
-        return _ZERO
-    phase = -1 if ((j1.twice - j2.twice + M.twice) // 2) % 2 else 1
-    return CoupledValue.from_exact(phase * sign3, radicand3 * (J.twice + 1))
 
 
 @lru_cache(maxsize=200_000)
@@ -264,7 +266,7 @@ def _wigner_6j_exact(
     )
     for ta, tb, tc in triads:
         if (ta + tb + tc) % 2 != 0 or not (abs(ta - tb) <= tc <= ta + tb):
-            return 0, Fraction(0)
+            return _EXACT_ZERO
 
     # Triad perimeters and opposite-pair sums, all integers.
     s1 = (tj1 + tj2 + tj3) // 2
@@ -278,32 +280,27 @@ def _wigner_6j_exact(
     tmin = max(s1, s2, s3, s4)
     tmax = min(p1, p2, p3)
     if tmin > tmax:
-        return 0, Fraction(0)
+        return _EXACT_ZERO
 
-    series = Fraction(0)
-    for t in range(tmin, tmax + 1):
-        num = math.factorial(t + 1)
-        denom = (
-            math.factorial(t - s1)
-            * math.factorial(t - s2)
-            * math.factorial(t - s3)
-            * math.factorial(t - s4)
-            * math.factorial(p1 - t)
-            * math.factorial(p2 - t)
-            * math.factorial(p3 - t)
-        )
-        series += Fraction(-num if t % 2 else num, denom)
-    if series == 0:
-        return 0, Fraction(0)
-
-    radicand = (
-        series**2
-        * _triangle_factor(tj1, tj2, tj3)
-        * _triangle_factor(tj1, tj5, tj6)
-        * _triangle_factor(tj4, tj2, tj6)
-        * _triangle_factor(tj4, tj5, tj3)
+    # One common denominator for the series, as in the 3-j sum.
+    f = math.factorial
+    common = (
+        f(tmax - s1) * f(tmax - s2) * f(tmax - s3) * f(tmax - s4)
+        * f(p1 - tmin) * f(p2 - tmin) * f(p3 - tmin)
     )
-    return (1 if series > 0 else -1), radicand
+    series = 0
+    for t in range(tmin, tmax + 1):
+        denom = f(t - s1) * f(t - s2) * f(t - s3) * f(t - s4) * f(p1 - t) * f(p2 - t) * f(p3 - t)
+        term = f(t + 1) * (common // denom)
+        series += -term if t % 2 else term
+    if series == 0:
+        return _EXACT_ZERO
+
+    num = den = 1
+    for triad in triads:
+        n, d = _triangle_factor(*triad)
+        num, den = num * n, den * d
+    return (1 if series > 0 else -1), Fraction(series * series * num, common * common * den)
 
 
 def wigner_6j(
@@ -323,5 +320,4 @@ def wigner_6j(
     for j in js:
         if j.twice < 0:
             raise InputDomainError(f"angular momenta must be non-negative, got {j}")
-    sign, radicand = _wigner_6j_exact(*(j.twice for j in js))
-    return CoupledValue.from_exact(sign, radicand)
+    return CoupledValue.from_exact(*_wigner_6j_exact(*(j.twice for j in js)))

@@ -23,6 +23,7 @@ Delta(F') = omega_L - omega_a + delta(F').
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Literal
@@ -273,38 +274,71 @@ _ATOM_KEYS = {
 }
 
 
+def finite_number(value, key: str) -> float:
+    """The float of a JSON number; strings, booleans, NaN and +-Infinity fail, naming ``key``."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise InputDomainError(f"'{key}' must be a finite number, got {value!r}")
+
+
 def load_atom_spec(path: str | Path) -> AtomSpec:
     """Load an :class:`AtomSpec` from its JSON file format.
 
     Frequencies are given in Hz in the file and converted to rad/s here.
-    The ``notes`` key is free-form provenance text and is ignored.
+    The ``doubled_*`` keys take JSON integers and the line constants and
+    splittings JSON numbers.  The ``notes`` key is free-form provenance text
+    and is ignored.
     """
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise InputDomainError(f"atom spec {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise InputDomainError(f"atom spec {path} must be a JSON object")
     unknown = set(raw) - _ATOM_KEYS
     if unknown:
         raise InputDomainError(f"unknown atom-spec key {sorted(unknown)[0]!r} in {path}")
     missing = _ATOM_KEYS - {"notes", "reduced_dipole"} - set(raw)
     if missing:
         raise InputDomainError(f"atom spec {path} missing key {sorted(missing)[0]!r}")
+
+    def doubled(key: str) -> HalfInt:
+        if isinstance(raw[key], int) and not isinstance(raw[key], bool):
+            return HalfInt(raw[key])
+        raise InputDomainError(f"'{key}' must be an integer, got {raw[key]!r}")
+
     try:
+        if not isinstance(raw["name"], str):
+            raise InputDomainError(f"'name' must be a string, got {raw['name']!r}")
+        hz = raw["ground_splittings_hz"]
+        if not isinstance(hz, dict) or not all(k.isdecimal() for k in hz):
+            raise InputDomainError("'ground_splittings_hz' must map doubled F' strings to numbers")
         splittings = tuple(
             sorted(
-                ((HalfInt(int(k)), TWO_PI * float(v)) for k, v in raw["ground_splittings_hz"].items()),
+                (
+                    (HalfInt(int(k)), TWO_PI * finite_number(v, f"ground_splittings_hz.{k}"))
+                    for k, v in hz.items()
+                ),
                 key=lambda item: item[0].twice,
             )
         )
         return AtomSpec(
-            name=str(raw["name"]),
-            nuclear_spin=HalfInt(int(raw["doubled_I"])),
-            ground_j=HalfInt(int(raw["doubled_ground_J"])),
-            excited_j=HalfInt(int(raw["doubled_excited_J"])),
+            name=raw["name"],
+            nuclear_spin=doubled("doubled_I"),
+            ground_j=doubled("doubled_ground_J"),
+            excited_j=doubled("doubled_excited_J"),
             ground_splittings=splittings,
-            resonance=TWO_PI * float(raw["resonance_hz"]),
-            linewidth=TWO_PI * float(raw["linewidth_hz"]),
-            mass=float(raw["mass_kg"]),
-            reduced_dipole=float(raw.get("reduced_dipole", 1.0)),
+            resonance=TWO_PI * finite_number(raw["resonance_hz"], "resonance_hz"),
+            linewidth=TWO_PI * finite_number(raw["linewidth_hz"], "linewidth_hz"),
+            mass=finite_number(raw["mass_kg"], "mass_kg"),
+            reduced_dipole=finite_number(raw.get("reduced_dipole", 1.0), "reduced_dipole"),
         )
     except (TypeError, ValueError) as exc:
         raise InputDomainError(f"malformed atom spec {path}: {exc}") from exc

@@ -23,8 +23,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .angular_momentum import HalfInt, clebsch_gordan, halfint, wigner_3j, wigner_6j
-from .atomic_model import AtomSpec, load_atom_spec
+from .angular_momentum import (
+    CoupledValue,
+    HalfInt,
+    _clebsch_gordan_exact,
+    _wigner_3j_exact,
+    _wigner_6j_exact,
+    halfint,
+)
+from .atomic_model import AtomSpec, finite_number, load_atom_spec
 from .bell_sim import GENERATOR_ID, chsh, events_to_csv, optimize_chsh, sample_events
 from .entanglement_analysis import branch_overlap, entanglement_entropy, schmidt, state_grams
 from .errors import (
@@ -83,31 +90,19 @@ def _io(flag: str, path, action):
         _fail_config(f"{flag} '{path}': {exc.strerror or exc}")
 
 
-def _as_number(value, path: str) -> float:
-    """The finite float of a JSON number; strings, booleans, NaN and +-Infinity fail."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer beyond the float range
-            number = math.inf
-        if math.isfinite(number):
-            return number
-    _fail_config(f"'{path}' must be a finite number, got {value!r}")
-
-
 def _as_complex(value, path: str) -> complex:
     if isinstance(value, list) and len(value) == 2:
-        return complex(_as_number(value[0], path), _as_number(value[1], path))
+        return complex(finite_number(value[0], path), finite_number(value[1], path))
     if isinstance(value, list):
         _fail_config(f"'{path}' must be a number or an [re, im] pair")
-    return complex(_as_number(value, path))
+    return complex(finite_number(value, path))
 
 
 def _as_unit_vector(value, path: str, complex_ok: bool) -> np.ndarray:
     """A 3-component list scaled to unit length."""
     if not isinstance(value, list) or len(value) != 3:
         _fail_config(f"'{path}' must be a 3-component list")
-    parse = _as_complex if complex_ok else _as_number
+    parse = _as_complex if complex_ok else finite_number
     vector = np.array([parse(v, path) for v in value])
     with np.errstate(all="ignore"):
         unit = vector / np.linalg.norm(vector)
@@ -175,9 +170,9 @@ class RunConfig:
                 if not isinstance(settings, list) or len(settings) != 4:
                     _fail_config("'chsh.settings_rad' must be a list of 4 angles")
                 self.chsh_settings = tuple(
-                    _as_number(x, "chsh.settings_rad") for x in settings
+                    finite_number(x, "chsh.settings_rad") for x in settings
                 )
-        self.validity_threshold = _as_number(
+        self.validity_threshold = finite_number(
             raw.get("validity_threshold", 100.0), "validity_threshold"
         )
         if self.validity_threshold < 0:
@@ -226,9 +221,9 @@ class RunConfig:
             return PumpConfig(
                 direction=direction,
                 polarization=polarization,
-                omega_laser=TWO_PI * _as_number(raw["laser_hz"], "pump.laser_hz"),
+                omega_laser=TWO_PI * finite_number(raw["laser_hz"], "pump.laser_hz"),
                 pump_amplitude=_as_complex(raw.get("amplitude", 1.0), "pump.amplitude"),
-                atom_number=_as_number(raw.get("atom_number", 1.0), "pump.atom_number"),
+                atom_number=finite_number(raw.get("atom_number", 1.0), "pump.atom_number"),
             )
         except InputDomainError as exc:
             _fail_config(f"invalid 'pump': {exc}")
@@ -376,7 +371,7 @@ def cmd_scan(args) -> int:
     if out is None:
         _fail_config("scan needs an output prefix: pass --output or set 'output.path'")
     resolution = math.radians(
-        _as_number(config.scan["resolution_deg"], "detection.scan.resolution_deg")
+        finite_number(config.scan["resolution_deg"], "detection.scan.resolution_deg")
     )
     filter_f = None
     if "filter_f" in config.scan:
@@ -486,30 +481,32 @@ def _tables_text(max_doubled_j: int) -> tuple[str, str, str]:
                             ):
                                 yield tj1, tj2, tj3, tj4, tj5, tj6
 
-    def table(header: list[str], symbol, indices) -> str:
+    def table(header: list[str], exact, indices) -> str:
+        """One CSV table of ``exact``, the doubled-integer core of a symbol,
+        over indices that are valid by construction."""
         buf = io.StringIO()
         buf.write(f"# tool=raman-pairs\n# version={__version__}\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header + ["value", "sign", "radicand_num", "radicand_den"])
         for index in indices:
-            value = symbol(*(HalfInt(t) for t in index))
+            sign, radicand = exact(*index)
+            value = CoupledValue.from_exact(sign, radicand).value
             writer.writerow(
-                list(index)
-                + [repr(value.value), value.sign, value.radicand.numerator, value.radicand.denominator]
+                list(index) + [repr(value), sign, radicand.numerator, radicand.denominator]
             )
         return buf.getvalue()
 
     cg = table(
         ["2j1", "2m1", "2j2", "2m2", "2J", "2M"],
-        clebsch_gordan,
+        _clebsch_gordan_exact,
         ((j1, m1, j2, m2, j, m1 + m2) for j1, j2, j, m1, m2 in couplings()),
     )
     w3j = table(
         ["2j1", "2j2", "2j3", "2m1", "2m2", "2m3"],
-        wigner_3j,
+        _wigner_3j_exact,
         ((j1, j2, j3, m1, m2, -(m1 + m2)) for j1, j2, j3, m1, m2 in couplings()),
     )
-    w6j = table(["2j1", "2j2", "2j3", "2j4", "2j5", "2j6"], wigner_6j, sixj_indices())
+    w6j = table(["2j1", "2j2", "2j3", "2j4", "2j5", "2j6"], _wigner_6j_exact, sixj_indices())
     return cg, w3j, w6j
 
 

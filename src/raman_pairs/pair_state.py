@@ -41,6 +41,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
@@ -306,7 +308,19 @@ def _require_valid(
     )
     if enforce:
         raise OffResonanceError(message)
-    warnings.warn(message, stacklevel=4)
+    _warn(message)
+
+
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def _warn(message: str) -> None:
+    """A ``UserWarning`` attributed to the first frame outside this package,
+    whichever public function, generator or CLI command led here."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
 
 
 @lru_cache(maxsize=32)
@@ -484,18 +498,16 @@ def unresolved_levels(
 
 
 def warn_unresolved(f: HalfIntLike) -> None:
-    """Warn, for the caller's caller's caller, that the selected level's
-    channel overlaps a neighbor's."""
-    warnings.warn(
+    """Warn that the selected level's channel overlaps a neighbor's."""
+    _warn(
         f"selected channel F={halfint(f)} is not spectrally resolvable from its "
-        f"neighbor at the configured resolution",
-        stacklevel=4,
+        f"neighbor at the configured resolution"
     )
 
 
 def warn_if_unresolved(state: PairState, f: HalfInt) -> None:
-    """:func:`warn_unresolved`, for the caller's caller, if level ``f`` of
-    ``state`` is in one of its unresolved pairs."""
+    """:func:`warn_unresolved` if level ``f`` of ``state`` is in one of its
+    unresolved pairs."""
     if any(f.twice in pair for pair in state.unresolved_channel_pairs):
         warn_unresolved(f)
 

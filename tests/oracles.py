@@ -8,6 +8,10 @@ package code:
 * ``oracle_3j`` bridges from ``oracle_cg`` (the inverse direction).
 * ``oracle_6j`` contracts four 3-j symbols over all magnetic quantum
   numbers, the defining sum (the package evaluates the closed Racah series).
+* ``oracle_3j_exact`` / ``oracle_6j_exact`` sum the same Racah series as
+  the package, but term by term in ``fractions.Fraction`` (the package sums
+  integers over one common denominator and reduces once); they pin the
+  exact ``(sign, radicand)`` forms, not the formulas.
 * ``oracle_dipole`` expands hyperfine states over |m_I, m_J> products,
   coupling the nuclear spin first, and applies the electronic Wigner-Eckart
   theorem directly (the package uses the 6-j decomposition).
@@ -96,6 +100,63 @@ def oracle_3j(tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int) -> flo
         return 0.0
     phase = -1.0 if ((tj1 - tj2 - tm3) // 2) % 2 else 1.0
     return phase * cg / math.sqrt(tj3 + 1.0)
+
+
+def _oracle_triangle(ta: int, tb: int, tc: int) -> Fraction:
+    return Fraction(
+        _fact((ta + tb - tc) // 2) * _fact((ta - tb + tc) // 2) * _fact((-ta + tb + tc) // 2),
+        _fact((ta + tb + tc) // 2 + 1),
+    )
+
+
+def oracle_3j_exact(
+    tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int
+) -> tuple[int, Fraction]:
+    """(sign, radicand) of the 3-j symbol, the Racah series summed in Fractions."""
+    if tm1 + tm2 + tm3 != 0:
+        return 0, Fraction(0)
+    if not (abs(tj1 - tj2) <= tj3 <= tj1 + tj2) or (tj1 + tj2 + tj3) % 2 != 0:
+        return 0, Fraction(0)
+    t1 = (tj2 - tj3 - tm1) // 2
+    t2 = (tj1 - tj3 + tm2) // 2
+    t3 = (tj1 + tj2 - tj3) // 2
+    t4 = (tj1 - tm1) // 2
+    t5 = (tj2 + tm2) // 2
+    series = Fraction(0)
+    for t in range(max(0, t1, t2), min(t3, t4, t5) + 1):
+        denom = (
+            _fact(t) * _fact(t - t1) * _fact(t - t2) * _fact(t3 - t) * _fact(t4 - t) * _fact(t5 - t)
+        )
+        series += Fraction(-1 if t % 2 else 1, denom)
+    if series == 0:
+        return 0, Fraction(0)
+    radicand = series**2 * _oracle_triangle(tj1, tj2, tj3)
+    for tj, tm in ((tj1, tm1), (tj2, tm2), (tj3, tm3)):
+        radicand *= _fact((tj + tm) // 2) * _fact((tj - tm) // 2)
+    phase = -1 if ((tj1 - tj2 - tm3) // 2) % 2 else 1
+    return phase * (1 if series > 0 else -1), radicand
+
+
+def oracle_6j_exact(
+    tj1: int, tj2: int, tj3: int, tj4: int, tj5: int, tj6: int
+) -> tuple[int, Fraction]:
+    """(sign, radicand) of the 6-j symbol, the Racah series summed in Fractions."""
+    triads = ((tj1, tj2, tj3), (tj1, tj5, tj6), (tj4, tj2, tj6), (tj4, tj5, tj3))
+    for ta, tb, tc in triads:
+        if (ta + tb + tc) % 2 != 0 or not (abs(ta - tb) <= tc <= ta + tb):
+            return 0, Fraction(0)
+    s = [(ta + tb + tc) // 2 for ta, tb, tc in triads]
+    p = [(tj1 + tj2 + tj4 + tj5) // 2, (tj2 + tj3 + tj5 + tj6) // 2, (tj3 + tj1 + tj6 + tj4) // 2]
+    series = Fraction(0)
+    for t in range(max(s), min(p) + 1):
+        denom = math.prod(_fact(t - si) for si in s) * math.prod(_fact(pk - t) for pk in p)
+        series += Fraction(-_fact(t + 1) if t % 2 else _fact(t + 1), denom)
+    if series == 0:
+        return 0, Fraction(0)
+    radicand = series**2
+    for triad in triads:
+        radicand *= _oracle_triangle(*triad)
+    return (1 if series > 0 else -1), radicand
 
 
 def oracle_6j(tj1: int, tj2: int, tj3: int, tj4: int, tj5: int, tj6: int) -> float:

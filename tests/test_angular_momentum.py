@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import oracle_3j, oracle_6j, oracle_cg
+from oracles import oracle_3j, oracle_3j_exact, oracle_6j, oracle_6j_exact, oracle_cg
+from raman_pairs import angular_momentum
 from raman_pairs.angular_momentum import (
     HalfInt,
     clebsch_gordan,
@@ -65,6 +66,16 @@ def test_halfint_rejects_floats_and_bad_fractions():
         halfint(Fraction(1, 3))
     with pytest.raises(InputDomainError):
         halfint("j")
+
+
+def test_halfint_rejects_bool():
+    # bool is an int subclass: HalfInt(True) would print "True/2" and
+    # compare and hash equal to HalfInt(1)
+    for flag in (True, False):
+        with pytest.raises(InputDomainError):
+            HalfInt(flag)
+        with pytest.raises(InputDomainError):
+            halfint(flag)
 
 
 # --- triangle rule ----------------------------------------------------------
@@ -302,3 +313,19 @@ def test_exact_form_radicand_is_reduced():
     value = clebsch_gordan("1/2", "1/2", "1/2", "-1/2", 1, 0)
     assert value.radicand == Fraction(1, 2)
     assert value.sign == 1
+
+
+def test_exact_forms_match_fraction_oracle():
+    # the integer Racah sums against the same series summed term by term in
+    # Fractions: equal reduced forms, so equal bits everywhere downstream
+    angular_momentum._wigner_3j_exact.cache_clear()
+    angular_momentum._wigner_6j_exact.cache_clear()
+    for tj1, tm1, tj2, tm2, tj, tm in iter_cg_grid():
+        args = (tj1, tj2, tj, tm1, tm2, -tm)
+        sign, radicand = angular_momentum._wigner_3j_exact(*args)
+        assert (sign, radicand) == oracle_3j_exact(*args)
+        assert math.gcd(radicand.numerator, radicand.denominator) == 1
+    for tjs in iter_6j_grid():
+        sign, radicand = angular_momentum._wigner_6j_exact(*tjs)
+        assert (sign, radicand) == oracle_6j_exact(*tjs)
+        assert math.gcd(radicand.numerator, radicand.denominator) == 1

@@ -464,6 +464,39 @@ def test_equal_ground_splittings_exit_2(state_config, capsys):
     assert "distinct splittings" in err and "F'=1: 0.0 rad/s, F'=2: 0.0 rad/s" in err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("doubled_I", 3.7),
+        ("doubled_I", "3"),
+        ("doubled_I", True),
+        ("doubled_excited_J", 3.0),
+        ("resonance_hz", "5.088487162e14"),
+        ("mass_kg", False),
+        ("ground_splittings_hz", {"2": 0.0, "4": "1.772e9"}),
+        ("ground_splittings_hz", [0.0, 1.772e9]),
+        ("name", ["sodium", 23]),
+    ],
+)
+def test_atom_spec_numbers_are_strict(state_config, capsys, key, value):
+    # int() and float() would read 3.7 and "3" as 3 and True as 1
+    spec = json.loads((DATA / "sodium.json").read_text())
+    spec[key] = value
+    (state_config.parent / "loose.json").write_text(json.dumps(spec))
+    edit_config(state_config, lambda raw: raw.update(atom_spec_path="loose.json"))
+    code, out, err = run(["state", "--config", str(state_config)], capsys)
+    assert code == 2 and out == ""
+    assert f"'{key}" in err
+
+
+def test_atom_spec_that_is_not_json_exits_2(state_config, capsys):
+    (state_config.parent / "broken.json").write_text('{"name": ')
+    edit_config(state_config, lambda raw: raw.update(atom_spec_path="broken.json"))
+    code, out, err = run(["state", "--config", str(state_config)], capsys)
+    assert code == 2 and out == ""
+    assert "broken.json" in err and "not valid JSON" in err
+
+
 def test_huge_condensate_amplitude_exits_2(state_config, capsys):
     # finite, but its square overflows the float range
     edit_config(state_config, lambda c: c["condensate"].__setitem__("amplitudes", {"2:0": [1e200, 0.0]}))
@@ -664,6 +697,16 @@ def test_tables_pinned_bytes(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "7f6f0fa71995f09069af13561a6a013696a556ba6c5d2723a52f883f0cfcf74c"
+    )
+
+
+def test_tables_pinned_bytes_at_the_cap(capsys):
+    # the largest table the CLI allows, recorded while every symbol was
+    # still summed in fractions.Fraction
+    code, out, _ = run(["tables", "--max-doubled-j", "12"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "35b25b901c59564ad91f42671733711112660eef2a568c76315e1e5096dad2d8"
     )
 
 

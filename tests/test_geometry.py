@@ -7,6 +7,7 @@ import math
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -265,6 +266,34 @@ def test_unresolved_filter_channel_warns(spec, pump, phi0, monkeypatch):
     monkeypatch.setattr(pair_state, "DEFAULT_CHANNEL_RESOLUTION", TWO_PI * 10.0e9)
     with pytest.warns(UserWarning, match="not spectrally resolvable"):
         scan_sphere(spec, pump, phi0, COARSE, "concurrence_after_filter", filter_f=1)
+
+
+def test_unresolved_scan_warning_names_the_caller(spec, pump, phi0, tmp_path, monkeypatch):
+    # the scan's warning is raised inside a generator that the package's own
+    # consumers drive; it must point past them at the calling code
+    from raman_pairs import cli
+
+    config = json.loads((Path(cli.__file__).parent / "data" / "sodium_scan.json").read_text())
+    config["detection"]["scan"]["resolution_deg"] = 30.0
+    (tmp_path / "scan.json").write_text(json.dumps(config))
+    monkeypatch.setattr(pair_state, "DEFAULT_CHANNEL_RESOLUTION", TWO_PI * 10.0e9)
+    options = {"filter_f": 1}
+    calls = [
+        lambda: scan_sphere(spec, pump, phi0, COARSE, "concurrence_after_filter", **options),
+        lambda: write_scan(
+            scan_chunks(spec, pump, phi0, COARSE, "concurrence_after_filter", **options),
+            tmp_path / "chunks",
+        ),
+        lambda: cli.main(
+            ["scan", "--config", str(tmp_path / "scan.json"), "--output", str(tmp_path / "cli")]
+        ),
+    ]
+    for call in calls:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        resolvable = [w for w in caught if "not spectrally resolvable" in str(w.message)]
+        assert resolvable and {w.filename for w in resolvable} == {__file__}
 
 
 def test_flagged_nodes_for_undefined_overlap(spec, pump):
