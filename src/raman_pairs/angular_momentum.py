@@ -8,11 +8,17 @@ each factorial's largest value over the summation range, and the squared
 symbol is then reduced to lowest terms once.  Clebsch-Gordan coefficients
 bridge to the 3-j symbol.  Every value is carried as ``sign * sqrt(p/q)``
 with ``p/q`` a non-negative rational in lowest terms, and converted to float
-only at the boundary.  The Condon-Shortley phase convention is used
-throughout.  The doubled-integer cores ``_clebsch_gordan_exact``,
-``_wigner_3j_exact`` and ``_wigner_6j_exact`` (the last two cached) are the
-one implementation; the public functions validate their arguments and call
-them.
+only at the boundary (``_signed_sqrt``).  The Condon-Shortley phase
+convention is used throughout.  The doubled-integer cores
+``_clebsch_gordan_exact``, ``_wigner_3j_exact`` and ``_wigner_6j_exact`` are
+the one implementation; the public functions validate their arguments and
+call them.
+
+One Racah sum per symmetry class: ``_wigner_3j_exact`` and
+``_wigner_6j_exact`` map their arguments to the canonical member of the
+symbol's class under the classical symmetries (12 for the 3-j, 24 for the
+6-j) and call the cached class cores ``_racah_3j`` and ``_racah_6j``, so
+every other member of a class is a cache hit with its sign fixed.
 
 Selection-rule violations (triangle failures, non-conserved projections)
 return an exact zero rather than raising, so callers may sum over full
@@ -124,7 +130,12 @@ class CoupledValue:
             raise ValueError("radicand must be non-negative")
         if sign == 0 or p == 0:
             return cls(0.0, 0, Fraction(0))
-        return cls(sign * math.sqrt(p / q), sign, radicand)
+        return cls(_signed_sqrt(sign, p, q), sign, radicand)
+
+
+def _signed_sqrt(sign: int, p: int, q: int) -> float:
+    """The float of ``sign * sqrt(p/q)``; +0.0 for an exact zero."""
+    return sign * math.sqrt(p / q) if sign and p else 0.0
 
 
 def _check_jm_pair(j: HalfInt, m: HalfInt, label: str) -> None:
@@ -160,11 +171,47 @@ def _triangle_factor(ta: int, tb: int, tc: int) -> tuple[int, int]:
 _EXACT_ZERO = (0, Fraction(0))
 
 
-@lru_cache(maxsize=200_000)
+def _descending(a: tuple, b: tuple, c: tuple) -> tuple[tuple, tuple, tuple, bool]:
+    """``a, b, c`` in descending order, and whether that is an odd permutation."""
+    odd = False
+    if a < b:
+        a, b, odd = b, a, True
+    if b < c:
+        b, c, odd = c, b, not odd
+    if a < b:
+        a, b, odd = b, a, not odd
+    return a, b, c, odd
+
+
 def _wigner_3j_exact(
     tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int
 ) -> tuple[int, Fraction]:
-    """(sign, radicand) of the 3-j symbol via the Racah sum; inputs doubled."""
+    """(sign, radicand) of the 3-j symbol; inputs doubled.
+
+    Evaluated at the canonical member of its class: the (j, m) columns in
+    descending order, and the larger of the m and -m images.  An odd column
+    permutation and the m reversal each multiply the symbol by
+    (-1)^(j1+j2+j3).  Where two images coincide the symbol is zero unless
+    that phase is +1, so ties need no rule.
+    """
+    a, b, c, odd = _descending((tj1, tm1), (tj2, tm2), (tj3, tm3))
+    ra, rb, rc, odd_reversed = _descending((tj1, -tm1), (tj2, -tm2), (tj3, -tm3))
+    if (ra, rb, rc) > (a, b, c):
+        a, b, c, odd = ra, rb, rc, not odd_reversed
+    sign, radicand = _racah_3j(a[0], b[0], c[0], a[1], b[1], c[1])
+    # (tj1 + tj2 + tj3) / 2 is odd; an odd doubled sum gives a zero symbol
+    if odd and (tj1 + tj2 + tj3) & 2:
+        return -sign, radicand
+    return sign, radicand
+
+
+@lru_cache(maxsize=200_000)
+def _racah_3j(
+    tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int
+) -> tuple[int, Fraction]:
+    """(sign, radicand) of the 3-j symbol via the Racah sum; inputs doubled.
+    Cached per symmetry class: ``_wigner_3j_exact`` calls it only at
+    canonical arguments."""
     if tm1 + tm2 + tm3 != 0:
         return _EXACT_ZERO
     if not (abs(tj1 - tj2) <= tj3 <= tj1 + tj2) or (tj1 + tj2 + tj3) % 2 != 0:
@@ -253,11 +300,44 @@ def clebsch_gordan(
     )
 
 
-@lru_cache(maxsize=200_000)
 def _wigner_6j_exact(
     tj1: int, tj2: int, tj3: int, tj4: int, tj5: int, tj6: int
 ) -> tuple[int, Fraction]:
-    """(sign, radicand) of the 6-j symbol via the Racah sum; inputs doubled."""
+    """(sign, radicand) of the 6-j symbol {j1 j2 j3; j4 j5 j6}; inputs doubled.
+
+    The symbol is unchanged by any column permutation and by exchanging
+    upper and lower in any two columns.  Evaluated at the canonical member
+    of its class: each column as (max, min) and the columns in descending
+    order.  When every column has two different entries and an odd number
+    of them had upper < lower, one exchange is left over and the last
+    column is reversed; a column with equal entries absorbs it.
+    """
+    odd = free = False
+    if tj1 < tj4:
+        tj1, tj4, odd = tj4, tj1, True
+    elif tj1 == tj4:
+        free = True
+    if tj2 < tj5:
+        tj2, tj5, odd = tj5, tj2, not odd
+    elif tj2 == tj5:
+        free = True
+    if tj3 < tj6:
+        tj3, tj6, odd = tj6, tj3, not odd
+    elif tj3 == tj6:
+        free = True
+    a, b, c, _ = _descending((tj1, tj4), (tj2, tj5), (tj3, tj6))
+    if odd and not free:
+        return _racah_6j(a[0], b[0], c[1], a[1], b[1], c[0])
+    return _racah_6j(a[0], b[0], c[0], a[1], b[1], c[1])
+
+
+@lru_cache(maxsize=200_000)
+def _racah_6j(
+    tj1: int, tj2: int, tj3: int, tj4: int, tj5: int, tj6: int
+) -> tuple[int, Fraction]:
+    """(sign, radicand) of the 6-j symbol via the Racah sum; inputs doubled.
+    Cached per symmetry class: ``_wigner_6j_exact`` calls it only at
+    canonical arguments."""
     triads = (
         (tj1, tj2, tj3),
         (tj1, tj5, tj6),

@@ -24,9 +24,9 @@ import numpy as np
 
 from . import __version__
 from .angular_momentum import (
-    CoupledValue,
     HalfInt,
     _clebsch_gordan_exact,
+    _signed_sqrt,
     _wigner_3j_exact,
     _wigner_6j_exact,
     halfint,
@@ -481,32 +481,29 @@ def _tables_text(max_doubled_j: int) -> tuple[str, str, str]:
                             ):
                                 yield tj1, tj2, tj3, tj4, tj5, tj6
 
-    def table(header: list[str], exact, indices) -> str:
+    def table(header: str, exact, indices) -> str:
         """One CSV table of ``exact``, the doubled-integer core of a symbol,
-        over indices that are valid by construction."""
+        over indices that are valid by construction; one text line a row."""
         buf = io.StringIO()
         buf.write(f"# tool=raman-pairs\n# version={__version__}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header + ["value", "sign", "radicand_num", "radicand_den"])
-        for index in indices:
-            sign, radicand = exact(*index)
-            value = CoupledValue.from_exact(sign, radicand).value
-            writer.writerow(
-                list(index) + [repr(value), sign, radicand.numerator, radicand.denominator]
-            )
+        buf.write(f"{header},value,sign,radicand_num,radicand_den\n")
+        for a, b, c, d, e, f in indices:
+            sign, radicand = exact(a, b, c, d, e, f)
+            p, q = radicand.numerator, radicand.denominator
+            buf.write(f"{a},{b},{c},{d},{e},{f},{_signed_sqrt(sign, p, q)!r},{sign},{p},{q}\n")
         return buf.getvalue()
 
     cg = table(
-        ["2j1", "2m1", "2j2", "2m2", "2J", "2M"],
+        "2j1,2m1,2j2,2m2,2J,2M",
         _clebsch_gordan_exact,
         ((j1, m1, j2, m2, j, m1 + m2) for j1, j2, j, m1, m2 in couplings()),
     )
     w3j = table(
-        ["2j1", "2j2", "2j3", "2m1", "2m2", "2m3"],
+        "2j1,2j2,2j3,2m1,2m2,2m3",
         _wigner_3j_exact,
         ((j1, j2, j3, m1, m2, -(m1 + m2)) for j1, j2, j3, m1, m2 in couplings()),
     )
-    w6j = table(["2j1", "2j2", "2j3", "2j4", "2j5", "2j6"], _wigner_6j_exact, sixj_indices())
+    w6j = table("2j1,2j2,2j3,2j4,2j5,2j6", _wigner_6j_exact, sixj_indices())
     return cg, w3j, w6j
 
 
@@ -518,10 +515,26 @@ def cmd_tables(args) -> int:
         )
     cg, w3j, w6j = _tables_text(n)
     if args.output:
+        # all three files or none: each is written under a temporary sibling
+        # name, and the names are swapped in only when all are written
         prefix = Path(args.output)
-        for suffix, text in (("cg", cg), ("3j", w3j), ("6j", w6j)):
-            path = prefix.parent / f"{prefix.name}_{suffix}.csv"
-            _io("--output", path, lambda p: p.write_text(text, encoding="utf-8"))
+        paths = [prefix.parent / f"{prefix.name}_{suffix}.csv" for suffix in ("cg", "3j", "6j")]
+        temps = [path.with_name(path.name + ".tmp") for path in paths]
+        try:
+            for path, temp, text in zip(paths, temps, (cg, w3j, w6j)):
+                _io("--output", path, lambda _: temp.write_text(text, encoding="utf-8"))
+            # a directory in the way fails only at its rename, after the
+            # earlier names were swapped in: refuse it before any rename
+            for path in paths:
+                if path.is_dir():
+                    _fail_config(f"--output '{path}': Is a directory")
+            for path, temp in zip(paths, temps):
+                _io("--output", path, lambda p: temp.replace(p))
+        except BaseException:
+            for temp in temps:
+                temp.unlink(missing_ok=True)
+            raise
+        for path in paths:
             sys.stdout.write(f"wrote {path}\n")
     else:
         sys.stdout.write(cg)

@@ -12,6 +12,9 @@ package code:
   the package, but term by term in ``fractions.Fraction`` (the package sums
   integers over one common denominator and reduces once); they pin the
   exact ``(sign, radicand)`` forms, not the formulas.
+* ``oracle_3j_classes`` / ``oracle_6j_classes`` count symmetry classes by
+  enumerating every image of every argument tuple and collecting the
+  orbits (the package maps each tuple to one canonical member).
 * ``oracle_dipole`` expands hyperfine states over |m_I, m_J> products,
   coupling the nuclear spin first, and applies the electronic Wigner-Eckart
   theorem directly (the package uses the 6-j decomposition).
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -157,6 +161,39 @@ def oracle_6j_exact(
     for triad in triads:
         radicand *= _oracle_triangle(*triad)
     return (1 if series > 0 else -1), radicand
+
+
+def oracle_3j_classes(rows) -> int:
+    """Number of classes among 3-j argument tuples (2j1, 2j2, 2j3, 2m1, 2m2,
+    2m3) under the 12 classical symmetries: each orbit is every column
+    permutation of the tuple and of its m-reversed image."""
+    orbits = set()
+    for tj1, tj2, tj3, tm1, tm2, tm3 in rows:
+        orbits.add(
+            frozenset(
+                image
+                for ms in ((tm1, tm2, tm3), (-tm1, -tm2, -tm3))
+                for image in itertools.permutations(zip((tj1, tj2, tj3), ms))
+            )
+        )
+    return len(orbits)
+
+
+def oracle_6j_classes(rows) -> int:
+    """Number of classes among 6-j argument tuples {2j1 2j2 2j3; 2j4 2j5 2j6}
+    under the 24 classical symmetries: each orbit is every column
+    permutation, with upper and lower exchanged in no column or in two."""
+    orbits = set()
+    for tj1, tj2, tj3, tj4, tj5, tj6 in rows:
+        columns = ((tj1, tj4), (tj2, tj5), (tj3, tj6))
+        orbits.add(
+            frozenset(
+                tuple(column[::-1] if flip else column for column, flip in zip(perm, flips))
+                for perm in itertools.permutations(columns)
+                for flips in ((0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1))
+            )
+        )
+    return len(orbits)
 
 
 def oracle_6j(tj1: int, tj2: int, tj3: int, tj4: int, tj5: int, tj6: int) -> float:

@@ -317,9 +317,11 @@ def test_exact_form_radicand_is_reduced():
 
 def test_exact_forms_match_fraction_oracle():
     # the integer Racah sums against the same series summed term by term in
-    # Fractions: equal reduced forms, so equal bits everywhere downstream
-    angular_momentum._wigner_3j_exact.cache_clear()
-    angular_momentum._wigner_6j_exact.cache_clear()
+    # Fractions: equal reduced forms, so equal bits everywhere downstream.
+    # With the class caches cleared, the first symbol of each symmetry class
+    # is summed and every later image is a sign-fixed cache hit.
+    angular_momentum._racah_3j.cache_clear()
+    angular_momentum._racah_6j.cache_clear()
     for tj1, tm1, tj2, tm2, tj, tm in iter_cg_grid():
         args = (tj1, tj2, tj, tm1, tm2, -tm)
         sign, radicand = angular_momentum._wigner_3j_exact(*args)

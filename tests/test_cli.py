@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import raman_pairs
+from oracles import oracle_3j_classes, oracle_6j_classes
+from raman_pairs import angular_momentum
 from raman_pairs.cli import main
 
 DATA = Path(raman_pairs.__file__).parent / "data"
@@ -708,6 +710,34 @@ def test_tables_pinned_bytes_at_the_cap(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "35b25b901c59564ad91f42671733711112660eef2a568c76315e1e5096dad2d8"
     )
+
+
+def test_tables_sum_one_symbol_per_symmetry_class(tmp_path, capsys):
+    # each 3-j and 6-j class is summed once, and its other members are
+    # cache hits: as many cache entries as independently counted orbits
+    angular_momentum._racah_3j.cache_clear()
+    angular_momentum._racah_6j.cache_clear()
+    assert main(["tables", "--max-doubled-j", "6", "--output", str(tmp_path / "t")]) == 0
+    capsys.readouterr()
+
+    def rows(suffix):
+        lines = (tmp_path / f"t_{suffix}.csv").read_text().splitlines()
+        return [tuple(int(x) for x in line.split(",")[:6]) for line in lines[3:]]
+
+    classes_3j, classes_6j = oracle_3j_classes(rows("3j")), oracle_6j_classes(rows("6j"))
+    assert (classes_3j, classes_6j) == (155, 270)
+    assert angular_momentum._racah_3j.cache_info().currsize == classes_3j
+    assert angular_momentum._racah_6j.cache_info().currsize == classes_6j
+
+
+def test_tables_output_writes_all_files_or_none(tmp_path, capsys):
+    # a directory in the way of the second file: nothing is written
+    (tmp_path / "t_3j.csv").mkdir()
+    code, out, err = run(["tables", "--max-doubled-j", "2", "--output", str(tmp_path / "t")], capsys)
+    assert code == 2 and out == ""
+    assert f"--output '{tmp_path / 't_3j.csv'}'" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t_3j.csv"]
+    assert not any((tmp_path / "t_3j.csv").iterdir())
 
 
 def test_tables_cap_exceeded_exits_2(capsys):
