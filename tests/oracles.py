@@ -22,6 +22,9 @@ package code:
   (the package solves each F block's 2 x 2 Gram eigenproblem in closed form).
 * ``oracle_correlation`` enumerates projective outcome probabilities
   (the package contracts a Pauli correlation matrix).
+* ``wigner_d`` evaluates Wigner's closed formula for the rotation matrix
+  D^j (the package never rotates a state; the rotation-covariance test uses
+  it to rotate the condensate).
 * ``scan_to_json_doc`` / ``oracle_scan_csv`` build a scan's whole document
   as Python objects and serialize it with ``json.dumps`` and the ``csv``
   module (the package streams text templates chunk by chunk).
@@ -31,6 +34,7 @@ All angular-momentum arguments are doubled integers.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 import itertools
@@ -367,6 +371,31 @@ def oracle_chsh(matrix: np.ndarray, a: float, ap: float, b: float, bp: float) ->
         + oracle_correlation(matrix, ap, b)
         + oracle_correlation(matrix, ap, bp)
     )
+
+
+def wigner_d(tj: int, tm1: int, tm2: int, alpha: float, beta: float, gamma: float) -> complex:
+    """D^j_{m1 m2}(alpha, beta, gamma) = exp(-i m1 alpha) d^j_{m1 m2}(beta) exp(-i m2 gamma).
+
+    The matrix of the active rotation R_z(alpha) R_y(beta) R_z(gamma) on
+    |j m>, so that U|j m2> = sum_m1 |j m1> D_{m1 m2}.  d^j is Wigner's closed
+    formula, its factorial coefficients in exact integers:
+
+        d_{m1 m2} = sum_k (-1)^(m1-m2+k) sqrt((j+m1)! (j-m1)! (j+m2)! (j-m2)!)
+                    / ((j+m2-k)! k! (m1-m2+k)! (j-m1-k)!)
+                    cos(beta/2)^(2j+m2-m1-2k) sin(beta/2)^(m1-m2+2k)
+    """
+    jp1, jm1 = (tj + tm1) // 2, (tj - tm1) // 2
+    jp2, jm2 = (tj + tm2) // 2, (tj - tm2) // 2
+    dm = (tm1 - tm2) // 2
+    root = math.sqrt(_fact(jp1) * _fact(jm1) * _fact(jp2) * _fact(jm2))
+    c, s = math.cos(beta / 2.0), math.sin(beta / 2.0)
+    d = 0.0
+    for k in range(max(0, -dm), min(jp2, jm1) + 1):
+        coefficient = Fraction(
+            (-1) ** ((dm + k) % 2), _fact(jp2 - k) * _fact(k) * _fact(dm + k) * _fact(jm1 - k)
+        )
+        d += float(coefficient) * c ** (tj - dm - 2 * k) * s ** (dm + 2 * k)
+    return cmath.exp(-0.5j * (tm1 * alpha + tm2 * gamma)) * root * d
 
 
 def scan_to_json_doc(scan) -> dict:
