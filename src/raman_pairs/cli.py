@@ -41,7 +41,9 @@ from .errors import (
     UndefinedOverlapError,
 )
 from .geometry_explorer import (
+    FLAG_REASONS,
     MEASURES,
+    _all_or_none,
     argmax_direction,
     scan_chunks,
     write_scan,
@@ -87,6 +89,8 @@ def _io(flag: str, path, action):
     try:
         return action(path)
     except OSError as exc:
+        if isinstance(exc, IsADirectoryError) and exc.filename:
+            path = exc.filename  # the directory in the way, which may be a sibling of path
         _fail_config(f"{flag} '{path}': {exc.strerror or exc}")
 
 
@@ -397,6 +401,7 @@ def cmd_scan(args) -> int:
         f"{files.json_path}\n"
         f"argmax direction ({direction[0]:+.6f}, {direction[1]:+.6f}, "
         f"{direction[2]:+.6f}) value {value!r}\n"
+        f"flagged nodes: {', '.join(f'{r} {files.flag_counts[r]}' for r in FLAG_REASONS)}\n"
     )
     return 0
 
@@ -515,25 +520,15 @@ def cmd_tables(args) -> int:
         )
     cg, w3j, w6j = _tables_text(n)
     if args.output:
-        # all three files or none: each is written under a temporary sibling
-        # name, and the names are swapped in only when all are written
         prefix = Path(args.output)
         paths = [prefix.parent / f"{prefix.name}_{suffix}.csv" for suffix in ("cg", "3j", "6j")]
-        temps = [path.with_name(path.name + ".tmp") for path in paths]
-        try:
-            for path, temp, text in zip(paths, temps, (cg, w3j, w6j)):
-                _io("--output", path, lambda _: temp.write_text(text, encoding="utf-8"))
-            # a directory in the way fails only at its rename, after the
-            # earlier names were swapped in: refuse it before any rename
-            for path in paths:
-                if path.is_dir():
-                    _fail_config(f"--output '{path}': Is a directory")
-            for path, temp in zip(paths, temps):
-                _io("--output", path, lambda p: temp.replace(p))
-        except BaseException:
-            for temp in temps:
-                temp.unlink(missing_ok=True)
-            raise
+
+        def write_all(_) -> None:
+            with _all_or_none(paths) as temps:
+                for path, temp, text in zip(paths, temps, (cg, w3j, w6j)):
+                    _io("--output", path, lambda _: temp.write_text(text, encoding="utf-8"))
+
+        _io("--output", prefix, write_all)
         for path in paths:
             sys.stdout.write(f"wrote {path}\n")
     else:
@@ -556,13 +551,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"raman-pairs {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, config_required: bool = True) -> None:
-        if config_required:
-            p.add_argument("--config", required=True, help="run configuration JSON")
+    def add_common(p: argparse.ArgumentParser, formats: bool = True) -> None:
+        p.add_argument("--config", required=True, help="run configuration JSON")
         p.add_argument("--output", help="output path (default: stdout)")
-        p.add_argument(
-            "--format", choices=("json", "csv"), default=None, help="output format"
-        )
+        if formats:
+            p.add_argument("--format", choices=("json", "csv"), help="output format")
 
     p_state = sub.add_parser("state", help="build the pair state for one direction")
     add_common(p_state)
@@ -574,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_filter.set_defaults(func=cmd_filter)
 
     p_scan = sub.add_parser("scan", help="scan detection directions over the sphere")
-    add_common(p_scan)
+    add_common(p_scan, formats=False)  # a scan always writes both files
     p_scan.set_defaults(func=cmd_scan)
 
     p_chsh = sub.add_parser("chsh", help="CHSH correlations of a filtered state")

@@ -2,10 +2,9 @@
 
 The grid is an equiangular (theta, phi) lattice that contains both poles
 exactly, since the interesting optimum sits on the quantization axis and
-must not fall between nodes.  Directions where no scattering amplitude
-exists (or where the requested measure is undefined, e.g. a zero-weight
-filter channel) get a NaN measure and count as flagged rather than scored
-0: "no scattering" and "unentangled scattering" are different statements.
+must not fall between nodes.  A node whose measure does not exist gets a NaN
+measure and one of the :data:`FLAG_REASONS` rather than a score of 0: "no
+scattering" and "unentangled scattering" are different statements.
 
 A scan is serial.  It walks the grid in fixed-size chunks and evaluates
 each chunk with one call of the batched pair-state kernel
@@ -18,16 +17,18 @@ any chunk, and a scan equals its node-by-node single-direction results.
 :func:`scan_chunks` yields the scan as a stream of :class:`ScanMap` chunks
 that hold the kernel's arrays as columns, one row a node.  Two consumers
 read it: :func:`scan_sphere` concatenates the chunks into one map, and
-:func:`write_scan` writes each chunk's CSV rows and JSON nodes as soon as
-the chunk is evaluated, so writing a scan holds one chunk whatever the grid.
-The JSON goes through a per-node text template that lays the document out
-byte for byte as ``json.dumps(indent=2, sort_keys=True)`` does.
+:func:`write_scan` writes each chunk's rows as soon as the chunk is
+evaluated, so writing a scan holds one chunk whatever the grid.  One column
+list, :attr:`ScanMap.columns`, heads both files, and each node's numbers are
+formatted once into the strings of its CSV line and its JSON array.
 """
 
 from __future__ import annotations
 
+import errno
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -47,7 +48,6 @@ from .errors import EmptyScanError, InputDomainError, PhysicsError
 from .pair_state import (
     CondensateSpinor,
     PumpConfig,
-    frequency_label,
     json_text,
     pair_batch,
     unresolved_levels,
@@ -56,6 +56,7 @@ from .pair_state import (
 
 __all__ = [
     "MEASURES",
+    "FLAG_REASONS",
     "ScanFiles",
     "ScanMap",
     "scan_chunks",
@@ -66,10 +67,14 @@ __all__ = [
 ]
 
 MEASURES = ("entropy", "concurrence_after_filter", "conditional_overlap")
+# why a node is flagged; ScanMap.flag_reasons holds 1 + the index, 0 where scored
+FLAG_REASONS = ("no_scattering", "empty_filter_channel", "undefined_overlap")
+# the reason for a NaN measure at a node that scatters; an entropy is never NaN there
+_UNDEFINED = {"entropy": 0, "concurrence_after_filter": 2, "conditional_overlap": 3}
 MIN_RESOLUTION = math.pi / 1800.0
 MAX_RESOLUTION = math.pi / 6.0
 _CHUNK = 1024  # scan nodes per kernel call
-_COLUMNS = ("thetas", "phis", "directions", "measures", "channel_weights", "omega")
+_COLUMNS = ("thetas", "phis", "directions", "measures", "flag_reasons", "channel_weights", "omega")
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,48 +83,44 @@ class ScanMap:
 
     Node n lies at ``(thetas[n], phis[n])`` with unit vector ``directions[n]``
     and has ``measures[n]``, NaN where the node is flagged.
-    ``channel_weights[n, (lambda-1) * nF + i]`` is the probability of photon
-    channel (level i, lambda) and ``omega[n, i]`` the photon frequency of
-    level ``i`` of the species' ground levels.
+    ``flag_reasons[n]`` is 0 for a scored node and ``1 + i`` for reason
+    ``FLAG_REASONS[i]``.  ``levels`` holds the doubled F of the species'
+    ground levels; ``omega[n, i]`` is the photon frequency of level ``i``
+    and ``channel_weights[n, (lambda-1) * nF + i]`` the probability of
+    photon channel (level i, lambda).
     """
 
     thetas: np.ndarray
     phis: np.ndarray
     directions: np.ndarray
     measures: np.ndarray
+    flag_reasons: np.ndarray
     channel_weights: np.ndarray
     omega: np.ndarray
+    levels: tuple[int, ...]
     resolution: float
     measure_name: str
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for name in _COLUMNS:
-            column = np.asarray(getattr(self, name), dtype=float)
+            dtype = np.int8 if name == "flag_reasons" else float
+            column = np.asarray(getattr(self, name), dtype=dtype)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
 
     @property
     def flagged(self) -> np.ndarray:
-        return np.isnan(self.measures)
+        return self.flag_reasons > 0
 
-    def node_channels(self) -> list[tuple[tuple[str, float], ...]]:
-        """Each node's (channel key, probability) of its occupied channels in
-        (omega, lambda, F) order."""
-        # the flat channel index (lambda-1) * nF + i already runs in
-        # (lambda, 2F) order, so one stable sort by frequency finishes it
-        n_levels = self.omega.shape[1]
-        orders = np.argsort(np.tile(self.omega, 2), axis=1, kind="stable").tolist()
-        return [
-            tuple(
-                (f"{frequency_label(omega[c % n_levels])}:{c // n_levels + 1}", weights[c])
-                for c in order
-                if weights[c] > 0.0
-            )
-            for order, weights, omega in zip(
-                orders, self.channel_weights.tolist(), self.omega.tolist()
-            )
-        ]
+    @property
+    def columns(self) -> tuple[str, ...]:
+        """The name of each field of a node's row: the CSV header and the JSON ``"columns"``."""
+        return (
+            *("theta_rad", "phi_rad", "kx", "ky", "kz", "measure", "flag", "flag_reason"),
+            *(f"omega_hz_2F{tf}" for tf in self.levels),
+            *(f"p_2F{tf}_lambda{lam}" for lam in (1, 2) for tf in self.levels),
+        )
 
 
 def scan_chunks(
@@ -174,7 +175,7 @@ def _chunks(spec, pump, phi0, resolution, measure, filter_f, name, kwargs) -> It
         batch = pair_batch(spec, pump, phi0, directions, **kwargs)
         grams = block_grams(batch.amplitudes, blocks)
         if measure == "entropy":
-            values = np.where(batch.norms > 0.0, entropy_of_blocks(grams), np.nan)
+            values = entropy_of_blocks(grams)
         elif measure == "concurrence_after_filter":
             level = levels.index(filter_f)
             values = filtered_concurrence_of_blocks(grams, level)
@@ -182,8 +183,15 @@ def _chunks(spec, pump, phi0, resolution, measure, filter_f, name, kwargs) -> It
                 warn_unresolved(filter_f)
         else:
             values = branch_overlap_of_blocks(grams)
+        # no scattering takes precedence over the measure's own undefined case
+        undefined = np.where(np.isnan(values), _UNDEFINED[measure], 0)
+        reasons = np.where(batch.norms > 0.0, undefined, 1)
+        measures = np.where(reasons > 0, np.nan, values)
         weights = grams.weights.reshape(len(directions), -1)
-        yield ScanMap(theta[t], phi[p], directions, values, weights, batch.omega, resolution, name)
+        yield ScanMap(
+            theta[t], phi[p], directions, measures, reasons, weights, batch.omega, doubled,
+            resolution, name,
+        )
 
 
 def scan_sphere(
@@ -213,90 +221,91 @@ def argmax_direction(scan: ScanMap) -> tuple[np.ndarray, float]:
 def _csv_head(scan: ScanMap) -> str:
     lines = [f"# {key}={scan.metadata[key]}" for key in sorted(scan.metadata)]
     lines += [f"# measure={scan.measure_name}", f"# resolution_rad={scan.resolution!r}"]
-    return "\n".join([*lines, "theta_rad,phi_rad,kx,ky,kz,measure,flag\n"])
+    return "\n".join([*lines, ",".join(scan.columns) + "\n"])
 
 
-def _csv_rows(scan: ScanMap) -> str:
-    # a float as its repr, NaN as "nan", as the csv module writes them
-    columns = (scan.thetas, scan.phis, *scan.directions.T, scan.measures, scan.flagged.astype(int))
-    rows = zip(*(column.tolist() for column in columns))
-    return "".join([f"{t!r},{p!r},{x!r},{y!r},{z!r},{m!r},{f}\n" for t, p, x, y, z, m, f in rows])
+def _rows(scan: ScanMap) -> tuple[str, str]:
+    """The nodes' CSV lines and JSON arrays, from one repr of each number.
+
+    A float is written as its repr, as the csv module and ``json`` write it.
+    The two differ only in their separators and in two tokens: a flagged
+    node's measure is ``nan`` in the CSV and ``null`` in the JSON, and a
+    scored node's reason an empty field and ``null``.
+    """
+    flagged = scan.flagged.tolist()
+    reasons = [("", *FLAG_REASONS)[r] for r in scan.flag_reasons.tolist()]
+    hz = scan.omega / (2.0 * np.pi)
+    fields = [
+        *(list(map(repr, c.tolist())) for c in (scan.thetas, scan.phis, *scan.directions.T)),
+        list(map(repr, scan.measures.tolist())),
+        ["1" if f else "0" for f in flagged],
+        reasons,
+        *(list(map(repr, c.tolist())) for c in (*hz.T, *scan.channel_weights.T)),
+    ]
+    csv_rows = "".join([",".join(row) + "\n" for row in zip(*fields)])
+    fields[5] = ["null" if f else m for m, f in zip(fields[5], flagged)]
+    fields[7] = [f'"{r}"' if r else "null" for r in reasons]
+    return csv_rows, ",\n".join(["    [" + ",".join(row) + "]" for row in zip(*fields)])
 
 
 def scan_to_csv_text(scan: ScanMap) -> str:
     """Delimited node table with '#' metadata header lines."""
-    return _csv_head(scan) + _csv_rows(scan)
+    return _csv_head(scan) + _rows(scan)[0]
 
 
 def _json_head(scan: ScanMap) -> str:
     """The scan JSON up to its first node."""
     head = {
-        "format": "raman-pairs/scan-map/1",
+        "columns": scan.columns,
+        "format": "raman-pairs/scan-map/2",
         "measure": scan.measure_name,
         "metadata": scan.metadata,
     }
     return json_text(head)[: -len("\n}\n")] + ',\n  "nodes": [\n'
 
 
-def _json_nodes(scan: ScanMap) -> str:
-    """A map's nodes, laid out as ``json.dumps(indent=2, sort_keys=True)`` lays them out.
-
-    Floats are written by their repr.  A node's channel keys are sorted as
-    strings; no key ``omega_hz:lambda`` is a proper prefix of another, so
-    sorting whole entry lines sorts their keys.
-    """
-    n_levels = scan.omega.shape[1]
-    hz = (scan.omega / (2.0 * np.pi)).T.tolist()
-    keys = [
-        [f'        "{h!r}:{c // n_levels + 1}": ' for h in hz[c % n_levels]]
-        for c in range(2 * n_levels)
-    ]
-    # one column of entry lines per channel (lambda-1) * nF + i; None where it is empty
-    entries = [
-        [f"{key}{w!r}" if w > 0.0 else None for key, w in zip(column_keys, weights)]
-        for column_keys, weights in zip(keys, scan.channel_weights.T.tolist())
-    ]
-    nodes = []
-    for theta, phi, (x, y, z), measure, flag, node_entries in zip(
-        scan.thetas.tolist(),
-        scan.phis.tolist(),
-        scan.directions.tolist(),
-        scan.measures.tolist(),
-        scan.flagged.tolist(),
-        zip(*entries) if entries else [()] * len(scan.measures),
-    ):
-        lines = sorted(filter(None, node_entries))
-        channels = "{\n" + ",\n".join(lines) + "\n      }" if lines else "{}"
-        nodes.append(
-            f'    {{\n      "channels": {channels},\n      "direction": [\n        {x!r},\n'
-            f'        {y!r},\n        {z!r}\n      ],\n'
-            f'      "flagged": {"true" if flag else "false"},\n'
-            f'      "measure": {"null" if flag else repr(measure)},\n'
-            f'      "phi_rad": {phi!r},\n      "theta_rad": {theta!r}\n    }}'
-        )
-    return ",\n".join(nodes)
-
-
 def _require_writable(scan: ScanMap) -> None:
-    """Strict JSON: every number written is finite and each node's channel keys differ."""
+    """Strict JSON: every number written is finite."""
     values = {name: getattr(scan, name) for name in _COLUMNS}
     values["measures"] = scan.measures[~scan.flagged]  # a flagged node's NaN is written null
     values["resolution"] = scan.resolution
     bad = [name for name, value in values.items() if not np.isfinite(value).all()]
     if bad:
         raise PhysicsError(f"scan output has a non-finite number in {', '.join(bad)}")
-    if (np.diff(np.sort(scan.omega, axis=1), axis=1) == 0.0).any():
-        raise PhysicsError("two photon channels share one key: two levels have equal frequencies")
+
+
+@contextmanager
+def _all_or_none(paths: list[Path]) -> Iterator[list[Path]]:
+    """Temporary sibling names for ``paths``, renamed onto them when the block ends.
+
+    Any error, in the block or at a rename, removes every temporary file, so
+    either all the files are written or none is.
+    """
+    temps = [path.with_name(path.name + ".tmp") for path in paths]
+    try:
+        yield temps
+        # a directory in the way fails only at its own rename, after the
+        # earlier names were swapped in: refuse it before any rename
+        for path in paths:
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    except BaseException:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        raise
 
 
 class ScanFiles(NamedTuple):
-    """The files :func:`write_scan` wrote, the node count and the best node as
-    a one-row map (a flagged node if every node is flagged)."""
+    """The files :func:`write_scan` wrote, the node count, the best node as a
+    one-row map (flagged if every node is) and the flagged nodes per reason."""
 
     csv_path: Path
     json_path: Path
     nodes: int
     best: ScanMap
+    flag_counts: dict[str, int]
 
 
 def write_scan(scan: ScanMap | Iterable[ScanMap], prefix: str | Path) -> ScanFiles:
@@ -305,37 +314,33 @@ def write_scan(scan: ScanMap | Iterable[ScanMap], prefix: str | Path) -> ScanFil
 
     Both files are written under temporary sibling names and renamed only
     when all is written: an error, such as a non-finite number (a physics
-    error), leaves neither file nor a temporary one behind.
+    error) or a directory in the way, leaves neither file nor a temporary one.
     """
     prefix = Path(prefix)
     if prefix.name in ("", ".", ".."):
         raise InputDomainError(f"scan output prefix '{prefix}' names a directory, not a file")
     paths = [prefix.with_name(f"{prefix.name}.{ext}") for ext in ("csv", "json")]
-    temps = [path.with_name(path.name + ".tmp") for path in paths]
     nodes, best = 0, None
-    try:
-        with (
-            open(temps[0], "w", encoding="utf-8") as csv_out,
-            open(temps[1], "w", encoding="utf-8") as json_out,
-        ):
-            for chunk in [scan] if isinstance(scan, ScanMap) else scan:
-                if not len(chunk.measures):
-                    continue
-                _require_writable(chunk)
-                csv_out.write((_csv_head(chunk) if best is None else "") + _csv_rows(chunk))
-                json_out.write((_json_head(chunk) if best is None else ",\n") + _json_nodes(chunk))
-                # the first node of a tie wins, as in argmax_direction
-                i = int(np.argmax(np.where(chunk.flagged, -np.inf, chunk.measures)))
-                if best is None or best.flagged[0] or chunk.measures[i] > best.measures[0]:
-                    best = replace(chunk, **{c: getattr(chunk, c)[i : i + 1] for c in _COLUMNS})
-                nodes += len(chunk.measures)
-            if best is None:
-                raise EmptyScanError("the scan has no nodes")
-            json_out.write(f'\n  ],\n  "resolution_rad": {best.resolution!r}\n}}\n')
-        for temp, path in zip(temps, paths):
-            os.replace(temp, path)
-    except BaseException:
-        for temp in temps:
-            temp.unlink(missing_ok=True)
-        raise
-    return ScanFiles(*paths, nodes, best)
+    counts = np.zeros(len(FLAG_REASONS) + 1, dtype=int)
+    with (
+        _all_or_none(paths) as temps,
+        open(temps[0], "w", encoding="utf-8") as csv_out,
+        open(temps[1], "w", encoding="utf-8") as json_out,
+    ):
+        for chunk in [scan] if isinstance(scan, ScanMap) else scan:
+            if not len(chunk.measures):
+                continue
+            _require_writable(chunk)
+            csv_rows, json_rows = _rows(chunk)
+            csv_out.write((_csv_head(chunk) if best is None else "") + csv_rows)
+            json_out.write((_json_head(chunk) if best is None else ",\n") + json_rows)
+            # the first node of a tie wins, as in argmax_direction
+            i = int(np.argmax(np.where(chunk.flagged, -np.inf, chunk.measures)))
+            if best is None or best.flagged[0] or chunk.measures[i] > best.measures[0]:
+                best = replace(chunk, **{c: getattr(chunk, c)[i : i + 1] for c in _COLUMNS})
+            counts += np.bincount(chunk.flag_reasons, minlength=len(counts))
+            nodes += len(chunk.measures)
+        if best is None:
+            raise EmptyScanError("the scan has no nodes")
+        json_out.write(f'\n  ],\n  "resolution_rad": {best.resolution!r}\n}}\n')
+    return ScanFiles(*paths, nodes, best, dict(zip(FLAG_REASONS, counts[1:].tolist())))

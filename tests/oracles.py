@@ -25,9 +25,10 @@ package code:
 * ``wigner_d`` evaluates Wigner's closed formula for the rotation matrix
   D^j (the package never rotates a state; the rotation-covariance test uses
   it to rotate the condensate).
-* ``scan_to_json_doc`` / ``oracle_scan_csv`` build a scan's whole document
-  as Python objects and serialize it with ``json.dumps`` and the ``csv``
-  module (the package streams text templates chunk by chunk).
+* ``scan_to_json_doc`` / ``oracle_scan_json`` / ``oracle_scan_csv`` build a
+  scan's whole document as Python objects and serialize it with
+  ``json.dumps`` and the ``csv`` module (the package formats each number
+  once and joins the strings chunk by chunk).
 
 All angular-momentum arguments are doubled integers.
 """
@@ -38,6 +39,7 @@ import cmath
 import csv
 import io
 import itertools
+import json
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -398,33 +400,51 @@ def wigner_d(tj: int, tm1: int, tm2: int, alpha: float, beta: float, gamma: floa
     return cmath.exp(-0.5j * (tm1 * alpha + tm2 * gamma)) * root * d
 
 
+def _scan_columns(levels) -> list[str]:
+    columns = ["theta_rad", "phi_rad", "kx", "ky", "kz", "measure", "flag", "flag_reason"]
+    columns += [f"omega_hz_2F{tf}" for tf in levels]
+    return columns + [f"p_2F{tf}_lambda{lam}" for lam in (1, 2) for tf in levels]
+
+
+def _scan_node_values(scan):
+    """Each node's row of Python values in column order, and its flag reason name or None."""
+    reasons = [None, "no_scattering", "empty_filter_channel", "undefined_overlap"]
+    hz = scan.omega / (2.0 * math.pi)
+    for n, (theta, phi, direction, measure) in enumerate(
+        zip(scan.thetas.tolist(), scan.phis.tolist(), scan.directions.tolist(), scan.measures.tolist())
+    ):
+        reason = reasons[int(scan.flag_reasons[n])]
+        rest = hz[n].tolist() + scan.channel_weights[n].tolist()
+        yield [theta, phi, *direction, measure, int(reason is not None), reason, *rest]
+
+
 def scan_to_json_doc(scan) -> dict:
-    """A :class:`~raman_pairs.geometry_explorer.ScanMap` as the scan-map/1
-    document, one dict per node; ``pair_state.json_text`` serializes it."""
+    """A :class:`~raman_pairs.geometry_explorer.ScanMap` as the scan-map/2
+    document: one list per node, ``None`` for a flagged node's measure and a
+    scored node's reason."""
+    nodes = []
+    for row in _scan_node_values(scan):
+        if row[6]:
+            row[5] = None
+        nodes.append(row)
     return {
-        "format": "raman-pairs/scan-map/1",
+        "columns": _scan_columns(scan.levels),
+        "format": "raman-pairs/scan-map/2",
         "measure": scan.measure_name,
-        "resolution_rad": scan.resolution,
         "metadata": scan.metadata,
-        "nodes": [
-            {
-                "theta_rad": theta,
-                "phi_rad": phi,
-                "direction": direction,
-                "measure": None if flag else measure,
-                "flagged": flag,
-                "channels": dict(channels),
-            }
-            for theta, phi, direction, measure, flag, channels in zip(
-                scan.thetas.tolist(),
-                scan.phis.tolist(),
-                scan.directions.tolist(),
-                scan.measures.tolist(),
-                scan.flagged.tolist(),
-                scan.node_channels(),
-            )
-        ],
+        "nodes": nodes,
+        "resolution_rad": scan.resolution,
     }
+
+
+def oracle_scan_json(doc: dict) -> str:
+    """The scan document's text: ``json.dumps(indent=2, sort_keys=True)``
+    layout, except that each node is the one-line ``json.dumps`` of its list."""
+    nodes = ",\n".join(
+        "    " + json.dumps(node, separators=(",", ":"), allow_nan=False) for node in doc["nodes"]
+    )
+    head = json.dumps({**doc, "nodes": []}, indent=2, sort_keys=True, allow_nan=False)
+    return head.replace('"nodes": []', '"nodes": [\n' + nodes + "\n  ]") + "\n"
 
 
 def oracle_scan_csv(scan) -> str:
@@ -434,7 +454,6 @@ def oracle_scan_csv(scan) -> str:
         buf.write(f"# {key}={scan.metadata[key]}\n")
     buf.write(f"# measure={scan.measure_name}\n# resolution_rad={scan.resolution!r}\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["theta_rad", "phi_rad", "kx", "ky", "kz", "measure", "flag"])
-    columns = (scan.thetas, scan.phis, *scan.directions.T, scan.measures, scan.flagged.astype(int))
-    writer.writerows(zip(*(column.tolist() for column in columns)))
+    writer.writerow(_scan_columns(scan.levels))
+    writer.writerows([*row[:7], row[7] or "", *row[8:]] for row in _scan_node_values(scan))
     return buf.getvalue()

@@ -154,6 +154,9 @@ def test_scan_reports_pole_argmax(scan_config, tmp_path, capsys):
     )
     assert code == 0
     assert "argmax direction (+0.000000, +0.000000, +1.000000)" in out
+    assert out.splitlines()[2] == (
+        "flagged nodes: no_scattering 0, empty_filter_channel 0, undefined_overlap 0"
+    )
     assert (tmp_path / "scanout.csv").exists()
     assert (tmp_path / "scanout.json").exists()
 
@@ -168,23 +171,24 @@ def test_scan_rerun_byte_identical(scan_config, tmp_path, capsys):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
-# stdout, CSV and JSON of sodium_scan.json at 6 degrees, recorded while the
-# writers still built one dict per node and ran json.dumps on the whole map
+# stdout, CSV and JSON of sodium_scan.json at 6 degrees, recorded when the
+# JSON became scan-map/2 (one array a node) and the CSV gained the flag
+# reason, frequency and channel-weight columns
 SCAN_PINS = {
     "entropy": (
-        "81e5cdfa398ac0ce7a8e45c1bdaefb762c04a636c9185d6d54138001608b9d94",
-        "44da9cba4735f5ff5043caecf2b933ec42e89175b25e8b6c4d235404c5df2852",
-        "adbd853b7803c859c0ab5e8c8e86c7c8ac1fafa853af6015396221003d094f88",
+        "22ae56efed9352303a9d2281cfeeccef86c81e0eeeb567b3c4218a98c949349d",
+        "777ebe05e3705bd74c55776f8386c81ec3407b54c77838ad11f1bb2e4a9f7145",
+        "3a18cd286a6aa091e933bf0f02edc0f399e77fd41f0d2d33c3f5905cc8570729",
     ),
     "concurrence_after_filter": (
-        "99dcd12cdcfdad9b0904beffc571b2f6a98cf1c153da09741f9b6bacccccebd5",
-        "0b04a163b134b608153255a19e02a2d3e617be07398bf847d442634289aa5c49",
-        "83a3fcb6e20feac2b706deb02c173e1d9f0a4902f3a07308bb16bea1cd0e91c7",
+        "e4cfde9dcb2422e4aceaf43c3cccd665ea16f3876955154c218efa6e25025fae",
+        "41e333ff4791c814cc7525160baa374dd70683ea0d2e1e102e0a96c0f0898f0f",
+        "4d093dcf27af873b628eac26b4d78b1a1479c53ca3b35f77f95a644dfde7d3cc",
     ),
     "conditional_overlap": (
-        "776e8bbffe74d32977bdc0e3cb13399ad0dbac5be32da442b5b11bc300d0f8bb",
-        "b0735eb5180ce9692aa51899353d0d309e4c3d5efd0af8e77f823467caa6df3a",
-        "dd0a04e882d7ed4c3dcd4f085c169f17d035ccc39e6895c4fada085d1660aec4",
+        "ed98e76ad83d63e076ef8cecbb7252c22825768de6a6064e5fa4a0045f679340",
+        "b5745ac05cd56cebdb47109efc493f274677fc2da05fea3238ce418b540cd10c",
+        "d8ccc94e6fe04a01a72a7dddf0fe2e906bcbabca14e2f70a5c90f645880627d0",
     ),
 }
 
@@ -666,6 +670,30 @@ def test_scan_prefix_naming_a_directory_exits_2(
     assert code == 2 and out == ""
     assert f"'{prefix}' names a directory" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.json", "sub"]
+
+
+@pytest.mark.parametrize("blocked", ["t.csv", "t.json"])
+def test_scan_output_writes_both_files_or_neither(blocked, scan_config, tmp_path, capsys):
+    # a directory in the way of either file: nothing is written, and the
+    # message names the directory, not the prefix
+    (tmp_path / blocked).mkdir()
+    code, out, err = run(
+        ["scan", "--config", str(scan_config), "--output", str(tmp_path / "t")], capsys
+    )
+    assert code == 2 and out == ""
+    assert f"--output '{tmp_path / blocked}': Is a directory" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["scan.json", blocked])
+    assert not any((tmp_path / blocked).iterdir())
+
+
+def test_scan_has_no_format_option(scan_config, tmp_path, capsys):
+    # a scan always writes both files; --format is refused by name
+    argv = ["scan", "--config", str(scan_config), "--output", str(tmp_path / "s")]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--format", "csv"])
+    assert exit_info.value.code == 2
+    assert "--format" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.json"]
 
 
 # --- tables ----------------------------------------------------------------------

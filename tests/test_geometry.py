@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import random_condensate, random_pump
-from oracles import oracle_scan_csv, scan_to_json_doc
+from oracles import oracle_scan_csv, oracle_scan_json, scan_to_json_doc
 from raman_pairs import geometry_explorer
 from raman_pairs.angular_momentum import HalfInt
 from raman_pairs.atomic_model import AtomSpec, spherical_component
@@ -27,7 +27,6 @@ from raman_pairs.errors import (
     EmptyScanError,
     EmptyStateError,
     InputDomainError,
-    PhysicsError,
     UndefinedOverlapError,
 )
 from raman_pairs.geometry_explorer import (
@@ -38,11 +37,12 @@ from raman_pairs.geometry_explorer import (
     scan_to_csv_text,
     write_scan,
 )
-from raman_pairs.pair_state import CondensateSpinor, PumpConfig, build_pair_state, json_text
+from raman_pairs.pair_state import CondensateSpinor, PumpConfig, build_pair_state
 
 COARSE = math.pi / 6.0
 TWO_PI = 2.0 * math.pi
-COLUMNS = ("thetas", "phis", "directions", "measures", "channel_weights", "omega")
+COLUMNS = ("thetas", "phis", "directions", "measures", "flag_reasons", "channel_weights", "omega")
+NO_SCATTERING, EMPTY_FILTER_CHANNEL, UNDEFINED_OVERLAP = 1, 2, 3
 
 
 def test_resolution_bounds(spec, pump, phi0):
@@ -183,17 +183,20 @@ def test_scan_nodes_equal_single_direction_calls(spec, pump):
     for rpump, rphi in _property_configs(spec, pump):
         for measure, filter_f in ALL_MEASURES:
             scan = scan_sphere(spec, rpump, rphi, COARSE, measure, filter_f=filter_f)
-            for direction, value, flagged, channels in zip(
-                scan.directions, scan.measures, scan.flagged, scan.node_channels()
-            ):
+            for n, direction in enumerate(scan.directions):
+                value, flagged = scan.measures[n], scan.flagged[n]
                 try:
                     state = build_pair_state(spec, rpump, rphi, direction)
                 except EmptyStateError:
-                    assert flagged and channels == ()
+                    assert scan.flag_reasons[n] == NO_SCATTERING
+                    assert not scan.channel_weights[n].any()
                     continue
-                assert channels == tuple(
-                    (ch.key(), p) for ch, p in state.channel_probabilities()
-                )
+                levels = list(state.levels)
+                weights = [0.0] * (2 * len(levels))
+                for ch, p in state.channel_probabilities():
+                    weights[(ch.lam - 1) * len(levels) + levels.index(ch.doubled_f)] = p
+                assert scan.channel_weights[n].tolist() == weights
+                assert scan.omega[n].tolist() == state.omega.tolist()
                 try:
                     if measure == "entropy":
                         want = entanglement_entropy(state)
@@ -305,8 +308,30 @@ def test_flagged_nodes_for_undefined_overlap(spec, pump):
     flagged = scan.flagged
     assert flagged.any() and not flagged.all()
     assert np.isnan(scan.measures[flagged]).all()
+    assert (scan.flag_reasons[flagged] == UNDEFINED_OVERLAP).all()
+    assert (scan.flag_reasons[~flagged] == 0).all()
     # poles are the degenerate directions here
     assert set(scan.thetas[flagged].tolist()) == {0.0, math.pi}
+
+
+def test_empty_filter_channel_nodes_flagged(spec, pump, tmp_path):
+    # sigma+ on |2,2> only reaches F'=3, which cannot decay to F=1: light
+    # scatters into every direction, but the F=1 channel is always empty
+    phi0 = CondensateSpinor.single(2, 2)
+    args = (spec, _sigma_plus(pump), phi0, COARSE, "concurrence_after_filter")
+    scan = scan_sphere(*args, filter_f=1)
+    assert (scan.flag_reasons == EMPTY_FILTER_CHANNEL).all()
+    assert np.isnan(scan.measures).all()
+    files = write_scan(scan, tmp_path / "s")
+    assert files.flag_counts == {
+        "no_scattering": 0,
+        "empty_filter_channel": len(scan.measures),
+        "undefined_overlap": 0,
+    }
+    lines = [line for line in files.csv_path.read_text().splitlines() if line[0] != "#"]
+    rows = list(csv.reader(lines[1:]))
+    assert len(rows) == len(scan.measures)
+    assert {tuple(row[5:8]) for row in rows} == {("nan", "1", "empty_filter_channel")}
 
 
 def test_empty_state_nodes_flagged(spec, pump):
@@ -314,6 +339,7 @@ def test_empty_state_nodes_flagged(spec, pump):
     phi0 = CondensateSpinor.single("3/2", "3/2")
     scan = scan_sphere(_inverted(spec), _sigma_plus(pump), phi0, COARSE, "entropy")
     assert scan.flagged.all()
+    assert (scan.flag_reasons == NO_SCATTERING).all()
     with pytest.raises(EmptyScanError):
         argmax_direction(scan)
 
@@ -326,8 +352,10 @@ def _columns_map(thetas, phis, directions, measures) -> ScanMap:
         phis=phis,
         directions=directions,
         measures=measures,
+        flag_reasons=np.isnan(measures).astype(int),
         channel_weights=np.zeros((n, 0)),
         omega=np.zeros((n, 0)),
+        levels=(),
         resolution=1.0,
         measure_name="entropy",
     )
@@ -368,12 +396,18 @@ def test_csv_layout_and_flags(spec, pump, phi0):
     text = scan_to_csv_text(scan)
     lines = [line for line in text.splitlines() if not line.startswith("#")]
     header = lines[0].split(",")
-    assert header == ["theta_rad", "phi_rad", "kx", "ky", "kz", "measure", "flag"]
+    assert header == list(scan.columns) == [
+        *("theta_rad", "phi_rad", "kx", "ky", "kz", "measure", "flag", "flag_reason"),
+        *("omega_hz_2F2", "omega_hz_2F4"),
+        *("p_2F2_lambda1", "p_2F4_lambda1", "p_2F2_lambda2", "p_2F4_lambda2"),
+    ]
     rows = list(csv.reader(io.StringIO("\n".join(lines[1:]))))
     assert len(rows) == len(scan.measures)
     for row, theta, flagged in zip(rows, scan.thetas, scan.flagged):
+        assert len(row) == len(header)
         assert float(row[0]) == theta
         assert row[6] == ("1" if flagged else "0")
+        assert row[7] == ("empty_filter_channel" if flagged else "")
 
 
 def test_scan_serialization_deterministic(spec, pump, phi0, tmp_path):
@@ -385,11 +419,15 @@ def test_scan_serialization_deterministic(spec, pump, phi0, tmp_path):
         assert path_a.read_bytes() == path_b.read_bytes()
     assert scan_to_csv_text(scan).encode() == a.csv_path.read_bytes()
     parsed = json.loads(a.json_path.read_text())
-    assert parsed["format"] == "raman-pairs/scan-map/1"
+    assert parsed["format"] == "raman-pairs/scan-map/2"
     assert len(parsed["nodes"]) == len(scan.measures) == a.nodes
 
 
 METADATA = {"tool": "raman-pairs", "seed": 7, "note": 'a "quoted" \\ path, caf\u00e9 \u2603'}
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-standard JSON constant {name}")
 
 
 def _oracle_configs(spec, pump):
@@ -421,7 +459,11 @@ def test_streamed_files_equal_the_document_oracle(spec, pump, tmp_path, monkeypa
             scan = replace(scan_sphere(*args, filter_f=filter_f), metadata=METADATA)
             chunks = (replace(c, metadata=METADATA) for c in scan_chunks(*args, filter_f=filter_f))
             files = write_scan(chunks, tmp_path / "s")
-            assert files.json_path.read_bytes() == json_text(scan_to_json_doc(scan)).encode()
+            doc = scan_to_json_doc(scan)
+            text = files.json_path.read_text(encoding="utf-8")
+            assert text == oracle_scan_json(doc)
+            assert json.loads(text, parse_constant=_reject_constant) == doc
+            assert all(len(node) == len(doc["columns"]) for node in doc["nodes"])
             assert files.csv_path.read_bytes() == oracle_scan_csv(scan).encode()
             assert files.nodes == len(scan.measures)
             if scan.flagged.all():
@@ -434,16 +476,18 @@ def test_streamed_files_equal_the_document_oracle(spec, pump, tmp_path, monkeypa
             assert value == want
 
 
-def test_write_scan_rejects_channels_sharing_a_key(spec, pump, phi0, tmp_path):
-    # a 1 mHz ground splitting vanishes in the photon frequencies' rounding, so
-    # both levels' channels get one "omega_hz:lambda" key: strict JSON cannot
-    # hold both, and a silent merge would drop one level's weight
+def test_write_scan_keeps_levels_with_equal_frequencies(spec, pump, phi0, tmp_path):
+    # a 1 mHz ground splitting vanishes in the photon frequencies' rounding;
+    # each level still has its own columns, so both levels' weights are written
     tiny = replace(spec, ground_splittings=((HalfInt(2), 0.0), (HalfInt(4), TWO_PI * 1e-3)))
     scan = scan_sphere(tiny, pump, phi0, COARSE, "entropy")
     assert (scan.omega[:, 0] == scan.omega[:, 1]).all()
-    with pytest.raises(PhysicsError, match="share one key"):
-        write_scan(scan, tmp_path / "s")
-    assert list(tmp_path.iterdir()) == []
+    files = write_scan(scan, tmp_path / "s")
+    doc = json.loads(files.json_path.read_text())
+    nodes = np.array([node[8:] for node in doc["nodes"]])
+    np.testing.assert_array_equal(nodes[:, 0], nodes[:, 1])
+    np.testing.assert_array_equal(nodes[:, 2:], scan.channel_weights, strict=True)
+    assert (scan.channel_weights[:, [0, 2]] > 0.0).any() and (scan.channel_weights[:, [1, 3]] > 0.0).any()
 
 
 def test_write_scan_memory_is_per_chunk(spec, pump, phi0, tmp_path):
