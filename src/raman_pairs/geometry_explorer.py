@@ -233,7 +233,8 @@ def _rows(scan: ScanMap) -> tuple[str, str]:
     scored node's reason an empty field and ``null``.
     """
     flagged = scan.flagged.tolist()
-    reasons = [("", *FLAG_REASONS)[r] for r in scan.flag_reasons.tolist()]
+    names = ("", *FLAG_REASONS)
+    reasons = [names[r] for r in scan.flag_reasons.tolist()]
     hz = scan.omega / (2.0 * np.pi)
     fields = [
         *(list(map(repr, c.tolist())) for c in (scan.thetas, scan.phis, *scan.directions.T)),

@@ -410,12 +410,11 @@ def _scan_node_values(scan):
     """Each node's row of Python values in column order, and its flag reason name or None."""
     reasons = [None, "no_scattering", "empty_filter_channel", "undefined_overlap"]
     hz = scan.omega / (2.0 * math.pi)
-    for n, (theta, phi, direction, measure) in enumerate(
-        zip(scan.thetas.tolist(), scan.phis.tolist(), scan.directions.tolist(), scan.measures.tolist())
-    ):
+    for n in range(len(scan.measures)):
         reason = reasons[int(scan.flag_reasons[n])]
+        angles = [float(scan.thetas[n]), float(scan.phis[n]), *scan.directions[n].tolist()]
         rest = hz[n].tolist() + scan.channel_weights[n].tolist()
-        yield [theta, phi, *direction, measure, int(reason is not None), reason, *rest]
+        yield [*angles, float(scan.measures[n]), int(reason is not None), reason, *rest]
 
 
 def scan_to_json_doc(scan) -> dict:

@@ -487,7 +487,8 @@ def test_write_scan_keeps_levels_with_equal_frequencies(spec, pump, phi0, tmp_pa
     nodes = np.array([node[8:] for node in doc["nodes"]])
     np.testing.assert_array_equal(nodes[:, 0], nodes[:, 1])
     np.testing.assert_array_equal(nodes[:, 2:], scan.channel_weights, strict=True)
-    assert (scan.channel_weights[:, [0, 2]] > 0.0).any() and (scan.channel_weights[:, [1, 3]] > 0.0).any()
+    for level in (0, 1):  # both levels carry weight somewhere
+        assert (scan.channel_weights[:, [level, level + 2]] > 0.0).any()
 
 
 def test_write_scan_memory_is_per_chunk(spec, pump, phi0, tmp_path):

@@ -50,13 +50,11 @@ def _rotated(pump, phi0: CondensateSpinor, euler) -> tuple:
     """The pump by R = R_z(alpha) R_y(beta) R_z(gamma) and the condensate by D^F(R)."""
     alpha, beta, gamma = euler
     rotation = _rz(alpha) @ _ry(beta) @ _rz(gamma)
-    amplitudes = phi0.as_dict()
     rotated = {}
-    for (tf, tm2), amp in amplitudes.items():
+    for (tf, tm2), amp in phi0.as_dict().items():
         for tm1 in range(-tf, tf + 1, 2):
-            rotated[(tf, tm1)] = rotated.get((tf, tm1), 0.0) + wigner_d(
-                tf, tm1, tm2, alpha, beta, gamma
-            ) * amp
+            d = wigner_d(tf, tm1, tm2, alpha, beta, gamma)
+            rotated[(tf, tm1)] = rotated.get((tf, tm1), 0.0) + d * amp
     # renormalize against rounding: the spinor guard allows 1e-12
     norm = math.sqrt(sum(abs(a) ** 2 for a in rotated.values()))
     condensate = CondensateSpinor.from_dict({key: a / norm for key, a in rotated.items()})
