@@ -740,6 +740,30 @@ def test_tables_pinned_bytes_at_the_cap(capsys):
     )
 
 
+TABLES_SHA256 = {  # stdout of `tables --max-doubled-j J`, recorded with two index walks
+    0: "882153f079f18c499a702f394e353d08dcb418788ba894c4518caa4faa27d43a",
+    1: "493244a590647e7863fe7b6cded0d6ae3ceaa10ae20666c8a39b2740db40f082",
+    2: "ede8e5e9157466bf5e1b0186ac5f3a3669280f52613be33c854f9a2b5336a478",
+    3: "82a4176867f127ad984c7ef55d9609611ca495b52c8d3d266cd5c120fb076086",
+    4: "9d012aa6b2ed6e903f78b8fd66380f900be5fb13a597f741a1f65c775cbf4c5a",
+    5: "9a4bc0451b90859b2bd4309426857ca494e14a968f098b8af3cc59cb5cf79a4a",
+    6: "7f6f0fa71995f09069af13561a6a013696a556ba6c5d2723a52f883f0cfcf74c",
+    7: "d494fd691a7ec43703a9ee17af12834f3fa5743aa67c8aa1411cf3fbeaf3d878",
+    8: "87b686ba166eda8c801d59e251348ce43d81f41ef57efc6a6546630caf05b29a",
+    9: "fdc85c33cdfb15b25c2e26fe7f4e889b3fc4d63d63c04bf2e62b887282ccb929",
+    10: "42677dab4fc5e9e4dc61df7694ec103f7c5e25e1450b106c921b0059724802ac",
+    11: "2550818c5bec47ae0a8cb69789241ce3dd70d2cd820b9c3d9374669875cc9449",
+    12: "35b25b901c59564ad91f42671733711112660eef2a568c76315e1e5096dad2d8",
+}
+
+
+@pytest.mark.parametrize("max_doubled_j", sorted(TABLES_SHA256))
+def test_tables_pinned_bytes_every_j(max_doubled_j, capsys):
+    code, out, _ = run(["tables", "--max-doubled-j", str(max_doubled_j)], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLES_SHA256[max_doubled_j]
+
+
 def test_tables_sum_one_symbol_per_symmetry_class(tmp_path, capsys):
     # each 3-j and 6-j class is summed once, and its other members are
     # cache hits: as many cache entries as independently counted orbits
