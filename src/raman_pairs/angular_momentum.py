@@ -5,14 +5,14 @@ All quantum numbers are half-integers stored as doubled integers
 symbols are evaluated from the Racah closed-form sums in plain Python
 integers: each series is summed over one common denominator, the product of
 each factorial's largest value over the summation range, and the squared
-symbol is then reduced to lowest terms once.  Clebsch-Gordan coefficients
-bridge to the 3-j symbol.  Every value is carried as ``sign * sqrt(p/q)``
-with ``p/q`` a non-negative rational in lowest terms, and converted to float
-only at the boundary (``_signed_sqrt``).  The Condon-Shortley phase
-convention is used throughout.  The doubled-integer cores
-``_clebsch_gordan_exact``, ``_wigner_3j_exact`` and ``_wigner_6j_exact`` are
-the one implementation; the public functions validate their arguments and
-call them.
+symbol is then reduced to lowest terms by one ``math.gcd``.  The doubled-
+integer cores ``_clebsch_gordan_exact``, ``_wigner_3j_exact`` and
+``_wigner_6j_exact`` are the one implementation.  Each carries a value as the
+ints ``(sign, p, q)``, meaning ``sign * sqrt(p/q)`` with ``p/q`` in lowest
+terms; the public functions validate their arguments, call a core and build a
+:class:`CoupledValue` with a ``Fraction`` radicand.  Clebsch-Gordan values
+bridge to the 3-j symbol (``_cg_from_3j``), which ``tables`` also uses to
+derive each CG row from its 3-j row.  Condon-Shortley phases throughout.
 
 One Racah sum per symmetry class: ``_wigner_3j_exact`` and
 ``_wigner_6j_exact`` map their arguments to the canonical member of the
@@ -124,13 +124,12 @@ class CoupledValue:
         return self.value
 
     @classmethod
-    def from_exact(cls, sign: int, radicand: Fraction) -> "CoupledValue":
-        p, q = radicand.numerator, radicand.denominator
+    def from_exact(cls, sign: int, p: int, q: int) -> "CoupledValue":
         if p < 0:
             raise ValueError("radicand must be non-negative")
         if sign == 0 or p == 0:
             return cls(0.0, 0, Fraction(0))
-        return cls(_signed_sqrt(sign, p, q), sign, radicand)
+        return cls(_signed_sqrt(sign, p, q), sign, Fraction(p, q))
 
 
 def _signed_sqrt(sign: int, p: int, q: int) -> float:
@@ -168,7 +167,7 @@ def _triangle_factor(ta: int, tb: int, tc: int) -> tuple[int, int]:
     )
 
 
-_EXACT_ZERO = (0, Fraction(0))
+_EXACT_ZERO = (0, 0, 1)
 
 
 def _descending(a: tuple, b: tuple, c: tuple) -> tuple[tuple, tuple, tuple, bool]:
@@ -185,8 +184,8 @@ def _descending(a: tuple, b: tuple, c: tuple) -> tuple[tuple, tuple, tuple, bool
 
 def _wigner_3j_exact(
     tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int
-) -> tuple[int, Fraction]:
-    """(sign, radicand) of the 3-j symbol; inputs doubled.
+) -> tuple[int, int, int]:
+    """(sign, p, q) of the 3-j symbol, ``sign * sqrt(p/q)``; inputs doubled.
 
     Evaluated at the canonical member of its class: the (j, m) columns in
     descending order, and the larger of the m and -m images.  An odd column
@@ -198,18 +197,18 @@ def _wigner_3j_exact(
     ra, rb, rc, odd_reversed = _descending((tj1, -tm1), (tj2, -tm2), (tj3, -tm3))
     if (ra, rb, rc) > (a, b, c):
         a, b, c, odd = ra, rb, rc, not odd_reversed
-    sign, radicand = _racah_3j(a[0], b[0], c[0], a[1], b[1], c[1])
+    sign, p, q = _racah_3j(a[0], b[0], c[0], a[1], b[1], c[1])
     # (tj1 + tj2 + tj3) / 2 is odd; an odd doubled sum gives a zero symbol
     if odd and (tj1 + tj2 + tj3) & 2:
-        return -sign, radicand
-    return sign, radicand
+        return -sign, p, q
+    return sign, p, q
 
 
 @lru_cache(maxsize=200_000)
 def _racah_3j(
     tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int
-) -> tuple[int, Fraction]:
-    """(sign, radicand) of the 3-j symbol via the Racah sum; inputs doubled.
+) -> tuple[int, int, int]:
+    """(sign, p, q) of the 3-j symbol via the Racah sum; inputs doubled.
     Cached per symmetry class: ``_wigner_3j_exact`` calls it only at
     canonical arguments."""
     if tm1 + tm2 + tm3 != 0:
@@ -245,20 +244,29 @@ def _racah_3j(
         num *= f((tj + tm) // 2) * f((tj - tm) // 2)
     # Global phase (-1)^(j1 - j2 - m3); the exponent is an integer here.
     phase = -1 if ((tj1 - tj2 - tm3) // 2) % 2 else 1
-    sign = phase if series > 0 else -phase
-    return sign, Fraction(series * series * num, common * common * den)
+    p, q = series * series * num, common * common * den
+    g = math.gcd(p, q)
+    return (phase if series > 0 else -phase), p // g, q // g
+
+
+def _cg_from_3j(
+    tj1: int, tj2: int, tj: int, tm: int, sign: int, p: int, q: int
+) -> tuple[int, int, int]:
+    """(sign, p, q) of <J M | j1 m1; j2 m2> from that of (j1 j2 J; m1 m2 -M)
+    by the bridge ``(-1)^(j1-j2+M) sqrt(2J+1) (j1 j2 J; m1 m2 -M)``; inputs
+    doubled.  Cancelling g = gcd(2J+1, q) keeps lowest terms, as gcd(p, q) = 1."""
+    if sign == 0:
+        return _EXACT_ZERO
+    phase = -1 if ((tj1 - tj2 + tm) // 2) % 2 else 1
+    g = math.gcd(tj + 1, q)
+    return phase * sign, p * ((tj + 1) // g), q // g
 
 
 def _clebsch_gordan_exact(
     tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int
-) -> tuple[int, Fraction]:
-    """(sign, radicand) of <J M | j1 m1; j2 m2> through the 3-j bridge
-    ``(-1)^(j1-j2+M) sqrt(2J+1) (j1 j2 J; m1 m2 -M)``; inputs doubled."""
-    sign, radicand = _wigner_3j_exact(tj1, tj2, tj, tm1, tm2, -tm)
-    if sign == 0:
-        return _EXACT_ZERO
-    phase = -1 if ((tj1 - tj2 + tm) // 2) % 2 else 1
-    return phase * sign, radicand * (tj + 1)
+) -> tuple[int, int, int]:
+    """(sign, p, q) of <J M | j1 m1; j2 m2>; inputs doubled."""
+    return _cg_from_3j(tj1, tj2, tj, tm, *_wigner_3j_exact(tj1, tj2, tj, tm1, tm2, -tm))
 
 
 def wigner_3j(
@@ -302,8 +310,8 @@ def clebsch_gordan(
 
 def _wigner_6j_exact(
     tj1: int, tj2: int, tj3: int, tj4: int, tj5: int, tj6: int
-) -> tuple[int, Fraction]:
-    """(sign, radicand) of the 6-j symbol {j1 j2 j3; j4 j5 j6}; inputs doubled.
+) -> tuple[int, int, int]:
+    """(sign, p, q) of the 6-j symbol {j1 j2 j3; j4 j5 j6}; inputs doubled.
 
     The symbol is unchanged by any column permutation and by exchanging
     upper and lower in any two columns.  Evaluated at the canonical member
@@ -334,8 +342,8 @@ def _wigner_6j_exact(
 @lru_cache(maxsize=200_000)
 def _racah_6j(
     tj1: int, tj2: int, tj3: int, tj4: int, tj5: int, tj6: int
-) -> tuple[int, Fraction]:
-    """(sign, radicand) of the 6-j symbol via the Racah sum; inputs doubled.
+) -> tuple[int, int, int]:
+    """(sign, p, q) of the 6-j symbol via the Racah sum; inputs doubled.
     Cached per symmetry class: ``_wigner_6j_exact`` calls it only at
     canonical arguments."""
     triads = (
@@ -380,7 +388,9 @@ def _racah_6j(
     for triad in triads:
         n, d = _triangle_factor(*triad)
         num, den = num * n, den * d
-    return (1 if series > 0 else -1), Fraction(series * series * num, common * common * den)
+    p, q = series * series * num, common * common * den
+    g = math.gcd(p, q)
+    return (1 if series > 0 else -1), p // g, q // g
 
 
 def wigner_6j(

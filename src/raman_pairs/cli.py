@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .angular_momentum import (
     HalfInt,
-    _clebsch_gordan_exact,
+    _cg_from_3j,
     _signed_sqrt,
     _wigner_3j_exact,
     _wigner_6j_exact,
@@ -185,8 +185,8 @@ class RunConfig:
         self.output_path = output.get("path")
         if not isinstance(self.output_path, (str, type(None))):
             _fail_config("'output.path' must be a string")
-        self.output_format = output.get("format", "json")
-        if self.output_format not in ("json", "csv"):
+        self.output_format = output.get("format")  # None: the command's default
+        if "format" in output and self.output_format not in ("json", "csv"):
             _fail_config("'output.format' must be 'json' or 'csv'")
 
     def _load_atom(self, value) -> tuple[Path, str, AtomSpec]:
@@ -371,6 +371,8 @@ def cmd_scan(args) -> int:
     config = RunConfig(Path(args.config))
     if config.scan is None:
         _fail_config("'detection.scan' block required for the scan command")
+    if config.output_format is not None:
+        _fail_config("'output.format' does not apply to scan: it writes both CSV and JSON")
     flag, out = _output(args, config)
     if out is None:
         _fail_config("scan needs an output prefix: pass --output or set 'output.path'")
@@ -407,8 +409,6 @@ def cmd_scan(args) -> int:
 
 
 def cmd_chsh(args) -> int:
-    if args.format == "csv":
-        _fail_config("the chsh analysis is JSON only; use --events-csv for event records")
     if args.samples < 0:
         _fail_config(f"--samples must be 0 (no sampling) or positive, got {args.samples}")
     if args.seed < 0:
@@ -416,6 +416,9 @@ def cmd_chsh(args) -> int:
     if args.events_csv and not args.samples:
         _fail_config("--events-csv needs --samples: there are no sampled events to write")
     config = RunConfig(Path(args.config))
+    if (args.format or config.output_format) == "csv":
+        _fail_config("the chsh analysis is JSON only: --format and 'output.format' must not "
+                     "be 'csv'; use --events-csv for event records")
     state = _state(config)
     if config.filter_f is not None:
         state = spectral_filter(state, config.filter_f)
@@ -459,6 +462,14 @@ def cmd_chsh(args) -> int:
     return 0
 
 
+class _RowTails(dict):
+    """The row tail ``value,sign,p,q`` of each exact ``(sign, p, q)``, formatted once."""
+
+    def __missing__(self, exact: tuple[int, int, int]) -> str:
+        tail = self[exact] = "{!r},{},{},{}\n".format(_signed_sqrt(*exact), *exact)
+        return tail
+
+
 def _tables_text(max_doubled_j: int) -> tuple[str, str, str]:
     def couplings():
         """(2j1, 2j2, 2J, 2m1, 2m2) with |m1 + m2| <= J: the CG and 3-j index set."""
@@ -486,30 +497,24 @@ def _tables_text(max_doubled_j: int) -> tuple[str, str, str]:
                             ):
                                 yield tj1, tj2, tj3, tj4, tj5, tj6
 
-    def table(header: str, exact, indices) -> str:
-        """One CSV table of ``exact``, the doubled-integer core of a symbol,
-        over indices that are valid by construction; one text line a row."""
-        buf = io.StringIO()
-        buf.write(f"# tool=raman-pairs\n# version={__version__}\n")
-        buf.write(f"{header},value,sign,radicand_num,radicand_den\n")
-        for a, b, c, d, e, f in indices:
-            sign, radicand = exact(a, b, c, d, e, f)
-            p, q = radicand.numerator, radicand.denominator
-            buf.write(f"{a},{b},{c},{d},{e},{f},{_signed_sqrt(sign, p, q)!r},{sign},{p},{q}\n")
-        return buf.getvalue()
-
-    cg = table(
-        "2j1,2m1,2j2,2m2,2J,2M",
-        _clebsch_gordan_exact,
-        ((j1, m1, j2, m2, j, m1 + m2) for j1, j2, j, m1, m2 in couplings()),
-    )
-    w3j = table(
-        "2j1,2j2,2j3,2m1,2m2,2m3",
-        _wigner_3j_exact,
-        ((j1, j2, j3, m1, m2, -(m1 + m2)) for j1, j2, j3, m1, m2 in couplings()),
-    )
-    w6j = table("2j1,2j2,2j3,2j4,2j5,2j6", _wigner_6j_exact, sixj_indices())
-    return cg, w3j, w6j
+    head = f"# tool=raman-pairs\n# version={__version__}\n"
+    cg = [f"{head}2j1,2m1,2j2,2m2,2J,2M,value,sign,radicand_num,radicand_den\n"]
+    w3j = [f"{head}2j1,2j2,2j3,2m1,2m2,2m3,value,sign,radicand_num,radicand_den\n"]
+    w6j = [f"{head}2j1,2j2,2j3,2j4,2j5,2j6,value,sign,radicand_num,radicand_den\n"]
+    # A row is its six indices, valid by construction, and the tail of its
+    # exact value, formatted once per distinct value.  One walk of the
+    # coupling indices writes each 3-j row and, through the bridge that
+    # clebsch_gordan uses, its CG row.
+    cg_tails, w3j_tails, w6j_tails = _RowTails(), _RowTails(), _RowTails()
+    for tj1, tj2, tj, tm1, tm2 in couplings():
+        tm = tm1 + tm2
+        exact = _wigner_3j_exact(tj1, tj2, tj, tm1, tm2, -tm)
+        w3j.append(f"{tj1},{tj2},{tj},{tm1},{tm2},{-tm},{w3j_tails[exact]}")
+        cg_tail = cg_tails[_cg_from_3j(tj1, tj2, tj, tm, *exact)]
+        cg.append(f"{tj1},{tm1},{tj2},{tm2},{tj},{tm},{cg_tail}")
+    for a, b, c, d, e, f in sixj_indices():
+        w6j.append(f"{a},{b},{c},{d},{e},{f},{w6j_tails[_wigner_6j_exact(a, b, c, d, e, f)]}")
+    return "".join(cg), "".join(w3j), "".join(w6j)
 
 
 def cmd_tables(args) -> int:

@@ -320,14 +320,20 @@ def test_exact_forms_match_fraction_oracle():
     # Fractions: equal reduced forms, so equal bits everywhere downstream.
     # With the class caches cleared, the first symbol of each symmetry class
     # is summed and every later image is a sign-fixed cache hit.
+    # The CG core is the 3-j oracle times 2J+1 with the bridge phase.
     angular_momentum._racah_3j.cache_clear()
     angular_momentum._racah_6j.cache_clear()
     for tj1, tm1, tj2, tm2, tj, tm in iter_cg_grid():
         args = (tj1, tj2, tj, tm1, tm2, -tm)
-        sign, radicand = angular_momentum._wigner_3j_exact(*args)
-        assert (sign, radicand) == oracle_3j_exact(*args)
-        assert math.gcd(radicand.numerator, radicand.denominator) == 1
+        sign, p, q = angular_momentum._wigner_3j_exact(*args)
+        assert (sign, Fraction(p, q)) == oracle_3j_exact(*args)
+        assert math.gcd(p, q) == 1
+        sign_3j, radicand_3j = oracle_3j_exact(*args)
+        phase = -1 if ((tj1 - tj2 + tm) // 2) % 2 else 1
+        sign, p, q = angular_momentum._clebsch_gordan_exact(tj1, tm1, tj2, tm2, tj, tm)
+        assert (sign, Fraction(p, q)) == (phase * sign_3j, radicand_3j * (tj + 1))
+        assert math.gcd(p, q) == 1
     for tjs in iter_6j_grid():
-        sign, radicand = angular_momentum._wigner_6j_exact(*tjs)
-        assert (sign, radicand) == oracle_6j_exact(*tjs)
-        assert math.gcd(radicand.numerator, radicand.denominator) == 1
+        sign, p, q = angular_momentum._wigner_6j_exact(*tjs)
+        assert (sign, Fraction(p, q)) == oracle_6j_exact(*tjs)
+        assert math.gcd(p, q) == 1

@@ -460,6 +460,18 @@ def test_chsh_events_csv_without_samples_exits_2(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_chsh_refuses_csv_output_format(tmp_path, capsys):
+    # the analysis is JSON only: the config key is refused like --format csv
+    config = tmp_path / "chsh.json"
+    shutil.copy(DATA / "sodium_chsh.json", config)
+    edit_config(config, lambda c: c.__setitem__("output", {"format": "csv"}))
+    code, out, err = run(["chsh", "--config", str(config)], capsys)
+    assert code == 2 and out == ""
+    assert "'output.format'" in err
+    code, out, _ = run(["chsh", "--config", str(config), "--format", "csv"], capsys)
+    assert code == 2 and out == ""
+
+
 def test_equal_ground_splittings_exit_2(state_config, capsys):
     spec = json.loads((DATA / "sodium.json").read_text())
     spec["ground_splittings_hz"]["4"] = 0.0
@@ -696,6 +708,17 @@ def test_scan_has_no_format_option(scan_config, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.json"]
 
 
+@pytest.mark.parametrize("value", ["json", "csv"])
+def test_scan_refuses_output_format(value, scan_config, tmp_path, capsys):
+    # the config key is refused like the flag, not silently ignored
+    edit_config(scan_config, lambda c: c.__setitem__("output", {"format": value}))
+    argv = ["scan", "--config", str(scan_config), "--output", str(tmp_path / "s")]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert "'output.format'" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.json"]
+
+
 # --- tables ----------------------------------------------------------------------
 
 
@@ -766,7 +789,8 @@ def test_tables_pinned_bytes_every_j(max_doubled_j, capsys):
 
 def test_tables_sum_one_symbol_per_symmetry_class(tmp_path, capsys):
     # each 3-j and 6-j class is summed once, and its other members are
-    # cache hits: as many cache entries as independently counted orbits
+    # cache hits: as many cache entries as independently counted orbits.
+    # One walk of the coupling indices: one 3-j lookup a CG and 3-j row pair.
     angular_momentum._racah_3j.cache_clear()
     angular_momentum._racah_6j.cache_clear()
     assert main(["tables", "--max-doubled-j", "6", "--output", str(tmp_path / "t")]) == 0
@@ -778,8 +802,12 @@ def test_tables_sum_one_symbol_per_symmetry_class(tmp_path, capsys):
 
     classes_3j, classes_6j = oracle_3j_classes(rows("3j")), oracle_6j_classes(rows("6j"))
     assert (classes_3j, classes_6j) == (155, 270)
-    assert angular_momentum._racah_3j.cache_info().currsize == classes_3j
-    assert angular_momentum._racah_6j.cache_info().currsize == classes_6j
+    info_3j = angular_momentum._racah_3j.cache_info()
+    info_6j = angular_momentum._racah_6j.cache_info()
+    assert info_3j.currsize == classes_3j
+    assert info_6j.currsize == classes_6j
+    assert (info_3j.hits + info_3j.misses, info_6j.hits + info_6j.misses) == (1384, 3418)
+    assert (len(rows("3j")), len(rows("6j"))) == (1384, 3418)
 
 
 def test_tables_output_writes_all_files_or_none(tmp_path, capsys):
