@@ -252,9 +252,8 @@ def _racah_3j(
 def _cg_from_3j(
     tj1: int, tj2: int, tj: int, tm: int, sign: int, p: int, q: int
 ) -> tuple[int, int, int]:
-    """(sign, p, q) of <J M | j1 m1; j2 m2> from that of (j1 j2 J; m1 m2 -M)
-    by the bridge ``(-1)^(j1-j2+M) sqrt(2J+1) (j1 j2 J; m1 m2 -M)``; inputs
-    doubled.  Cancelling g = gcd(2J+1, q) keeps lowest terms, as gcd(p, q) = 1."""
+    """``<J M | j1 m1; j2 m2> = (-1)^(j1-j2+M) sqrt(2J+1) (j1 j2 J; m1 m2 -M)`` on (sign, p, q),
+    inputs doubled; cancelling gcd(2J+1, q) keeps lowest terms, as gcd(p, q) = 1."""
     if sign == 0:
         return _EXACT_ZERO
     phase = -1 if ((tj1 - tj2 + tm) // 2) % 2 else 1

@@ -417,8 +417,7 @@ def cmd_chsh(args) -> int:
         _fail_config("--events-csv needs --samples: there are no sampled events to write")
     config = RunConfig(Path(args.config))
     if (args.format or config.output_format) == "csv":
-        _fail_config("the chsh analysis is JSON only: --format and 'output.format' must not "
-                     "be 'csv'; use --events-csv for event records")
+        _fail_config("'output.format'/--format csv: chsh writes JSON only; use --events-csv")
     state = _state(config)
     if config.filter_f is not None:
         state = spectral_filter(state, config.filter_f)
@@ -498,9 +497,10 @@ def _tables_text(max_doubled_j: int) -> tuple[str, str, str]:
                                 yield tj1, tj2, tj3, tj4, tj5, tj6
 
     head = f"# tool=raman-pairs\n# version={__version__}\n"
-    cg = [f"{head}2j1,2m1,2j2,2m2,2J,2M,value,sign,radicand_num,radicand_den\n"]
-    w3j = [f"{head}2j1,2j2,2j3,2m1,2m2,2m3,value,sign,radicand_num,radicand_den\n"]
-    w6j = [f"{head}2j1,2j2,2j3,2j4,2j5,2j6,value,sign,radicand_num,radicand_den\n"]
+    cg, w3j, w6j = io.StringIO(), io.StringIO(), io.StringIO()
+    cg.write(f"{head}2j1,2m1,2j2,2m2,2J,2M,value,sign,radicand_num,radicand_den\n")
+    w3j.write(f"{head}2j1,2j2,2j3,2m1,2m2,2m3,value,sign,radicand_num,radicand_den\n")
+    w6j.write(f"{head}2j1,2j2,2j3,2j4,2j5,2j6,value,sign,radicand_num,radicand_den\n")
     # A row is its six indices, valid by construction, and the tail of its
     # exact value, formatted once per distinct value.  One walk of the
     # coupling indices writes each 3-j row and, through the bridge that
@@ -509,12 +509,13 @@ def _tables_text(max_doubled_j: int) -> tuple[str, str, str]:
     for tj1, tj2, tj, tm1, tm2 in couplings():
         tm = tm1 + tm2
         exact = _wigner_3j_exact(tj1, tj2, tj, tm1, tm2, -tm)
-        w3j.append(f"{tj1},{tj2},{tj},{tm1},{tm2},{-tm},{w3j_tails[exact]}")
+        w3j.write(f"{tj1},{tj2},{tj},{tm1},{tm2},{-tm},{w3j_tails[exact]}")
         cg_tail = cg_tails[_cg_from_3j(tj1, tj2, tj, tm, *exact)]
-        cg.append(f"{tj1},{tm1},{tj2},{tm2},{tj},{tm},{cg_tail}")
+        cg.write(f"{tj1},{tm1},{tj2},{tm2},{tj},{tm},{cg_tail}")
+    cg, w3j = cg.getvalue(), w3j.getvalue()  # frees two buffers before the largest table
     for a, b, c, d, e, f in sixj_indices():
-        w6j.append(f"{a},{b},{c},{d},{e},{f},{w6j_tails[_wigner_6j_exact(a, b, c, d, e, f)]}")
-    return "".join(cg), "".join(w3j), "".join(w6j)
+        w6j.write(f"{a},{b},{c},{d},{e},{f},{w6j_tails[_wigner_6j_exact(a, b, c, d, e, f)]}")
+    return cg, w3j, w6j.getvalue()
 
 
 def cmd_tables(args) -> int:
