@@ -98,8 +98,8 @@ class AtomSpec:
         if not all(v >= 0 for v in split.values()):
             raise InputDomainError("ground splittings must be non-negative")
         if len(set(split.values())) < len(split):
-            # a photon channel is keyed by its frequency, so two levels at
-            # one splitting would share their channel keys
+            # a photon channel is keyed by its frequency, so two levels at one splitting
+            # share their keys (close ones may too: the state JSON refuses those)
             raise InputDomainError(
                 "ground levels must have distinct splittings, got "
                 + ", ".join(f"F'={f}: {v!r} rad/s" for f, v in self.ground_splittings)
@@ -315,8 +315,8 @@ def load_atom_spec(path: str | Path) -> AtomSpec:
         raise InputDomainError(f"'{key}' must be an integer, got {raw[key]!r}")
 
     try:
-        if not isinstance(raw["name"], str):
-            raise InputDomainError(f"'name' must be a string, got {raw['name']!r}")
+        if not isinstance(raw["name"], str) or not raw["name"].isprintable():
+            raise InputDomainError(f"'name' must be a printable string, got {raw['name']!r}")
         hz = raw["ground_splittings_hz"]
         if not isinstance(hz, dict) or not all(k.isdecimal() for k in hz):
             raise InputDomainError("'ground_splittings_hz' must map doubled F' strings to numbers")

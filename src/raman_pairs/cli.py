@@ -33,7 +33,7 @@ from .angular_momentum import (
 )
 from .atomic_model import AtomSpec, finite_number, load_atom_spec
 from .bell_sim import GENERATOR_ID, chsh, events_to_csv, optimize_chsh, sample_events
-from .entanglement_analysis import branch_overlap, entanglement_entropy, schmidt, state_grams
+from .entanglement_analysis import branch_overlap, entanglement_entropy, schmidt
 from .errors import (
     ConfigError,
     InputDomainError,
@@ -44,6 +44,7 @@ from .geometry_explorer import (
     FLAG_REASONS,
     MEASURES,
     _all_or_none,
+    _prefix_path,
     argmax_direction,
     scan_chunks,
     write_scan,
@@ -285,17 +286,15 @@ def _write_text(text: str, args, config: RunConfig) -> None:
 
 
 def _analysis_block(state: PairState, full_state: PairState) -> dict:
-    grams = state_grams(state)
     try:
-        full_grams = grams if full_state is state else state_grams(full_state)
-        overlap_doc: float | None = branch_overlap(full_state, full_grams)
+        overlap_doc: float | None = branch_overlap(full_state)
         overlap_note = None
     except UndefinedOverlapError as exc:
         overlap_doc = None
         overlap_note = str(exc)
     block = {
-        "entropy_bits": entanglement_entropy(state, grams),
-        "schmidt_coefficients": list(schmidt(state, grams).coefficients),
+        "entropy_bits": entanglement_entropy(state),
+        "schmidt_coefficients": list(schmidt(state).coefficients),
         "channel_probabilities": {
             ch.key(): prob for ch, prob in state.channel_probabilities()
         },
@@ -526,7 +525,7 @@ def cmd_tables(args) -> int:
         )
     cg, w3j, w6j = _tables_text(n)
     if args.output:
-        prefix = Path(args.output)
+        prefix = _prefix_path(args.output)
         paths = [prefix.parent / f"{prefix.name}_{suffix}.csv" for suffix in ("cg", "3j", "6j")]
 
         def write_all(_) -> None:

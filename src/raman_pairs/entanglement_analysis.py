@@ -5,10 +5,9 @@ occupied (frequency channel, polarization) labels, the atom side the occupied
 (F, m) sublevels.  The photon label (F, lambda) pairs only with atomic level
 F, so the amplitude matrix is block-diagonal by F with 2 x (2F+1) blocks,
 and a state's (2, G) amplitude array already holds those blocks side by
-side (:func:`block_index`).  Each block enters every measure through its
-2 x 2 Gram matrix [[a, c], [c*, b]] (:func:`block_grams`; of one state,
-:func:`state_grams`, which a caller computes once and passes to every
-measure):
+side.  Each block enters every measure through its 2 x 2 Gram matrix
+[[a, c], [c*, b]] (:func:`~raman_pairs.pair_state.block_grams`), which each
+state computes once (``PairState.grams``) for all its measures:
 
 * entropy: the Gram eigenvalues of all blocks are the squared Schmidt
   coefficients;
@@ -34,13 +33,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .angular_momentum import halfint
 from .errors import EmptyStateError, InputDomainError, UndefinedOverlapError
-from .pair_state import Channel, PairState, warn_if_unresolved
+from .pair_state import BlockGrams, Channel, PairState, _sublevels, warn_if_unresolved
 from .raman_coupling import sequential_sum
 
 __all__ = [
@@ -51,10 +49,6 @@ __all__ = [
     "concurrence_after_filter",
     "is_factorized",
     "branch_overlap",
-    "BlockGrams",
-    "block_index",
-    "block_grams",
-    "state_grams",
     "entropy_of_blocks",
     "filtered_concurrence_of_blocks",
     "branch_overlap_of_blocks",
@@ -107,25 +101,24 @@ def _photon_pair(grams: BlockGrams, i: int, big: float) -> tuple[np.ndarray, np.
     return v, np.array([-v[1].conjugate(), v[0].conjugate()])
 
 
-def schmidt(state: PairState, grams: BlockGrams | None = None) -> SchmidtResult:
+def schmidt(state: PairState) -> SchmidtResult:
     """Schmidt decomposition of the photon x atom amplitude matrix, block by block.
 
     A block has at most two photon rows, so its squared Schmidt coefficients
     are the eigenvalues of its 2 x 2 Gram matrix, taken as in
     :func:`entropy_of_blocks`.  Each photon vector p is a Gram eigenvector
     and its atom vector is p^dagger M / s, with s the Schmidt coefficient.
-    ``grams`` is :func:`state_grams` of the state, if already computed.
     """
-    grams = state_grams(state) if grams is None else grams
+    grams = state.grams
     _, photon_labels, atom_labels = state.matrix()
     rows, cols = state.support()
     big, small = _block_eigenvalues(grams)
     values = np.sqrt(np.stack([big[0], small[0]], axis=-1))  # (nF, 2)
     floor = _RANK_FLOOR * values.max()
     nf, g = len(state.levels), state.amplitudes.shape[1]
-    padded = np.append(state.amplitudes, np.zeros((2, 1)), axis=1)  # block_index pads with G
+    padded = np.append(state.amplitudes, np.zeros((2, 1)), axis=1)  # the blocks pad with G
     pairs = []
-    for i, index in enumerate(block_index(state.levels)):
+    for i, index in enumerate(_sublevels(state.levels).blocks):
         for value, vec in zip(values[i].tolist(), _photon_pair(grams, i, big[0, i])):
             if value > floor:
                 p = np.zeros(2 * nf, dtype=complex)  # row (lambda-1) * nF + i
@@ -144,76 +137,6 @@ def schmidt(state: PairState, grams: BlockGrams | None = None) -> SchmidtResult:
 
 
 # --- closed forms on F blocks -----------------------------------------------
-
-
-@lru_cache(maxsize=32)
-def block_index(doubled_fs: tuple[int, ...]) -> np.ndarray:
-    """(nF, dmax) positions of each level's sublevels on an F-major G axis.
-
-    Levels are laid out in the given order with m ascending, as in the
-    canonical ground basis; short blocks are padded with G, which
-    :func:`block_grams` points at a zero column.
-    """
-    sizes = [tf + 1 for tf in doubled_fs]
-    index = np.full((len(sizes), max(sizes)), sum(sizes))
-    start = 0
-    for i, size in enumerate(sizes):
-        index[i, :size] = np.arange(start, start + size)
-        start += size
-    index.flags.writeable = False
-    return index
-
-
-@dataclass(frozen=True, eq=False)
-class BlockGrams:
-    """Gram matrices [[a, c], [c*, b]] of the F blocks of N states.
-
-    ``weights[n, lambda-1, i]`` is a (lambda = 1) or b (lambda = 2) of block i,
-    i.e. the probability of photon channel (F_i, lambda); ``c_re``, ``c_im``
-    and ``det`` have shape (N, nF).
-    """
-
-    weights: np.ndarray
-    c_re: np.ndarray
-    c_im: np.ndarray
-    det: np.ndarray
-
-
-@lru_cache(maxsize=8)
-def _minor_pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Column pairs (i < j) of a block, in row-major order."""
-    pairs = np.triu_indices(size, 1)
-    for arr in pairs:
-        arr.flags.writeable = False
-    return pairs
-
-
-def block_grams(amplitudes: np.ndarray, index: np.ndarray) -> BlockGrams:
-    """Per-block Gram matrices of (N, 2, G) amplitudes; ``index`` from :func:`block_index`.
-
-    Every sum over m runs in a fixed order (:func:`sequential_sum`), so a
-    state gets the same bits alone or in a batch, and zero padding or
-    absent levels leave the results unchanged.
-    """
-    n, _, g = amplitudes.shape
-    padded = np.zeros((n, 2, g + 1), dtype=complex)
-    padded[:, :, :g] = amplitudes
-    blocks = padded[:, :, index]  # (N, 2, nF, dmax)
-    re, im = blocks.real, blocks.imag
-    r0, i0, r1, i1 = re[:, 0], im[:, 0], re[:, 1], im[:, 1]
-    p, q = _minor_pairs(index.shape[1])
-    left, right = blocks[..., p], blocks[..., q]
-    lr0, li0, lr1, li1 = left.real[:, 0], left.imag[:, 0], left.real[:, 1], left.imag[:, 1]
-    rr0, ri0, rr1, ri1 = right.real[:, 0], right.imag[:, 0], right.real[:, 1], right.imag[:, 1]
-    # minors r0_i r1_j - r0_j r1_i of the 2 x (2F+1) block
-    minor_re = (lr0 * rr1 - li0 * ri1) - (rr0 * lr1 - ri0 * li1)
-    minor_im = (lr0 * ri1 + li0 * rr1) - (rr0 * li1 + ri0 * lr1)
-    return BlockGrams(
-        weights=sequential_sum(re * re + im * im),
-        c_re=sequential_sum(r0 * r1 + i0 * i1),
-        c_im=sequential_sum(i0 * r1 - r0 * i1),
-        det=sequential_sum(minor_re * minor_re + minor_im * minor_im),
-    )
 
 
 def _minus_p_log2_p(p: np.ndarray) -> np.ndarray:
@@ -260,15 +183,9 @@ def branch_overlap_of_blocks(grams: BlockGrams) -> np.ndarray:
     return np.where(undefined, np.nan, value)
 
 
-def state_grams(state: PairState) -> BlockGrams:
-    """:func:`block_grams` of one state, as N = 1 arrays."""
-    return block_grams(state.amplitudes[np.newaxis], block_index(state.levels))
-
-
-def entanglement_entropy(state: PairState, grams: BlockGrams | None = None) -> float:
+def entanglement_entropy(state: PairState) -> float:
     """Entropy of entanglement in bits, -sum c^2 log2 c^2."""
-    grams = state_grams(state) if grams is None else grams
-    return float(entropy_of_blocks(grams)[0])
+    return float(entropy_of_blocks(state.grams)[0])
 
 
 def concurrence_2x2(state: PairState) -> float:
@@ -295,7 +212,7 @@ def concurrence_after_filter(state: PairState, f_select) -> float:
     value = math.nan
     if f.twice in state.levels:
         level = state.levels.index(f.twice)
-        value = float(filtered_concurrence_of_blocks(state_grams(state), level)[0])
+        value = float(filtered_concurrence_of_blocks(state.grams, level)[0])
     if math.isnan(value):  # the level is absent or empty
         raise EmptyStateError(
             f"the F={f} frequency channel carries zero probability; nothing to select"
@@ -314,13 +231,9 @@ def is_factorized(state: PairState, tol: float = 1e-10) -> bool:
     return len(coeffs) < 2 or coeffs[1] < tol
 
 
-def branch_overlap(state: PairState, grams: BlockGrams | None = None) -> float:
-    """|<S_k1|S_k2>| between the atomic spinors of an unfiltered state's branches.
-
-    ``grams`` is :func:`state_grams` of the state, if already computed.
-    """
-    grams = state_grams(state) if grams is None else grams
-    value = float(branch_overlap_of_blocks(grams)[0])
+def branch_overlap(state: PairState) -> float:
+    """|<S_k1|S_k2>| between the atomic spinors of an unfiltered state's branches."""
+    value = float(branch_overlap_of_blocks(state.grams)[0])
     if math.isnan(value):
         raise UndefinedOverlapError(
             "a polarization branch has zero norm; the overlap is undefined "

@@ -38,8 +38,6 @@ import numpy as np
 from .angular_momentum import halfint
 from .atomic_model import AtomSpec
 from .entanglement_analysis import (
-    block_grams,
-    block_index,
     branch_overlap_of_blocks,
     entropy_of_blocks,
     filtered_concurrence_of_blocks,
@@ -48,6 +46,7 @@ from .errors import EmptyScanError, InputDomainError, PhysicsError
 from .pair_state import (
     CondensateSpinor,
     PumpConfig,
+    block_grams,
     json_text,
     pair_batch,
     unresolved_levels,
@@ -163,7 +162,6 @@ def _chunks(spec, pump, phi0, resolution, measure, filter_f, name, kwargs) -> It
     sin_p, cos_p = (np.array([f(p) for p in phi.tolist()]) for f in (math.sin, math.cos))
     levels = spec.ground_levels()
     doubled = tuple(f.twice for f in levels)
-    blocks = block_index(doubled)
     nodes = (n_theta + 1) * n_phi
     for start in range(0, nodes, _CHUNK):
         t, p = np.divmod(np.arange(start, min(start + _CHUNK, nodes)), n_phi)
@@ -173,7 +171,7 @@ def _chunks(spec, pump, phi0, resolution, measure, filter_f, name, kwargs) -> It
         norms = np.sqrt(np.matmul(directions[:, np.newaxis], directions[:, :, np.newaxis]))
         directions /= norms[:, 0]
         batch = pair_batch(spec, pump, phi0, directions, **kwargs)
-        grams = block_grams(batch.amplitudes, blocks)
+        grams = block_grams(batch.amplitudes, doubled)
         if measure == "entropy":
             values = entropy_of_blocks(grams)
         elif measure == "concurrence_after_filter":
@@ -298,6 +296,15 @@ def _all_or_none(paths: list[Path]) -> Iterator[list[Path]]:
         raise
 
 
+def _prefix_path(prefix: str | os.PathLike) -> Path:
+    """An output prefix as a path, checked on its text, where a trailing separator
+    shows: one that ends in a separator or is named "", "." or ".." is a directory."""
+    text = os.fspath(prefix)
+    if text.endswith((os.sep, os.altsep or os.sep)) or Path(text).name in ("", ".", ".."):
+        raise InputDomainError(f"output prefix '{text}' names a directory, not a file")
+    return Path(text)
+
+
 class ScanFiles(NamedTuple):
     """The files :func:`write_scan` wrote, the node count, the best node as a
     one-row map (flagged if every node is) and the flagged nodes per reason."""
@@ -317,9 +324,7 @@ def write_scan(scan: ScanMap | Iterable[ScanMap], prefix: str | Path) -> ScanFil
     when all is written: an error, such as a non-finite number (a physics
     error) or a directory in the way, leaves neither file nor a temporary one.
     """
-    prefix = Path(prefix)
-    if prefix.name in ("", ".", ".."):
-        raise InputDomainError(f"scan output prefix '{prefix}' names a directory, not a file")
+    prefix = _prefix_path(prefix)
     paths = [prefix.with_name(f"{prefix.name}.{ext}") for ext in ("csv", "json")]
     nodes, best = 0, None
     counts = np.zeros(len(FLAG_REASONS) + 1, dtype=int)

@@ -27,9 +27,13 @@ directions at once; :func:`build_pair_state` is its N = 1 case.  A
 the sublevels of its final levels, block-diagonal by F, with one photon
 frequency per level (``omega``).  A branch's scattered spinor is the row
 ``norms * phases * amplitudes[:, lambda-1]`` of the batch.  Labels, the
-(photon x atom) matrix, channel probabilities and the JSON document are
-views of those arrays, and :func:`spectral_filter` reuses the kernel's
-normalization and phase rule.
+(photon x atom) matrix and the JSON document are views of those arrays, and
+:func:`spectral_filter` reuses the kernel's normalization and phase rule.
+
+Each level's sublevels form one 2 x (2F+1) block, laid out on the G axis
+by one cached layout per level tuple.  :func:`block_grams` takes the 2 x 2
+Gram matrix of every block of N states; a state computes its own once
+(``PairState.grams``) and reads its channel probabilities there, as a scan does.
 
 Two channels whose frequencies lie closer than
 ``DEFAULT_CHANNEL_RESOLUTION`` cannot be told apart by a filter:
@@ -46,6 +50,7 @@ import sys
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,6 +77,8 @@ __all__ = [
     "PairState",
     "PairBatch",
     "pair_batch",
+    "BlockGrams",
+    "block_grams",
     "build_pair_state",
     "spectral_filter",
     "sodium_condensate",
@@ -186,13 +193,75 @@ class Channel:
         return f"{frequency_label(self.omega)}:{self.lam}"
 
 
+class _Layout(NamedTuple):
+    """The sublevels of a level tuple, F-major with m ascending."""
+
+    level: np.ndarray  # level index of each sublevel g
+    tiled: np.ndarray  # level index of each kernel entry (lambda-1) * G + g
+    atoms: tuple[tuple[int, int], ...]  # (2F, 2m) of each sublevel
+    blocks: np.ndarray  # (nF, dmax) sublevels of each level, padded with G
+    pairs: tuple[np.ndarray, np.ndarray]  # a block's column pairs i < j, row-major
+
+
 @lru_cache(maxsize=32)
-def _sublevels(levels: tuple[int, ...]) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
-    """Level index and (2F, 2m) label of each sublevel of ``levels``, F-major, m ascending."""
+def _sublevels(levels: tuple[int, ...]) -> _Layout:
+    """The :class:`_Layout` of ``levels``, the doubled F of each level."""
+    sizes = np.array([tf + 1 for tf in levels], dtype=int)[:, np.newaxis]
+    level = np.repeat(np.arange(len(levels)), sizes[:, 0])
+    columns = np.arange(sizes.max(initial=0))
+    blocks = np.where(columns < sizes, np.cumsum(sizes, axis=0) - sizes + columns, len(level))
     atoms = tuple((tf, tm) for tf in levels for tm in range(-tf, tf + 1, 2))
-    level = np.repeat(np.arange(len(levels)), [tf + 1 for tf in levels])
-    level.flags.writeable = False
-    return level, atoms
+    layout = _Layout(level, np.tile(level, 2), atoms, blocks, np.triu_indices(len(columns), 1))
+    for arr in (layout.level, layout.tiled, layout.blocks, *layout.pairs):
+        arr.flags.writeable = False
+    return layout
+
+
+@dataclass(frozen=True, eq=False)
+class BlockGrams:
+    """Gram matrices [[a, c], [c*, b]] of the F blocks of N states.
+
+    ``weights[n, lambda-1, i]`` is a (lambda = 1) or b (lambda = 2) of block i,
+    i.e. the probability of photon channel (F_i, lambda); ``c_re``, ``c_im``
+    and ``det`` have shape (N, nF).  The arrays are read-only.
+    """
+
+    weights: np.ndarray
+    c_re: np.ndarray
+    c_im: np.ndarray
+    det: np.ndarray
+
+
+def block_grams(amplitudes: np.ndarray, levels: tuple[int, ...]) -> BlockGrams:
+    """Per-block Gram matrices of (N, 2, G) amplitudes over the sublevels of ``levels``.
+
+    Every sum over m runs in a fixed order (:func:`sequential_sum`), so a
+    state gets the same bits alone or in a batch, and zero padding or
+    absent levels leave the results unchanged.
+    """
+    layout = _sublevels(levels)
+    n, _, g = amplitudes.shape
+    padded = np.zeros((n, 2, g + 1), dtype=complex)  # column G is the blocks' padding
+    padded[:, :, :g] = amplitudes
+    blocks = padded[:, :, layout.blocks]  # (N, 2, nF, dmax)
+    re, im = blocks.real, blocks.imag
+    r0, i0, r1, i1 = re[:, 0], im[:, 0], re[:, 1], im[:, 1]
+    p, q = layout.pairs
+    left, right = blocks[..., p], blocks[..., q]
+    lr0, li0, lr1, li1 = left.real[:, 0], left.imag[:, 0], left.real[:, 1], left.imag[:, 1]
+    rr0, ri0, rr1, ri1 = right.real[:, 0], right.imag[:, 0], right.real[:, 1], right.imag[:, 1]
+    # minors r0_i r1_j - r0_j r1_i of the 2 x (2F+1) block
+    minor_re = (lr0 * rr1 - li0 * ri1) - (rr0 * lr1 - ri0 * li1)
+    minor_im = (lr0 * ri1 + li0 * rr1) - (rr0 * li1 + ri0 * lr1)
+    grams = BlockGrams(
+        weights=sequential_sum(re * re + im * im),
+        c_re=sequential_sum(r0 * r1 + i0 * i1),
+        c_im=sequential_sum(i0 * r1 - r0 * i1),
+        det=sequential_sum(minor_re * minor_re + minor_im * minor_im),
+    )
+    for arr in vars(grams).values():
+        arr.flags.writeable = False
+    return grams
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,7 +296,7 @@ class PairState:
         levels, amps = self.levels, self.amplitudes
         if not levels or levels[0] < 0 or any(b <= a for a, b in zip(levels, levels[1:])):
             raise InputDomainError("levels must be distinct doubled F values, ascending")
-        if amps.shape != (2, len(_sublevels(levels)[1])) or self.omega.shape != (len(levels),):
+        if amps.shape != (2, len(_sublevels(levels).atoms)) or self.omega.shape != (len(levels),):
             raise InputDomainError(
                 f"levels {levels} need (2, G) amplitudes over their sublevels and one "
                 f"frequency each, got {amps.shape} and {self.omega.shape}"
@@ -246,13 +315,13 @@ class PairState:
     @cached_property
     def _view(self) -> tuple:
         """Occupied rows and columns, the matrix over them, and their labels."""
-        level, atoms = _sublevels(self.levels)
-        nf, g = len(self.levels), len(atoms)
+        layout = _sublevels(self.levels)
+        nf, g = len(self.levels), len(layout.atoms)
         # each level's amplitudes go to its own rows (lambda-1) * nF + i; a zero
         # entry becomes +0.0 whatever the sign of its parts, so the sign of an
         # all-zero sum downstream (an atan2 argument) cannot flip
         full = np.zeros((2, nf, g), dtype=complex)
-        full[:, level, np.arange(g)] = np.where(self.amplitudes != 0.0, self.amplitudes, 0.0)
+        full[:, layout.level, np.arange(g)] = np.where(self.amplitudes != 0.0, self.amplitudes, 0.0)
         full = full.reshape(2 * nf, g)
         rows = np.argsort(np.tile(self.omega, 2), kind="stable")
         rows = rows[full[rows].any(axis=1)]
@@ -265,7 +334,7 @@ class PairState:
             Channel(omega=omega[r % nf], lam=r // nf + 1, doubled_f=self.levels[r % nf])
             for r in rows.tolist()
         )
-        return rows, cols, matrix, photon, tuple(atoms[c] for c in cols.tolist())
+        return rows, cols, matrix, photon, tuple(layout.atoms[c] for c in cols.tolist())
 
     def support(self) -> tuple[np.ndarray, np.ndarray]:
         """Photon rows (lambda-1) * nF + i and sublevels g that carry amplitude.
@@ -288,12 +357,15 @@ class PairState:
         """(2F, 2m) labels carrying nonzero amplitude, ascending."""
         return self.matrix()[2]
 
+    @cached_property
+    def grams(self) -> BlockGrams:
+        """:func:`block_grams` of this state, as N = 1 arrays, computed once."""
+        return block_grams(self.amplitudes[np.newaxis], self.levels)
+
     def channel_probabilities(self) -> tuple[tuple[Channel, float], ...]:
-        # re^2 + im^2 summed in m order: the same bits as the batched
-        # per-block weights of entanglement_analysis.block_grams
-        matrix, photon, _ = self.matrix()
-        probs = sequential_sum(matrix.real * matrix.real + matrix.imag * matrix.imag)
-        return tuple(zip(photon, probs.tolist()))
+        """Each occupied channel's probability: its block weight, as in a scan."""
+        probs = self.grams.weights.reshape(-1)[self.support()[0]]
+        return tuple(zip(self.photon_labels(), probs.tolist()))
 
 
 def _require_valid(
@@ -323,18 +395,6 @@ def _warn(message: str) -> None:
     warnings.warn(message, stacklevel=level)
 
 
-@lru_cache(maxsize=32)
-def _layout(spec: AtomSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Ground-level index of each kernel entry (lambda-1) * G + g, and the
-    splitting of each ground level."""
-    levels = spec.ground_levels()
-    level = np.tile(_sublevels(tuple(f.twice for f in levels))[0], 2)
-    deltas = np.array([spec.splitting(f) for f in levels])
-    level.flags.writeable = False
-    deltas.flags.writeable = False
-    return level, deltas
-
-
 @lru_cache(maxsize=16)
 def _shared_factor(spec: AtomSpec, pump: PumpConfig, phi0: CondensateSpinor) -> np.ndarray:
     """The direction-independent factor B of a species, pump and condensate."""
@@ -356,7 +416,7 @@ def _photon_frequencies(spec: AtomSpec, pump: PumpConfig, k: np.ndarray) -> np.n
     px, py, pz = pump.direction
     cos_angle = (k[:, 0:1] * px + k[:, 1:2] * py) + k[:, 2:3] * pz
     laser = pump.omega_laser
-    base = laser - _layout(spec)[1]
+    base = laser - np.array([delta for _, delta in spec.ground_splittings])
     a = HBAR / (2.0 * spec.mass * SPEED_OF_LIGHT * SPEED_OF_LIGHT)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         delta0 = a * (laser * laser + base * base - 2.0 * laser * base * cos_angle)
@@ -456,7 +516,8 @@ def pair_batch(
     n, g = len(k), factor.shape[0]
     rows = branch_amplitudes(factor, polarizations).reshape(n, 2 * g)
     omega = _photon_frequencies(spec, pump, k)
-    amplitudes, total_sq, phases = _normalize_and_phase(rows, omega, _layout(spec)[0])
+    level = _sublevels(tuple(f.twice for f, _ in spec.ground_splittings)).tiled
+    amplitudes, total_sq, phases = _normalize_and_phase(rows, omega, level)
     try:
         intensity = abs(pump.pump_amplitude) ** 2
     except OverflowError:  # a finite amplitude whose square is not: infinite weights
@@ -491,7 +552,7 @@ def unresolved_levels(
     """
     rows, sublevels = np.nonzero(amplitudes.any(axis=1))
     present = np.zeros(omega.shape, dtype=bool)
-    present[rows, _sublevels(levels)[0][sublevels]] = True
+    present[rows, _sublevels(levels).level[sublevels]] = True
     both = present[:, :, np.newaxis] & present[:, np.newaxis, :]
     close = np.abs(omega[:, :, np.newaxis] - omega[:, np.newaxis, :]) < DEFAULT_CHANNEL_RESOLUTION
     return both & close & ~np.eye(len(levels), dtype=bool)
@@ -568,7 +629,7 @@ def spectral_filter(state: PairState, f_select: HalfIntLike) -> PairState:
     the rule of :func:`pair_batch`.
     """
     f = halfint(f_select)
-    level = np.tile(_sublevels(state.levels)[0], 2)  # of each flat entry
+    level = _sublevels(state.levels).tiled
     keep = np.array(state.levels)[level] == f.twice
     rows = np.where(keep, state.amplitudes.ravel(), 0.0)[np.newaxis]
     amplitudes, total_sq, _ = _normalize_and_phase(rows, state.omega[np.newaxis], level)
@@ -596,15 +657,25 @@ def _complex_pair(z: complex) -> list[float]:
 
 
 def pair_state_to_json(state: PairState, provenance: dict | None = None) -> dict:
-    """JSON-ready document; channels keyed "omega_hz:lambda", atoms "2F:2m"."""
+    """JSON-ready document; channels keyed "omega_hz:lambda", atoms "2F:2m".
+
+    Two levels of one float frequency would share their keys: a physics error."""
     matrix, photon, atoms = state.matrix()
+    channels: dict[str, Channel] = {}
+    for ch in photon:
+        other = channels.setdefault(ch.key(), ch)
+        if other is not ch:
+            raise PhysicsError(
+                f"levels 2F={other.doubled_f} and 2F={ch.doubled_f} have photon frequencies "
+                f"equal as floats, so their channels share the key {ch.key()!r}"
+            )
     amplitude_doc = {
-        ch.key(): {
+        key: {
             f"{tf}:{tm}": _complex_pair(amp)
             for (tf, tm), amp in zip(atoms, row.tolist())
             if amp != 0.0
         }
-        for ch, row in zip(photon, matrix)
+        for key, row in zip(channels, matrix)
     }
     pump = state.pump
     doc = {
@@ -612,12 +683,12 @@ def pair_state_to_json(state: PairState, provenance: dict | None = None) -> dict
         "detection_direction": [float(x) for x in state.detection_direction],
         "channels": [
             {
-                "key": ch.key(),
+                "key": key,
                 "omega_hz": ch.omega / (2.0 * np.pi),
                 "lambda": ch.lam,
                 "doubled_f": ch.doubled_f,
             }
-            for ch in photon
+            for key, ch in channels.items()
         ],
         "amplitudes": amplitude_doc,
         "recoil_momentum_kg_m_per_s": [float(x) for x in state.recoil_momentum],
@@ -678,7 +749,7 @@ def pair_state_from_json(doc: dict) -> PairState:
             if omega.setdefault(tf, w) != w:
                 raise InputDomainError(f"the channels of level 2F={tf} differ in frequency")
         levels = tuple(sorted(omega))
-        _, atoms = _sublevels(levels)
+        atoms = _sublevels(levels).atoms
         column = {atom: j for j, atom in enumerate(atoms)}
         amplitudes = np.zeros((2, len(atoms)), dtype=complex)
         for key, by_atom in doc["amplitudes"].items():

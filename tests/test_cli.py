@@ -380,25 +380,26 @@ def test_single_direction_pinned_bytes(args, capsys):
 
 
 @pytest.mark.parametrize(
-    "args, most",
+    "args, calls",
     [(["state", "--format", "json"], 1), (["filter", "--f-select", "1"], 2)],
 )
-def test_one_gram_computation_per_state(args, most, monkeypatch, capsys):
-    # the analysis block computes each state's block Gram matrices once and
-    # hands them to the Schmidt, entropy and overlap measures
-    from raman_pairs import entanglement_analysis
+def test_one_gram_computation_per_state(args, calls, monkeypatch, capsys):
+    # each state computes its block Gram matrices once, for the Schmidt,
+    # entropy, overlap and channel-probability reads: the filtered and the
+    # full state make two
+    from raman_pairs import pair_state
 
-    calls = []
-    real = entanglement_analysis.block_grams
+    counted = []
+    real = pair_state.block_grams
 
-    def counted(*a, **k):
-        calls.append(1)
+    def counting(*a, **k):
+        counted.append(1)
         return real(*a, **k)
 
-    monkeypatch.setattr(entanglement_analysis, "block_grams", counted)
+    monkeypatch.setattr(pair_state, "block_grams", counting)
     code, _, _ = run([args[0], "--config", str(DATA / "sodium_state.json"), *args[1:]], capsys)
     assert code == 0
-    assert 1 <= len(calls) <= most
+    assert len(counted) == calls
 
 
 def test_parser_built_once_per_process():
@@ -482,6 +483,22 @@ def test_equal_ground_splittings_exit_2(state_config, capsys):
     assert "distinct splittings" in err and "F'=1: 0.0 rad/s, F'=2: 0.0 rad/s" in err
 
 
+def test_state_json_refuses_levels_of_one_float_frequency(state_config, capsys):
+    # splittings of 0 and 1 mHz are distinct, but the photon frequencies round
+    # to one float: the JSON would key two levels' channels alike and drop one
+    # level, where the CSV keeps a row per amplitude
+    spec = json.loads((DATA / "sodium.json").read_text())
+    spec["ground_splittings_hz"]["4"] = 1e-3
+    (state_config.parent / "close.json").write_text(json.dumps(spec))
+    edit_config(state_config, lambda raw: raw.update(atom_spec_path="close.json"))
+    code, out, err = run(["state", "--config", str(state_config)], capsys)
+    assert code == 3 and out == ""
+    assert "2F=2 and 2F=4" in err and "equal as floats" in err
+    code, out, _ = run(["state", "--config", str(state_config), "--format", "csv"], capsys)
+    assert code == 0
+    assert len([line for line in out.splitlines() if not line.startswith("#")]) == 5
+
+
 @pytest.mark.parametrize(
     "key, value",
     [
@@ -494,6 +511,7 @@ def test_equal_ground_splittings_exit_2(state_config, capsys):
         ("ground_splittings_hz", {"2": 0.0, "4": "1.772e9"}),
         ("ground_splittings_hz", [0.0, 1.772e9]),
         ("name", ["sodium", 23]),
+        ("name", "sodium\n0,0,0"),  # a line break would add rows to the CSV outputs
     ],
 )
 def test_atom_spec_numbers_are_strict(state_config, capsys, key, value):
@@ -672,7 +690,7 @@ def test_scan_prefix_keeps_its_dots(prefix, scan_config, tmp_path, capsys):
     assert (tmp_path / f"{prefix}.csv").is_file() and (tmp_path / f"{prefix}.json").is_file()
 
 
-@pytest.mark.parametrize("prefix", [".", "..", "sub/.."])
+@pytest.mark.parametrize("prefix", [".", "..", "sub/..", "sub/"])
 def test_scan_prefix_naming_a_directory_exits_2(
     prefix, scan_config, tmp_path, monkeypatch, capsys
 ):
@@ -682,6 +700,17 @@ def test_scan_prefix_naming_a_directory_exits_2(
     assert code == 2 and out == ""
     assert f"'{prefix}' names a directory" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.json", "sub"]
+
+
+@pytest.mark.parametrize("prefix", [".", "..", "sub/..", "sub/"])
+def test_tables_prefix_naming_a_directory_exits_2(prefix, tmp_path, monkeypatch, capsys):
+    # the scan's prefix rule: "sub/" once wrote sub_cg.csv beside sub
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(["tables", "--max-doubled-j", "1", "--output", prefix], capsys)
+    assert code == 2 and out == ""
+    assert f"'{prefix}' names a directory" in err
+    assert [p.name for p in tmp_path.rglob("*")] == ["sub"]
 
 
 @pytest.mark.parametrize("blocked", ["t.csv", "t.json"])

@@ -311,6 +311,23 @@ def test_filtered_product_state_concurrence_exactly_zero(spec, pump):
     assert concurrence_after_filter(state, 2) == 0.0
 
 
+def test_measures_reuse_the_states_grams(spec, pump, phi0, monkeypatch):
+    # the block Grams are computed once per state, read-only; the channel
+    # probabilities and the filtered concurrence read them and sum nothing
+    from raman_pairs import pair_state
+
+    calls = []
+    real = pair_state.block_grams
+    monkeypatch.setattr(pair_state, "block_grams", lambda *a: calls.append(1) or real(*a))
+    state = build_pair_state(spec, pump, phi0, Z)
+    entanglement_entropy(state)
+    assert len(calls) == 1
+    state.channel_probabilities()
+    concurrence_after_filter(state, 1)
+    assert len(calls) == 1
+    assert not state.grams.weights.flags.writeable
+
+
 def test_concurrence_requires_2x2(state_z):
     with pytest.raises(InputDomainError):
         concurrence_2x2(state_z)  # 4 photon labels

@@ -1,5 +1,6 @@
 """Pair-state assembly, frequency channels, filtering, and serialization."""
 
+import decimal
 import json
 import math
 import warnings
@@ -7,8 +8,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.constants import c as SPEED_OF_LIGHT
-from scipy.constants import hbar as HBAR
 
 from conftest import (
     assert_equal_up_to_global_phase,
@@ -39,6 +38,13 @@ from raman_pairs.pair_state import (
 
 TWO_PI = 2.0 * math.pi
 Z = np.array([0.0, 0.0, 1.0])
+
+# The SI-2019 exact c, and hbar = h / (2 pi) rounded once from 60 digits
+SPEED_OF_LIGHT = 299792458.0
+with decimal.localcontext() as _ctx:
+    _ctx.prec = 60
+    _PI = decimal.Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+    HBAR = float(decimal.Decimal("6.62607015e-34") / (2 * _PI))
 
 
 def photon_omega(spec, pump, k, f):
@@ -81,8 +87,8 @@ def test_condensate_rejects_alien_sublevels(spec):
         spinor.vector(spec)
 
 
-def test_constants_match_scipy():
-    # the SI-2019 exact values, bit for bit; scipy stays a test-only oracle
+def test_constants_are_the_exact_si_values():
+    # c exactly, and hbar the float nearest h / (2 pi)
     assert pair_state.SPEED_OF_LIGHT == SPEED_OF_LIGHT
     assert pair_state.HBAR == HBAR
 
@@ -115,8 +121,8 @@ def test_pair_state_rejects_channel_level_mismatch(state_z):
 
 
 def test_equal_frequency_channels_rejected(state_z):
-    # the document pair_state_to_json writes for two levels of equal splitting:
-    # both F=1 channels share their key with an F=2 channel
+    # a document of two levels at one frequency, which pair_state_to_json
+    # refuses to write: both F=1 channels share their key with an F=2 channel
     doc = pair_state_to_json(state_z)
     by_level = {(ch["doubled_f"], ch["lambda"]): ch for ch in doc["channels"]}
     for lam in (1, 2):
