@@ -295,9 +295,13 @@ def load_atom_spec(path: str | Path) -> AtomSpec:
     and is ignored.
     """
     path = Path(path)
+    return _parse_atom_spec(path.read_bytes(), path)
+
+
+def _parse_atom_spec(data: bytes, path: Path) -> AtomSpec:
+    """The :class:`AtomSpec` of the UTF-8 JSON ``data`` read from ``path``."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = json.loads(data.decode("utf-8"))
     except ValueError as exc:  # not JSON, or not UTF-8
         raise InputDomainError(f"atom spec {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):

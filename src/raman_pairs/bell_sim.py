@@ -22,12 +22,15 @@ matrix T over (z, x): the maximum of S over the four angles is 2 ||T||_F (see
 Sampling uses numpy's PCG64 generator, seeded per fixed-size trial chunk via
 SeedSequence spawning, so results are bit-reproducible and independent of any
 future worker partitioning.  Sampled trials are kept as two int8 index arrays
-(setting and outcome), and the events CSV is written from them chunk by chunk.
+(setting and outcome); a trial's outcome is the number of its setting's three
+cumulative bounds that its uniform reaches.  The events CSV is built from the
+arrays as bytes, chunk by chunk, with no Python object per trial.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,6 +59,7 @@ SETTING_LABELS = (("a", "b"), ("a", "b_prime"), ("a_prime", "b"), ("a_prime", "b
 OUTCOME_SIGNS = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]])
 OUTCOME_SIGNS.flags.writeable = False
 
+_ANGLE_NAMES = "a a' b b'"
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -106,14 +110,27 @@ def _bloch(angle: float) -> np.ndarray:
     return np.array([math.cos(2.0 * angle), math.sin(2.0 * angle)])
 
 
+def _finite_angles(names: str, angles) -> tuple[float, ...]:
+    """The analyzer angles ``names`` as floats, each one finite."""
+    names, angles = names.split(), tuple(float(x) for x in angles)
+    if len(angles) != len(names):
+        raise InputDomainError(f"expected {len(names)} analyzer angles ({', '.join(names)})")
+    for name, angle in zip(names, angles):
+        if not math.isfinite(angle):
+            raise InputDomainError(f"analyzer angle {name} must be finite, got {angle!r}")
+    return angles
+
+
 def correlation(state: PairState, a: float, b: float) -> float:
     """E(a, b), the expectation of the product of the two +-1 outcomes."""
+    a, b = _finite_angles("a b", (a, b))
     t = _pauli_correlation_matrix(_support_matrix(state))
     return float(_bloch(a) @ t @ _bloch(b))
 
 
 def chsh(state: PairState, a: float, a_prime: float, b: float, b_prime: float) -> float:
     """S = E(a,b) - E(a,b') + E(a',b) + E(a',b')."""
+    a, a_prime, b, b_prime = _finite_angles(_ANGLE_NAMES, (a, a_prime, b, b_prime))
     t = _pauli_correlation_matrix(_support_matrix(state))
     ca, cap = _bloch(a), _bloch(a_prime)
     cb, cbp = _bloch(b), _bloch(b_prime)
@@ -181,11 +198,9 @@ def sample_events(
     if n < 1:
         raise InputDomainError("need at least one trial")
     matrix = _support_matrix(state)
-    settings = tuple(float(x) for x in settings)
-    if len(settings) != 4:
-        raise InputDomainError("expected four analyzer angles (a, a', b, b')")
-    probs = _joint_distributions(matrix, settings)
-    cumulative = np.cumsum(probs, axis=1)
+    settings = _finite_angles(_ANGLE_NAMES, settings)
+    # bounds[k, s]: the k-th cumulative outcome probability of setting s
+    bounds = np.cumsum(_joint_distributions(matrix, settings), axis=1)[:, :-1].T
 
     n_chunks = (n + _CHUNK - 1) // _CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
@@ -199,7 +214,7 @@ def sample_events(
         rng = np.random.Generator(np.random.PCG64(children[chunk_idx]))
         chunk_settings = rng.integers(0, 4, size=size)
         uniform = rng.random(size)
-        chunk_outcomes = (uniform[:, np.newaxis] >= cumulative[chunk_settings, :-1]).sum(axis=1)
+        chunk_outcomes = sum(uniform >= bound[chunk_settings] for bound in bounds)
         setting_index[start : start + size] = chunk_settings
         outcome_index[start : start + size] = chunk_outcomes
         table += np.bincount(4 * chunk_settings + chunk_outcomes, minlength=16)
@@ -228,25 +243,55 @@ def sample_events(
     )
 
 
-# Row format for one trial, indexed by 4 * setting + outcome.
-_ROW_FORMATS = tuple(
-    f"%d,{la},{lb},{photon},{atom}\n"
-    for la, lb in SETTING_LABELS
-    for photon, atom in OUTCOME_SIGNS.tolist()
+_CSV_HEADER = b"trial,setting_a_label,setting_b_label,photon_outcome,atom_outcome\n"
+# The row after its trial number, indexed by 4 * setting + outcome: a
+# (16, width) byte table, zero-padded on the right by numpy's bytes dtype.
+# No byte of a row is zero, so the padding is what a compress drops.
+_TAIL_TABLE = (
+    np.array(
+        [
+            f",{la},{lb},{photon},{atom}\n".encode()
+            for la, lb in SETTING_LABELS
+            for photon, atom in OUTCOME_SIGNS.tolist()
+        ]
+    )
+    .view(np.uint8)
+    .reshape(16, -1)
 )
 
 
+def _rows(first: int, codes: np.ndarray) -> Iterator[np.ndarray]:
+    """The CSV rows of trials ``first``, ``first + 1``, ... with tails ``codes``,
+    as one byte array per run of trial numbers with the same digit count."""
+    start, stop = first, first + len(codes)
+    while start < stop:
+        digits = len(str(start))
+        end = min(stop, 10**digits)
+        rows = np.empty((end - start, digits + _TAIL_TABLE.shape[1]), dtype=np.uint8)
+        rows[:, digits:] = np.take(_TAIL_TABLE, codes[start - first : end - first], axis=0)
+        # the narrowest unsigned type that holds them divides fastest
+        number = np.arange(start, end, dtype=np.min_scalar_type(end))
+        for column in range(digits - 1, -1, -1):
+            quotient = number // 10
+            rows[:, column] = number - 10 * quotient + ord("0")
+            number = quotient
+        yield rows[rows != 0]
+        start = end
+
+
 def events_to_csv(result: SampleResult, path: str | Path) -> None:
-    """Write the sampled trials, one row each, one chunk of text at a time.
+    """Write the sampled trials, one row each, as bytes built from the arrays.
 
     Columns: trial, setting_a_label, setting_b_label, photon_outcome,
-    atom_outcome.  Each chunk's rows are one format string joined from
-    ``_ROW_FORMATS`` and filled with the chunk's trial numbers.
+    atom_outcome.  Each 65536-trial chunk is written as one ``uint8`` matrix
+    per run of trial numbers with the same digit count: a row holds the
+    trial number's digits, then the row tail of its ``4 * setting +
+    outcome`` from a zero-padded table, and one compress drops the padding.
+    No Python object is made per trial.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("trial,setting_a_label,setting_b_label,photon_outcome,atom_outcome\n")
+    with open(path, "wb") as fh:
+        fh.write(_CSV_HEADER)
         for start in range(0, len(result.setting_index), _CHUNK):
             stop = start + _CHUNK
             codes = 4 * result.setting_index[start:stop] + result.outcome_index[start:stop]
-            rows = "".join(map(_ROW_FORMATS.__getitem__, codes.tolist()))
-            fh.write(rows % tuple(range(start, start + len(codes))))
+            fh.writelines(_rows(start, codes))

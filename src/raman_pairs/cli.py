@@ -31,7 +31,7 @@ from .angular_momentum import (
     _wigner_6j_exact,
     halfint,
 )
-from .atomic_model import AtomSpec, finite_number, load_atom_spec
+from .atomic_model import AtomSpec, _parse_atom_spec, finite_number
 from .bell_sim import GENERATOR_ID, chsh, events_to_csv, optimize_chsh, sample_events
 from .entanglement_analysis import branch_overlap, entanglement_entropy, schmidt
 from .errors import (
@@ -201,8 +201,8 @@ class RunConfig:
                 path = self.path.parent / path
         if not path.is_file():
             _fail_config(f"'atom_spec_path' names no file: '{path}'")
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        return path, digest, load_atom_spec(path)
+        data = _io("'atom_spec_path'", path, Path.read_bytes)  # hashed and parsed: one read
+        return path, hashlib.sha256(data).hexdigest(), _parse_atom_spec(data, path)
 
     def parse_level(self, value, key: str) -> HalfInt:
         try:
@@ -270,11 +270,14 @@ class RunConfig:
         return doc
 
 
-def _output(args, config: RunConfig) -> tuple[str, str | None]:
-    """The output path, and the flag or config key that named it."""
+def _output(args, config: RunConfig) -> tuple[str, Path | None]:
+    """The flag or config key that names the output, and the path it names,
+    refused if its text names a directory (the scan prefix rule)."""
     if args.output:
-        return "--output", args.output
-    return "'output.path'", config.output_path
+        flag, path = "--output", args.output
+    else:
+        flag, path = "'output.path'", config.output_path
+    return flag, None if path is None else _prefix_path(path, flag)
 
 
 def _write_text(text: str, args, config: RunConfig) -> None:
@@ -282,7 +285,7 @@ def _write_text(text: str, args, config: RunConfig) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        _io(flag, Path(path), lambda p: p.write_text(text, encoding="utf-8"))
+        _io(flag, path, lambda p: p.write_text(text, encoding="utf-8"))
 
 
 def _analysis_block(state: PairState, full_state: PairState) -> dict:
@@ -417,6 +420,7 @@ def cmd_chsh(args) -> int:
     config = RunConfig(Path(args.config))
     if (args.format or config.output_format) == "csv":
         _fail_config("'output.format'/--format csv: chsh writes JSON only; use --events-csv")
+    _output(args, config)  # a bad output path fails before the events file is written
     state = _state(config)
     if config.filter_f is not None:
         state = spectral_filter(state, config.filter_f)
@@ -525,7 +529,7 @@ def cmd_tables(args) -> int:
         )
     cg, w3j, w6j = _tables_text(n)
     if args.output:
-        prefix = _prefix_path(args.output)
+        prefix = _prefix_path(args.output, "--output")
         paths = [prefix.parent / f"{prefix.name}_{suffix}.csv" for suffix in ("cg", "3j", "6j")]
 
         def write_all(_) -> None:

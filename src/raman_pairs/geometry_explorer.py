@@ -296,12 +296,13 @@ def _all_or_none(paths: list[Path]) -> Iterator[list[Path]]:
         raise
 
 
-def _prefix_path(prefix: str | os.PathLike) -> Path:
-    """An output prefix as a path, checked on its text, where a trailing separator
-    shows: one that ends in a separator or is named "", "." or ".." is a directory."""
+def _prefix_path(prefix: str | os.PathLike, name: str = "output prefix") -> Path:
+    """An output prefix or file as a path, checked on its text, where a trailing
+    separator shows: one that ends in a separator or is named "", "." or ".."
+    is a directory.  The error calls it ``name``, such as the flag that gave it."""
     text = os.fspath(prefix)
     if text.endswith((os.sep, os.altsep or os.sep)) or Path(text).name in ("", ".", ".."):
-        raise InputDomainError(f"output prefix '{text}' names a directory, not a file")
+        raise InputDomainError(f"{name} '{text}' names a directory, not a file")
     return Path(text)
 
 

@@ -22,6 +22,11 @@ package code:
   (the package solves each F block's 2 x 2 Gram eigenproblem in closed form).
 * ``oracle_correlation`` enumerates projective outcome probabilities
   (the package contracts a Pauli correlation matrix).
+* ``oracle_sampled_events`` replays the documented random stream in plain
+  Python and inverts each trial's uniform with ``bisect`` (the package
+  compares whole chunks against each cumulative bound); ``events_csv_text``
+  writes the events with the ``csv`` module from the labels (the package
+  fills byte matrices from a padded tail table).
 * ``wigner_d`` evaluates Wigner's closed formula for the rotation matrix
   D^j (the package never rotates a state; the rotation-covariance test uses
   it to rotate the condensate).
@@ -35,6 +40,7 @@ All angular-momentum arguments are doubled integers.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import csv
 import io
@@ -348,8 +354,14 @@ def oracle_entropy_bits(matrix: np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def oracle_correlation(matrix: np.ndarray, a: float, b: float) -> float:
-    """E(a, b) by enumerating the four projective outcome probabilities."""
+# Outcome index -> (photon, atom) outcomes, and setting index -> (photon,
+# atom) analyzer labels, as the events CSV spells them.
+EVENT_OUTCOMES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+EVENT_SETTINGS = (("a", "b"), ("a", "b_prime"), ("a_prime", "b"), ("a_prime", "b_prime"))
+
+
+def oracle_outcome_probabilities(matrix: np.ndarray, a: float, b: float) -> list[float]:
+    """The four projective outcome probabilities, in ``EVENT_OUTCOMES`` order."""
     u = {
         +1: np.array([math.cos(a), math.sin(a)]),
         -1: np.array([-math.sin(a), math.cos(a)]),
@@ -358,12 +370,57 @@ def oracle_correlation(matrix: np.ndarray, a: float, b: float) -> float:
         +1: np.array([math.cos(b), math.sin(b)]),
         -1: np.array([-math.sin(b), math.cos(b)]),
     }
+    matrix = np.asarray(matrix)
+    return [float(abs(u[s_out] @ matrix @ v[t_out]) ** 2) for s_out, t_out in EVENT_OUTCOMES]
+
+
+def oracle_correlation(matrix: np.ndarray, a: float, b: float) -> float:
+    """E(a, b) by enumerating the four projective outcome probabilities."""
     total = 0.0
-    for s_out, us in u.items():
-        for t_out, vt in v.items():
-            amplitude = us @ np.asarray(matrix) @ vt
-            total += s_out * t_out * abs(amplitude) ** 2
+    for (s_out, t_out), p in zip(EVENT_OUTCOMES, oracle_outcome_probabilities(matrix, a, b)):
+        total += s_out * t_out * p
     return total
+
+
+def oracle_sampled_events(
+    matrix: np.ndarray, settings, n: int, seed: int, chunk: int = 65536
+) -> tuple[list[int], list[int]]:
+    """Setting and outcome indices of ``n`` trials, drawn one trial at a time.
+
+    The documented stream: ``SeedSequence(seed).spawn`` one child per chunk
+    of trials; per chunk, a PCG64 generator draws the setting indices
+    (``integers(0, 4)``) and then the uniforms (``random()``).  A trial's
+    outcome is the inverse transform of its uniform, a ``bisect`` over its
+    setting's cumulative outcome probabilities.
+    """
+    a, ap, b, bp = settings
+    cumulative = [
+        list(itertools.accumulate(oracle_outcome_probabilities(matrix, x, y)))
+        for x, y in ((a, b), (a, bp), (ap, b), (ap, bp))
+    ]
+    setting_index, outcome_index = [], []
+    for k, child in enumerate(np.random.SeedSequence(seed).spawn(-(-n // chunk))):
+        size = min(chunk, n - k * chunk)
+        rng = np.random.Generator(np.random.PCG64(child))
+        drawn = rng.integers(0, 4, size=size).tolist()
+        for setting, uniform in zip(drawn, rng.random(size).tolist()):
+            setting_index.append(setting)
+            outcome_index.append(bisect.bisect_right(cumulative[setting], uniform, hi=3))
+    return setting_index, outcome_index
+
+
+def events_csv_text(setting_index, outcome_index) -> str:
+    """The events CSV through the csv module, each row from its trial's labels."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(
+        ["trial", "setting_a_label", "setting_b_label", "photon_outcome", "atom_outcome"]
+    )
+    writer.writerows(
+        [trial, *EVENT_SETTINGS[setting], *EVENT_OUTCOMES[outcome]]
+        for trial, (setting, outcome) in enumerate(zip(setting_index, outcome_index))
+    )
+    return buf.getvalue()
 
 
 def oracle_chsh(matrix: np.ndarray, a: float, ap: float, b: float, bp: float) -> float:

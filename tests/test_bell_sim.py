@@ -1,12 +1,13 @@
 """Analytic and sampled CHSH correlations."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import oracle_chsh, oracle_correlation
+from oracles import events_csv_text, oracle_chsh, oracle_correlation, oracle_sampled_events
 from raman_pairs.bell_sim import (
     OUTCOME_SIGNS,
     SETTING_LABELS,
@@ -17,7 +18,7 @@ from raman_pairs.bell_sim import (
     sample_events,
 )
 from raman_pairs.errors import InputDomainError
-from raman_pairs.pair_state import PairState, spectral_filter
+from raman_pairs.pair_state import PairState, build_pair_state, spectral_filter
 
 Z = np.array([0.0, 0.0, 1.0])
 ROOT8 = 2.0 * math.sqrt(2.0)
@@ -305,6 +306,55 @@ def test_events_csv_rows_match_arrays(bell, tmp_path):
         la, lb = SETTING_LABELS[result.setting_index[k]]
         photon, atom = OUTCOME_SIGNS[result.outcome_index[k]]
         assert lines[k] == f"{k},{la},{lb},{photon},{atom}"
+
+
+@pytest.mark.parametrize(
+    "n", [1, 9, 10, 11, 99, 100, 101, 9_999, 10_000, 65_536, 65_537, 100_001]
+)
+def test_events_csv_matches_oracle(n, pump, tmp_path):
+    # every digit-count boundary up to 6 digits, and the chunk boundary
+    m = np.array([[0.6, 0.2j], [0.1 - 0.3j, 0.7]])
+    state = synth_state(m / np.linalg.norm(m), pump)
+    result = sample_events(state, (0.1, 1.2, 0.4, 2.0), n, 17)
+    path = tmp_path / "events.csv"
+    events_to_csv(result, path)
+    want = events_csv_text(result.setting_index.tolist(), result.outcome_index.tolist())
+    assert path.read_bytes() == want.encode()
+
+
+def test_sampling_matches_inverse_transform_oracle(spec, pump, phi0):
+    # the documented stream, replayed one trial at a time, gives the same
+    # settings and outcomes at non-Bell settings, across the chunk boundary
+    rng = np.random.default_rng(109)
+    states = []
+    for _ in range(3):
+        direction = rng.normal(size=3)
+        direction /= np.linalg.norm(direction)
+        states.append(spectral_filter(build_pair_state(spec, pump, phi0, direction), 2))
+        states.append(synth_state(random_matrix(rng), pump))
+    for state, n in zip(states, (65_536 + 321, 1, 2_000, 65_536, 77, 70_000)):
+        settings = tuple(rng.uniform(-math.pi, math.pi, 4))
+        seed = int(rng.integers(2**32))
+        result = sample_events(state, settings, n, seed)
+        oracle = oracle_sampled_events(state.matrix()[0], settings, n, seed)
+        assert result.setting_index.tolist() == oracle[0]
+        assert result.outcome_index.tolist() == oracle[1]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position, name", enumerate(["a", "a'", "b", "b'"]))
+def test_non_finite_angle_is_named(position, name, value, bell):
+    # a NaN angle once sampled every trial as (+1, +1), a plausible S
+    settings = [0.1, 0.7, 0.3, 1.1]
+    settings[position] = value
+    named = pytest.raises(InputDomainError, match=f"analyzer angle {re.escape(name)} ")
+    with named:
+        sample_events(bell, settings, 1000, 1)
+    with named:
+        chsh(bell, *settings)
+    if name in ("a", "b"):
+        with named:
+            correlation(bell, settings[0], settings[2])
 
 
 def test_sampled_arrays_are_read_only(bell):

@@ -1,6 +1,8 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
+import builtins
 import hashlib
+import io
 import json
 import math
 import shutil
@@ -678,6 +680,63 @@ def test_output_path_not_a_string_exits_2(state_config, capsys):
     code, out, err = run(["state", "--config", str(state_config)], capsys)
     assert code == 2 and out == ""
     assert "'output.path'" in err
+
+
+_WRITERS = {
+    "state": (_STATE, []),
+    "filter": (_STATE, ["--f-select", "1"]),
+    "chsh": (_CHSH, ["--samples", "10", "--events-csv", "events.csv"]),
+}
+
+
+@pytest.mark.parametrize("path", ["newdir/", "sub/", ".", "..", "sub/.."])
+@pytest.mark.parametrize("source", ["--output", "'output.path'"])
+@pytest.mark.parametrize("command", sorted(_WRITERS))
+def test_output_naming_a_directory_exits_2(
+    command, source, path, tmp_path, monkeypatch, capsys
+):
+    # the scan prefix rule: "newdir/" once wrote a file named newdir
+    shipped, extra = _WRITERS[command]
+    config = tmp_path / "config.json"
+    shutil.copy(shipped, config)
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--config", "config.json", *extra]
+    if source == "--output":
+        argv += ["--output", path]
+    else:
+        edit_config(config, lambda c: c.update(output={"path": path}))
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert f"{source} '{path}' names a directory" in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json", "sub"]
+
+
+@pytest.mark.parametrize("command", sorted(_WRITERS))
+def test_species_file_opened_once(command, tmp_path, monkeypatch, capsys):
+    # the bytes hashed into atom_spec_sha256 are the bytes parsed: one open
+    shipped, extra = _WRITERS[command]
+    config = tmp_path / "config.json"
+    shutil.copy(shipped, config)
+    species = tmp_path / "species.json"
+    shutil.copy(DATA / "sodium.json", species)
+    edit_config(config, lambda raw: raw.update(atom_spec_path="species.json"))
+    monkeypatch.chdir(tmp_path)
+    opened = []
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        if not isinstance(file, int) and Path(file).resolve() == species.resolve():
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    code, out, _ = run([command, "--config", "config.json", *extra], capsys)
+    assert code == 0
+    assert len(opened) == 1
+    digest = hashlib.sha256(species.read_bytes()).hexdigest()
+    assert f'"atom_spec_sha256": "{digest}"' in out
 
 
 @pytest.mark.parametrize("prefix", ["run.v1", "run.v2", "run"])
