@@ -111,13 +111,16 @@ def _bloch(angle: float) -> np.ndarray:
 
 
 def _finite_angles(names: str, angles) -> tuple[float, ...]:
-    """The analyzer angles ``names`` as floats, each one finite."""
+    """The analyzer angles ``names`` as floats, each one finite and so its double,
+    which sets the Bloch vector."""
     names, angles = names.split(), tuple(float(x) for x in angles)
     if len(angles) != len(names):
         raise InputDomainError(f"expected {len(names)} analyzer angles ({', '.join(names)})")
     for name, angle in zip(names, angles):
-        if not math.isfinite(angle):
-            raise InputDomainError(f"analyzer angle {name} must be finite, got {angle!r}")
+        if not math.isfinite(2.0 * angle):
+            raise InputDomainError(
+                f"analyzer angle {name} must be finite and so must twice it, got {angle!r}"
+            )
     return angles
 
 

@@ -32,8 +32,16 @@ from .angular_momentum import (
     halfint,
 )
 from .atomic_model import AtomSpec, _parse_atom_spec, finite_number
-from .bell_sim import GENERATOR_ID, chsh, events_to_csv, optimize_chsh, sample_events
-from .entanglement_analysis import branch_overlap, entanglement_entropy, schmidt
+from .bell_sim import (
+    _ANGLE_NAMES,
+    GENERATOR_ID,
+    _finite_angles,
+    chsh,
+    events_to_csv,
+    optimize_chsh,
+    sample_events,
+)
+from .entanglement_analysis import _schmidt_coefficients, branch_overlap, entanglement_entropy
 from .errors import (
     ConfigError,
     InputDomainError,
@@ -53,6 +61,7 @@ from .pair_state import (
     CondensateSpinor,
     PairState,
     PumpConfig,
+    _intensity,
     build_pair_state,
     json_text,
     pair_state_to_json,
@@ -174,9 +183,11 @@ class RunConfig:
             if settings is not None:
                 if not isinstance(settings, list) or len(settings) != 4:
                     _fail_config("'chsh.settings_rad' must be a list of 4 angles")
-                self.chsh_settings = tuple(
-                    finite_number(x, "chsh.settings_rad") for x in settings
-                )
+                angles = tuple(finite_number(x, "chsh.settings_rad") for x in settings)
+                try:
+                    self.chsh_settings = _finite_angles(_ANGLE_NAMES, angles)
+                except InputDomainError as exc:  # an angle whose double overflows
+                    _fail_config(f"invalid 'chsh.settings_rad': {exc}")
         self.validity_threshold = finite_number(
             raw.get("validity_threshold", 100.0), "validity_threshold"
         )
@@ -222,12 +233,15 @@ class RunConfig:
                 _fail_config(f"missing required key 'pump.{key}'")
         direction = _as_unit_vector(raw["direction"], "pump.direction", False)
         polarization = _as_unit_vector(raw["polarization"], "pump.polarization", True)
+        amplitude = _as_complex(raw.get("amplitude", 1.0), "pump.amplitude")
+        if not _intensity(amplitude) > 0:
+            _fail_config(f"'pump.amplitude' must have a positive |amplitude|^2, got {amplitude!r}")
         try:
             return PumpConfig(
                 direction=direction,
                 polarization=polarization,
                 omega_laser=TWO_PI * finite_number(raw["laser_hz"], "pump.laser_hz"),
-                pump_amplitude=_as_complex(raw.get("amplitude", 1.0), "pump.amplitude"),
+                pump_amplitude=amplitude,
                 atom_number=finite_number(raw.get("atom_number", 1.0), "pump.atom_number"),
             )
         except InputDomainError as exc:
@@ -238,12 +252,18 @@ class RunConfig:
         if not isinstance(amplitudes, dict) or not amplitudes:
             _fail_config("'condensate.amplitudes' must be a non-empty object")
         parsed: dict[tuple[int, int], complex] = {}
+        spelling: dict[tuple[int, int], str] = {}
         for key, value in amplitudes.items():
             try:
                 tf, tm = (int(x) for x in key.split(":"))
             except ValueError:
                 _fail_config(
                     f"condensate key {key!r} must look like '2F:2m' with doubled integers"
+                )
+            first = spelling.setdefault((tf, tm), key)
+            if first != key:
+                _fail_config(
+                    f"'condensate.amplitudes' keys {first!r} and {key!r} name one sublevel"
                 )
             parsed[(tf, tm)] = _as_complex(value, f"condensate.amplitudes.{key}")
         try:
@@ -297,7 +317,7 @@ def _analysis_block(state: PairState, full_state: PairState) -> dict:
         overlap_note = str(exc)
     block = {
         "entropy_bits": entanglement_entropy(state),
-        "schmidt_coefficients": list(schmidt(state).coefficients),
+        "schmidt_coefficients": list(_schmidt_coefficients(state)),
         "channel_probabilities": {
             ch.key(): prob for ch, prob in state.channel_probabilities()
         },

@@ -101,31 +101,56 @@ def _photon_pair(grams: BlockGrams, i: int, big: float) -> tuple[np.ndarray, np.
     return v, np.array([-v[1].conjugate(), v[0].conjugate()])
 
 
-def schmidt(state: PairState) -> SchmidtResult:
-    """Schmidt decomposition of the photon x atom amplitude matrix, block by block.
+def _schmidt_terms(grams: BlockGrams) -> tuple[list[tuple[float, int, int]], np.ndarray]:
+    """Schmidt coefficients of the first state of ``grams``, in descending order.
 
     A block has at most two photon rows, so its squared Schmidt coefficients
     are the eigenvalues of its 2 x 2 Gram matrix, taken as in
-    :func:`entropy_of_blocks`.  Each photon vector p is a Gram eigenvector
-    and its atom vector is p^dagger M / s, with s the Schmidt coefficient.
+    :func:`entropy_of_blocks`.  A coefficient counts when it exceeds
+    ``_RANK_FLOOR`` times the largest.  Each is returned as (value, block,
+    0 for the larger Gram eigenvalue or 1 for the smaller), together with
+    the larger eigenvalue of every block.
+    """
+    big, small = _block_eigenvalues(grams)
+    values = np.sqrt(np.stack([big[0], small[0]], axis=-1))  # (nF, 2)
+    floor = _RANK_FLOOR * values.max()
+    terms = [
+        (value, i, j)
+        for i, pair in enumerate(values.tolist())
+        for j, value in enumerate(pair)
+        if value > floor
+    ]
+    terms.sort(key=lambda term: -term[0])
+    return terms, big[0]
+
+
+def _schmidt_coefficients(state: PairState) -> tuple[float, ...]:
+    """The Schmidt coefficients of :func:`schmidt`, without its basis vectors."""
+    return tuple(value for value, _, _ in _schmidt_terms(state.grams)[0])
+
+
+def schmidt(state: PairState) -> SchmidtResult:
+    """Schmidt decomposition of the photon x atom amplitude matrix, block by block.
+
+    The coefficients are those of :func:`_schmidt_coefficients`.  Each photon
+    vector p is a Gram eigenvector of its block and its atom vector is
+    p^dagger M / s, with s the Schmidt coefficient.
     """
     grams = state.grams
     _, photon_labels, atom_labels = state.matrix()
     rows, cols = state.support()
-    big, small = _block_eigenvalues(grams)
-    values = np.sqrt(np.stack([big[0], small[0]], axis=-1))  # (nF, 2)
-    floor = _RANK_FLOOR * values.max()
+    terms, big = _schmidt_terms(grams)
     nf, g = len(state.levels), state.amplitudes.shape[1]
     padded = np.append(state.amplitudes, np.zeros((2, 1)), axis=1)  # the blocks pad with G
+    blocks = _sublevels(state.levels).blocks
     pairs = []
-    for i, index in enumerate(_sublevels(state.levels).blocks):
-        for value, vec in zip(values[i].tolist(), _photon_pair(grams, i, big[0, i])):
-            if value > floor:
-                p = np.zeros(2 * nf, dtype=complex)  # row (lambda-1) * nF + i
-                p[[i, nf + i]] = vec
-                at = np.zeros(g + 1, dtype=complex)
-                at[index] = vec.conj() @ padded[:, index] / value
-                pairs.append((value, *_canonical_phase(p[rows], at[cols])))
+    for value, i, j in terms:
+        vec = _photon_pair(grams, i, big[i])[j]
+        p = np.zeros(2 * nf, dtype=complex)  # row (lambda-1) * nF + i
+        p[[i, nf + i]] = vec
+        at = np.zeros(g + 1, dtype=complex)
+        at[blocks[i]] = vec.conj() @ padded[:, blocks[i]] / value
+        pairs.append((value, *_canonical_phase(p[rows], at[cols])))
     pairs.sort(key=lambda item: (-item[0], tuple((z.real, z.imag) for z in item[1])))
     return SchmidtResult(
         coefficients=tuple(c for c, _, _ in pairs),
@@ -227,7 +252,7 @@ def is_factorized(state: PairState, tol: float = 1e-10) -> bool:
     Covers both degenerate routes to factorization: identical branch spinors
     and a vanishing branch.
     """
-    coeffs = schmidt(state).coefficients
+    coeffs = _schmidt_coefficients(state)
     return len(coeffs) < 2 or coeffs[1] < tol
 
 

@@ -42,7 +42,6 @@ Two channels whose frequencies lie closer than
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import os
@@ -50,6 +49,7 @@ import sys
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import NamedTuple
 
 import numpy as np
@@ -95,6 +95,14 @@ _NORM_TOL = 1e-12
 DEFAULT_CHANNEL_RESOLUTION = 2.0 * np.pi * 1.0e6  # rad/s
 
 
+def _intensity(amplitude: complex) -> float:
+    """|amplitude|^2; infinite where a finite amplitude's square overflows."""
+    try:
+        return abs(amplitude) ** 2
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True, eq=False)
 class PumpConfig:
     """Undepleted pump laser plus condensate atom number."""
@@ -123,6 +131,10 @@ class PumpConfig:
             raise InputDomainError("pump frequency must be positive")
         if not self.atom_number >= 1:
             raise InputDomainError("atom number must be at least 1")
+        if not _intensity(self.pump_amplitude) > 0:  # zero, or a square that underflows
+            raise InputDomainError(
+                f"pump amplitude must have a positive |amplitude|^2, got {self.pump_amplitude!r}"
+            )
         k.flags.writeable = False
         pol.flags.writeable = False
         object.__setattr__(self, "direction", k)
@@ -518,17 +530,12 @@ def pair_batch(
     omega = _photon_frequencies(spec, pump, k)
     level = _sublevels(tuple(f.twice for f, _ in spec.ground_splittings)).tiled
     amplitudes, total_sq, phases = _normalize_and_phase(rows, omega, level)
-    try:
-        intensity = abs(pump.pump_amplitude) ** 2
-    except OverflowError:  # a finite amplitude whose square is not: infinite weights
-        intensity = math.inf
-
     return PairBatch(
         directions=k,
         amplitudes=amplitudes.reshape(n, 2, g),
         norms=np.sqrt(total_sq),
         phases=phases,
-        weights=pump.atom_number * intensity * total_sq,
+        weights=pump.atom_number * _intensity(pump.pump_amplitude) * total_sq,
         omega=omega,
     )
 
@@ -596,6 +603,11 @@ def build_pair_state(
             "no scattering amplitude into this direction for the given pump "
             "and condensate"
         )
+    if not batch.weights[0] > 0.0:
+        raise EmptyStateError(
+            "the emission weight into this direction underflows to zero: the pump "
+            "intensity times the atom number is too small"
+        )
 
     levels = tuple(f.twice for f in spec.ground_levels())
     omegas = batch.omega[0].tolist()
@@ -644,12 +656,45 @@ def spectral_filter(state: PairState, f_select: HalfIntLike) -> PairState:
 # --- serialization ----------------------------------------------------------
 
 
+def _json_value(value, indent: str) -> str:
+    """``value`` as ``json.dumps(..., indent=2, sort_keys=True)`` writes it at ``indent``."""
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not -math.inf < value < math.inf:  # NaN fails too
+            raise PhysicsError(f"output has a non-finite number: {value!r}")
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json_value(item, inner) for item in value]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # a key that is not a str fails in _json_string, or in sorting
+        items = [f"{_json_string(k)}: {_json_value(v, inner)}" for k, v in sorted(value.items())]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def json_text(doc: dict) -> str:
-    """Indented, key-sorted strict JSON; a non-finite number is a physics error."""
-    try:
-        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    except ValueError as exc:
-        raise PhysicsError(f"output has a non-finite number: {exc}") from None
+    """Indented, key-sorted, ASCII-escaped strict JSON; a non-finite number is a physics error.
+
+    The bytes are those of ``json.dumps(doc, indent=2, sort_keys=True,
+    allow_nan=False) + "\\n"``, for str keys.  The standard library
+    encodes an indented document in pure Python; this writer does less.
+    """
+    return _json_value(doc, "") + "\n"
 
 
 def _complex_pair(z: complex) -> list[float]:

@@ -27,7 +27,6 @@ import numpy as np
 from .atomic_model import (
     AtomSpec,
     SublevelId,
-    detuning,
     dipole_matrix_element,
     spherical_component,
 )
@@ -95,9 +94,12 @@ def ground_basis(spec: AtomSpec) -> tuple[SublevelId, ...]:
 
 
 def _detunings(spec: AtomSpec, omega_laser: float) -> np.ndarray:
-    """Delta(F') per ground sublevel; raises on an exact zero."""
-    ground, _, _ = _sublevel_tables(spec)
-    deltas = np.array([detuning(spec, omega_laser, g.f) for g in ground])
+    """Delta(F') per ground sublevel, computed once per level; raises on an exact zero."""
+    levels = spec.ground_splittings  # (F', delta(F')) in the order of the ground basis
+    deltas = np.repeat(
+        [omega_laser - spec.resonance + split for _, split in levels],  # as in detuning()
+        [f.twice + 1 for f, _ in levels],
+    )
     if np.any(deltas == 0.0):
         raise SingularDetuningError(
             "laser exactly resonant with a ground level; adiabatic elimination "
@@ -114,8 +116,8 @@ def sequential_sum(terms: np.ndarray) -> np.ndarray:
     batch row the same bits whatever the batch size.
     """
     total = np.zeros(terms.shape[:-1])
-    for column in np.moveaxis(terms, -1, 0):
-        total += column
+    for j in range(terms.shape[-1]):
+        total += terms[..., j]
     return total
 
 

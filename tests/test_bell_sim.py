@@ -341,10 +341,11 @@ def test_sampling_matches_inverse_transform_oracle(spec, pump, phi0):
         assert result.outcome_index.tolist() == oracle[1]
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e308, -9e307])
 @pytest.mark.parametrize("position, name", enumerate(["a", "a'", "b", "b'"]))
 def test_non_finite_angle_is_named(position, name, value, bell):
-    # a NaN angle once sampled every trial as (+1, +1), a plausible S
+    # a NaN angle once sampled every trial as (+1, +1), a plausible S; the
+    # Bloch vector takes the cosine of twice the angle, which must be finite
     settings = [0.1, 0.7, 0.3, 1.1]
     settings[position] = value
     named = pytest.raises(InputDomainError, match=f"analyzer angle {re.escape(name)} ")

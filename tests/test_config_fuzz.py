@@ -1,9 +1,11 @@
 """Property tests: mutated inputs never crash the program.
 
-Each config example takes a shipped config, deletes keys or replaces values
-(huge, NaN, +-Infinity, retyped), and runs one subcommand in-process.  Every
-run must exit 0, 2 or 3 without a traceback, and a configuration error
-(exit 2) must name one of the mutated keys.  Each state-document example
+Each config example takes a shipped config, may first add the optional keys
+it lacks, then deletes keys or replaces values (huge, NaN, +-Infinity,
+retyped), and runs one subcommand in-process.  Every run must exit 0, 2 or 3
+without a traceback, a configuration error (exit 2) must name one of the
+mutated keys, and a state that is written reports a positive emission
+weight.  Each state-document example
 mutates a ``pair_state_to_json`` document the same way and also relabels
 keys; reading it back gives a ``PairState`` or an ``InputDomainError``.
 """
@@ -13,6 +15,7 @@ import copy
 import io
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -59,6 +62,16 @@ CASES = [
     (_shipped("sodium_chsh.json"), ["chsh", "--samples", "40"]),
     (_coarse_scan(), ["scan", "--output", "{out}"]),
 ]
+
+# Optional keys, with valid values, that some shipped configs lack; "{out}"
+# becomes a fresh output path
+OPTIONAL = {
+    ("chsh", "settings_rad"): [0.0, math.pi / 4, math.pi / 8, -math.pi / 8],
+    ("validity_threshold",): 100.0,
+    ("output", "path"): "{out}.result",
+    ("pump", "amplitude"): [1.0, 0.0],
+    ("pump", "atom_number"): 1.0e6,
+}
 
 REPLACEMENTS = st.one_of(
     st.sampled_from(
@@ -153,6 +166,12 @@ def _names_key(message: str, name: str) -> bool:
 def mutated_runs(draw):
     config, args = draw(st.sampled_from(CASES))
     config = json.loads(json.dumps(config))
+    for (*holders, key), value in OPTIONAL.items():
+        if draw(st.booleans()):
+            node = config
+            for holder in holders:
+                node = node.setdefault(holder, {})
+            node.setdefault(key, copy.deepcopy(value))
     paths = list(_paths(config))
     names = []
     for _ in range(draw(st.integers(1, 3))):
@@ -168,19 +187,31 @@ def mutated_runs(draw):
 @given(mutated_runs())
 def test_mutated_configs_exit_cleanly(run):
     config, args, names = run
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
+        out_path = str(Path(tmp) / "out")
         path = Path(tmp) / "config.json"
-        path.write_text(json.dumps(config))
-        argv = [a.replace("{out}", str(Path(tmp) / "out")) for a in args]
+        path.write_text(json.dumps(config).replace("{out}", out_path))
+        argv = [a.replace("{out}", out_path) for a in args]
         argv[1:1] = ["--config", str(path)]
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+        os.chdir(tmp)  # a mutated relative output path lands in the temporary directory
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+        written = out.getvalue()
+        target = config["output"].get("path") if isinstance(config.get("output"), dict) else None
+        if code == 0 and args[0] in ("state", "filter") and isinstance(target, str):
+            written = (Path(tmp) / target.replace("{out}", out_path)).read_text()
     message = err.getvalue()
     assert code in (0, 2, 3), message
     assert "Traceback" not in message
     if code == 2:
         assert any(_names_key(message, name) for name in names), (names, message)
+    if code == 0 and args[0] in ("state", "filter") and written.startswith("{"):
+        assert json.loads(written)["emission_weight"] > 0
 
 
 def _state_documents() -> list[dict]:

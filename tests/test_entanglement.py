@@ -14,6 +14,7 @@ from conftest import (
 )
 from oracles import oracle_entropy_bits, oracle_schmidt_sq
 from raman_pairs.entanglement_analysis import (
+    _schmidt_coefficients,
     branch_overlap,
     concurrence_2x2,
     concurrence_after_filter,
@@ -248,6 +249,29 @@ def test_schmidt_orthonormal_bases_on_random_states(spec):
                 np.square(result.coefficients), oracle_schmidt_sq(matrix), atol=1e-15
             )
             _assert_schmidt_exact(result, matrix, tol=1e-14)
+
+
+def test_schmidt_coefficients_without_bases_match_schmidt(spec, pump, state_z):
+    # the closed-form spectrum that the CLI writes equals the coefficients of
+    # the full decomposition bit for bit: random, product, rank-deficient,
+    # degenerate and filtered states, and hand-made blocks
+    rng = np.random.default_rng(97)
+    states = [state_z, spectral_filter(state_z, 1), spectral_filter(state_z, 2)]
+    for _ in range(40):
+        state = build_pair_state(
+            spec, random_pump(spec, rng), random_condensate(spec, rng), random_direction(rng)
+        )
+        states += [state, spectral_filter(state, 1), spectral_filter(state, 2)]
+    for k in (Z, np.array([0.6, 0.0, 0.8]), random_direction(rng)):
+        product = _sigma_plus_state(spec, pump, k)
+        states += [product, spectral_filter(product, 2)]
+    eps = 1e-9
+    rank_one = np.array([[0.6, 0.0, 0.0], [0.8, 0.0, 0.0]])
+    tiny = np.array([[math.sqrt(0.36), eps * (1 + 2j), 0.0], [eps * (3 - 1j), 0.0, 0.8j]])
+    states += [hand_state((2,), (1.0,), m) for m in (rank_one, tiny)]
+    for state in states:
+        assert _schmidt_coefficients(state) == schmidt(state).coefficients
+    assert len(_schmidt_coefficients(hand_state((2,), (1.0,), rank_one))) == 1
 
 
 def test_schmidt_rejects_inputs_outside_the_block_structure(state_z):
