@@ -286,6 +286,17 @@ def finite_number(value, key: str) -> float:
     raise InputDomainError(f"'{key}' must be a finite number, got {value!r}")
 
 
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The object of a JSON ``object_pairs_hook``, refusing a key that it
+    names twice (``json.loads`` alone keeps the last one without a word)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise InputDomainError(f"the key {key!r} appears twice in one object")
+    return obj
+
+
 def load_atom_spec(path: str | Path) -> AtomSpec:
     """Load an :class:`AtomSpec` from its JSON file format.
 
@@ -301,7 +312,9 @@ def load_atom_spec(path: str | Path) -> AtomSpec:
 def _parse_atom_spec(data: bytes, path: Path) -> AtomSpec:
     """The :class:`AtomSpec` of the UTF-8 JSON ``data`` read from ``path``."""
     try:
-        raw = json.loads(data.decode("utf-8"))
+        raw = json.loads(data.decode("utf-8"), object_pairs_hook=unique_keys)
+    except InputDomainError as exc:  # a repeated key
+        raise InputDomainError(f"atom spec {path}: {exc}") from exc
     except ValueError as exc:  # not JSON, or not UTF-8
         raise InputDomainError(f"atom spec {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):

@@ -21,10 +21,20 @@ matrix T over (z, x): the maximum of S over the four angles is 2 ||T||_F (see
 
 Sampling uses numpy's PCG64 generator, seeded per fixed-size trial chunk via
 SeedSequence spawning, so results are bit-reproducible and independent of any
-future worker partitioning.  Sampled trials are kept as two int8 index arrays
-(setting and outcome); a trial's outcome is the number of its setting's three
-cumulative bounds that its uniform reaches.  The events CSV is built from the
-arrays as bytes, chunk by chunk, with no Python object per trial.
+future worker partitioning.  Chunk i's seed is ``SeedSequence(seed,
+spawn_key=(i,))``, the i-th child that ``spawn`` would give, made on its own.
+Sampled trials are kept as two int8 index arrays (setting and outcome); a
+trial's outcome is the number of its setting's three cumulative bounds that its
+uniform reaches.  The events CSV is built from the arrays as bytes, chunk by
+chunk, with no Python object per trial.
+
+Besides the two result arrays (2 bytes per trial), the working set is one
+block's.  A chunk writes its setting draw straight into the int8 result array
+and frees the int64 draw before any comparison.  It then draws its uniforms
+``_BLOCK`` at a time, the same stream as one call, and counts for each trial
+how many bounds it reaches in place in the outcome array.  The CSV writer
+formats at most ``_BLOCK`` rows per byte matrix.  So memory beyond the arrays
+does not grow with the trial count, and the temporaries stay near the cache.
 """
 
 from __future__ import annotations
@@ -53,6 +63,10 @@ __all__ = [
 
 GENERATOR_ID = "numpy.random.PCG64/SeedSequence-spawn/chunk65536"
 _CHUNK = 65536
+# Trials per block: the sampler compares, and the CSV writer formats, this
+# many at a time, so their temporaries (under 0.5 MB for the sampler, about
+# 1.5 MB for 30-byte CSV rows with their mask and compress) stay near the cache.
+_BLOCK = 16384
 # Setting index -> (photon, atom) analyzer labels.
 SETTING_LABELS = (("a", "b"), ("a", "b_prime"), ("a_prime", "b"), ("a_prime", "b_prime"))
 # Outcome index -> (photon, atom) outcomes.
@@ -205,22 +219,27 @@ def sample_events(
     # bounds[k, s]: the k-th cumulative outcome probability of setting s
     bounds = np.cumsum(_joint_distributions(matrix, settings), axis=1)[:, :-1].T
 
-    n_chunks = (n + _CHUNK - 1) // _CHUNK
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
     setting_index = np.empty(n, dtype=np.int8)
     outcome_index = np.empty(n, dtype=np.int8)
     # table[4 s + o] counts trials with setting s and outcome o.
     table = np.zeros(16, dtype=np.int64)
-    for chunk_idx in range(n_chunks):
-        start = chunk_idx * _CHUNK
-        size = min(_CHUNK, n - start)
-        rng = np.random.Generator(np.random.PCG64(children[chunk_idx]))
-        chunk_settings = rng.integers(0, 4, size=size)
-        uniform = rng.random(size)
-        chunk_outcomes = sum(uniform >= bound[chunk_settings] for bound in bounds)
-        setting_index[start : start + size] = chunk_settings
-        outcome_index[start : start + size] = chunk_outcomes
-        table += np.bincount(4 * chunk_settings + chunk_outcomes, minlength=16)
+    for chunk_idx, start in enumerate(range(0, n, _CHUNK)):
+        stop = min(start + _CHUNK, n)
+        # the chunk's child of SeedSequence(seed).spawn(n_chunks), made alone
+        child = np.random.SeedSequence(seed, spawn_key=(chunk_idx,))
+        rng = np.random.Generator(np.random.PCG64(child))
+        setting_index[start:stop] = rng.integers(0, 4, size=stop - start)
+        # the chunk's uniforms, drawn a block at a time: the same stream
+        for lo in range(start, stop, _BLOCK):
+            hi = min(lo + _BLOCK, stop)
+            uniform = rng.random(hi - lo)
+            index = setting_index[lo:hi].astype(np.intp)
+            # the outcome: how many of its setting's cumulative bounds the uniform reaches
+            outcomes = outcome_index[lo:hi]
+            outcomes[:] = 0
+            for bound in bounds:
+                outcomes += uniform >= bound[index]
+            table += np.bincount(4 * index + outcomes, minlength=16)
     setting_index.flags.writeable = False
     outcome_index.flags.writeable = False
 
@@ -265,11 +284,12 @@ _TAIL_TABLE = (
 
 def _rows(first: int, codes: np.ndarray) -> Iterator[np.ndarray]:
     """The CSV rows of trials ``first``, ``first + 1``, ... with tails ``codes``,
-    as one byte array per run of trial numbers with the same digit count."""
+    as one byte array per run of at most ``_BLOCK`` trial numbers with the
+    same digit count."""
     start, stop = first, first + len(codes)
     while start < stop:
         digits = len(str(start))
-        end = min(stop, 10**digits)
+        end = min(stop, 10**digits, start + _BLOCK)
         rows = np.empty((end - start, digits + _TAIL_TABLE.shape[1]), dtype=np.uint8)
         rows[:, digits:] = np.take(_TAIL_TABLE, codes[start - first : end - first], axis=0)
         # the narrowest unsigned type that holds them divides fastest
@@ -287,10 +307,11 @@ def events_to_csv(result: SampleResult, path: str | Path) -> None:
 
     Columns: trial, setting_a_label, setting_b_label, photon_outcome,
     atom_outcome.  Each 65536-trial chunk is written as one ``uint8`` matrix
-    per run of trial numbers with the same digit count: a row holds the
-    trial number's digits, then the row tail of its ``4 * setting +
-    outcome`` from a zero-padded table, and one compress drops the padding.
-    No Python object is made per trial.
+    per run of at most ``_BLOCK`` trial numbers with the same digit count:
+    a row holds the trial number's digits, then the row tail of its ``4 *
+    setting + outcome`` from a zero-padded table, and one compress drops the
+    padding.  No Python object is made per trial.  ``path`` is opened and
+    written directly; the command line writes it under a temporary name.
     """
     with open(path, "wb") as fh:
         fh.write(_CSV_HEADER)

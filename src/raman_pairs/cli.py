@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import hashlib
 import io
 import json
 import math
+import os
 import sys
+from collections.abc import Callable
 from dataclasses import replace
 from functools import cache
 from pathlib import Path
@@ -31,7 +34,7 @@ from .angular_momentum import (
     _wigner_6j_exact,
     halfint,
 )
-from .atomic_model import AtomSpec, _parse_atom_spec, finite_number
+from .atomic_model import AtomSpec, _parse_atom_spec, finite_number, unique_keys
 from .bell_sim import (
     _ANGLE_NAMES,
     GENERATOR_ID,
@@ -133,8 +136,10 @@ class RunConfig:
         raw_bytes = _io("--config", path, Path.read_bytes)
         self.sha256 = hashlib.sha256(raw_bytes).hexdigest()
         try:
-            raw = json.loads(raw_bytes)
-        except json.JSONDecodeError as exc:
+            raw = json.loads(raw_bytes, object_pairs_hook=unique_keys)
+        except InputDomainError as exc:  # a repeated key
+            _fail_config(f"config {path}: {exc}")
+        except ValueError as exc:  # not JSON, or not UTF-8
             _fail_config(f"config {path} is not valid JSON: {exc}")
         if not isinstance(raw, dict):
             _fail_config("config root must be an object")
@@ -305,7 +310,29 @@ def _write_text(text: str, args, config: RunConfig) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        _io(flag, path, lambda p: p.write_text(text, encoding="utf-8"))
+        _io(flag, path, _text_writer(text))
+
+
+def _write_all(outputs: list[tuple[str, Path, Callable[[Path], None]]]) -> None:
+    """Write each ``(flag, path, write)`` output as ``write(temp)`` on a temporary
+    sibling of ``path``, then rename them all onto their paths, or leave none.
+    A directory in the way or an OS error names the flag and the path."""
+    flags = {str(path): flag for flag, path, _ in outputs}
+    try:
+        with _all_or_none([path for _, path, _ in outputs]) as temps:
+            for flag, path, _ in outputs:  # refused before a byte is written
+                if path.is_dir():
+                    _fail_config(f"{flag} '{path}': {os.strerror(errno.EISDIR)}")
+            for (flag, path, write), temp in zip(outputs, temps):
+                _io(flag, path, lambda _: write(temp))
+    except OSError as exc:
+        if exc.filename2 not in flags:  # not a rename onto one of the paths
+            raise
+        _fail_config(f"{flags[exc.filename2]} '{exc.filename2}': {exc.strerror or exc}")
+
+
+def _text_writer(text: str) -> Callable[[Path], None]:
+    return lambda path: path.write_text(text, encoding="utf-8")
 
 
 def _analysis_block(state: PairState, full_state: PairState) -> dict:
@@ -435,12 +462,18 @@ def cmd_chsh(args) -> int:
         _fail_config(f"--samples must be 0 (no sampling) or positive, got {args.samples}")
     if args.seed < 0:
         _fail_config(f"--seed must not be negative, got {args.seed}")
-    if args.events_csv and not args.samples:
+    if args.events_csv is not None and not args.samples:
         _fail_config("--events-csv needs --samples: there are no sampled events to write")
     config = RunConfig(Path(args.config))
     if (args.format or config.output_format) == "csv":
         _fail_config("'output.format'/--format csv: chsh writes JSON only; use --events-csv")
-    _output(args, config)  # a bad output path fails before the events file is written
+    # both output files are named before any work: a bad path fails first
+    flag, json_path = _output(args, config)
+    events_path = None
+    if args.events_csv is not None:
+        events_path = _prefix_path(args.events_csv, "--events-csv")
+        if json_path is not None and os.path.abspath(events_path) == os.path.abspath(json_path):
+            _fail_config(f"--events-csv and {flag} name one file: '{args.events_csv}'")
     state = _state(config)
     if config.filter_f is not None:
         state = spectral_filter(state, config.filter_f)
@@ -466,6 +499,7 @@ def cmd_chsh(args) -> int:
         "s_analytic": s_value,
         "tsirelson_bound": 2.0 * math.sqrt(2.0),
     }
+    outputs = []
     if args.samples:
         result = sample_events(state, settings, args.samples, args.seed)
         doc["sampling"] = {
@@ -477,10 +511,15 @@ def cmd_chsh(args) -> int:
             "correlations": list(result.correlations),
             "counts": list(result.counts),
         }
-        if args.events_csv:
-            _io("--events-csv", args.events_csv, lambda path: events_to_csv(result, path))
+        if events_path is not None:
             doc["sampling"]["events_csv"] = str(args.events_csv)
-    _write_text(json_text(doc), args, config)
+            outputs.append(("--events-csv", events_path, lambda temp: events_to_csv(result, temp)))
+    text = json_text(doc)
+    if json_path is not None:  # first: a JSON path that fails does so before a long CSV
+        outputs.insert(0, (flag, json_path, _text_writer(text)))
+    _write_all(outputs)
+    if json_path is None:
+        sys.stdout.write(text)
     return 0
 
 
@@ -551,13 +590,12 @@ def cmd_tables(args) -> int:
     if args.output:
         prefix = _prefix_path(args.output, "--output")
         paths = [prefix.parent / f"{prefix.name}_{suffix}.csv" for suffix in ("cg", "3j", "6j")]
-
-        def write_all(_) -> None:
-            with _all_or_none(paths) as temps:
-                for path, temp, text in zip(paths, temps, (cg, w3j, w6j)):
-                    _io("--output", path, lambda _: temp.write_text(text, encoding="utf-8"))
-
-        _io("--output", prefix, write_all)
+        _write_all(
+            [
+                ("--output", path, _text_writer(text))
+                for path, text in zip(paths, (cg, w3j, w6j))
+            ]
+        )
         for path in paths:
             sys.stdout.write(f"wrote {path}\n")
     else:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import events_csv_text, oracle_chsh, oracle_correlation, oracle_sampled_events
+from raman_pairs import bell_sim
 from raman_pairs.bell_sim import (
     OUTCOME_SIGNS,
     SETTING_LABELS,
@@ -375,14 +376,52 @@ def test_sampling_undefined_correlation_is_none(bell):
     assert result.standard_error is None
 
 
-def test_sampling_and_csv_memory_bound(bell, tmp_path):
-    # 10^6 trials are two int8 arrays (2 MB) plus per-chunk temporaries of a
-    # few MB; an object per trial would take over 100 bytes each.
+def _traced_peak(state, n, path) -> int:
+    """The traced peak of sampling ``n`` trials and writing their CSV, after
+    one untraced call has imported numpy's random submodules."""
+    sample_events(state, OPTIMAL, 1, seed=0)
     tracemalloc.start()
     try:
-        result = sample_events(bell, OPTIMAL, 1_000_000, seed=7)
-        events_to_csv(result, tmp_path / "events.csv")
+        result = sample_events(state, OPTIMAL, n, seed=7)
+        events_to_csv(result, path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16e6
+    return peak
+
+
+def test_sampling_and_csv_memory_bound(bell, tmp_path):
+    # 10^6 trials are two int8 arrays (2 MB) plus one block's temporaries,
+    # about 1.5 MB for the CSV; an object per trial would take over 100 bytes each.
+    assert _traced_peak(bell, 1_000_000, tmp_path / "events.csv") < 4e6
+
+
+@pytest.mark.parametrize("n", [100_000, 1_000_000])
+def test_memory_beyond_the_arrays_does_not_grow(n, bell, tmp_path):
+    # beyond 2 bytes per trial, the working set is one block's, whatever the
+    # trial count
+    assert _traced_peak(bell, n, tmp_path / "events.csv") - 2 * n < 2e6
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 + 1, 2**63])
+def test_chunk_seed_is_the_spawned_child(seed):
+    # the chunk's SeedSequence, made alone, is the child spawn() gives
+    children = np.random.SeedSequence(seed).spawn(40)
+    for i, child in enumerate(children):
+        alone = np.random.SeedSequence(seed, spawn_key=(i,))
+        assert np.array_equal(alone.generate_state(8), child.generate_state(8))
+
+
+@pytest.mark.parametrize("n, runs", [(10_000, 4), (65_536, 8), (100_000, 11)])
+def test_csv_rows_come_in_capped_runs(n, runs):
+    # a run of one digit count is cut at _BLOCK rows: 10,000 trials keep
+    # their four runs, and a chunk of 65536 splits its five-digit run in four
+    codes = np.zeros(n, dtype=np.int8)
+    rows_per_block = [
+        np.count_nonzero(block == ord("\n"))
+        for start in range(0, n, 65_536)
+        for block in bell_sim._rows(start, codes[start : start + 65_536])
+    ]
+    assert len(rows_per_block) == runs
+    assert sum(rows_per_block) == n
+    assert max(rows_per_block) <= bell_sim._BLOCK == 16_384

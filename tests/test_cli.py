@@ -1,10 +1,12 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
 import builtins
+import errno
 import hashlib
 import io
 import json
 import math
+import os
 import shutil
 from pathlib import Path
 
@@ -12,7 +14,7 @@ import pytest
 
 import raman_pairs
 from oracles import oracle_3j_classes, oracle_6j_classes
-from raman_pairs import angular_momentum
+from raman_pairs import angular_momentum, bell_sim
 from raman_pairs.cli import main
 
 DATA = Path(raman_pairs.__file__).parent / "data"
@@ -1118,3 +1120,148 @@ def test_tables_cap_exceeded_exits_2(capsys):
     code, _, err = run(["tables", "--max-doubled-j", "100"], capsys)
     assert code == 2
     assert "max-doubled-j" in err
+
+
+# --- chsh: one output transaction ------------------------------------------------
+
+
+def test_chsh_writes_both_files_or_neither(tmp_path, monkeypatch, capsys):
+    # the JSON cannot be written: the events CSV is not left behind either
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(
+        ["chsh", "--config", _CHSH, "--samples", "10", "--events-csv", "e.csv",
+         "--output", "missing/c.json"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert "--output 'missing/c.json'" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("blocked", ["c.json", "e.csv"])
+def test_chsh_directory_in_the_way_writes_nothing(blocked, tmp_path, monkeypatch, capsys):
+    (tmp_path / blocked).mkdir()
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(
+        ["chsh", "--config", _CHSH, "--samples", "10", "--events-csv", "e.csv",
+         "--output", "c.json"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    flag = "--output" if blocked == "c.json" else "--events-csv"
+    assert f"{flag} '{blocked}': Is a directory" in err
+    assert [p.name for p in tmp_path.iterdir()] == [blocked]
+
+
+def test_chsh_failure_mid_csv_keeps_old_files(tmp_path, monkeypatch, capsys):
+    # an error after the first 65536-trial chunk leaves both targets as they were
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "e.csv").write_bytes(b"old events\n")
+    (tmp_path / "c.json").write_bytes(b"old json\n")
+    rows = bell_sim._rows
+
+    def failing_rows(first, codes):
+        if first >= 65_536:
+            raise RuntimeError("disk gone")
+        return rows(first, codes)
+
+    monkeypatch.setattr(bell_sim, "_rows", failing_rows)
+    argv = ["chsh", "--config", _CHSH, "--samples", "70000", "--events-csv", "e.csv",
+            "--output", "c.json"]
+    with pytest.raises(RuntimeError, match="disk gone"):
+        main(argv)
+    assert (tmp_path / "e.csv").read_bytes() == b"old events\n"
+    assert (tmp_path / "c.json").read_bytes() == b"old json\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "e.csv"]
+
+
+@pytest.mark.parametrize("events", ["", ".", "sub/"])
+def test_chsh_events_csv_naming_a_directory_exits_2(events, tmp_path, monkeypatch, capsys):
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(
+        ["chsh", "--config", _CHSH, "--samples", "10", "--events-csv", events], capsys
+    )
+    assert code == 2 and out == ""
+    assert f"--events-csv '{events}' names a directory" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+
+
+@pytest.mark.parametrize("events", ["c.json", "./c.json", "sub/../c.json"])
+def test_chsh_events_csv_and_output_one_file_exits_2(events, tmp_path, monkeypatch, capsys):
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(
+        ["chsh", "--config", _CHSH, "--samples", "10", "--events-csv", events,
+         "--output", "c.json"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert "--events-csv and --output name one file" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+
+
+# --- repeated JSON keys ------------------------------------------------------------
+
+
+def _repeat_pump(text: str) -> str:
+    pump = json.dumps(json.loads(text)["pump"])
+    return text.replace('"condensate":', f'"pump": {pump}, "condensate":', 1)
+
+
+# each makes json.loads alone read the last of two equal keys
+_REPEATS = {
+    "'pump'": _repeat_pump,
+    "'2:0'": lambda text: text.replace('"2:0": [1.0, 0.0]', '"2:0": [1.0, 0.0], "2:0": [0.0, 1.0]'),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_REPEATS))
+def test_repeated_config_key_exits_2(key, state_config, capsys):
+    text = state_config.read_text()
+    state_config.write_text(_REPEATS[key](text))
+    assert state_config.read_text() != text
+    code, out, err = run(["state", "--config", str(state_config)], capsys)
+    assert code == 2 and out == ""
+    assert f"the key {key} appears twice" in err
+    assert str(state_config) in err
+
+
+def test_repeated_species_key_exits_2(state_config, capsys):
+    text = (DATA / "sodium.json").read_text()
+    repeated = text.replace('"ground_splittings_hz": {', '"ground_splittings_hz": {"4": 1.0, ', 1)
+    assert repeated != text
+    (state_config.parent / "twice.json").write_text(repeated)
+    edit_config(state_config, lambda raw: raw.update(atom_spec_path="twice.json"))
+    code, out, err = run(["state", "--config", str(state_config)], capsys)
+    assert code == 2 and out == ""
+    assert "the key '4' appears twice" in err and "twice.json" in err
+
+
+def test_config_not_utf8_exits_2(state_config, capsys):
+    state_config.write_bytes(state_config.read_bytes().replace(b'"2:0"', b'"2:\xff"'))
+    code, out, err = run(["state", "--config", str(state_config)], capsys)
+    assert code == 2 and out == ""
+    assert "not valid JSON" in err
+
+
+@pytest.mark.parametrize("command", ["chsh", "tables"])
+def test_failed_rename_exits_2_by_name(command, tmp_path, monkeypatch, capsys):
+    # a rename that the file system refuses after every file was written
+    # (another user's file in a sticky directory) names its flag and path
+    monkeypatch.chdir(tmp_path)
+    argv = {
+        "chsh": ["chsh", "--config", _CHSH, "--samples", "10", "--events-csv", "e.csv"],
+        "tables": ["tables", "--max-doubled-j", "1", "--output", "t"],
+    }[command]
+    blocked = {"chsh": "e.csv", "tables": "t_cg.csv"}[command]
+
+    def refuse(source, target):
+        error = os.strerror(errno.EPERM)
+        raise PermissionError(errno.EPERM, error, os.fspath(source), None, os.fspath(target))
+
+    monkeypatch.setattr(os, "replace", refuse)
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert f"--{'events-csv' if command == 'chsh' else 'output'} '{blocked}'" in err
+    assert list(tmp_path.iterdir()) == []
