@@ -11,14 +11,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import errno
 import hashlib
 import io
 import json
 import math
-import os
 import sys
-from collections.abc import Callable
 from dataclasses import replace
 from functools import cache
 from pathlib import Path
@@ -54,12 +51,11 @@ from .errors import (
 from .geometry_explorer import (
     FLAG_REASONS,
     MEASURES,
-    _all_or_none,
-    _prefix_path,
     argmax_direction,
     scan_chunks,
     write_scan,
 )
+from .outputs import _io, _prefix_path, _text_writer, _write_all
 from .pair_state import (
     CondensateSpinor,
     PairState,
@@ -95,16 +91,6 @@ def _check_keys(obj: dict, allowed, path: str) -> None:
     for key in obj:
         if key not in allowed:
             _fail_config(f"unknown key '{path}{key}'")
-
-
-def _io(flag: str, path, action):
-    """``action(path)``; an OS error becomes a configuration error naming ``flag`` and the path."""
-    try:
-        return action(path)
-    except OSError as exc:
-        if isinstance(exc, IsADirectoryError) and exc.filename:
-            path = exc.filename  # the directory in the way, which may be a sibling of path
-        _fail_config(f"{flag} '{path}': {exc.strerror or exc}")
 
 
 def _as_complex(value, path: str) -> complex:
@@ -310,29 +296,7 @@ def _write_text(text: str, args, config: RunConfig) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        _io(flag, path, _text_writer(text))
-
-
-def _write_all(outputs: list[tuple[str, Path, Callable[[Path], None]]]) -> None:
-    """Write each ``(flag, path, write)`` output as ``write(temp)`` on a temporary
-    sibling of ``path``, then rename them all onto their paths, or leave none.
-    A directory in the way or an OS error names the flag and the path."""
-    flags = {str(path): flag for flag, path, _ in outputs}
-    try:
-        with _all_or_none([path for _, path, _ in outputs]) as temps:
-            for flag, path, _ in outputs:  # refused before a byte is written
-                if path.is_dir():
-                    _fail_config(f"{flag} '{path}': {os.strerror(errno.EISDIR)}")
-            for (flag, path, write), temp in zip(outputs, temps):
-                _io(flag, path, lambda _: write(temp))
-    except OSError as exc:
-        if exc.filename2 not in flags:  # not a rename onto one of the paths
-            raise
-        _fail_config(f"{flags[exc.filename2]} '{exc.filename2}': {exc.strerror or exc}")
-
-
-def _text_writer(text: str) -> Callable[[Path], None]:
-    return lambda path: path.write_text(text, encoding="utf-8")
+        _write_all([(flag, path, _text_writer(text))])
 
 
 def _analysis_block(state: PairState, full_state: PairState) -> dict:
@@ -467,13 +431,11 @@ def cmd_chsh(args) -> int:
     config = RunConfig(Path(args.config))
     if (args.format or config.output_format) == "csv":
         _fail_config("'output.format'/--format csv: chsh writes JSON only; use --events-csv")
-    # both output files are named before any work: a bad path fails first
+    # both output paths are checked on their text before any work
     flag, json_path = _output(args, config)
     events_path = None
     if args.events_csv is not None:
         events_path = _prefix_path(args.events_csv, "--events-csv")
-        if json_path is not None and os.path.abspath(events_path) == os.path.abspath(json_path):
-            _fail_config(f"--events-csv and {flag} name one file: '{args.events_csv}'")
     state = _state(config)
     if config.filter_f is not None:
         state = spectral_filter(state, config.filter_f)
@@ -515,7 +477,7 @@ def cmd_chsh(args) -> int:
             doc["sampling"]["events_csv"] = str(args.events_csv)
             outputs.append(("--events-csv", events_path, lambda temp: events_to_csv(result, temp)))
     text = json_text(doc)
-    if json_path is not None:  # first: a JSON path that fails does so before a long CSV
+    if json_path is not None:  # first: a JSON write that fails does so before a long CSV
         outputs.insert(0, (flag, json_path, _text_writer(text)))
     _write_all(outputs)
     if json_path is None:
@@ -590,12 +552,8 @@ def cmd_tables(args) -> int:
     if args.output:
         prefix = _prefix_path(args.output, "--output")
         paths = [prefix.parent / f"{prefix.name}_{suffix}.csv" for suffix in ("cg", "3j", "6j")]
-        _write_all(
-            [
-                ("--output", path, _text_writer(text))
-                for path, text in zip(paths, (cg, w3j, w6j))
-            ]
-        )
+        texts = zip(paths, (cg, w3j, w6j))
+        _write_all([("--output", path, _text_writer(text)) for path, text in texts])
         for path in paths:
             sys.stdout.write(f"wrote {path}\n")
     else:

@@ -20,15 +20,13 @@ read it: :func:`scan_sphere` concatenates the chunks into one map, and
 :func:`write_scan` writes each chunk's rows as soon as the chunk is
 evaluated, so writing a scan holds one chunk whatever the grid.  One column
 list, :attr:`ScanMap.columns`, heads both files, and each node's numbers are
-formatted once into the strings of its CSV line and its JSON array.
+formatted once into the strings of its CSV line and its JSON array.  Both
+files are written in the one output transaction of :mod:`~raman_pairs.outputs`.
 """
 
 from __future__ import annotations
 
-import errno
 import math
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -43,6 +41,7 @@ from .entanglement_analysis import (
     filtered_concurrence_of_blocks,
 )
 from .errors import EmptyScanError, InputDomainError, PhysicsError
+from .outputs import _all_or_none, _prefix_path
 from .pair_state import (
     CondensateSpinor,
     PumpConfig,
@@ -273,39 +272,6 @@ def _require_writable(scan: ScanMap) -> None:
         raise PhysicsError(f"scan output has a non-finite number in {', '.join(bad)}")
 
 
-@contextmanager
-def _all_or_none(paths: list[Path]) -> Iterator[list[Path]]:
-    """Temporary sibling names for ``paths``, renamed onto them when the block ends.
-
-    Any error, in the block or at a rename, removes every temporary file, so
-    either all the files are written or none is.
-    """
-    temps = [path.with_name(path.name + ".tmp") for path in paths]
-    try:
-        yield temps
-        # a directory in the way fails only at its own rename, after the
-        # earlier names were swapped in: refuse it before any rename
-        for path in paths:
-            if path.is_dir():
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-        for temp, path in zip(temps, paths):
-            os.replace(temp, path)
-    except BaseException:
-        for temp in temps:
-            temp.unlink(missing_ok=True)
-        raise
-
-
-def _prefix_path(prefix: str | os.PathLike, name: str = "output prefix") -> Path:
-    """An output prefix or file as a path, checked on its text, where a trailing
-    separator shows: one that ends in a separator or is named "", "." or ".."
-    is a directory.  The error calls it ``name``, such as the flag that gave it."""
-    text = os.fspath(prefix)
-    if text.endswith((os.sep, os.altsep or os.sep)) or Path(text).name in ("", ".", ".."):
-        raise InputDomainError(f"{name} '{text}' names a directory, not a file")
-    return Path(text)
-
-
 class ScanFiles(NamedTuple):
     """The files :func:`write_scan` wrote, the node count, the best node as a
     one-row map (flagged if every node is) and the flagged nodes per reason."""
@@ -321,16 +287,16 @@ def write_scan(scan: ScanMap | Iterable[ScanMap], prefix: str | Path) -> ScanFil
     """Write ``<prefix>.csv`` and strict ``<prefix>.json`` from a map or a
     stream of chunks, one chunk at a time, and keep the running argmax.
 
-    Both files are written under temporary sibling names and renamed only
-    when all is written: an error, such as a non-finite number (a physics
-    error) or a directory in the way, leaves neither file nor a temporary one.
+    Both files are written in one :func:`~raman_pairs.outputs._all_or_none`:
+    an error, such as a non-finite number (a physics error) or a directory
+    in the way, leaves both files as they were and no temporary behind.
     """
     prefix = _prefix_path(prefix)
     paths = [prefix.with_name(f"{prefix.name}.{ext}") for ext in ("csv", "json")]
     nodes, best = 0, None
     counts = np.zeros(len(FLAG_REASONS) + 1, dtype=int)
     with (
-        _all_or_none(paths) as temps,
+        _all_or_none(list(zip(("CSV", "JSON"), paths))) as temps,
         open(temps[0], "w", encoding="utf-8") as csv_out,
         open(temps[1], "w", encoding="utf-8") as json_out,
     ):

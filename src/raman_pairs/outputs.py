@@ -1,0 +1,96 @@
+"""Output files.  Every command writes its files through one transaction,
+:func:`_all_or_none`, and a failure names the flag and the path.  No numpy."""
+
+from __future__ import annotations
+
+import errno
+import os
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager, suppress
+from pathlib import Path
+
+from .errors import ConfigError, InputDomainError
+
+
+def _prefix_path(prefix: str | os.PathLike, name: str = "output prefix") -> Path:
+    """An output prefix or file as a path, checked on its text, where a trailing
+    separator shows: one that ends in a separator or is named "", "." or ".."
+    is a directory.  The error calls it ``name``, such as the flag that gave it."""
+    text = os.fspath(prefix)
+    if text.endswith((os.sep, os.altsep or os.sep)) or Path(text).name in ("", ".", ".."):
+        raise InputDomainError(f"{name} '{text}' names a directory, not a file")
+    return Path(text)
+
+
+def _io(flag: str, path, action):
+    """``action(path)``; an OS error becomes a configuration error naming ``flag`` and the path."""
+    try:
+        return action(path)
+    except OSError as exc:
+        if isinstance(exc, IsADirectoryError) and exc.filename:
+            path = exc.filename  # the directory in the way, which may be a sibling of path
+        raise ConfigError(f"{flag} '{path}': {exc.strerror or exc}")
+
+
+def _on(path: Path, target: Path, action: Callable[[Path], Path | None] | None = None):
+    """``action(target)``, refused if ``target`` is a directory; an OS error names ``path``."""
+    try:
+        if target.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        return action and action(target)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+
+
+def _fresh(target: Path) -> Path:
+    """An empty file beside ``target`` under a name no file has, with a new file's mode."""
+    while True:
+        temp = target.with_name(f"{target.name}.{os.urandom(4).hex()}.tmp")
+        with suppress(FileExistsError):  # the name is taken: draw another
+            os.close(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+            return temp
+
+
+@contextmanager
+def _all_or_none(outputs: list[tuple[str, Path]]) -> Iterator[list[Path]]:
+    """A fresh temporary file beside each ``(name, path)`` output, renamed onto
+    its path when the block ends; any error removes every temporary, so either
+    all the files are written or none is.  Each path is resolved once, so a
+    symlinked output keeps its link.  Two outputs that resolve to one file are
+    refused by name, and a directory in the way on entry and again before the
+    first rename.  An OS error names the output's path."""
+    targets = [Path(os.path.realpath(path)) for _, path in outputs]
+    for j, (name, path) in enumerate(outputs):
+        if (i := targets.index(targets[j])) < j:
+            raise InputDomainError(f"{name} and {outputs[i][0]} name one file: '{path}'")
+    temps: list[Path] = []
+    try:
+        for (_, path), target in zip(outputs, targets):
+            temps.append(_on(path, target, _fresh))
+        yield temps
+        for (_, path), target in zip(outputs, targets):
+            _on(path, target)
+        for (_, path), target, temp in zip(outputs, targets, temps):
+            _on(path, target, lambda _: os.replace(temp, target))
+    except BaseException:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        raise
+
+
+def _write_all(outputs: list[tuple[str, Path, Callable[[Path], None]]]) -> None:
+    """Write each ``(flag, path, write)`` output as ``write(temp)``, all in one
+    :func:`_all_or_none`; an OS error names the flag and the path."""
+    flags = {str(path): flag for flag, path, _ in outputs}  # equal paths are refused first
+    try:
+        with _all_or_none([(flag, path) for flag, path, _ in outputs]) as temps:
+            for (flag, path, write), temp in zip(outputs, temps):
+                _io(flag, path, lambda _: write(temp))
+    except OSError as exc:
+        if exc.filename not in flags:
+            raise
+        raise ConfigError(f"{flags[exc.filename]} '{exc.filename}': {exc.strerror or exc}")
+
+
+def _text_writer(text: str) -> Callable[[Path], None]:
+    return lambda path: path.write_text(text, encoding="utf-8")

@@ -1245,16 +1245,24 @@ def test_config_not_utf8_exits_2(state_config, capsys):
     assert "not valid JSON" in err
 
 
-@pytest.mark.parametrize("command", ["chsh", "tables"])
-def test_failed_rename_exits_2_by_name(command, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("command", ["chsh", "tables", "state", "filter", "scan"])
+def test_failed_rename_exits_2_by_name(command, scan_config, tmp_path, monkeypatch, capsys):
     # a rename that the file system refuses after every file was written
-    # (another user's file in a sticky directory) names its flag and path
-    monkeypatch.chdir(tmp_path)
+    # (another user's file in a sticky directory) names its flag and path;
+    # a scan names its prefix
+    run_dir = tmp_path / "run"  # the scan config stays outside it
+    run_dir.mkdir()
+    monkeypatch.chdir(run_dir)
     argv = {
         "chsh": ["chsh", "--config", _CHSH, "--samples", "10", "--events-csv", "e.csv"],
         "tables": ["tables", "--max-doubled-j", "1", "--output", "t"],
+        "state": ["state", "--config", _STATE, "--output", "s.json"],
+        "filter": ["filter", "--config", _STATE, "--f-select", "1", "--output", "f.json"],
+        "scan": ["scan", "--config", str(scan_config), "--output", "s"],
     }[command]
-    blocked = {"chsh": "e.csv", "tables": "t_cg.csv"}[command]
+    blocked = {
+        "chsh": "e.csv", "tables": "t_cg.csv", "state": "s.json", "filter": "f.json", "scan": "s"
+    }[command]
 
     def refuse(source, target):
         error = os.strerror(errno.EPERM)
@@ -1264,4 +1272,4 @@ def test_failed_rename_exits_2_by_name(command, tmp_path, monkeypatch, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2 and out == ""
     assert f"--{'events-csv' if command == 'chsh' else 'output'} '{blocked}'" in err
-    assert list(tmp_path.iterdir()) == []
+    assert list(run_dir.iterdir()) == []
