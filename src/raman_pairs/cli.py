@@ -51,11 +51,11 @@ from .errors import (
 from .geometry_explorer import (
     FLAG_REASONS,
     MEASURES,
+    _write_chunks,
     argmax_direction,
     scan_chunks,
-    write_scan,
 )
-from .outputs import _io, _prefix_path, _text_writer, _write_all
+from .outputs import _all_or_none, _into, _io, _named, _prefix_path, _text_writer
 from .pair_state import (
     CondensateSpinor,
     PairState,
@@ -78,9 +78,10 @@ _CONFIG_SCHEMA = {
     "filter_f": None,
     "chsh": {"settings_rad"},
     "validity_threshold": None,
-    "output": {"path", "format"},
 }
 _SCAN_KEYS = {"resolution_deg", "measure", "filter_f"}
+# the files that an --output prefix names; elsewhere --output names one file
+_PREFIX_FILES = {"scan": (".csv", ".json"), "tables": ("_cg.csv", "_3j.csv", "_6j.csv")}
 
 
 def _fail_config(message: str) -> None:
@@ -184,13 +185,6 @@ class RunConfig:
         )
         if self.validity_threshold < 0:
             _fail_config("'validity_threshold' must not be negative")
-        output = raw.get("output", {})
-        self.output_path = output.get("path")
-        if not isinstance(self.output_path, (str, type(None))):
-            _fail_config("'output.path' must be a string")
-        self.output_format = output.get("format")  # None: the command's default
-        if "format" in output and self.output_format not in ("json", "csv"):
-            _fail_config("'output.format' must be 'json' or 'csv'")
 
     def _load_atom(self, value) -> tuple[Path, str, AtomSpec]:
         if not isinstance(value, str):
@@ -281,22 +275,30 @@ class RunConfig:
         return doc
 
 
-def _output(args, config: RunConfig) -> tuple[str, Path | None]:
-    """The flag or config key that names the output, and the path it names,
-    refused if its text names a directory (the scan prefix rule)."""
-    if args.output:
-        flag, path = "--output", args.output
-    else:
-        flag, path = "'output.path'", config.output_path
-    return flag, None if path is None else _prefix_path(path, flag)
+def _outputs(args) -> list[tuple[str, str, Path]]:
+    """Each file the command writes, in order and from argv alone: the flag that
+    names it, the path its errors show (a scan's prefix, else the file) and its
+    path, refused if its text names a directory."""
+    outputs = []
+    if args.output is not None:
+        prefix = _prefix_path(args.output, "--output")
+        for suffix in _PREFIX_FILES.get(args.command, ("",)):
+            path = prefix.with_name(prefix.name + suffix)
+            outputs.append(("--output", str(prefix if args.command == "scan" else path), path))
+    if getattr(args, "events_csv", None) is not None:
+        path = _prefix_path(args.events_csv, "--events-csv")
+        outputs.append(("--events-csv", str(path), path))
+    return outputs
 
 
-def _write_text(text: str, args, config: RunConfig) -> None:
-    flag, path = _output(args, config)
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        _write_all([(flag, path, _text_writer(text))])
+def _emit(texts: tuple[str, ...], files: list[tuple[Path, Path]]) -> str:
+    """Each text written to the temporary of its ``(path, temp)`` output, in
+    order, and "" returned; with no output, the texts joined for stdout."""
+    if not files:
+        return "".join(texts)
+    for (_, temp), text in zip(files, texts):
+        _into(temp, _text_writer(text))
+    return ""
 
 
 def _analysis_block(state: PairState, full_state: PairState) -> dict:
@@ -348,25 +350,23 @@ def _state(config: RunConfig) -> PairState:
     )
 
 
-def _emit_state(
+def _state_text(
     config: RunConfig, state: PairState, args, full_state: PairState | None = None
-) -> None:
-    """Write ``state``; its branch overlap is that of ``full_state`` (default: itself)."""
-    if (args.format or config.output_format) == "csv":
-        _write_text(_state_csv(state, config.metadata()), args, config)
-    else:
-        doc = pair_state_to_json(state, provenance=config.metadata())
-        doc["analysis"] = _analysis_block(state, full_state or state)
-        _write_text(json_text(doc), args, config)
+) -> str:
+    """``state`` as text; its branch overlap is that of ``full_state`` (default: itself)."""
+    if args.format == "csv":
+        return _state_csv(state, config.metadata())
+    doc = pair_state_to_json(state, provenance=config.metadata())
+    doc["analysis"] = _analysis_block(state, full_state or state)
+    return json_text(doc)
 
 
-def cmd_state(args) -> int:
+def cmd_state(args, files: list[tuple[Path, Path]]) -> str:
     config = RunConfig(Path(args.config))
-    _emit_state(config, _state(config), args)
-    return 0
+    return _emit((_state_text(config, _state(config), args),), files)
 
 
-def cmd_filter(args) -> int:
+def cmd_filter(args, files: list[tuple[Path, Path]]) -> str:
     config = RunConfig(Path(args.config))
     if args.f_select is not None:
         level = config.parse_level(args.f_select, "f-select")
@@ -376,24 +376,24 @@ def cmd_filter(args) -> int:
         _fail_config("no filter level: pass --f-select or set 'filter_f' in the config")
     state = _state(config)
     filtered = spectral_filter(state, level)
-    _emit_state(config, filtered, args, full_state=state)
-    return 0
+    return _emit((_state_text(config, filtered, args, full_state=state),), files)
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args, files: list[tuple[Path, Path]]) -> str:
+    if not files:
+        _fail_config("scan needs an output prefix: pass --output")
     config = RunConfig(Path(args.config))
     if config.scan is None:
         _fail_config("'detection.scan' block required for the scan command")
-    if config.output_format is not None:
-        _fail_config("'output.format' does not apply to scan: it writes both CSV and JSON")
-    flag, out = _output(args, config)
-    if out is None:
-        _fail_config("scan needs an output prefix: pass --output or set 'output.path'")
     resolution = math.radians(
         finite_number(config.scan["resolution_deg"], "detection.scan.resolution_deg")
     )
     filter_f = None
     if "filter_f" in config.scan:
+        if (measure := config.scan["measure"]) != "concurrence_after_filter":
+            _fail_config(
+                f"'detection.scan.filter_f' does not apply to 'detection.scan.measure' {measure}"
+            )
         filter_f = config.parse_level(config.scan["filter_f"], "detection.scan.filter_f")
     try:
         chunks = scan_chunks(
@@ -409,19 +409,18 @@ def cmd_scan(args) -> int:
         _fail_config(f"invalid 'detection.scan': {exc}")
     metadata = config.metadata()
     chunks = (replace(chunk, metadata=metadata) for chunk in chunks)
-    files = _io(flag, out, lambda prefix: write_scan(chunks, prefix))
-    direction, value = argmax_direction(files.best)
-    sys.stdout.write(
-        f"scan {files.best.measure_name}: {files.nodes} nodes -> {files.csv_path}, "
-        f"{files.json_path}\n"
+    (csv_path, csv_temp), (json_path, json_temp) = files
+    nodes, best, counts = _into(csv_temp, lambda temp: _write_chunks(chunks, temp, json_temp))
+    direction, value = argmax_direction(best)
+    return (
+        f"scan {best.measure_name}: {nodes} nodes -> {csv_path}, {json_path}\n"
         f"argmax direction ({direction[0]:+.6f}, {direction[1]:+.6f}, "
         f"{direction[2]:+.6f}) value {value!r}\n"
-        f"flagged nodes: {', '.join(f'{r} {files.flag_counts[r]}' for r in FLAG_REASONS)}\n"
+        f"flagged nodes: {', '.join(f'{r} {counts[r]}' for r in FLAG_REASONS)}\n"
     )
-    return 0
 
 
-def cmd_chsh(args) -> int:
+def cmd_chsh(args, files: list[tuple[Path, Path]]) -> str:
     if args.samples < 0:
         _fail_config(f"--samples must be 0 (no sampling) or positive, got {args.samples}")
     if args.seed < 0:
@@ -429,13 +428,6 @@ def cmd_chsh(args) -> int:
     if args.events_csv is not None and not args.samples:
         _fail_config("--events-csv needs --samples: there are no sampled events to write")
     config = RunConfig(Path(args.config))
-    if (args.format or config.output_format) == "csv":
-        _fail_config("'output.format'/--format csv: chsh writes JSON only; use --events-csv")
-    # both output paths are checked on their text before any work
-    flag, json_path = _output(args, config)
-    events_path = None
-    if args.events_csv is not None:
-        events_path = _prefix_path(args.events_csv, "--events-csv")
     state = _state(config)
     if config.filter_f is not None:
         state = spectral_filter(state, config.filter_f)
@@ -461,7 +453,6 @@ def cmd_chsh(args) -> int:
         "s_analytic": s_value,
         "tsirelson_bound": 2.0 * math.sqrt(2.0),
     }
-    outputs = []
     if args.samples:
         result = sample_events(state, settings, args.samples, args.seed)
         doc["sampling"] = {
@@ -473,16 +464,13 @@ def cmd_chsh(args) -> int:
             "correlations": list(result.correlations),
             "counts": list(result.counts),
         }
-        if events_path is not None:
+        if args.events_csv is not None:
             doc["sampling"]["events_csv"] = str(args.events_csv)
-            outputs.append(("--events-csv", events_path, lambda temp: events_to_csv(result, temp)))
-    text = json_text(doc)
-    if json_path is not None:  # first: a JSON write that fails does so before a long CSV
-        outputs.insert(0, (flag, json_path, _text_writer(text)))
-    _write_all(outputs)
-    if json_path is None:
-        sys.stdout.write(text)
-    return 0
+    # the JSON first: a JSON write that fails does so before a long CSV
+    text = _emit((json_text(doc),), files[:1] if args.output is not None else [])
+    if args.events_csv is not None:
+        _into(files[-1][1], lambda temp: events_to_csv(result, temp))
+    return text
 
 
 class _RowTails(dict):
@@ -542,25 +530,11 @@ def _tables_text(max_doubled_j: int) -> tuple[str, str, str]:
     return cg, w3j, w6j.getvalue()
 
 
-def cmd_tables(args) -> int:
+def cmd_tables(args, files: list[tuple[Path, Path]]) -> str:
     n = args.max_doubled_j
     if n < 0 or n > TABLES_MAX_DOUBLED_J:
-        _fail_config(
-            f"--max-doubled-j must lie in [0, {TABLES_MAX_DOUBLED_J}], got {n}"
-        )
-    cg, w3j, w6j = _tables_text(n)
-    if args.output:
-        prefix = _prefix_path(args.output, "--output")
-        paths = [prefix.parent / f"{prefix.name}_{suffix}.csv" for suffix in ("cg", "3j", "6j")]
-        texts = zip(paths, (cg, w3j, w6j))
-        _write_all([("--output", path, _text_writer(text)) for path, text in texts])
-        for path in paths:
-            sys.stdout.write(f"wrote {path}\n")
-    else:
-        sys.stdout.write(cg)
-        sys.stdout.write(w3j)
-        sys.stdout.write(w6j)
-    return 0
+        _fail_config(f"--max-doubled-j must lie in [0, {TABLES_MAX_DOUBLED_J}], got {n}")
+    return _emit(_tables_text(n), files) or "".join(f"wrote {path}\n" for path, _ in files)
 
 
 @cache
@@ -596,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.set_defaults(func=cmd_scan)
 
     p_chsh = sub.add_parser("chsh", help="CHSH correlations of a filtered state")
-    add_common(p_chsh)
+    add_common(p_chsh, formats=False)  # JSON only; the events go to --events-csv
     p_chsh.add_argument("--samples", type=int, default=0, help="sampled trials")
     p_chsh.add_argument("--seed", type=int, default=0, help="sampling seed")
     p_chsh.add_argument("--events-csv", help="write sampled events to this CSV")
@@ -610,10 +584,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Open the command's output files, do its work, commit the files and only
+    then print its stdout: an output that cannot be opened exits 2 before any work."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        outputs = _outputs(args)
+        try:
+            with _all_or_none([(flag, path) for flag, _, path in outputs]) as temps:
+                text = args.func(args, [(path, temp) for (_, _, path), temp in zip(outputs, temps)])
+        except OSError as exc:
+            named = [(flag, shown) for flag, shown, path in outputs if str(path) == exc.filename]
+            if not named:
+                raise
+            raise _named(*named[0], exc) from exc
+        sys.stdout.write(text)
+        return 0
     except InputDomainError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

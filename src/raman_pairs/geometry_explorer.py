@@ -293,12 +293,18 @@ def write_scan(scan: ScanMap | Iterable[ScanMap], prefix: str | Path) -> ScanFil
     """
     prefix = _prefix_path(prefix)
     paths = [prefix.with_name(f"{prefix.name}.{ext}") for ext in ("csv", "json")]
+    with _all_or_none(list(zip(("CSV", "JSON"), paths))) as temps:
+        return ScanFiles(*paths, *_write_chunks(scan, *temps))
+
+
+def _write_chunks(scan: ScanMap | Iterable[ScanMap], csv_path: Path, json_path: Path) -> tuple:
+    """Write the two files of :func:`write_scan` to the given paths; the node
+    count, the best node and the flagged nodes per reason."""
     nodes, best = 0, None
     counts = np.zeros(len(FLAG_REASONS) + 1, dtype=int)
     with (
-        _all_or_none(list(zip(("CSV", "JSON"), paths))) as temps,
-        open(temps[0], "w", encoding="utf-8") as csv_out,
-        open(temps[1], "w", encoding="utf-8") as json_out,
+        open(csv_path, "w", encoding="utf-8") as csv_out,
+        open(json_path, "w", encoding="utf-8") as json_out,
     ):
         for chunk in [scan] if isinstance(scan, ScanMap) else scan:
             if not len(chunk.measures):
@@ -316,4 +322,4 @@ def write_scan(scan: ScanMap | Iterable[ScanMap], prefix: str | Path) -> ScanFil
         if best is None:
             raise EmptyScanError("the scan has no nodes")
         json_out.write(f'\n  ],\n  "resolution_rad": {best.resolution!r}\n}}\n')
-    return ScanFiles(*paths, nodes, best, dict(zip(FLAG_REASONS, counts[1:].tolist())))
+    return nodes, best, dict(zip(FLAG_REASONS, counts[1:].tolist()))

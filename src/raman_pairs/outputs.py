@@ -1,5 +1,5 @@
 """Output files.  Every command writes its files through one transaction,
-:func:`_all_or_none`, and a failure names the flag and the path.  No numpy."""
+:func:`_all_or_none`, which the CLI opens before any work.  No numpy."""
 
 from __future__ import annotations
 
@@ -27,9 +27,15 @@ def _io(flag: str, path, action):
     try:
         return action(path)
     except OSError as exc:
-        if isinstance(exc, IsADirectoryError) and exc.filename:
-            path = exc.filename  # the directory in the way, which may be a sibling of path
-        raise ConfigError(f"{flag} '{path}': {exc.strerror or exc}")
+        raise _named(flag, path, exc)
+
+
+def _named(flag: str, path, exc: OSError) -> ConfigError:
+    """``exc`` as a configuration error naming ``flag`` and ``path``, or the
+    directory in the way, which may be a sibling of ``path``."""
+    if isinstance(exc, IsADirectoryError) and exc.filename:
+        path = exc.filename
+    return ConfigError(f"{flag} '{path}': {exc.strerror or exc}")
 
 
 def _on(path: Path, target: Path, action: Callable[[Path], Path | None] | None = None):
@@ -58,11 +64,14 @@ def _all_or_none(outputs: list[tuple[str, Path]]) -> Iterator[list[Path]]:
     all the files are written or none is.  Each path is resolved once, so a
     symlinked output keeps its link.  Two outputs that resolve to one file are
     refused by name, and a directory in the way on entry and again before the
-    first rename.  An OS error names the output's path."""
+    first rename.  An OS error that names an output or its temporary names the
+    output's path."""
     targets = [Path(os.path.realpath(path)) for _, path in outputs]
     for j, (name, path) in enumerate(outputs):
         if (i := targets.index(targets[j])) < j:
-            raise InputDomainError(f"{name} and {outputs[i][0]} name one file: '{path}'")
+            raise InputDomainError(
+                f"{name} and {outputs[i][0]} name one file: '{path}' and '{outputs[i][1]}'"
+            )
     temps: list[Path] = []
     try:
         for (_, path), target in zip(outputs, targets):
@@ -72,24 +81,22 @@ def _all_or_none(outputs: list[tuple[str, Path]]) -> Iterator[list[Path]]:
             _on(path, target)
         for (_, path), target, temp in zip(outputs, targets, temps):
             _on(path, target, lambda _: os.replace(temp, target))
-    except BaseException:
+    except BaseException as exc:
         for temp in temps:
             temp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename in (names := list(map(str, temps))):
+            exc.filename = str(outputs[names.index(exc.filename)][1])
         raise
 
 
-def _write_all(outputs: list[tuple[str, Path, Callable[[Path], None]]]) -> None:
-    """Write each ``(flag, path, write)`` output as ``write(temp)``, all in one
-    :func:`_all_or_none`; an OS error names the flag and the path."""
-    flags = {str(path): flag for flag, path, _ in outputs}  # equal paths are refused first
+def _into(temp: Path, write):
+    """``write(temp)``; an OS error that names no file, such as a full disk, names ``temp``."""
     try:
-        with _all_or_none([(flag, path) for flag, path, _ in outputs]) as temps:
-            for (flag, path, write), temp in zip(outputs, temps):
-                _io(flag, path, lambda _: write(temp))
+        return write(temp)
     except OSError as exc:
-        if exc.filename not in flags:
-            raise
-        raise ConfigError(f"{flags[exc.filename]} '{exc.filename}': {exc.strerror or exc}")
+        if exc.filename is None:
+            exc.filename = str(temp)
+        raise
 
 
 def _text_writer(text: str) -> Callable[[Path], None]:

@@ -233,6 +233,19 @@ def test_scan_workers_key_exits_2(scan_config, tmp_path, capsys):
     assert "detection.scan.workers" in err
 
 
+@pytest.mark.parametrize("measure", ["entropy", "conditional_overlap"])
+def test_scan_filter_f_of_another_measure_exits_2(measure, scan_config, tmp_path, capsys):
+    # filter_f selects the channel of concurrence_after_filter only; elsewhere
+    # it was once accepted and ignored.  Both keys are named.
+    edit_config(scan_config, lambda c: c["detection"]["scan"].__setitem__("measure", measure))
+    code, out, err = run(
+        ["scan", "--config", str(scan_config), "--output", str(tmp_path / "s")], capsys
+    )
+    assert code == 2 and out == ""
+    assert "'detection.scan.filter_f'" in err and "'detection.scan.measure'" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.json"]
+
+
 def test_scan_requires_output(scan_config, capsys):
     code, _, err = run(["scan", "--config", str(scan_config)], capsys)
     assert code == 2
@@ -622,16 +635,13 @@ def test_chsh_events_csv_without_samples_exits_2(tmp_path, capsys):
     assert not target.exists()
 
 
-def test_chsh_refuses_csv_output_format(tmp_path, capsys):
-    # the analysis is JSON only: the config key is refused like --format csv
-    config = tmp_path / "chsh.json"
-    shutil.copy(DATA / "sodium_chsh.json", config)
-    edit_config(config, lambda c: c.__setitem__("output", {"format": "csv"}))
-    code, out, err = run(["chsh", "--config", str(config)], capsys)
-    assert code == 2 and out == ""
-    assert "'output.format'" in err
-    code, out, _ = run(["chsh", "--config", str(config), "--format", "csv"], capsys)
-    assert code == 2 and out == ""
+def test_chsh_refuses_csv_output_format(capsys):
+    # the analysis is JSON only, so chsh has no --format; argparse refuses it by name
+    with pytest.raises(SystemExit) as exit_info:
+        main(["chsh", "--config", str(DATA / "sodium_chsh.json"), "--format", "csv"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--format" in captured.err
 
 
 def test_equal_ground_splittings_exit_2(state_config, capsys):
@@ -857,18 +867,14 @@ _IO_CASES = {
         "--output",
         "{tmp}/missing/s",
     ),
-    "output.path key": (
-        ["state", "--config", "{state}"], "'output.path'", "{tmp}/missing/o.json"
-    ),
 }
 
 
 @pytest.mark.parametrize("case", _IO_CASES)
-def test_unusable_path_exits_2(case, scan_config, state_config, tmp_path, capsys):
+def test_unusable_path_exits_2(case, scan_config, tmp_path, capsys):
     # a path that cannot be read or written is a configuration error that
-    # names the flag (or config key) and the path, not a traceback
-    edit_config(state_config, lambda c: c.update(output={"path": f"{tmp_path}/missing/o.json"}))
-    fill = {"{tmp}": str(tmp_path), "{scan}": str(scan_config), "{state}": str(state_config)}
+    # names the flag and the path, not a traceback
+    fill = {"{tmp}": str(tmp_path), "{scan}": str(scan_config)}
 
     def expand(text):
         for key, value in fill.items():
@@ -881,13 +887,6 @@ def test_unusable_path_exits_2(case, scan_config, state_config, tmp_path, capsys
     assert f"{flag} '{expand(path)}'" in err
     assert "Traceback" not in err
     assert not (tmp_path / "missing").exists()
-
-
-def test_output_path_not_a_string_exits_2(state_config, capsys):
-    edit_config(state_config, lambda c: c.update(output={"path": 5}))
-    code, out, err = run(["state", "--config", str(state_config)], capsys)
-    assert code == 2 and out == ""
-    assert "'output.path'" in err
 
 
 _WRITERS = {
@@ -903,7 +902,8 @@ _WRITERS = {
 def test_output_naming_a_directory_exits_2(
     command, source, path, tmp_path, monkeypatch, capsys
 ):
-    # the scan prefix rule: "newdir/" once wrote a file named newdir
+    # the scan prefix rule: "newdir/" once wrote a file named newdir.  Outputs
+    # are named by flags only: a config's output block is an unknown key.
     shipped, extra = _WRITERS[command]
     config = tmp_path / "config.json"
     shutil.copy(shipped, config)
@@ -916,7 +916,10 @@ def test_output_naming_a_directory_exits_2(
         edit_config(config, lambda c: c.update(output={"path": path}))
     code, out, err = run(argv, capsys)
     assert code == 2 and out == ""
-    assert f"{source} '{path}' names a directory" in err
+    if source == "--output":
+        assert f"{source} '{path}' names a directory" in err
+    else:
+        assert "unknown key 'output'" in err
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json", "sub"]
 
 
@@ -1006,12 +1009,13 @@ def test_scan_has_no_format_option(scan_config, tmp_path, capsys):
 
 @pytest.mark.parametrize("value", ["json", "csv"])
 def test_scan_refuses_output_format(value, scan_config, tmp_path, capsys):
-    # the config key is refused like the flag, not silently ignored
-    edit_config(scan_config, lambda c: c.__setitem__("output", {"format": value}))
+    # outputs are named by flags only: any config block "output" is refused
+    # as an unknown key, not silently ignored, and nothing is written
+    edit_config(scan_config, lambda c: c.__setitem__("output", {"format": value, "path": "p"}))
     argv = ["scan", "--config", str(scan_config), "--output", str(tmp_path / "s")]
     code, out, err = run(argv, capsys)
     assert code == 2 and out == ""
-    assert "'output.format'" in err
+    assert "unknown key 'output'" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.json"]
 
 

@@ -213,6 +213,35 @@ def test_output_in_a_missing_directory_exits_2(command, workdir, capsys):
     assert listing(workdir) == {}
 
 
+# each command's argv with its outputs in a missing directory, the flag and
+# path the error names, and the work it must not reach
+_BEFORE_WORK = {
+    "state": (["state", "--config", str(DATA / "sodium_state.json"), "--output", "missing/s.json"],
+              "--output 'missing/s.json'", "build_pair_state"),
+    "filter": (["filter", "--config", str(DATA / "sodium_state.json"), "--f-select", "1",
+                "--output", "missing/f.json"], "--output 'missing/f.json'", "build_pair_state"),
+    "chsh": (["chsh", "--config", str(DATA / "sodium_chsh.json"), "--samples", "3000000",
+              "--events-csv", "missing/e.csv"], "--events-csv 'missing/e.csv'", "sample_events"),
+    "tables": (["tables", "--max-doubled-j", "12", "--output", "missing/t"],
+               "--output 'missing/t_cg.csv'", "_tables_text"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_BEFORE_WORK))
+def test_unwritable_output_fails_before_the_work(command, workdir, monkeypatch, capsys):
+    # the outputs are opened before any work: the work is never reached
+    argv, named, work = _BEFORE_WORK[command]
+
+    def never(*args, **kwargs):
+        raise AssertionError(f"{work} ran before the outputs were opened")
+
+    monkeypatch.setattr(cli, work, never)
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert f"{named}: {os.strerror(errno.ENOENT)}" in err
+    assert listing(workdir) == {}
+
+
 def _imports(path: Path) -> set[str]:
     """The modules ``path`` imports: a top-level name, or ".name" for a relative one."""
     names = set()
@@ -238,3 +267,20 @@ def test_only_the_output_module_renames():
     for path in PACKAGE.glob("*.py"):
         renames = path.read_text().count("os.replace(")
         assert renames == (1 if path.name == "outputs.py" else 0), path.name
+
+
+def test_only_main_and_write_scan_open_the_transaction():
+    # cli.main opens every command's outputs; write_scan is the library call
+    def opens(node) -> bool:
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_all_or_none"
+
+    calls, callers = 0, set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        calls += sum(map(opens, ast.walk(tree)))
+        callers.update(
+            f"{path.stem}.{node.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and any(map(opens, ast.walk(node)))
+        )
+    assert (calls, callers) == (2, {"cli.main", "geometry_explorer.write_scan"})
