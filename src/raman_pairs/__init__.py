@@ -5,48 +5,53 @@ CHSH simulation, and geometry scans."""
 
 __version__ = "0.1.0"
 
-from .angular_momentum import (
-    CoupledValue,
-    HalfInt,
-    clebsch_gordan,
-    halfint,
-    triangle_ok,
-    wigner_3j,
-    wigner_6j,
-)
-from .atomic_model import (
-    AtomSpec,
-    SublevelId,
-    detuning,
-    dipole_matrix_element,
-    load_atom_spec,
-    sodium,
-    spherical_basis_vectors,
-    validity_check,
-)
-from .bell_sim import chsh, correlation, optimize_chsh, sample_events
-from .entanglement_analysis import (
-    SchmidtResult,
-    concurrence_2x2,
-    concurrence_after_filter,
-    entanglement_entropy,
-    is_factorized,
-    schmidt,
-)
-from .geometry_explorer import ScanMap, argmax_direction, scan_sphere
-from .pair_state import (
-    Channel,
-    CondensateSpinor,
-    PairBatch,
-    PairState,
-    PumpConfig,
-    build_pair_state,
-    pair_batch,
-    pair_state_from_json,
-    pair_state_to_json,
-    sodium_condensate,
-    spectral_filter,
-)
+# Each export is imported from its module on first use (PEP 562), so that
+# ``import raman_pairs`` and the numpy-free ``tables`` command load no numpy.
+_HOMES = {
+    "angular_momentum": (
+        "CoupledValue",
+        "HalfInt",
+        "clebsch_gordan",
+        "halfint",
+        "triangle_ok",
+        "wigner_3j",
+        "wigner_6j",
+    ),
+    "atomic_model": (
+        "AtomSpec",
+        "SublevelId",
+        "detuning",
+        "dipole_matrix_element",
+        "load_atom_spec",
+        "sodium",
+        "spherical_basis_vectors",
+        "validity_check",
+    ),
+    "bell_sim": ("chsh", "correlation", "optimize_chsh", "sample_events"),
+    "entanglement_analysis": (
+        "SchmidtResult",
+        "concurrence_2x2",
+        "concurrence_after_filter",
+        "entanglement_entropy",
+        "is_factorized",
+        "schmidt",
+    ),
+    "geometry_explorer": ("ScanMap", "argmax_direction", "scan_sphere"),
+    "pair_state": (
+        "Channel",
+        "CondensateSpinor",
+        "PairBatch",
+        "PairState",
+        "PumpConfig",
+        "build_pair_state",
+        "pair_batch",
+        "pair_state_from_json",
+        "pair_state_to_json",
+        "sodium_condensate",
+        "spectral_filter",
+    ),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
 
 __all__ = [
     "__version__",
@@ -90,3 +95,17 @@ __all__ = [
     "scan_sphere",
     "argmax_direction",
 ]
+
+
+def __getattr__(name: str):
+    """An export, imported from its module on first use and then bound here."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -170,18 +170,6 @@ def _triangle_factor(ta: int, tb: int, tc: int) -> tuple[int, int]:
 _EXACT_ZERO = (0, 0, 1)
 
 
-def _descending(a: tuple, b: tuple, c: tuple) -> tuple[tuple, tuple, tuple, bool]:
-    """``a, b, c`` in descending order, and whether that is an odd permutation."""
-    odd = False
-    if a < b:
-        a, b, odd = b, a, True
-    if b < c:
-        b, c, odd = c, b, not odd
-    if a < b:
-        a, b, odd = b, a, not odd
-    return a, b, c, odd
-
-
 def _wigner_3j_exact(
     tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int
 ) -> tuple[int, int, int]:
@@ -193,10 +181,24 @@ def _wigner_3j_exact(
     (-1)^(j1+j2+j3).  Where two images coincide the symbol is zero unless
     that phase is +1, so ties need no rule.
     """
-    a, b, c, odd = _descending((tj1, tm1), (tj2, tm2), (tj3, tm3))
-    ra, rb, rc, odd_reversed = _descending((tj1, -tm1), (tj2, -tm2), (tj3, -tm3))
+    # Each image's columns sorted by at most three swaps.  odd counts, mod 2,
+    # the swaps and the reversal that took the arguments to the image.
+    a, b, c, odd = (tj1, tm1), (tj2, tm2), (tj3, tm3), False
+    if a < b:
+        a, b, odd = b, a, True
+    if b < c:
+        b, c, odd = c, b, not odd
+        if a < b:
+            a, b, odd = b, a, not odd
+    ra, rb, rc, odd_reversed = (tj1, -tm1), (tj2, -tm2), (tj3, -tm3), True
+    if ra < rb:
+        ra, rb, odd_reversed = rb, ra, False
+    if rb < rc:
+        rb, rc, odd_reversed = rc, rb, not odd_reversed
+        if ra < rb:
+            ra, rb, odd_reversed = rb, ra, not odd_reversed
     if (ra, rb, rc) > (a, b, c):
-        a, b, c, odd = ra, rb, rc, not odd_reversed
+        a, b, c, odd = ra, rb, rc, odd_reversed
     sign, p, q = _racah_3j(a[0], b[0], c[0], a[1], b[1], c[1])
     # (tj1 + tj2 + tj3) / 2 is odd; an odd doubled sum gives a zero symbol
     if odd and (tj1 + tj2 + tj3) & 2:
@@ -332,7 +334,13 @@ def _wigner_6j_exact(
         tj3, tj6, odd = tj6, tj3, not odd
     elif tj3 == tj6:
         free = True
-    a, b, c, _ = _descending((tj1, tj4), (tj2, tj5), (tj3, tj6))
+    a, b, c = (tj1, tj4), (tj2, tj5), (tj3, tj6)
+    if a < b:
+        a, b = b, a
+    if b < c:
+        b, c = c, b
+        if a < b:
+            a, b = b, a
     if odd and not free:
         return _racah_6j(a[0], b[0], c[1], a[1], b[1], c[0])
     return _racah_6j(a[0], b[0], c[0], a[1], b[1], c[1])

@@ -41,12 +41,11 @@ from .entanglement_analysis import (
     filtered_concurrence_of_blocks,
 )
 from .errors import EmptyScanError, InputDomainError, PhysicsError
-from .outputs import _all_or_none, _prefix_path
+from .outputs import _all_or_none, _prefix_path, json_text
 from .pair_state import (
     CondensateSpinor,
     PumpConfig,
     block_grams,
-    json_text,
     pair_batch,
     unresolved_levels,
     warn_unresolved,

@@ -1,15 +1,18 @@
-"""Output files.  Every command writes its files through one transaction,
-:func:`_all_or_none`, which the CLI opens before any work.  No numpy."""
+"""Output files and their JSON text.  Every command writes its files through
+one transaction, :func:`_all_or_none`, which the CLI opens before any work.
+No numpy."""
 
 from __future__ import annotations
 
 import errno
+import math
 import os
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager, suppress
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
-from .errors import ConfigError, InputDomainError
+from .errors import ConfigError, InputDomainError, PhysicsError
 
 
 def _prefix_path(prefix: str | os.PathLike, name: str = "output prefix") -> Path:
@@ -101,3 +104,44 @@ def _into(temp: Path, write):
 
 def _text_writer(text: str) -> Callable[[Path], None]:
     return lambda path: path.write_text(text, encoding="utf-8")
+
+
+def _json_value(value, indent: str) -> str:
+    """``value`` as ``json.dumps(..., indent=2, sort_keys=True)`` writes it at ``indent``."""
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not -math.inf < value < math.inf:  # NaN fails too
+            raise PhysicsError(f"output has a non-finite number: {value!r}")
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json_value(item, inner) for item in value]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # a key that is not a str fails in _json_string, or in sorting
+        items = [f"{_json_string(k)}: {_json_value(v, inner)}" for k, v in sorted(value.items())]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def json_text(doc: dict) -> str:
+    """Indented, key-sorted, ASCII-escaped strict JSON; a non-finite number is a physics error.
+
+    The bytes are those of ``json.dumps(doc, indent=2, sort_keys=True,
+    allow_nan=False) + "\\n"``, for str keys.  The standard library
+    encodes an indented document in pure Python; this writer does less.
+    """
+    return _json_value(doc, "") + "\n"

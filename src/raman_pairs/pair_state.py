@@ -49,7 +49,6 @@ import sys
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from json.encoder import encode_basestring_ascii as _json_string
 from typing import NamedTuple
 
 import numpy as np
@@ -62,6 +61,7 @@ from .errors import (
     OffResonanceError,
     PhysicsError,
 )
+from .outputs import json_text
 from .raman_coupling import (
     branch_amplitudes,
     condensate_factor,
@@ -654,47 +654,6 @@ def spectral_filter(state: PairState, f_select: HalfIntLike) -> PairState:
 
 
 # --- serialization ----------------------------------------------------------
-
-
-def _json_value(value, indent: str) -> str:
-    """``value`` as ``json.dumps(..., indent=2, sort_keys=True)`` writes it at ``indent``."""
-    if isinstance(value, str):
-        return _json_string(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if not -math.inf < value < math.inf:  # NaN fails too
-            raise PhysicsError(f"output has a non-finite number: {value!r}")
-        return float.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [_json_value(item, inner) for item in value]
-        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        # a key that is not a str fails in _json_string, or in sorting
-        items = [f"{_json_string(k)}: {_json_value(v, inner)}" for k, v in sorted(value.items())]
-        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def json_text(doc: dict) -> str:
-    """Indented, key-sorted, ASCII-escaped strict JSON; a non-finite number is a physics error.
-
-    The bytes are those of ``json.dumps(doc, indent=2, sort_keys=True,
-    allow_nan=False) + "\\n"``, for str keys.  The standard library
-    encodes an indented document in pure Python; this writer does less.
-    """
-    return _json_value(doc, "") + "\n"
 
 
 def _complex_pair(z: complex) -> list[float]:

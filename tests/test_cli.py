@@ -1249,6 +1249,34 @@ def test_config_not_utf8_exits_2(state_config, capsys):
     assert "not valid JSON" in err
 
 
+@pytest.mark.parametrize("encoding", ["utf-16", "utf-32", "utf-8-sig"])
+def test_config_in_another_encoding_exits_2(encoding, state_config, capsys):
+    # json.loads alone detects UTF-16, UTF-32 and a UTF-8 byte-order mark;
+    # a config is read as UTF-8, as a species file is
+    state_config.write_bytes(state_config.read_text().encode(encoding))
+    code, out, err = run(["state", "--config", str(state_config)], capsys)
+    assert code == 2 and out == ""
+    assert "not valid JSON" in err
+
+
+@pytest.mark.parametrize("spelling", ["relative", "absolute", "empty", "dot", "dots"])
+def test_builtin_names_only_shipped_species(spelling, state_config, capsys):
+    # a species file outside the package data, however "builtin:" spells its path
+    outside = state_config.parent / "outside_species"
+    shutil.copy(DATA / "sodium.json", outside.with_name("outside_species.json"))
+    name = {
+        "relative": os.path.relpath(outside, DATA),
+        "absolute": str(outside),
+        "empty": "",
+        "dot": ".",
+        "dots": "..",
+    }[spelling]
+    edit_config(state_config, lambda raw: raw.update(atom_spec_path=f"builtin:{name}"))
+    code, out, err = run(["state", "--config", str(state_config)], capsys)
+    assert code == 2 and out == ""
+    assert "'atom_spec_path'" in err and "shipped species" in err
+
+
 @pytest.mark.parametrize("command", ["chsh", "tables", "state", "filter", "scan"])
 def test_failed_rename_exits_2_by_name(command, scan_config, tmp_path, monkeypatch, capsys):
     # a rename that the file system refuses after every file was written

@@ -214,16 +214,18 @@ def test_output_in_a_missing_directory_exits_2(command, workdir, capsys):
 
 
 # each command's argv with its outputs in a missing directory, the flag and
-# path the error names, and the work it must not reach
+# path the error names, and the work it must not reach, as the command calls it
 _BEFORE_WORK = {
     "state": (["state", "--config", str(DATA / "sodium_state.json"), "--output", "missing/s.json"],
-              "--output 'missing/s.json'", "build_pair_state"),
+              "--output 'missing/s.json'", "raman_pairs.pair_state.build_pair_state"),
     "filter": (["filter", "--config", str(DATA / "sodium_state.json"), "--f-select", "1",
-                "--output", "missing/f.json"], "--output 'missing/f.json'", "build_pair_state"),
+                "--output", "missing/f.json"], "--output 'missing/f.json'",
+               "raman_pairs.pair_state.build_pair_state"),
     "chsh": (["chsh", "--config", str(DATA / "sodium_chsh.json"), "--samples", "3000000",
-              "--events-csv", "missing/e.csv"], "--events-csv 'missing/e.csv'", "sample_events"),
+              "--events-csv", "missing/e.csv"], "--events-csv 'missing/e.csv'",
+             "raman_pairs.bell_sim.sample_events"),
     "tables": (["tables", "--max-doubled-j", "12", "--output", "missing/t"],
-               "--output 'missing/t_cg.csv'", "_tables_text"),
+               "--output 'missing/t_cg.csv'", "raman_pairs.cli._tables_text"),
 }
 
 
@@ -235,7 +237,7 @@ def test_unwritable_output_fails_before_the_work(command, workdir, monkeypatch, 
     def never(*args, **kwargs):
         raise AssertionError(f"{work} ran before the outputs were opened")
 
-    monkeypatch.setattr(cli, work, never)
+    monkeypatch.setattr(work, never)
     code, out, err = run(argv, capsys)
     assert code == 2 and out == ""
     assert f"{named}: {os.strerror(errno.ENOENT)}" in err
@@ -260,6 +262,37 @@ def test_output_module_imports_only_the_standard_library():
     assert ".errors" in imports
     assert {name for name in imports if name != ".errors"} <= set(sys.stdlib_module_names)
     assert not {"errno", "contextlib"} & _imports(PACKAGE / "geometry_explorer.py")
+
+
+def _load_time_imports(path: Path) -> set[str]:
+    """The modules ``path`` imports as it loads, named as by ``_imports``, with
+    ".name" for each name of a ``from . import``: none from a function body
+    or an ``if TYPE_CHECKING:`` block."""
+    names = set()
+    pending = [ast.parse(path.read_text())]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or (
+            isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING"
+        ):
+            continue
+        pending.extend(ast.iter_child_nodes(node))
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level and not node.module:
+            names.update("." + alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add("." + node.module if node.level else node.module.split(".")[0])
+    return names
+
+
+def test_cli_loads_only_the_standard_library_and_the_numpy_free_modules():
+    # every command imports its own work; what cli loads, tables runs on
+    allowed = {".angular_momentum", ".errors", ".outputs", ".__version__"}
+    imports = _load_time_imports(PACKAGE / "cli.py")
+    assert allowed <= imports
+    extra = imports - allowed - set(sys.stdlib_module_names)
+    assert not extra, f"cli imports {sorted(extra)} as it loads"
 
 
 def test_only_the_output_module_renames():
