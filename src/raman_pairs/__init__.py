@@ -53,48 +53,7 @@ _HOMES = {
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "HalfInt",
-    "halfint",
-    "CoupledValue",
-    "triangle_ok",
-    "clebsch_gordan",
-    "wigner_3j",
-    "wigner_6j",
-    "AtomSpec",
-    "SublevelId",
-    "spherical_basis_vectors",
-    "dipole_matrix_element",
-    "detuning",
-    "validity_check",
-    "load_atom_spec",
-    "sodium",
-    "PumpConfig",
-    "CondensateSpinor",
-    "Channel",
-    "PairState",
-    "PairBatch",
-    "pair_batch",
-    "build_pair_state",
-    "spectral_filter",
-    "pair_state_to_json",
-    "pair_state_from_json",
-    "sodium_condensate",
-    "SchmidtResult",
-    "schmidt",
-    "entanglement_entropy",
-    "concurrence_2x2",
-    "concurrence_after_filter",
-    "is_factorized",
-    "correlation",
-    "chsh",
-    "optimize_chsh",
-    "sample_events",
-    "ScanMap",
-    "scan_sphere",
-    "argmax_direction",
-]
+__all__ = ["__version__", *_HOME]
 
 
 def __getattr__(name: str):

@@ -23,26 +23,23 @@ Sampling uses numpy's PCG64 generator, seeded per fixed-size trial chunk via
 SeedSequence spawning, so results are bit-reproducible and independent of any
 future worker partitioning.  Chunk i's seed is ``SeedSequence(seed,
 spawn_key=(i,))``, the i-th child that ``spawn`` would give, made on its own.
-Sampled trials are kept as two int8 index arrays (setting and outcome); a
-trial's outcome is the number of its setting's three cumulative bounds that its
-uniform reaches.  The events CSV is built from the arrays as bytes, chunk by
-chunk, with no Python object per trial.
-
-Besides the two result arrays (2 bytes per trial), the working set is one
-block's.  A chunk writes its setting draw straight into the int8 result array
-and frees the int64 draw before any comparison.  It then draws its uniforms
-``_BLOCK`` at a time, the same stream as one call, and counts for each trial
-how many bounds it reaches in place in the outcome array.  The CSV writer
-formats at most ``_BLOCK`` rows per byte matrix.  So memory beyond the arrays
-does not grow with the trial count, and the temporaries stay near the cache.
+``sample_chunks`` is the one source of sampled trials: a stream of chunks of
+int8 codes ``4 * setting + outcome``, where a trial's outcome is the number of
+its setting's three cumulative bounds that its uniform reaches.
+``tally_chunks`` counts the codes and can write the events CSV as bytes, with
+no Python object per trial.  Reading the stream takes one chunk's memory,
+whatever the trial count: a chunk draws its uniforms ``_BLOCK`` at a time, the
+same stream as one call, and the CSV writer formats ``_BLOCK`` rows at a time.
+``sample_events`` keeps the trials in two int8 arrays, 2 bytes per trial.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -54,6 +51,8 @@ __all__ = [
     "correlation",
     "chsh",
     "optimize_chsh",
+    "sample_chunks",
+    "tally_chunks",
     "sample_events",
     "events_to_csv",
     "GENERATOR_ID",
@@ -198,20 +197,15 @@ def _joint_distributions(
     return probs
 
 
-def sample_events(
-    state: PairState,
-    settings: tuple[float, float, float, float],
-    n: int,
-    seed: int,
-) -> SampleResult:
-    """Draw ``n`` coincidences from the exact joint outcome distribution.
-
-    Per trial the setting pair is chosen uniformly from the four (a|a', b|b')
-    combinations; outcomes are sampled by inverse transform.  Bit-reproducible
-    for a fixed seed; the trial space is consumed in fixed 65536-trial chunks
-    with per-chunk derived seeds, each drawing its setting indices first and
-    its uniforms second.
-    """
+def sample_chunks(
+    state: PairState, settings: tuple[float, float, float, float], n: int, seed: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Draw ``n`` trials from the exact joint outcome distribution, one
+    ``(first, codes)`` per 65536-trial chunk as it is read; the arguments are
+    checked on the call.  Per trial the setting pair is uniform over the four
+    (a|a', b|b') combinations and the outcome is drawn by inverse transform:
+    ``codes[k]`` (int8) is ``4 * setting + outcome`` of trial ``first + k``.
+    Chunk i draws its setting indices first and its uniforms second."""
     if n < 1:
         raise InputDomainError("need at least one trial")
     matrix = _support_matrix(state)
@@ -219,50 +213,24 @@ def sample_events(
     # bounds[k, s]: the k-th cumulative outcome probability of setting s
     bounds = np.cumsum(_joint_distributions(matrix, settings), axis=1)[:, :-1].T
 
-    setting_index = np.empty(n, dtype=np.int8)
-    outcome_index = np.empty(n, dtype=np.int8)
-    # table[4 s + o] counts trials with setting s and outcome o.
-    table = np.zeros(16, dtype=np.int64)
-    for chunk_idx, start in enumerate(range(0, n, _CHUNK)):
-        stop = min(start + _CHUNK, n)
-        # the chunk's child of SeedSequence(seed).spawn(n_chunks), made alone
-        child = np.random.SeedSequence(seed, spawn_key=(chunk_idx,))
-        rng = np.random.Generator(np.random.PCG64(child))
-        setting_index[start:stop] = rng.integers(0, 4, size=stop - start)
-        # the chunk's uniforms, drawn a block at a time: the same stream
-        for lo in range(start, stop, _BLOCK):
-            hi = min(lo + _BLOCK, stop)
-            uniform = rng.random(hi - lo)
-            index = setting_index[lo:hi].astype(np.intp)
-            # the outcome: how many of its setting's cumulative bounds the uniform reaches
-            outcomes = outcome_index[lo:hi]
-            outcomes[:] = 0
-            for bound in bounds:
-                outcomes += uniform >= bound[index]
-            table += np.bincount(4 * index + outcomes, minlength=16)
-    setting_index.flags.writeable = False
-    outcome_index.flags.writeable = False
+    def chunks() -> Iterator[tuple[int, np.ndarray]]:
+        for chunk_idx, first in enumerate(range(0, n, _CHUNK)):
+            # the chunk's child of SeedSequence(seed).spawn(n_chunks), made alone
+            child = np.random.SeedSequence(seed, spawn_key=(chunk_idx,))
+            rng = np.random.Generator(np.random.PCG64(child))
+            codes = rng.integers(0, 4, size=min(_CHUNK, n - first)).astype(np.int8)
+            # the chunk's uniforms, drawn a block at a time: the same stream
+            for lo in range(0, len(codes), _BLOCK):
+                block = codes[lo : lo + _BLOCK]
+                uniform = rng.random(len(block))
+                index = block.astype(np.intp)
+                block *= 4
+                # plus the outcome: how many of its setting's cumulative bounds the uniform reaches
+                for bound in bounds:
+                    block += uniform >= bound[index]
+            yield first, codes
 
-    table = table.reshape(4, 4)
-    counts = table.sum(axis=1)
-    prod_sums = table @ OUTCOME_SIGNS.prod(axis=1)  # sums of photon * atom outcomes
-    correlations = tuple(float(p / c) if c else None for p, c in zip(prod_sums, counts))
-    if None in correlations:
-        s_estimate = std_error = None
-    else:
-        e = correlations
-        s_estimate = e[0] - e[1] + e[2] + e[3]
-        std_error = math.sqrt(sum((1.0 - e[i] ** 2) / counts[i] for i in range(4)))
-    return SampleResult(
-        setting_index=setting_index,
-        outcome_index=outcome_index,
-        s_estimate=s_estimate,
-        standard_error=std_error,
-        correlations=correlations,
-        counts=tuple(int(x) for x in counts),
-        settings=settings,
-        seed=seed,
-    )
+    return chunks()
 
 
 _CSV_HEADER = b"trial,setting_a_label,setting_b_label,photon_outcome,atom_outcome\n"
@@ -302,20 +270,57 @@ def _rows(first: int, codes: np.ndarray) -> Iterator[np.ndarray]:
         start = end
 
 
-def events_to_csv(result: SampleResult, path: str | Path) -> None:
-    """Write the sampled trials, one row each, as bytes built from the arrays.
+def tally_chunks(chunks: Iterable[tuple[int, np.ndarray]], csv: BinaryIO | None = None) -> dict:
+    """The counts, correlations, S estimate and standard error of the trials in
+    ``chunks``, keyed as in :class:`SampleResult`; given ``csv``, an open binary
+    file, the events CSV is written to it as the chunks come."""
+    if csv is not None:
+        csv.write(_CSV_HEADER)
+    # table[4 s + o] counts trials with setting s and outcome o.
+    table = np.zeros(16, dtype=np.int64)
+    for first, codes in chunks:
+        table += np.bincount(codes, minlength=16)
+        if csv is not None:
+            csv.writelines(_rows(first, codes))
+    counts = tuple(table.reshape(4, 4).sum(axis=1).tolist())
+    prod_sums = table.reshape(4, 4) @ OUTCOME_SIGNS.prod(axis=1)  # sums of photon * atom outcomes
+    e = tuple(float(p / c) if c else None for p, c in zip(prod_sums, counts))
+    if None in e:
+        s_estimate = std_error = None
+    else:
+        s_estimate = e[0] - e[1] + e[2] + e[3]
+        std_error = math.sqrt(sum((1.0 - e[i] ** 2) / counts[i] for i in range(4)))
+    return dict(s_estimate=s_estimate, standard_error=std_error, correlations=e, counts=counts)
 
-    Columns: trial, setting_a_label, setting_b_label, photon_outcome,
-    atom_outcome.  Each 65536-trial chunk is written as one ``uint8`` matrix
-    per run of at most ``_BLOCK`` trial numbers with the same digit count:
-    a row holds the trial number's digits, then the row tail of its ``4 *
-    setting + outcome`` from a zero-padded table, and one compress drops the
-    padding.  No Python object is made per trial.  ``path`` is opened and
-    written directly; the command line writes it under a temporary name.
-    """
-    with open(path, "wb") as fh:
-        fh.write(_CSV_HEADER)
-        for start in range(0, len(result.setting_index), _CHUNK):
-            stop = start + _CHUNK
-            codes = 4 * result.setting_index[start:stop] + result.outcome_index[start:stop]
-            fh.writelines(_rows(start, codes))
+
+def sample_events(
+    state: PairState, settings: tuple[float, float, float, float], n: int, seed: int
+) -> SampleResult:
+    """The ``n`` trials of :func:`sample_chunks`, copied into the arrays of a
+    :class:`SampleResult` with their counts and CHSH estimate."""
+    chunks = sample_chunks(state, settings, n, seed)
+    indices = np.empty((2, n), dtype=np.int8)  # the setting and outcome arrays
+
+    def kept() -> Iterator[tuple[int, np.ndarray]]:
+        for first, codes in chunks:
+            indices[:, first : first + len(codes)] = np.divmod(codes, 4)
+            yield first, codes
+
+    tally = tally_chunks(kept())
+    indices.flags.writeable = False
+    settings = tuple(float(x) for x in settings)  # checked by sample_chunks
+    return SampleResult(*indices, settings=settings, seed=seed, **tally)
+
+
+def events_to_csv(result: SampleResult, path: str | Path) -> None:
+    """Write the sampled trials to ``path``, one row each: trial,
+    setting_a_label, setting_b_label, photon_outcome, atom_outcome.  The
+    arrays are read back in the chunks of :func:`sample_chunks` and written by
+    :func:`tally_chunks`."""
+    setting, outcome = result.setting_index, result.outcome_index
+    chunks = (
+        (first, 4 * setting[first : first + _CHUNK] + outcome[first : first + _CHUNK])
+        for first in range(0, len(setting), _CHUNK)
+    )
+    with open(path, "wb") as csv:
+        tally_chunks(chunks, csv)

@@ -206,7 +206,7 @@ def cmd_scan(args, files: list[tuple[Path, Path]]) -> str:
 
 
 def cmd_chsh(args, files: list[tuple[Path, Path]]) -> str:
-    from .bell_sim import GENERATOR_ID, chsh, events_to_csv, optimize_chsh, sample_events
+    from .bell_sim import GENERATOR_ID, chsh, optimize_chsh, sample_chunks, tally_chunks
     from .config import RunConfig
     from .pair_state import spectral_filter
 
@@ -227,13 +227,11 @@ def cmd_chsh(args, files: list[tuple[Path, Path]]) -> str:
             f"{len(photon_labels)} photon x {len(atom_labels)} atom labels. "
             "Set 'filter_f' in the config to select one frequency channel."
         )
-    if config.chsh_settings is not None:
-        settings = config.chsh_settings
-        s_value = chsh(state, *settings)
-        optimized = False
-    else:
+    optimized = config.chsh_settings is None
+    if optimized:
         settings, s_value = optimize_chsh(state)
-        optimized = True
+    else:
+        settings, s_value = config.chsh_settings, chsh(state, *config.chsh_settings)
     doc = {
         "format": "raman-pairs/chsh/1",
         "metadata": config.metadata(seed=args.seed if args.samples else None),
@@ -243,23 +241,19 @@ def cmd_chsh(args, files: list[tuple[Path, Path]]) -> str:
         "tsirelson_bound": 2.0 * math.sqrt(2.0),
     }
     if args.samples:
-        result = sample_events(state, settings, args.samples, args.seed)
-        doc["sampling"] = {
-            "n": args.samples,
-            "seed": args.seed,
-            "generator": GENERATOR_ID,
-            "s_estimate": result.s_estimate,
-            "standard_error": result.standard_error,
-            "correlations": list(result.correlations),
-            "counts": list(result.counts),
-        }
-        if args.events_csv is not None:
-            doc["sampling"]["events_csv"] = str(args.events_csv)
-    # the JSON first: a JSON write that fails does so before a long CSV
-    text = _emit((json_text(doc),), files[:1] if args.output is not None else [])
-    if args.events_csv is not None:
-        _into(files[-1][1], lambda temp: events_to_csv(result, temp))
-    return text
+        chunks = sample_chunks(state, settings, args.samples, args.seed)
+        sampling = doc["sampling"] = dict(n=args.samples, seed=args.seed, generator=GENERATOR_ID)
+        if args.events_csv is None:
+            sampling.update(tally_chunks(chunks))
+        else:
+
+            def write(temp: Path) -> dict:
+                with open(temp, "wb") as csv:
+                    return tally_chunks(chunks, csv)
+
+            # the events are written as they are drawn, into the last temporary
+            sampling.update(_into(files.pop()[1], write), events_csv=str(args.events_csv))
+    return _emit((json_text(doc),), files)
 
 
 class _RowTails(dict):

@@ -8,8 +8,10 @@ import json
 import math
 import os
 import shutil
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import raman_pairs
@@ -1203,6 +1205,50 @@ def test_chsh_events_csv_and_output_one_file_exits_2(events, tmp_path, monkeypat
     assert code == 2 and out == ""
     assert "--events-csv and --output name one file" in err
     assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+
+
+# --- chsh: memory that does not grow with --samples --------------------------------
+
+
+def _traced_peak(argv) -> int:
+    """The traced peak of ``main(argv)``, which must succeed."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize("events", [[], ["--events-csv", "e.csv"]])
+def test_chsh_memory_does_not_grow_with_the_trials(events, tmp_path, monkeypatch):
+    # the command reads one 65536-trial chunk at a time: 2^22 trials take what
+    # 2^18 take, where 2 bytes kept per trial would add about 8 MB
+    monkeypatch.chdir(tmp_path)
+    argv = ["chsh", "--config", _CHSH, "--output", "c.json", *events, "--samples"]
+    assert main([*argv, "1"]) == 0  # numpy's random submodules load untraced
+    small, large = (_traced_peak([*argv, str(n)]) for n in (2**18, 2**22))
+    assert abs(large - small) < 2e6
+
+
+def test_chsh_huge_sample_count_reaches_the_stream(tmp_path, monkeypatch):
+    # 10^15 trials fit in no array: the command draws them chunk by chunk, so
+    # it reaches the stream's own failure after the first chunk
+    asked = []
+
+    def one_chunk_then_fail(state, settings, n, seed):
+        asked.append(n)
+        yield 0, np.zeros(bell_sim._CHUNK, dtype=np.int8)
+        raise RuntimeError("after the first chunk")
+
+    monkeypatch.setattr(bell_sim, "sample_chunks", one_chunk_then_fail)
+    monkeypatch.chdir(tmp_path)
+    for events in ([], ["--events-csv", "e.csv"]):
+        with pytest.raises(RuntimeError, match="after the first chunk"):
+            main(["chsh", "--config", _CHSH, "--samples", str(10**15), *events])
+    assert asked == [10**15, 10**15]
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- repeated JSON keys ------------------------------------------------------------
