@@ -30,11 +30,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from .errors import InputDomainError
+
+if TYPE_CHECKING:  # a Fraction is made only from a string or for a radicand
+    from fractions import Fraction
 
 __all__ = [
     "HalfInt",
@@ -46,7 +48,7 @@ __all__ = [
     "wigner_6j",
 ]
 
-HalfIntLike = Union["HalfInt", int, str, Fraction]
+HalfIntLike = Union["HalfInt", int, str, "Fraction"]
 
 
 @dataclass(frozen=True, order=True)
@@ -69,15 +71,6 @@ class HalfInt:
     def __abs__(self) -> "HalfInt":
         return HalfInt(abs(self.twice))
 
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.twice)
-
-    def __add__(self, other: HalfIntLike) -> "HalfInt":
-        return HalfInt(self.twice + halfint(other).twice)
-
-    def __sub__(self, other: HalfIntLike) -> "HalfInt":
-        return HalfInt(self.twice - halfint(other).twice)
-
     def __str__(self) -> str:
         if self.twice % 2 == 0:
             return str(self.twice // 2)
@@ -99,6 +92,8 @@ def halfint(value: HalfIntLike) -> HalfInt:
         raise InputDomainError("bool is not a quantum number")
     if isinstance(value, int):
         return HalfInt(2 * value)
+    from fractions import Fraction
+
     if isinstance(value, str):
         try:
             value = Fraction(value)
@@ -125,6 +120,8 @@ class CoupledValue:
 
     @classmethod
     def from_exact(cls, sign: int, p: int, q: int) -> "CoupledValue":
+        from fractions import Fraction
+
         if p < 0:
             raise ValueError("radicand must be non-negative")
         if sign == 0 or p == 0:

@@ -25,12 +25,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterator, Literal
 
 import numpy as np
 
-from .angular_momentum import HalfInt, HalfIntLike, clebsch_gordan, halfint, wigner_6j
+from .angular_momentum import HalfInt, HalfIntLike, halfint
+from .angular_momentum import _clebsch_gordan_exact, _signed_sqrt, _wigner_6j_exact
 from .errors import InputDomainError
 
 __all__ = [
@@ -50,9 +52,8 @@ TWO_PI = 2.0 * np.pi
 Manifold = Literal["ground", "excited"]
 
 
-def _manifold_levels(I: HalfInt, J: HalfInt) -> tuple[HalfInt, ...]:
-    lo, hi = abs(I.twice - J.twice), I.twice + J.twice
-    return tuple(HalfInt(t) for t in range(lo, hi + 1, 2))
+def _manifold_levels(ti: int, tj: int) -> range:
+    return range(abs(ti - tj), ti + tj + 1, 2)
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ class AtomSpec:
         if not 0 < abs(self.reduced_dipole) < np.inf:
             raise InputDomainError("reduced dipole must be finite and nonzero")
 
-        expected = _manifold_levels(I, Jg)
+        expected = self.ground_levels()
         given = tuple(f for f, _ in self.ground_splittings)
         if given != expected:
             raise InputDomainError(
@@ -117,10 +118,10 @@ class AtomSpec:
     # --- manifold structure -------------------------------------------------
 
     def ground_levels(self) -> tuple[HalfInt, ...]:
-        return _manifold_levels(self.nuclear_spin, self.ground_j)
+        return tuple(map(HalfInt, _manifold_levels(self.nuclear_spin.twice, self.ground_j.twice)))
 
     def excited_levels(self) -> tuple[HalfInt, ...]:
-        return _manifold_levels(self.nuclear_spin, self.excited_j)
+        return tuple(map(HalfInt, _manifold_levels(self.nuclear_spin.twice, self.excited_j.twice)))
 
     def levels(self, manifold: Manifold) -> tuple[HalfInt, ...]:
         return self.ground_levels() if manifold == "ground" else self.excited_levels()
@@ -212,19 +213,46 @@ def dipole_matrix_element(
 
     if excited.m.twice != ground.m.twice + 2 * q:
         return 0.0
+    tfe, tfg = excited.f.twice, ground.f.twice
+    return _dipole_element(spec, tfe, excited.m.twice, tfg, ground.m.twice, _sixj(spec, tfe, tfg))
 
-    I, Jg, Je = spec.nuclear_spin, spec.ground_j, spec.excited_j
-    fe, fg = excited.f, ground.f
-    cg = clebsch_gordan(fg, ground.m, HalfInt(2), HalfInt(2 * q), fe, excited.m)
-    if cg.sign == 0:
+
+def _sixj(spec: AtomSpec, tfe: int, tfg: int) -> tuple[int, int, int]:
+    """(sign, p, q) of {I J_g F'; 1 F J_e} for the levels 2F = ``tfe``, 2F' = ``tfg``."""
+    ti, tjg, tje = spec.nuclear_spin.twice, spec.ground_j.twice, spec.excited_j.twice
+    return _wigner_6j_exact(ti, tjg, tfg, 2, tfe, tje)
+
+
+def _dipole_element(spec: AtomSpec, tfe: int, tme: int, tfg: int, tmg: int, sixj) -> float:
+    """:func:`dipole_matrix_element` on doubled ints, for q = m - m', given the
+    level pair's :func:`_sixj`; +0.0 where the CG or the 6-j vanishes."""
+    cg = _clebsch_gordan_exact(tfg, tmg, 2, tme - tmg, tfe, tme)
+    if cg[0] == 0 or sixj[0] == 0:
         return 0.0
-    sixj = wigner_6j(I, Jg, fg, HalfInt(2), fe, Je)
-    if sixj.sign == 0:
-        return 0.0
-    exponent = (I.twice + Jg.twice + fe.twice) // 2
-    phase = -1.0 if exponent % 2 == 0 else 1.0
-    scale = np.sqrt((fg.twice + 1.0) * (Je.twice + 1.0)) * spec.reduced_dipole
-    return phase * scale * cg.value * sixj.value
+    phase = -1.0 if (spec.nuclear_spin.twice + spec.ground_j.twice + tfe) // 2 % 2 == 0 else 1.0
+    scale = math.sqrt((tfg + 1.0) * (spec.excited_j.twice + 1.0)) * spec.reduced_dipole
+    return phase * scale * _signed_sqrt(*cg) * _signed_sqrt(*sixj)
+
+
+@lru_cache(maxsize=32)
+def _dipole_tensor(spec: AtomSpec) -> np.ndarray:
+    """The read-only table dip[e, g, q] of :func:`dipole_matrix_element` over the
+    sublevels, F-major with m ascending: one 6-j per level pair, and a CG only
+    where m - m' = q is -1, 0 or +1."""
+    ti = spec.nuclear_spin.twice
+    excited = _manifold_levels(ti, spec.excited_j.twice)
+    ground = _manifold_levels(ti, spec.ground_j.twice)
+    sixj = {(tfe, tfg): _sixj(spec, tfe, tfg) for tfe in excited for tfg in ground}
+    excited_m = [(tf, tm) for tf in excited for tm in range(-tf, tf + 1, 2)]
+    ground_m = [(tf, tm) for tf in ground for tm in range(-tf, tf + 1, 2)]
+    dip = np.zeros((len(excited_m), len(ground_m), 3))
+    for ie, (tfe, tme) in enumerate(excited_m):
+        for ig, (tfg, tmg) in enumerate(ground_m):
+            if abs(tme - tmg) <= 2:
+                value = _dipole_element(spec, tfe, tme, tfg, tmg, sixj[tfe, tfg])
+                dip[ie, ig, (tme - tmg) // 2 + 1] = value
+    dip.flags.writeable = False
+    return dip
 
 
 def detuning(spec: AtomSpec, omega_laser: float, f_ground: HalfIntLike) -> float:

@@ -36,34 +36,30 @@ _CONFIG_SCHEMA = {
 _SCAN_KEYS = {"resolution_deg", "measure", "filter_f"}
 
 
-def _fail_config(message: str) -> None:
-    raise ConfigError(message)
-
-
 def _check_keys(obj: dict, allowed, path: str) -> None:
     for key in obj:
         if key not in allowed:
-            _fail_config(f"unknown key '{path}{key}'")
+            raise ConfigError(f"unknown key '{path}{key}'")
 
 
 def _as_complex(value, path: str) -> complex:
     if isinstance(value, list) and len(value) == 2:
         return complex(finite_number(value[0], path), finite_number(value[1], path))
     if isinstance(value, list):
-        _fail_config(f"'{path}' must be a number or an [re, im] pair")
+        raise ConfigError(f"'{path}' must be a number or an [re, im] pair")
     return complex(finite_number(value, path))
 
 
 def _as_unit_vector(value, path: str, complex_ok: bool) -> np.ndarray:
     """A 3-component list scaled to unit length."""
     if not isinstance(value, list) or len(value) != 3:
-        _fail_config(f"'{path}' must be a 3-component list")
+        raise ConfigError(f"'{path}' must be a 3-component list")
     parse = _as_complex if complex_ok else finite_number
     vector = np.array([parse(v, path) for v in value])
     with np.errstate(all="ignore"):
         unit = vector / np.linalg.norm(vector)
         if not abs(np.linalg.norm(unit) - 1.0) <= 1e-12:
-            _fail_config(f"'{path}' has a length too small, too large or zero to scale")
+            raise ConfigError(f"'{path}' has a length too small, too large or zero to scale")
     return unit
 
 
@@ -77,19 +73,19 @@ class RunConfig:
         try:  # UTF-8 only, as for a species file: json.loads would detect UTF-16 and -32
             raw = json.loads(raw_bytes.decode("utf-8"), object_pairs_hook=unique_keys)
         except InputDomainError as exc:  # a repeated key
-            _fail_config(f"config {path}: {exc}")
+            raise ConfigError(f"config {path}: {exc}")
         except ValueError as exc:  # not JSON, or not UTF-8
-            _fail_config(f"config {path} is not valid JSON: {exc}")
+            raise ConfigError(f"config {path} is not valid JSON: {exc}")
         if not isinstance(raw, dict):
-            _fail_config("config root must be an object")
+            raise ConfigError("config root must be an object")
         _check_keys(raw, set(_CONFIG_SCHEMA), "")
         for key in ("atom_spec_path", "pump", "condensate", "detection"):
             if key not in raw:
-                _fail_config(f"missing required key '{key}'")
+                raise ConfigError(f"missing required key '{key}'")
         for key, sub in _CONFIG_SCHEMA.items():
             if sub is not None and key in raw:
                 if not isinstance(raw[key], dict):
-                    _fail_config(f"'{key}' must be an object")
+                    raise ConfigError(f"'{key}' must be an object")
                 _check_keys(raw[key], sub, f"{key}.")
 
         self.atom_path, self.atom_sha256, self.spec = self._load_atom(raw["atom_spec_path"])
@@ -97,7 +93,7 @@ class RunConfig:
         self.condensate = self._parse_condensate(raw["condensate"])
         detection = raw["detection"]
         if ("direction" in detection) == ("scan" in detection):
-            _fail_config("'detection' must contain exactly one of 'direction', 'scan'")
+            raise ConfigError("'detection' must contain exactly one of 'direction', 'scan'")
         self.direction: np.ndarray | None = None
         self.scan: dict | None = None
         if "direction" in detection:
@@ -107,15 +103,15 @@ class RunConfig:
         else:
             scan = detection["scan"]
             if not isinstance(scan, dict):
-                _fail_config("'detection.scan' must be an object")
+                raise ConfigError("'detection.scan' must be an object")
             _check_keys(scan, _SCAN_KEYS, "detection.scan.")
             for key in ("resolution_deg", "measure"):
                 if key not in scan:
-                    _fail_config(f"missing required key 'detection.scan.{key}'")
+                    raise ConfigError(f"missing required key 'detection.scan.{key}'")
             from .geometry_explorer import MEASURES
 
             if scan["measure"] not in MEASURES:
-                _fail_config(
+                raise ConfigError(
                     f"'detection.scan.measure' must be one of {', '.join(MEASURES)}"
                 )
             self.scan = scan
@@ -128,27 +124,27 @@ class RunConfig:
             settings = raw["chsh"].get("settings_rad")
             if settings is not None:
                 if not isinstance(settings, list) or len(settings) != 4:
-                    _fail_config("'chsh.settings_rad' must be a list of 4 angles")
+                    raise ConfigError("'chsh.settings_rad' must be a list of 4 angles")
                 from .bell_sim import _ANGLE_NAMES, _finite_angles
 
                 angles = tuple(finite_number(x, "chsh.settings_rad") for x in settings)
                 try:
                     self.chsh_settings = _finite_angles(_ANGLE_NAMES, angles)
                 except InputDomainError as exc:  # an angle whose double overflows
-                    _fail_config(f"invalid 'chsh.settings_rad': {exc}")
+                    raise ConfigError(f"invalid 'chsh.settings_rad': {exc}")
         self.validity_threshold = finite_number(
             raw.get("validity_threshold", 100.0), "validity_threshold"
         )
         if self.validity_threshold < 0:
-            _fail_config("'validity_threshold' must not be negative")
+            raise ConfigError("'validity_threshold' must not be negative")
 
     def _load_atom(self, value) -> tuple[Path, str, AtomSpec]:
         if not isinstance(value, str):
-            _fail_config("'atom_spec_path' must be a string")
+            raise ConfigError("'atom_spec_path' must be a string")
         if value.startswith("builtin:"):
             name = value[len("builtin:"):]
             if not name or set(name) & {"/", "\\", "."}:
-                _fail_config(
+                raise ConfigError(
                     f"'atom_spec_path' {value!r} must name a shipped species, "
                     "with no '/', '\\' or '.' after 'builtin:'"
                 )
@@ -158,17 +154,17 @@ class RunConfig:
             if not path.is_absolute():
                 path = self.path.parent / path
         if not path.is_file():
-            _fail_config(f"'atom_spec_path' names no file: '{path}'")
+            raise ConfigError(f"'atom_spec_path' names no file: '{path}'")
         data = _io("'atom_spec_path'", path, Path.read_bytes)  # hashed and parsed: one read
         return path, hashlib.sha256(data).hexdigest(), _parse_atom_spec(data, path)
 
     def parse_level(self, value, key: str) -> HalfInt:
         try:
-            level = halfint(str(value))
+            level = halfint(value)
         except InputDomainError:
-            _fail_config(f"'{key}' must be an integer or half-integer, got {value!r}")
+            raise ConfigError(f"'{key}' must be an integer or half-integer, got {value!r}")
         if level not in self.spec.ground_levels():
-            _fail_config(
+            raise ConfigError(
                 f"'{key}'={level} is not a ground level of {self.spec.name} "
                 f"(levels: {[str(f) for f in self.spec.ground_levels()]})"
             )
@@ -177,12 +173,14 @@ class RunConfig:
     def _parse_pump(self, raw: dict) -> PumpConfig:
         for key in ("direction", "polarization", "laser_hz"):
             if key not in raw:
-                _fail_config(f"missing required key 'pump.{key}'")
+                raise ConfigError(f"missing required key 'pump.{key}'")
         direction = _as_unit_vector(raw["direction"], "pump.direction", False)
         polarization = _as_unit_vector(raw["polarization"], "pump.polarization", True)
         amplitude = _as_complex(raw.get("amplitude", 1.0), "pump.amplitude")
         if not _intensity(amplitude) > 0:
-            _fail_config(f"'pump.amplitude' must have a positive |amplitude|^2, got {amplitude!r}")
+            raise ConfigError(
+                f"'pump.amplitude' must have a positive |amplitude|^2, got {amplitude!r}"
+            )
         try:
             return PumpConfig(
                 direction=direction,
@@ -192,24 +190,24 @@ class RunConfig:
                 atom_number=finite_number(raw.get("atom_number", 1.0), "pump.atom_number"),
             )
         except InputDomainError as exc:
-            _fail_config(f"invalid 'pump': {exc}")
+            raise ConfigError(f"invalid 'pump': {exc}")
 
     def _parse_condensate(self, raw: dict) -> CondensateSpinor:
         amplitudes = raw.get("amplitudes")
         if not isinstance(amplitudes, dict) or not amplitudes:
-            _fail_config("'condensate.amplitudes' must be a non-empty object")
+            raise ConfigError("'condensate.amplitudes' must be a non-empty object")
         parsed: dict[tuple[int, int], complex] = {}
         spelling: dict[tuple[int, int], str] = {}
         for key, value in amplitudes.items():
             try:
                 tf, tm = (int(x) for x in key.split(":"))
             except ValueError:
-                _fail_config(
+                raise ConfigError(
                     f"condensate key {key!r} must look like '2F:2m' with doubled integers"
                 )
             first = spelling.setdefault((tf, tm), key)
             if first != key:
-                _fail_config(
+                raise ConfigError(
                     f"'condensate.amplitudes' keys {first!r} and {key!r} name one sublevel"
                 )
             parsed[(tf, tm)] = _as_complex(value, f"condensate.amplitudes.{key}")
@@ -218,7 +216,7 @@ class RunConfig:
         except OverflowError:
             total = math.inf
         if not 0 < total < math.inf:
-            _fail_config("'condensate.amplitudes' must have a nonzero, finite norm")
+            raise ConfigError("'condensate.amplitudes' must have a nonzero, finite norm")
         normalized = {key: amp / total for key, amp in parsed.items()}
         spinor = CondensateSpinor.from_dict(normalized)
         spinor.vector(self.spec)  # validates sublevel keys against the species

@@ -65,7 +65,6 @@ from .outputs import json_text
 from .raman_coupling import (
     branch_amplitudes,
     condensate_factor,
-    ground_basis,
     polarization_bases,
     sequential_sum,
 )
@@ -171,15 +170,14 @@ class CondensateSpinor:
 
     def vector(self, spec: AtomSpec) -> np.ndarray:
         """Amplitudes over the canonical ground basis of ``spec``."""
-        basis = ground_basis(spec)
-        index = {(g.f.twice, g.m.twice): i for i, g in enumerate(basis)}
-        vec = np.zeros(len(basis), dtype=complex)
+        atoms = _sublevels(tuple(f.twice for f, _ in spec.ground_splittings)).atoms
+        vec = np.zeros(len(atoms), dtype=complex)
         for key, amp in self.amplitudes:
-            if key not in index:
+            if key not in atoms:
                 raise InputDomainError(
                     f"condensate occupies (2F,2m)={key}, not a ground sublevel of {spec.name}"
                 )
-            vec[index[key]] = amp
+            vec[atoms.index(key)] = amp
         return vec
 
 

@@ -20,16 +20,9 @@ so the scattered amplitudes of N detection directions are the contraction
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from .atomic_model import (
-    AtomSpec,
-    SublevelId,
-    dipole_matrix_element,
-    spherical_component,
-)
+from .atomic_model import AtomSpec, SublevelId, _dipole_tensor, spherical_component
 from .errors import SingularDetuningError
 
 __all__ = [
@@ -74,23 +67,9 @@ def _spherical_overlaps(polarization: np.ndarray) -> np.ndarray:
     )
 
 
-@lru_cache(maxsize=32)
-def _sublevel_tables(spec: AtomSpec):
-    """Ground/excited sublevel orderings and the dipole tensor dip[e, g, q]."""
-    ground = tuple(spec.sublevels("ground"))
-    excited = tuple(spec.sublevels("excited"))
-    dip = np.zeros((len(excited), len(ground), 3))
-    for ie, e in enumerate(excited):
-        for ig, g in enumerate(ground):
-            for iq, q in enumerate((-1, 0, +1)):
-                dip[ie, ig, iq] = dipole_matrix_element(spec, e, g, q)
-    dip.flags.writeable = False
-    return ground, excited, dip
-
-
 def ground_basis(spec: AtomSpec) -> tuple[SublevelId, ...]:
     """Ground sublevels in the canonical (F asc, m asc) order."""
-    return _sublevel_tables(spec)[0]
+    return tuple(spec.sublevels("ground"))
 
 
 def _detunings(spec: AtomSpec, omega_laser: float) -> np.ndarray:
@@ -130,7 +109,7 @@ def condensate_factor(
     the canonical ground basis; ``sum_q B[:, q] conj(eps_q* . eps_out)`` is
     then G phi0 for every detected polarization ``eps_out``.
     """
-    _, _, dip = _sublevel_tables(spec)
+    dip = _dipole_tensor(spec)
     w = (dip @ _spherical_overlaps(polarization)) @ (initial / _detunings(spec, omega_laser))
     return np.einsum("egq,e->gq", dip, w)
 

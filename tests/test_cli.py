@@ -142,6 +142,25 @@ def test_filter_nonexistent_level_exits_2(state_config, capsys):
     assert "not a ground level" in err
 
 
+def spell_level(path: Path, where, literal: str) -> Path:
+    """Set the level key that ``where`` picks out of the config to the JSON text ``literal``."""
+    edit_config(path, lambda c: where(c).__setitem__("filter_f", "LEVEL"))
+    path.write_text(path.read_text().replace('"LEVEL"', literal))
+    return path
+
+
+@pytest.mark.parametrize("literal, code", [('"1"', 0), ("1", 0), ("1.0", 2), ("2e0", 2), ("true", 2)])
+def test_filter_f_is_an_integer_or_a_string(literal, code, state_config, capsys):
+    # a JSON float or bool is no quantum number: 1.0 was once read as F = 1
+    spell_level(state_config, lambda c: c, literal)
+    got, out, err = run(["filter", "--config", str(state_config)], capsys)
+    assert got == code
+    if code:
+        assert out == "" and f"'filter_f' must be an integer or half-integer, got {json.loads(literal)!r}" in err
+    else:
+        assert json.loads(out)["analysis"]["entropy_bits"] == pytest.approx(1.0, abs=1e-9)
+
+
 # --- scan ----------------------------------------------------------------------
 
 
@@ -245,6 +264,16 @@ def test_scan_filter_f_of_another_measure_exits_2(measure, scan_config, tmp_path
     )
     assert code == 2 and out == ""
     assert "'detection.scan.filter_f'" in err and "'detection.scan.measure'" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.json"]
+
+
+def test_scan_filter_f_float_exits_2(scan_config, tmp_path, capsys):
+    spell_level(scan_config, lambda c: c["detection"]["scan"], "1.0")
+    code, out, err = run(
+        ["scan", "--config", str(scan_config), "--output", str(tmp_path / "s")], capsys
+    )
+    assert code == 2 and out == ""
+    assert "'detection.scan.filter_f' must be an integer or half-integer, got 1.0" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.json"]
 
 

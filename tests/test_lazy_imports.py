@@ -1,6 +1,8 @@
 """What start-up loads: ``import raman_pairs`` resolves its exports on first
-use, and ``tables`` never imports numpy.  Each check runs in a fresh
-interpreter, since this one has numpy loaded already."""
+use, ``tables`` never imports numpy, and neither ``tables`` nor ``state``
+imports ``fractions`` or ``decimal``, which only a parsed string or a
+``CoupledValue`` needs.  Each check runs in a fresh interpreter, since this
+one has numpy loaded already."""
 
 import hashlib
 import json
@@ -12,7 +14,7 @@ from pathlib import Path
 import raman_pairs
 
 SRC = Path(raman_pairs.__file__).parents[1]
-NUMPY_LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')), file=sys.stderr)"
+LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in {'numpy', 'fractions', 'decimal'})), file=sys.stderr)"
 
 
 def fresh(code: str) -> subprocess.CompletedProcess:
@@ -28,7 +30,7 @@ def test_tables_imports_no_numpy():
         "import json, sys\n"
         "from raman_pairs.cli import main\n"
         "code = main(['tables', '--max-doubled-j', '2'])\n"
-        f"{NUMPY_LOADED}\n"
+        f"{LOADED}\n"
         "sys.exit(code)\n"
     )
     assert proc.returncode == 0, proc.stderr
@@ -38,11 +40,27 @@ def test_tables_imports_no_numpy():
     )
 
 
+def test_state_imports_no_fractions():
+    config = SRC / "raman_pairs" / "data" / "sodium_state.json"
+    proc = fresh(
+        "import json, sys\n"
+        "from raman_pairs.cli import main\n"
+        f"code = main(['state', '--config', {str(config)!r}])\n"
+        f"{LOADED}\n"
+        "sys.exit(code)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert not {"fractions", "decimal"} & set(json.loads(proc.stderr))
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (  # the state pin
+        "09d58668e9319756a301015be4693b5816979175799d07c61cf0cfc57dd9d6ad"
+    )
+
+
 def test_package_import_is_lazy_and_every_export_resolves():
     proc = fresh(
         "import json, sys\n"
         "import raman_pairs\n"
-        f"{NUMPY_LOADED}\n"
+        f"{LOADED}\n"
         "missing = [n for n in raman_pairs.__all__ if getattr(raman_pairs, n, None) is None]\n"
         "print(json.dumps([missing, sorted(set(raman_pairs.__all__) - set(dir(raman_pairs)))]))\n"
     )

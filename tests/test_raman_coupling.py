@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 from conftest import doubled_detunings, random_condensate, random_direction, random_pump
-from raman_pairs.angular_momentum import HalfInt
+from oracles import oracle_dipole
+from raman_pairs.angular_momentum import CoupledValue, HalfInt
 from raman_pairs.atomic_model import (
+    SublevelId,
+    _dipole_tensor,
     detuning,
     dipole_matrix_element,
     excited_sublevel,
@@ -65,6 +68,51 @@ def test_basis_transverse_orthonormal_random():
         assert abs(np.vdot(e1, e2)) < 1e-12
         assert abs(np.vdot(e1, k)) < 1e-12
         assert abs(np.vdot(e2, k)) < 1e-12
+
+
+# --- dipole tensor ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "doubled", [(3, 1, 3), (1, 1, 1), (5, 1, 3)], ids=["sodium", "2I,2Jg,2Je=1,1,1", "5,1,3"]
+)
+def test_dipole_tensor_is_the_element_table(doubled, spec, monkeypatch):
+    # the tensor the kernel reads, for sodium and two species built here (2I,
+    # 2J_g, 2J_e), against the validating element function bit for bit and the
+    # |m_I, m_J> uncoupling oracle; its loop builds no per-element object
+    ti, tjg, tje = doubled
+    if doubled != (3, 1, 3):
+        levels = range(abs(ti - tjg), ti + tjg + 1, 2)
+        spec = replace(
+            spec,
+            nuclear_spin=HalfInt(ti),
+            ground_j=HalfInt(tjg),
+            excited_j=HalfInt(tje),
+            ground_splittings=tuple((HalfInt(tf), 1.0e9 * i) for i, tf in enumerate(levels)),
+            reduced_dipole=1.7,
+        )
+
+    def built(obj, *args, **kwargs):
+        raise AssertionError(f"the tensor built a {type(obj).__name__}")
+
+    for cls in (HalfInt, SublevelId, CoupledValue):
+        monkeypatch.setattr(cls, "__init__", built)
+    dip = _dipole_tensor.__wrapped__(spec)
+    monkeypatch.undo()
+
+    excited, ground = tuple(spec.sublevels("excited")), ground_basis(spec)
+    table = np.array(
+        [[[dipole_matrix_element(spec, e, g, q) for q in (-1, 0, +1)] for g in ground] for e in excited]
+    )
+    assert dip.shape == table.shape and dip.tobytes() == table.tobytes()
+    oracle = [
+        oracle_dipole(ti, tjg, tje, e.f.twice, e.m.twice, g.f.twice, g.m.twice, q, spec.reduced_dipole)
+        for e in excited
+        for g in ground
+        for q in (-1, 0, +1)
+    ]
+    assert np.abs(dip.ravel() - oracle).max() <= 1e-12
+    assert np.count_nonzero(dip) > 0
 
 
 # --- two-photon coupling ----------------------------------------------------------
