@@ -29,13 +29,14 @@ sublevel grids.  Malformed (j, m) pairings raise
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Union
 
 from .errors import InputDomainError
 
-if TYPE_CHECKING:  # a Fraction is made only from a string or for a radicand
+if TYPE_CHECKING:  # a Fraction is made only for a radicand
     from fractions import Fraction
 
 __all__ = [
@@ -83,8 +84,9 @@ class HalfInt:
 def halfint(value: HalfIntLike) -> HalfInt:
     """Coerce ``value`` to a :class:`HalfInt`.
 
-    Accepts HalfInt, int (whole units), Fraction with denominator 1 or 2,
-    and strings such as ``"2"`` or ``"-3/2"``.  Floats are rejected.
+    Accepts HalfInt, int (whole units), Fraction with denominator 1 or 2, and
+    strings of ASCII digits with an optional ``-``, alone or as an odd numerator
+    over ``/2`` (``"2"``, ``"-3/2"``); floats and other spellings are rejected.
     """
     if isinstance(value, HalfInt):
         return value
@@ -92,13 +94,14 @@ def halfint(value: HalfIntLike) -> HalfInt:
         raise InputDomainError("bool is not a quantum number")
     if isinstance(value, int):
         return HalfInt(2 * value)
+    if isinstance(value, str):
+        match = re.fullmatch(r"(-?[0-9]*[13579])/2|-?[0-9]+", value)  # an odd half, or whole
+        try:
+            return HalfInt(int(match[1]) if match[1] else 2 * int(value))
+        except (TypeError, ValueError):  # no match (None[1]), or more digits than int() reads
+            raise InputDomainError(f"cannot parse half-integer from {value!r}") from None
     from fractions import Fraction
 
-    if isinstance(value, str):
-        try:
-            value = Fraction(value)
-        except ValueError as exc:
-            raise InputDomainError(f"cannot parse half-integer from {value!r}") from exc
     if isinstance(value, Fraction):
         doubled = value * 2
         if doubled.denominator != 1:

@@ -11,13 +11,16 @@ where (p0, p1) are the two occupied photon labels in canonical order
 discriminates circular polarizations and a = pi/4 the linear pair
 (sigma+ +- sigma-)/sqrt2, so the angle sweeps the circular <-> linear plane).
 The atom analyzer acts identically on the two occupied sublevels with angle
-b.  The observable is A(a) = cos(2a) sz + sin(2a) sx, hence the symmetric
-Bell state gives E(a, b) = cos(2a - 2b) and the antisymmetric one the same
-pattern with b -> -b.
+b.  Outcome s of angle x projects onto (1 + s c(x).sigma)/2, with the Bloch
+vector c(x) = (cos 2x, sin 2x) over (sz, sx).
 
-The optimal angles follow in closed form from the 2x2 Pauli correlation
-matrix T over (z, x): the maximum of S over the four angles is 2 ||T||_F (see
-``optimize_chsh``).
+Every statistic reads one matrix of moments, M[i, j] = <s_i x s_j> over
+(1, sz, sx) on each side (``_moments``; Horodecki^3, Phys. Lett. A 200, 340
+(1995)): M[0, 0] is the norm, M[1:, 0] and M[0, 1:] the photon and atom Bloch
+vectors and T = M[1:, 1:] the correlations.  The outcome probabilities are
+p(s, t) = (1, s c(a)).M.(1, t c(b)) / 4 and E(a, b) = c(a).T.c(b), so the
+symmetric Bell state gives cos(2a - 2b) and the antisymmetric one the same
+pattern with b -> -b.  S peaks at 2 ||T||_F in closed form (``optimize_chsh``).
 
 Sampling uses numpy's PCG64 generator, seeded per fixed-size trial chunk via
 SeedSequence spawning, so results are bit-reproducible and independent of any
@@ -73,8 +76,9 @@ OUTCOME_SIGNS = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]])
 OUTCOME_SIGNS.flags.writeable = False
 
 _ANGLE_NAMES = "a a' b b'"
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
+# The operators of the moment matrix on either side: 1, sz, sx.
+_PAULI = (np.eye(2), np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+_SIGNS = np.array([[1.0], [-1.0]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,14 +113,9 @@ def _support_matrix(state: PairState) -> np.ndarray:
     return matrix
 
 
-def _pauli_correlation_matrix(matrix: np.ndarray) -> np.ndarray:
-    """T[i, j] = <s_i x s_j> over (z, x) for both sides."""
-    psi = matrix.reshape(-1)
-    t = np.empty((2, 2))
-    for i, si in enumerate((_SZ, _SX)):
-        for j, sj in enumerate((_SZ, _SX)):
-            t[i, j] = float(np.real(np.vdot(psi, np.kron(si, sj) @ psi)))
-    return t
+def _moments(matrix: np.ndarray) -> np.ndarray:
+    """M[i, j] = Re vdot(m, s_i m s_j) = <s_i x s_j> over (1, sz, sx) on each side."""
+    return np.array([[np.vdot(matrix, si @ matrix @ sj).real for sj in _PAULI] for si in _PAULI])
 
 
 def _bloch(angle: float) -> np.ndarray:
@@ -140,14 +139,14 @@ def _finite_angles(names: str, angles) -> tuple[float, ...]:
 def correlation(state: PairState, a: float, b: float) -> float:
     """E(a, b), the expectation of the product of the two +-1 outcomes."""
     a, b = _finite_angles("a b", (a, b))
-    t = _pauli_correlation_matrix(_support_matrix(state))
+    t = _moments(_support_matrix(state))[1:, 1:]
     return float(_bloch(a) @ t @ _bloch(b))
 
 
 def chsh(state: PairState, a: float, a_prime: float, b: float, b_prime: float) -> float:
     """S = E(a,b) - E(a,b') + E(a',b) + E(a',b')."""
     a, a_prime, b, b_prime = _finite_angles(_ANGLE_NAMES, (a, a_prime, b, b_prime))
-    t = _pauli_correlation_matrix(_support_matrix(state))
+    t = _moments(_support_matrix(state))[1:, 1:]
     ca, cap = _bloch(a), _bloch(a_prime)
     cb, cbp = _bloch(b), _bloch(b_prime)
     return float(ca @ t @ cb - ca @ t @ cbp + cap @ t @ cb + cap @ t @ cbp)
@@ -171,30 +170,29 @@ def optimize_chsh(state: PairState) -> tuple[tuple[float, float, float, float], 
     orthogonal with squared lengths summing to 4).  Angles are returned in
     [-pi/2, pi/2]; the returned S is evaluated at them.
     """
-    t = _pauli_correlation_matrix(_support_matrix(state))
+    t = _moments(_support_matrix(state))[1:, 1:]
     t_z, t_x = t[:, 0], t[:, 1]
     theta = math.atan2(math.hypot(*t_x), math.hypot(*t_z))
     settings = (_half_angle(t_x), _half_angle(t_z), 0.5 * theta, -0.5 * theta)
     return settings, chsh(state, *settings)
 
 
+def _analyzers(x: float, x_prime: float) -> np.ndarray:
+    """The rows (1, s c(angle)) for angle in (x, x') and s in (+1, -1), angle-major."""
+    signed = np.array([_bloch(x), _bloch(x_prime)])[:, np.newaxis] * _SIGNS
+    return np.concatenate([np.ones((2, 2, 1)), signed], axis=2).reshape(4, 3)
+
+
 def _joint_distributions(
-    matrix: np.ndarray, settings: tuple[float, float, float, float]
+    moments: np.ndarray, settings: tuple[float, float, float, float]
 ) -> np.ndarray:
-    """p[setting, outcome] over outcomes (+1,+1), (+1,-1), (-1,+1), (-1,-1)."""
+    """p[setting, outcome] over outcomes (+1,+1), (+1,-1), (-1,+1), (-1,-1):
+    (1, s c(x)) . M . (1, t c(y)) / 4, clipped at 0 so that the cumulative
+    bounds rise where rounding would leave a zero outcome at -1e-17."""
     a, a_prime, b, b_prime = settings
-    pairs = ((a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime))
-    probs = np.empty((4, 4))
-    for i, (pa, pb) in enumerate(pairs):
-        u = np.array([[math.cos(pa), math.sin(pa)], [-math.sin(pa), math.cos(pa)]])
-        v = np.array([[math.cos(pb), math.sin(pb)], [-math.sin(pb), math.cos(pb)]])
-        for s_idx, us in enumerate(u):
-            for t_idx, vt in enumerate(v):
-                amp = us @ matrix @ vt
-                probs[i, 2 * s_idx + t_idx] = abs(amp) ** 2
-    # Guard against rounding: renormalize rows at the 1e-12 level.
-    probs /= probs.sum(axis=1, keepdims=True)
-    return probs
+    probs = _analyzers(a, a_prime) @ moments @ _analyzers(b, b_prime).T  # [(x, s), (y, t)]
+    probs = probs.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    return np.maximum(probs / 4.0, 0.0)
 
 
 def sample_chunks(
@@ -208,10 +206,10 @@ def sample_chunks(
     Chunk i draws its setting indices first and its uniforms second."""
     if n < 1:
         raise InputDomainError("need at least one trial")
-    matrix = _support_matrix(state)
+    moments = _moments(_support_matrix(state))
     settings = _finite_angles(_ANGLE_NAMES, settings)
     # bounds[k, s]: the k-th cumulative outcome probability of setting s
-    bounds = np.cumsum(_joint_distributions(matrix, settings), axis=1)[:, :-1].T
+    bounds = np.cumsum(_joint_distributions(moments, settings), axis=1)[:, :-1].T
 
     def chunks() -> Iterator[tuple[int, np.ndarray]]:
         for chunk_idx, first in enumerate(range(0, n, _CHUNK)):

@@ -89,22 +89,17 @@ def _analysis_block(state: PairState, full_state: PairState) -> dict:
 
 
 def _state_csv(state: PairState, metadata: dict) -> str:
-    import csv
-    import io
-
-    buf = io.StringIO()
-    for key in sorted(metadata):
-        buf.write(f"# {key}={metadata[key]}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["omega_hz", "lambda", "doubled_F", "doubled_m", "amp_re", "amp_im"])
+    lines = [f"# {key}={metadata[key]}\n" for key in sorted(metadata)]
+    lines.append("omega_hz,lambda,doubled_F,doubled_m,amp_re,amp_im\n")
     matrix, photon, atoms = state.matrix()
     for ch, row in zip(photon, matrix.tolist()):
-        writer.writerows(
-            [repr(ch.omega / TWO_PI), ch.lam, tf, tm, repr(amp.real), repr(amp.imag)]
+        omega = repr(ch.omega / TWO_PI)
+        lines += [
+            f"{omega},{ch.lam},{tf},{tm},{amp.real!r},{amp.imag!r}\n"
             for (tf, tm), amp in zip(atoms, row)
             if amp != 0.0
-        )
-    return buf.getvalue()
+        ]
+    return "".join(lines)
 
 
 def _state(config: RunConfig) -> PairState:

@@ -129,7 +129,6 @@ def scan_chunks(
     *,
     filter_f=None,
     validity_threshold: float = 100.0,
-    enforce_validity: bool = True,
 ) -> Iterator[ScanMap]:
     """The scan of :func:`scan_sphere` as consecutive maps of at most ``_CHUNK``
     nodes, each evaluated when it is drawn; the arguments are checked on the call."""
@@ -145,11 +144,10 @@ def scan_chunks(
         if filter_f not in spec.ground_levels():
             raise InputDomainError(f"F={filter_f} is not a ground level of {spec.name}")
         name = f"concurrence_after_filter(F={filter_f})"
-    kwargs = {"validity_threshold": validity_threshold, "enforce_validity": enforce_validity}
-    return _chunks(spec, pump, phi0, resolution, measure, filter_f, name, kwargs)
+    return _chunks(spec, pump, phi0, resolution, measure, filter_f, name, validity_threshold)
 
 
-def _chunks(spec, pump, phi0, resolution, measure, filter_f, name, kwargs) -> Iterator[ScanMap]:
+def _chunks(spec, pump, phi0, resolution, measure, filter_f, name, threshold) -> Iterator[ScanMap]:
     """The grid nodes, theta-major, ``_CHUNK`` at a time, each chunk from one kernel call."""
     n_theta = max(1, math.ceil(math.pi / resolution - 1e-12))
     n_phi = max(1, math.ceil(2.0 * math.pi / resolution - 1e-12))
@@ -168,7 +166,7 @@ def _chunks(spec, pump, phi0, resolution, measure, filter_f, name, kwargs) -> It
         # per-row BLAS dot product is the one np.linalg.norm takes for one vector.
         norms = np.sqrt(np.matmul(directions[:, np.newaxis], directions[:, :, np.newaxis]))
         directions /= norms[:, 0]
-        batch = pair_batch(spec, pump, phi0, directions, **kwargs)
+        batch = pair_batch(spec, pump, phi0, directions, validity_threshold=threshold)
         grams = block_grams(batch.amplitudes, doubled)
         if measure == "entropy":
             values = entropy_of_blocks(grams)

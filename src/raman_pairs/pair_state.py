@@ -378,33 +378,6 @@ class PairState:
         return tuple(zip(self.photon_labels(), probs.tolist()))
 
 
-def _require_valid(
-    spec: AtomSpec, omega_laser: float, threshold: float, enforce: bool
-) -> None:
-    report = validity_check(spec, omega_laser, threshold)
-    if report.passed:
-        return
-    message = (
-        "far off-resonant condition |Delta(F')| >> Gamma violated: "
-        + report.describe()
-    )
-    if enforce:
-        raise OffResonanceError(message)
-    _warn(message)
-
-
-_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
-
-
-def _warn(message: str) -> None:
-    """A ``UserWarning`` attributed to the first frame outside this package,
-    whichever public function, generator or CLI command led here."""
-    frame, level = sys._getframe(1), 2
-    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
-        frame, level = frame.f_back, level + 1
-    warnings.warn(message, stacklevel=level)
-
-
 @lru_cache(maxsize=16)
 def _shared_factor(spec: AtomSpec, pump: PumpConfig, phi0: CondensateSpinor) -> np.ndarray:
     """The direction-independent factor B of a species, pump and condensate."""
@@ -503,7 +476,6 @@ def pair_batch(
     k_hats: np.ndarray,
     *,
     validity_threshold: float = 100.0,
-    enforce_validity: bool = True,
 ) -> PairBatch:
     """The pair-state kernel: (N, 3) unit detection directions to N states.
 
@@ -511,7 +483,9 @@ def pair_batch(
     each direction then costs one 3-term contraction per amplitude.  All
     per-direction arithmetic is elementwise or summed in a fixed order, so
     the result for a direction does not depend on N or on its place in the
-    batch.
+    batch.  A pump that fails :func:`~raman_pairs.atomic_model.validity_check`
+    at ``validity_threshold`` raises :class:`OffResonanceError`; a threshold
+    of 0 lets every pump through except an exact resonance.
     """
     k = np.asarray(k_hats, dtype=float)
     if k.ndim != 2 or k.shape[1] != 3:
@@ -519,7 +493,11 @@ def pair_batch(
     lengths = np.sqrt(k[:, 0] * k[:, 0] + k[:, 1] * k[:, 1] + k[:, 2] * k[:, 2])
     if not (abs(lengths - 1.0) <= _GEOM_TOL).all():
         raise InputDomainError("detection direction must be a unit vector")
-    _require_valid(spec, pump.omega_laser, validity_threshold, enforce_validity)
+    report = validity_check(spec, pump.omega_laser, validity_threshold)
+    if not report.passed:
+        raise OffResonanceError(
+            "far off-resonant condition |Delta(F')| >> Gamma violated: " + report.describe()
+        )
 
     polarizations = polarization_bases(k)
     factor = _shared_factor(spec, pump, phi0)
@@ -563,11 +541,20 @@ def unresolved_levels(
     return both & close & ~np.eye(len(levels), dtype=bool)
 
 
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
 def warn_unresolved(f: HalfIntLike) -> None:
-    """Warn that the selected level's channel overlaps a neighbor's."""
-    _warn(
+    """Warn that the selected level's channel overlaps a neighbor's: a ``UserWarning``
+    attributed to the first frame outside this package, whichever public
+    function, generator or CLI command led here."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(
         f"selected channel F={halfint(f)} is not spectrally resolvable from its "
-        f"neighbor at the configured resolution"
+        f"neighbor at the configured resolution",
+        stacklevel=level,
     )
 
 
@@ -585,16 +572,10 @@ def build_pair_state(
     k_hat: np.ndarray,
     *,
     validity_threshold: float = 100.0,
-    enforce_validity: bool = True,
 ) -> PairState:
     """Assemble the normalized joint state over (channel x polarization) x (F, m)."""
     batch = pair_batch(
-        spec,
-        pump,
-        phi0,
-        _one_direction(k_hat),
-        validity_threshold=validity_threshold,
-        enforce_validity=enforce_validity,
+        spec, pump, phi0, _one_direction(k_hat), validity_threshold=validity_threshold
     )
     if not batch.norms[0] > 0.0:
         raise EmptyStateError(

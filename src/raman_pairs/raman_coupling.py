@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .atomic_model import AtomSpec, SublevelId, _dipole_tensor, spherical_component
+from .atomic_model import AtomSpec, SublevelId, _dipole_tensor, detuning, spherical_component
 from .errors import SingularDetuningError
 
 __all__ = [
@@ -74,10 +74,9 @@ def ground_basis(spec: AtomSpec) -> tuple[SublevelId, ...]:
 
 def _detunings(spec: AtomSpec, omega_laser: float) -> np.ndarray:
     """Delta(F') per ground sublevel, computed once per level; raises on an exact zero."""
-    levels = spec.ground_splittings  # (F', delta(F')) in the order of the ground basis
+    levels = [f for f, _ in spec.ground_splittings]  # in the order of the ground basis
     deltas = np.repeat(
-        [omega_laser - spec.resonance + split for _, split in levels],  # as in detuning()
-        [f.twice + 1 for f, _ in levels],
+        [detuning(spec, omega_laser, f) for f in levels], [f.twice + 1 for f in levels]
     )
     if np.any(deltas == 0.0):
         raise SingularDetuningError(

@@ -52,6 +52,7 @@ def iter_6j_grid(max_tj=MAX_TJ):
 def test_halfint_coercions():
     assert halfint(2).twice == 4
     assert halfint("3/2").twice == 3
+    assert [halfint(s).twice for s in ("2", "-3/2", "0", "-0", "-2")] == [4, -3, 0, 0, -4]
     assert halfint(Fraction(-1, 2)).twice == -1
     assert halfint(HalfInt(5)).twice == 5
     assert str(HalfInt(3)) == "3/2"
@@ -66,6 +67,16 @@ def test_halfint_rejects_floats_and_bad_fractions():
         halfint(Fraction(1, 3))
     with pytest.raises(InputDomainError):
         halfint("j")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1.0", "1e0", "2/2", " 1", "1 ", "1\n", "+1", "1_0", "\u0663", "-4/2", "1/3", ""]
+    + [pytest.param("1" * 5000, id="beyond-int-digit-limit")],
+)
+def test_halfint_reads_only_digits_or_odd_halves(text):
+    with pytest.raises(InputDomainError):
+        halfint(text)
 
 
 def test_halfint_rejects_bool():

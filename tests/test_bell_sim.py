@@ -7,7 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import events_csv_text, oracle_chsh, oracle_correlation, oracle_sampled_events
+from oracles import (
+    events_csv_text,
+    oracle_chsh,
+    oracle_correlation,
+    oracle_outcome_probabilities,
+    oracle_sampled_events,
+)
 from raman_pairs import bell_sim
 from raman_pairs.bell_sim import (
     OUTCOME_SIGNS,
@@ -96,6 +102,29 @@ def test_correlation_matches_oracle_random(bell, pump):
 def test_correlation_requires_2x2(state_z):
     with pytest.raises(InputDomainError):
         correlation(state_z, 0.0, 0.0)
+
+
+def test_joint_distributions_match_oracle():
+    # (1, s c(x)) . M . (1, t c(y)) / 4 against the oracle's projected amplitudes
+    rng = np.random.default_rng(131)
+    for _ in range(500):
+        m = random_matrix(rng)
+        a, a_prime, b, b_prime = settings = tuple(rng.uniform(-math.pi, math.pi, 4))
+        probs = bell_sim._joint_distributions(bell_sim._moments(m), settings)
+        pairs = ((a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime))
+        want = [oracle_outcome_probabilities(m, x, y) for x, y in pairs]
+        assert np.abs(probs - want).max() <= 1e-15
+        assert (probs >= 0.0).all()
+
+
+def test_joint_distributions_clip_zero_outcomes(bell):
+    # at a = b the Bell state never gives opposite outcomes, which rounding
+    # can put at -1e-17; clipped, the cumulative bounds still never decrease
+    moments = bell_sim._moments(bell.matrix()[0])
+    for a in np.linspace(-math.pi, math.pi, 241).tolist():
+        probs = bell_sim._joint_distributions(moments, (a, a, a, a))
+        assert (probs >= 0.0).all()
+        assert (np.diff(np.cumsum(probs, axis=1), axis=1) >= 0.0).all()
 
 
 # --- chsh ----------------------------------------------------------------------

@@ -134,6 +134,16 @@ def test_filter_f2_antisymmetric(state_config, capsys):
     assert values == pytest.approx([-want, want], abs=1e-10)
 
 
+@pytest.mark.parametrize("spelling", ["1.0", "1e0", "2/2", " 1"])
+def test_filter_f_select_is_digits_or_odd_halves(spelling, state_config, capsys):
+    # each of these once parsed as a Fraction and filtered F = 1
+    code, out, err = run(
+        ["filter", "--config", str(state_config), "--f-select", spelling], capsys
+    )
+    assert (code, out) == (2, "")
+    assert f"'f-select' must be an integer or half-integer, got {spelling!r}" in err
+
+
 def test_filter_nonexistent_level_exits_2(state_config, capsys):
     code, _, err = run(
         ["filter", "--config", str(state_config), "--f-select", "0"], capsys
@@ -149,7 +159,11 @@ def spell_level(path: Path, where, literal: str) -> Path:
     return path
 
 
-@pytest.mark.parametrize("literal, code", [('"1"', 0), ("1", 0), ("1.0", 2), ("2e0", 2), ("true", 2)])
+@pytest.mark.parametrize(
+    "literal, code",
+    [('"1"', 0), ("1", 0), ("1.0", 2), ("2e0", 2), ("true", 2)]
+    + [(f'"{text}"', 2) for text in ("1.0", "1e0", "2/2", " 1")],
+)
 def test_filter_f_is_an_integer_or_a_string(literal, code, state_config, capsys):
     # a JSON float or bool is no quantum number: 1.0 was once read as F = 1
     spell_level(state_config, lambda c: c, literal)

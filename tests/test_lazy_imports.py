@@ -1,8 +1,8 @@
 """What start-up loads: ``import raman_pairs`` resolves its exports on first
-use, ``tables`` never imports numpy, and neither ``tables`` nor ``state``
-imports ``fractions`` or ``decimal``, which only a parsed string or a
-``CoupledValue`` needs.  Each check runs in a fresh interpreter, since this
-one has numpy loaded already."""
+use, ``tables`` never imports numpy, and neither ``tables``, ``state`` nor
+``filter --f-select`` imports ``fractions`` or ``decimal``, which only a
+``Fraction`` argument or a ``CoupledValue`` needs.  Each check runs in a fresh
+interpreter, since this one has numpy loaded already."""
 
 import hashlib
 import json
@@ -54,6 +54,20 @@ def test_state_imports_no_fractions():
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (  # the state pin
         "09d58668e9319756a301015be4693b5816979175799d07c61cf0cfc57dd9d6ad"
     )
+
+
+def test_filter_level_string_imports_no_fractions():
+    # a level spelled on the command line is read by int and re alone
+    config = SRC / "raman_pairs" / "data" / "sodium_state.json"
+    proc = fresh(
+        "import json, sys\n"
+        "from raman_pairs.cli import main\n"
+        f"code = main(['filter', '--config', {str(config)!r}, '--f-select', '1'])\n"
+        f"{LOADED}\n"
+        "sys.exit(code)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert not {"fractions", "decimal"} & set(json.loads(proc.stderr))
 
 
 def test_package_import_is_lazy_and_every_export_resolves():

@@ -3,7 +3,6 @@
 import decimal
 import json
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -323,10 +322,11 @@ def test_validity_enforcement(spec, phi0):
     )
     with pytest.raises(OffResonanceError):
         pair_batch(spec, resonant, phi0, Z[np.newaxis])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        pair_batch(spec, resonant, phi0, Z[np.newaxis], enforce_validity=False)
-    assert any("off-resonant" in str(w.message) for w in caught)
+    # threshold 0 lets the near-resonant pump through, but never an exact resonance
+    assert pair_batch(spec, resonant, phi0, Z[np.newaxis], validity_threshold=0.0).norms[0] > 0
+    exact = replace(resonant, omega_laser=spec.resonance)
+    with pytest.raises(OffResonanceError):
+        pair_batch(spec, exact, phi0, Z[np.newaxis], validity_threshold=0.0)
 
 
 # --- photon frequency -----------------------------------------------------------
