@@ -13,18 +13,15 @@ _HOMES = {
         "HalfInt",
         "clebsch_gordan",
         "halfint",
-        "triangle_ok",
         "wigner_3j",
         "wigner_6j",
     ),
     "atomic_model": (
         "AtomSpec",
-        "SublevelId",
         "detuning",
         "dipole_matrix_element",
         "load_atom_spec",
         "sodium",
-        "spherical_basis_vectors",
         "validity_check",
     ),
     "bell_sim": ("chsh", "correlation", "optimize_chsh", "sample_events"),
@@ -33,7 +30,6 @@ _HOMES = {
         "concurrence_2x2",
         "concurrence_after_filter",
         "entanglement_entropy",
-        "is_factorized",
         "schmidt",
     ),
     "geometry_explorer": ("ScanMap", "argmax_direction", "scan_sphere"),
@@ -45,7 +41,6 @@ _HOMES = {
         "PumpConfig",
         "build_pair_state",
         "pair_batch",
-        "pair_state_from_json",
         "pair_state_to_json",
         "sodium_condensate",
         "spectral_filter",

@@ -43,7 +43,6 @@ __all__ = [
     "HalfInt",
     "halfint",
     "CoupledValue",
-    "triangle_ok",
     "clebsch_gordan",
     "wigner_3j",
     "wigner_6j",
@@ -144,16 +143,6 @@ def _check_jm_pair(j: HalfInt, m: HalfInt, label: str) -> None:
         raise InputDomainError(f"{label}: j={j} and m={m} differ by a non-integer")
     if abs(m.twice) > j.twice:
         raise InputDomainError(f"{label}: |m|={abs(m)} exceeds j={j}")
-
-
-def triangle_ok(a: HalfIntLike, b: HalfIntLike, c: HalfIntLike) -> bool:
-    """True iff (a, b, c) can close a triangle with integer perimeter."""
-    ta, tb, tc = halfint(a).twice, halfint(b).twice, halfint(c).twice
-    if ta < 0 or tb < 0 or tc < 0:
-        raise InputDomainError("triangle arguments must be non-negative")
-    if (ta + tb + tc) % 2 != 0:
-        return False
-    return abs(ta - tb) <= tc <= ta + tb
 
 
 def _triangle_factor(ta: int, tb: int, tc: int) -> tuple[int, int]:

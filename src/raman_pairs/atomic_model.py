@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterator, Literal
 
 import numpy as np
 
@@ -37,8 +36,6 @@ from .errors import InputDomainError
 
 __all__ = [
     "AtomSpec",
-    "SublevelId",
-    "spherical_basis_vectors",
     "dipole_matrix_element",
     "detuning",
     "validity_check",
@@ -48,8 +45,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
-
-Manifold = Literal["ground", "excited"]
 
 
 def _manifold_levels(ti: int, tj: int) -> range:
@@ -123,48 +118,12 @@ class AtomSpec:
     def excited_levels(self) -> tuple[HalfInt, ...]:
         return tuple(map(HalfInt, _manifold_levels(self.nuclear_spin.twice, self.excited_j.twice)))
 
-    def levels(self, manifold: Manifold) -> tuple[HalfInt, ...]:
-        return self.ground_levels() if manifold == "ground" else self.excited_levels()
-
-    def sublevels(self, manifold: Manifold) -> Iterator["SublevelId"]:
-        """All (F, m) sublevels of a manifold in (F asc, m asc) order."""
-        for f in self.levels(manifold):
-            for tm in range(-f.twice, f.twice + 1, 2):
-                yield SublevelId(manifold, f, HalfInt(tm))
-
     def splitting(self, f_ground: HalfIntLike) -> float:
         f = halfint(f_ground)
         for level, value in self.ground_splittings:
             if level == f:
                 return value
         raise InputDomainError(f"F'={f} is not a ground level of {self.name}")
-
-
-@dataclass(frozen=True)
-class SublevelId:
-    """One hyperfine sublevel |F m> of the ground or excited manifold."""
-
-    manifold: Manifold
-    f: HalfInt
-    m: HalfInt
-
-    def __post_init__(self) -> None:
-        if self.manifold not in ("ground", "excited"):
-            raise InputDomainError(f"unknown manifold {self.manifold!r}")
-        if (self.f.twice - self.m.twice) % 2 != 0 or abs(self.m.twice) > self.f.twice:
-            raise InputDomainError(f"invalid sublevel F={self.f}, m={self.m}")
-
-    def __str__(self) -> str:
-        tag = "g" if self.manifold == "ground" else "e"
-        return f"|{self.f},{self.m}>{tag}"
-
-
-def ground_sublevel(f: HalfIntLike, m: HalfIntLike) -> SublevelId:
-    return SublevelId("ground", halfint(f), halfint(m))
-
-
-def excited_sublevel(f: HalfIntLike, m: HalfIntLike) -> SublevelId:
-    return SublevelId("excited", halfint(f), halfint(m))
 
 
 # --- spherical polarization basis ------------------------------------------
@@ -174,15 +133,6 @@ _EPS_0 = np.array([0.0, 0.0, 1.0], dtype=complex)
 _EPS_P1 = np.array([-1.0, -1.0j, 0.0]) / np.sqrt(2.0)
 for _v in (_EPS_M1, _EPS_0, _EPS_P1):
     _v.flags.writeable = False
-
-
-def spherical_basis_vectors() -> dict[int, np.ndarray]:
-    """Unit polarization vectors for sigma-, pi, sigma+ light, keyed by q.
-
-    eps_-1 = +(x - iy)/sqrt2, eps_0 = z, eps_+1 = -(x + iy)/sqrt2; orthonormal
-    under the Hermitian inner product.
-    """
-    return {-1: _EPS_M1.copy(), 0: _EPS_0.copy(), +1: _EPS_P1.copy()}
 
 
 def spherical_component(q: int) -> np.ndarray:
@@ -195,26 +145,26 @@ def spherical_component(q: int) -> np.ndarray:
 # --- dipole matrix elements -------------------------------------------------
 
 
-def dipole_matrix_element(
-    spec: AtomSpec, excited: SublevelId, ground: SublevelId, q: int
-) -> float:
-    """<F m (excited)|e r . eps_q|F' m' (ground)>, real in this convention.
+def dipole_matrix_element(spec: AtomSpec, tfe: int, tme: int, tfg: int, tmg: int, q: int) -> float:
+    """<F m (excited)|e r . eps_q|F' m' (ground)>, real in this convention; the
+    arguments are the doubled integers 2F, 2m, 2F', 2m' and q.
 
     Zero unless m = m' + q and the triangle {F', 1, F} closes.
     """
-    if excited.manifold != "excited":
-        raise InputDomainError(f"{excited} is not an excited sublevel")
-    if ground.manifold != "ground":
-        raise InputDomainError(f"{ground} is not a ground sublevel")
     if q not in (-1, 0, +1):
         raise InputDomainError(f"q must be -1, 0 or +1, got {q}")
-    if excited.f not in spec.excited_levels() or ground.f not in spec.ground_levels():
-        raise InputDomainError("sublevel does not belong to this species")
+    ti = spec.nuclear_spin.twice
+    levels = (_manifold_levels(ti, spec.excited_j.twice), _manifold_levels(ti, spec.ground_j.twice))
+    for (tf, tm), allowed in zip(((tfe, tme), (tfg, tmg)), levels):
+        f, m = HalfInt(tf), HalfInt(tm)  # refuses a non-int
+        if tf not in allowed:
+            raise InputDomainError("sublevel does not belong to this species")
+        if (tf - tm) % 2 != 0 or abs(tm) > tf:
+            raise InputDomainError(f"invalid sublevel F={f}, m={m}")
 
-    if excited.m.twice != ground.m.twice + 2 * q:
+    if tme != tmg + 2 * q:
         return 0.0
-    tfe, tfg = excited.f.twice, ground.f.twice
-    return _dipole_element(spec, tfe, excited.m.twice, tfg, ground.m.twice, _sixj(spec, tfe, tfg))
+    return _dipole_element(spec, tfe, tme, tfg, tmg, _sixj(spec, tfe, tfg))
 
 
 def _sixj(spec: AtomSpec, tfe: int, tfg: int) -> tuple[int, int, int]:

@@ -41,7 +41,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from pathlib import Path
 from typing import BinaryIO
 
 import numpy as np
@@ -57,7 +56,6 @@ __all__ = [
     "sample_chunks",
     "tally_chunks",
     "sample_events",
-    "events_to_csv",
     "GENERATOR_ID",
     "SETTING_LABELS",
     "OUTCOME_SIGNS",
@@ -105,10 +103,11 @@ class SampleResult:
 def _support_matrix(state: PairState) -> np.ndarray:
     matrix, photon_labels, atom_labels = state.matrix()
     if len(photon_labels) != 2 or len(atom_labels) != 2:
+        # a filter leaves 2 photon labels: advise it only where there are more
+        advice = " (spectrally filter the state first)" if len(photon_labels) > 2 else ""
         raise InputDomainError(
             "CHSH analysis needs a state on exactly 2 photon and 2 atom labels; "
-            f"got {len(photon_labels)} x {len(atom_labels)} "
-            "(spectrally filter the state first)"
+            f"got {len(photon_labels)} x {len(atom_labels)}{advice}"
         )
     return matrix
 
@@ -145,10 +144,13 @@ def correlation(state: PairState, a: float, b: float) -> float:
 
 def chsh(state: PairState, a: float, a_prime: float, b: float, b_prime: float) -> float:
     """S = E(a,b) - E(a,b') + E(a',b) + E(a',b')."""
-    a, a_prime, b, b_prime = _finite_angles(_ANGLE_NAMES, (a, a_prime, b, b_prime))
-    t = _moments(_support_matrix(state))[1:, 1:]
-    ca, cap = _bloch(a), _bloch(a_prime)
-    cb, cbp = _bloch(b), _bloch(b_prime)
+    settings = _finite_angles(_ANGLE_NAMES, (a, a_prime, b, b_prime))
+    return _s_value(_moments(_support_matrix(state))[1:, 1:], settings)
+
+
+def _s_value(t: np.ndarray, settings: tuple[float, float, float, float]) -> float:
+    """S at the analyzer angles ``settings`` from the correlation matrix ``t``."""
+    ca, cap, cb, cbp = map(_bloch, settings)
     return float(ca @ t @ cb - ca @ t @ cbp + cap @ t @ cb + cap @ t @ cbp)
 
 
@@ -174,7 +176,7 @@ def optimize_chsh(state: PairState) -> tuple[tuple[float, float, float, float], 
     t_z, t_x = t[:, 0], t[:, 1]
     theta = math.atan2(math.hypot(*t_x), math.hypot(*t_z))
     settings = (_half_angle(t_x), _half_angle(t_z), 0.5 * theta, -0.5 * theta)
-    return settings, chsh(state, *settings)
+    return settings, _s_value(t, settings)
 
 
 def _analyzers(x: float, x_prime: float) -> np.ndarray:
@@ -308,17 +310,3 @@ def sample_events(
     indices.flags.writeable = False
     settings = tuple(float(x) for x in settings)  # checked by sample_chunks
     return SampleResult(*indices, settings=settings, seed=seed, **tally)
-
-
-def events_to_csv(result: SampleResult, path: str | Path) -> None:
-    """Write the sampled trials to ``path``, one row each: trial,
-    setting_a_label, setting_b_label, photon_outcome, atom_outcome.  The
-    arrays are read back in the chunks of :func:`sample_chunks` and written by
-    :func:`tally_chunks`."""
-    setting, outcome = result.setting_index, result.outcome_index
-    chunks = (
-        (first, 4 * setting[first : first + _CHUNK] + outcome[first : first + _CHUNK])
-        for first in range(0, len(setting), _CHUNK)
-    )
-    with open(path, "wb") as csv:
-        tally_chunks(chunks, csv)

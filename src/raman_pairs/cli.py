@@ -217,10 +217,16 @@ def cmd_chsh(args, files: list[tuple[Path, Path]]) -> str:
         state = spectral_filter(state, config.filter_f)
     _, photon_labels, atom_labels = state.matrix()
     if len(photon_labels) != 2 or len(atom_labels) != 2:
+        if config.filter_f is None:
+            advice = "Set 'filter_f' in the config to select one frequency channel."
+        else:
+            advice = (
+                f"'filter_f' already selects the F={config.filter_f} channel; choose a "
+                "detection direction where that channel is 2x2."
+            )
         raise PhysicsError(
             "CHSH needs a 2x2 state (2 photon labels x 2 atom labels); this one has "
-            f"{len(photon_labels)} photon x {len(atom_labels)} atom labels. "
-            "Set 'filter_f' in the config to select one frequency channel."
+            f"{len(photon_labels)} photon x {len(atom_labels)} atom labels. {advice}"
         )
     optimized = config.chsh_settings is None
     if optimized:

@@ -47,7 +47,6 @@ __all__ = [
     "entanglement_entropy",
     "concurrence_2x2",
     "concurrence_after_filter",
-    "is_factorized",
     "branch_overlap",
     "entropy_of_blocks",
     "filtered_concurrence_of_blocks",
@@ -246,22 +245,9 @@ def concurrence_after_filter(state: PairState, f_select) -> float:
     return value
 
 
-def is_factorized(state: PairState, tol: float = 1e-10) -> bool:
-    """True iff the state is a product state within ``tol``.
-
-    Covers both degenerate routes to factorization: identical branch spinors
-    and a vanishing branch.
-    """
-    coeffs = _schmidt_coefficients(state)
-    return len(coeffs) < 2 or coeffs[1] < tol
-
-
 def branch_overlap(state: PairState) -> float:
     """|<S_k1|S_k2>| between the atomic spinors of an unfiltered state's branches."""
     value = float(branch_overlap_of_blocks(state.grams)[0])
     if math.isnan(value):
-        raise UndefinedOverlapError(
-            "a polarization branch has zero norm; the overlap is undefined "
-            "(the state factorizes)"
-        )
+        raise UndefinedOverlapError("a polarization branch has zero norm; the overlap is undefined")
     return value

@@ -59,7 +59,6 @@ __all__ = [
     "scan_chunks",
     "scan_sphere",
     "argmax_direction",
-    "scan_to_csv_text",
     "write_scan",
 ]
 
@@ -241,11 +240,6 @@ def _rows(scan: ScanMap) -> tuple[str, str]:
     fields[5] = ["null" if f else m for m, f in zip(fields[5], flagged)]
     fields[7] = [f'"{r}"' if r else "null" for r in reasons]
     return csv_rows, ",\n".join(["    [" + ",".join(row) + "]" for row in zip(*fields)])
-
-
-def scan_to_csv_text(scan: ScanMap) -> str:
-    """Delimited node table with '#' metadata header lines."""
-    return _csv_head(scan) + _rows(scan)[0]
 
 
 def _json_head(scan: ScanMap) -> str:

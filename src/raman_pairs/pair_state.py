@@ -82,7 +82,6 @@ __all__ = [
     "spectral_filter",
     "sodium_condensate",
     "pair_state_to_json",
-    "pair_state_from_json",
     "json_text",
 ]
 
@@ -688,91 +687,3 @@ def pair_state_to_json(state: PairState, provenance: dict | None = None) -> dict
         "provenance": provenance or {},
     }
     return doc
-
-
-_MAX_DOUBLED_F = 64  # far above any ground level; bounds the sublevel table a document sets
-_STATE_VECTORS = (
-    "recoil_momentum_kg_m_per_s",
-    "photon_wavevector_rad_per_m",
-    "detection_direction",
-)
-
-
-def pair_state_from_json(doc: dict) -> PairState:
-    """Rebuild a :class:`PairState` from :func:`pair_state_to_json` output.
-
-    A malformed document is an :class:`InputDomainError` that names the key
-    where reading failed.
-    """
-    where = "pump"
-    try:
-        pump_doc = doc["pump"]
-        pump = PumpConfig(
-            direction=np.array(pump_doc["direction"], dtype=float),
-            polarization=np.array([complex(re, im) for re, im in pump_doc["polarization"]]),
-            omega_laser=2.0 * np.pi * pump_doc["laser_hz"],
-            pump_amplitude=complex(*pump_doc["amplitude"]),
-            atom_number=pump_doc["atom_number"],
-        )
-        where = "channels"
-        channels = {ch["key"]: ch for ch in doc["channels"]}
-        if len(channels) != len(doc["channels"]):
-            raise InputDomainError(
-                "two photon channels share one key: their levels have equal frequencies"
-            )
-        omega: dict[int, float] = {}
-        for ch in channels.values():
-            if ch["lambda"] not in (1, 2):
-                raise InputDomainError("polarization index must be 1 or 2")
-            tf, w = ch["doubled_f"], 2.0 * np.pi * ch["omega_hz"]
-            if not isinstance(tf, int) or not 0 <= tf <= _MAX_DOUBLED_F:
-                raise InputDomainError(
-                    f"doubled_f must be a non-negative integer up to {_MAX_DOUBLED_F}, got {tf!r}"
-                )
-            if omega.setdefault(tf, w) != w:
-                raise InputDomainError(f"the channels of level 2F={tf} differ in frequency")
-        levels = tuple(sorted(omega))
-        atoms = _sublevels(levels).atoms
-        column = {atom: j for j, atom in enumerate(atoms)}
-        amplitudes = np.zeros((2, len(atoms)), dtype=complex)
-        for key, by_atom in doc["amplitudes"].items():
-            where = f"amplitudes.{key}"
-            ch = channels[key]
-            for atom_key, (re, im) in by_atom.items():
-                where = f"amplitudes.{key}.{atom_key}"
-                atom = tuple(int(x) for x in atom_key.split(":"))
-                if atom[0] != ch["doubled_f"] or atom not in column:
-                    raise InputDomainError(
-                        f"atom label {atom_key} sits in photon channel {key} of "
-                        f"2F={ch['doubled_f']}; a channel pairs only with its own level"
-                    )
-                amplitudes[ch["lambda"] - 1, column[atom]] = complex(re, im)
-        vectors = {}
-        for where in _STATE_VECTORS:
-            vectors[where] = np.array(doc[where], dtype=float)
-            if vectors[where].shape != (3,):
-                raise ValueError(f"expected a 3-vector, got shape {vectors[where].shape}")
-        where = "emission_weight"
-        weight = doc[where]
-        if isinstance(weight, bool) or not isinstance(weight, (int, float)) or not weight >= 0:
-            raise ValueError(f"expected a number >= 0, got {weight!r}")
-        weight = float(weight)
-        where = "unresolved_channel_pairs"
-        pairs = tuple((int(a), int(b)) for a, b in doc[where])
-    except InputDomainError:
-        raise
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-        raise InputDomainError(
-            f"pair-state document: key '{where}' is missing or malformed ({exc!r})"
-        ) from None
-    return PairState(
-        amplitudes=amplitudes,
-        levels=levels,
-        omega=[omega[tf] for tf in levels],
-        recoil_momentum=vectors["recoil_momentum_kg_m_per_s"],
-        photon_wavevector=vectors["photon_wavevector_rad_per_m"],
-        emission_weight=weight,
-        detection_direction=vectors["detection_direction"],
-        pump=pump,
-        unresolved_channel_pairs=pairs,
-    )

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .atomic_model import AtomSpec, SublevelId, _dipole_tensor, detuning, spherical_component
+from .atomic_model import AtomSpec, _dipole_tensor, detuning, spherical_component
 from .errors import SingularDetuningError
 
 __all__ = [
@@ -65,11 +65,6 @@ def _spherical_overlaps(polarization: np.ndarray) -> np.ndarray:
     return np.array(
         [complex(np.vdot(spherical_component(q), polarization)) for q in (-1, 0, +1)]
     )
-
-
-def ground_basis(spec: AtomSpec) -> tuple[SublevelId, ...]:
-    """Ground sublevels in the canonical (F asc, m asc) order."""
-    return tuple(spec.sublevels("ground"))
 
 
 def _detunings(spec: AtomSpec, omega_laser: float) -> np.ndarray:

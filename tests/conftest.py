@@ -13,7 +13,6 @@ from raman_pairs.pair_state import (
     pair_batch,
     sodium_condensate,
 )
-from raman_pairs.raman_coupling import ground_basis
 
 TWO_PI = 2.0 * math.pi
 DETUNING_HZ = -10.0e9  # red detuned 10 GHz, far off resonance
@@ -66,15 +65,17 @@ def random_pump(spec, rng, atom_number: float = 1.0e6) -> PumpConfig:
     )
 
 
-def random_condensate(spec, rng) -> CondensateSpinor:
-    from raman_pairs.raman_coupling import ground_basis
+def sublevels(levels) -> list[tuple[int, int]]:
+    """(2F, 2m) of every sublevel of ``levels`` (HalfInts), F-major with m
+    ascending: the canonical basis order."""
+    return [(f.twice, tm) for f in levels for tm in range(-f.twice, f.twice + 1, 2)]
 
-    basis = ground_basis(spec)
+
+def random_condensate(spec, rng) -> CondensateSpinor:
+    basis = sublevels(spec.ground_levels())
     vec = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
     vec /= np.linalg.norm(vec)
-    return CondensateSpinor.from_dict(
-        {(g.f.twice, g.m.twice): complex(v) for g, v in zip(basis, vec)}
-    )
+    return CondensateSpinor.from_dict({g: complex(v) for g, v in zip(basis, vec)})
 
 
 def doubled_detunings(spec, pump):
@@ -118,7 +119,7 @@ def kernel_branch(spec, pump, phi0, k_hat, lam, **options) -> tuple[dict, float]
     batch = pair_batch(spec, pump, phi0, np.asarray(k_hat)[np.newaxis], **options)
     row = batch.norms[0] * batch.phases[0] * batch.amplitudes[0, lam - 1]
     norm = float(np.linalg.norm(row))
-    labels = [(g.f.twice, g.m.twice) for g in ground_basis(spec)]
+    labels = sublevels(spec.ground_levels())
     return {key: v / norm for key, v in zip(labels, row.tolist()) if v != 0.0}, norm
 
 

@@ -18,6 +18,7 @@ from conftest import (
     random_condensate,
     random_direction,
     random_pump,
+    sublevels,
 )
 from oracles import (
     oracle_3j,
@@ -27,18 +28,14 @@ from oracles import (
     oracle_entropy_bits,
 )
 from raman_pairs.angular_momentum import HalfInt, clebsch_gordan, wigner_3j, wigner_6j
-from raman_pairs.atomic_model import (
-    dipole_matrix_element,
-    excited_sublevel,
-    ground_sublevel,
-)
+from raman_pairs.atomic_model import dipole_matrix_element
 from raman_pairs.bell_sim import chsh, optimize_chsh, sample_events
 from raman_pairs.entanglement_analysis import (
     concurrence_2x2,
     entanglement_entropy,
     schmidt,
 )
-from raman_pairs.geometry_explorer import argmax_direction, scan_sphere, scan_to_csv_text
+from raman_pairs.geometry_explorer import argmax_direction, scan_sphere, write_scan
 from raman_pairs.pair_state import (
     CondensateSpinor,
     build_pair_state,
@@ -46,7 +43,6 @@ from raman_pairs.pair_state import (
     pair_state_to_json,
     spectral_filter,
 )
-from raman_pairs.raman_coupling import ground_basis
 from test_angular_momentum import _symmetry_images, iter_6j_grid, iter_cg_grid
 
 ROOT8 = 2.0 * math.sqrt(2.0)
@@ -163,12 +159,7 @@ def test_criterion_6_dipole_oracle_equivalence(spec):
             for fg in spec.ground_levels():
                 for tmg in range(-fg.twice, fg.twice + 1, 2):
                     for q in (-1, 0, +1):
-                        mine = dipole_matrix_element(
-                            spec,
-                            excited_sublevel(fe, HalfInt(tme)),
-                            ground_sublevel(fg, HalfInt(tmg)),
-                            q,
-                        )
+                        mine = dipole_matrix_element(spec, fe.twice, tme, fg.twice, tmg, q)
                         ref = oracle_dipole(3, 1, 3, fe.twice, tme, fg.twice, tmg, q)
                         if global_sign == 0.0 and abs(ref) > 1e-6:
                             global_sign = math.copysign(1.0, mine / ref)
@@ -213,7 +204,7 @@ def test_criterion_8_scan_maximum_on_axis(spec, pump, phi0):
     report(8, "2-degree scan: global maximum of filtered concurrence at +-z, value >= 1 - 1e-6")
 
 
-def test_criterion_9_property_suites(spec, pump, phi0, state_z):
+def test_criterion_9_property_suites(spec, pump, phi0, state_z, tmp_path):
     rng = np.random.default_rng(101)
     # state normalization and Schmidt reconstruction
     for _ in range(100):
@@ -229,16 +220,16 @@ def test_criterion_9_property_suites(spec, pump, phi0, state_z):
     # eps_+1 (lambda = 1) and eps_-1 (lambda = 2), so from every single-sublevel
     # condensate an amplitude is exactly zero unless 2m_final - 2m_initial is
     # -2 (lambda = 1) or +2 (lambda = 2)
-    basis = ground_basis(spec)
-    final_m = np.array([g.m.twice for g in basis])
+    basis = sublevels(spec.ground_levels())
+    final_m = np.array([tm for _, tm in basis])
     poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
     doubled, pump2 = doubled_detunings(spec, pump)
-    for ini in basis:
-        condensate = CondensateSpinor.single(ini.f, ini.m)
+    for tf, tm in basis:
+        condensate = CondensateSpinor.single(HalfInt(tf), HalfInt(tm))
         batch = pair_batch(spec, pump, condensate, poles)
         assert (batch.norms > 0.0).all()
         for lam, shift in ((1, -2), (2, +2)):
-            assert (batch.amplitudes[:, lam - 1, final_m - ini.m.twice != shift] == 0.0).all()
+            assert (batch.amplitudes[:, lam - 1, final_m - tm != shift] == 0.0).all()
         # detuning linearity: doubling every detuning halves G exactly, so the
         # norms halve and the normalized amplitudes stay
         again = pair_batch(doubled, pump2, condensate, poles)
@@ -249,7 +240,8 @@ def test_criterion_9_property_suites(spec, pump, phi0, state_z):
     doc_a = json.dumps(pair_state_to_json(state_z), sort_keys=True)
     doc_b = json.dumps(pair_state_to_json(state_z), sort_keys=True)
     assert doc_a == doc_b
-    coarse = scan_sphere(spec, pump, phi0, math.pi / 12.0, "entropy")
-    coarse_again = scan_sphere(spec, pump, phi0, math.pi / 12.0, "entropy")
-    assert scan_to_csv_text(coarse) == scan_to_csv_text(coarse_again)
+    coarse = write_scan(scan_sphere(spec, pump, phi0, math.pi / 12.0, "entropy"), tmp_path / "a")
+    again = write_scan(scan_sphere(spec, pump, phi0, math.pi / 12.0, "entropy"), tmp_path / "b")
+    for path_a, path_b in ((coarse.csv_path, again.csv_path), (coarse.json_path, again.json_path)):
+        assert path_a.read_bytes() == path_b.read_bytes()
     report(9, "normalization, reconstruction, kernel selection rules and linearity, reruns all green")

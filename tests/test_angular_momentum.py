@@ -11,7 +11,6 @@ from raman_pairs.angular_momentum import (
     HalfInt,
     clebsch_gordan,
     halfint,
-    triangle_ok,
     wigner_3j,
     wigner_6j,
 )
@@ -90,22 +89,24 @@ def test_halfint_rejects_bool():
 
 
 # --- triangle rule ----------------------------------------------------------
+# as the symbols apply it: a triad that closes can carry a nonzero symbol, one
+# that does not gives an exact zero
 
 
 def test_triangle_examples():
-    assert triangle_ok(1, 1, 2) is True
-    assert triangle_ok("1/2", "1/2", 2) is False
-    assert triangle_ok("3/2", 1, "1/2") is True
+    assert wigner_3j(1, 1, 2, 0, 0, 0).sign != 0
+    assert wigner_3j("1/2", "1/2", 2, "1/2", "-1/2", 0).sign == 0
+    assert wigner_3j("3/2", 1, "1/2", "1/2", 0, "-1/2").sign != 0
 
 
 def test_triangle_parity():
     # 1/2 + 1/2 + 1/2 is not an integer perimeter
-    assert triangle_ok("1/2", "1/2", "1/2") is False
+    assert wigner_6j("1/2", "1/2", "1/2", "1/2", "1/2", "1/2").sign == 0
 
 
 def test_triangle_negative_raises():
     with pytest.raises(InputDomainError):
-        triangle_ok(-1, 1, 1)
+        wigner_3j(-1, 1, 1, 0, 0, 0)
 
 
 # --- Clebsch-Gordan ---------------------------------------------------------

@@ -7,17 +7,15 @@ import math
 import numpy as np
 import pytest
 
+from conftest import sublevels
 from oracles import oracle_dipole
 from raman_pairs.angular_momentum import HalfInt
 from raman_pairs.atomic_model import (
     AtomSpec,
-    SublevelId,
     detuning,
     dipole_matrix_element,
-    excited_sublevel,
-    ground_sublevel,
     load_atom_spec,
-    spherical_basis_vectors,
+    spherical_component,
     validity_check,
 )
 from raman_pairs.errors import InputDomainError
@@ -38,23 +36,22 @@ def sodium_table(spec):
 
 
 def test_pi_vector_is_z():
-    vectors = spherical_basis_vectors()
-    assert np.array_equal(vectors[0], np.array([0.0, 0.0, 1.0]))
+    assert np.array_equal(spherical_component(0), np.array([0.0, 0.0, 1.0]))
 
 
 def test_sigma_plus_sign_convention():
-    v = spherical_basis_vectors()[+1]
+    v = spherical_component(+1)
     np.testing.assert_allclose(
         v, np.array([-1.0 / math.sqrt(2.0), -1.0j / math.sqrt(2.0), 0.0]), atol=1e-16
     )
-    v = spherical_basis_vectors()[-1]
+    v = spherical_component(-1)
     np.testing.assert_allclose(
         v, np.array([1.0 / math.sqrt(2.0), -1.0j / math.sqrt(2.0), 0.0]), atol=1e-16
     )
 
 
 def test_spherical_basis_orthonormal():
-    vectors = spherical_basis_vectors()
+    vectors = {q: spherical_component(q) for q in (-1, 0, +1)}
     for q1, v1 in vectors.items():
         for q2, v2 in vectors.items():
             want = 1.0 if q1 == q2 else 0.0
@@ -75,17 +72,18 @@ def test_sodium_preset_structure(spec):
 
 
 def test_ground_sublevel_count(spec):
-    assert len(list(spec.sublevels("ground"))) == 8
-    assert len(list(spec.sublevels("excited"))) == 16
+    assert len(sublevels(spec.ground_levels())) == 8
+    assert len(sublevels(spec.excited_levels())) == 16
 
 
-def test_sublevel_validation():
-    with pytest.raises(InputDomainError):
-        SublevelId("ground", HalfInt(2), HalfInt(4))  # |m| > F
-    with pytest.raises(InputDomainError):
-        SublevelId("ground", HalfInt(2), HalfInt(1))  # parity mismatch
-    with pytest.raises(InputDomainError):
-        SublevelId("middle", HalfInt(2), HalfInt(0))
+def test_sublevel_validation(spec):
+    # each (2F, 2m) pair of a dipole element is a sublevel
+    with pytest.raises(InputDomainError, match="invalid sublevel"):
+        dipole_matrix_element(spec, 4, 0, 2, 4, 0)  # |m| > F
+    with pytest.raises(InputDomainError, match="invalid sublevel"):
+        dipole_matrix_element(spec, 4, 0, 2, 1, 0)  # parity mismatch
+    with pytest.raises(InputDomainError, match="must be an int"):
+        dipole_matrix_element(spec, 4, 0, 2, 0.0, 0)
 
 
 def test_spec_rejects_mismatched_parity():
@@ -165,28 +163,22 @@ def test_load_atom_spec_roundtrips_shipped_preset(spec):
 def test_pi_pump_reaches_only_f0_and_f2(spec):
     # pi light from |F'=1, m'=0> excites only (F=0, m=0) and (F=2, m=0)
     reachable = []
-    g = ground_sublevel(1, 0)
-    for fe in spec.excited_levels():
-        for tme in range(-fe.twice, fe.twice + 1, 2):
-            e = excited_sublevel(fe, HalfInt(tme))
-            if dipole_matrix_element(spec, e, g, 0) != 0.0:
-                reachable.append((fe.twice, tme))
+    for e in sublevels(spec.excited_levels()):
+        if dipole_matrix_element(spec, *e, 2, 0, 0) != 0.0:
+            reachable.append(e)
     assert reachable == [(0, 0), (4, 0)]
 
 
 def test_magnetic_selection_rule(spec):
-    e = excited_sublevel(2, 1)
-    g = ground_sublevel(1, 0)
-    assert dipole_matrix_element(spec, e, g, 0) == 0.0  # m != m' + q
-    assert dipole_matrix_element(spec, e, g, -1) == 0.0
-    assert dipole_matrix_element(spec, e, g, +1) != 0.0
+    e, g = (4, 2), (2, 0)
+    assert dipole_matrix_element(spec, *e, *g, 0) == 0.0  # m != m' + q
+    assert dipole_matrix_element(spec, *e, *g, -1) == 0.0
+    assert dipole_matrix_element(spec, *e, *g, +1) != 0.0
 
 
 def test_selection_rules_exhaustive(spec):
     for fe, tme, fg, tmg, q in sodium_table(spec):
-        value = dipole_matrix_element(
-            spec, excited_sublevel(fe, HalfInt(tme)), ground_sublevel(fg, HalfInt(tmg)), q
-        )
+        value = dipole_matrix_element(spec, fe.twice, tme, fg.twice, tmg, q)
         allowed = (
             tme == tmg + 2 * q
             and abs(fe.twice - fg.twice) <= 2
@@ -200,9 +192,7 @@ def test_full_table_matches_uncoupling_oracle(spec):
     # One global sign relates the 6-j form to the explicit |m_I, m_J>
     # expansion; with the nuclear-spin-first coupling order it is +1.
     for fe, tme, fg, tmg, q in sodium_table(spec):
-        mine = dipole_matrix_element(
-            spec, excited_sublevel(fe, HalfInt(tme)), ground_sublevel(fg, HalfInt(tmg)), q
-        )
+        mine = dipole_matrix_element(spec, fe.twice, tme, fg.twice, tmg, q)
         ref = oracle_dipole(3, 1, 3, fe.twice, tme, fg.twice, tmg, q)
         assert abs(mine - ref) <= 1e-12
 
@@ -213,23 +203,22 @@ def test_line_strength_sum_rule(spec):
         totals = []
         for tmg in range(-fg.twice, fg.twice + 1, 2):
             acc = 0.0
-            g = ground_sublevel(fg, HalfInt(tmg))
-            for fe in spec.excited_levels():
-                for tme in range(-fe.twice, fe.twice + 1, 2):
-                    e = excited_sublevel(fe, HalfInt(tme))
-                    for q in (-1, 0, +1):
-                        acc += dipole_matrix_element(spec, e, g, q) ** 2
+            for e in sublevels(spec.excited_levels()):
+                for q in (-1, 0, +1):
+                    acc += dipole_matrix_element(spec, *e, fg.twice, tmg, q) ** 2
             totals.append(acc)
         assert max(totals) - min(totals) <= 1e-12
 
 
 def test_dipole_manifold_mismatch_raises(spec):
-    g = ground_sublevel(1, 0)
-    e = excited_sublevel(2, 0)
-    with pytest.raises(InputDomainError):
-        dipole_matrix_element(spec, g, g, 0)
-    with pytest.raises(InputDomainError):
-        dipole_matrix_element(spec, e, e, 0)
+    # an excited-only level (2F = 6) as the ground level, a level of neither
+    # manifold (2F = 8) as the excited one, and q outside {-1, 0, +1}
+    with pytest.raises(InputDomainError, match="does not belong"):
+        dipole_matrix_element(spec, 4, 0, 6, 0, 0)
+    with pytest.raises(InputDomainError, match="does not belong"):
+        dipole_matrix_element(spec, 8, 0, 2, 0, 0)
+    with pytest.raises(InputDomainError, match="q must be"):
+        dipole_matrix_element(spec, 4, 0, 2, 0, 2)
 
 
 # --- detuning and validity ----------------------------------------------------

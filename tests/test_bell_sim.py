@@ -20,9 +20,10 @@ from raman_pairs.bell_sim import (
     SETTING_LABELS,
     chsh,
     correlation,
-    events_to_csv,
     optimize_chsh,
+    sample_chunks,
     sample_events,
+    tally_chunks,
 )
 from raman_pairs.errors import InputDomainError
 from raman_pairs.pair_state import PairState, build_pair_state, spectral_filter
@@ -184,6 +185,31 @@ def test_optimize_deterministic(bell):
     assert first == second
 
 
+def test_optimize_reads_one_moment_matrix(bell, pump, monkeypatch):
+    # S at the chosen angles comes from the T already in hand, by the
+    # expression chsh evaluates, so one call forms the moments once and gives
+    # the bits chsh gives at those angles
+    calls = []
+    moments = bell_sim._moments
+    monkeypatch.setattr(bell_sim, "_moments", lambda m: calls.append(m) or moments(m))
+    optimize_chsh(bell)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    rng = np.random.default_rng(137)
+    for state in [bell] + [synth_state(random_matrix(rng), pump) for _ in range(200)]:
+        settings, s = optimize_chsh(state)
+        assert s == chsh(state, *settings)
+
+
+def test_support_error_advises_a_filter_only_for_more_photon_labels(spec, pump, phi0, state_z):
+    # a filter leaves at most 2 photon labels, so it is the advice only above 2
+    with pytest.raises(InputDomainError, match=r"got 4 x 4 \(spectrally filter the state first\)"):
+        correlation(state_z, 0.0, 0.0)
+    off_axis = build_pair_state(spec, pump, phi0, np.array([0.6, 0.0, 0.8]))
+    with pytest.raises(InputDomainError, match=r"got 2 x 3$"):
+        correlation(spectral_filter(off_axis, 1), 0.0, 0.0)
+
+
 def random_matrix(rng) -> np.ndarray:
     m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     return m / np.linalg.norm(m)
@@ -312,10 +338,16 @@ def test_sampling_chunk_boundary(bell):
     assert np.array_equal(longer.outcome_index[: len(short.outcome_index)], short.outcome_index)
 
 
+def write_events(state, settings, n, seed, path) -> None:
+    """The events CSV as ``chsh --events-csv`` writes it: the sampled chunks
+    streamed through :func:`tally_chunks`."""
+    with open(path, "wb") as csv:
+        tally_chunks(sample_chunks(state, settings, n, seed), csv)
+
+
 def test_events_csv_layout(bell, tmp_path):
-    result = sample_events(bell, OPTIMAL, 50, seed=5)
     path = tmp_path / "events.csv"
-    events_to_csv(result, path)
+    write_events(bell, OPTIMAL, 50, 5, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "trial,setting_a_label,setting_b_label,photon_outcome,atom_outcome"
     assert len(lines) == 51
@@ -329,7 +361,7 @@ def test_events_csv_rows_match_arrays(bell, tmp_path):
     # every row across the chunk boundary spells out its trial's indices
     result = sample_events(bell, OPTIMAL, 65_536 + 100, seed=3)
     path = tmp_path / "events.csv"
-    events_to_csv(result, path)
+    write_events(bell, OPTIMAL, 65_536 + 100, 3, path)
     lines = path.read_text().splitlines()[1:]
     assert len(lines) == len(result.setting_index)
     for k in (0, 1, 65_535, 65_536, 65_635):
@@ -347,7 +379,7 @@ def test_events_csv_matches_oracle(n, pump, tmp_path):
     state = synth_state(m / np.linalg.norm(m), pump)
     result = sample_events(state, (0.1, 1.2, 0.4, 2.0), n, 17)
     path = tmp_path / "events.csv"
-    events_to_csv(result, path)
+    write_events(state, (0.1, 1.2, 0.4, 2.0), n, 17, path)
     want = events_csv_text(result.setting_index.tolist(), result.outcome_index.tolist())
     assert path.read_bytes() == want.encode()
 
@@ -411,8 +443,8 @@ def _traced_peak(state, n, path) -> int:
     sample_events(state, OPTIMAL, 1, seed=0)
     tracemalloc.start()
     try:
-        result = sample_events(state, OPTIMAL, n, seed=7)
-        events_to_csv(result, path)
+        result = sample_events(state, OPTIMAL, n, seed=7)  # held while the CSV is written
+        write_events(state, OPTIMAL, n, 7, path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -122,6 +122,29 @@ def test_filter_f1_bell_state(state_config, capsys):
     assert values == pytest.approx([want, want], abs=1e-10)
 
 
+@pytest.mark.parametrize("kz", [1.0, -1.0])
+def test_undefined_overlap_note_does_not_call_the_state_a_product(kz, state_config, capsys):
+    # a sigma+ pump along z on |F=1, m=1>, seen from +-z, scatters into one
+    # polarization branch only: the overlap is undefined, yet the state is
+    # entangled across the two frequency channels
+    def mutate(c):
+        c["pump"]["direction"] = [0.0, 0.0, 1.0]
+        c["pump"]["polarization"] = [[math.sqrt(0.5), 0.0], [0.0, math.sqrt(0.5)], [0.0, 0.0]]
+        c["condensate"]["amplitudes"] = {"2:2": [1.0, 0.0]}
+        c["detection"]["direction"] = [0.0, 0.0, kz]
+
+    edit_config(state_config, mutate)
+    code, out, _ = run(["state", "--config", str(state_config)], capsys)
+    assert code == 0
+    analysis = json.loads(out)["analysis"]
+    assert analysis["conditional_overlap"] is None
+    assert "factoriz" not in analysis["conditional_overlap_note"]
+    squares = [c * c for c in analysis["schmidt_coefficients"]]
+    assert len(squares) == 2
+    want = -sum(p * math.log2(p) for p in squares)
+    assert analysis["entropy_bits"] == pytest.approx(want, abs=1e-12)
+
+
 def test_filter_f2_antisymmetric(state_config, capsys):
     code, out, _ = run(
         ["filter", "--config", str(state_config), "--f-select", "2"], capsys
@@ -389,6 +412,20 @@ def test_chsh_unfiltered_exits_3(state_config, capsys):
     code, _, err = run(["chsh", "--config", str(state_config)], capsys)
     assert code == 3
     assert "2x2" in err
+
+
+def test_chsh_off_axis_with_filter_f_set_does_not_advise_setting_it(tmp_path, capsys):
+    # the shipped config sets filter_f; off the axis its F=1 channel still
+    # holds 2 photon x 3 atom labels
+    raw = json.loads((DATA / "sodium_chsh.json").read_text())
+    raw["detection"]["direction"] = [0.6, 0.0, 0.8]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    code, _, err = run(["chsh", "--config", str(path)], capsys)
+    assert code == 3
+    assert "2x2" in err and "2 photon x 3 atom labels" in err
+    assert "Set 'filter_f'" not in err
+    assert "'filter_f' already selects the F=1 channel" in err
 
 
 def test_chsh_pinned_bytes(tmp_path, monkeypatch, capsys):

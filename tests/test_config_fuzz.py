@@ -8,9 +8,7 @@ example adds every optional key and makes one change only: one boundary
 number, or one respelled key.  Every run must exit 0, 2 or 3 without a
 traceback, a configuration error (exit 2) must name one of the mutated keys,
 two spellings of one key must exit 2, and a state that is written reports a
-positive emission weight.  Each state-document example
-mutates a ``pair_state_to_json`` document the same way and also relabels
-keys; reading it back gives a ``PairState`` or an ``InputDomainError``.
+positive emission weight.
 """
 
 import contextlib
@@ -21,23 +19,11 @@ import math
 import tempfile
 from pathlib import Path
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import raman_pairs
-from raman_pairs.atomic_model import sodium
 from raman_pairs.cli import main
-from raman_pairs.errors import InputDomainError
-from raman_pairs.pair_state import (
-    CondensateSpinor,
-    PairState,
-    PumpConfig,
-    build_pair_state,
-    pair_state_from_json,
-    pair_state_to_json,
-    spectral_filter,
-)
 
 DATA = Path(raman_pairs.__file__).parent / "data"
 
@@ -288,48 +274,3 @@ def test_one_edge_in_a_full_config_exits_cleanly(run):
     # one boundary number or one respelled key, with nothing else changed: each
     # input hole closed so far needs no more than this to show
     _check_run(*run)
-
-
-def _state_documents() -> list[dict]:
-    spec = sodium()
-    pump = PumpConfig(
-        direction=np.array([0.0, 1.0, 0.0]),
-        polarization=np.array([0.0, 0.0, 1.0]),
-        omega_laser=2.0 * math.pi * 508838716200000.0,
-        atom_number=1.0e6,
-    )
-    state = build_pair_state(spec, pump, CondensateSpinor.single(2, 0), np.array([0.6, 0.0, 0.8]))
-    states = (state, spectral_filter(state, 1))
-    return [json.loads(json.dumps(pair_state_to_json(s, provenance={"tool": "t"}))) for s in states]
-
-
-DOCUMENTS = _state_documents()
-LABELS = st.one_of(
-    st.sampled_from(["2:x", "x:2", "2", "2:2:2", "", ":", "4:9", "-2:0", "2:-4", "nan:1"]),
-    st.text(max_size=6),
-)
-
-
-@st.composite
-def mutated_documents(draw):
-    doc = json.loads(json.dumps(draw(st.sampled_from(DOCUMENTS))))
-    for _ in range(draw(st.integers(1, 3))):
-        path = draw(st.sampled_from(list(_paths(doc)) or [("format",)]))
-        kind = draw(st.sampled_from(["delete", "replace", "relabel"]))
-        if kind == "relabel":
-            node, label = _holder(doc, path), draw(LABELS)
-            if isinstance(node, dict):
-                node[label] = node.pop(path[-1])
-        else:
-            _mutate(doc, path, kind == "delete", None if kind == "delete" else draw(REPLACEMENTS))
-    return doc
-
-
-@settings(max_examples=400, derandomize=True, deadline=None, database=None)
-@given(mutated_documents())
-def test_mutated_state_documents_read_cleanly(doc):
-    try:
-        state = pair_state_from_json(doc)
-    except InputDomainError:
-        return
-    assert isinstance(state, PairState)

@@ -34,7 +34,6 @@ from raman_pairs.geometry_explorer import (
     argmax_direction,
     scan_chunks,
     scan_sphere,
-    scan_to_csv_text,
     write_scan,
 )
 from raman_pairs.pair_state import CondensateSpinor, PumpConfig, build_pair_state
@@ -391,9 +390,9 @@ def test_argmax_single_unflagged_node():
     np.testing.assert_array_equal(direction, [1.0, 0.0, 0.0])
 
 
-def test_csv_layout_and_flags(spec, pump, phi0):
+def test_csv_layout_and_flags(spec, pump, phi0, tmp_path):
     scan = scan_sphere(spec, pump, phi0, COARSE, "concurrence_after_filter", filter_f=1)
-    text = scan_to_csv_text(scan)
+    text = write_scan(scan, tmp_path / "s").csv_path.read_text()
     lines = [line for line in text.splitlines() if not line.startswith("#")]
     header = lines[0].split(",")
     assert header == list(scan.columns) == [
@@ -412,12 +411,10 @@ def test_csv_layout_and_flags(spec, pump, phi0):
 
 def test_scan_serialization_deterministic(spec, pump, phi0, tmp_path):
     scan = scan_sphere(spec, pump, phi0, COARSE, "entropy")
-    assert scan_to_csv_text(scan) == scan_to_csv_text(scan)
     a = write_scan(scan, tmp_path / "a")
     b = write_scan(scan, tmp_path / "b")
     for path_a, path_b in ((a.csv_path, b.csv_path), (a.json_path, b.json_path)):
         assert path_a.read_bytes() == path_b.read_bytes()
-    assert scan_to_csv_text(scan).encode() == a.csv_path.read_bytes()
     parsed = json.loads(a.json_path.read_text())
     assert parsed["format"] == "raman-pairs/scan-map/2"
     assert len(parsed["nodes"]) == len(scan.measures) == a.nodes

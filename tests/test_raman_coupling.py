@@ -7,21 +7,24 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import doubled_detunings, random_condensate, random_direction, random_pump
+from conftest import (
+    doubled_detunings,
+    random_condensate,
+    random_direction,
+    random_pump,
+    sublevels,
+)
 from oracles import oracle_dipole
 from raman_pairs.angular_momentum import CoupledValue, HalfInt
 from raman_pairs.atomic_model import (
-    SublevelId,
     _dipole_tensor,
     detuning,
     dipole_matrix_element,
-    excited_sublevel,
-    ground_sublevel,
     spherical_component,
 )
 from raman_pairs.errors import SingularDetuningError
 from raman_pairs.pair_state import CondensateSpinor, PumpConfig, pair_batch
-from raman_pairs.raman_coupling import condensate_factor, ground_basis, polarization_bases
+from raman_pairs.raman_coupling import condensate_factor, polarization_bases
 
 X = np.array([1.0, 0.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
@@ -39,7 +42,9 @@ def scattered(spec, pump, phi0, k):
 
 
 def single(sublevel):
-    return CondensateSpinor.single(sublevel.f, sublevel.m)
+    """The condensate in one (2F, 2m) sublevel."""
+    tf, tm = sublevel
+    return CondensateSpinor.single(HalfInt(tf), HalfInt(tm))
 
 
 # --- polarization basis ---------------------------------------------------------
@@ -95,18 +100,18 @@ def test_dipole_tensor_is_the_element_table(doubled, spec, monkeypatch):
     def built(obj, *args, **kwargs):
         raise AssertionError(f"the tensor built a {type(obj).__name__}")
 
-    for cls in (HalfInt, SublevelId, CoupledValue):
+    for cls in (HalfInt, CoupledValue):
         monkeypatch.setattr(cls, "__init__", built)
     dip = _dipole_tensor.__wrapped__(spec)
     monkeypatch.undo()
 
-    excited, ground = tuple(spec.sublevels("excited")), ground_basis(spec)
+    excited, ground = sublevels(spec.excited_levels()), sublevels(spec.ground_levels())
     table = np.array(
-        [[[dipole_matrix_element(spec, e, g, q) for q in (-1, 0, +1)] for g in ground] for e in excited]
+        [[[dipole_matrix_element(spec, *e, *g, q) for q in (-1, 0, +1)] for g in ground] for e in excited]
     )
     assert dip.shape == table.shape and dip.tobytes() == table.tobytes()
     oracle = [
-        oracle_dipole(ti, tjg, tje, e.f.twice, e.m.twice, g.f.twice, g.m.twice, q, spec.reduced_dipole)
+        oracle_dipole(ti, tjg, tje, *e, *g, q, spec.reduced_dipole)
         for e in excited
         for g in ground
         for q in (-1, 0, +1)
@@ -121,17 +126,17 @@ def test_dipole_tensor_is_the_element_table(doubled, spec, monkeypatch):
 def test_pi_pi_selection_rule(spec, pump):
     # the reference pump is pi, and so is the lambda = 1 branch on the x axis:
     # pi in / pi out cannot change m
-    basis = ground_basis(spec)
+    basis = sublevels(spec.ground_levels())
     for ini in basis:
         branch = scattered(spec, pump, single(ini), X)[0]
-        assert all(amp == 0.0 for g, amp in zip(basis, branch) if g.m != ini.m)
-    ini = ground_sublevel(1, 0)
+        assert all(amp == 0.0 for g, amp in zip(basis, branch) if g[1] != ini[1])
+    ini = (2, 0)
     assert scattered(spec, pump, single(ini), X)[0, basis.index(ini)] != 0.0
 
 
 def test_sigma_plus_pairs_with_m_minus_one(spec, pump, phi0):
     branch = scattered(spec, pump, phi0, Z)[0]
-    nonzero = [(g.f.twice, g.m.twice) for g, amp in zip(ground_basis(spec), branch) if amp != 0.0]
+    nonzero = [g for g, amp in zip(sublevels(spec.ground_levels()), branch) if amp != 0.0]
     assert nonzero == [(2, -2), (4, -2)]
 
 
@@ -140,7 +145,7 @@ def test_exchange_identity(spec, pump):
     # and the detected mode conjugates the detuning-weighted amplitude
     rng = np.random.default_rng(17)
     omega = pump.omega_laser
-    basis = ground_basis(spec)
+    basis = sublevels(spec.ground_levels())
     for _ in range(100):
         ka, kb = random_direction(rng), random_direction(rng)
         la, lb = rng.integers(0, 2, size=2)
@@ -148,9 +153,12 @@ def test_exchange_identity(spec, pump):
         pump_b = PumpConfig(direction=kb, polarization=basis_of(kb)[lb], omega_laser=omega)
         i_fin, i_ini = rng.integers(0, len(basis), size=2)
         fin, ini = basis[i_fin], basis[i_ini]
-        lhs = scattered(spec, pump_b, single(ini), ka)[la, i_fin] * detuning(spec, omega, ini.f)
+        lhs = scattered(spec, pump_b, single(ini), ka)[la, i_fin] * detuning(
+            spec, omega, HalfInt(ini[0])
+        )
         rhs = np.conj(
-            scattered(spec, pump_a, single(fin), kb)[lb, i_ini] * detuning(spec, omega, fin.f)
+            scattered(spec, pump_a, single(fin), kb)[lb, i_ini]
+            * detuning(spec, omega, HalfInt(fin[0]))
         )
         assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(lhs))
 
@@ -175,25 +183,22 @@ def test_dropping_f2_excited_manifold_breaks_amplitudes(spec, pump, phi0):
     # (F'', m''); summed by hand over all of them it gives the kernel's
     # sigma+ amplitude, and without the F''=2 contribution it does not
     e1, _ = basis_of(Z)
-    basis = ground_basis(spec)
-    ini, fin = ground_sublevel(1, 0), ground_sublevel(1, -1)
+    basis = sublevels(spec.ground_levels())
+    ini, fin = (2, 0), (2, -2)
     kernel = scattered(spec, pump, phi0, Z)[0, basis.index(fin)]
 
     def g(e, ground, pol):
         return sum(
-            np.vdot(spherical_component(q), pol) * dipole_matrix_element(spec, e, ground, q)
+            np.vdot(spherical_component(q), pol) * dipole_matrix_element(spec, *e, *ground, q)
             for q in (-1, 0, +1)
         )
 
     def excited_sum(skip):
         total = 0.0 + 0.0j
-        for fe in spec.excited_levels():
-            if fe.twice == skip:
-                continue
-            for tme in range(-fe.twice, fe.twice + 1, 2):
-                e = excited_sublevel(fe, HalfInt(tme))
+        for e in sublevels(spec.excited_levels()):
+            if e[0] != skip:
                 total += np.conj(g(e, fin, e1)) * g(e, ini, pump.polarization)
-        return total / detuning(spec, pump.omega_laser, ini.f)
+        return total / detuning(spec, pump.omega_laser, HalfInt(ini[0]))
 
     assert abs(excited_sum(skip=None) - kernel) <= 1e-12 * abs(kernel)
     assert abs(excited_sum(skip=4) - kernel) > 1e-3 * abs(kernel)  # drop the F''=2 manifold
