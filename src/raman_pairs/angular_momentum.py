@@ -24,15 +24,17 @@ Selection-rule violations (triangle failures, non-conserved projections)
 return an exact zero rather than raising, so callers may sum over full
 sublevel grids.  Malformed (j, m) pairings raise
 :class:`~raman_pairs.errors.InputDomainError`.
+
+:class:`HalfInt` is a value record (a checked tuple, equal, hashed and ordered
+by value), since species and caches key on it; a :class:`CoupledValue` is not.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
 from .errors import InputDomainError
 
@@ -51,19 +53,19 @@ __all__ = [
 HalfIntLike = Union["HalfInt", int, str, "Fraction"]
 
 
-@dataclass(frozen=True, order=True)
-class HalfInt:
+class HalfInt(NamedTuple("HalfInt", [("twice", int)])):
     """An integer or half-integer quantum number, stored doubled.
 
     ``HalfInt(twice=3)`` is 3/2.  Use :func:`halfint` to build one from a
     plain int, a :class:`~fractions.Fraction`, or a string like ``"3/2"``.
     """
 
-    twice: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.twice, int) or isinstance(self.twice, bool):
-            raise InputDomainError(f"doubled value must be an int, got {self.twice!r}")
+    def __new__(cls, twice: int) -> "HalfInt":
+        if not isinstance(twice, int) or isinstance(twice, bool):
+            raise InputDomainError(f"doubled value must be an int, got {twice!r}")
+        return super().__new__(cls, twice)
 
     def __float__(self) -> float:
         return self.twice / 2.0
@@ -109,13 +111,11 @@ def halfint(value: HalfIntLike) -> HalfInt:
     raise InputDomainError(f"cannot interpret {value!r} as a half-integer")
 
 
-@dataclass(frozen=True)
 class CoupledValue:
     """A coupling coefficient as float plus its exact form ``sign*sqrt(p/q)``."""
 
-    value: float
-    sign: int
-    radicand: Fraction
+    def __init__(self, value: float, sign: int, radicand: Fraction) -> None:
+        self.value, self.sign, self.radicand = value, sign, radicand
 
     def __float__(self) -> float:
         return self.value

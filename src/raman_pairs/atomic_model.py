@@ -17,16 +17,18 @@ routes agree identically (global sign +1).
 
 Excited-state hyperfine splittings are neglected: a single resonance
 frequency per species, with the detuning of ground level F' given by
-Delta(F') = omega_L - omega_a + delta(F').
+Delta(F') = omega_L - omega_a + delta(F').  An :class:`AtomSpec` is a value
+record, a checked tuple equal and hashed by value, so equal species share the
+cached dipole tensor; ``AtomSpec.replace`` builds one through its checks.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,16 +53,7 @@ def _manifold_levels(ti: int, tj: int) -> range:
     return range(abs(ti - tj), ti + tj + 1, 2)
 
 
-@dataclass(frozen=True)
-class AtomSpec:
-    """Immutable species definition.
-
-    Frequencies are angular (rad/s).  ``ground_splittings`` maps each ground
-    F' to its offset above the lowest ground level; the lowest level must map
-    to zero.  ``reduced_dipole`` defaults to 1 because it cancels in every
-    normalized state.
-    """
-
+class _AtomFields(NamedTuple):
     name: str
     nuclear_spin: HalfInt
     ground_j: HalfInt
@@ -71,7 +64,20 @@ class AtomSpec:
     mass: float
     reduced_dipole: float = 1.0
 
-    def __post_init__(self) -> None:
+
+class AtomSpec(_AtomFields):
+    """Immutable species definition.
+
+    Frequencies are angular (rad/s).  ``ground_splittings`` maps each ground
+    F' to its offset above the lowest ground level; the lowest level must map
+    to zero.  ``reduced_dipole`` defaults to 1 because it cancels in every
+    normalized state.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *fields, **named) -> "AtomSpec":
+        self = super().__new__(cls, *fields, **named)
         I, Jg, Je = self.nuclear_spin, self.ground_j, self.excited_j
         for j, label in ((I, "nuclear spin"), (Jg, "ground J"), (Je, "excited J")):
             if j.twice < 0:
@@ -109,6 +115,11 @@ class AtomSpec:
                 "ground and excited J must couple to the same F parity "
                 "(J_g + J_e must be an integer)"
             )
+        return self
+
+    def replace(self, **changes) -> "AtomSpec":
+        """This species with ``changes``, checked again by the constructor."""
+        return AtomSpec(**{**self._asdict(), **changes})
 
     # --- manifold structure -------------------------------------------------
 
@@ -210,13 +221,11 @@ def detuning(spec: AtomSpec, omega_laser: float, f_ground: HalfIntLike) -> float
     return omega_laser - spec.resonance + spec.splitting(f_ground)
 
 
-@dataclass(frozen=True)
 class ValidityReport:
     """|Delta(F')| / Gamma per ground level, against a pass threshold."""
 
-    ratios: tuple[tuple[HalfInt, float], ...]
-    threshold: float
-    passed: bool
+    def __init__(self, ratios: tuple[tuple[HalfInt, float], ...], threshold: float, passed: bool):
+        self.ratios, self.threshold, self.passed = ratios, threshold, passed
 
     def describe(self) -> str:
         parts = ", ".join(f"F'={f}: {r:.3g}" for f, r in self.ratios)

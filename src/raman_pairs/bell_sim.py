@@ -33,14 +33,14 @@ its setting's three cumulative bounds that its uniform reaches.
 no Python object per trial.  Reading the stream takes one chunk's memory,
 whatever the trial count: a chunk draws its uniforms ``_BLOCK`` at a time, the
 same stream as one call, and the CSV writer formats ``_BLOCK`` rows at a time.
-``sample_events`` keeps the trials in two int8 arrays, 2 bytes per trial.
+``sample_events`` keeps the trials in two int8 arrays, 2 bytes per trial, in
+a :class:`SampleResult`, an identity record.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from typing import BinaryIO
 
 import numpy as np
@@ -79,7 +79,6 @@ _PAULI = (np.eye(2), np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([[0.0, 1.0], 
 _SIGNS = np.array([[1.0], [-1.0]])
 
 
-@dataclass(frozen=True, eq=False)
 class SampleResult:
     """Sampled trials and their CHSH estimate.
 
@@ -89,15 +88,14 @@ class SampleResult:
     ``standard_error`` are ``None`` too.
     """
 
-    setting_index: np.ndarray
-    outcome_index: np.ndarray
-    s_estimate: float | None
-    standard_error: float | None
-    correlations: tuple[float | None, ...]
-    counts: tuple[int, ...]
-    settings: tuple[float, float, float, float]
-    seed: int
-    generator: str = GENERATOR_ID
+    def __init__(
+        self, setting_index: np.ndarray, outcome_index: np.ndarray, s_estimate: float | None,
+        standard_error: float | None, correlations: tuple[float | None, ...],
+        counts: tuple[int, ...],
+    ) -> None:
+        self.setting_index, self.outcome_index = setting_index, outcome_index
+        self.s_estimate, self.standard_error = s_estimate, standard_error
+        self.correlations, self.counts = correlations, counts
 
 
 def _support_matrix(state: PairState) -> np.ndarray:
@@ -308,5 +306,4 @@ def sample_events(
 
     tally = tally_chunks(kept())
     indices.flags.writeable = False
-    settings = tuple(float(x) for x in settings)  # checked by sample_chunks
-    return SampleResult(*indices, settings=settings, seed=seed, **tally)
+    return SampleResult(*indices, **tally)

@@ -154,8 +154,6 @@ def cmd_filter(args, files: list[tuple[Path, Path]]) -> str:
 
 
 def cmd_scan(args, files: list[tuple[Path, Path]]) -> str:
-    from dataclasses import replace
-
     from .atomic_model import finite_number
     from .config import RunConfig
     from .geometry_explorer import FLAG_REASONS, _write_chunks, argmax_direction, scan_chunks
@@ -188,7 +186,7 @@ def cmd_scan(args, files: list[tuple[Path, Path]]) -> str:
     except InputDomainError as exc:  # resolution range, measure without filter_f
         raise ConfigError(f"invalid 'detection.scan': {exc}")
     metadata = config.metadata()
-    chunks = (replace(chunk, metadata=metadata) for chunk in chunks)
+    chunks = (chunk.replace(metadata=metadata) for chunk in chunks)
     (csv_path, csv_temp), (json_path, json_temp) = files
     nodes, best, counts = _into(csv_temp, lambda temp: _write_chunks(chunks, temp, json_temp))
     direction, value = argmax_direction(best)

@@ -23,7 +23,7 @@ product states where ``ab - |c|^2`` cancels to rounding noise.
 
 The full Schmidt decomposition (:func:`schmidt`) solves each block's 2 x 2
 Gram eigenproblem in closed form from the same quantities: no iteration, and
-the same bits on every platform.
+the same bits on every platform.  Its :class:`SchmidtResult` is an identity record.
 
 Entropy is reported in bits, so a maximally entangled 2x2 state carries
 exactly 1.
@@ -32,7 +32,6 @@ exactly 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +55,6 @@ __all__ = [
 _RANK_FLOOR = 1e-15
 
 
-@dataclass(frozen=True, eq=False)
 class SchmidtResult:
     """Canonical expansion sum_i c_i |p_i>|a_i> of a pair state.
 
@@ -65,11 +63,14 @@ class SchmidtResult:
     reconstructed as sum_i c_i outer(p_i, a_i) without conjugation.
     """
 
-    coefficients: tuple[float, ...]
-    photon_basis: tuple[np.ndarray, ...]
-    atom_basis: tuple[np.ndarray, ...]
-    photon_labels: tuple[Channel, ...]
-    atom_labels: tuple[tuple[int, int], ...]
+    def __init__(
+        self, coefficients: tuple[float, ...], photon_basis: tuple[np.ndarray, ...],
+        atom_basis: tuple[np.ndarray, ...], photon_labels: tuple[Channel, ...],
+        atom_labels: tuple[tuple[int, int], ...],
+    ) -> None:
+        self.coefficients = coefficients
+        self.photon_basis, self.atom_basis = photon_basis, atom_basis
+        self.photon_labels, self.atom_labels = photon_labels, atom_labels
 
     def reconstruction(self) -> np.ndarray:
         out = np.zeros((len(self.photon_labels), len(self.atom_labels)), dtype=complex)

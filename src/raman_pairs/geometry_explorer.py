@@ -22,12 +22,12 @@ evaluated, so writing a scan holds one chunk whatever the grid.  One column
 list, :attr:`ScanMap.columns`, heads both files, and each node's numbers are
 formatted once into the strings of its CSV line and its JSON array.  Both
 files are written in the one output transaction of :mod:`~raman_pairs.outputs`.
+A map is an identity record; ``ScanMap.replace`` builds one through its constructor.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -73,7 +73,6 @@ _CHUNK = 1024  # scan nodes per kernel call
 _COLUMNS = ("thetas", "phis", "directions", "measures", "flag_reasons", "channel_weights", "omega")
 
 
-@dataclass(frozen=True, eq=False)
 class ScanMap:
     """A measure on the detection sphere as read-only columns, one row a node.
 
@@ -83,27 +82,25 @@ class ScanMap:
     ``FLAG_REASONS[i]``.  ``levels`` holds the doubled F of the species'
     ground levels; ``omega[n, i]`` is the photon frequency of level ``i``
     and ``channel_weights[n, (lambda-1) * nF + i]`` the probability of
-    photon channel (level i, lambda).
+    photon channel (level i, lambda).  ``metadata`` heads both files.
     """
 
-    thetas: np.ndarray
-    phis: np.ndarray
-    directions: np.ndarray
-    measures: np.ndarray
-    flag_reasons: np.ndarray
-    channel_weights: np.ndarray
-    omega: np.ndarray
-    levels: tuple[int, ...]
-    resolution: float
-    measure_name: str
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for name in _COLUMNS:
-            dtype = np.int8 if name == "flag_reasons" else float
-            column = np.asarray(getattr(self, name), dtype=dtype)
+    def __init__(
+        self, thetas: np.ndarray, phis: np.ndarray, directions: np.ndarray, measures: np.ndarray,
+        flag_reasons: np.ndarray, channel_weights: np.ndarray, omega: np.ndarray,
+        levels: tuple[int, ...], resolution: float, measure_name: str, metadata: dict | None = None,
+    ) -> None:
+        columns = (thetas, phis, directions, measures, flag_reasons, channel_weights, omega)
+        for name, value in zip(_COLUMNS, columns):
+            column = np.asarray(value, dtype=np.int8 if name == "flag_reasons" else float)
             column.flags.writeable = False
-            object.__setattr__(self, name, column)
+            setattr(self, name, column)
+        self.levels, self.resolution, self.measure_name = levels, resolution, measure_name
+        self.metadata = {} if metadata is None else metadata
+
+    def replace(self, **changes) -> "ScanMap":
+        """This map with ``changes``, through the constructor."""
+        return ScanMap(**{**vars(self), **changes})
 
     @property
     def flagged(self) -> np.ndarray:
@@ -199,7 +196,7 @@ def scan_sphere(
     are the keyword arguments of :func:`scan_chunks`."""
     chunks = list(scan_chunks(spec, pump, phi0, resolution, measure, **options))
     columns = {name: np.concatenate([getattr(c, name) for c in chunks]) for name in _COLUMNS}
-    return replace(chunks[0], **columns)
+    return chunks[0].replace(**columns)
 
 
 def argmax_direction(scan: ScanMap) -> tuple[np.ndarray, float]:
@@ -307,7 +304,7 @@ def _write_chunks(scan: ScanMap | Iterable[ScanMap], csv_path: Path, json_path: 
             # the first node of a tie wins, as in argmax_direction
             i = int(np.argmax(np.where(chunk.flagged, -np.inf, chunk.measures)))
             if best is None or best.flagged[0] or chunk.measures[i] > best.measures[0]:
-                best = replace(chunk, **{c: getattr(chunk, c)[i : i + 1] for c in _COLUMNS})
+                best = chunk.replace(**{c: getattr(chunk, c)[i : i + 1] for c in _COLUMNS})
             counts += np.bincount(chunk.flag_reasons, minlength=len(counts))
             nodes += len(chunk.measures)
         if best is None:

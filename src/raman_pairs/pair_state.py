@@ -38,6 +38,12 @@ Gram matrix of every block of N states; a state computes its own once
 Two channels whose frequencies lie closer than
 ``DEFAULT_CHANNEL_RESOLUTION`` cannot be told apart by a filter:
 :func:`unresolved_levels` is that rule, for single states and scans alike.
+
+:class:`CondensateSpinor` and :class:`Channel` are value records, tuples equal
+and hashed by value; the records that hold arrays are identity records, equal
+only to themselves, so a :class:`PumpConfig` keys the condensate-factor cache
+by identity and a condensate by value.  ``replace`` on a pump or a state
+builds a new one through the constructor, so every check runs again.
 """
 
 from __future__ import annotations
@@ -47,7 +53,6 @@ import numbers
 import os
 import sys
 import warnings
-from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -101,20 +106,16 @@ def _intensity(amplitude: complex) -> float:
         return math.inf
 
 
-@dataclass(frozen=True, eq=False)
 class PumpConfig:
     """Undepleted pump laser plus condensate atom number."""
 
-    direction: np.ndarray
-    polarization: np.ndarray
-    omega_laser: float
-    pump_amplitude: complex = 1.0 + 0.0j
-    atom_number: float = 1.0
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self, direction: np.ndarray, polarization: np.ndarray, omega_laser: float,
+        pump_amplitude: complex = 1.0 + 0.0j, atom_number: float = 1.0,
+    ) -> None:
         # here and in the other constructors every guard fails on NaN
-        k = np.asarray(self.direction, dtype=float)
-        pol = np.asarray(self.polarization, dtype=complex)
+        k = np.asarray(direction, dtype=float)
+        pol = np.asarray(polarization, dtype=complex)
         if k.shape != (3,) or pol.shape != (3,):
             raise InputDomainError("pump direction and polarization must be 3-vectors")
         with np.errstate(over="ignore"):  # a huge finite vector fails silently
@@ -125,34 +126,38 @@ class PumpConfig:
             raise InputDomainError("pump polarization must be a unit vector")
         if not abs(np.vdot(pol, k)) <= _GEOM_TOL:
             raise InputDomainError("pump polarization must be transverse")
-        if not self.omega_laser > 0:
+        if not omega_laser > 0:
             raise InputDomainError("pump frequency must be positive")
-        if not self.atom_number >= 1:
+        if not atom_number >= 1:
             raise InputDomainError("atom number must be at least 1")
-        if not _intensity(self.pump_amplitude) > 0:  # zero, or a square that underflows
+        if not _intensity(pump_amplitude) > 0:  # zero, or a square that underflows
             raise InputDomainError(
-                f"pump amplitude must have a positive |amplitude|^2, got {self.pump_amplitude!r}"
+                f"pump amplitude must have a positive |amplitude|^2, got {pump_amplitude!r}"
             )
         k.flags.writeable = False
         pol.flags.writeable = False
-        object.__setattr__(self, "direction", k)
-        object.__setattr__(self, "polarization", pol)
+        self.direction, self.polarization, self.omega_laser = k, pol, omega_laser
+        self.pump_amplitude, self.atom_number = pump_amplitude, atom_number
+
+    def replace(self, **changes) -> "PumpConfig":
+        """This pump with ``changes``, checked again by the constructor."""
+        return PumpConfig(**{**vars(self), **changes})
 
 
-@dataclass(frozen=True)
-class CondensateSpinor:
+class CondensateSpinor(NamedTuple("CondensateSpinor", [("amplitudes", tuple)])):
     """Internal state of the source condensate over ground (F', m')."""
 
-    amplitudes: tuple[tuple[tuple[int, int], complex], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, amplitudes: tuple[tuple[tuple[int, int], complex], ...]) -> "CondensateSpinor":
         # squares as products: a huge finite amplitude then makes inf, which
         # fails the guard, where a float power would raise OverflowError
-        norm_sq = sum(a.real * a.real + a.imag * a.imag for _, a in self.amplitudes)
+        norm_sq = sum(a.real * a.real + a.imag * a.imag for _, a in amplitudes)
         if not abs(norm_sq - 1.0) <= _NORM_TOL:
             raise InputDomainError(
                 f"condensate spinor must be unit norm, got |.|^2 = {norm_sq!r}"
             )
+        return super().__new__(cls, amplitudes)
 
     @classmethod
     def from_dict(cls, amplitudes: dict[tuple[int, int], complex]) -> "CondensateSpinor":
@@ -190,8 +195,7 @@ def frequency_label(omega: float) -> str:
     return repr(omega / (2.0 * np.pi))
 
 
-@dataclass(frozen=True, order=True)
-class Channel:
+class Channel(NamedTuple):
     """One photon label: frequency (keyed by final F) and polarization index."""
 
     omega: float
@@ -226,7 +230,6 @@ def _sublevels(levels: tuple[int, ...]) -> _Layout:
     return layout
 
 
-@dataclass(frozen=True, eq=False)
 class BlockGrams:
     """Gram matrices [[a, c], [c*, b]] of the F blocks of N states.
 
@@ -235,10 +238,8 @@ class BlockGrams:
     and ``det`` have shape (N, nF).  The arrays are read-only.
     """
 
-    weights: np.ndarray
-    c_re: np.ndarray
-    c_im: np.ndarray
-    det: np.ndarray
+    def __init__(self, weights: np.ndarray, c_re: np.ndarray, c_im: np.ndarray, det: np.ndarray):
+        self.weights, self.c_re, self.c_im, self.det = weights, c_re, c_im, det
 
 
 def block_grams(amplitudes: np.ndarray, levels: tuple[int, ...]) -> BlockGrams:
@@ -273,7 +274,6 @@ def block_grams(amplitudes: np.ndarray, levels: tuple[int, ...]) -> BlockGrams:
     return grams
 
 
-@dataclass(frozen=True, eq=False)
 class PairState:
     """Joint atom-photon amplitudes for one detection direction: a row of :class:`PairBatch`.
 
@@ -282,26 +282,23 @@ class PairState:
     (F, lambda) pairs only with atomic level F, so entry g sits in the
     channel of its own level, whose frequency is ``omega[i]``.  Labels, the
     matrix and the channel probabilities are views of these arrays over the
-    entries that carry amplitude.
+    entries that carry amplitude, each computed once.
     """
 
-    amplitudes: np.ndarray
-    levels: tuple[int, ...]
-    omega: np.ndarray
-    recoil_momentum: np.ndarray
-    photon_wavevector: np.ndarray
-    emission_weight: float
-    detection_direction: np.ndarray
-    pump: PumpConfig
-    unresolved_channel_pairs: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "levels", tuple(self.levels))
+    def __init__(
+        self, amplitudes: np.ndarray, levels: tuple[int, ...], omega: np.ndarray,
+        recoil_momentum: np.ndarray, photon_wavevector: np.ndarray, emission_weight: float,
+        detection_direction: np.ndarray, pump: PumpConfig,
+        unresolved_channel_pairs: tuple[tuple[int, int], ...] = (),
+    ) -> None:
+        self.levels, self.emission_weight, self.pump = tuple(levels), emission_weight, pump
+        self.unresolved_channel_pairs = unresolved_channel_pairs
+        arrays = (amplitudes, omega, recoil_momentum, photon_wavevector, detection_direction)
         vectors = ("omega", "recoil_momentum", "photon_wavevector", "detection_direction")
-        for name in ("amplitudes", *vectors):
-            arr = np.array(getattr(self, name), dtype=complex if name == "amplitudes" else float)
+        for name, value in zip(("amplitudes", *vectors), arrays):
+            arr = np.array(value, dtype=complex if name == "amplitudes" else float)
             arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            setattr(self, name, arr)
         levels, amps = self.levels, self.amplitudes
         if not levels or levels[0] < 0 or any(b <= a for a, b in zip(levels, levels[1:])):
             raise InputDomainError("levels must be distinct doubled F values, ascending")
@@ -320,6 +317,11 @@ class PairState:
         weight = self.emission_weight
         if not isinstance(weight, numbers.Real) or not weight >= 0:  # NaN fails too
             raise InputDomainError(f"emission weight must be real and >= 0, got {weight!r}")
+
+    def replace(self, **changes) -> "PairState":
+        """This state with ``changes``, checked again; its views are computed anew."""
+        fields = {k: v for k, v in vars(self).items() if k not in vars(PairState)}
+        return PairState(**{**fields, **changes})
 
     @cached_property
     def _view(self) -> tuple:
@@ -447,7 +449,6 @@ def _normalize_and_phase(
     return amplitudes, total_sq, phases
 
 
-@dataclass(frozen=True, eq=False)
 class PairBatch:
     """Pair states of N detection directions as arrays.
 
@@ -460,12 +461,9 @@ class PairBatch:
     photon frequency of final level ``spec.ground_levels()[i]``.
     """
 
-    directions: np.ndarray
-    amplitudes: np.ndarray
-    norms: np.ndarray
-    phases: np.ndarray
-    weights: np.ndarray
-    omega: np.ndarray
+    def __init__(self, directions, amplitudes, norms, phases, weights, omega) -> None:
+        self.directions, self.amplitudes, self.norms = directions, amplitudes, norms
+        self.phases, self.weights, self.omega = phases, weights, omega
 
 
 def pair_batch(
@@ -628,7 +626,7 @@ def spectral_filter(state: PairState, f_select: HalfIntLike) -> PairState:
             f"the F={f} frequency channel carries zero probability; nothing to select"
         )
     warn_if_unresolved(state, f)
-    return replace(state, amplitudes=amplitudes.reshape(2, -1))
+    return state.replace(amplitudes=amplitudes.reshape(2, -1))
 
 
 # --- serialization ----------------------------------------------------------

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -81,11 +80,11 @@ def random_condensate(spec, rng) -> CondensateSpinor:
 def doubled_detunings(spec, pump):
     """The species and pump with every detuning doubled: the laser offset and
     the ground splittings together."""
-    doubled = replace(
-        spec, ground_splittings=tuple((f, 2.0 * d) for f, d in spec.ground_splittings)
+    doubled = spec.replace(
+        ground_splittings=tuple((f, 2.0 * d) for f, d in spec.ground_splittings)
     )
     offset = pump.omega_laser - spec.resonance
-    return doubled, replace(pump, omega_laser=spec.resonance + 2.0 * offset)
+    return doubled, pump.replace(omega_laser=spec.resonance + 2.0 * offset)
 
 
 def assert_equal_up_to_global_phase(actual: dict, expected: dict, tol: float = 1e-10):

@@ -1,6 +1,5 @@
 """Species structure, spherical basis, and dipole elements vs the uncoupling oracle."""
 
-import dataclasses
 import json
 import math
 
@@ -119,7 +118,7 @@ def test_spec_rejects_incomplete_splittings():
 def test_spec_rejects_nan_and_zero_line_constants(spec, field, value):
     # a NaN reduced dipole used to surface as "no scattering amplitude"
     with pytest.raises(InputDomainError):
-        dataclasses.replace(spec, **{field: value})
+        spec.replace(**{field: value})
 
 
 def test_spec_rejects_equal_splittings():

@@ -6,7 +6,6 @@ import json
 import math
 import tracemalloc
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -453,8 +452,8 @@ def test_streamed_files_equal_the_document_oracle(spec, pump, tmp_path, monkeypa
     for species, rpump, rphi, degrees, measures in _oracle_configs(spec, pump):
         for measure, filter_f in measures:
             args = (species, rpump, rphi, math.radians(degrees), measure)
-            scan = replace(scan_sphere(*args, filter_f=filter_f), metadata=METADATA)
-            chunks = (replace(c, metadata=METADATA) for c in scan_chunks(*args, filter_f=filter_f))
+            scan = scan_sphere(*args, filter_f=filter_f).replace(metadata=METADATA)
+            chunks = (c.replace(metadata=METADATA) for c in scan_chunks(*args, filter_f=filter_f))
             files = write_scan(chunks, tmp_path / "s")
             doc = scan_to_json_doc(scan)
             text = files.json_path.read_text(encoding="utf-8")
@@ -476,7 +475,7 @@ def test_streamed_files_equal_the_document_oracle(spec, pump, tmp_path, monkeypa
 def test_write_scan_keeps_levels_with_equal_frequencies(spec, pump, phi0, tmp_path):
     # a 1 mHz ground splitting vanishes in the photon frequencies' rounding;
     # each level still has its own columns, so both levels' weights are written
-    tiny = replace(spec, ground_splittings=((HalfInt(2), 0.0), (HalfInt(4), TWO_PI * 1e-3)))
+    tiny = spec.replace(ground_splittings=((HalfInt(2), 0.0), (HalfInt(4), TWO_PI * 1e-3)))
     scan = scan_sphere(tiny, pump, phi0, COARSE, "entropy")
     assert (scan.omega[:, 0] == scan.omega[:, 1]).all()
     files = write_scan(scan, tmp_path / "s")

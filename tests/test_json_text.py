@@ -27,12 +27,24 @@ def stdlib_text(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def records_in(value) -> list:
+    """The tuple subclasses in a document.  The value records are tuples, which
+    both writers would write as lists, so a record in a document is a bug."""
+    if isinstance(value, dict):
+        return [r for v in value.values() for r in records_in(v)]
+    if isinstance(value, (list, tuple)):
+        own = [] if type(value) in (list, tuple) else [value]
+        return own + [r for v in value for r in records_in(v)]
+    return []
+
+
 def test_every_shipped_document_matches_the_stdlib(tmp_path, monkeypatch, capsys):
     written = []
 
     def checked(doc):
         text = json_text(doc)
         assert text == stdlib_text(doc)
+        assert records_in(doc) == []
         written.append(doc)
         return text
 

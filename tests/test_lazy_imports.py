@@ -1,8 +1,10 @@
 """What start-up loads: ``import raman_pairs`` resolves its exports on first
 use, ``tables`` never imports numpy, and neither ``tables``, ``state`` nor
 ``filter --f-select`` imports ``fractions`` or ``decimal``, which only a
-``Fraction`` argument or a ``CoupledValue`` needs.  Each check runs in a fresh
-interpreter, since this one has numpy loaded already."""
+``Fraction`` argument or a ``CoupledValue`` needs.  No command imports
+``dataclasses``, since no record is one, and ``tables`` imports no
+``inspect`` either (numpy imports it for the others).  Each check runs in a
+fresh interpreter, since this one has numpy loaded already."""
 
 import hashlib
 import json
@@ -14,7 +16,9 @@ from pathlib import Path
 import raman_pairs
 
 SRC = Path(raman_pairs.__file__).parents[1]
-LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in {'numpy', 'fractions', 'decimal'})), file=sys.stderr)"
+WATCHED = {"numpy", "fractions", "decimal", "dataclasses", "inspect"}
+LOADED = f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in {WATCHED})), file=sys.stderr)"
+DATA = SRC / "raman_pairs" / "data"
 
 
 def fresh(code: str) -> subprocess.CompletedProcess:
@@ -23,6 +27,19 @@ def fresh(code: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+def loaded_by(argv: list[str]) -> set[str]:
+    """The watched modules that ``cli.main(argv)`` loads in a new interpreter."""
+    proc = fresh(
+        "import json, sys\n"
+        "from raman_pairs.cli import main\n"
+        f"code = main({argv!r})\n"
+        f"{LOADED}\n"
+        "sys.exit(code)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stderr))
 
 
 def test_tables_imports_no_numpy():
@@ -34,7 +51,7 @@ def test_tables_imports_no_numpy():
         "sys.exit(code)\n"
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stderr) == []
+    assert json.loads(proc.stderr) == []  # no numpy, fractions, decimal, dataclasses, inspect
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (  # the J = 2 pin
         "ede8e5e9157466bf5e1b0186ac5f3a3669280f52613be33c854f9a2b5336a478"
     )
@@ -51,6 +68,7 @@ def test_state_imports_no_fractions():
     )
     assert proc.returncode == 0, proc.stderr
     assert not {"fractions", "decimal"} & set(json.loads(proc.stderr))
+    assert "dataclasses" not in json.loads(proc.stderr)
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (  # the state pin
         "09d58668e9319756a301015be4693b5816979175799d07c61cf0cfc57dd9d6ad"
     )
@@ -68,6 +86,21 @@ def test_filter_level_string_imports_no_fractions():
     )
     assert proc.returncode == 0, proc.stderr
     assert not {"fractions", "decimal"} & set(json.loads(proc.stderr))
+    assert "dataclasses" not in json.loads(proc.stderr)
+
+
+def test_scan_imports_no_dataclasses(tmp_path):
+    config = tmp_path / "scan.json"
+    text = (DATA / "sodium_scan.json").read_text()
+    config.write_text(text.replace('"resolution_deg": 2.0', '"resolution_deg": 30.0'))
+    argv = ["scan", "--config", str(config), "--output", str(tmp_path / "s")]
+    assert "dataclasses" not in loaded_by(argv)
+
+
+def test_chsh_imports_no_dataclasses(tmp_path):
+    config, events = str(DATA / "sodium_chsh.json"), str(tmp_path / "e.csv")
+    argv = ["chsh", "--config", config, "--samples", "1000", "--events-csv", events]
+    assert "dataclasses" not in loaded_by(argv)
 
 
 def test_package_import_is_lazy_and_every_export_resolves():

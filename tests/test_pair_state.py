@@ -3,7 +3,6 @@
 import decimal
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -100,20 +99,20 @@ def test_pair_state_rejects_channel_level_mismatch(state_z):
     # the (2, G) layout gives every sublevel the channel of its own level, so
     # amplitudes must cover exactly the sublevels of the levels
     with pytest.raises(InputDomainError, match="levels"):
-        replace(state_z, amplitudes=state_z.amplitudes[:, :3])
+        state_z.replace(amplitudes=state_z.amplitudes[:, :3])
     with pytest.raises(InputDomainError, match="levels"):
-        replace(state_z, levels=(4, 2))
+        state_z.replace(levels=(4, 2))
 
 
 def _with_nan_amplitude(state):
     amplitudes = state.amplitudes.copy()
     amplitudes[0, np.flatnonzero(amplitudes[0])[0]] = complex(math.nan, 0.0)
-    return replace(state, amplitudes=amplitudes)
+    return state.replace(amplitudes=amplitudes)
 
 
 NAN_CONSTRUCTIONS = {
     "PairState.amplitudes": _with_nan_amplitude,
-    "PairState.emission_weight": lambda state: replace(state, emission_weight=math.nan),
+    "PairState.emission_weight": lambda state: state.replace(emission_weight=math.nan),
     "CondensateSpinor.amplitudes": lambda _: CondensateSpinor((((2, 0), complex(math.nan)),)),
     "PumpConfig.omega_laser": lambda _: PumpConfig(
         direction=Z, polarization=np.array([1.0, 0, 0]), omega_laser=math.nan
@@ -151,10 +150,10 @@ def test_photon_frequency_rejects_nan_direction(spec, pump):
 def test_pair_state_rejects_bad_vectors_and_weight(state_z):
     for field in ("recoil_momentum", "photon_wavevector", "detection_direction"):
         with pytest.raises(InputDomainError, match=f"{field} must be a 3-vector"):
-            replace(state_z, **{field: np.array([1.0, 2.0])})
+            state_z.replace(**{field: np.array([1.0, 2.0])})
     for weight in (-1.0, 1.0 + 0.0j, "7"):
         with pytest.raises(InputDomainError, match="emission weight"):
-            replace(state_z, emission_weight=weight)
+            state_z.replace(emission_weight=weight)
 
 
 # --- batched kernel ---------------------------------------------------------------
@@ -256,7 +255,7 @@ def test_validity_enforcement(spec, phi0):
         pair_batch(spec, resonant, phi0, Z[np.newaxis])
     # threshold 0 lets the near-resonant pump through, but never an exact resonance
     assert pair_batch(spec, resonant, phi0, Z[np.newaxis], validity_threshold=0.0).norms[0] > 0
-    exact = replace(resonant, omega_laser=spec.resonance)
+    exact = resonant.replace(omega_laser=spec.resonance)
     with pytest.raises(OffResonanceError):
         pair_batch(spec, exact, phi0, Z[np.newaxis], validity_threshold=0.0)
 
@@ -317,9 +316,7 @@ def test_recoil_root_of_a_light_species(spec):
     # at 1e-33 kg the recoil is ~0.4% of the photon energy, so every term
     # of the quadratic shows; the shift then carries rounding of ~1e-2 ulp
     # of omega, so the root is within one ulp of the exact one
-    from dataclasses import replace
-
-    light = replace(spec, name="light", mass=1.0e-33)
+    light = spec.replace(name="light", mass=1.0e-33)
     rng = np.random.default_rng(101)
     for _ in range(100):
         pump = random_pump(spec, rng)
@@ -334,9 +331,7 @@ def test_recoil_outside_optical_regime_raises(spec, pump):
     # a mass of 1e-40 kg makes the recoil comparable to the photon energy: at
     # 90 degrees the recoil quadratic has no real root, and in backscatter its
     # root is a negative frequency
-    from dataclasses import replace
-
-    feather = replace(spec, name="feather", mass=1.0e-40)
+    feather = spec.replace(name="feather", mass=1.0e-40)
     for k in (Z, -pump.direction):
         with pytest.raises(PhysicsError, match="optical regime"):
             photon_omega(feather, pump, k, 1)
@@ -487,7 +482,7 @@ def test_unresolved_flag(spec, pump, phi0, monkeypatch):
     # |2,2> scatters only back into F=2 along z
     from raman_pairs.atomic_model import spherical_component
 
-    pump_sigma = replace(pump, direction=Z, polarization=spherical_component(+1).copy())
+    pump_sigma = pump.replace(direction=Z, polarization=spherical_component(+1).copy())
     rayleigh = build_pair_state(spec, pump_sigma, CondensateSpinor.single(2, 2), Z)
     assert {ch.doubled_f for ch in rayleigh.photon_labels()} == {4}
     assert rayleigh.unresolved_channel_pairs == ()

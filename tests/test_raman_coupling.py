@@ -2,8 +2,6 @@
 kernel evaluates it: selection rules, the exchange identity, detuning
 linearity and the excited-manifold sum."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -88,8 +86,7 @@ def test_dipole_tensor_is_the_element_table(doubled, spec, monkeypatch):
     ti, tjg, tje = doubled
     if doubled != (3, 1, 3):
         levels = range(abs(ti - tjg), ti + tjg + 1, 2)
-        spec = replace(
-            spec,
+        spec = spec.replace(
             nuclear_spin=HalfInt(ti),
             ground_j=HalfInt(tjg),
             excited_j=HalfInt(tje),

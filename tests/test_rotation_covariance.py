@@ -20,7 +20,6 @@ phases or transverse basis: it only assumes that |F m> rotates by D^F.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,8 +57,8 @@ def _rotated(pump, phi0: CondensateSpinor, euler) -> tuple:
     # renormalize against rounding: the spinor guard allows 1e-12
     norm = math.sqrt(sum(abs(a) ** 2 for a in rotated.values()))
     condensate = CondensateSpinor.from_dict({key: a / norm for key, a in rotated.items()})
-    rpump = replace(
-        pump, direction=rotation @ pump.direction, polarization=rotation @ pump.polarization
+    rpump = pump.replace(
+        direction=rotation @ pump.direction, polarization=rotation @ pump.polarization
     )
     return rpump, condensate, rotation
 

@@ -1,0 +1,35 @@
+"""The measuring tools under ``tools/`` still run: each exits 0 and names every
+module or command it covers, so the figures they give can be taken again."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run(tool: str, *args: str) -> str:
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / tool), *args],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cli_lines_counts_every_module():
+    out = run("cli_lines.py")
+    for path in (ROOT / "src" / "raman_pairs").glob("*.py"):
+        assert f"\n{path.name} " in out
+    assert "\ntotal " in out
+
+
+def test_cold_path_times_every_probe():
+    out = run("cold_path.py", "--repeats", "1")
+    assert f"{ROOT}  (1 runs)" in out
+    for figure in ("cli import", "first state", "import + first state"):
+        assert f"  {figure} (ms) " in out
+    for command in ("state", "scan", "tables"):
+        assert f"  {command} wall (ms) " in out
+        assert f"  {command} peak RSS (MB) " in out
+        assert f"  {command} loads: " in out
