@@ -45,7 +45,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .errors import InputDomainError
+from .errors import InputDomainError, PhysicsError
 from .pair_state import PairState
 
 __all__ = [
@@ -99,13 +99,14 @@ class SampleResult:
 
 
 def _support_matrix(state: PairState) -> np.ndarray:
+    """The state's 2x2 amplitude matrix: the one rule on which states CHSH admits."""
     matrix, photon_labels, atom_labels = state.matrix()
-    if len(photon_labels) != 2 or len(atom_labels) != 2:
+    if matrix.shape != (2, 2):
         # a filter leaves 2 photon labels: advise it only where there are more
-        advice = " (spectrally filter the state first)" if len(photon_labels) > 2 else ""
-        raise InputDomainError(
-            "CHSH analysis needs a state on exactly 2 photon and 2 atom labels; "
-            f"got {len(photon_labels)} x {len(atom_labels)}{advice}"
+        advice = "; spectrally filter it first" if len(photon_labels) > 2 else ""
+        raise PhysicsError(
+            "CHSH needs a 2x2 state (2 photon labels x 2 atom labels); this one has "
+            f"{len(photon_labels)} photon x {len(atom_labels)} atom labels{advice}"
         )
     return matrix
 

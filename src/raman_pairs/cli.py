@@ -21,19 +21,13 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .angular_momentum import _cg_from_3j, _signed_sqrt, _wigner_3j_exact, _wigner_6j_exact
-from .errors import (
-    ConfigError,
-    InputDomainError,
-    PhysicsError,
-    UndefinedOverlapError,
-)
+from .errors import ConfigError, InputDomainError, PhysicsError, UndefinedOverlapError
 from .outputs import _all_or_none, _into, _named, _prefix_path, _text_writer, json_text
 
 if TYPE_CHECKING:
     from .config import RunConfig
     from .pair_state import PairState
 
-TWO_PI = 2.0 * math.pi
 TABLES_MAX_DOUBLED_J = 12
 
 # the files that an --output prefix names; elsewhere --output names one file
@@ -88,20 +82,6 @@ def _analysis_block(state: PairState, full_state: PairState) -> dict:
     return block
 
 
-def _state_csv(state: PairState, metadata: dict) -> str:
-    lines = [f"# {key}={metadata[key]}\n" for key in sorted(metadata)]
-    lines.append("omega_hz,lambda,doubled_F,doubled_m,amp_re,amp_im\n")
-    matrix, photon, atoms = state.matrix()
-    for ch, row in zip(photon, matrix.tolist()):
-        omega = repr(ch.omega / TWO_PI)
-        lines += [
-            f"{omega},{ch.lam},{tf},{tm},{amp.real!r},{amp.imag!r}\n"
-            for (tf, tm), amp in zip(atoms, row)
-            if amp != 0.0
-        ]
-    return "".join(lines)
-
-
 def _state(config: RunConfig) -> PairState:
     """The pair state of the configured detection direction."""
     from .pair_state import build_pair_state
@@ -121,10 +101,10 @@ def _state_text(
     config: RunConfig, state: PairState, args, full_state: PairState | None = None
 ) -> str:
     """``state`` as text; its branch overlap is that of ``full_state`` (default: itself)."""
-    from .pair_state import pair_state_to_json
+    from .pair_state import _pair_state_csv, pair_state_to_json
 
     if args.format == "csv":
-        return _state_csv(state, config.metadata())
+        return _pair_state_csv(state, config.metadata())
     doc = pair_state_to_json(state, provenance=config.metadata())
     doc["analysis"] = _analysis_block(state, full_state or state)
     return json_text(doc)
@@ -154,7 +134,6 @@ def cmd_filter(args, files: list[tuple[Path, Path]]) -> str:
 
 
 def cmd_scan(args, files: list[tuple[Path, Path]]) -> str:
-    from .atomic_model import finite_number
     from .config import RunConfig
     from .geometry_explorer import FLAG_REASONS, _write_chunks, argmax_direction, scan_chunks
 
@@ -163,28 +142,13 @@ def cmd_scan(args, files: list[tuple[Path, Path]]) -> str:
     config = RunConfig(Path(args.config))
     if config.scan is None:
         raise ConfigError("'detection.scan' block required for the scan command")
-    resolution = math.radians(
-        finite_number(config.scan["resolution_deg"], "detection.scan.resolution_deg")
+    chunks = scan_chunks(
+        config.spec,
+        config.pump,
+        config.condensate,
+        **config.scan,
+        validity_threshold=config.validity_threshold,
     )
-    filter_f = None
-    if "filter_f" in config.scan:
-        if (measure := config.scan["measure"]) != "concurrence_after_filter":
-            raise ConfigError(
-                f"'detection.scan.filter_f' does not apply to 'detection.scan.measure' {measure}"
-            )
-        filter_f = config.parse_level(config.scan["filter_f"], "detection.scan.filter_f")
-    try:
-        chunks = scan_chunks(
-            config.spec,
-            config.pump,
-            config.condensate,
-            resolution,
-            config.scan["measure"],
-            filter_f=filter_f,
-            validity_threshold=config.validity_threshold,
-        )
-    except InputDomainError as exc:  # resolution range, measure without filter_f
-        raise ConfigError(f"invalid 'detection.scan': {exc}")
     metadata = config.metadata()
     chunks = (chunk.replace(metadata=metadata) for chunk in chunks)
     (csv_path, csv_temp), (json_path, json_temp) = files
@@ -213,19 +177,6 @@ def cmd_chsh(args, files: list[tuple[Path, Path]]) -> str:
     state = _state(config)
     if config.filter_f is not None:
         state = spectral_filter(state, config.filter_f)
-    _, photon_labels, atom_labels = state.matrix()
-    if len(photon_labels) != 2 or len(atom_labels) != 2:
-        if config.filter_f is None:
-            advice = "Set 'filter_f' in the config to select one frequency channel."
-        else:
-            advice = (
-                f"'filter_f' already selects the F={config.filter_f} channel; choose a "
-                "detection direction where that channel is 2x2."
-            )
-        raise PhysicsError(
-            "CHSH needs a 2x2 state (2 photon labels x 2 atom labels); this one has "
-            f"{len(photon_labels)} photon x {len(atom_labels)} atom labels. {advice}"
-        )
     optimized = config.chsh_settings is None
     if optimized:
         settings, s_value = optimize_chsh(state)

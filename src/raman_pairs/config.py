@@ -101,20 +101,7 @@ class RunConfig:
                 detection["direction"], "detection.direction", False
             )
         else:
-            scan = detection["scan"]
-            if not isinstance(scan, dict):
-                raise ConfigError("'detection.scan' must be an object")
-            _check_keys(scan, _SCAN_KEYS, "detection.scan.")
-            for key in ("resolution_deg", "measure"):
-                if key not in scan:
-                    raise ConfigError(f"missing required key 'detection.scan.{key}'")
-            from .geometry_explorer import MEASURES
-
-            if scan["measure"] not in MEASURES:
-                raise ConfigError(
-                    f"'detection.scan.measure' must be one of {', '.join(MEASURES)}"
-                )
-            self.scan = scan
+            self.scan = self._parse_scan(detection["scan"])
 
         self.filter_f: HalfInt | None = None
         if "filter_f" in raw:
@@ -157,6 +144,40 @@ class RunConfig:
             raise ConfigError(f"'atom_spec_path' names no file: '{path}'")
         data = _io("'atom_spec_path'", path, Path.read_bytes)  # hashed and parsed: one read
         return path, hashlib.sha256(data).hexdigest(), _parse_atom_spec(data, path)
+
+    def _parse_scan(self, scan) -> dict:
+        """``detection.scan`` as the ``resolution``, ``measure`` and ``filter_f``
+        keyword arguments of ``geometry_explorer.scan_chunks``."""
+        if not isinstance(scan, dict):
+            raise ConfigError("'detection.scan' must be an object")
+        _check_keys(scan, _SCAN_KEYS, "detection.scan.")
+        for key in ("resolution_deg", "measure"):
+            if key not in scan:
+                raise ConfigError(f"missing required key 'detection.scan.{key}'")
+        from .geometry_explorer import MAX_RESOLUTION, MEASURES, MIN_RESOLUTION
+
+        if (measure := scan["measure"]) not in MEASURES:
+            raise ConfigError(f"'detection.scan.measure' must be one of {', '.join(MEASURES)}")
+        degrees = finite_number(scan["resolution_deg"], "detection.scan.resolution_deg")
+        resolution = math.radians(degrees)  # the value scan_chunks checks, so 30 passes
+        if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
+            raise ConfigError(
+                f"'detection.scan.resolution_deg' must lie in [{math.degrees(MIN_RESOLUTION):g}, "
+                f"{math.degrees(MAX_RESOLUTION):g}] degrees, got {degrees!r}"
+            )
+        filter_f = None
+        if "filter_f" in scan:
+            if measure != "concurrence_after_filter":
+                raise ConfigError(
+                    "'detection.scan.filter_f' does not apply to "
+                    f"'detection.scan.measure' {measure}"
+                )
+            filter_f = self.parse_level(scan["filter_f"], "detection.scan.filter_f")
+        elif measure == "concurrence_after_filter":
+            raise ConfigError(
+                "'detection.scan.measure' concurrence_after_filter needs 'detection.scan.filter_f'"
+            )
+        return {"resolution": resolution, "measure": measure, "filter_f": filter_f}
 
     def parse_level(self, value, key: str) -> HalfInt:
         try:
@@ -210,6 +231,10 @@ class RunConfig:
                 raise ConfigError(
                     f"'condensate.amplitudes' keys {first!r} and {key!r} name one sublevel"
                 )
+            try:  # a sublevel of the species, zero amplitude or not
+                CondensateSpinor.from_dict({(tf, tm): 1.0}).vector(self.spec)
+            except InputDomainError as exc:
+                raise ConfigError(f"'condensate.amplitudes.{key}': {exc}")
             parsed[(tf, tm)] = _as_complex(value, f"condensate.amplitudes.{key}")
         try:
             total = math.sqrt(sum(abs(a) ** 2 for a in parsed.values()))
@@ -218,9 +243,7 @@ class RunConfig:
         if not 0 < total < math.inf:
             raise ConfigError("'condensate.amplitudes' must have a nonzero, finite norm")
         normalized = {key: amp / total for key, amp in parsed.items()}
-        spinor = CondensateSpinor.from_dict(normalized)
-        spinor.vector(self.spec)  # validates sublevel keys against the species
-        return spinor
+        return CondensateSpinor.from_dict(normalized)
 
     def metadata(self, seed: int | None = None) -> dict:
         doc = {

@@ -41,9 +41,8 @@ Two channels whose frequencies lie closer than
 
 :class:`CondensateSpinor` and :class:`Channel` are value records, tuples equal
 and hashed by value; the records that hold arrays are identity records, equal
-only to themselves, so a :class:`PumpConfig` keys the condensate-factor cache
-by identity and a condensate by value.  ``replace`` on a pump or a state
-builds a new one through the constructor, so every check runs again.
+only to themselves.  ``replace`` on a pump or a state builds a new one through
+the constructor, so every check runs again.
 """
 
 from __future__ import annotations
@@ -379,14 +378,6 @@ class PairState:
         return tuple(zip(self.photon_labels(), probs.tolist()))
 
 
-@lru_cache(maxsize=16)
-def _shared_factor(spec: AtomSpec, pump: PumpConfig, phi0: CondensateSpinor) -> np.ndarray:
-    """The direction-independent factor B of a species, pump and condensate."""
-    factor = condensate_factor(spec, pump.omega_laser, pump.polarization, phi0.vector(spec))
-    factor.flags.writeable = False
-    return factor
-
-
 def _photon_frequencies(spec: AtomSpec, pump: PumpConfig, k: np.ndarray) -> np.ndarray:
     """Photon frequency per (direction, final ground level), with recoil.
 
@@ -476,7 +467,7 @@ def pair_batch(
 ) -> PairBatch:
     """The pair-state kernel: (N, 3) unit detection directions to N states.
 
-    The condensate factor is computed once per species, pump and condensate;
+    The direction-independent condensate factor is computed once per batch;
     each direction then costs one 3-term contraction per amplitude.  All
     per-direction arithmetic is elementwise or summed in a fixed order, so
     the result for a direction does not depend on N or on its place in the
@@ -497,7 +488,7 @@ def pair_batch(
         )
 
     polarizations = polarization_bases(k)
-    factor = _shared_factor(spec, pump, phi0)
+    factor = condensate_factor(spec, pump.omega_laser, pump.polarization, phi0.vector(spec))
     n, g = len(k), factor.shape[0]
     rows = branch_amplitudes(factor, polarizations).reshape(n, 2 * g)
     omega = _photon_frequencies(spec, pump, k)
@@ -634,6 +625,22 @@ def spectral_filter(state: PairState, f_select: HalfIntLike) -> PairState:
 
 def _complex_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
+
+
+def _pair_state_csv(state: PairState, provenance: dict) -> str:
+    """CSV text: the provenance as sorted comment lines, then one row per nonzero
+    amplitude, in channel and then atom order."""
+    lines = [f"# {key}={provenance[key]}\n" for key in sorted(provenance)]
+    lines.append("omega_hz,lambda,doubled_F,doubled_m,amp_re,amp_im\n")
+    matrix, photon, atoms = state.matrix()
+    for ch, row in zip(photon, matrix.tolist()):
+        omega = frequency_label(ch.omega)
+        lines += [
+            f"{omega},{ch.lam},{tf},{tm},{amp.real!r},{amp.imag!r}\n"
+            for (tf, tm), amp in zip(atoms, row)
+            if amp != 0.0
+        ]
+    return "".join(lines)
 
 
 def pair_state_to_json(state: PairState, provenance: dict | None = None) -> dict:

@@ -25,7 +25,7 @@ from raman_pairs.bell_sim import (
     sample_events,
     tally_chunks,
 )
-from raman_pairs.errors import InputDomainError
+from raman_pairs.errors import InputDomainError, PhysicsError
 from raman_pairs.pair_state import PairState, build_pair_state, spectral_filter
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -101,7 +101,7 @@ def test_correlation_matches_oracle_random(bell, pump):
 
 
 def test_correlation_requires_2x2(state_z):
-    with pytest.raises(InputDomainError):
+    with pytest.raises(PhysicsError, match=r"needs a 2x2 state .* 4 photon x 4 atom labels"):
         correlation(state_z, 0.0, 0.0)
 
 
@@ -203,10 +203,10 @@ def test_optimize_reads_one_moment_matrix(bell, pump, monkeypatch):
 
 def test_support_error_advises_a_filter_only_for_more_photon_labels(spec, pump, phi0, state_z):
     # a filter leaves at most 2 photon labels, so it is the advice only above 2
-    with pytest.raises(InputDomainError, match=r"got 4 x 4 \(spectrally filter the state first\)"):
+    with pytest.raises(PhysicsError, match=r"4 photon x 4 atom labels; spectrally filter it first$"):
         correlation(state_z, 0.0, 0.0)
     off_axis = build_pair_state(spec, pump, phi0, np.array([0.6, 0.0, 0.8]))
-    with pytest.raises(InputDomainError, match=r"got 2 x 3$"):
+    with pytest.raises(PhysicsError, match=r"2 photon x 3 atom labels$"):
         correlation(spectral_filter(off_axis, 1), 0.0, 0.0)
 
 

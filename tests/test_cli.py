@@ -278,7 +278,17 @@ def test_scan_resolution_out_of_range_exits_2(scan_config, tmp_path, capsys):
         ["scan", "--config", str(scan_config), "--output", str(tmp_path / "x")], capsys
     )
     assert code == 2
-    assert "resolution" in err
+    assert "resolution" in err and "'detection.scan.resolution_deg'" in err
+
+
+def test_scan_concurrence_after_filter_without_filter_f_exits_2(scan_config, tmp_path, capsys):
+    edit_config(scan_config, lambda c: c["detection"]["scan"].pop("filter_f"))
+    code, out, err = run(
+        ["scan", "--config", str(scan_config), "--output", str(tmp_path / "s")], capsys
+    )
+    assert code == 2 and out == ""
+    assert "'detection.scan.filter_f'" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.json"]
 
 
 def test_scan_workers_key_exits_2(scan_config, tmp_path, capsys):
@@ -425,7 +435,6 @@ def test_chsh_off_axis_with_filter_f_set_does_not_advise_setting_it(tmp_path, ca
     assert code == 3
     assert "2x2" in err and "2 photon x 3 atom labels" in err
     assert "Set 'filter_f'" not in err
-    assert "'filter_f' already selects the F=1 channel" in err
 
 
 def test_chsh_pinned_bytes(tmp_path, monkeypatch, capsys):
@@ -793,6 +802,16 @@ def test_huge_condensate_amplitude_exits_2(state_config, capsys):
     assert code == 2
     assert out == ""
     assert "'condensate.amplitudes'" in err
+
+
+@pytest.mark.parametrize("amplitude", [0.5, 0.0])
+@pytest.mark.parametrize("key", ["6:0", "2:1"])
+def test_condensate_key_that_is_no_ground_sublevel_exits_2(key, amplitude, state_config, capsys):
+    # 2F = 6 is no ground level of sodium; 2m = 1 is no sublevel of 2F = 2
+    edit_config(state_config, lambda c: c["condensate"]["amplitudes"].__setitem__(key, amplitude))
+    code, out, err = run(["state", "--config", str(state_config)], capsys)
+    assert code == 2 and out == ""
+    assert f"'condensate.amplitudes.{key}'" in err
 
 
 def test_huge_pump_amplitude_exits_3(state_config, capsys):

@@ -17,7 +17,6 @@ from raman_pairs.pair_state import (
     CondensateSpinor,
     PairState,
     PumpConfig,
-    _shared_factor,
     pair_batch,
 )
 
@@ -141,19 +140,15 @@ def test_two_parses_of_the_species_share_the_dipole_tensor():
     assert _dipole_tensor(first) is _dipole_tensor(second)
 
 
-def test_equal_condensates_hash_equal_and_share_the_factor(spec, pump):
+def test_equal_condensates_hash_equal():
     single, spelled = CondensateSpinor.single(1, 0), CondensateSpinor.from_dict({(2, 0): 1.0})
     assert single is not spelled
     assert single == spelled and hash(single) == hash(spelled)
-    assert _shared_factor(spec, pump, single) is _shared_factor(spec, pump, spelled)
 
 
-def test_pumps_with_equal_fields_are_distinct_cache_keys(spec, pump, phi0):
+def test_pumps_with_equal_fields_are_distinct(pump):
     twin = pump.replace()
     assert pump == pump and twin != pump and len({pump, twin}) == 2
-    factor, twin_factor = _shared_factor(spec, pump, phi0), _shared_factor(spec, twin, phi0)
-    assert twin_factor is not factor
-    np.testing.assert_array_equal(twin_factor, factor)
 
 
 def test_halfint_sorts_and_compares_by_value():
