@@ -82,12 +82,21 @@ class HalfInt(NamedTuple("HalfInt", [("twice", int)])):
         return f"HalfInt({self.twice})"
 
 
+def integer(text: str) -> int:
+    """The int that ``text`` spells in ASCII digits with an optional ``-``, the one
+    integer spelling of the input files: ``int`` would also read "+1", " 1" and "1_0"."""
+    try:
+        return int(re.fullmatch(r"-?[0-9]+", text)[0])
+    except (TypeError, ValueError):  # no match (None[0]), or more digits than int() reads
+        raise InputDomainError(f"{text!r} is not an integer in ASCII digits") from None
+
+
 def halfint(value: HalfIntLike) -> HalfInt:
     """Coerce ``value`` to a :class:`HalfInt`.
 
     Accepts HalfInt, int (whole units), Fraction with denominator 1 or 2, and
-    strings of ASCII digits with an optional ``-``, alone or as an odd numerator
-    over ``/2`` (``"2"``, ``"-3/2"``); floats and other spellings are rejected.
+    strings that :func:`integer` reads, alone or as an odd numerator over
+    ``/2`` (``"2"``, ``"-3/2"``); floats and other spellings are rejected.
     """
     if isinstance(value, HalfInt):
         return value
@@ -96,10 +105,10 @@ def halfint(value: HalfIntLike) -> HalfInt:
     if isinstance(value, int):
         return HalfInt(2 * value)
     if isinstance(value, str):
-        match = re.fullmatch(r"(-?[0-9]*[13579])/2|-?[0-9]+", value)  # an odd half, or whole
+        odd = re.fullmatch(r"(-?[0-9]*[13579])/2", value)  # an odd numerator over /2
         try:
-            return HalfInt(int(match[1]) if match[1] else 2 * int(value))
-        except (TypeError, ValueError):  # no match (None[1]), or more digits than int() reads
+            return HalfInt(integer(odd[1]) if odd else 2 * integer(value))
+        except InputDomainError:
             raise InputDomainError(f"cannot parse half-integer from {value!r}") from None
     from fractions import Fraction
 

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .angular_momentum import HalfInt, HalfIntLike, halfint
+from .angular_momentum import HalfInt, HalfIntLike, halfint, integer
 from .angular_momentum import _clebsch_gordan_exact, _signed_sqrt, _wigner_6j_exact
 from .errors import InputDomainError
 
@@ -245,20 +245,12 @@ def validity_check(
     return ValidityReport(ratios=ratios, threshold=threshold, passed=passed)
 
 
-# --- species files ----------------------------------------------------------
+# --- input files -------------------------------------------------------------
+# The rules shared by species files and run configs (``raman_pairs.config``).
 
-_ATOM_KEYS = {
-    "name",
-    "doubled_I",
-    "doubled_ground_J",
-    "doubled_excited_J",
-    "ground_splittings_hz",
-    "resonance_hz",
-    "linewidth_hz",
-    "mass_kg",
-    "reduced_dipole",
-    "notes",
-}
+# the required and the optional keys of a species file
+_ATOM_KEYS = (("name", "doubled_I", "doubled_ground_J", "doubled_excited_J", "ground_splittings_hz",
+               "resonance_hz", "linewidth_hz", "mass_kg"), ("reduced_dipole", "notes"))
 
 
 def finite_number(value, key: str) -> float:
@@ -284,6 +276,54 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
+def json_object(data: bytes, name: str) -> dict:
+    """The JSON object in the UTF-8 ``data`` of the file ``name``: other encodings
+    (``json.loads`` would detect UTF-16 and -32), invalid JSON, a repeated key and
+    a root that is no object raise, naming ``name``."""
+    try:
+        raw = json.loads(data.decode("utf-8"), object_pairs_hook=unique_keys)
+    except InputDomainError as exc:  # a repeated key
+        raise InputDomainError(f"{name}: {exc}") from None
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise InputDomainError(f"{name} is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise InputDomainError(f"{name} must be a JSON object")
+    return raw
+
+
+def check_keys(obj, path: str, required: tuple, optional: tuple) -> None:
+    """Check that ``obj``, the value at the dotted ``path`` ("" for a root), is an
+    object with each key of ``required`` and no key outside ``required`` and ``optional``."""
+    if not isinstance(obj, dict):
+        raise InputDomainError(f"'{path}' must be an object")
+    dotted = f"{path}." if path else ""
+    for key in obj:
+        if key not in required and key not in optional:
+            raise InputDomainError(f"unknown key '{dotted}{key}'")
+    for key in required:
+        if key not in obj:
+            raise InputDomainError(f"missing required key '{dotted}{key}'")
+
+
+def integer_keys(obj, path: str, form: str) -> dict[tuple[int, ...], tuple[str, object]]:
+    """Each ``(key, value)`` of the object at ``path``, under the integers that
+    ``key`` spells as ``form`` ("2F", or "2F:2m" for two), each one read by
+    :func:`integer`; another form, or two spellings of one key, raise."""
+    if not isinstance(obj, dict):
+        raise InputDomainError(f"'{path}' must be an object")
+    keyed: dict[tuple[int, ...], tuple[str, object]] = {}
+    for key, value in obj.items():
+        head, _, tail = key.partition(":")
+        try:
+            ints = (integer(head), integer(tail)) if ":" in form else (integer(key),)
+        except InputDomainError:
+            raise InputDomainError(f"'{path}.{key}' must spell '{form}' in ASCII digits") from None
+        first, _ = keyed.setdefault(ints, (key, value))
+        if first != key:
+            raise InputDomainError(f"'{path}' keys {first!r} and {key!r} spell one '{form}'")
+    return keyed
+
+
 def load_atom_spec(path: str | Path) -> AtomSpec:
     """Load an :class:`AtomSpec` from its JSON file format.
 
@@ -293,25 +333,11 @@ def load_atom_spec(path: str | Path) -> AtomSpec:
     and is ignored.
     """
     path = Path(path)
-    return _parse_atom_spec(path.read_bytes(), path)
+    return _parse_atom_spec(json_object(path.read_bytes(), f"atom spec {path}"), path)
 
 
-def _parse_atom_spec(data: bytes, path: Path) -> AtomSpec:
-    """The :class:`AtomSpec` of the UTF-8 JSON ``data`` read from ``path``."""
-    try:
-        raw = json.loads(data.decode("utf-8"), object_pairs_hook=unique_keys)
-    except InputDomainError as exc:  # a repeated key
-        raise InputDomainError(f"atom spec {path}: {exc}") from exc
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise InputDomainError(f"atom spec {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise InputDomainError(f"atom spec {path} must be a JSON object")
-    unknown = set(raw) - _ATOM_KEYS
-    if unknown:
-        raise InputDomainError(f"unknown atom-spec key {sorted(unknown)[0]!r} in {path}")
-    missing = _ATOM_KEYS - {"notes", "reduced_dipole"} - set(raw)
-    if missing:
-        raise InputDomainError(f"atom spec {path} missing key {sorted(missing)[0]!r}")
+def _parse_atom_spec(raw: dict, path: Path) -> AtomSpec:
+    """The :class:`AtomSpec` of the species-file object ``raw`` read from ``path``."""
 
     def doubled(key: str) -> HalfInt:
         if isinstance(raw[key], int) and not isinstance(raw[key], bool):
@@ -319,19 +345,13 @@ def _parse_atom_spec(data: bytes, path: Path) -> AtomSpec:
         raise InputDomainError(f"'{key}' must be an integer, got {raw[key]!r}")
 
     try:
+        check_keys(raw, "", *_ATOM_KEYS)
         if not isinstance(raw["name"], str) or not raw["name"].isprintable():
             raise InputDomainError(f"'name' must be a printable string, got {raw['name']!r}")
-        hz = raw["ground_splittings_hz"]
-        if not isinstance(hz, dict) or not all(k.isdecimal() for k in hz):
-            raise InputDomainError("'ground_splittings_hz' must map doubled F' strings to numbers")
+        hz = integer_keys(raw["ground_splittings_hz"], "ground_splittings_hz", "2F")
         splittings = tuple(
-            sorted(
-                (
-                    (HalfInt(int(k)), TWO_PI * finite_number(v, f"ground_splittings_hz.{k}"))
-                    for k, v in hz.items()
-                ),
-                key=lambda item: item[0].twice,
-            )
+            (HalfInt(tf), TWO_PI * finite_number(v, f"ground_splittings_hz.{k}"))
+            for (tf,), (k, v) in sorted(hz.items())
         )
         return AtomSpec(
             name=raw["name"],

@@ -1,17 +1,19 @@
 """The run configuration: strict JSON, checked key by key.
 
 Unknown keys are rejected by name, frequencies are given in Hz with the unit
-in the key name, and every error is a :class:`~raman_pairs.errors.ConfigError`
-(exit code 2) that names its key.  A config, like a species file, is read as
-UTF-8.  The CLI imports this module in the commands that read a config, so
-``tables`` never loads it or numpy; the scan and CHSH modules load only for a
-config with a scan or CHSH block.
+in the key name, and every error is an
+:class:`~raman_pairs.errors.InputDomainError` (exit code 2) that names its key
+or file.  The rules a config shares with a species file (one strict JSON
+reader, one key check, finite numbers, integer keys) are ``atomic_model``'s;
+the rest raise its subclass :class:`~raman_pairs.errors.ConfigError`.  The CLI
+imports this module in the commands that read a config, so ``tables`` never
+loads it or numpy; the scan and CHSH modules load only for a config with a
+scan or CHSH block.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from pathlib import Path
 
@@ -19,27 +21,22 @@ import numpy as np
 
 from . import __version__
 from .angular_momentum import HalfInt, halfint
-from .atomic_model import TWO_PI, AtomSpec, _parse_atom_spec, finite_number, unique_keys
+from .atomic_model import TWO_PI, _parse_atom_spec, check_keys, finite_number
+from .atomic_model import integer_keys, json_object
 from .errors import ConfigError, InputDomainError
 from .outputs import _io
 from .pair_state import CondensateSpinor, PumpConfig, _intensity
 
-_CONFIG_SCHEMA = {
-    "atom_spec_path": None,
-    "pump": {"direction", "polarization", "laser_hz", "amplitude", "atom_number"},
-    "condensate": {"amplitudes"},
-    "detection": {"direction", "scan"},
-    "filter_f": None,
-    "chsh": {"settings_rad"},
-    "validity_threshold": None,
+# the required and the optional keys of each object
+_ROOT_KEYS = (("atom_spec_path", "pump", "condensate", "detection"),
+              ("filter_f", "chsh", "validity_threshold"))
+_BLOCK_KEYS = {
+    "pump": (("direction", "polarization", "laser_hz"), ("amplitude", "atom_number")),
+    "condensate": (("amplitudes",), ()),
+    "detection": ((), ("direction", "scan")),
+    "chsh": ((), ("settings_rad",)),
 }
-_SCAN_KEYS = {"resolution_deg", "measure", "filter_f"}
-
-
-def _check_keys(obj: dict, allowed, path: str) -> None:
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{path}{key}'")
+_SCAN_KEYS = ("resolution_deg", "measure"), ("filter_f",)
 
 
 def _as_complex(value, path: str) -> complex:
@@ -68,27 +65,15 @@ class RunConfig:
 
     def __init__(self, path: Path) -> None:
         self.path = path
-        raw_bytes = _io("--config", path, Path.read_bytes)
-        self.sha256 = hashlib.sha256(raw_bytes).hexdigest()
-        try:  # UTF-8 only, as for a species file: json.loads would detect UTF-16 and -32
-            raw = json.loads(raw_bytes.decode("utf-8"), object_pairs_hook=unique_keys)
-        except InputDomainError as exc:  # a repeated key
-            raise ConfigError(f"config {path}: {exc}")
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise ConfigError(f"config {path} is not valid JSON: {exc}")
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be an object")
-        _check_keys(raw, set(_CONFIG_SCHEMA), "")
-        for key in ("atom_spec_path", "pump", "condensate", "detection"):
-            if key not in raw:
-                raise ConfigError(f"missing required key '{key}'")
-        for key, sub in _CONFIG_SCHEMA.items():
-            if sub is not None and key in raw:
-                if not isinstance(raw[key], dict):
-                    raise ConfigError(f"'{key}' must be an object")
-                _check_keys(raw[key], sub, f"{key}.")
+        self.sha256, raw = self._read("--config", path, "config")
+        check_keys(raw, "", *_ROOT_KEYS)
+        for key, keys in _BLOCK_KEYS.items():
+            if key in raw:
+                check_keys(raw[key], key, *keys)
 
-        self.atom_path, self.atom_sha256, self.spec = self._load_atom(raw["atom_spec_path"])
+        self.atom_path = self._atom_path(raw["atom_spec_path"])
+        self.atom_sha256, atom = self._read("'atom_spec_path'", self.atom_path, "atom spec")
+        self.spec = _parse_atom_spec(atom, self.atom_path)
         self.pump = self._parse_pump(raw["pump"])
         self.condensate = self._parse_condensate(raw["condensate"])
         detection = raw["detection"]
@@ -125,7 +110,15 @@ class RunConfig:
         if self.validity_threshold < 0:
             raise ConfigError("'validity_threshold' must not be negative")
 
-    def _load_atom(self, value) -> tuple[Path, str, AtomSpec]:
+    @staticmethod
+    def _read(flag: str, path: Path, name: str) -> tuple[str, dict]:
+        """The SHA-256 and the JSON object of the file at ``path``, from one read;
+        errors name ``flag`` or the file."""
+        data = _io(flag, path, Path.read_bytes)
+        return hashlib.sha256(data).hexdigest(), json_object(data, f"{name} {path}")
+
+    def _atom_path(self, value) -> Path:
+        """The species file that the ``atom_spec_path`` ``value`` names."""
         if not isinstance(value, str):
             raise ConfigError("'atom_spec_path' must be a string")
         if value.startswith("builtin:"):
@@ -142,18 +135,12 @@ class RunConfig:
                 path = self.path.parent / path
         if not path.is_file():
             raise ConfigError(f"'atom_spec_path' names no file: '{path}'")
-        data = _io("'atom_spec_path'", path, Path.read_bytes)  # hashed and parsed: one read
-        return path, hashlib.sha256(data).hexdigest(), _parse_atom_spec(data, path)
+        return path
 
     def _parse_scan(self, scan) -> dict:
         """``detection.scan`` as the ``resolution``, ``measure`` and ``filter_f``
         keyword arguments of ``geometry_explorer.scan_chunks``."""
-        if not isinstance(scan, dict):
-            raise ConfigError("'detection.scan' must be an object")
-        _check_keys(scan, _SCAN_KEYS, "detection.scan.")
-        for key in ("resolution_deg", "measure"):
-            if key not in scan:
-                raise ConfigError(f"missing required key 'detection.scan.{key}'")
+        check_keys(scan, "detection.scan", *_SCAN_KEYS)
         from .geometry_explorer import MAX_RESOLUTION, MEASURES, MIN_RESOLUTION
 
         if (measure := scan["measure"]) not in MEASURES:
@@ -192,9 +179,6 @@ class RunConfig:
         return level
 
     def _parse_pump(self, raw: dict) -> PumpConfig:
-        for key in ("direction", "polarization", "laser_hz"):
-            if key not in raw:
-                raise ConfigError(f"missing required key 'pump.{key}'")
         direction = _as_unit_vector(raw["direction"], "pump.direction", False)
         polarization = _as_unit_vector(raw["polarization"], "pump.polarization", True)
         amplitude = _as_complex(raw.get("amplitude", 1.0), "pump.amplitude")
@@ -214,33 +198,19 @@ class RunConfig:
             raise ConfigError(f"invalid 'pump': {exc}")
 
     def _parse_condensate(self, raw: dict) -> CondensateSpinor:
-        amplitudes = raw.get("amplitudes")
-        if not isinstance(amplitudes, dict) or not amplitudes:
-            raise ConfigError("'condensate.amplitudes' must be a non-empty object")
         parsed: dict[tuple[int, int], complex] = {}
-        spelling: dict[tuple[int, int], str] = {}
-        for key, value in amplitudes.items():
-            try:
-                tf, tm = (int(x) for x in key.split(":"))
-            except ValueError:
-                raise ConfigError(
-                    f"condensate key {key!r} must look like '2F:2m' with doubled integers"
-                )
-            first = spelling.setdefault((tf, tm), key)
-            if first != key:
-                raise ConfigError(
-                    f"'condensate.amplitudes' keys {first!r} and {key!r} name one sublevel"
-                )
+        keyed = integer_keys(raw["amplitudes"], "condensate.amplitudes", "2F:2m")
+        for sublevel, (key, value) in keyed.items():
             try:  # a sublevel of the species, zero amplitude or not
-                CondensateSpinor.from_dict({(tf, tm): 1.0}).vector(self.spec)
+                CondensateSpinor.from_dict({sublevel: 1.0}).vector(self.spec)
             except InputDomainError as exc:
                 raise ConfigError(f"'condensate.amplitudes.{key}': {exc}")
-            parsed[(tf, tm)] = _as_complex(value, f"condensate.amplitudes.{key}")
+            parsed[sublevel] = _as_complex(value, f"condensate.amplitudes.{key}")
         try:
             total = math.sqrt(sum(abs(a) ** 2 for a in parsed.values()))
         except OverflowError:
             total = math.inf
-        if not 0 < total < math.inf:
+        if not 0 < total < math.inf:  # none, or all zero, or an overflow
             raise ConfigError("'condensate.amplitudes' must have a nonzero, finite norm")
         normalized = {key: amp / total for key, amp in parsed.items()}
         return CondensateSpinor.from_dict(normalized)

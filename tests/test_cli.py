@@ -843,7 +843,7 @@ def test_emission_weight_underflow_exits_3(state_config, capsys):
     assert "underflows" in err
 
 
-@pytest.mark.parametrize("spelling", ["02:0", "+2:0", "2: 0"])
+@pytest.mark.parametrize("spelling", ["02:0"])
 def test_two_spellings_of_one_sublevel_exit_2(spelling, state_config, capsys):
     amplitudes = {"2:0": [1.0, 0.0], spelling: [0.0, 1.0]}
     edit_config(state_config, lambda c: c["condensate"].__setitem__("amplitudes", amplitudes))
@@ -851,6 +851,125 @@ def test_two_spellings_of_one_sublevel_exit_2(spelling, state_config, capsys):
     assert code == 2
     assert out == ""
     assert "'2:0'" in err and f"{spelling!r}" in err
+
+
+# --- one integer spelling: ASCII digits with an optional '-' ---------------------
+# int() reads each key below as a level; an input file spells an integer one way
+# only, so each is a malformed key, refused by name.
+
+
+@pytest.mark.parametrize(
+    "key", ["+2:0", "2: 0", " 2:0", "2:+0", "\uff12:0", "0_2:0", "2 :0", "2", "2:0:0", ":"]
+)
+def test_condensate_key_in_another_spelling_exits_2(key, state_config, capsys):
+    amplitudes = {"2:0": [1.0, 0.0], key: [0.0, 1.0]}
+    edit_config(state_config, lambda c: c["condensate"].__setitem__("amplitudes", amplitudes))
+    code, out, err = run(["state", "--config", str(state_config)], capsys)
+    assert code == 2 and out == ""
+    assert f"'condensate.amplitudes.{key}'" in err
+
+
+def test_condensate_keys_with_a_sign_or_a_leading_zero_still_parse(state_config, capsys):
+    def amplitudes_for(amplitudes):
+        edit_config(state_config, lambda c: c["condensate"].__setitem__("amplitudes", amplitudes))
+        code, out, err = run(["state", "--config", str(state_config)], capsys)
+        assert code == 0, err
+        return json.loads(out)["amplitudes"]
+
+    assert amplitudes_for({"4:-4": 1.0})
+    assert amplitudes_for({"02:0": [1.0, 0.0]}) == amplitudes_for({"2:0": [1.0, 0.0]})
+
+
+def _species_config(state_config: Path, splittings: dict) -> Path:
+    spec = json.loads((DATA / "sodium.json").read_text())
+    spec["ground_splittings_hz"] = splittings
+    (state_config.parent / "species.json").write_text(json.dumps(spec))
+    return edit_config(state_config, lambda raw: raw.update(atom_spec_path="species.json"))
+
+
+@pytest.mark.parametrize("key, level", [("\uff12", "2"), ("\u0664", "4")])
+def test_species_level_key_in_another_spelling_exits_2(key, level, state_config, capsys):
+    # a fullwidth 2 and an Arabic-Indic 4, which str.isdecimal() and int() accept
+    splittings = {"2": 0.0, "4": 1.772e9}
+    splittings[key] = splittings.pop(level)
+    _species_config(state_config, splittings)
+    code, out, err = run(["state", "--config", str(state_config)], capsys)
+    assert code == 2 and out == ""
+    assert f"'ground_splittings_hz.{key}'" in err
+
+
+@pytest.mark.parametrize("twin", ["04", "004"])
+def test_two_spellings_of_one_species_level_exit_2(twin, state_config, capsys):
+    _species_config(state_config, {"2": 0.0, "4": 1.772e9, twin: 1.772e9})
+    code, out, err = run(["state", "--config", str(state_config)], capsys)
+    assert code == 2 and out == ""
+    assert "'ground_splittings_hz'" in err and "'4'" in err and f"'{twin}'" in err
+
+
+_SCAN_BLOCK = {"resolution_deg": 30.0, "measure": "entropy"}
+
+# command, shipped config, edit of the config, edit of its species file and
+# the text the message must hold; an edit returns the document to write
+_MALFORMED_INPUTS = {
+    "config root": ("state", "state", lambda c: [c], None, "config {config}"),
+    "both detections": (
+        "state", "state",
+        lambda c: {**c, "detection": {"direction": [0, 0, 1], "scan": _SCAN_BLOCK}}, None,
+        "'detection'",
+    ),
+    "no detection": ("state", "state", lambda c: {**c, "detection": {}}, None, "'detection'"),
+    "species missing": (
+        "state", "state", lambda c: {**c, "atom_spec_path": "missing.json"}, None,
+        "'atom_spec_path' names no file: '{tmp}/missing.json'",
+    ),
+    "scan not an object": (
+        "scan", "scan", lambda c: {**c, "detection": {"scan": 30.0}}, None, "'detection.scan'"
+    ),
+    "scan measure missing": (
+        "scan", "scan", lambda c: {**c, "detection": {"scan": {"resolution_deg": 30.0}}}, None,
+        "missing required key 'detection.scan.measure'",
+    ),
+    "unknown measure": (
+        "scan", "scan",
+        lambda c: {**c, "detection": {"scan": {**_SCAN_BLOCK, "measure": "purity"}}}, None,
+        "'detection.scan.measure'",
+    ),
+    "state on a scan config": ("state", "scan", None, None, "'detection.direction'"),
+    "scan on a direction config": ("scan", "state", None, None, "'detection.scan'"),
+    "species root": ("state", "state", None, lambda s: [s], "atom spec {species}"),
+    "negative doubled_I": (
+        "state", "state", None, lambda s: {**s, "doubled_I": -3}, "atom spec {species}"
+    ),
+    "lowest splitting not zero": (
+        "state", "state", None, lambda s: {**s, "ground_splittings_hz": {"2": 1.0, "4": 1.772e9}},
+        "atom spec {species}",
+    ),
+    "negative splitting": (
+        "state", "state", None, lambda s: {**s, "ground_splittings_hz": {"2": 0.0, "4": -1.772e9}},
+        "atom spec {species}",
+    ),
+    "species mass missing": (
+        "state", "state", None, lambda s: {k: v for k, v in s.items() if k != "mass_kg"},
+        "missing required key 'mass_kg'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _MALFORMED_INPUTS)
+def test_malformed_input_exits_2_naming_it_and_writes_nothing(case, tmp_path, capsys):
+    command, shipped, edit_config_doc, edit_species, named = _MALFORMED_INPUTS[case]
+    config, species = tmp_path / "config.json", tmp_path / "species.json"
+    doc = json.loads((DATA / f"sodium_{shipped}.json").read_text())
+    doc["atom_spec_path"] = "species.json"
+    config.write_text(json.dumps(edit_config_doc(doc) if edit_config_doc else doc))
+    spec = json.loads((DATA / "sodium.json").read_text())
+    species.write_text(json.dumps(edit_species(spec) if edit_species else spec))
+    argv = [command, "--config", str(config), "--output", str(tmp_path / "out")]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == "", err
+    assert named.format(config=config, species=species, tmp=tmp_path) in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "species.json"]
 
 
 @pytest.mark.parametrize("angle", [1e308, -1e308, 8.99e307])

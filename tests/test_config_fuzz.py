@@ -103,7 +103,10 @@ BOUNDARY = st.builds(
     ),
 )
 
-# Prefixes that respell a key without changing what int() reads from it
+# Prefixes that respell a key: int() would read the same number through each,
+# but an input file spells an integer in ASCII digits with an optional '-' only,
+# so "0" gives a second spelling of one condensate sublevel, and "+" or " " a
+# malformed condensate key; at any other key each gives an unknown key
 RESPELLINGS = ["0", "+", " "]
 
 

@@ -33,3 +33,14 @@ def test_cold_path_times_every_probe():
         assert f"  {command} wall (ms) " in out
         assert f"  {command} peak RSS (MB) " in out
         assert f"  {command} loads: " in out
+
+
+def test_test_lines_lists_the_lines_no_test_ran():
+    test_file = str(ROOT / "tests" / "test_json_text.py")
+    out = run("test_lines.py", "-q", "-p", "no:cacheprovider", test_file)  # pytest's arguments
+    assert " passed" in out
+    for path in (ROOT / "src" / "raman_pairs").glob("*.py"):
+        assert f"\n{path.name}: " in out
+    # test_json_text never runs a CHSH sample: bell_sim has lines that no test ran
+    missed = next(line for line in out.splitlines() if line.startswith("bell_sim.py: "))
+    assert not missed.startswith("bell_sim.py: 0 of ")

@@ -54,8 +54,9 @@ def _runs(tmp: Path) -> list[list[str]]:
     ]
 
 
-def trace_cli() -> dict[str, set[int]]:
-    """The lines run in each package file, keyed by path, over all the runs."""
+def trace_lines(work) -> dict[str, set[int]]:
+    """The lines run in each package file, keyed by path, while ``work()`` runs
+    in this thread, with the package importable from this checkout."""
     ran: dict[str, set[int]] = {}
 
     def local(frame, event, arg):
@@ -71,19 +72,28 @@ def trace_cli() -> dict[str, set[int]]:
         return local
 
     sys.path.insert(0, str(PACKAGE.parent))
-    with tempfile.TemporaryDirectory() as tmp:
-        sys.settrace(trace)
-        try:
-            from raman_pairs.cli import main
+    sys.settrace(trace)
+    try:
+        work()
+    finally:
+        sys.settrace(None)
+    return ran
 
+
+def trace_cli() -> dict[str, set[int]]:
+    """The lines run in each package file, keyed by path, over all the runs."""
+
+    def work() -> None:
+        from raman_pairs.cli import main
+
+        with tempfile.TemporaryDirectory() as tmp:
             for argv in _runs(Path(tmp)):
                 with contextlib.redirect_stdout(io.StringIO()):
                     code = main(argv)
                 if code != 0:
                     raise SystemExit(f"{argv[0]} exited {code}")
-        finally:
-            sys.settrace(None)
-    return ran
+
+    return trace_lines(work)
 
 
 def main() -> int:
