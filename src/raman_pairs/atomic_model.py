@@ -337,7 +337,10 @@ def load_atom_spec(path: str | Path) -> AtomSpec:
 
 
 def _parse_atom_spec(raw: dict, path: Path) -> AtomSpec:
-    """The :class:`AtomSpec` of the species-file object ``raw`` read from ``path``."""
+    """The :class:`AtomSpec` of the species-file object ``raw`` read from ``path``.
+
+    The value checks of the constructor run here first, in its order, each
+    naming the species-file key that it refuses."""
 
     def doubled(key: str) -> HalfInt:
         if isinstance(raw[key], int) and not isinstance(raw[key], bool):
@@ -348,12 +351,12 @@ def _parse_atom_spec(raw: dict, path: Path) -> AtomSpec:
         check_keys(raw, "", *_ATOM_KEYS)
         if not isinstance(raw["name"], str) or not raw["name"].isprintable():
             raise InputDomainError(f"'name' must be a printable string, got {raw['name']!r}")
-        hz = integer_keys(raw["ground_splittings_hz"], "ground_splittings_hz", "2F")
+        hz = sorted(integer_keys(raw["ground_splittings_hz"], "ground_splittings_hz", "2F").items())
         splittings = tuple(
             (HalfInt(tf), TWO_PI * finite_number(v, f"ground_splittings_hz.{k}"))
-            for (tf,), (k, v) in sorted(hz.items())
+            for (tf,), (k, v) in hz
         )
-        return AtomSpec(
+        fields = dict(
             name=raw["name"],
             nuclear_spin=doubled("doubled_I"),
             ground_j=doubled("doubled_ground_J"),
@@ -364,6 +367,47 @@ def _parse_atom_spec(raw: dict, path: Path) -> AtomSpec:
             mass=finite_number(raw["mass_kg"], "mass_kg"),
             reduced_dipole=finite_number(raw.get("reduced_dipole", 1.0), "reduced_dipole"),
         )
+        for key in ("doubled_I", "doubled_ground_J", "doubled_excited_J"):
+            if raw[key] < 0:
+                raise InputDomainError(f"'{key}' must be non-negative, got {raw[key]!r}")
+        for key in ("resonance_hz", "linewidth_hz", "mass_kg"):
+            if not raw[key] > 0:
+                raise InputDomainError(f"'{key}' must be positive, got {raw[key]!r}")
+        if fields["reduced_dipole"] == 0:
+            raise InputDomainError(
+                f"'reduced_dipole' must be nonzero, got {raw['reduced_dipole']!r}"
+            )
+        levels = list(_manifold_levels(raw["doubled_I"], raw["doubled_ground_J"]))
+        if [tf for (tf,), _ in hz] != levels:
+            raise InputDomainError(
+                f"'ground_splittings_hz' must have one key per ground level, 2F' = {levels}, "
+                f"got {[k for _, (k, _) in hz]}"
+            )
+        lowest, value = hz[0][1]
+        if value != 0:
+            raise InputDomainError(
+                f"'ground_splittings_hz.{lowest}' must be 0: splittings are measured "
+                f"from the lowest ground level, got {value!r}"
+            )
+        for _, (key, value) in hz:
+            if not value >= 0:
+                raise InputDomainError(
+                    f"'ground_splittings_hz.{key}' must be non-negative, got {value!r}"
+                )
+        keys: dict[float, str] = {}
+        for (_, (key, _)), (_, split) in zip(hz, splittings):
+            if (twin := keys.setdefault(split, key)) != key:
+                raise InputDomainError(
+                    f"'ground_splittings_hz' keys {twin!r} and {key!r} give one splitting: "
+                    "ground levels must have distinct splittings, got "
+                    + ", ".join(f"F'={f}: {v!r} rad/s" for f, v in splittings)
+                )
+        if (tjg := raw["doubled_ground_J"]) % 2 != (tje := raw["doubled_excited_J"]) % 2:
+            raise InputDomainError(
+                "'doubled_ground_J' and 'doubled_excited_J' must have one parity "
+                f"(J_g + J_e an integer), got {tjg} and {tje}"
+            )
+        return AtomSpec(**fields)
     except (TypeError, ValueError) as exc:
         raise InputDomainError(f"malformed atom spec {path}: {exc}") from exc
 

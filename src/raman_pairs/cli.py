@@ -260,9 +260,14 @@ def cmd_tables(args, files: list[tuple[Path, Path]]) -> str:
     return _emit(_tables_text(n), files) or "".join(f"wrote {path}\n" for path, _ in files)
 
 
-@cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process."""
+    return _parsers()[0]
+
+
+@cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and the parser of each command, by name."""
     parser = argparse.ArgumentParser(
         prog="raman-pairs",
         description=(
@@ -303,13 +308,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_tables.add_argument("--max-doubled-j", type=int, required=True)
     p_tables.add_argument("--output", help="output path prefix")
     p_tables.set_defaults(func=cmd_tables)
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``: the same namespace, exit and messages.
+    An ``argv`` that begins with a command goes straight to that command's parser,
+    as the top-level parser would pass it on; any other goes through the top level."""
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else argv
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args, extras = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     """Open the command's output files, do its work, commit the files and only
     then print its stdout: an output that cannot be opened exits 2 before any work."""
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         outputs = _outputs(args)
         try:

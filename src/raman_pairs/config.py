@@ -9,6 +9,14 @@ the rest raise its subclass :class:`~raman_pairs.errors.ConfigError`.  The CLI
 imports this module in the commands that read a config, so ``tables`` never
 loads it or numpy; the scan and CHSH modules load only for a config with a
 scan or CHSH block.
+
+Every :class:`RunConfig` reads and hashes both of its files, so an edit to
+either shows on the next parse.  A species file is decoded and checked once
+per content in each process: its :class:`~raman_pairs.atomic_model.AtomSpec`
+is kept under its SHA-256 and path in a small bounded cache, which holds no
+file bytes and never an error.  Before a command builds its ``RunConfig``,
+``cli.main`` hands the argv straight to that command's argument parser, so a
+point query pays for one parser, not two.
 """
 
 from __future__ import annotations
@@ -21,11 +29,12 @@ import numpy as np
 
 from . import __version__
 from .angular_momentum import HalfInt, halfint
-from .atomic_model import TWO_PI, _parse_atom_spec, check_keys, finite_number
+from .atomic_model import TWO_PI, AtomSpec, _parse_atom_spec, check_keys, finite_number
 from .atomic_model import integer_keys, json_object
 from .errors import ConfigError, InputDomainError
 from .outputs import _io
-from .pair_state import CondensateSpinor, PumpConfig, _intensity
+from .pair_state import CondensateSpinor, PumpConfig, _ground_atoms, _ground_index, _intensity
+from .pair_state import _norm
 
 # the required and the optional keys of each object
 _ROOT_KEYS = (("atom_spec_path", "pump", "condensate", "detection"),
@@ -37,6 +46,26 @@ _BLOCK_KEYS = {
     "chsh": ((), ("settings_rad",)),
 }
 _SCAN_KEYS = ("resolution_deg", "measure"), ("filter_f",)
+
+_BUILTIN_DIR = Path(__file__).parent / "data"  # the species that "builtin:<name>" names
+
+# the species parsed in this process, under (SHA-256, path); the oldest goes first
+_SPECIES: dict[tuple[str, Path], AtomSpec] = {}
+_SPECIES_MAX = 8
+
+
+def _species(data: bytes, sha256: str, path: Path) -> AtomSpec:
+    """The species in the file ``data`` read from ``path``, whose SHA-256 is
+    ``sha256``: parsed on the first call for each (``sha256``, ``path``), and
+    kept if it parses."""
+    key = sha256, path
+    spec = _SPECIES.get(key)
+    if spec is None:
+        spec = _parse_atom_spec(json_object(data, f"atom spec {path}"), path)
+        if len(_SPECIES) >= _SPECIES_MAX:
+            del _SPECIES[next(iter(_SPECIES))]
+        _SPECIES[key] = spec
+    return spec
 
 
 def _as_complex(value, path: str) -> complex:
@@ -54,8 +83,8 @@ def _as_unit_vector(value, path: str, complex_ok: bool) -> np.ndarray:
     parse = _as_complex if complex_ok else finite_number
     vector = np.array([parse(v, path) for v in value])
     with np.errstate(all="ignore"):
-        unit = vector / np.linalg.norm(vector)
-        if not abs(np.linalg.norm(unit) - 1.0) <= 1e-12:
+        unit = vector / _norm(vector)
+        if not abs(_norm(unit) - 1.0) <= 1e-12:
             raise ConfigError(f"'{path}' has a length too small, too large or zero to scale")
     return unit
 
@@ -65,15 +94,16 @@ class RunConfig:
 
     def __init__(self, path: Path) -> None:
         self.path = path
-        self.sha256, raw = self._read("--config", path, "config")
+        data, self.sha256 = self._read("--config", path)
+        raw = json_object(data, f"config {path}")
         check_keys(raw, "", *_ROOT_KEYS)
         for key, keys in _BLOCK_KEYS.items():
             if key in raw:
                 check_keys(raw[key], key, *keys)
 
         self.atom_path = self._atom_path(raw["atom_spec_path"])
-        self.atom_sha256, atom = self._read("'atom_spec_path'", self.atom_path, "atom spec")
-        self.spec = _parse_atom_spec(atom, self.atom_path)
+        data, self.atom_sha256 = self._read("'atom_spec_path'", self.atom_path)
+        self.spec = _species(data, self.atom_sha256, self.atom_path)
         self.pump = self._parse_pump(raw["pump"])
         self.condensate = self._parse_condensate(raw["condensate"])
         detection = raw["detection"]
@@ -111,11 +141,10 @@ class RunConfig:
             raise ConfigError("'validity_threshold' must not be negative")
 
     @staticmethod
-    def _read(flag: str, path: Path, name: str) -> tuple[str, dict]:
-        """The SHA-256 and the JSON object of the file at ``path``, from one read;
-        errors name ``flag`` or the file."""
+    def _read(flag: str, path: Path) -> tuple[bytes, str]:
+        """The bytes of the file at ``path`` and their SHA-256; an error names ``flag``."""
         data = _io(flag, path, Path.read_bytes)
-        return hashlib.sha256(data).hexdigest(), json_object(data, f"{name} {path}")
+        return data, hashlib.sha256(data).hexdigest()
 
     def _atom_path(self, value) -> Path:
         """The species file that the ``atom_spec_path`` ``value`` names."""
@@ -128,7 +157,7 @@ class RunConfig:
                     f"'atom_spec_path' {value!r} must name a shipped species, "
                     "with no '/', '\\' or '.' after 'builtin:'"
                 )
-            path = Path(__file__).parent / "data" / f"{name}.json"
+            path = _BUILTIN_DIR / f"{name}.json"
         else:
             path = Path(value)
             if not path.is_absolute():
@@ -200,9 +229,10 @@ class RunConfig:
     def _parse_condensate(self, raw: dict) -> CondensateSpinor:
         parsed: dict[tuple[int, int], complex] = {}
         keyed = integer_keys(raw["amplitudes"], "condensate.amplitudes", "2F:2m")
+        atoms = _ground_atoms(self.spec)
         for sublevel, (key, value) in keyed.items():
             try:  # a sublevel of the species, zero amplitude or not
-                CondensateSpinor.from_dict({sublevel: 1.0}).vector(self.spec)
+                _ground_index(self.spec, atoms, sublevel)
             except InputDomainError as exc:
                 raise ConfigError(f"'condensate.amplitudes.{key}': {exc}")
             parsed[sublevel] = _as_complex(value, f"condensate.amplitudes.{key}")

@@ -97,6 +97,16 @@ _NORM_TOL = 1e-12
 DEFAULT_CHANNEL_RESOLUTION = 2.0 * np.pi * 1.0e6  # rad/s
 
 
+def _norm(vector: np.ndarray) -> float:
+    """``np.linalg.norm`` of a 1-D float or complex ``vector``, by the same dot
+    products and so to the same bits, without its dispatch."""
+    x = vector.ravel()
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
+
+
 def _intensity(amplitude: complex) -> float:
     """|amplitude|^2; infinite where a finite amplitude's square overflows."""
     try:
@@ -118,7 +128,7 @@ class PumpConfig:
         if k.shape != (3,) or pol.shape != (3,):
             raise InputDomainError("pump direction and polarization must be 3-vectors")
         with np.errstate(over="ignore"):  # a huge finite vector fails silently
-            k_norm, pol_norm = np.linalg.norm(k), np.linalg.norm(pol)
+            k_norm, pol_norm = _norm(k), _norm(pol)
         if not abs(k_norm - 1.0) <= _GEOM_TOL:
             raise InputDomainError("pump direction must be a unit vector")
         if not abs(pol_norm - 1.0) <= _GEOM_TOL:
@@ -173,15 +183,26 @@ class CondensateSpinor(NamedTuple("CondensateSpinor", [("amplitudes", tuple)])):
 
     def vector(self, spec: AtomSpec) -> np.ndarray:
         """Amplitudes over the canonical ground basis of ``spec``."""
-        atoms = _sublevels(tuple(f.twice for f, _ in spec.ground_splittings)).atoms
+        atoms = _ground_atoms(spec)
         vec = np.zeros(len(atoms), dtype=complex)
         for key, amp in self.amplitudes:
-            if key not in atoms:
-                raise InputDomainError(
-                    f"condensate occupies (2F,2m)={key}, not a ground sublevel of {spec.name}"
-                )
-            vec[atoms.index(key)] = amp
+            vec[_ground_index(spec, atoms, key)] = amp
         return vec
+
+
+def _ground_atoms(spec: AtomSpec) -> tuple[tuple[int, int], ...]:
+    """(2F, 2m) of each ground sublevel of ``spec``, the canonical ground basis."""
+    return _sublevels(tuple(f.twice for f, _ in spec.ground_splittings)).atoms
+
+
+def _ground_index(spec: AtomSpec, atoms: tuple[tuple[int, int], ...], key: tuple[int, int]) -> int:
+    """The index of the sublevel ``key`` = (2F, 2m) in ``atoms``, the
+    :func:`_ground_atoms` of ``spec``; a key that is not there raises."""
+    if key not in atoms:
+        raise InputDomainError(
+            f"condensate occupies (2F,2m)={key}, not a ground sublevel of {spec.name}"
+        )
+    return atoms.index(key)
 
 
 def sodium_condensate() -> CondensateSpinor:
@@ -658,7 +679,7 @@ def pair_state_to_json(state: PairState, provenance: dict | None = None) -> dict
             )
     amplitude_doc = {
         key: {
-            f"{tf}:{tm}": _complex_pair(amp)
+            f"{tf}:{tm}": [amp.real, amp.imag]
             for (tf, tm), amp in zip(atoms, row.tolist())
             if amp != 0.0
         }
@@ -667,7 +688,7 @@ def pair_state_to_json(state: PairState, provenance: dict | None = None) -> dict
     pump = state.pump
     doc = {
         "format": "raman-pairs/pair-state/1",
-        "detection_direction": [float(x) for x in state.detection_direction],
+        "detection_direction": state.detection_direction.tolist(),
         "channels": [
             {
                 "key": key,
@@ -678,13 +699,13 @@ def pair_state_to_json(state: PairState, provenance: dict | None = None) -> dict
             for key, ch in channels.items()
         ],
         "amplitudes": amplitude_doc,
-        "recoil_momentum_kg_m_per_s": [float(x) for x in state.recoil_momentum],
-        "photon_wavevector_rad_per_m": [float(x) for x in state.photon_wavevector],
+        "recoil_momentum_kg_m_per_s": state.recoil_momentum.tolist(),
+        "photon_wavevector_rad_per_m": state.photon_wavevector.tolist(),
         "emission_weight": state.emission_weight,
         "unresolved_channel_pairs": [list(p) for p in state.unresolved_channel_pairs],
         "pump": {
-            "direction": [float(x) for x in pump.direction],
-            "polarization": [_complex_pair(z) for z in pump.polarization],
+            "direction": pump.direction.tolist(),
+            "polarization": [[z.real, z.imag] for z in pump.polarization.tolist()],
             "laser_hz": pump.omega_laser / (2.0 * np.pi),
             "amplitude": _complex_pair(pump.pump_amplitude),
             "atom_number": pump.atom_number,

@@ -44,3 +44,11 @@ def test_test_lines_lists_the_lines_no_test_ran():
     # test_json_text never runs a CHSH sample: bell_sim has lines that no test ran
     missed = next(line for line in out.splitlines() if line.startswith("bell_sim.py: "))
     assert not missed.startswith("bell_sim.py: 0 of ")
+
+
+def test_same_bytes_finds_the_checkout_identical_to_itself():
+    out = run("same_bytes.py", str(ROOT), str(ROOT), "--variants", "2")
+    lines = out.splitlines()
+    digests = [line.split()[0] for line in lines[:2]]
+    assert lines[0].endswith(f"  {ROOT}  (25 calls)") and digests[0] == digests[1]
+    assert len(digests[0]) == 64 and lines[2:] == ["identical"]

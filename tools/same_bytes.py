@@ -1,0 +1,224 @@
+"""Whether source trees write the same bytes: one digest per tree over every call.
+
+Each tree is a checkout root with ``src/raman_pairs``.  The calls, the same
+for every tree, run through ``raman_pairs.cli.main`` in one fresh
+interpreter per tree:
+
+* ``state`` (JSON and CSV), ``filter`` (both levels and the config's) and
+  ``chsh`` (analytic, and seeded with ``--events-csv``) on the tree's shipped
+  configs, ``scan`` at 30 degrees with each measure, and ``tables``;
+* per seeded variant of the shipped configs, with a random unit detection
+  direction, a random F=1 condensate and a random transverse pump
+  polarization: ``state`` (JSON, and CSV into a file), ``filter`` at each
+  level, ``chsh`` (most off-axis states exit 3) and a 30-degree ``scan``;
+  and a seeded ``chsh`` with ``--events-csv`` on the shipped CHSH config
+  turned to +z or -z, at a random filter level and analyzer angles.
+
+A call's digest covers its exit code, stdout, stderr and every file it
+wrote, with the shipped-config, config and output directories masked.  The
+variants are built from the first tree's shipped configs.  Prints each
+tree's digest and names the calls whose digests differ between trees; exits
+1 if any does.  Standard library only:
+
+    python tools/same_bytes.py TREE [TREE ...] [--variants N] [--seed S]
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import math
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+MEASURES = ("entropy", "concurrence_after_filter", "conditional_overlap")
+CHILD = """\
+import contextlib, hashlib, io, json, sys, warnings
+from pathlib import Path
+from raman_pairs import cli
+plan = json.load(sys.stdin)
+masks = [(path.encode(), name.encode()) for path, name in plan["masks"]]
+
+def masked(data):
+    for path, name in masks:
+        data = data.replace(path, name)
+    return data
+
+digests = []
+warnings.simplefilter("always")
+for argv, out in plan["calls"]:
+    Path(out).mkdir(parents=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    files = [
+        [path.name, hashlib.sha256(masked(path.read_bytes())).hexdigest()]
+        for path in sorted(Path(out).iterdir())
+    ]
+    texts = [masked(stream.getvalue().encode()).decode() for stream in (stdout, stderr)]
+    record = [code, *texts, files]
+    digests.append(hashlib.sha256(json.dumps(record).encode()).hexdigest())
+print(json.dumps([cli.__file__, digests]))
+"""
+
+
+def _data(tree: Path) -> Path:
+    return tree / "src" / "raman_pairs" / "data"
+
+
+def _gauss_unit(rng: random.Random) -> list[float]:
+    while True:
+        v = [rng.gauss(0.0, 1.0) for _ in range(3)]
+        norm = math.sqrt(sum(x * x for x in v))
+        if norm > 1e-3:
+            return [x / norm for x in v]
+
+
+def _cross(a: list[float], b: list[float]) -> list[float]:
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+
+def _transverse(rng: random.Random, k: list[float]) -> list[list[float]]:
+    """A random complex polarization orthogonal to ``k``, as [re, im] pairs."""
+    e1 = _cross(k, _gauss_unit(rng))
+    e2 = _cross(k, e1)
+    c1, c2 = (complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(2))
+    return [[(c1 * a + c2 * b).real, (c1 * a + c2 * b).imag] for a, b in zip(e1, e2)]
+
+
+def _condensate(rng: random.Random) -> dict:
+    """A random F=1 condensate."""
+    return {"amplitudes": {f"2:{m}": [rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)]
+                           for m in (-2, 0, 2)}}
+
+
+def plan(first: Path, configs: Path, variants: int, seed: int) -> list[tuple[str, list[str]]]:
+    """The calls, each a name and an argv in which ``{data}``, ``{configs}`` and
+    ``{out}`` stand for the tree's shipped-config directory, ``configs``, where
+    the configs built from the first tree's are written, and the call's own
+    output directory."""
+    shipped = {
+        name: json.loads((_data(first) / f"sodium_{name}.json").read_text(encoding="utf-8"))
+        for name in ("state", "chsh", "scan")
+    }
+    rng = random.Random(seed)
+
+    def write(name: str, doc: dict) -> str:
+        (configs / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+        return f"{{configs}}/{name}.json"
+
+    def scan(base: dict, measure: str) -> dict:
+        block = {"resolution_deg": 30.0, "measure": measure}
+        if measure == "concurrence_after_filter":
+            block["filter_f"] = "1"
+        return {**base, "detection": {"scan": block}}
+
+    state, chsh = "{data}/sodium_state.json", "{data}/sodium_chsh.json"
+    calls = [
+        ("state", ["state", "--config", state]),
+        ("state csv", ["state", "--config", state, "--format", "csv"]),
+        ("filter 1", ["filter", "--config", state, "--f-select", "1"]),
+        ("filter 2 csv", ["filter", "--config", state, "--f-select", "2", "--format", "csv"]),
+        ("filter config", ["filter", "--config", chsh, "--output", "{out}/filter.json"]),
+        ("chsh", ["chsh", "--config", chsh]),
+        ("chsh sampled", ["chsh", "--config", chsh, "--samples", "2000", "--seed", "7",
+                          "--output", "{out}/chsh.json", "--events-csv", "{out}/events.csv"]),
+        ("tables", ["tables", "--max-doubled-j", "2", "--output", "{out}/tables"]),
+    ]
+    for measure in MEASURES:
+        path = write(f"scan_{measure}", scan(shipped["scan"], measure))
+        calls.append((f"scan {measure}", ["scan", "--config", path, "--output", "{out}/scan"]))
+    for i in range(variants):
+        doc = json.loads(json.dumps(shipped["state"]))
+        doc["pump"]["polarization"] = _transverse(rng, doc["pump"]["direction"])
+        doc["condensate"] = _condensate(rng)
+        doc["detection"] = {"direction": _gauss_unit(rng)}
+        doc["filter_f"] = "1"
+        path = write(f"variant{i}", doc)
+        # the shipped pump and condensate, whose filtered states on +-z are Bell states
+        axis = {**shipped["chsh"], "detection": {"direction": [0.0, 0.0, rng.choice((1.0, -1.0))]},
+                "filter_f": rng.choice(("1", "2"))}
+        if i % 2:
+            axis["chsh"] = {"settings_rad": [rng.uniform(0.0, math.pi) for _ in range(4)]}
+        on_axis = write(f"variant{i}_axis", axis)
+        scan_path = write(f"variant{i}_scan", scan(doc, MEASURES[i % len(MEASURES)]))
+        calls += [
+            (f"variant {i} state", ["state", "--config", path]),
+            (f"variant {i} state csv",
+             ["state", "--config", path, "--format", "csv", "--output", "{out}/state.csv"]),
+            (f"variant {i} filter 1", ["filter", "--config", path]),
+            (f"variant {i} filter 2 csv",
+             ["filter", "--config", path, "--f-select", "2", "--format", "csv"]),
+            (f"variant {i} chsh", ["chsh", "--config", path]),
+            (f"variant {i} chsh on axis",
+             ["chsh", "--config", on_axis, "--samples", "500", "--seed", str(rng.randrange(2**31)),
+              "--events-csv", "{out}/events.csv"]),
+            (f"variant {i} scan", ["scan", "--config", scan_path, "--output", "{out}/scan"]),
+        ]
+    return calls
+
+
+def digests(tree: Path, calls: list[tuple[str, list[str]]], configs: Path, out: Path) -> list[str]:
+    """Each call's digest, from one fresh interpreter on ``tree``; call ``i``
+    writes into ``out/i``."""
+    resolved = []
+    for number, (_, argv) in enumerate(calls):
+        places = {"{data}": str(_data(tree)), "{configs}": str(configs), "{out}": f"{out}/{number}"}
+        resolved.append([[_fill(arg, places) for arg in argv], places["{out}"]])
+    # the longest path first, in case one holds another
+    masks = [(str(_data(tree)), "<data>"), (str(configs), "<configs>"), (str(out), "<out>")]
+    masks.sort(key=lambda mask: -len(mask[0]))
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD], input=json.dumps({"calls": resolved, "masks": masks}),
+        capture_output=True, text=True, env=env, cwd=out.parent,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"{tree}: the calls did not run:\n{proc.stderr}")
+    module, result = json.loads(proc.stdout)
+    if not Path(module).resolve().is_relative_to(tree / "src"):
+        raise SystemExit(f"{tree}: ran {module}, not the tree's package")
+    return result
+
+
+def _fill(arg: str, places: dict[str, str]) -> str:
+    for key, value in places.items():
+        arg = arg.replace(key, value)
+    return arg
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("trees", nargs="+", type=Path)
+    parser.add_argument("--variants", type=int, default=10, help="seeded variants (default 10)")
+    parser.add_argument("--seed", type=int, default=0, help="seed of the variants (default 0)")
+    args = parser.parse_args(argv)
+    trees = [tree.resolve() for tree in args.trees]
+    for tree in trees:
+        if not (tree / "src" / "raman_pairs" / "__init__.py").is_file():
+            parser.error(f"{tree} has no src/raman_pairs")
+    with tempfile.TemporaryDirectory() as tmp:
+        configs = Path(tmp) / "configs"
+        configs.mkdir()
+        calls = plan(trees[0], configs, max(0, args.variants), args.seed)
+        runs = [digests(tree, calls, configs, Path(tmp) / f"out{i}")
+                for i, tree in enumerate(trees)]
+    for tree, run in zip(trees, runs):
+        print(f"{hashlib.sha256(''.join(run).encode()).hexdigest()}  {tree}  ({len(run)} calls)")
+    differ = [name for (name, _), *digest in zip(calls, *runs) if len(set(digest)) > 1]
+    for name in differ:
+        print(f"differs: {name}")
+    print("identical" if not differ else f"{len(differ)} of {len(calls)} calls differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
