@@ -18,8 +18,18 @@ routes agree identically (global sign +1).
 Excited-state hyperfine splittings are neglected: a single resonance
 frequency per species, with the detuning of ground level F' given by
 Delta(F') = omega_L - omega_a + delta(F').  An :class:`AtomSpec` is a value
-record, a checked tuple equal and hashed by value, so equal species share the
-cached dipole tensor; ``AtomSpec.replace`` builds one through its checks.
+record, a checked tuple equal and hashed by value; ``AtomSpec.replace``
+builds one through its checks.
+
+This module owns the angular structure.  :func:`_sublevels` is the one
+enumeration of the (2F, 2m) sublevels of a level tuple, F-major with m
+ascending: the G axis of every amplitude array, the condensate vector and
+both axes of the dipole tensor.  A species' ground basis is its
+:func:`_ground_layout`.  The dipole tensor depends on the doubled I, J_g and
+J_e alone, so it is built and cached per (2I, 2J_g, 2J_e) at unit reduced
+dipole; D enters :func:`dipole_matrix_element` as a factor and the kernel
+only as D^4 in the emission weight, since it cancels in every normalized
+state.
 """
 
 from __future__ import annotations
@@ -47,10 +57,41 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+DEFAULT_VALIDITY_THRESHOLD = 100.0  # |Delta(F')| / Gamma that a far off-resonant pump exceeds
+# the largest 2I, 2J_g and 2J_e of a species: its dipole tensor grows as the
+# square of (2I + 1)(2J + 1)
+MAX_DOUBLED_MOMENTUM = 12
 
 
-def _manifold_levels(ti: int, tj: int) -> range:
-    return range(abs(ti - tj), ti + tj + 1, 2)
+def _manifold_levels(ti: int, tj: int) -> tuple[int, ...]:
+    """2F of each level that I and J couple to, ascending, from their doubles."""
+    return tuple(range(abs(ti - tj), ti + tj + 1, 2))
+
+
+class _Layout(NamedTuple):
+    """The sublevels of a level tuple, F-major with m ascending."""
+
+    levels: tuple[int, ...]  # 2F of each level
+    level: np.ndarray  # level index of each sublevel g
+    tiled: np.ndarray  # level index of each kernel entry (lambda-1) * G + g
+    atoms: tuple[tuple[int, int], ...]  # (2F, 2m) of each sublevel
+    blocks: np.ndarray  # (nF, dmax) sublevels of each level, padded with G
+    pairs: tuple[np.ndarray, np.ndarray]  # a block's column pairs i < j, row-major
+
+
+@lru_cache(maxsize=32)
+def _sublevels(levels: tuple[int, ...]) -> _Layout:
+    """The :class:`_Layout` of ``levels``, the doubled F of each level."""
+    sizes = np.array([tf + 1 for tf in levels], dtype=int)[:, np.newaxis]
+    level = np.repeat(np.arange(len(levels)), sizes[:, 0])
+    columns = np.arange(sizes.max(initial=0))
+    blocks = np.where(columns < sizes, np.cumsum(sizes, axis=0) - sizes + columns, len(level))
+    atoms = tuple((tf, tm) for tf in levels for tm in range(-tf, tf + 1, 2))
+    pairs = np.triu_indices(len(columns), 1)
+    layout = _Layout(levels, level, np.tile(level, 2), atoms, blocks, pairs)
+    for arr in (layout.level, layout.tiled, layout.blocks, *layout.pairs):
+        arr.flags.writeable = False
+    return layout
 
 
 class _AtomFields(NamedTuple):
@@ -71,7 +112,8 @@ class AtomSpec(_AtomFields):
     Frequencies are angular (rad/s).  ``ground_splittings`` maps each ground
     F' to its offset above the lowest ground level; the lowest level must map
     to zero.  ``reduced_dipole`` defaults to 1 because it cancels in every
-    normalized state.
+    normalized state; it enters only the emission weight, as its fourth
+    power.  Each angular momentum is at most ``MAX_DOUBLED_MOMENTUM`` / 2.
     """
 
     __slots__ = ()
@@ -82,6 +124,10 @@ class AtomSpec(_AtomFields):
         for j, label in ((I, "nuclear spin"), (Jg, "ground J"), (Je, "excited J")):
             if j.twice < 0:
                 raise InputDomainError(f"{label} must be non-negative")
+            if j.twice > MAX_DOUBLED_MOMENTUM:
+                raise InputDomainError(
+                    f"{label} must be at most {HalfInt(MAX_DOUBLED_MOMENTUM)}, got {j}"
+                )
         if not (self.resonance > 0 and self.linewidth > 0 and self.mass > 0):
             raise InputDomainError("resonance, linewidth and mass must be positive")
         if not 0 < abs(self.reduced_dipole) < np.inf:
@@ -160,12 +206,13 @@ def dipole_matrix_element(spec: AtomSpec, tfe: int, tme: int, tfg: int, tmg: int
     """<F m (excited)|e r . eps_q|F' m' (ground)>, real in this convention; the
     arguments are the doubled integers 2F, 2m, 2F', 2m' and q.
 
-    Zero unless m = m' + q and the triangle {F', 1, F} closes.
+    Zero unless m = m' + q and the triangle {F', 1, F} closes.  The element
+    at unit reduced dipole times ``spec.reduced_dipole``.
     """
     if q not in (-1, 0, +1):
         raise InputDomainError(f"q must be -1, 0 or +1, got {q}")
-    ti = spec.nuclear_spin.twice
-    levels = (_manifold_levels(ti, spec.excited_j.twice), _manifold_levels(ti, spec.ground_j.twice))
+    ti, tjg, tje = spec.nuclear_spin.twice, spec.ground_j.twice, spec.excited_j.twice
+    levels = (_manifold_levels(ti, tje), _manifold_levels(ti, tjg))
     for (tf, tm), allowed in zip(((tfe, tme), (tfg, tmg)), levels):
         f, m = HalfInt(tf), HalfInt(tm)  # refuses a non-int
         if tf not in allowed:
@@ -175,45 +222,43 @@ def dipole_matrix_element(spec: AtomSpec, tfe: int, tme: int, tfg: int, tmg: int
 
     if tme != tmg + 2 * q:
         return 0.0
-    return _dipole_element(spec, tfe, tme, tfg, tmg, _sixj(spec, tfe, tfg))
+    element = _dipole_element(ti, tjg, tje, tfe, tme, tfg, tmg)
+    return element * spec.reduced_dipole if element else 0.0
 
 
-def _sixj(spec: AtomSpec, tfe: int, tfg: int) -> tuple[int, int, int]:
-    """(sign, p, q) of {I J_g F'; 1 F J_e} for the levels 2F = ``tfe``, 2F' = ``tfg``."""
-    ti, tjg, tje = spec.nuclear_spin.twice, spec.ground_j.twice, spec.excited_j.twice
-    return _wigner_6j_exact(ti, tjg, tfg, 2, tfe, tje)
-
-
-def _dipole_element(spec: AtomSpec, tfe: int, tme: int, tfg: int, tmg: int, sixj) -> float:
-    """:func:`dipole_matrix_element` on doubled ints, for q = m - m', given the
-    level pair's :func:`_sixj`; +0.0 where the CG or the 6-j vanishes."""
+def _dipole_element(ti: int, tjg: int, tje: int, tfe: int, tme: int, tfg: int, tmg: int) -> float:
+    """:func:`dipole_matrix_element` at unit reduced dipole on doubled ints, for
+    q = m - m'; +0.0 where the CG or the 6-j {I J_g F'; 1 F J_e} vanishes."""
     cg = _clebsch_gordan_exact(tfg, tmg, 2, tme - tmg, tfe, tme)
+    sixj = _wigner_6j_exact(ti, tjg, tfg, 2, tfe, tje)
     if cg[0] == 0 or sixj[0] == 0:
         return 0.0
-    phase = -1.0 if (spec.nuclear_spin.twice + spec.ground_j.twice + tfe) // 2 % 2 == 0 else 1.0
-    scale = math.sqrt((tfg + 1.0) * (spec.excited_j.twice + 1.0)) * spec.reduced_dipole
+    phase = -1.0 if (ti + tjg + tfe) // 2 % 2 == 0 else 1.0
+    scale = math.sqrt((tfg + 1.0) * (tje + 1.0))
     return phase * scale * _signed_sqrt(*cg) * _signed_sqrt(*sixj)
 
 
 @lru_cache(maxsize=32)
-def _dipole_tensor(spec: AtomSpec) -> np.ndarray:
-    """The read-only table dip[e, g, q] of :func:`dipole_matrix_element` over the
-    sublevels, F-major with m ascending: one 6-j per level pair, and a CG only
-    where m - m' = q is -1, 0 or +1."""
-    ti = spec.nuclear_spin.twice
-    excited = _manifold_levels(ti, spec.excited_j.twice)
-    ground = _manifold_levels(ti, spec.ground_j.twice)
-    sixj = {(tfe, tfg): _sixj(spec, tfe, tfg) for tfe in excited for tfg in ground}
-    excited_m = [(tf, tm) for tf in excited for tm in range(-tf, tf + 1, 2)]
-    ground_m = [(tf, tm) for tf in ground for tm in range(-tf, tf + 1, 2)]
-    dip = np.zeros((len(excited_m), len(ground_m), 3))
-    for ie, (tfe, tme) in enumerate(excited_m):
-        for ig, (tfg, tmg) in enumerate(ground_m):
+def _dipole_tensor(ti: int, tjg: int, tje: int) -> np.ndarray:
+    """The read-only table dip[e, g, q] of :func:`dipole_matrix_element` at unit
+    reduced dipole for the doubled I, J_g and J_e, over the :func:`_sublevels` of
+    the excited and the ground levels; an element only where m - m' = q is -1, 0
+    or +1."""
+    excited = _sublevels(_manifold_levels(ti, tje)).atoms
+    ground = _sublevels(_manifold_levels(ti, tjg)).atoms
+    dip = np.zeros((len(excited), len(ground), 3))
+    for ie, (tfe, tme) in enumerate(excited):
+        for ig, (tfg, tmg) in enumerate(ground):
             if abs(tme - tmg) <= 2:
-                value = _dipole_element(spec, tfe, tme, tfg, tmg, sixj[tfe, tfg])
+                value = _dipole_element(ti, tjg, tje, tfe, tme, tfg, tmg)
                 dip[ie, ig, (tme - tmg) // 2 + 1] = value
     dip.flags.writeable = False
     return dip
+
+
+def _ground_layout(spec: AtomSpec) -> _Layout:
+    """The :class:`_Layout` of the ground levels of ``spec``: its canonical ground basis."""
+    return _sublevels(_manifold_levels(spec.nuclear_spin.twice, spec.ground_j.twice))
 
 
 def detuning(spec: AtomSpec, omega_laser: float, f_ground: HalfIntLike) -> float:
@@ -234,7 +279,7 @@ class ValidityReport:
 
 
 def validity_check(
-    spec: AtomSpec, omega_laser: float, threshold: float = 100.0
+    spec: AtomSpec, omega_laser: float, threshold: float = DEFAULT_VALIDITY_THRESHOLD
 ) -> ValidityReport:
     """Check the far off-resonant condition |Delta(F')| >> Gamma."""
     ratios = tuple(
@@ -370,6 +415,10 @@ def _parse_atom_spec(raw: dict, path: Path) -> AtomSpec:
         for key in ("doubled_I", "doubled_ground_J", "doubled_excited_J"):
             if raw[key] < 0:
                 raise InputDomainError(f"'{key}' must be non-negative, got {raw[key]!r}")
+            if raw[key] > MAX_DOUBLED_MOMENTUM:
+                raise InputDomainError(
+                    f"'{key}' must be at most {MAX_DOUBLED_MOMENTUM}, got {raw[key]!r}"
+                )
         for key in ("resonance_hz", "linewidth_hz", "mass_kg"):
             if not raw[key] > 0:
                 raise InputDomainError(f"'{key}' must be positive, got {raw[key]!r}")

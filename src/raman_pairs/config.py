@@ -29,12 +29,11 @@ import numpy as np
 
 from . import __version__
 from .angular_momentum import HalfInt, halfint
-from .atomic_model import TWO_PI, AtomSpec, _parse_atom_spec, check_keys, finite_number
-from .atomic_model import integer_keys, json_object
+from .atomic_model import DEFAULT_VALIDITY_THRESHOLD, TWO_PI, AtomSpec, _parse_atom_spec
+from .atomic_model import check_keys, finite_number, integer_keys, json_object
 from .errors import ConfigError, InputDomainError
 from .outputs import _io
-from .pair_state import CondensateSpinor, PumpConfig, _ground_atoms, _ground_index, _intensity
-from .pair_state import _norm
+from .pair_state import CondensateSpinor, PumpConfig, _ground_index, _intensity, _norm
 
 # the required and the optional keys of each object
 _ROOT_KEYS = (("atom_spec_path", "pump", "condensate", "detection"),
@@ -135,7 +134,7 @@ class RunConfig:
                 except InputDomainError as exc:  # an angle whose double overflows
                     raise ConfigError(f"invalid 'chsh.settings_rad': {exc}")
         self.validity_threshold = finite_number(
-            raw.get("validity_threshold", 100.0), "validity_threshold"
+            raw.get("validity_threshold", DEFAULT_VALIDITY_THRESHOLD), "validity_threshold"
         )
         if self.validity_threshold < 0:
             raise ConfigError("'validity_threshold' must not be negative")
@@ -229,10 +228,9 @@ class RunConfig:
     def _parse_condensate(self, raw: dict) -> CondensateSpinor:
         parsed: dict[tuple[int, int], complex] = {}
         keyed = integer_keys(raw["amplitudes"], "condensate.amplitudes", "2F:2m")
-        atoms = _ground_atoms(self.spec)
         for sublevel, (key, value) in keyed.items():
             try:  # a sublevel of the species, zero amplitude or not
-                _ground_index(self.spec, atoms, sublevel)
+                _ground_index(self.spec, sublevel)
             except InputDomainError as exc:
                 raise ConfigError(f"'condensate.amplitudes.{key}': {exc}")
             parsed[sublevel] = _as_complex(value, f"condensate.amplitudes.{key}")

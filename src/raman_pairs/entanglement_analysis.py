@@ -37,7 +37,8 @@ import numpy as np
 
 from .angular_momentum import halfint
 from .errors import EmptyStateError, InputDomainError, UndefinedOverlapError
-from .pair_state import BlockGrams, Channel, PairState, _sublevels, warn_if_unresolved
+from .atomic_model import _sublevels
+from .pair_state import BlockGrams, Channel, PairState, warn_if_unresolved
 from .raman_coupling import sequential_sum
 
 __all__ = [

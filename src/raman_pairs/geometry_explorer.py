@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .angular_momentum import halfint
-from .atomic_model import AtomSpec
+from .atomic_model import DEFAULT_VALIDITY_THRESHOLD, AtomSpec, _ground_layout
 from .entanglement_analysis import (
     branch_overlap_of_blocks,
     entropy_of_blocks,
@@ -124,7 +124,7 @@ def scan_chunks(
     measure: str,
     *,
     filter_f=None,
-    validity_threshold: float = 100.0,
+    validity_threshold: float = DEFAULT_VALIDITY_THRESHOLD,
 ) -> Iterator[ScanMap]:
     """The scan of :func:`scan_sphere` as consecutive maps of at most ``_CHUNK``
     nodes, each evaluated when it is drawn; the arguments are checked on the call."""
@@ -152,8 +152,7 @@ def _chunks(spec, pump, phi0, resolution, measure, filter_f, name, threshold) ->
     # math's sin and cos once per grid line, for the bits of the per-node formula
     sin_t, cos_t = (np.array([f(t) for t in theta.tolist()]) for f in (math.sin, math.cos))
     sin_p, cos_p = (np.array([f(p) for p in phi.tolist()]) for f in (math.sin, math.cos))
-    levels = spec.ground_levels()
-    doubled = tuple(f.twice for f in levels)
+    doubled = _ground_layout(spec).levels
     nodes = (n_theta + 1) * n_phi
     for start in range(0, nodes, _CHUNK):
         t, p = np.divmod(np.arange(start, min(start + _CHUNK, nodes)), n_phi)
@@ -167,7 +166,7 @@ def _chunks(spec, pump, phi0, resolution, measure, filter_f, name, threshold) ->
         if measure == "entropy":
             values = entropy_of_blocks(grams)
         elif measure == "concurrence_after_filter":
-            level = levels.index(filter_f)
+            level = doubled.index(filter_f.twice)
             values = filtered_concurrence_of_blocks(grams, level)
             if unresolved_levels(batch.amplitudes, batch.omega, doubled)[:, level].any():
                 warn_unresolved(filter_f)

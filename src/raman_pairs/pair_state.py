@@ -31,9 +31,12 @@ frequency per level (``omega``).  A branch's scattered spinor is the row
 :func:`spectral_filter` reuses the kernel's normalization and phase rule.
 
 Each level's sublevels form one 2 x (2F+1) block, laid out on the G axis
-by one cached layout per level tuple.  :func:`block_grams` takes the 2 x 2
-Gram matrix of every block of N states; a state computes its own once
-(``PairState.grams``) and reads its channel probabilities there, as a scan does.
+by ``atomic_model._sublevels``, the one cached layout per level tuple; the
+kernel's G axis is the species' ground layout (``atomic_model._ground_layout``).
+:func:`block_grams` takes the 2 x 2 Gram matrix of every block of N states; a
+state computes its own once (``PairState.grams``) and reads its channel
+probabilities there, as a scan does.  The species' reduced dipole D enters
+only the emission weight, as D^4.
 
 Two channels whose frequencies lie closer than
 ``DEFAULT_CHANNEL_RESOLUTION`` cannot be told apart by a filter:
@@ -52,13 +55,14 @@ import numbers
 import os
 import sys
 import warnings
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .angular_momentum import HalfInt, HalfIntLike, halfint
-from .atomic_model import AtomSpec, validity_check
+from .atomic_model import DEFAULT_VALIDITY_THRESHOLD, AtomSpec, _ground_layout, _sublevels
+from .atomic_model import validity_check
 from .errors import (
     EmptyStateError,
     InputDomainError,
@@ -95,6 +99,8 @@ HBAR = 6.62607015e-34 / (2 * math.pi)  # J s, from the exact SI Planck constant
 _GEOM_TOL = 1e-12
 _NORM_TOL = 1e-12
 DEFAULT_CHANNEL_RESOLUTION = 2.0 * np.pi * 1.0e6  # rad/s
+# the inputs whose product scales the emission weight
+_WEIGHT_FACTORS = "|pump.amplitude|^2 times pump.atom_number times the species' reduced_dipole^4"
 
 
 def _norm(vector: np.ndarray) -> float:
@@ -183,21 +189,16 @@ class CondensateSpinor(NamedTuple("CondensateSpinor", [("amplitudes", tuple)])):
 
     def vector(self, spec: AtomSpec) -> np.ndarray:
         """Amplitudes over the canonical ground basis of ``spec``."""
-        atoms = _ground_atoms(spec)
-        vec = np.zeros(len(atoms), dtype=complex)
+        vec = np.zeros(len(_ground_layout(spec).atoms), dtype=complex)
         for key, amp in self.amplitudes:
-            vec[_ground_index(spec, atoms, key)] = amp
+            vec[_ground_index(spec, key)] = amp
         return vec
 
 
-def _ground_atoms(spec: AtomSpec) -> tuple[tuple[int, int], ...]:
-    """(2F, 2m) of each ground sublevel of ``spec``, the canonical ground basis."""
-    return _sublevels(tuple(f.twice for f, _ in spec.ground_splittings)).atoms
-
-
-def _ground_index(spec: AtomSpec, atoms: tuple[tuple[int, int], ...], key: tuple[int, int]) -> int:
-    """The index of the sublevel ``key`` = (2F, 2m) in ``atoms``, the
-    :func:`_ground_atoms` of ``spec``; a key that is not there raises."""
+def _ground_index(spec: AtomSpec, key: tuple[int, int]) -> int:
+    """The index of the sublevel ``key`` = (2F, 2m) in the canonical ground
+    basis of ``spec``, its ground layout; a key that is not there raises."""
+    atoms = _ground_layout(spec).atoms
     if key not in atoms:
         raise InputDomainError(
             f"condensate occupies (2F,2m)={key}, not a ground sublevel of {spec.name}"
@@ -224,30 +225,6 @@ class Channel(NamedTuple):
 
     def key(self) -> str:
         return f"{frequency_label(self.omega)}:{self.lam}"
-
-
-class _Layout(NamedTuple):
-    """The sublevels of a level tuple, F-major with m ascending."""
-
-    level: np.ndarray  # level index of each sublevel g
-    tiled: np.ndarray  # level index of each kernel entry (lambda-1) * G + g
-    atoms: tuple[tuple[int, int], ...]  # (2F, 2m) of each sublevel
-    blocks: np.ndarray  # (nF, dmax) sublevels of each level, padded with G
-    pairs: tuple[np.ndarray, np.ndarray]  # a block's column pairs i < j, row-major
-
-
-@lru_cache(maxsize=32)
-def _sublevels(levels: tuple[int, ...]) -> _Layout:
-    """The :class:`_Layout` of ``levels``, the doubled F of each level."""
-    sizes = np.array([tf + 1 for tf in levels], dtype=int)[:, np.newaxis]
-    level = np.repeat(np.arange(len(levels)), sizes[:, 0])
-    columns = np.arange(sizes.max(initial=0))
-    blocks = np.where(columns < sizes, np.cumsum(sizes, axis=0) - sizes + columns, len(level))
-    atoms = tuple((tf, tm) for tf in levels for tm in range(-tf, tf + 1, 2))
-    layout = _Layout(level, np.tile(level, 2), atoms, blocks, np.triu_indices(len(columns), 1))
-    for arr in (layout.level, layout.tiled, layout.blocks, *layout.pairs):
-        arr.flags.writeable = False
-    return layout
 
 
 class BlockGrams:
@@ -470,7 +447,9 @@ class PairBatch:
     their Euclidean norm and ``phases`` the removed global phase factor; a
     direction where nothing scatters has ``norms`` 0 and all-zero
     amplitudes.  ``weights`` is the emission weight and ``omega[n, i]`` the
-    photon frequency of final level ``spec.ground_levels()[i]``.
+    photon frequency of final level ``spec.ground_levels()[i]``.  The
+    amplitudes do not depend on the species' reduced dipole D, which enters
+    the weights alone, as D^4.
     """
 
     def __init__(self, directions, amplitudes, norms, phases, weights, omega) -> None:
@@ -484,7 +463,7 @@ def pair_batch(
     phi0: CondensateSpinor,
     k_hats: np.ndarray,
     *,
-    validity_threshold: float = 100.0,
+    validity_threshold: float = DEFAULT_VALIDITY_THRESHOLD,
 ) -> PairBatch:
     """The pair-state kernel: (N, 3) unit detection directions to N states.
 
@@ -513,14 +492,17 @@ def pair_batch(
     n, g = len(k), factor.shape[0]
     rows = branch_amplitudes(factor, polarizations).reshape(n, 2 * g)
     omega = _photon_frequencies(spec, pump, k)
-    level = _sublevels(tuple(f.twice for f, _ in spec.ground_splittings)).tiled
-    amplitudes, total_sq, phases = _normalize_and_phase(rows, omega, level)
+    amplitudes, total_sq, phases = _normalize_and_phase(rows, omega, _ground_layout(spec).tiled)
+    d = spec.reduced_dipole  # D^4 by products, which overflow to inf where ** would raise
+    scale = pump.atom_number * _intensity(pump.pump_amplitude) * (d * d) * (d * d)
+    with np.errstate(over="ignore", invalid="ignore"):  # an empty direction weighs 0
+        weights = np.where(total_sq > 0.0, scale * total_sq, 0.0)
     return PairBatch(
         directions=k,
         amplitudes=amplitudes.reshape(n, 2, g),
         norms=np.sqrt(total_sq),
         phases=phases,
-        weights=pump.atom_number * _intensity(pump.pump_amplitude) * total_sq,
+        weights=weights,
         omega=omega,
     )
 
@@ -580,7 +562,7 @@ def build_pair_state(
     phi0: CondensateSpinor,
     k_hat: np.ndarray,
     *,
-    validity_threshold: float = 100.0,
+    validity_threshold: float = DEFAULT_VALIDITY_THRESHOLD,
 ) -> PairState:
     """Assemble the normalized joint state over (channel x polarization) x (F, m)."""
     batch = pair_batch(
@@ -593,11 +575,11 @@ def build_pair_state(
         )
     if not batch.weights[0] > 0.0:
         raise EmptyStateError(
-            "the emission weight into this direction underflows to zero: the pump "
-            "intensity times the atom number is too small"
+            f"the emission weight into this direction underflows to zero: {_WEIGHT_FACTORS} "
+            "is too small"
         )
 
-    levels = tuple(f.twice for f in spec.ground_levels())
+    levels = _ground_layout(spec).levels
     omegas = batch.omega[0].tolist()
     pairs = np.argwhere(unresolved_levels(batch.amplitudes, batch.omega, levels)[0]).tolist()
     unresolved = tuple((levels[i], levels[j]) for i, j in pairs if i < j)
@@ -667,7 +649,13 @@ def _pair_state_csv(state: PairState, provenance: dict) -> str:
 def pair_state_to_json(state: PairState, provenance: dict | None = None) -> dict:
     """JSON-ready document; channels keyed "omega_hz:lambda", atoms "2F:2m".
 
-    Two levels of one float frequency would share their keys: a physics error."""
+    Two levels of one float frequency would share their keys, and an emission
+    weight that overflows has no JSON number: each is a physics error."""
+    if not math.isfinite(state.emission_weight):
+        raise PhysicsError(
+            "the emission weight into this direction overflows to a non-finite number: "
+            f"{_WEIGHT_FACTORS} is too large"
+        )
     matrix, photon, atoms = state.matrix()
     channels: dict[str, Channel] = {}
     for ch in photon:

@@ -2,8 +2,10 @@
 
 A pump photon of polarization eps_in scatters a ground-state atom from
 (F', m') to (F, m) and leaves a photon of polarization eps_out.  With the
-dipole elements dip[e, g, q] = <e|e r . eps_q|g> (real, configured units)
-and hbar and the field per photon set to 1, the amplitude is
+dipole elements dip[e, g, q] = <e|e r . eps_q|g> at unit reduced dipole
+(``atomic_model._dipole_tensor`` of the species' 2I, 2J_g and 2J_e, its axes
+the excited and ground sublevel layouts) and hbar and the field per photon
+set to 1, the amplitude is
 
     G(F m <- F' m') = sum_(F'' m'') g_out*(F'' m'', F m) g_in(F'' m'', F' m') / Delta(F'),
     g(e, g) = sum_q (eps_q* . eps) dip[e, g, q].
@@ -15,14 +17,17 @@ into one factor per species, pump and condensate,
 
 so the scattered amplitudes of N detection directions are the contraction
 ``rows[n, lambda, g] = sum_q B[g, q] conj(eps_q* . eps_lambda(k_n))``
-(``condensate_factor`` and ``branch_amplitudes``).
+(``condensate_factor`` and ``branch_amplitudes``).  The species' reduced
+dipole D would scale every G by D^2; it cancels in the normalized state, so
+it is left out here and enters the emission weight alone, as D^4
+(``pair_state.pair_batch``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .atomic_model import AtomSpec, _dipole_tensor, detuning, spherical_component
+from .atomic_model import AtomSpec, _dipole_tensor, _ground_layout, detuning, spherical_component
 from .errors import SingularDetuningError
 
 __all__ = [
@@ -69,10 +74,8 @@ def _spherical_overlaps(polarization: np.ndarray) -> np.ndarray:
 
 def _detunings(spec: AtomSpec, omega_laser: float) -> np.ndarray:
     """Delta(F') per ground sublevel, computed once per level; raises on an exact zero."""
-    levels = [f for f, _ in spec.ground_splittings]  # in the order of the ground basis
-    deltas = np.repeat(
-        [detuning(spec, omega_laser, f) for f in levels], [f.twice + 1 for f in levels]
-    )
+    deltas = np.array([detuning(spec, omega_laser, f) for f in spec.ground_levels()])
+    deltas = deltas[_ground_layout(spec).level]
     if np.any(deltas == 0.0):
         raise SingularDetuningError(
             "laser exactly resonant with a ground level; adiabatic elimination "
@@ -103,7 +106,7 @@ def condensate_factor(
     the canonical ground basis; ``sum_q B[:, q] conj(eps_q* . eps_out)`` is
     then G phi0 for every detected polarization ``eps_out``.
     """
-    dip = _dipole_tensor(spec)
+    dip = _dipole_tensor(spec.nuclear_spin.twice, spec.ground_j.twice, spec.excited_j.twice)
     w = (dip @ _spherical_overlaps(polarization)) @ (initial / _detunings(spec, omega_laser))
     return np.einsum("egq,e->gq", dip, w)
 

@@ -349,3 +349,19 @@ def test_exact_forms_match_fraction_oracle():
         sign, p, q = angular_momentum._wigner_6j_exact(*tjs)
         assert (sign, Fraction(p, q)) == oracle_6j_exact(*tjs)
         assert math.gcd(p, q) == 1
+
+
+def test_coupled_value_float_is_its_value():
+    value = wigner_3j(1, 1, 0, 0, 0, 0)
+    assert float(value) == value.value
+    assert abs(value.value + 1.0 / math.sqrt(3.0)) <= 1e-15
+
+
+def test_exact_form_refuses_a_negative_radicand():
+    with pytest.raises(ValueError, match="radicand must be non-negative"):
+        angular_momentum.CoupledValue.from_exact(1, -1, 2)
+
+
+def test_6j_refuses_a_negative_momentum():
+    with pytest.raises(InputDomainError, match="must be non-negative, got -1"):
+        wigner_6j(-1, 1, 0, 1, 1, 1)

@@ -1,0 +1,183 @@
+"""The species' angular structure has one owner: ``atomic_model`` lays out the
+sublevels of every level tuple once, keys the dipole tensor on (2I, 2J_g,
+2J_e) at unit reduced dipole, bounds the three momenta, and the reduced
+dipole D enters the published numbers only as the D^4 of the emission weight,
+whose overflow and underflow exit 3 naming the inputs that set it."""
+
+import json
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import raman_pairs
+from raman_pairs import cli
+from raman_pairs.angular_momentum import HalfInt
+from raman_pairs.atomic_model import (
+    MAX_DOUBLED_MOMENTUM,
+    _ground_layout,
+    _sublevels,
+    sodium,
+    spherical_component,
+)
+from raman_pairs.errors import InputDomainError
+from raman_pairs.pair_state import CondensateSpinor, pair_batch
+
+DATA = Path(raman_pairs.__file__).parent / "data"
+FACTORS = "|pump.amplitude|^2 times pump.atom_number times the species' reduced_dipole^4"
+
+
+def _setup(tmp_path, species_change=None, config_change=None, shipped="state"):
+    """A copy of a shipped config reading a copy of the sodium species, each edited."""
+    species = {**json.loads((DATA / "sodium.json").read_text()), **(species_change or {})}
+    (tmp_path / "species.json").write_text(json.dumps(species))
+    doc = json.loads((DATA / f"sodium_{shipped}.json").read_text())
+    doc["atom_spec_path"] = "species.json"
+    if config_change:
+        config_change(doc)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    return config
+
+
+def _run(argv, capsys):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# --- one layout ------------------------------------------------------------------
+
+
+def test_the_ground_layout_is_the_sublevels_of_the_ground_levels():
+    spec = sodium()
+    layout = _ground_layout(spec)
+    assert layout is _sublevels((2, 4)) and layout.levels == (2, 4)
+    assert layout.atoms == ((2, -2), (2, 0), (2, 2), (4, -4), (4, -2), (4, 0), (4, 2), (4, 4))
+    assert layout.level.tolist() == [0, 0, 0, 1, 1, 1, 1, 1]
+    phi0 = CondensateSpinor.from_dict({(4, -2): 0.6, (2, 2): 0.8j})
+    assert phi0.vector(spec).tolist() == [0, 0, 0.8j, 0, 0.6, 0, 0, 0]
+
+
+# --- the reduced dipole ------------------------------------------------------------
+
+
+def test_the_reduced_dipole_enters_the_weights_alone_as_its_fourth_power(spec, pump, phi0):
+    directions = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8], [0.0, -1.0, 0.0]])
+    one = pair_batch(spec, pump, phi0, directions)
+    two = pair_batch(spec.replace(reduced_dipole=-2.0), pump, phi0, directions)
+    for name in ("amplitudes", "norms", "phases", "omega"):
+        assert getattr(two, name).tobytes() == getattr(one, name).tobytes(), name
+    assert two.weights.tobytes() == (16.0 * one.weights).tobytes()  # 16 = 2^4, exact
+    assert (one.weights > 0.0).all()
+
+
+def test_an_empty_direction_weighs_zero_whatever_the_reduced_dipole(spec, pump):
+    # a sigma+ pump on the stretched J = 3/2 state of a species with I = 0 and
+    # excited J = 1/2 drives nothing: D^4 overflows, and the weights stay 0
+    inverted = spec.replace(
+        nuclear_spin=HalfInt(0), ground_j=HalfInt(3), excited_j=HalfInt(1),
+        ground_splittings=((HalfInt(3), 0.0),), reduced_dipole=1e100,
+    )
+    sigma = pump.replace(direction=np.array([0.0, 0.0, 1.0]), polarization=spherical_component(1))
+    batch = pair_batch(inverted, sigma, CondensateSpinor.single("3/2", "3/2"), np.eye(3))
+    assert batch.norms.tolist() == batch.weights.tolist() == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("dipole", [1e100, 1e160, 1.7])
+@pytest.mark.parametrize(
+    "argv",
+    [["state", "--format", "csv"], ["chsh"], ["scan"]],
+    ids=["state csv", "chsh", "scan"],
+)
+def test_outputs_without_the_weight_are_those_at_unit_dipole(argv, dipole, tmp_path, capsys):
+    shipped = {"state": "state", "chsh": "chsh", "scan": "scan"}[argv[0]]
+    texts = []
+    for d in (1.0, dipole):
+        run_dir = tmp_path / repr(d)
+        run_dir.mkdir()
+        config = _setup(run_dir, {"reduced_dipole": d}, shipped=shipped)
+        out = ["--output", str(run_dir / "out")]
+        code, stdout, err = _run([*argv[:1], "--config", str(config), *argv[1:], *out], capsys)
+        assert code == 0 and err == ""
+        files = sorted(p for p in run_dir.iterdir() if p.name.startswith("out"))
+        text = stdout.replace(str(run_dir), "<dir>") + "".join(p.read_text() for p in files)
+        texts.append(re.sub(r"(config|atom_spec)_sha256(=|\": \")[0-9a-f]+", "", text))
+    assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("command", ["state", "filter"])
+def test_a_weight_that_overflows_exits_3_naming_its_factors(command, tmp_path, capsys):
+    def huge(doc):
+        doc["pump"]["atom_number"] = 1e300
+        doc["pump"]["amplitude"] = [1e10, 0.0]
+
+    for species_change, config_change in (({}, huge), ({"reduced_dipole": 1e100}, None)):
+        config = _setup(tmp_path, species_change, config_change)
+        argv = [command, "--config", str(config), "--output", str(tmp_path / "out.json")]
+        code, out, err = _run(argv + (["--f-select", "1"] if command == "filter" else []), capsys)
+        assert (code, out) == (3, "")
+        assert err == (
+            "physics error: the emission weight into this direction overflows to a non-finite "
+            f"number: {FACTORS} is too large\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "species.json"]
+
+
+@pytest.mark.parametrize("command", ["state", "filter", "chsh"])
+def test_a_weight_that_underflows_exits_3_naming_its_factors(command, tmp_path, capsys):
+    def faint(doc):
+        doc["pump"]["amplitude"] = [1e-160, 0.0]
+
+    for species_change, config_change in (({"reduced_dipole": 1e-100}, None), ({}, faint)):
+        config = _setup(tmp_path, species_change, config_change)
+        argv = [command, "--config", str(config), "--output", str(tmp_path / "out.json")]
+        code, out, err = _run(argv + (["--f-select", "1"] if command == "filter" else []), capsys)
+        assert (code, out) == (3, "")
+        assert err == (
+            "physics error: the emission weight into this direction underflows to zero: "
+            f"{FACTORS} is too small\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "species.json"]
+
+
+# --- the bound on the momenta ----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("doubled_I", 401), ("doubled_I", 13), ("doubled_ground_J", 13), ("doubled_excited_J", 15)],
+)
+def test_a_momentum_above_the_bound_exits_2_naming_its_key(key, value, tmp_path, capsys):
+    config = _setup(tmp_path, {key: value})
+    argv = ["state", "--config", str(config), "--output", str(tmp_path / "out.json")]
+    code, out, err = _run(argv, capsys)
+    assert (code, out) == (2, "")
+    species = tmp_path / "species.json"
+    assert err == (
+        f"configuration error: malformed atom spec {species}: "
+        f"'{key}' must be at most {MAX_DOUBLED_MOMENTUM}, got {value}\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "species.json"]
+
+
+@pytest.mark.parametrize(
+    "field, label",
+    [("nuclear_spin", "nuclear spin"), ("ground_j", "ground J"), ("excited_j", "excited J")],
+)
+def test_the_constructor_bounds_each_momentum_in_field_words(field, label):
+    with pytest.raises(InputDomainError, match=f"^{label} must be at most 6, got 401/2$"):
+        sodium().replace(**{field: HalfInt(401)})
+
+
+def test_a_species_at_the_bound_runs(tmp_path, capsys):
+    # 2I = 12 with J_g = 1/2: ground levels 2F = 11 and 13
+    species = {"doubled_I": 12, "ground_splittings_hz": {"11": 0.0, "13": 1.772e9}}
+    assert MAX_DOUBLED_MOMENTUM == 12
+    condensate = {"amplitudes": {"11:1": [1.0, 0.0]}}
+    config = _setup(tmp_path, species, lambda doc: doc.update(condensate=condensate))
+    code, out, err = _run(["state", "--config", str(config), "--format", "csv"], capsys)
+    assert code == 0 and err == ""
+    rows = out.split("omega_hz,lambda,doubled_F,doubled_m,amp_re,amp_im\n")[1].splitlines()
+    assert rows and all(row.split(",")[2] in ("11", "13") for row in rows)

@@ -1249,6 +1249,16 @@ def test_tables_small_grid(capsys):
     assert "2j1,2j2,2j3,2j4,2j5,2j6,value,sign,radicand_num,radicand_den" in out
 
 
+def test_entry_exits_with_the_code_of_main(monkeypatch, capsys):
+    from raman_pairs import cli
+
+    monkeypatch.setattr("sys.argv", ["raman-pairs", "tables", "--max-doubled-j", "0"])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.entry()
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == "".join(cli._tables_text(0))
+
+
 def test_tables_values_cross_match_library(tmp_path, capsys):
     from raman_pairs.angular_momentum import HalfInt, clebsch_gordan
 

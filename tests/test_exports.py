@@ -25,3 +25,11 @@ def test_every_export_resolves_to_its_submodule_object():
             continue
         assert len(homes.get(name, ())) == 1, f"{name} is exported by {homes.get(name)}"
         assert value is getattr(homes[name][0], name), name
+
+
+def test_dir_lists_every_export_before_its_first_use(monkeypatch):
+    for name in set(raman_pairs.__all__) - {"__version__"}:  # as if none had been imported
+        monkeypatch.delitem(vars(raman_pairs), name, raising=False)
+    listed = dir(raman_pairs)
+    assert listed == sorted(listed)
+    assert set(raman_pairs.__all__) <= set(listed)

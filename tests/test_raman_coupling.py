@@ -80,9 +80,11 @@ def test_basis_transverse_orthonormal_random():
     "doubled", [(3, 1, 3), (1, 1, 1), (5, 1, 3)], ids=["sodium", "2I,2Jg,2Je=1,1,1", "5,1,3"]
 )
 def test_dipole_tensor_is_the_element_table(doubled, spec, monkeypatch):
-    # the tensor the kernel reads, for sodium and two species built here (2I,
-    # 2J_g, 2J_e), against the validating element function bit for bit and the
-    # |m_I, m_J> uncoupling oracle; its loop builds no per-element object
+    # the tensor the kernel reads, keyed on (2I, 2J_g, 2J_e) at unit reduced
+    # dipole, for sodium and two species built here, against the validating
+    # element function bit for bit (which scales it by the species' reduced
+    # dipole) and the |m_I, m_J> uncoupling oracle; its loop builds no
+    # per-element object
     ti, tjg, tje = doubled
     if doubled != (3, 1, 3):
         levels = range(abs(ti - tjg), ti + tjg + 1, 2)
@@ -99,21 +101,22 @@ def test_dipole_tensor_is_the_element_table(doubled, spec, monkeypatch):
 
     for cls in (HalfInt, CoupledValue):
         monkeypatch.setattr(cls, "__init__", built)
-    dip = _dipole_tensor.__wrapped__(spec)
+    dip = _dipole_tensor.__wrapped__(ti, tjg, tje)
     monkeypatch.undo()
 
     excited, ground = sublevels(spec.excited_levels()), sublevels(spec.ground_levels())
     table = np.array(
         [[[dipole_matrix_element(spec, *e, *g, q) for q in (-1, 0, +1)] for g in ground] for e in excited]
     )
-    assert dip.shape == table.shape and dip.tobytes() == table.tobytes()
+    scaled = dip * spec.reduced_dipole
+    assert dip.shape == table.shape and scaled.tobytes() == table.tobytes()
     oracle = [
         oracle_dipole(ti, tjg, tje, *e, *g, q, spec.reduced_dipole)
         for e in excited
         for g in ground
         for q in (-1, 0, +1)
     ]
-    assert np.abs(dip.ravel() - oracle).max() <= 1e-12
+    assert np.abs(table.ravel() - oracle).max() <= 1e-12
     assert np.count_nonzero(dip) > 0
 
 

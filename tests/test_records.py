@@ -137,7 +137,9 @@ def test_two_parses_of_the_species_share_the_dipole_tensor():
     first, second = sodium(), sodium()
     assert first is not second
     assert first == second and hash(first) == hash(second)
-    assert _dipole_tensor(first) is _dipole_tensor(second)
+    key = first.nuclear_spin.twice, first.ground_j.twice, first.excited_j.twice
+    assert key == (second.nuclear_spin.twice, second.ground_j.twice, second.excited_j.twice)
+    assert _dipole_tensor(*key) is _dipole_tensor(*key)
 
 
 def test_equal_condensates_hash_equal():

@@ -12,7 +12,13 @@ interpreter per tree:
   polarization: ``state`` (JSON, and CSV into a file), ``filter`` at each
   level, ``chsh`` (most off-axis states exit 3) and a 30-degree ``scan``;
   and a seeded ``chsh`` with ``--events-csv`` on the shipped CHSH config
-  turned to +z or -z, at a random filter level and analyzer angles.
+  turned to +z or -z, at a random filter level and analyzer angles;
+* per seeded variant, also a species of random angular structure (2I in
+  {1, 3, 5} and 2J_e in {1, 3}, the shipped 2J_g, unit reduced dipole), with
+  a random condensate in its lowest ground level, direction, pump
+  polarization and filter level: ``state``, ``filter`` and a 30-degree
+  ``scan``.  These draws come from a generator of their own, so a seed
+  gives the other calls the configs it gave them before.
 
 A call's digest covers its exit code, stdout, stderr and every file it
 wrote, with the shipped-config, config and output directories masked.  The
@@ -100,6 +106,26 @@ def _condensate(rng: random.Random) -> dict:
                            for m in (-2, 0, 2)}}
 
 
+def _species(rng: random.Random, shipped: dict, state: dict) -> tuple[dict, dict]:
+    """A species of random angular structure built from the ``shipped`` one,
+    and a copy of the ``state`` config with a condensate, direction, pump
+    polarization and filter level drawn for it; the caller names the species
+    file in the config."""
+    ti, tje, tjg = rng.choice((1, 3, 5)), rng.choice((1, 3)), shipped["doubled_ground_J"]
+    levels = range(abs(ti - tjg), ti + tjg + 1, 2)
+    species = {**shipped, "doubled_I": ti, "doubled_excited_J": tje, "reduced_dipole": 1.0,
+               "ground_splittings_hz": {str(tf): 1.772e9 * n for n, tf in enumerate(levels)}}
+    doc = json.loads(json.dumps(state))
+    doc["pump"]["polarization"] = _transverse(rng, doc["pump"]["direction"])
+    lowest = levels[0]
+    doc["condensate"] = {"amplitudes": {f"{lowest}:{tm}": [rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)]
+                                        for tm in range(-lowest, lowest + 1, 2)}}
+    doc["detection"] = {"direction": _gauss_unit(rng)}
+    tf = rng.choice(levels)
+    doc["filter_f"] = str(tf // 2) if tf % 2 == 0 else f"{tf}/2"
+    return species, doc
+
+
 def plan(first: Path, configs: Path, variants: int, seed: int) -> list[tuple[str, list[str]]]:
     """The calls, each a name and an argv in which ``{data}``, ``{configs}`` and
     ``{out}`` stand for the tree's shipped-config directory, ``configs``, where
@@ -109,16 +135,17 @@ def plan(first: Path, configs: Path, variants: int, seed: int) -> list[tuple[str
         name: json.loads((_data(first) / f"sodium_{name}.json").read_text(encoding="utf-8"))
         for name in ("state", "chsh", "scan")
     }
-    rng = random.Random(seed)
+    species = json.loads((_data(first) / "sodium.json").read_text(encoding="utf-8"))
+    rng, species_rng = random.Random(seed), random.Random(f"species {seed}")
 
     def write(name: str, doc: dict) -> str:
         (configs / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
         return f"{{configs}}/{name}.json"
 
-    def scan(base: dict, measure: str) -> dict:
+    def scan(base: dict, measure: str, level: str = "1") -> dict:
         block = {"resolution_deg": 30.0, "measure": measure}
         if measure == "concurrence_after_filter":
-            block["filter_f"] = "1"
+            block["filter_f"] = level
         return {**base, "detection": {"scan": block}}
 
     state, chsh = "{data}/sodium_state.json", "{data}/sodium_chsh.json"
@@ -162,6 +189,18 @@ def plan(first: Path, configs: Path, variants: int, seed: int) -> list[tuple[str
              ["chsh", "--config", on_axis, "--samples", "500", "--seed", str(rng.randrange(2**31)),
               "--events-csv", "{out}/events.csv"]),
             (f"variant {i} scan", ["scan", "--config", scan_path, "--output", "{out}/scan"]),
+        ]
+        atom, doc = _species(species_rng, species, shipped["state"])
+        (configs / f"variant{i}_species.json").write_text(json.dumps(atom), encoding="utf-8")
+        doc["atom_spec_path"] = f"variant{i}_species.json"
+        path = write(f"variant{i}_species_state", doc)
+        level = doc.pop("filter_f")
+        scan_path = write(f"variant{i}_species_scan", scan(doc, MEASURES[i % len(MEASURES)], level))
+        calls += [
+            (f"variant {i} species state", ["state", "--config", path]),
+            (f"variant {i} species filter", ["filter", "--config", path]),
+            (f"variant {i} species scan",
+             ["scan", "--config", scan_path, "--output", "{out}/scan"]),
         ]
     return calls
 
