@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .angular_momentum import _cg_from_3j, _signed_sqrt, _wigner_3j_exact, _wigner_6j_exact
-from .errors import ConfigError, InputDomainError, PhysicsError, UndefinedOverlapError
+from .errors import InputDomainError, PhysicsError, UndefinedOverlapError
 from .outputs import _all_or_none, _into, _named, _prefix_path, _text_writer, json_text
 
 if TYPE_CHECKING:
@@ -87,7 +87,7 @@ def _state(config: RunConfig) -> PairState:
     from .pair_state import build_pair_state
 
     if config.direction is None:
-        raise ConfigError("this command needs 'detection.direction', not a scan block")
+        raise InputDomainError("this command needs 'detection.direction', not a scan block")
     return build_pair_state(
         config.spec,
         config.pump,
@@ -127,7 +127,7 @@ def cmd_filter(args, files: list[tuple[Path, Path]]) -> str:
     elif config.filter_f is not None:
         level = config.filter_f
     else:
-        raise ConfigError("no filter level: pass --f-select or set 'filter_f' in the config")
+        raise InputDomainError("no filter level: pass --f-select or set 'filter_f' in the config")
     state = _state(config)
     filtered = spectral_filter(state, level)
     return _emit((_state_text(config, filtered, args, full_state=state),), files)
@@ -138,10 +138,10 @@ def cmd_scan(args, files: list[tuple[Path, Path]]) -> str:
     from .geometry_explorer import FLAG_REASONS, _write_chunks, argmax_direction, scan_chunks
 
     if not files:
-        raise ConfigError("scan needs an output prefix: pass --output")
+        raise InputDomainError("scan needs an output prefix: pass --output")
     config = RunConfig(Path(args.config))
     if config.scan is None:
-        raise ConfigError("'detection.scan' block required for the scan command")
+        raise InputDomainError("'detection.scan' block required for the scan command")
     chunks = scan_chunks(
         config.spec,
         config.pump,
@@ -168,11 +168,11 @@ def cmd_chsh(args, files: list[tuple[Path, Path]]) -> str:
     from .pair_state import spectral_filter
 
     if args.samples < 0:
-        raise ConfigError(f"--samples must be 0 (no sampling) or positive, got {args.samples}")
+        raise InputDomainError(f"--samples must be 0 (no sampling) or positive, got {args.samples}")
     if args.seed < 0:
-        raise ConfigError(f"--seed must not be negative, got {args.seed}")
+        raise InputDomainError(f"--seed must not be negative, got {args.seed}")
     if args.events_csv is not None and not args.samples:
-        raise ConfigError("--events-csv needs --samples: there are no sampled events to write")
+        raise InputDomainError("--events-csv needs --samples: there are no sampled events to write")
     config = RunConfig(Path(args.config))
     state = _state(config)
     if config.filter_f is not None:
@@ -256,7 +256,7 @@ def _tables_text(max_doubled_j: int) -> tuple[str, str, str]:
 def cmd_tables(args, files: list[tuple[Path, Path]]) -> str:
     n = args.max_doubled_j
     if n < 0 or n > TABLES_MAX_DOUBLED_J:
-        raise ConfigError(f"--max-doubled-j must lie in [0, {TABLES_MAX_DOUBLED_J}], got {n}")
+        raise InputDomainError(f"--max-doubled-j must lie in [0, {TABLES_MAX_DOUBLED_J}], got {n}")
     return _emit(_tables_text(n), files) or "".join(f"wrote {path}\n" for path, _ in files)
 
 

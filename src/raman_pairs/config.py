@@ -4,11 +4,10 @@ Unknown keys are rejected by name, frequencies are given in Hz with the unit
 in the key name, and every error is an
 :class:`~raman_pairs.errors.InputDomainError` (exit code 2) that names its key
 or file.  The rules a config shares with a species file (one strict JSON
-reader, one key check, finite numbers, integer keys) are ``atomic_model``'s;
-the rest raise its subclass :class:`~raman_pairs.errors.ConfigError`.  The CLI
-imports this module in the commands that read a config, so ``tables`` never
-loads it or numpy; the scan and CHSH modules load only for a config with a
-scan or CHSH block.
+reader, one key check, finite numbers, integer keys) are ``atomic_model``'s.
+The CLI imports this module in the commands that read a config, so ``tables``
+never loads it or numpy; the scan and CHSH modules load only for a config
+with a scan or CHSH block.
 
 Every :class:`RunConfig` reads and hashes both of its files, so an edit to
 either shows on the next parse.  A species file is decoded and checked once
@@ -31,7 +30,7 @@ from . import __version__
 from .angular_momentum import HalfInt, halfint
 from .atomic_model import DEFAULT_VALIDITY_THRESHOLD, TWO_PI, AtomSpec, _parse_atom_spec
 from .atomic_model import check_keys, finite_number, integer_keys, json_object
-from .errors import ConfigError, InputDomainError
+from .errors import InputDomainError
 from .outputs import _io
 from .pair_state import CondensateSpinor, PumpConfig, _ground_index, _intensity, _norm
 
@@ -71,20 +70,20 @@ def _as_complex(value, path: str) -> complex:
     if isinstance(value, list) and len(value) == 2:
         return complex(finite_number(value[0], path), finite_number(value[1], path))
     if isinstance(value, list):
-        raise ConfigError(f"'{path}' must be a number or an [re, im] pair")
+        raise InputDomainError(f"'{path}' must be a number or an [re, im] pair")
     return complex(finite_number(value, path))
 
 
 def _as_unit_vector(value, path: str, complex_ok: bool) -> np.ndarray:
     """A 3-component list scaled to unit length."""
     if not isinstance(value, list) or len(value) != 3:
-        raise ConfigError(f"'{path}' must be a 3-component list")
+        raise InputDomainError(f"'{path}' must be a 3-component list")
     parse = _as_complex if complex_ok else finite_number
     vector = np.array([parse(v, path) for v in value])
     with np.errstate(all="ignore"):
         unit = vector / _norm(vector)
         if not abs(_norm(unit) - 1.0) <= 1e-12:
-            raise ConfigError(f"'{path}' has a length too small, too large or zero to scale")
+            raise InputDomainError(f"'{path}' has a length too small, too large or zero to scale")
     return unit
 
 
@@ -107,7 +106,7 @@ class RunConfig:
         self.condensate = self._parse_condensate(raw["condensate"])
         detection = raw["detection"]
         if ("direction" in detection) == ("scan" in detection):
-            raise ConfigError("'detection' must contain exactly one of 'direction', 'scan'")
+            raise InputDomainError("'detection' must contain exactly one of 'direction', 'scan'")
         self.direction: np.ndarray | None = None
         self.scan: dict | None = None
         if "direction" in detection:
@@ -125,19 +124,19 @@ class RunConfig:
             settings = raw["chsh"].get("settings_rad")
             if settings is not None:
                 if not isinstance(settings, list) or len(settings) != 4:
-                    raise ConfigError("'chsh.settings_rad' must be a list of 4 angles")
+                    raise InputDomainError("'chsh.settings_rad' must be a list of 4 angles")
                 from .bell_sim import _ANGLE_NAMES, _finite_angles
 
                 angles = tuple(finite_number(x, "chsh.settings_rad") for x in settings)
                 try:
                     self.chsh_settings = _finite_angles(_ANGLE_NAMES, angles)
                 except InputDomainError as exc:  # an angle whose double overflows
-                    raise ConfigError(f"invalid 'chsh.settings_rad': {exc}")
+                    raise InputDomainError(f"invalid 'chsh.settings_rad': {exc}")
         self.validity_threshold = finite_number(
             raw.get("validity_threshold", DEFAULT_VALIDITY_THRESHOLD), "validity_threshold"
         )
         if self.validity_threshold < 0:
-            raise ConfigError("'validity_threshold' must not be negative")
+            raise InputDomainError("'validity_threshold' must not be negative")
 
     @staticmethod
     def _read(flag: str, path: Path) -> tuple[bytes, str]:
@@ -148,11 +147,11 @@ class RunConfig:
     def _atom_path(self, value) -> Path:
         """The species file that the ``atom_spec_path`` ``value`` names."""
         if not isinstance(value, str):
-            raise ConfigError("'atom_spec_path' must be a string")
+            raise InputDomainError("'atom_spec_path' must be a string")
         if value.startswith("builtin:"):
             name = value[len("builtin:"):]
             if not name or set(name) & {"/", "\\", "."}:
-                raise ConfigError(
+                raise InputDomainError(
                     f"'atom_spec_path' {value!r} must name a shipped species, "
                     "with no '/', '\\' or '.' after 'builtin:'"
                 )
@@ -162,7 +161,7 @@ class RunConfig:
             if not path.is_absolute():
                 path = self.path.parent / path
         if not path.is_file():
-            raise ConfigError(f"'atom_spec_path' names no file: '{path}'")
+            raise InputDomainError(f"'atom_spec_path' names no file: '{path}'")
         return path
 
     def _parse_scan(self, scan) -> dict:
@@ -172,24 +171,24 @@ class RunConfig:
         from .geometry_explorer import MAX_RESOLUTION, MEASURES, MIN_RESOLUTION
 
         if (measure := scan["measure"]) not in MEASURES:
-            raise ConfigError(f"'detection.scan.measure' must be one of {', '.join(MEASURES)}")
+            raise InputDomainError(f"'detection.scan.measure' must be one of {', '.join(MEASURES)}")
         degrees = finite_number(scan["resolution_deg"], "detection.scan.resolution_deg")
         resolution = math.radians(degrees)  # the value scan_chunks checks, so 30 passes
         if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
-            raise ConfigError(
+            raise InputDomainError(
                 f"'detection.scan.resolution_deg' must lie in [{math.degrees(MIN_RESOLUTION):g}, "
                 f"{math.degrees(MAX_RESOLUTION):g}] degrees, got {degrees!r}"
             )
         filter_f = None
         if "filter_f" in scan:
             if measure != "concurrence_after_filter":
-                raise ConfigError(
+                raise InputDomainError(
                     "'detection.scan.filter_f' does not apply to "
                     f"'detection.scan.measure' {measure}"
                 )
             filter_f = self.parse_level(scan["filter_f"], "detection.scan.filter_f")
         elif measure == "concurrence_after_filter":
-            raise ConfigError(
+            raise InputDomainError(
                 "'detection.scan.measure' concurrence_after_filter needs 'detection.scan.filter_f'"
             )
         return {"resolution": resolution, "measure": measure, "filter_f": filter_f}
@@ -198,9 +197,9 @@ class RunConfig:
         try:
             level = halfint(value)
         except InputDomainError:
-            raise ConfigError(f"'{key}' must be an integer or half-integer, got {value!r}")
+            raise InputDomainError(f"'{key}' must be an integer or half-integer, got {value!r}")
         if level not in self.spec.ground_levels():
-            raise ConfigError(
+            raise InputDomainError(
                 f"'{key}'={level} is not a ground level of {self.spec.name} "
                 f"(levels: {[str(f) for f in self.spec.ground_levels()]})"
             )
@@ -211,7 +210,7 @@ class RunConfig:
         polarization = _as_unit_vector(raw["polarization"], "pump.polarization", True)
         amplitude = _as_complex(raw.get("amplitude", 1.0), "pump.amplitude")
         if not _intensity(amplitude) > 0:
-            raise ConfigError(
+            raise InputDomainError(
                 f"'pump.amplitude' must have a positive |amplitude|^2, got {amplitude!r}"
             )
         try:
@@ -223,7 +222,7 @@ class RunConfig:
                 atom_number=finite_number(raw.get("atom_number", 1.0), "pump.atom_number"),
             )
         except InputDomainError as exc:
-            raise ConfigError(f"invalid 'pump': {exc}")
+            raise InputDomainError(f"invalid 'pump': {exc}")
 
     def _parse_condensate(self, raw: dict) -> CondensateSpinor:
         parsed: dict[tuple[int, int], complex] = {}
@@ -232,14 +231,14 @@ class RunConfig:
             try:  # a sublevel of the species, zero amplitude or not
                 _ground_index(self.spec, sublevel)
             except InputDomainError as exc:
-                raise ConfigError(f"'condensate.amplitudes.{key}': {exc}")
+                raise InputDomainError(f"'condensate.amplitudes.{key}': {exc}")
             parsed[sublevel] = _as_complex(value, f"condensate.amplitudes.{key}")
         try:
             total = math.sqrt(sum(abs(a) ** 2 for a in parsed.values()))
         except OverflowError:
             total = math.inf
         if not 0 < total < math.inf:  # none, or all zero, or an overflow
-            raise ConfigError("'condensate.amplitudes' must have a nonzero, finite norm")
+            raise InputDomainError("'condensate.amplitudes' must have a nonzero, finite norm")
         normalized = {key: amp / total for key, amp in parsed.items()}
         return CondensateSpinor.from_dict(normalized)
 

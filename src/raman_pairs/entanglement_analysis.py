@@ -38,7 +38,7 @@ import numpy as np
 from .angular_momentum import halfint
 from .errors import EmptyStateError, InputDomainError, UndefinedOverlapError
 from .atomic_model import _sublevels
-from .pair_state import BlockGrams, Channel, PairState, warn_if_unresolved
+from .pair_state import BlockGrams, Channel, PairState, _norm, warn_if_unresolved
 from .raman_coupling import sequential_sum
 
 __all__ = [
@@ -81,12 +81,11 @@ class SchmidtResult:
 
 
 def _canonical_phase(u: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate a Schmidt pair so the first significant photon entry is real positive."""
-    for value in u:
-        if abs(value) > 1e-12:
-            phase = value / abs(value)
-            return u / phase, a * phase
-    return u, a
+    """Rotate a Schmidt pair so the first significant photon entry is real positive;
+    ``u`` is a unit vector over occupied photon rows, so it has one."""
+    value = next(value for value in u if abs(value) > 1e-12)
+    phase = value / abs(value)
+    return u / phase, a * phase
 
 
 def _photon_pair(grams: BlockGrams, i: int, big: float) -> tuple[np.ndarray, np.ndarray]:
@@ -98,7 +97,7 @@ def _photon_pair(grams: BlockGrams, i: int, big: float) -> tuple[np.ndarray, np.
         return (first, second) if a >= b else (second, first)
     v = np.array([big - b, c.conjugate()]) if a >= b else np.array([c, big - a])
     v = v / abs(v).max()  # keeps the norm from underflowing for a tiny c
-    v = v / np.linalg.norm(v)
+    v = v / _norm(v)
     return v, np.array([-v[1].conjugate(), v[0].conjugate()])
 
 

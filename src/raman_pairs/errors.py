@@ -1,9 +1,10 @@
 """Exception hierarchy shared across the package.
 
-Two families matter to callers: input/configuration problems
-(:class:`InputDomainError` and subclasses) and physics/numerical-domain
-problems (:class:`PhysicsError` and subclasses).  The CLI maps the former to
-exit code 2 and the latter to exit code 3.
+Two families matter to callers: input problems, one class
+(:class:`InputDomainError`) for a bad argument, config, species file, flag or
+output path, whose message names the key, flag or file; and
+physics/numerical-domain problems (:class:`PhysicsError` and subclasses).
+The CLI maps the former to exit code 2 and the latter to exit code 3.
 """
 
 
@@ -13,13 +14,6 @@ class RamanPairsError(Exception):
 
 class InputDomainError(RamanPairsError, ValueError):
     """An argument is outside the documented input domain."""
-
-
-class ConfigError(InputDomainError):
-    """A configuration file failed validation.
-
-    The message names the offending key.
-    """
 
 
 class PhysicsError(RamanPairsError):

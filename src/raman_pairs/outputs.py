@@ -12,7 +12,7 @@ from contextlib import contextmanager, suppress
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
-from .errors import ConfigError, InputDomainError, PhysicsError
+from .errors import InputDomainError, PhysicsError
 
 
 def _prefix_path(prefix: str | os.PathLike, name: str = "output prefix") -> Path:
@@ -33,12 +33,12 @@ def _io(flag: str, path, action):
         raise _named(flag, path, exc)
 
 
-def _named(flag: str, path, exc: OSError) -> ConfigError:
+def _named(flag: str, path, exc: OSError) -> InputDomainError:
     """``exc`` as a configuration error naming ``flag`` and ``path``, or the
     directory in the way, which may be a sibling of ``path``."""
     if isinstance(exc, IsADirectoryError) and exc.filename:
         path = exc.filename
-    return ConfigError(f"{flag} '{path}': {exc.strerror or exc}")
+    return InputDomainError(f"{flag} '{path}': {exc.strerror or exc}")
 
 
 def _on(path: Path, target: Path, action: Callable[[Path], Path | None] | None = None):

@@ -121,6 +121,20 @@ def _intensity(amplitude: complex) -> float:
         return math.inf
 
 
+def _intensity_frexp(amplitude: complex) -> tuple[float, int]:
+    """|amplitude|^2 as the (mantissa, exponent) of ``math.frexp``, also where
+    the square overflows or is subnormal: the mantissa of ``abs(amplitude) ** 2``
+    wherever that is finite and normal, else of the square of ``amplitude``
+    scaled by a power of two."""
+    square = _intensity(amplitude)
+    if sys.float_info.min <= square < math.inf:
+        return math.frexp(square)
+    e = math.frexp(max(abs(amplitude.real), abs(amplitude.imag)))[1]
+    scaled = complex(math.ldexp(amplitude.real, -e), math.ldexp(amplitude.imag, -e))
+    m, scaled_e = math.frexp(abs(scaled) ** 2)
+    return m, scaled_e + 2 * e
+
+
 class PumpConfig:
     """Undepleted pump laser plus condensate atom number."""
 
@@ -493,10 +507,16 @@ def pair_batch(
     rows = branch_amplitudes(factor, polarizations).reshape(n, 2 * g)
     omega = _photon_frequencies(spec, pump, k)
     amplitudes, total_sq, phases = _normalize_and_phase(rows, omega, _ground_layout(spec).tiled)
-    d = spec.reduced_dipole  # D^4 by products, which overflow to inf where ** would raise
-    scale = pump.atom_number * _intensity(pump.pump_amplitude) * (d * d) * (d * d)
+    # N |a|^2 (D D) (D D) total_sq in that order, on mantissas with the exponents
+    # summed apart: no one factor's overflow or underflow decides the weight,
+    # whose bits are the plain product's wherever its partial products are normal
+    n_m, n_e = math.frexp(pump.atom_number)
+    a_m, a_e = _intensity_frexp(pump.pump_amplitude)
+    d_m, d_e = math.frexp(spec.reduced_dipole)
+    t_m, t_e = np.frexp(total_sq)
     with np.errstate(over="ignore", invalid="ignore"):  # an empty direction weighs 0
-        weights = np.where(total_sq > 0.0, scale * total_sq, 0.0)
+        weights = np.ldexp(n_m * a_m * (d_m * d_m) * (d_m * d_m) * t_m, n_e + a_e + 4 * d_e + t_e)
+        weights = np.where(total_sq > 0.0, weights, 0.0)
     return PairBatch(
         directions=k,
         amplitudes=amplitudes.reshape(n, 2, g),
@@ -584,8 +604,9 @@ def build_pair_state(
     pairs = np.argwhere(unresolved_levels(batch.amplitudes, batch.omega, levels)[0]).tolist()
     unresolved = tuple((levels[i], levels[j]) for i, j in pairs if i < j)
 
-    # Reference photon wavevector: the elastic channel of the lowest ground
-    # level.  Channel frequencies differ from it only at the 1e-9 level.
+    # The photon wavevector and the recoil are those of the lowest ground
+    # level's channel alone; the other channels' frequencies differ from it
+    # (for sodium by 3.5e-6 relative) and are not kept apart (ROADMAP item 7).
     k = batch.directions[0]
     k_out = k * (omegas[0] / SPEED_OF_LIGHT)
     k_pump_vec = pump.direction * (pump.omega_laser / SPEED_OF_LIGHT)

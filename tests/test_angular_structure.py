@@ -5,7 +5,9 @@ dipole D enters the published numbers only as the D^4 of the emission weight,
 whose overflow and underflow exit 3 naming the inputs that set it."""
 
 import json
+import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,7 @@ from raman_pairs.atomic_model import (
     spherical_component,
 )
 from raman_pairs.errors import InputDomainError
-from raman_pairs.pair_state import CondensateSpinor, pair_batch
+from raman_pairs.pair_state import CondensateSpinor, _intensity_frexp, pair_batch
 
 DATA = Path(raman_pairs.__file__).parent / "data"
 FACTORS = "|pump.amplitude|^2 times pump.atom_number times the species' reduced_dipole^4"
@@ -109,9 +111,9 @@ def test_outputs_without_the_weight_are_those_at_unit_dipole(argv, dipole, tmp_p
 
 @pytest.mark.parametrize("command", ["state", "filter"])
 def test_a_weight_that_overflows_exits_3_naming_its_factors(command, tmp_path, capsys):
-    def huge(doc):
+    def huge(doc):  # a weight of about 5.6e317
         doc["pump"]["atom_number"] = 1e300
-        doc["pump"]["amplitude"] = [1e10, 0.0]
+        doc["pump"]["amplitude"] = [1e20, 0.0]
 
     for species_change, config_change in (({}, huge), ({"reduced_dipole": 1e100}, None)):
         config = _setup(tmp_path, species_change, config_change)
@@ -130,7 +132,13 @@ def test_a_weight_that_underflows_exits_3_naming_its_factors(command, tmp_path, 
     def faint(doc):
         doc["pump"]["amplitude"] = [1e-160, 0.0]
 
-    for species_change, config_change in (({"reduced_dipole": 1e-100}, None), ({}, faint)):
+    def mixed(doc):  # N |a|^2 overflows, D^4 = 1e-800 underflows: a weight of about 5.6e-503
+        doc["pump"]["atom_number"] = 1e300
+        doc["pump"]["amplitude"] = [1e10, 0.0]
+
+    for species_change, config_change in (
+        ({"reduced_dipole": 1e-100}, None), ({}, faint), ({"reduced_dipole": 1e-200}, mixed)
+    ):
         config = _setup(tmp_path, species_change, config_change)
         argv = [command, "--config", str(config), "--output", str(tmp_path / "out.json")]
         code, out, err = _run(argv + (["--f-select", "1"] if command == "filter" else []), capsys)
@@ -140,6 +148,46 @@ def test_a_weight_that_underflows_exits_3_naming_its_factors(command, tmp_path, 
             f"{FACTORS} is too small\n"
         )
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "species.json"]
+
+
+def _state_weight(tmp_path, atom_number, amplitude, dipole, capsys):
+    """The emission weight that ``state`` publishes for a real pump amplitude."""
+    def pump(doc):
+        doc["pump"].update(atom_number=atom_number, amplitude=[amplitude, 0.0])
+
+    config = _setup(tmp_path, {"reduced_dipole": dipole}, pump)
+    code, out, err = _run(["state", "--config", str(config)], capsys)
+    assert (code, err) == (0, "")
+    return json.loads(out)["emission_weight"]
+
+
+@pytest.mark.parametrize(
+    "atom_number, amplitude, dipole, factors",
+    [(1e300, 1e10, 1e-100, (1e300, 1e20, 1e-200, 1e-200)), (1e308, 1e10, 1.0, (1e308, 1e20))],
+)
+def test_a_weight_that_is_a_float_is_published_whatever_its_factors(
+    atom_number, amplitude, dipole, factors, tmp_path, capsys
+):
+    # N |a|^2 = 1e320 or 1e328 overflows on its own, and D^4 = 1e-400 underflows,
+    # but the weights, about 5.6e-103 and 5.6e305, are floats
+    expected = _state_weight(tmp_path, 1.0, 1.0, 1.0, capsys)
+    for factor in factors:
+        expected *= factor
+    weight = _state_weight(tmp_path, atom_number, amplitude, dipole, capsys)
+    assert weight == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "amplitude, normal",
+    [(1 + 0j, True), (0.3 - 0.4j, True), (1e154 + 1e154j, False), (1e200 - 3e199j, False),
+     (1e-160 + 0j, False), (3e-170 - 4e-170j, False)],
+)
+def test_the_pump_intensity_has_its_bits_where_normal_and_is_exact_beyond(amplitude, normal):
+    mantissa, exponent = _intensity_frexp(amplitude)
+    exact = Fraction(amplitude.real) ** 2 + Fraction(amplitude.imag) ** 2
+    assert abs(Fraction(mantissa) * Fraction(2) ** exponent / exact - 1) < 1e-15
+    if normal:
+        assert (mantissa, exponent) == math.frexp(abs(amplitude) ** 2)
 
 
 # --- the bound on the momenta ----------------------------------------------------

@@ -702,10 +702,10 @@ def test_chsh_negative_count_exits_2(flag, capsys):
 
 
 def test_non_finite_output_exits_3(state_config, capsys):
-    # finite inputs whose emission weight overflows: no Infinity in the output
+    # finite inputs whose emission weight, about 5.6e325, overflows: no Infinity in the output
     def mutate(c):
         c["pump"]["atom_number"] = 1e308
-        c["pump"]["amplitude"] = [1e10, 0.0]
+        c["pump"]["amplitude"] = [1e20, 0.0]
 
     edit_config(state_config, mutate)
     code, out, err = run(["state", "--config", str(state_config)], capsys)

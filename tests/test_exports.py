@@ -33,3 +33,11 @@ def test_dir_lists_every_export_before_its_first_use(monkeypatch):
     listed = dir(raman_pairs)
     assert listed == sorted(listed)
     assert set(raman_pairs.__all__) <= set(listed)
+
+
+def test_exit_code_2_has_one_exception_class():
+    # every input error is an InputDomainError itself: no subclass splits them
+    from raman_pairs import errors
+
+    classes = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, Exception)]
+    assert [c for c in classes if issubclass(c, errors.InputDomainError)] == [errors.InputDomainError]
