@@ -185,18 +185,20 @@ class AtomSpec(_AtomFields):
 
 # --- spherical polarization basis ------------------------------------------
 
-_EPS_M1 = np.array([1.0, -1.0j, 0.0]) / np.sqrt(2.0)
-_EPS_0 = np.array([0.0, 0.0, 1.0], dtype=complex)
-_EPS_P1 = np.array([-1.0, -1.0j, 0.0]) / np.sqrt(2.0)
-for _v in (_EPS_M1, _EPS_0, _EPS_P1):
-    _v.flags.writeable = False
+# the unit vectors eps_q, row q + 1 for q = -1, 0, +1
+_SPHERICAL = np.array([
+    np.array([1.0, -1.0j, 0.0]) / np.sqrt(2.0),
+    np.array([0.0, 0.0, 1.0], dtype=complex),
+    np.array([-1.0, -1.0j, 0.0]) / np.sqrt(2.0),
+])
+_SPHERICAL.flags.writeable = False
 
 
 def spherical_component(q: int) -> np.ndarray:
     """Read-only view of the spherical unit vector for q in {-1, 0, +1}."""
     if q not in (-1, 0, +1):
         raise InputDomainError(f"q must be -1, 0 or +1, got {q}")
-    return (_EPS_M1, _EPS_0, _EPS_P1)[q + 1]
+    return _SPHERICAL[q + 1]
 
 
 # --- dipole matrix elements -------------------------------------------------

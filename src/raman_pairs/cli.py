@@ -14,15 +14,17 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
+from contextlib import suppress
 from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
 from .angular_momentum import _cg_from_3j, _signed_sqrt, _wigner_3j_exact, _wigner_6j_exact
-from .errors import InputDomainError, PhysicsError, UndefinedOverlapError
-from .outputs import _all_or_none, _into, _named, _prefix_path, _text_writer, json_text
+from .errors import InputDomainError, PhysicsError
+from .outputs import _all_or_none, _into, _io, _named, _prefix_path, _text_writer, json_text
 
 if TYPE_CHECKING:
     from .config import RunConfig
@@ -50,6 +52,23 @@ def _outputs(args) -> list[tuple[str, str, Path]]:
     return outputs
 
 
+def _config(args) -> RunConfig:
+    """The run configuration of ``--config``.  An output that is the config or
+    its species file, by any name or link, is refused, naming its flag and the
+    input, and the command writes nothing."""
+    from .config import RunConfig
+
+    config = RunConfig(Path(args.config))
+    inputs = {"--config": config.path, "'atom_spec_path'": config.atom_path}
+    for flag, _, path in _outputs(args):
+        with suppress(FileNotFoundError):  # a file still to be made is no input
+            target = os.stat(path)
+            for name, file in inputs.items():
+                if os.path.samestat(target, _io(name, file, os.stat)):
+                    raise InputDomainError(f"{flag} '{path}' is the {name} file '{file}'")
+    return config
+
+
 def _emit(texts: tuple[str, ...], files: list[tuple[Path, Path]]) -> str:
     """Each text written to the temporary of its ``(path, temp)`` output, in
     order, and "" returned; with no output, the texts joined for stdout."""
@@ -61,24 +80,22 @@ def _emit(texts: tuple[str, ...], files: list[tuple[Path, Path]]) -> str:
 
 
 def _analysis_block(state: PairState, full_state: PairState) -> dict:
-    from .entanglement_analysis import _schmidt_coefficients, branch_overlap, entanglement_entropy
+    """The measures of ``state``; its branch overlap, as a scan reads it, is
+    that of ``full_state``: ``null`` and a note where it is undefined."""
+    from .entanglement_analysis import _UNDEFINED_OVERLAP, _schmidt_coefficients
+    from .entanglement_analysis import branch_overlap_of_blocks, entanglement_entropy
 
-    try:
-        overlap_doc: float | None = branch_overlap(full_state)
-        overlap_note = None
-    except UndefinedOverlapError as exc:
-        overlap_doc = None
-        overlap_note = str(exc)
+    overlap = float(branch_overlap_of_blocks(full_state.grams)[0])
     block = {
         "entropy_bits": entanglement_entropy(state),
         "schmidt_coefficients": list(_schmidt_coefficients(state)),
         "channel_probabilities": {
             ch.key(): prob for ch, prob in state.channel_probabilities()
         },
-        "conditional_overlap": overlap_doc,
+        "conditional_overlap": None if math.isnan(overlap) else overlap,
     }
-    if overlap_note is not None:
-        block["conditional_overlap_note"] = overlap_note
+    if math.isnan(overlap):
+        block["conditional_overlap_note"] = _UNDEFINED_OVERLAP
     return block
 
 
@@ -111,17 +128,14 @@ def _state_text(
 
 
 def cmd_state(args, files: list[tuple[Path, Path]]) -> str:
-    from .config import RunConfig
-
-    config = RunConfig(Path(args.config))
+    config = _config(args)
     return _emit((_state_text(config, _state(config), args),), files)
 
 
 def cmd_filter(args, files: list[tuple[Path, Path]]) -> str:
-    from .config import RunConfig
     from .pair_state import spectral_filter
 
-    config = RunConfig(Path(args.config))
+    config = _config(args)
     if args.f_select is not None:
         level = config.parse_level(args.f_select, "f-select")
     elif config.filter_f is not None:
@@ -134,12 +148,11 @@ def cmd_filter(args, files: list[tuple[Path, Path]]) -> str:
 
 
 def cmd_scan(args, files: list[tuple[Path, Path]]) -> str:
-    from .config import RunConfig
     from .geometry_explorer import FLAG_REASONS, _write_chunks, argmax_direction, scan_chunks
 
     if not files:
         raise InputDomainError("scan needs an output prefix: pass --output")
-    config = RunConfig(Path(args.config))
+    config = _config(args)
     if config.scan is None:
         raise InputDomainError("'detection.scan' block required for the scan command")
     chunks = scan_chunks(
@@ -164,7 +177,6 @@ def cmd_scan(args, files: list[tuple[Path, Path]]) -> str:
 
 def cmd_chsh(args, files: list[tuple[Path, Path]]) -> str:
     from .bell_sim import GENERATOR_ID, chsh, optimize_chsh, sample_chunks, tally_chunks
-    from .config import RunConfig
     from .pair_state import spectral_filter
 
     if args.samples < 0:
@@ -173,7 +185,7 @@ def cmd_chsh(args, files: list[tuple[Path, Path]]) -> str:
         raise InputDomainError(f"--seed must not be negative, got {args.seed}")
     if args.events_csv is not None and not args.samples:
         raise InputDomainError("--events-csv needs --samples: there are no sampled events to write")
-    config = RunConfig(Path(args.config))
+    config = _config(args)
     state = _state(config)
     if config.filter_f is not None:
         state = spectral_filter(state, config.filter_f)

@@ -54,6 +54,8 @@ __all__ = [
 ]
 
 _RANK_FLOOR = 1e-15
+# why a state has no branch overlap: the message of its error and its note in ``state``
+_UNDEFINED_OVERLAP = "a polarization branch has zero norm; the overlap is undefined"
 
 
 class SchmidtResult:
@@ -250,5 +252,5 @@ def branch_overlap(state: PairState) -> float:
     """|<S_k1|S_k2>| between the atomic spinors of an unfiltered state's branches."""
     value = float(branch_overlap_of_blocks(state.grams)[0])
     if math.isnan(value):
-        raise UndefinedOverlapError("a polarization branch has zero norm; the overlap is undefined")
+        raise UndefinedOverlapError(_UNDEFINED_OVERLAP)
     return value

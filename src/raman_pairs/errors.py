@@ -1,22 +1,18 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package: two roots, no common base.
 
-Two families matter to callers: input problems, one class
-(:class:`InputDomainError`) for a bad argument, config, species file, flag or
-output path, whose message names the key, flag or file; and
-physics/numerical-domain problems (:class:`PhysicsError` and subclasses).
-The CLI maps the former to exit code 2 and the latter to exit code 3.
+:class:`InputDomainError`, a ``ValueError``, is every input problem, one
+class for a bad argument, config, species file, flag or output path, whose
+message names the key, flag or file.  :class:`PhysicsError` and its
+subclasses are the physics/numerical-domain problems.  The CLI maps the
+former to exit code 2 and the latter to exit code 3.
 """
 
 
-class RamanPairsError(Exception):
-    """Base class for all package-specific errors."""
-
-
-class InputDomainError(RamanPairsError, ValueError):
+class InputDomainError(ValueError):
     """An argument is outside the documented input domain."""
 
 
-class PhysicsError(RamanPairsError):
+class PhysicsError(Exception):
     """The requested computation is physically or numerically undefined."""
 
 

@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .angular_momentum import halfint
-from .atomic_model import DEFAULT_VALIDITY_THRESHOLD, AtomSpec, _ground_layout
+from .atomic_model import DEFAULT_VALIDITY_THRESHOLD, TWO_PI, AtomSpec, _ground_layout
 from .entanglement_analysis import (
     branch_overlap_of_blocks,
     entropy_of_blocks,
@@ -149,7 +149,7 @@ def _chunks(spec, pump, phi0, resolution, measure, filter_f, name, threshold) ->
     n_phi = max(1, math.ceil(2.0 * math.pi / resolution - 1e-12))
     theta = np.arange(n_theta + 1) * math.pi / n_theta
     phi = np.arange(n_phi) * 2.0 * math.pi / n_phi
-    # math's sin and cos once per grid line, for the bits of the per-node formula
+    # math's sin and cos once per grid line: test_scan_pinned_bytes pins their bits
     sin_t, cos_t = (np.array([f(t) for t in theta.tolist()]) for f in (math.sin, math.cos))
     sin_p, cos_p = (np.array([f(p) for p in phi.tolist()]) for f in (math.sin, math.cos))
     doubled = _ground_layout(spec).levels
@@ -224,7 +224,7 @@ def _rows(scan: ScanMap) -> tuple[str, str]:
     flagged = scan.flagged.tolist()
     names = ("", *FLAG_REASONS)
     reasons = [names[r] for r in scan.flag_reasons.tolist()]
-    hz = scan.omega / (2.0 * np.pi)
+    hz = scan.omega / TWO_PI
     fields = [
         *(list(map(repr, c.tolist())) for c in (scan.thetas, scan.phis, *scan.directions.T)),
         list(map(repr, scan.measures.tolist())),

@@ -62,7 +62,7 @@ import numpy as np
 
 from .angular_momentum import HalfInt, HalfIntLike, halfint
 from .atomic_model import DEFAULT_VALIDITY_THRESHOLD, AtomSpec, _ground_layout, _sublevels
-from .atomic_model import validity_check
+from .atomic_model import TWO_PI, validity_check
 from .errors import (
     EmptyStateError,
     InputDomainError,
@@ -98,7 +98,7 @@ HBAR = 6.62607015e-34 / (2 * math.pi)  # J s, from the exact SI Planck constant
 
 _GEOM_TOL = 1e-12
 _NORM_TOL = 1e-12
-DEFAULT_CHANNEL_RESOLUTION = 2.0 * np.pi * 1.0e6  # rad/s
+DEFAULT_CHANNEL_RESOLUTION = TWO_PI * 1.0e6  # rad/s
 # the inputs whose product scales the emission weight
 _WEIGHT_FACTORS = "|pump.amplitude|^2 times pump.atom_number times the species' reduced_dipole^4"
 
@@ -113,20 +113,15 @@ def _norm(vector: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
-def _intensity(amplitude: complex) -> float:
-    """|amplitude|^2; infinite where a finite amplitude's square overflows."""
-    try:
-        return abs(amplitude) ** 2
-    except OverflowError:
-        return math.inf
-
-
 def _intensity_frexp(amplitude: complex) -> tuple[float, int]:
     """|amplitude|^2 as the (mantissa, exponent) of ``math.frexp``, also where
     the square overflows or is subnormal: the mantissa of ``abs(amplitude) ** 2``
     wherever that is finite and normal, else of the square of ``amplitude``
     scaled by a power of two."""
-    square = _intensity(amplitude)
+    try:
+        square = abs(amplitude) ** 2
+    except OverflowError:
+        square = math.inf
     if sys.float_info.min <= square < math.inf:
         return math.frexp(square)
     e = math.frexp(max(abs(amplitude.real), abs(amplitude.imag)))[1]
@@ -159,10 +154,9 @@ class PumpConfig:
             raise InputDomainError("pump frequency must be positive")
         if not atom_number >= 1:
             raise InputDomainError("atom number must be at least 1")
-        if not _intensity(pump_amplitude) > 0:  # zero, or a square that underflows
-            raise InputDomainError(
-                f"pump amplitude must have a positive |amplitude|^2, got {pump_amplitude!r}"
-            )
+        # zero or NaN; a square that underflows is left to the emission weight's verdicts
+        if not abs(pump_amplitude.real) + abs(pump_amplitude.imag) > 0:
+            raise InputDomainError(f"pump amplitude must be nonzero, got {pump_amplitude!r}")
         k.flags.writeable = False
         pol.flags.writeable = False
         self.direction, self.polarization, self.omega_laser = k, pol, omega_laser
@@ -227,7 +221,7 @@ def sodium_condensate() -> CondensateSpinor:
 
 def frequency_label(omega: float) -> str:
     """The "omega_hz" part of a channel label, exact to the last bit."""
-    return repr(omega / (2.0 * np.pi))
+    return repr(omega / TWO_PI)
 
 
 class Channel(NamedTuple):
@@ -701,7 +695,7 @@ def pair_state_to_json(state: PairState, provenance: dict | None = None) -> dict
         "channels": [
             {
                 "key": key,
-                "omega_hz": ch.omega / (2.0 * np.pi),
+                "omega_hz": ch.omega / TWO_PI,
                 "lambda": ch.lam,
                 "doubled_f": ch.doubled_f,
             }
@@ -715,7 +709,7 @@ def pair_state_to_json(state: PairState, provenance: dict | None = None) -> dict
         "pump": {
             "direction": pump.direction.tolist(),
             "polarization": [[z.real, z.imag] for z in pump.polarization.tolist()],
-            "laser_hz": pump.omega_laser / (2.0 * np.pi),
+            "laser_hz": pump.omega_laser / TWO_PI,
             "amplitude": _complex_pair(pump.pump_amplitude),
             "atom_number": pump.atom_number,
         },

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .atomic_model import AtomSpec, _dipole_tensor, _ground_layout, detuning, spherical_component
+from .atomic_model import _SPHERICAL, AtomSpec, _dipole_tensor, _ground_layout, detuning
 from .errors import SingularDetuningError
 
 __all__ = [
@@ -61,15 +61,13 @@ def polarization_bases(k_hats: np.ndarray) -> np.ndarray:
     basis[:, 0, 2] = -s
     basis[:, 1, 0] = -sin_phi
     basis[:, 1, 1] = cos_phi
-    basis[pole] = (spherical_component(+1), spherical_component(-1))
+    basis[pole] = _SPHERICAL[[2, 0]]  # (eps_+1, eps_-1)
     return basis
 
 
 def _spherical_overlaps(polarization: np.ndarray) -> np.ndarray:
     """(eps_q* . eps) for q = -1, 0, +1 as a complex 3-array."""
-    return np.array(
-        [complex(np.vdot(spherical_component(q), polarization)) for q in (-1, 0, +1)]
-    )
+    return np.array([complex(np.vdot(eps, polarization)) for eps in _SPHERICAL])
 
 
 def _detunings(spec: AtomSpec, omega_laser: float) -> np.ndarray:
@@ -109,10 +107,6 @@ def condensate_factor(
     dip = _dipole_tensor(spec.nuclear_spin.twice, spec.ground_j.twice, spec.excited_j.twice)
     w = (dip @ _spherical_overlaps(polarization)) @ (initial / _detunings(spec, omega_laser))
     return np.einsum("egq,e->gq", dip, w)
-
-
-_SPHERICAL = np.array([spherical_component(q) for q in (-1, 0, +1)])
-_SPHERICAL.flags.writeable = False
 
 
 def branch_amplitudes(factor: np.ndarray, polarizations: np.ndarray) -> np.ndarray:

@@ -151,9 +151,9 @@ def test_a_weight_that_underflows_exits_3_naming_its_factors(command, tmp_path, 
 
 
 def _state_weight(tmp_path, atom_number, amplitude, dipole, capsys):
-    """The emission weight that ``state`` publishes for a real pump amplitude."""
+    """The emission weight that ``state`` publishes for a pump amplitude."""
     def pump(doc):
-        doc["pump"].update(atom_number=atom_number, amplitude=[amplitude, 0.0])
+        doc["pump"].update(atom_number=atom_number, amplitude=[amplitude.real, amplitude.imag])
 
     config = _setup(tmp_path, {"reduced_dipole": dipole}, pump)
     code, out, err = _run(["state", "--config", str(config)], capsys)
@@ -163,13 +163,15 @@ def _state_weight(tmp_path, atom_number, amplitude, dipole, capsys):
 
 @pytest.mark.parametrize(
     "atom_number, amplitude, dipole, factors",
-    [(1e300, 1e10, 1e-100, (1e300, 1e20, 1e-200, 1e-200)), (1e308, 1e10, 1.0, (1e308, 1e20))],
+    [(1e300, 1e10, 1e-100, (1e300, 1e20, 1e-200, 1e-200)), (1e308, 1e10, 1.0, (1e308, 1e20)),
+     (1e300, 1e-200, 1.0, (1e300, 1e-200, 1e-200)), (1e300, -1e-170j, 1.0, (1e300, 1e-170, 1e-170))],
 )
 def test_a_weight_that_is_a_float_is_published_whatever_its_factors(
     atom_number, amplitude, dipole, factors, tmp_path, capsys
 ):
-    # N |a|^2 = 1e320 or 1e328 overflows on its own, and D^4 = 1e-400 underflows,
-    # but the weights, about 5.6e-103 and 5.6e305, are floats
+    # N |a|^2 = 1e320 or 1e328 overflows on its own, D^4 = 1e-400 or |a|^2 =
+    # 1e-400 or 1e-340 underflows, but the weights, about 5.6e-103, 5.6e305,
+    # 5.6e-123 and 5.6e-63, are floats
     expected = _state_weight(tmp_path, 1.0, 1.0, 1.0, capsys)
     for factor in factors:
         expected *= factor

@@ -824,14 +824,25 @@ def test_huge_pump_amplitude_exits_3(state_config, capsys):
     assert "non-finite" in err
 
 
-@pytest.mark.parametrize("amplitude", [[0.0, 0.0], [1e-200, 0.0], 0, [0.0, -1e-170]])
+@pytest.mark.parametrize("amplitude", [[0.0, 0.0], 0])
 def test_zero_pump_amplitude_exits_2(amplitude, state_config, capsys):
-    # |amplitude|^2 is 0, exactly or by underflow: nothing scatters
+    # an amplitude of exactly 0: nothing scatters
     edit_config(state_config, lambda c: c["pump"].__setitem__("amplitude", amplitude))
     code, out, err = run(["state", "--config", str(state_config)], capsys)
     assert code == 2
     assert out == ""
     assert "'pump.amplitude'" in err
+
+
+@pytest.mark.parametrize("amplitude", [[1e-200, 0.0], [0.0, -1e-170]])
+def test_pump_amplitude_whose_square_underflows_exits_3(amplitude, state_config, capsys):
+    # |amplitude|^2 underflows, which the weight's verdicts judge, not the
+    # amplitude's: at the fixture's 1e6 atoms the weights, about 5.6e-417 and
+    # 5.6e-357, underflow too
+    edit_config(state_config, lambda c: c["pump"].__setitem__("amplitude", amplitude))
+    code, out, err = run(["state", "--config", str(state_config)], capsys)
+    assert (code, out) == (3, "")
+    assert "underflows" in err
 
 
 def test_emission_weight_underflow_exits_3(state_config, capsys):
@@ -1088,6 +1099,20 @@ _IO_CASES = {
         "{tmp}/missing/s",
     ),
 }
+
+
+@pytest.mark.parametrize("value", ["x" * 300, "builtin:" + "x" * 300])
+def test_atom_spec_path_too_long_to_stat_exits_2(value, state_config, tmp_path, capsys):
+    # the name is longer than a file name may be: stat fails with ENAMETOOLONG
+    edit_config(state_config, lambda c: c.__setitem__("atom_spec_path", value))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    argv = ["state", "--config", str(state_config), "--output", str(tmp_path / "s.json")]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("configuration error: 'atom_spec_path' '")
+    assert err.endswith(f"': {os.strerror(errno.ENAMETOOLONG)}\n")
+    assert "Traceback" not in err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 @pytest.mark.parametrize("case", _IO_CASES)

@@ -41,3 +41,15 @@ def test_exit_code_2_has_one_exception_class():
 
     classes = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, Exception)]
     assert [c for c in classes if issubclass(c, errors.InputDomainError)] == [errors.InputDomainError]
+
+
+def test_exit_codes_2_and_3_have_one_root_each():
+    # every error is an InputDomainError (exit 2) or a PhysicsError (exit 3),
+    # never both, and the two roots share no base of the package
+    from raman_pairs import errors
+
+    classes = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, Exception)]
+    for cls in classes:
+        assert issubclass(cls, errors.InputDomainError) != issubclass(cls, errors.PhysicsError), cls
+    shared = set(errors.InputDomainError.__mro__) & set(errors.PhysicsError.__mro__)
+    assert {c.__module__ for c in shared} == {"builtins"}

@@ -3,6 +3,8 @@ fresh temporary names, and touches no file but its outputs."""
 
 import ast
 import errno
+import hashlib
+import json
 import os
 import shutil
 import stat
@@ -12,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import raman_pairs
-from raman_pairs import cli
+from raman_pairs import cli, config
 from raman_pairs.cli import main
 
 DATA = Path(raman_pairs.__file__).parent / "data"
@@ -193,6 +195,71 @@ def test_chsh_outputs_linked_to_one_file_exit_2(workdir, capsys):
     assert "--events-csv and --output name one file: 'alias.csv'" in err
     assert (workdir / "alias.csv").is_symlink()
     assert listing(workdir) == {"c.json": b"old json\n", "alias.csv": b"old json\n"}
+
+
+# each output flag that may name an input: the command, its shipped config,
+# its other arguments, the flag and the suffix it adds to its path
+_OVER_INPUT = {
+    "state": ("state", "sodium_state.json", [], "--output", ""),
+    "filter": ("filter", "sodium_state.json", ["--f-select", "1"], "--output", ""),
+    "scan csv": ("scan", "sodium_scan.json", [], "--output", ".csv"),
+    "scan json": ("scan", "sodium_scan.json", [], "--output", ".json"),
+    "chsh": ("chsh", "sodium_chsh.json", ["--samples", "5"], "--output", ""),
+    "chsh events": (
+        "chsh", "sodium_chsh.json", ["--samples", "5", "--output", "c.json"], "--events-csv", ""
+    ),
+}
+
+
+@pytest.mark.parametrize("link", ["path", "symlink", "hard link"])
+@pytest.mark.parametrize(
+    "case, target",
+    [(case, target) for case in sorted(_OVER_INPUT) for target in ("config", "species", "builtin")
+     if not (target == "builtin" and _OVER_INPUT[case][4] == ".csv")],  # a species is .json
+)
+def test_output_over_an_input_exits_2(case, target, link, tmp_path, monkeypatch, capsys):
+    # an output that is the config or its species file, by its path or through
+    # a link of either kind, is refused by flag and input, and every file keeps
+    # its bytes.
+    # The builtin species are a copy: no output here names the checkout's data
+    command, shipped, extra, flag, suffix = _OVER_INPUT[case]
+    builtin = tmp_path / "builtin"
+    builtin.mkdir()
+    shutil.copy(DATA / "sodium.json", builtin)
+    monkeypatch.setattr(config, "_BUILTIN_DIR", builtin)
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    monkeypatch.chdir(run_dir)
+    doc = json.loads((DATA / shipped).read_text())
+    if command == "scan":
+        doc["detection"]["scan"]["resolution_deg"] = 30.0
+    name = "in" + (suffix or ".json")
+    if target == "species":
+        shutil.copy(DATA / "sodium.json", run_dir / name)
+        doc["atom_spec_path"] = name
+    config_path = run_dir / (name if target == "config" else "config.json")
+    config_path.write_text(json.dumps(doc))
+    victim = builtin / "sodium.json" if target == "builtin" else run_dir / name
+    if link == "path":
+        victim_arg = str(victim)[: len(str(victim)) - len(suffix)]
+    else:
+        alias = run_dir / f"link{suffix}"
+        if link == "symlink":
+            alias.symlink_to(victim)
+        else:
+            os.link(victim, alias)
+        victim_arg = str(run_dir / "link")
+    argv = [command, "--config", str(config_path), *extra, flag, victim_arg]
+    sha256 = hashlib.sha256(victim.read_bytes()).hexdigest()
+    before = listing(tmp_path)
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    input_name = "--config" if target == "config" else "'atom_spec_path'"
+    assert err.startswith(f"configuration error: {flag} '")
+    assert f"' is the {input_name} file '" in err
+    assert "Traceback" not in err
+    assert hashlib.sha256(victim.read_bytes()).hexdigest() == sha256
+    assert listing(tmp_path) == before  # no output and no temporary
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))

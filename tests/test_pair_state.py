@@ -71,11 +71,14 @@ def test_pump_invariants():
     with pytest.raises(InputDomainError, match="polarization must be a unit vector"):
         PumpConfig(direction=np.array([0.0, 1.0, 0.0]), polarization=np.array([0, 0, 1e300j]),
                    omega_laser=1.0)
-    # a pump of zero intensity, exactly or by underflow, scatters nothing
-    for amplitude in (0.0, 1e-200 + 0j, -1e-170j):
-        with pytest.raises(InputDomainError, match="amplitude"):
-            PumpConfig(direction=np.array([0.0, 1.0, 0.0]), polarization=np.array([0, 0, 1.0]),
-                       omega_laser=1.0, pump_amplitude=amplitude)
+    # a pump of zero amplitude scatters nothing
+    with pytest.raises(InputDomainError, match="amplitude"):
+        PumpConfig(direction=np.array([0.0, 1.0, 0.0]), polarization=np.array([0, 0, 1.0]),
+                   omega_laser=1.0, pump_amplitude=0.0)
+    # one whose |amplitude|^2 underflows is left to the emission weight's verdicts
+    for amplitude in (1e-200 + 0j, -1e-170j):
+        PumpConfig(direction=np.array([0.0, 1.0, 0.0]), polarization=np.array([0, 0, 1.0]),
+                   omega_laser=1.0, pump_amplitude=amplitude)
 
 
 def test_condensate_must_be_normalized():

@@ -67,7 +67,7 @@ def _argv(command: str, data: Path, tmp: Path) -> list[str]:
     if command == "scan":
         config = json.loads((data / "sodium_scan.json").read_text(encoding="utf-8"))
         config["detection"]["scan"]["resolution_deg"] = 30.0
-        path = tmp / "scan.json"
+        path = tmp / "scan_config.json"
         path.write_text(json.dumps(config), encoding="utf-8")
         return ["scan", "--config", str(path), "--output", str(tmp / "scan")]
     return ["tables", "--max-doubled-j", "6", "--output", str(tmp / "tables")]
