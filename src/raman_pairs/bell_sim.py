@@ -171,7 +171,11 @@ def optimize_chsh(state: PairState) -> tuple[tuple[float, float, float, float], 
     orthogonal with squared lengths summing to 4).  Angles are returned in
     [-pi/2, pi/2]; the returned S is evaluated at them.
     """
-    t = _moments(_support_matrix(state))[1:, 1:]
+    return _optimum(_moments(_support_matrix(state))[1:, 1:])
+
+
+def _optimum(t: np.ndarray) -> tuple[tuple[float, float, float, float], float]:
+    """The angles and S of :func:`optimize_chsh` from the correlation matrix ``t``."""
     t_z, t_x = t[:, 0], t[:, 1]
     theta = math.atan2(math.hypot(*t_x), math.hypot(*t_z))
     settings = (_half_angle(t_x), _half_angle(t_z), 0.5 * theta, -0.5 * theta)
@@ -207,7 +211,13 @@ def sample_chunks(
     Chunk i draws its setting indices first and its uniforms second."""
     if n < 1:
         raise InputDomainError("need at least one trial")
-    moments = _moments(_support_matrix(state))
+    return _sampled(_moments(_support_matrix(state)), settings, n, seed)
+
+
+def _sampled(
+    moments: np.ndarray, settings: tuple[float, float, float, float], n: int, seed: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The chunks of :func:`sample_chunks` from the state's moment matrix ``moments``."""
     settings = _finite_angles(_ANGLE_NAMES, settings)
     # bounds[k, s]: the k-th cumulative outcome probability of setting s
     bounds = np.cumsum(_joint_distributions(moments, settings), axis=1)[:, :-1].T

@@ -55,12 +55,13 @@ def _outputs(args) -> list[tuple[str, str, Path]]:
 def _config(args) -> RunConfig:
     """The run configuration of ``--config``.  An output that is the config or
     its species file, by any name or link, is refused, naming its flag and the
-    input, and the command writes nothing."""
+    input, and the command writes nothing; the outputs are the list of
+    :func:`_outputs` that :func:`main` keeps in ``args.outputs``."""
     from .config import RunConfig
 
     config = RunConfig(Path(args.config))
     inputs = {"--config": config.path, "'atom_spec_path'": config.atom_path}
-    for flag, _, path in _outputs(args):
+    for flag, _, path in args.outputs:
         with suppress(FileNotFoundError):  # a file still to be made is no input
             target = os.stat(path)
             for name, file in inputs.items():
@@ -176,7 +177,8 @@ def cmd_scan(args, files: list[tuple[Path, Path]]) -> str:
 
 
 def cmd_chsh(args, files: list[tuple[Path, Path]]) -> str:
-    from .bell_sim import GENERATOR_ID, chsh, optimize_chsh, sample_chunks, tally_chunks
+    from .bell_sim import GENERATOR_ID, _moments, _optimum, _s_value, _sampled, _support_matrix
+    from .bell_sim import tally_chunks
     from .pair_state import spectral_filter
 
     if args.samples < 0:
@@ -189,11 +191,13 @@ def cmd_chsh(args, files: list[tuple[Path, Path]]) -> str:
     state = _state(config)
     if config.filter_f is not None:
         state = spectral_filter(state, config.filter_f)
+    moments = _moments(_support_matrix(state))  # once, for S and for the sampler
     optimized = config.chsh_settings is None
     if optimized:
-        settings, s_value = optimize_chsh(state)
+        settings, s_value = _optimum(moments[1:, 1:])
     else:
-        settings, s_value = config.chsh_settings, chsh(state, *config.chsh_settings)
+        settings = config.chsh_settings
+        s_value = _s_value(moments[1:, 1:], settings)
     doc = {
         "format": "raman-pairs/chsh/1",
         "metadata": config.metadata(seed=args.seed if args.samples else None),
@@ -203,7 +207,7 @@ def cmd_chsh(args, files: list[tuple[Path, Path]]) -> str:
         "tsirelson_bound": 2.0 * math.sqrt(2.0),
     }
     if args.samples:
-        chunks = sample_chunks(state, settings, args.samples, args.seed)
+        chunks = _sampled(moments, settings, args.samples, args.seed)
         sampling = doc["sampling"] = dict(n=args.samples, seed=args.seed, generator=GENERATOR_ID)
         if args.events_csv is None:
             sampling.update(tally_chunks(chunks))
@@ -342,7 +346,7 @@ def main(argv: list[str] | None = None) -> int:
     then print its stdout: an output that cannot be opened exits 2 before any work."""
     args = _parse(argv)
     try:
-        outputs = _outputs(args)
+        args.outputs = outputs = _outputs(args)
         try:
             with _all_or_none([(flag, path) for flag, _, path in outputs]) as temps:
                 text = args.func(args, [(path, temp) for (_, _, path), temp in zip(outputs, temps)])

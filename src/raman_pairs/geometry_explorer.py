@@ -19,9 +19,10 @@ that hold the kernel's arrays as columns, one row a node.  Two consumers
 read it: :func:`scan_sphere` concatenates the chunks into one map, and
 :func:`write_scan` writes each chunk's rows as soon as the chunk is
 evaluated, so writing a scan holds one chunk whatever the grid.  One column
-list, :attr:`ScanMap.columns`, heads both files, and each node's numbers are
-formatted once into the strings of its CSV line and its JSON array.  Both
-files are written in the one output transaction of :mod:`~raman_pairs.outputs`.
+list, :attr:`ScanMap.columns`, heads both files, and each distinct number of
+a chunk is formatted once into the strings of its nodes' CSV lines and JSON
+arrays.  Both files are written in the one output transaction of
+:mod:`~raman_pairs.outputs`.
 A map is an identity record; ``ScanMap.replace`` builds one through its constructor.
 """
 
@@ -214,24 +215,27 @@ def _csv_head(scan: ScanMap) -> str:
 
 
 def _rows(scan: ScanMap) -> tuple[str, str]:
-    """The nodes' CSV lines and JSON arrays, from one repr of each number.
+    """The nodes' CSV lines and JSON arrays, from one repr of each distinct number.
 
     A float is written as its repr, as the csv module and ``json`` write it.
-    The two differ only in their separators and in two tokens: a flagged
-    node's measure is ``nan`` in the CSV and ``null`` in the JSON, and a
-    scored node's reason an empty field and ``null``.
+    The chunk's float columns repeat themselves (theta along a grid line, phi
+    down a column, the pole's direction), so each distinct bit pattern is
+    formatted once; keying on bits keeps -0.0 apart from 0.0.  The two files
+    differ only in their separators and in two tokens: a flagged node's
+    measure is ``nan`` in the CSV and ``null`` in the JSON, and a scored
+    node's reason an empty field and ``null``.
     """
     flagged = scan.flagged.tolist()
     names = ("", *FLAG_REASONS)
     reasons = [names[r] for r in scan.flag_reasons.tolist()]
-    hz = scan.omega / TWO_PI
-    fields = [
-        *(list(map(repr, c.tolist())) for c in (scan.thetas, scan.phis, *scan.directions.T)),
-        list(map(repr, scan.measures.tolist())),
-        ["1" if f else "0" for f in flagged],
-        reasons,
-        *(list(map(repr, c.tolist())) for c in (*hz.T, *scan.channel_weights.T)),
-    ]
+    numbers = np.vstack([
+        scan.thetas, scan.phis, scan.directions.T, scan.measures,
+        (scan.omega / TWO_PI).T, scan.channel_weights.T,
+    ])
+    bits, index = np.unique(numbers.view(np.int64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+    columns = text[index.reshape(numbers.shape)].tolist()
+    fields = [*columns[:6], ["1" if f else "0" for f in flagged], reasons, *columns[6:]]
     csv_rows = "".join([",".join(row) + "\n" for row in zip(*fields)])
     fields[5] = ["null" if f else m for m, f in zip(fields[5], flagged)]
     fields[7] = [f'"{r}"' if r else "null" for r in reasons]

@@ -32,8 +32,11 @@ package code:
   it to rotate the condensate).
 * ``scan_to_json_doc`` / ``oracle_scan_json`` / ``oracle_scan_csv`` build a
   scan's whole document as Python objects and serialize it with
-  ``json.dumps`` and the ``csv`` module (the package formats each number
-  once and joins the strings chunk by chunk).
+  ``json.dumps`` and the ``csv`` module (the package formats each distinct
+  number of a chunk once and joins the strings chunk by chunk).
+* ``oracle_scan_rows`` writes a chunk's CSV lines and JSON arrays from a
+  ``repr`` of every value of every column, one number at a time (the
+  package formats each distinct bit pattern once and gathers the strings).
 
 All angular-momentum arguments are doubled integers.
 """
@@ -513,3 +516,20 @@ def oracle_scan_csv(scan) -> str:
     writer.writerow(_scan_columns(scan.levels))
     writer.writerows([*row[:7], row[7] or "", *row[8:]] for row in _scan_node_values(scan))
     return buf.getvalue()
+
+
+def oracle_scan_rows(scan) -> tuple[str, str]:
+    """A chunk's CSV lines and JSON node arrays, joined as the scan files hold
+    them, with every number formatted by its own ``repr``."""
+    reasons = ["", "no_scattering", "empty_filter_channel", "undefined_overlap"]
+    hz = scan.omega / (2.0 * math.pi)
+    floats = [scan.thetas, scan.phis, *scan.directions.T, scan.measures]
+    floats = [list(map(repr, c.tolist())) for c in [*floats, *hz.T, *scan.channel_weights.T]]
+    csv_lines, json_arrays = [], []
+    for n, reason in enumerate(scan.flag_reasons.tolist()):
+        numbers = [column[n] for column in floats]
+        flag = "1" if reason else "0"
+        csv_lines.append(",".join([*numbers[:6], flag, reasons[reason], *numbers[6:]]) + "\n")
+        measure, name = "null" if reason else numbers[5], json.dumps(reasons[reason] or None)
+        json_arrays.append("    [" + ",".join([*numbers[:5], measure, flag, name, *numbers[6:]]) + "]")
+    return "".join(csv_lines), ",\n".join(json_arrays)

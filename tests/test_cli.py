@@ -458,6 +458,25 @@ def test_chsh_pinned_bytes(tmp_path, monkeypatch, capsys):
     )
 
 
+@pytest.mark.parametrize("settings", [None, [0.0, math.pi / 4.0, math.pi / 8.0, 0.3]])
+def test_chsh_reads_one_moment_matrix(settings, tmp_path, monkeypatch, capsys):
+    # S, optimized or at the config's angles, and the sampler read the moment
+    # matrix of one _moments call per run
+    raw = json.loads((DATA / "sodium_chsh.json").read_text())
+    if settings is not None:
+        raw["chsh"] = {"settings_rad": settings}
+    (tmp_path / "config.json").write_text(json.dumps(raw, indent=1))
+    calls = []
+    moments = bell_sim._moments
+    monkeypatch.setattr(bell_sim, "_moments", lambda m: calls.append(m) or moments(m))
+    code, out, _ = run(
+        ["chsh", "--config", str(tmp_path / "config.json"), "--samples", "1000"], capsys
+    )
+    assert code == 0 and len(calls) == 1
+    doc = json.loads(out)
+    assert doc["optimized"] == (settings is None) and doc["sampling"]["n"] == 1000
+
+
 # recorded before PairState held the kernel's arrays; the shipped configs'
 # filtered amplitudes are the same bits under the kernel's phase rule
 _SINGLE_DIRECTION_PINS = {
@@ -1490,12 +1509,12 @@ def test_chsh_huge_sample_count_reaches_the_stream(tmp_path, monkeypatch):
     # it reaches the stream's own failure after the first chunk
     asked = []
 
-    def one_chunk_then_fail(state, settings, n, seed):
+    def one_chunk_then_fail(moments, settings, n, seed):
         asked.append(n)
         yield 0, np.zeros(bell_sim._CHUNK, dtype=np.int8)
         raise RuntimeError("after the first chunk")
 
-    monkeypatch.setattr(bell_sim, "sample_chunks", one_chunk_then_fail)
+    monkeypatch.setattr(bell_sim, "_sampled", one_chunk_then_fail)
     monkeypatch.chdir(tmp_path)
     for events in ([], ["--events-csv", "e.csv"]):
         with pytest.raises(RuntimeError, match="after the first chunk"):

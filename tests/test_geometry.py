@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import random_condensate, random_pump
-from oracles import oracle_scan_csv, oracle_scan_json, scan_to_json_doc
+from oracles import oracle_scan_csv, oracle_scan_json, oracle_scan_rows, scan_to_json_doc
 from raman_pairs import geometry_explorer
 from raman_pairs.angular_momentum import HalfInt
 from raman_pairs.atomic_model import AtomSpec, spherical_component
@@ -470,6 +470,67 @@ def test_streamed_files_equal_the_document_oracle(spec, pump, tmp_path, monkeypa
             (want_direction, want), (direction, value) = map(argmax_direction, (scan, files.best))
             np.testing.assert_array_equal(direction, want_direction, strict=True)
             assert value == want
+
+
+# a quiet NaN with a payload: another bit pattern that also prints nan
+_PAYLOAD_NAN = float(np.array([0x7FF8_0000_0000_0001]).view(float)[0])
+# hand-made chunks of sodium's two ground levels, one row of twelve floats a
+# node (theta, phi, k, measure, the levels' omega, the channel weights), and
+# each node's flag reason; a flagged node's measure is NaN
+_EDGE_CHUNKS = {
+    "signed zeros": (
+        [
+            [0.0, -0.0, 0.0, -0.0, 1.0, 0.5, 0.0, -0.0, 0.0, -0.0, 1.0, 0.0],
+            [-0.0, 0.0, -0.0, 0.0, -1.0, 0.25, -0.0, 0.0, -0.0, 0.0, 0.0, 1.0],
+            [0.0, 0.0, 0.0, -0.0, 1.0, -0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.5],
+        ],
+        [0, 0, 0],
+    ),
+    "flagged nans": (
+        [
+            [0.0, 0.0, 0.0, 0.0, 1.0, math.nan, 1.0, 2.0, 0.0, 0.0, 0.0, 0.0],
+            [0.1, 0.2, 0.6, 0.0, 0.8, -math.nan, 1.0, 2.0, 1.0, 0.0, 0.0, 0.0],
+            [0.1, 0.3, 0.0, 0.6, 0.8, _PAYLOAD_NAN, 1.0, 2.0, 0.0, 0.0, 0.0, 1.0],
+            [0.1, 0.4, 0.0, 0.0, 1.0, 0.75, 1.0, 2.0, 0.25, 0.25, 0.25, 0.25],
+        ],
+        [1, 2, 3, 0],
+    ),
+    "extremes": (
+        [
+            [5e-324, 1e16, 1e-05, 2.5e-310, 1.0, 5e-324, 1e16, 1e-05, 5e-324, 2.5e-310, 1e-05, 1.0],
+            [2.2250738585072014e-308, 1e-05, 1e16, 1.7976931348623157e308, -5e-324, 1e-05,
+             1e-07, 1.7976931348623157e308, 1e16, 1e-05, 2.5e-310, 1e22],
+        ],
+        [0, 0],
+    ),
+    "repeats": (
+        [
+            [0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5],
+            [0.5, 0.25, 0.5, 0.25, 0.5, 0.25, 0.5, 0.25, 0.5, 0.25, 0.5, 0.25],
+            [0.25, 0.5, 0.1, 0.1, 0.5, 0.1, 0.25, 0.5, 0.1, 0.1, 0.25, 0.5],
+        ],
+        [0, 0, 0],
+    ),
+    "one node": ([[0.5, -0.0, 0.6, 0.0, -0.8, 1e-05, 3.0, 4.0, 0.5, 0.25, 0.125, 0.125]], [0]),
+}
+
+
+@pytest.mark.parametrize("case", list(_EDGE_CHUNKS))
+def test_rows_equal_a_repr_of_every_number(case, tmp_path):
+    # _rows formats each distinct bit pattern of a chunk once: -0.0 stays
+    # apart from 0.0, every NaN prints nan, and subnormals and the extremes
+    # of repr's two notations print as a repr of each value prints them
+    rows, reasons = _EDGE_CHUNKS[case]
+    nodes = np.array(rows)
+    scan = ScanMap(
+        nodes[:, 0], nodes[:, 1], nodes[:, 2:5], nodes[:, 5], reasons, nodes[:, 8:],
+        nodes[:, 6:8], (2, 4), 1.0, "entropy", METADATA,
+    )
+    assert np.isnan(scan.measures).tolist() == [r > 0 for r in reasons]
+    assert geometry_explorer._rows(scan) == oracle_scan_rows(scan)
+    files = write_scan(scan, tmp_path / "s")
+    assert files.csv_path.read_bytes() == oracle_scan_csv(scan).encode()
+    assert files.json_path.read_text(encoding="utf-8") == oracle_scan_json(scan_to_json_doc(scan))
 
 
 def test_write_scan_keeps_levels_with_equal_frequencies(spec, pump, phi0, tmp_path):

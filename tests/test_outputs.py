@@ -290,7 +290,7 @@ _BEFORE_WORK = {
                "raman_pairs.pair_state.build_pair_state"),
     "chsh": (["chsh", "--config", str(DATA / "sodium_chsh.json"), "--samples", "3000000",
               "--events-csv", "missing/e.csv"], "--events-csv 'missing/e.csv'",
-             "raman_pairs.bell_sim.sample_chunks"),
+             "raman_pairs.bell_sim._sampled"),
     "tables": (["tables", "--max-doubled-j", "12", "--output", "missing/t"],
                "--output 'missing/t_cg.csv'", "raman_pairs.cli._tables_text"),
 }

@@ -6,7 +6,8 @@ interpreter per tree:
 
 * ``state`` (JSON and CSV), ``filter`` (both levels and the config's) and
   ``chsh`` (analytic, and seeded with ``--events-csv``) on the tree's shipped
-  configs, ``scan`` at 30 degrees with each measure, and ``tables``;
+  configs, ``scan`` at 30 degrees with each measure and at 5 degrees (2,664
+  nodes in 3 chunks, so rows cross chunk boundaries), and ``tables``;
 * per seeded variant of the shipped configs, with a random unit detection
   direction, a random F=1 condensate and a random transverse pump
   polarization: ``state`` (JSON, and CSV into a file), ``filter`` at each
@@ -142,8 +143,8 @@ def plan(first: Path, configs: Path, variants: int, seed: int) -> list[tuple[str
         (configs / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
         return f"{{configs}}/{name}.json"
 
-    def scan(base: dict, measure: str, level: str = "1") -> dict:
-        block = {"resolution_deg": 30.0, "measure": measure}
+    def scan(base: dict, measure: str, level: str = "1", degrees: float = 30.0) -> dict:
+        block = {"resolution_deg": degrees, "measure": measure}
         if measure == "concurrence_after_filter":
             block["filter_f"] = level
         return {**base, "detection": {"scan": block}}
@@ -163,6 +164,8 @@ def plan(first: Path, configs: Path, variants: int, seed: int) -> list[tuple[str
     for measure in MEASURES:
         path = write(f"scan_{measure}", scan(shipped["scan"], measure))
         calls.append((f"scan {measure}", ["scan", "--config", path, "--output", "{out}/scan"]))
+    path = write("scan_chunks", scan(shipped["scan"], "conditional_overlap", degrees=5.0))
+    calls.append(("scan 3 chunks", ["scan", "--config", path, "--output", "{out}/scan"]))
     for i in range(variants):
         doc = json.loads(json.dumps(shipped["state"]))
         doc["pump"]["polarization"] = _transverse(rng, doc["pump"]["direction"])
