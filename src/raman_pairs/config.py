@@ -231,14 +231,16 @@ class RunConfig:
             except InputDomainError as exc:
                 raise InputDomainError(f"'condensate.amplitudes.{key}': {exc}")
             parsed[sublevel] = _as_complex(value, f"condensate.amplitudes.{key}")
+        # a square that overflows, a norm of zero, or one whose squares fall in
+        # the subnormal range and leave the spinor off the unit norm that
+        # CondensateSpinor checks
         try:
             total = math.sqrt(sum(abs(a) ** 2 for a in parsed.values()))
-        except OverflowError:
-            total = math.inf
-        if not 0 < total < math.inf:  # none, or all zero, or an overflow
-            raise InputDomainError("'condensate.amplitudes' must have a nonzero, finite norm")
-        normalized = {key: amp / total for key, amp in parsed.items()}
-        return CondensateSpinor.from_dict(normalized)
+            return CondensateSpinor.from_dict({key: amp / total for key, amp in parsed.items()})
+        except (OverflowError, ZeroDivisionError, InputDomainError):
+            raise InputDomainError(
+                "'condensate.amplitudes' has a norm too small, too large or zero to normalize"
+            ) from None
 
     def metadata(self, seed: int | None = None) -> dict:
         doc = {

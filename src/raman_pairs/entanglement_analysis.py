@@ -36,9 +36,9 @@ import math
 import numpy as np
 
 from .angular_momentum import halfint
-from .errors import EmptyStateError, InputDomainError, UndefinedOverlapError
+from .errors import InputDomainError, PhysicsError
 from .atomic_model import _sublevels
-from .pair_state import BlockGrams, Channel, PairState, _norm, warn_if_unresolved
+from .pair_state import _EMPTY_CHANNEL, BlockGrams, Channel, PairState, _norm, warn_if_unresolved
 from .raman_coupling import sequential_sum
 
 __all__ = [
@@ -241,9 +241,7 @@ def concurrence_after_filter(state: PairState, f_select) -> float:
         level = state.levels.index(f.twice)
         value = float(filtered_concurrence_of_blocks(state.grams, level)[0])
     if math.isnan(value):  # the level is absent or empty
-        raise EmptyStateError(
-            f"the F={f} frequency channel carries zero probability; nothing to select"
-        )
+        raise PhysicsError(_EMPTY_CHANNEL.format(f))
     warn_if_unresolved(state, f)
     return value
 
@@ -252,5 +250,5 @@ def branch_overlap(state: PairState) -> float:
     """|<S_k1|S_k2>| between the atomic spinors of an unfiltered state's branches."""
     value = float(branch_overlap_of_blocks(state.grams)[0])
     if math.isnan(value):
-        raise UndefinedOverlapError(_UNDEFINED_OVERLAP)
+        raise PhysicsError(_UNDEFINED_OVERLAP)
     return value

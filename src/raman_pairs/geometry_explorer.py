@@ -41,7 +41,7 @@ from .entanglement_analysis import (
     entropy_of_blocks,
     filtered_concurrence_of_blocks,
 )
-from .errors import EmptyScanError, InputDomainError, PhysicsError
+from .errors import InputDomainError, PhysicsError
 from .outputs import _all_or_none, _prefix_path, json_text
 from .pair_state import (
     CondensateSpinor,
@@ -203,7 +203,7 @@ def argmax_direction(scan: ScanMap) -> tuple[np.ndarray, float]:
     """Maximum over non-flagged nodes; ties go to the smallest (theta, phi)."""
     flagged = scan.flagged
     if flagged.all():
-        raise EmptyScanError("every node of the scan is flagged")
+        raise PhysicsError("every node of the scan is flagged")
     best = int(np.argmax(np.where(flagged, -np.inf, scan.measures)))  # first of a tie
     return scan.directions[best].copy(), float(scan.measures[best])
 
@@ -311,6 +311,6 @@ def _write_chunks(scan: ScanMap | Iterable[ScanMap], csv_path: Path, json_path: 
             counts += np.bincount(chunk.flag_reasons, minlength=len(counts))
             nodes += len(chunk.measures)
         if best is None:
-            raise EmptyScanError("the scan has no nodes")
+            raise PhysicsError("the scan has no nodes")
         json_out.write(f'\n  ],\n  "resolution_rad": {best.resolution!r}\n}}\n')
     return nodes, best, dict(zip(FLAG_REASONS, counts[1:].tolist()))

@@ -63,12 +63,7 @@ import numpy as np
 from .angular_momentum import HalfInt, HalfIntLike, halfint
 from .atomic_model import DEFAULT_VALIDITY_THRESHOLD, AtomSpec, _ground_layout, _sublevels
 from .atomic_model import TWO_PI, validity_check
-from .errors import (
-    EmptyStateError,
-    InputDomainError,
-    OffResonanceError,
-    PhysicsError,
-)
+from .errors import InputDomainError, PhysicsError
 from .outputs import json_text
 from .raman_coupling import (
     branch_amplitudes,
@@ -101,6 +96,8 @@ _NORM_TOL = 1e-12
 DEFAULT_CHANNEL_RESOLUTION = TWO_PI * 1.0e6  # rad/s
 # the inputs whose product scales the emission weight
 _WEIGHT_FACTORS = "|pump.amplitude|^2 times pump.atom_number times the species' reduced_dipole^4"
+# the refusal to select a level that carries nothing, formatted with its F
+_EMPTY_CHANNEL = "the F={} frequency channel carries zero probability; nothing to select"
 
 
 def _norm(vector: np.ndarray) -> float:
@@ -397,6 +394,12 @@ def _photon_frequencies(spec: AtomSpec, pump: PumpConfig, k: np.ndarray) -> np.n
     px, py, pz = pump.direction
     cos_angle = (k[:, 0:1] * px + k[:, 1:2] * py) + k[:, 2:3] * pz
     laser = pump.omega_laser
+    for level, delta in spec.ground_splittings:
+        if not laser > delta:  # no photon, whatever the recoil
+            raise PhysicsError(
+                f"the laser at {laser / TWO_PI:.12g} Hz is not above the F={level} ground "
+                f"splitting of {delta / TWO_PI:.12g} Hz: that Raman channel is energetically closed"
+            )
     base = laser - np.array([delta for _, delta in spec.ground_splittings])
     a = HBAR / (2.0 * spec.mass * SPEED_OF_LIGHT * SPEED_OF_LIGHT)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -480,7 +483,7 @@ def pair_batch(
     per-direction arithmetic is elementwise or summed in a fixed order, so
     the result for a direction does not depend on N or on its place in the
     batch.  A pump that fails :func:`~raman_pairs.atomic_model.validity_check`
-    at ``validity_threshold`` raises :class:`OffResonanceError`; a threshold
+    at ``validity_threshold`` raises :class:`PhysicsError`; a threshold
     of 0 lets every pump through except an exact resonance.
     """
     k = np.asarray(k_hats, dtype=float)
@@ -491,7 +494,7 @@ def pair_batch(
         raise InputDomainError("detection direction must be a unit vector")
     report = validity_check(spec, pump.omega_laser, validity_threshold)
     if not report.passed:
-        raise OffResonanceError(
+        raise PhysicsError(
             "far off-resonant condition |Delta(F')| >> Gamma violated: " + report.describe()
         )
 
@@ -583,12 +586,12 @@ def build_pair_state(
         spec, pump, phi0, _one_direction(k_hat), validity_threshold=validity_threshold
     )
     if not batch.norms[0] > 0.0:
-        raise EmptyStateError(
+        raise PhysicsError(
             "no scattering amplitude into this direction for the given pump "
             "and condensate"
         )
     if not batch.weights[0] > 0.0:
-        raise EmptyStateError(
+        raise PhysicsError(
             f"the emission weight into this direction underflows to zero: {_WEIGHT_FACTORS} "
             "is too small"
         )
@@ -631,9 +634,7 @@ def spectral_filter(state: PairState, f_select: HalfIntLike) -> PairState:
     rows = np.where(keep, state.amplitudes.ravel(), 0.0)[np.newaxis]
     amplitudes, total_sq, _ = _normalize_and_phase(rows, state.omega[np.newaxis], level)
     if not total_sq[0] > 0.0:
-        raise EmptyStateError(
-            f"the F={f} frequency channel carries zero probability; nothing to select"
-        )
+        raise PhysicsError(_EMPTY_CHANNEL.format(f))
     warn_if_unresolved(state, f)
     return state.replace(amplitudes=amplitudes.reshape(2, -1))
 

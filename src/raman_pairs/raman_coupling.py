@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .atomic_model import _SPHERICAL, AtomSpec, _dipole_tensor, _ground_layout, detuning
-from .errors import SingularDetuningError
+from .errors import PhysicsError
 
 __all__ = [
     "polarization_bases",
@@ -75,7 +75,7 @@ def _detunings(spec: AtomSpec, omega_laser: float) -> np.ndarray:
     deltas = np.array([detuning(spec, omega_laser, f) for f in spec.ground_levels()])
     deltas = deltas[_ground_layout(spec).level]
     if np.any(deltas == 0.0):
-        raise SingularDetuningError(
+        raise PhysicsError(
             "laser exactly resonant with a ground level; adiabatic elimination "
             "requires a far off-resonant pump"
         )

@@ -81,6 +81,20 @@ def test_state_resonant_pump_exits_3(state_config, capsys):
     assert "off-resonant" in err
 
 
+@pytest.mark.parametrize("laser_hz, code", [(1e9, 3), (1e3, 3), (2e9, 0)])
+def test_state_laser_below_a_ground_splitting_exits_3(laser_hz, code, state_config, capsys):
+    # below sodium's 1.772 GHz F=2 splitting, omega_L - delta(F=2) is negative
+    # before any recoil: the channel is closed, and the message says so
+    edit_config(state_config, lambda c: c["pump"].__setitem__("laser_hz", laser_hz))
+    got, out, err = run(["state", "--config", str(state_config)], capsys)
+    closed = (
+        f"physics error: the laser at {laser_hz:.12g} Hz is not above the F=2 ground splitting "
+        "of 1772000000 Hz: that Raman channel is energetically closed\n"
+    )
+    assert (got, err) == (code, closed if code else "")
+    assert (out == "") == (code == 3)
+
+
 def test_state_unknown_key_exits_2(state_config, capsys):
     def mutate(c):
         c["pump"]["polarisation"] = c["pump"].pop("polarization")
@@ -821,6 +835,21 @@ def test_huge_condensate_amplitude_exits_2(state_config, capsys):
     assert code == 2
     assert out == ""
     assert "'condensate.amplitudes'" in err
+
+
+@pytest.mark.parametrize(
+    "amplitude, code",
+    [([1e-157, 0.0], 2), ([1e-162, 0.0], 2), ([1e155, 0.0], 2), ([1e-155, 0.0], 0),
+     ([1e154, 0.0], 0)],
+)
+def test_condensate_norm_out_of_float_range_exits_2_by_name(amplitude, code, state_config, capsys):
+    # a square in the subnormal range leaves the normalized spinor off unit
+    # norm; one that underflows to 0 or overflows leaves no norm to divide by
+    edit_config(state_config, lambda c: c["condensate"].__setitem__("amplitudes", {"2:0": amplitude}))
+    got, out, err = run(["state", "--config", str(state_config)], capsys)
+    refusal = "'condensate.amplitudes' has a norm too small, too large or zero to normalize"
+    assert (got, err) == (code, f"configuration error: {refusal}\n" if code else "")
+    assert (out == "") == (code == 2)
 
 
 @pytest.mark.parametrize("amplitude", [0.5, 0.0])

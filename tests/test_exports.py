@@ -43,6 +43,14 @@ def test_exit_code_2_has_one_exception_class():
     assert [c for c in classes if issubclass(c, errors.InputDomainError)] == [errors.InputDomainError]
 
 
+def test_exit_code_3_has_one_exception_class():
+    # every physics error is a PhysicsError itself: its message, not a subclass, says why
+    from raman_pairs import errors
+
+    classes = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, Exception)]
+    assert [c for c in classes if issubclass(c, errors.PhysicsError)] == [errors.PhysicsError]
+
+
 def test_exit_codes_2_and_3_have_one_root_each():
     # every error is an InputDomainError (exit 2) or a PhysicsError (exit 3),
     # never both, and the two roots share no base of the package

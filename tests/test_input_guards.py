@@ -7,7 +7,7 @@ import pytest
 
 from raman_pairs.atomic_model import spherical_component
 from raman_pairs.bell_sim import sample_chunks
-from raman_pairs.errors import EmptyScanError, InputDomainError
+from raman_pairs.errors import InputDomainError, PhysicsError
 from raman_pairs.geometry_explorer import _COLUMNS, scan_sphere, write_scan
 from raman_pairs.pair_state import build_pair_state, spectral_filter
 
@@ -69,6 +69,6 @@ def test_scan_writer_skips_an_empty_chunk(coarse_scan, tmp_path):
 
 @pytest.mark.parametrize("chunks", [0, 2])
 def test_scan_with_no_node_raises_and_writes_nothing(coarse_scan, tmp_path, chunks):
-    with pytest.raises(EmptyScanError, match="^the scan has no nodes$"):
+    with pytest.raises(PhysicsError, match="^the scan has no nodes$"):
         write_scan([_empty(coarse_scan)] * chunks, tmp_path / "empty")
     assert list(tmp_path.iterdir()) == []

@@ -20,7 +20,7 @@ from raman_pairs.atomic_model import (
     dipole_matrix_element,
     spherical_component,
 )
-from raman_pairs.errors import SingularDetuningError
+from raman_pairs.errors import PhysicsError
 from raman_pairs.pair_state import CondensateSpinor, PumpConfig, pair_batch
 from raman_pairs.raman_coupling import condensate_factor, polarization_bases
 
@@ -205,5 +205,5 @@ def test_dropping_f2_excited_manifold_breaks_amplitudes(spec, pump, phi0):
 
 
 def test_singular_detuning_raises(spec, pump, phi0):
-    with pytest.raises(SingularDetuningError):
+    with pytest.raises(PhysicsError, match="^laser exactly resonant with a ground level"):
         condensate_factor(spec, spec.resonance, pump.polarization, phi0.vector(spec))

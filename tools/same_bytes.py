@@ -8,6 +8,10 @@ interpreter per tree:
   ``chsh`` (analytic, and seeded with ``--events-csv``) on the tree's shipped
   configs, ``scan`` at 30 degrees with each measure and at 5 degrees (2,664
   nodes in 3 chunks, so rows cross chunk boundaries), and ``tables``;
+* each physics refusal once, so that every exit-3 message is compared: a
+  resonant pump, an emission weight that underflows and one that is not
+  finite, two levels of one float frequency, a laser below a ground
+  splitting, an empty filter channel and a scan whose every node is flagged;
 * per seeded variant of the shipped configs, with a random unit detection
   direction, a random F=1 condensate and a random transverse pump
   polarization: ``state`` (JSON, and CSV into a file), ``filter`` at each
@@ -166,6 +170,32 @@ def plan(first: Path, configs: Path, variants: int, seed: int) -> list[tuple[str
         calls.append((f"scan {measure}", ["scan", "--config", path, "--output", "{out}/scan"]))
     path = write("scan_chunks", scan(shipped["scan"], "conditional_overlap", degrees=5.0))
     calls.append(("scan 3 chunks", ["scan", "--config", path, "--output", "{out}/scan"]))
+    # one call per physics refusal (exit 3), on the config of the test that pins it
+    for name, atom in (("close", {"ground_splittings_hz": {"2": 0.0, "4": 1e-3}}),
+                       ("inverted", {"doubled_I": 0, "doubled_ground_J": 3,
+                                     "doubled_excited_J": 1, "ground_splittings_hz": {"3": 0.0}})):
+        (configs / f"{name}.json").write_text(json.dumps({**species, **atom}), encoding="utf-8")
+    pump = shipped["state"]["pump"]
+    sigma_plus = {**pump, "direction": [0.0, 0.0, 1.0],
+                  "polarization": [[-1.0, 0.0], [0.0, -1.0], [0.0, 0.0]]}
+    refusals = [
+        ("resonant pump", {"pump": {**pump, "laser_hz": 5.088487162e14}}, ["state"]),
+        ("weight underflow", {"pump": {**pump, "amplitude": [1e-160, 0.0]}}, ["state"]),
+        ("weight not finite",
+         {"pump": {**pump, "amplitude": [1e20, 0.0], "atom_number": 1e308}}, ["state"]),
+        ("one float frequency", {"atom_spec_path": "close.json"}, ["state"]),
+        ("laser below a splitting", {"pump": {**pump, "laser_hz": 1e9}}, ["state"]),
+        ("empty filter channel",
+         {"pump": sigma_plus, "condensate": {"amplitudes": {"4:4": [1.0, 0.0]}}},
+         ["filter", "--f-select", "1"]),
+    ]
+    for name, changes, command in refusals:
+        path = write(name.replace(" ", "_"), {**shipped["state"], **changes})
+        calls.append((name, [*command, "--config", path]))
+    flagged = {**shipped["state"], "atom_spec_path": "inverted.json", "pump": sigma_plus,
+               "condensate": {"amplitudes": {"3:3": [1.0, 0.0]}}}
+    path = write("all_flagged", scan(flagged, "entropy"))
+    calls.append(("all-flagged scan", ["scan", "--config", path, "--output", "{out}/scan"]))
     for i in range(variants):
         doc = json.loads(json.dumps(shipped["state"]))
         doc["pump"]["polarization"] = _transverse(rng, doc["pump"]["direction"])
