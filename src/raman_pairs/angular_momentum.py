@@ -123,11 +123,14 @@ def halfint(value: HalfIntLike) -> HalfInt:
 class CoupledValue:
     """A coupling coefficient as float plus its exact form ``sign*sqrt(p/q)``."""
 
-    def __init__(self, value: float, sign: int, radicand: Fraction) -> None:
-        self.value, self.sign, self.radicand = value, sign, radicand
+    def __init__(self, sign: int, radicand: Fraction) -> None:
+        self.sign, self.radicand = sign, radicand
 
     def __float__(self) -> float:
-        return self.value
+        """The float of ``sign * sqrt(radicand)``."""
+        return _signed_sqrt(self.sign, self.radicand.numerator, self.radicand.denominator)
+
+    value = property(__float__)
 
     @classmethod
     def from_exact(cls, sign: int, p: int, q: int) -> "CoupledValue":
@@ -136,8 +139,8 @@ class CoupledValue:
         if p < 0:
             raise ValueError("radicand must be non-negative")
         if sign == 0 or p == 0:
-            return cls(0.0, 0, Fraction(0))
-        return cls(_signed_sqrt(sign, p, q), sign, Fraction(p, q))
+            return cls(0, Fraction(0))
+        return cls(sign, Fraction(p, q))
 
 
 def _signed_sqrt(sign: int, p: int, q: int) -> float:

@@ -271,8 +271,13 @@ def detuning(spec: AtomSpec, omega_laser: float, f_ground: HalfIntLike) -> float
 class ValidityReport:
     """|Delta(F')| / Gamma per ground level, against a pass threshold."""
 
-    def __init__(self, ratios: tuple[tuple[HalfInt, float], ...], threshold: float, passed: bool):
-        self.ratios, self.threshold, self.passed = ratios, threshold, passed
+    def __init__(self, ratios: tuple[tuple[HalfInt, float], ...], threshold: float):
+        self.ratios, self.threshold = ratios, threshold
+
+    @property
+    def passed(self) -> bool:
+        """Whether every ratio exceeds the threshold."""
+        return all(r > self.threshold for _, r in self.ratios)
 
     def describe(self) -> str:
         parts = ", ".join(f"F'={f}: {r:.3g}" for f, r in self.ratios)
@@ -288,8 +293,7 @@ def validity_check(
         (f, abs(detuning(spec, omega_laser, f)) / spec.linewidth)
         for f in spec.ground_levels()
     )
-    passed = all(r > threshold for _, r in ratios)
-    return ValidityReport(ratios=ratios, threshold=threshold, passed=passed)
+    return ValidityReport(ratios=ratios, threshold=threshold)
 
 
 # --- input files -------------------------------------------------------------

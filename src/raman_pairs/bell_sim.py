@@ -83,19 +83,17 @@ class SampleResult:
     """Sampled trials and their CHSH estimate.
 
     ``setting_index[k]`` indexes ``SETTING_LABELS`` and ``outcome_index[k]``
-    indexes ``OUTCOME_SIGNS`` for trial k (read-only int8 arrays).  A setting
-    pair without trials has correlation ``None``, and then ``s_estimate`` and
-    ``standard_error`` are ``None`` too.
+    indexes ``OUTCOME_SIGNS`` for trial k (read-only int8 arrays); the constructor
+    tallies ``counts``, ``correlations``, ``s_estimate`` and ``standard_error``
+    from them.  A setting pair without trials has correlation ``None``, and then
+    ``s_estimate`` and ``standard_error`` are ``None`` too.
     """
 
-    def __init__(
-        self, setting_index: np.ndarray, outcome_index: np.ndarray, s_estimate: float | None,
-        standard_error: float | None, correlations: tuple[float | None, ...],
-        counts: tuple[int, ...],
-    ) -> None:
+    def __init__(self, setting_index: np.ndarray, outcome_index: np.ndarray) -> None:
         self.setting_index, self.outcome_index = setting_index, outcome_index
-        self.s_estimate, self.standard_error = s_estimate, standard_error
-        self.correlations, self.counts = correlations, counts
+        parts = (slice(i, i + _CHUNK) for i in range(0, len(setting_index), _CHUNK))
+        codes = ((s.start, 4 * setting_index[s] + outcome_index[s]) for s in parts)
+        vars(self).update(tally_chunks(codes))
 
 
 def _support_matrix(state: PairState) -> np.ndarray:
@@ -306,15 +304,10 @@ def sample_events(
     state: PairState, settings: tuple[float, float, float, float], n: int, seed: int
 ) -> SampleResult:
     """The ``n`` trials of :func:`sample_chunks`, copied into the arrays of a
-    :class:`SampleResult` with their counts and CHSH estimate."""
+    :class:`SampleResult`."""
     chunks = sample_chunks(state, settings, n, seed)
     indices = np.empty((2, n), dtype=np.int8)  # the setting and outcome arrays
-
-    def kept() -> Iterator[tuple[int, np.ndarray]]:
-        for first, codes in chunks:
-            indices[:, first : first + len(codes)] = np.divmod(codes, 4)
-            yield first, codes
-
-    tally = tally_chunks(kept())
+    for first, codes in chunks:
+        indices[:, first : first + len(codes)] = np.divmod(codes, 4)
     indices.flags.writeable = False
-    return SampleResult(*indices, **tally)
+    return SampleResult(*indices)

@@ -289,18 +289,16 @@ class PairState:
 
     def __init__(
         self, amplitudes: np.ndarray, levels: tuple[int, ...], omega: np.ndarray,
-        recoil_momentum: np.ndarray, photon_wavevector: np.ndarray, emission_weight: float,
-        detection_direction: np.ndarray, pump: PumpConfig,
+        emission_weight: float, detection_direction: np.ndarray, pump: PumpConfig,
         unresolved_channel_pairs: tuple[tuple[int, int], ...] = (),
     ) -> None:
         self.levels, self.emission_weight, self.pump = tuple(levels), emission_weight, pump
         self.unresolved_channel_pairs = unresolved_channel_pairs
-        arrays = (amplitudes, omega, recoil_momentum, photon_wavevector, detection_direction)
-        vectors = ("omega", "recoil_momentum", "photon_wavevector", "detection_direction")
-        for name, value in zip(("amplitudes", *vectors), arrays):
-            arr = np.array(value, dtype=complex if name == "amplitudes" else float)
+        self.amplitudes = np.array(amplitudes, dtype=complex)
+        self.omega = np.array(omega, dtype=float)
+        self.detection_direction = np.array(detection_direction, dtype=float)
+        for arr in (self.amplitudes, self.omega, self.detection_direction):
             arr.flags.writeable = False
-            setattr(self, name, arr)
         levels, amps = self.levels, self.amplitudes
         if not levels or levels[0] < 0 or any(b <= a for a, b in zip(levels, levels[1:])):
             raise InputDomainError("levels must be distinct doubled F values, ascending")
@@ -313,9 +311,8 @@ class PairState:
             raise InputDomainError("pair state must be unit norm")
         if not (self.omega > 0).all():
             raise InputDomainError("channel frequencies must be positive")
-        for name in vectors[1:]:
-            if getattr(self, name).shape != (3,):
-                raise InputDomainError(f"{name} must be a 3-vector")
+        if self.detection_direction.shape != (3,):
+            raise InputDomainError("detection_direction must be a 3-vector")
         weight = self.emission_weight
         if not isinstance(weight, numbers.Real) or not weight >= 0:  # NaN fails too
             raise InputDomainError(f"emission weight must be real and >= 0, got {weight!r}")
@@ -324,6 +321,22 @@ class PairState:
         """This state with ``changes``, checked again; its views are computed anew."""
         fields = {k: v for k, v in vars(self).items() if k not in vars(PairState)}
         return PairState(**{**fields, **changes})
+
+    @property
+    def photon_wavevector(self) -> np.ndarray:
+        """k = k_hat omega/c, in rad/m.
+
+        The photon wavevector and the recoil are those of the lowest ground
+        level's channel alone; the other channels' frequencies differ from it
+        (for sodium by 3.5e-6 relative) and are not kept apart (ROADMAP item 7).
+        """
+        return self.detection_direction * (float(self.omega[0]) / SPEED_OF_LIGHT)
+
+    @property
+    def recoil_momentum(self) -> np.ndarray:
+        """The atom's recoil hbar (K - k), with K the pump's wavevector, in kg m/s."""
+        k_pump_vec = self.pump.direction * (self.pump.omega_laser / SPEED_OF_LIGHT)
+        return HBAR * k_pump_vec - HBAR * self.photon_wavevector
 
     @cached_property
     def _view(self) -> tuple:
@@ -463,9 +476,9 @@ class PairBatch:
     the weights alone, as D^4.
     """
 
-    def __init__(self, directions, amplitudes, norms, phases, weights, omega) -> None:
-        self.directions, self.amplitudes, self.norms = directions, amplitudes, norms
-        self.phases, self.weights, self.omega = phases, weights, omega
+    def __init__(self, amplitudes, norms, phases, weights, omega) -> None:
+        self.amplitudes, self.norms, self.phases = amplitudes, norms, phases
+        self.weights, self.omega = weights, omega
 
 
 def pair_batch(
@@ -515,7 +528,6 @@ def pair_batch(
         weights = np.ldexp(n_m * a_m * (d_m * d_m) * (d_m * d_m) * t_m, n_e + a_e + 4 * d_e + t_e)
         weights = np.where(total_sq > 0.0, weights, 0.0)
     return PairBatch(
-        directions=k,
         amplitudes=amplitudes.reshape(n, 2, g),
         norms=np.sqrt(total_sq),
         phases=phases,
@@ -582,9 +594,8 @@ def build_pair_state(
     validity_threshold: float = DEFAULT_VALIDITY_THRESHOLD,
 ) -> PairState:
     """Assemble the normalized joint state over (channel x polarization) x (F, m)."""
-    batch = pair_batch(
-        spec, pump, phi0, _one_direction(k_hat), validity_threshold=validity_threshold
-    )
+    k = _one_direction(k_hat)
+    batch = pair_batch(spec, pump, phi0, k, validity_threshold=validity_threshold)
     if not batch.norms[0] > 0.0:
         raise PhysicsError(
             "no scattering amplitude into this direction for the given pump "
@@ -597,26 +608,14 @@ def build_pair_state(
         )
 
     levels = _ground_layout(spec).levels
-    omegas = batch.omega[0].tolist()
     pairs = np.argwhere(unresolved_levels(batch.amplitudes, batch.omega, levels)[0]).tolist()
     unresolved = tuple((levels[i], levels[j]) for i, j in pairs if i < j)
-
-    # The photon wavevector and the recoil are those of the lowest ground
-    # level's channel alone; the other channels' frequencies differ from it
-    # (for sodium by 3.5e-6 relative) and are not kept apart (ROADMAP item 7).
-    k = batch.directions[0]
-    k_out = k * (omegas[0] / SPEED_OF_LIGHT)
-    k_pump_vec = pump.direction * (pump.omega_laser / SPEED_OF_LIGHT)
-    recoil = HBAR * k_pump_vec - HBAR * k_out
-
     return PairState(
         amplitudes=batch.amplitudes[0],
         levels=levels,
         omega=batch.omega[0],
-        recoil_momentum=recoil,
-        photon_wavevector=k_out,
         emission_weight=float(batch.weights[0]),
-        detection_direction=k.copy(),
+        detection_direction=k[0],
         pump=pump,
         unresolved_channel_pairs=unresolved,
     )

@@ -130,13 +130,12 @@ _PLACEHOLDER_PUMP = PumpConfig(
 
 
 def hand_state(levels, omega, amplitudes) -> PairState:
-    """A PairState over ``levels`` with placeholder direction, momenta, weight and pump."""
+    """A PairState over ``levels`` with placeholder direction, weight and pump;
+    its momenta follow from them."""
     return PairState(
         amplitudes=amplitudes,
         levels=levels,
         omega=omega,
-        recoil_momentum=np.zeros(3),
-        photon_wavevector=np.array([0.0, 0.0, 1.0e7]),
         emission_weight=1.0,
         detection_direction=np.array([0.0, 0.0, 1.0]),
         pump=_PLACEHOLDER_PUMP,

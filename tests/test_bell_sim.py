@@ -41,8 +41,6 @@ def synth_state(matrix, pump) -> PairState:
         amplitudes=amplitudes,
         levels=(2,),
         omega=(1.0e15,),
-        recoil_momentum=np.zeros(3),
-        photon_wavevector=Z * 1.0e7,
         emission_weight=1.0,
         detection_direction=Z.copy(),
         pump=pump,

@@ -146,9 +146,8 @@ def test_photon_frequency_rejects_nan_direction(spec, pump):
 
 
 def test_pair_state_rejects_bad_vectors_and_weight(state_z):
-    for field in ("recoil_momentum", "photon_wavevector", "detection_direction"):
-        with pytest.raises(InputDomainError, match=f"{field} must be a 3-vector"):
-            state_z.replace(**{field: np.array([1.0, 2.0])})
+    with pytest.raises(InputDomainError, match="detection_direction must be a 3-vector"):
+        state_z.replace(detection_direction=np.array([1.0, 2.0]))
     for weight in (-1.0, 1.0 + 0.0j, "7"):
         with pytest.raises(InputDomainError, match="emission weight"):
             state_z.replace(emission_weight=weight)

@@ -91,7 +91,6 @@ def test_pump_replace_runs_the_constructor_checks(pump, change, match):
 def test_pair_state_replace_runs_the_constructor_checks(state_z, change, match):
     fields = dict(
         amplitudes=state_z.amplitudes, levels=state_z.levels, omega=state_z.omega,
-        recoil_momentum=state_z.recoil_momentum, photon_wavevector=state_z.photon_wavevector,
         emission_weight=state_z.emission_weight,
         detection_direction=state_z.detection_direction, pump=state_z.pump,
         unresolved_channel_pairs=state_z.unresolved_channel_pairs,
