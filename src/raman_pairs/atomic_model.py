@@ -329,14 +329,17 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 def json_object(data: bytes, name: str) -> dict:
     """The JSON object in the UTF-8 ``data`` of the file ``name``: other encodings
-    (``json.loads`` would detect UTF-16 and -32), invalid JSON, a repeated key and
-    a root that is no object raise, naming ``name``."""
+    (``json.loads`` would detect UTF-16 and -32), invalid JSON, nesting deeper than
+    the parser's recursion limit, a repeated key and a root that is no object
+    raise, naming ``name``."""
     try:
         raw = json.loads(data.decode("utf-8"), object_pairs_hook=unique_keys)
     except InputDomainError as exc:  # a repeated key
         raise InputDomainError(f"{name}: {exc}") from None
     except ValueError as exc:  # not JSON, or not UTF-8
         raise InputDomainError(f"{name} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InputDomainError(f"{name} nests arrays or objects too deeply to parse") from None
     if not isinstance(raw, dict):
         raise InputDomainError(f"{name} must be a JSON object")
     return raw

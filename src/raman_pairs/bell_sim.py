@@ -34,7 +34,8 @@ no Python object per trial.  Reading the stream takes one chunk's memory,
 whatever the trial count: a chunk draws its uniforms ``_BLOCK`` at a time, the
 same stream as one call, and the CSV writer formats ``_BLOCK`` rows at a time.
 ``sample_events`` keeps the trials in two int8 arrays, 2 bytes per trial, in
-a :class:`SampleResult`, an identity record.
+a :class:`SampleResult`, an identity record that tallies its statistics from
+those arrays with ``tally_chunks``, one chunk at a time.
 """
 
 from __future__ import annotations

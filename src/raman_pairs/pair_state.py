@@ -19,7 +19,8 @@ here).
 The joint amplitude tensor is normalized and its global phase fixed so that
 the lexicographically first nonzero (channel, F, m) entry is real positive;
 only relative phases are physical.  Spatial structure is carried solely as
-the recoil momentum label hbar(K - k).
+the recoil momentum label hbar(K - k), which a state derives, with the photon
+wavevector k, from its detection direction, frequencies and pump.
 
 One kernel, :func:`pair_batch`, computes all of this as arrays for N
 directions at once; :func:`build_pair_state` is its N = 1 case.  A
@@ -45,7 +46,7 @@ Two channels whose frequencies lie closer than
 :class:`CondensateSpinor` and :class:`Channel` are value records, tuples equal
 and hashed by value; the records that hold arrays are identity records, equal
 only to themselves.  ``replace`` on a pump or a state builds a new one through
-the constructor, so every check runs again.
+the constructor, so every check runs again; it takes no derived value.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from .angular_momentum import HalfInt, HalfIntLike, halfint
 from .atomic_model import DEFAULT_VALIDITY_THRESHOLD, AtomSpec, _ground_layout, _sublevels
 from .atomic_model import TWO_PI, validity_check
 from .errors import InputDomainError, PhysicsError
-from .outputs import json_text
 from .raman_coupling import (
     branch_amplitudes,
     condensate_factor,
@@ -85,7 +85,6 @@ __all__ = [
     "spectral_filter",
     "sodium_condensate",
     "pair_state_to_json",
-    "json_text",
 ]
 
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact in the SI

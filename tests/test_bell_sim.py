@@ -336,6 +336,17 @@ def test_sampling_chunk_boundary(bell):
     assert np.array_equal(longer.outcome_index[: len(short.outcome_index)], short.outcome_index)
 
 
+@pytest.mark.parametrize("n", [1, 7, 65_536, 200_001])
+def test_sampled_statistics_equal_the_streamed_tally(n, bell):
+    # the record tallies its arrays a chunk at a time: the statistics of the
+    # CLI's stream, to the bit
+    settings = (0.1, 1.2, 0.4, 2.0)
+    result = sample_events(bell, settings, n, seed=23)
+    tally = tally_chunks(sample_chunks(bell, settings, n, seed=23))
+    assert set(tally) == {"counts", "correlations", "s_estimate", "standard_error"}
+    assert {key: getattr(result, key) for key in tally} == tally
+
+
 def write_events(state, settings, n, seed, path) -> None:
     """The events CSV as ``chsh --events-csv`` writes it: the sampled chunks
     streamed through :func:`tally_chunks`."""

@@ -828,6 +828,21 @@ def test_atom_spec_that_is_not_json_exits_2(state_config, capsys):
     assert "broken.json" in err and "not valid JSON" in err
 
 
+@pytest.mark.parametrize("deep_file", ["config.json", "species.json"])
+def test_deeply_nested_input_file_exits_2_naming_it(deep_file, tmp_path, capsys):
+    # nesting past the recursion limit once escaped json.loads as a RecursionError
+    doc = json.loads((DATA / "sodium_state.json").read_text())
+    (tmp_path / "config.json").write_text(json.dumps({**doc, "atom_spec_path": "species.json"}))
+    shutil.copy(DATA / "sodium.json", tmp_path / "species.json")
+    (tmp_path / deep_file).write_text("[" * 100_000 + "]" * 100_000)
+    argv = ["state", "--config", str(tmp_path / "config.json"), "--output", str(tmp_path / "out")]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert f"{tmp_path / deep_file} nests arrays or objects too deeply to parse" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "species.json"]
+
+
 def test_huge_condensate_amplitude_exits_2(state_config, capsys):
     # finite, but its square overflows the float range
     edit_config(state_config, lambda c: c["condensate"].__setitem__("amplitudes", {"2:0": [1e200, 0.0]}))

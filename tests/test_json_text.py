@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import raman_pairs
 from raman_pairs import cli, geometry_explorer
 from raman_pairs.errors import PhysicsError
-from raman_pairs.pair_state import json_text
+from raman_pairs.outputs import json_text
 
 DATA = Path(raman_pairs.__file__).parent / "data"
 

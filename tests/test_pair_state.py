@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     assert_equal_up_to_global_phase,
     entries,
+    hand_state,
     kernel_branch,
     random_condensate,
     random_direction,
@@ -444,6 +445,27 @@ def test_momentum_bookkeeping(spec, pump, phi0):
         w1 = photon_omega(spec, pump, k, 1)
         np.testing.assert_allclose(
             state.photon_wavevector, k * w1 / SPEED_OF_LIGHT, rtol=1e-15
+        )
+
+
+def test_every_state_conserves_momentum(spec, pump, phi0, state_z):
+    # recoil + hbar k = hbar K and |k| = omega/c of the lowest channel, for built
+    # and filtered states and for the states that fixtures assemble by hand
+    from test_bell_sim import synth_state
+
+    rng = np.random.default_rng(43)
+    built = [build_pair_state(spec, pump, phi0, random_direction(rng)) for _ in range(4)]
+    states = [
+        state_z, spectral_filter(state_z, 1), spectral_filter(built[0], 2), *built,
+        hand_state((2,), (1.0e15,), np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])),
+        synth_state(np.eye(2) / math.sqrt(2.0), pump),
+    ]
+    for state in states:
+        pump_momentum = HBAR * state.pump.direction * (state.pump.omega_laser / SPEED_OF_LIGHT)
+        balance = state.recoil_momentum + HBAR * state.photon_wavevector - pump_momentum
+        assert np.linalg.norm(balance) <= 1e-15 * np.linalg.norm(pump_momentum)
+        assert np.linalg.norm(state.photon_wavevector) == pytest.approx(
+            state.omega[0] / SPEED_OF_LIGHT, rel=1e-15, abs=0.0
         )
 
 

@@ -29,9 +29,13 @@ A call's digest covers its exit code, stdout, stderr and every file it
 wrote, with the shipped-config, config and output directories masked.  The
 variants are built from the first tree's shipped configs.  Prints each
 tree's digest and names the calls whose digests differ between trees; exits
-1 if any does.  Standard library only:
+1 if any does.  With ``--record FILE`` it instead writes the digest of each
+fixed call (the plan of ``--variants 0``) on one tree to FILE, as a JSON
+object from call name to SHA-256; ``tests/output_digests.json`` is that
+manifest of this checkout.  Standard library only:
 
     python tools/same_bytes.py TREE [TREE ...] [--variants N] [--seed S]
+    python tools/same_bytes.py TREE --record FILE
 """
 
 from __future__ import annotations
@@ -267,28 +271,44 @@ def _fill(arg: str, places: dict[str, str]) -> str:
     return arg
 
 
+def _runs(trees: list[Path], variants: int, seed: int) -> tuple[list[str], list[list[str]]]:
+    """The names of the calls of the plan and, per tree, their digests."""
+    with tempfile.TemporaryDirectory() as tmp:
+        configs = Path(tmp) / "configs"
+        configs.mkdir()
+        calls = plan(trees[0], configs, variants, seed)
+        runs = [digests(tree, calls, configs, Path(tmp) / f"out{i}")
+                for i, tree in enumerate(trees)]
+    return [name for name, _ in calls], runs
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trees", nargs="+", type=Path)
     parser.add_argument("--variants", type=int, default=10, help="seeded variants (default 10)")
     parser.add_argument("--seed", type=int, default=0, help="seed of the variants (default 0)")
+    parser.add_argument("--record", type=Path, metavar="FILE",
+                        help="write each fixed call's digest on the one TREE to FILE")
     args = parser.parse_args(argv)
     trees = [tree.resolve() for tree in args.trees]
     for tree in trees:
         if not (tree / "src" / "raman_pairs" / "__init__.py").is_file():
             parser.error(f"{tree} has no src/raman_pairs")
-    with tempfile.TemporaryDirectory() as tmp:
-        configs = Path(tmp) / "configs"
-        configs.mkdir()
-        calls = plan(trees[0], configs, max(0, args.variants), args.seed)
-        runs = [digests(tree, calls, configs, Path(tmp) / f"out{i}")
-                for i, tree in enumerate(trees)]
+    if args.record:
+        if len(trees) != 1:
+            parser.error("--record takes one tree")
+        names, (run,) = _runs(trees, 0, 0)  # the fixed calls alone
+        manifest = dict(zip(names, run))
+        args.record.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+        print(f"{len(manifest)} calls recorded in {args.record}")
+        return 0
+    names, runs = _runs(trees, max(0, args.variants), args.seed)
     for tree, run in zip(trees, runs):
         print(f"{hashlib.sha256(''.join(run).encode()).hexdigest()}  {tree}  ({len(run)} calls)")
-    differ = [name for (name, _), *digest in zip(calls, *runs) if len(set(digest)) > 1]
+    differ = [name for name, *digest in zip(names, *runs) if len(set(digest)) > 1]
     for name in differ:
         print(f"differs: {name}")
-    print("identical" if not differ else f"{len(differ)} of {len(calls)} calls differ")
+    print("identical" if not differ else f"{len(differ)} of {len(names)} calls differ")
     return 1 if differ else 0
 
 
