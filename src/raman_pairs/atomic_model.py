@@ -146,8 +146,7 @@ class AtomSpec(_AtomFields):
         if not all(v >= 0 for v in split.values()):
             raise InputDomainError("ground splittings must be non-negative")
         if len(set(split.values())) < len(split):
-            # a photon channel is keyed by its frequency, so two levels at one splitting
-            # share their keys (close ones may too: the state JSON refuses those)
+            # an input rule: two levels at one splitting would be one level
             raise InputDomainError(
                 "ground levels must have distinct splittings, got "
                 + ", ".join(f"F'={f}: {v!r} rad/s" for f, v in self.ground_splittings)
@@ -302,6 +301,16 @@ def validity_check(
 # the required and the optional keys of a species file
 _ATOM_KEYS = (("name", "doubled_I", "doubled_ground_J", "doubled_excited_J", "ground_splittings_hz",
                "resonance_hz", "linewidth_hz", "mass_kg"), ("reduced_dipole", "notes"))
+# the most characters of a rejected value that a message shows
+_SHOWN = 100
+
+
+def bounded_repr(value) -> str:
+    """``repr(value)`` for a message that refuses an input value: a longer repr
+    is cut to its first ``_SHOWN`` characters and its length, so a message
+    names the bad value without copying all of it."""
+    text = repr(value)
+    return text if len(text) <= _SHOWN else f"{text[:_SHOWN]}... ({len(text)} characters)"
 
 
 def finite_number(value, key: str) -> float:
@@ -313,7 +322,7 @@ def finite_number(value, key: str) -> float:
             number = math.inf
         if math.isfinite(number):
             return number
-    raise InputDomainError(f"'{key}' must be a finite number, got {value!r}")
+    raise InputDomainError(f"'{key}' must be a finite number, got {bounded_repr(value)}")
 
 
 def unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -399,12 +408,14 @@ def _parse_atom_spec(raw: dict, path: Path) -> AtomSpec:
     def doubled(key: str) -> HalfInt:
         if isinstance(raw[key], int) and not isinstance(raw[key], bool):
             return HalfInt(raw[key])
-        raise InputDomainError(f"'{key}' must be an integer, got {raw[key]!r}")
+        raise InputDomainError(f"'{key}' must be an integer, got {bounded_repr(raw[key])}")
 
     try:
         check_keys(raw, "", *_ATOM_KEYS)
         if not isinstance(raw["name"], str) or not raw["name"].isprintable():
-            raise InputDomainError(f"'name' must be a printable string, got {raw['name']!r}")
+            raise InputDomainError(
+                f"'name' must be a printable string, got {bounded_repr(raw['name'])}"
+            )
         hz = sorted(integer_keys(raw["ground_splittings_hz"], "ground_splittings_hz", "2F").items())
         splittings = tuple(
             (HalfInt(tf), TWO_PI * finite_number(v, f"ground_splittings_hz.{k}"))

@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .angular_momentum import HalfInt, halfint
 from .atomic_model import DEFAULT_VALIDITY_THRESHOLD, TWO_PI, AtomSpec, _parse_atom_spec
-from .atomic_model import check_keys, finite_number, integer_keys, json_object
+from .atomic_model import bounded_repr, check_keys, finite_number, integer_keys, json_object
 from .errors import InputDomainError
 from .outputs import _io
 from .pair_state import CondensateSpinor, PumpConfig, _ground_index, _norm
@@ -197,7 +197,9 @@ class RunConfig:
         try:
             level = halfint(value)
         except InputDomainError:
-            raise InputDomainError(f"'{key}' must be an integer or half-integer, got {value!r}")
+            raise InputDomainError(
+                f"'{key}' must be an integer or half-integer, got {bounded_repr(value)}"
+            )
         if level not in self.spec.ground_levels():
             raise InputDomainError(
                 f"'{key}'={level} is not a ground level of {self.spec.name} "

@@ -6,7 +6,7 @@ polarization branch lambda the atom lands in the normalized spinor
     S_klambda(F, m) = N^-1 sum_(F'm') G_klambda,pump(F m, F' m') phi0(F' m'),
 
 with N the Euclidean norm of the unnormalized vector, and the branch enters
-the joint state with weight N.  The photon label is (frequency channel,
+the joint state with weight N.  The photon label is (final level,
 polarization): energy conservation with atomic recoil assigns each final
 ground level F its own photon frequency, solving
 
@@ -16,17 +16,23 @@ as the stable root of a quadratic (delta measured from the lowest ground
 level, which is where the condensate sits in the configurations treated
 here).
 
-The joint amplitude tensor is normalized and its global phase fixed so that
-the lexicographically first nonzero (channel, F, m) entry is real positive;
-only relative phases are physical.  Spatial structure is carried solely as
-the recoil momentum label hbar(K - k), which a state derives, with the photon
-wavevector k, from its detection direction, frequencies and pump.
+A photon channel is named by its level and polarization, (F, lambda), never
+by its frequency, so two levels of one float frequency stay two channels:
+photon row ``(lambda-1) * nF + i`` is channel (level i, lambda), the order
+of the scan's channel columns, and the labels, the matrix and the state
+documents list channels in that order.  The joint amplitude tensor is
+normalized and its global phase fixed so that the first nonzero entry in
+that (channel, F, m) order is real positive; only relative phases are
+physical.  Spatial structure is carried solely as the recoil momentum label
+hbar(K - k), which a state derives per channel, with the photon wavevector
+k, from its detection direction, frequencies and pump.
 
 One kernel, :func:`pair_batch`, computes all of this as arrays for N
 directions at once; :func:`build_pair_state` is its N = 1 case.  A
 :class:`PairState` keeps that row as it is: a (2, G) amplitude array over
 the sublevels of its final levels, block-diagonal by F, with one photon
-frequency per level (``omega``).  A branch's scattered spinor is the row
+frequency per level (``omega``), from which it derives one photon wavevector
+and one recoil per level.  A branch's scattered spinor is the row
 ``norms * phases * amplitudes[:, lambda-1]`` of the batch.  Labels, the
 (photon x atom) matrix and the JSON document are views of those arrays, and
 :func:`spectral_filter` reuses the kernel's normalization and phase rule.
@@ -215,20 +221,16 @@ def sodium_condensate() -> CondensateSpinor:
     return CondensateSpinor.single(1, 0)
 
 
-def frequency_label(omega: float) -> str:
-    """The "omega_hz" part of a channel label, exact to the last bit."""
-    return repr(omega / TWO_PI)
-
-
 class Channel(NamedTuple):
-    """One photon label: frequency (keyed by final F) and polarization index."""
+    """One photon label: the final level's frequency, the polarization index and
+    that level's 2F; (2F, lambda) names it."""
 
     omega: float
     lam: int
     doubled_f: int
 
     def key(self) -> str:
-        return f"{frequency_label(self.omega)}:{self.lam}"
+        return f"{self.doubled_f}:{self.lam}"
 
 
 class BlockGrams:
@@ -323,17 +325,14 @@ class PairState:
 
     @property
     def photon_wavevector(self) -> np.ndarray:
-        """k = k_hat omega/c, in rad/m.
-
-        The photon wavevector and the recoil are those of the lowest ground
-        level's channel alone; the other channels' frequencies differ from it
-        (for sodium by 3.5e-6 relative) and are not kept apart (ROADMAP item 7).
-        """
-        return self.detection_direction * (float(self.omega[0]) / SPEED_OF_LIGHT)
+        """k = k_hat omega/c in rad/m, one row per level, as ``omega``: each
+        channel's photon has the frequency of its own level."""
+        return self.detection_direction * (self.omega[:, np.newaxis] / SPEED_OF_LIGHT)
 
     @property
     def recoil_momentum(self) -> np.ndarray:
-        """The atom's recoil hbar (K - k), with K the pump's wavevector, in kg m/s."""
+        """The atom's recoil hbar (K - k) in kg m/s, with K the pump's
+        wavevector, one row per level, as :attr:`photon_wavevector`."""
         k_pump_vec = self.pump.direction * (self.pump.omega_laser / SPEED_OF_LIGHT)
         return HBAR * k_pump_vec - HBAR * self.photon_wavevector
 
@@ -348,8 +347,7 @@ class PairState:
         full = np.zeros((2, nf, g), dtype=complex)
         full[:, layout.level, np.arange(g)] = np.where(self.amplitudes != 0.0, self.amplitudes, 0.0)
         full = full.reshape(2 * nf, g)
-        rows = np.argsort(np.tile(self.omega, 2), kind="stable")
-        rows = rows[full[rows].any(axis=1)]
+        rows = np.flatnonzero(full.any(axis=1))
         cols = np.flatnonzero(full.any(axis=0))
         matrix = full[np.ix_(rows, cols)]
         for arr in (rows, cols, matrix):
@@ -362,11 +360,8 @@ class PairState:
         return rows, cols, matrix, photon, tuple(layout.atoms[c] for c in cols.tolist())
 
     def support(self) -> tuple[np.ndarray, np.ndarray]:
-        """Photon rows (lambda-1) * nF + i and sublevels g that carry amplitude.
-
-        Rows come in (omega, lambda, 2F) order, from one stable sort by
-        frequency as in :func:`pair_batch`; sublevels ascend.
-        """
+        """Photon rows (lambda-1) * nF + i and sublevels g that carry amplitude,
+        both ascending: channels in (lambda, level) order, as a scan's columns."""
         return self._view[:2]
 
     def matrix(self) -> tuple[np.ndarray, tuple[Channel, ...], tuple[tuple[int, int], ...]]:
@@ -375,7 +370,7 @@ class PairState:
         return self._view[2:]
 
     def photon_labels(self) -> tuple[Channel, ...]:
-        """Channels carrying nonzero amplitude, in (omega, lambda) order."""
+        """Channels carrying nonzero amplitude, in (lambda, level) order."""
         return self.matrix()[1]
 
     def atom_labels(self) -> tuple[tuple[int, int], ...]:
@@ -423,27 +418,22 @@ def _photon_frequencies(spec: AtomSpec, pump: PumpConfig, k: np.ndarray) -> np.n
     return omega
 
 
-def _normalize_and_phase(
-    rows: np.ndarray, omega: np.ndarray, level: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _normalize_and_phase(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Normalize (N, 2G) rows and fix their global phase.
 
-    ``omega[n, i]`` is the photon frequency of level i and ``level`` the
-    level of each flat entry (lambda-1) * G + g.  The first nonzero entry in
-    (channel, atom) order becomes real positive: channels sort by (omega,
-    lambda, 2F) and atoms by 2m, and since the flat entries already run in
-    (lambda, 2F, 2m) order, a stable sort by frequency gives that order.
-    Returns the amplitudes, the squared norms and the removed phase factors;
-    an all-zero row stays all zero.
+    The first nonzero flat entry (lambda-1) * G + g becomes real positive.
+    The flat entries run in (lambda, 2F, 2m) order, which is the published
+    (channel, atom) order of :meth:`PairState.matrix`.  Returns the
+    amplitudes, the squared norms and the removed phase factors; an
+    all-zero row stays all zero.
     """
     n, g = rows.shape[0], rows.shape[1] // 2
-    order = np.argsort(omega[:, level], axis=1, kind="stable")
     re, im = rows.real, rows.imag
     squares = re * re + im * im
     total_sq = sequential_sum(squares[:, :g] + squares[:, g:])  # both branches per sublevel
     index = np.arange(n)
     nonzero = (re != 0.0) | (im != 0.0)
-    ref = order[index, nonzero[index[:, np.newaxis], order].argmax(axis=1)]
+    ref = nonzero.argmax(axis=1)
     first_re, first_im = re[index, ref], im[index, ref]
     nonempty = total_sq > 0.0
     first = np.hypot(first_re, first_im)
@@ -515,7 +505,7 @@ def pair_batch(
     n, g = len(k), factor.shape[0]
     rows = branch_amplitudes(factor, polarizations).reshape(n, 2 * g)
     omega = _photon_frequencies(spec, pump, k)
-    amplitudes, total_sq, phases = _normalize_and_phase(rows, omega, _ground_layout(spec).tiled)
+    amplitudes, total_sq, phases = _normalize_and_phase(rows)
     # N |a|^2 (D D) (D D) total_sq in that order, on mantissas with the exponents
     # summed apart: no one factor's overflow or underflow decides the weight,
     # whose bits are the plain product's wherever its partial products are normal
@@ -630,7 +620,7 @@ def spectral_filter(state: PairState, f_select: HalfIntLike) -> PairState:
     level = _sublevels(state.levels).tiled
     keep = np.array(state.levels)[level] == f.twice
     rows = np.where(keep, state.amplitudes.ravel(), 0.0)[np.newaxis]
-    amplitudes, total_sq, _ = _normalize_and_phase(rows, state.omega[np.newaxis], level)
+    amplitudes, total_sq, _ = _normalize_and_phase(rows)
     if not total_sq[0] > 0.0:
         raise PhysicsError(_EMPTY_CHANNEL.format(f))
     warn_if_unresolved(state, f)
@@ -651,7 +641,7 @@ def _pair_state_csv(state: PairState, provenance: dict) -> str:
     lines.append("omega_hz,lambda,doubled_F,doubled_m,amp_re,amp_im\n")
     matrix, photon, atoms = state.matrix()
     for ch, row in zip(photon, matrix.tolist()):
-        omega = frequency_label(ch.omega)
+        omega = repr(ch.omega / TWO_PI)
         lines += [
             f"{omega},{ch.lam},{tf},{tm},{amp.real!r},{amp.imag!r}\n"
             for (tf, tm), amp in zip(atoms, row)
@@ -661,48 +651,42 @@ def _pair_state_csv(state: PairState, provenance: dict) -> str:
 
 
 def pair_state_to_json(state: PairState, provenance: dict | None = None) -> dict:
-    """JSON-ready document; channels keyed "omega_hz:lambda", atoms "2F:2m".
+    """JSON-ready document; channels keyed "2F:lambda" in the order of
+    :meth:`PairState.photon_labels`, atoms "2F:2m".
 
-    Two levels of one float frequency would share their keys, and an emission
-    weight that overflows has no JSON number: each is a physics error."""
+    Each channel carries its level's frequency, photon wavevector and recoil.
+    An emission weight that overflows has no JSON number: a physics error."""
     if not math.isfinite(state.emission_weight):
         raise PhysicsError(
             "the emission weight into this direction overflows to a non-finite number: "
             f"{_WEIGHT_FACTORS} is too large"
         )
     matrix, photon, atoms = state.matrix()
-    channels: dict[str, Channel] = {}
-    for ch in photon:
-        other = channels.setdefault(ch.key(), ch)
-        if other is not ch:
-            raise PhysicsError(
-                f"levels 2F={other.doubled_f} and 2F={ch.doubled_f} have photon frequencies "
-                f"equal as floats, so their channels share the key {ch.key()!r}"
-            )
-    amplitude_doc = {
-        key: {
-            f"{tf}:{tm}": [amp.real, amp.imag]
-            for (tf, tm), amp in zip(atoms, row.tolist())
-            if amp != 0.0
-        }
-        for key, row in zip(channels, matrix)
-    }
+    wavevector, recoil = state.photon_wavevector.tolist(), state.recoil_momentum.tolist()
+    level = (state.support()[0] % len(state.levels)).tolist()  # each channel's level index
     pump = state.pump
     doc = {
-        "format": "raman-pairs/pair-state/1",
+        "format": "raman-pairs/pair-state/2",
         "detection_direction": state.detection_direction.tolist(),
         "channels": [
             {
-                "key": key,
+                "key": ch.key(),
                 "omega_hz": ch.omega / TWO_PI,
                 "lambda": ch.lam,
                 "doubled_f": ch.doubled_f,
+                "photon_wavevector_rad_per_m": wavevector[i],
+                "recoil_momentum_kg_m_per_s": recoil[i],
             }
-            for key, ch in channels.items()
+            for ch, i in zip(photon, level)
         ],
-        "amplitudes": amplitude_doc,
-        "recoil_momentum_kg_m_per_s": state.recoil_momentum.tolist(),
-        "photon_wavevector_rad_per_m": state.photon_wavevector.tolist(),
+        "amplitudes": {
+            ch.key(): {
+                f"{tf}:{tm}": [amp.real, amp.imag]
+                for (tf, tm), amp in zip(atoms, row)
+                if amp != 0.0
+            }
+            for ch, row in zip(photon, matrix.tolist())
+        },
         "emission_weight": state.emission_weight,
         "unresolved_channel_pairs": [list(p) for p in state.unresolved_channel_pairs],
         "pump": {

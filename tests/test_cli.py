@@ -8,6 +8,7 @@ import json
 import math
 import os
 import shutil
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -20,6 +21,19 @@ from raman_pairs import angular_momentum, bell_sim
 from raman_pairs.cli import main
 
 DATA = Path(raman_pairs.__file__).parent / "data"
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
+import same_bytes  # noqa: E402
+
+# the recorded digest of each fixed call of tools/same_bytes.py
+MANIFEST = json.loads((ROOT / "tests" / "output_digests.json").read_text(encoding="utf-8"))
+
+
+@pytest.fixture()
+def fixed_digest(tmp_path):
+    """The digest of a fixed call of ``tools/same_bytes.py``, by name, run in
+    this process: the bytes that the manifest records for the call."""
+    return lambda name: same_bytes.fixed_digest(ROOT, name, tmp_path)
 
 
 @pytest.fixture()
@@ -247,43 +261,11 @@ def test_scan_rerun_byte_identical(scan_config, tmp_path, capsys):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
-# stdout, CSV and JSON of sodium_scan.json at 6 degrees, recorded when the
-# JSON became scan-map/2 (one array a node) and the CSV gained the flag
-# reason, frequency and channel-weight columns
-SCAN_PINS = {
-    "entropy": (
-        "22ae56efed9352303a9d2281cfeeccef86c81e0eeeb567b3c4218a98c949349d",
-        "777ebe05e3705bd74c55776f8386c81ec3407b54c77838ad11f1bb2e4a9f7145",
-        "3a18cd286a6aa091e933bf0f02edc0f399e77fd41f0d2d33c3f5905cc8570729",
-    ),
-    "concurrence_after_filter": (
-        "e4cfde9dcb2422e4aceaf43c3cccd665ea16f3876955154c218efa6e25025fae",
-        "41e333ff4791c814cc7525160baa374dd70683ea0d2e1e102e0a96c0f0898f0f",
-        "4d093dcf27af873b628eac26b4d78b1a1479c53ca3b35f77f95a644dfde7d3cc",
-    ),
-    "conditional_overlap": (
-        "ed98e76ad83d63e076ef8cecbb7252c22825768de6a6064e5fa4a0045f679340",
-        "b5745ac05cd56cebdb47109efc493f274677fc2da05fea3238ce418b540cd10c",
-        "d8ccc94e6fe04a01a72a7dddf0fe2e906bcbabca14e2f70a5c90f645880627d0",
-    ),
-}
-
-
-@pytest.mark.parametrize("measure", SCAN_PINS)
-def test_scan_pinned_bytes(measure, tmp_path, monkeypatch, capsys):
-    def mutate(c):
-        c["detection"]["scan"].update(resolution_deg=6.0, measure=measure)
-        if measure != "concurrence_after_filter":
-            del c["detection"]["scan"]["filter_f"]
-
-    config = tmp_path / "scan.json"
-    shutil.copy(DATA / "sodium_scan.json", config)
-    edit_config(config, mutate)
-    monkeypatch.chdir(tmp_path)
-    code, out, _ = run(["scan", "--config", "scan.json", "--output", "out"], capsys)
-    assert code == 0
-    outputs = [out.encode()] + [(tmp_path / name).read_bytes() for name in ("out.csv", "out.json")]
-    assert [hashlib.sha256(b).hexdigest() for b in outputs] == list(SCAN_PINS[measure])
+@pytest.mark.parametrize("measure", same_bytes.MEASURES)
+def test_scan_pinned_bytes(measure, fixed_digest):
+    # stdout, CSV and JSON of sodium_scan.json at 6 degrees
+    name = f"scan 6 degrees {measure}"
+    assert fixed_digest(name) == MANIFEST[name]
 
 
 def test_scan_resolution_out_of_range_exits_2(scan_config, tmp_path, capsys):
@@ -491,190 +473,22 @@ def test_chsh_reads_one_moment_matrix(settings, tmp_path, monkeypatch, capsys):
     assert doc["optimized"] == (settings is None) and doc["sampling"]["n"] == 1000
 
 
-# recorded before PairState held the kernel's arrays; the shipped configs'
-# filtered amplitudes are the same bits under the kernel's phase rule
-_SINGLE_DIRECTION_PINS = {
-    ("state",): "09d58668e9319756a301015be4693b5816979175799d07c61cf0cfc57dd9d6ad",
-    ("state", "--format", "csv"): (
-        "e599436fcee4c758a1f5c383805c5ce70b255fcc5135c55c011a8ddd047f7c14"
-    ),
-    ("filter", "--f-select", "1"): (
-        "2482e7d88ee08e63655f8848e07056a01ab4e36a2cb7018c64e98f9e880c57bc"
-    ),
-    ("filter", "--f-select", "1", "--format", "csv"): (
-        "4f576f7fc90cb1d4cfac5d4aacbe2847796a142034596f57ed0ca76eeb40c3a2"
-    ),
-    ("filter", "--f-select", "2"): (
-        "ad227ac7211db9d808e559786ab5017505d2a3587d0ae13156881f80ad39d5fd"
-    ),
-    ("filter", "--f-select", "2", "--format", "csv"): (
-        "477c346f0eea2ef74a57a3c5fdf8110e52ac5931d8db28a60f9298578898e312"
-    ),
-}
+# the single-direction outputs of tools/same_bytes.py, by their arguments
+_SINGLE_DIRECTION = {tuple(args): name for name, args in same_bytes.SINGLE_DIRECTION.items()}
 
 
-@pytest.mark.parametrize("args", _SINGLE_DIRECTION_PINS, ids=" ".join)
-def test_single_direction_pinned_bytes(args, capsys):
-    code, out, _ = run([args[0], "--config", str(DATA / "sodium_state.json"), *args[1:]], capsys)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == _SINGLE_DIRECTION_PINS[args]
+@pytest.mark.parametrize("args", _SINGLE_DIRECTION, ids=" ".join)
+def test_single_direction_pinned_bytes(args, fixed_digest):
+    name = _SINGLE_DIRECTION[args]
+    assert fixed_digest(name) == MANIFEST[name]
 
 
-# Seeded random detection directions and condensates over 2:-2, 2:0 and 2:2,
-# rounded to 4 digits; the CLI scales the direction to unit length.
-_OFF_AXIS_CONFIGS = [
-    ([0.0538, -0.9317, 0.3591], {
-        "2:-2": [0.6536, -0.4628], "2:0": [-0.8648, -0.5474], "2:2": [0.6422, 0.2318]
-    }),
-    ([0.1842, 0.9727, -0.1409], {
-        "2:-2": [-0.0077, 1.0441], "2:0": [-0.3645, 1.0698], "2:2": [1.1524, -0.6568]
-    }),
-    ([0.1262, -0.2817, 0.9512], {
-        "2:-2": [1.6913, -0.66], "2:0": [-0.3493, -0.6012], "2:2": [-2.8455, 0.7827]
-    }),
-    ([-0.2099, 0.0131, 0.9776], {
-        "2:-2": [0.2242, -0.7838], "2:0": [0.0487, -0.2146], "2:2": [-1.0801, -0.5855]
-    }),
-    ([0.5849, -0.407, 0.7016], {
-        "2:-2": [0.1259, -0.381], "2:0": [-1.4426, -0.3712], "2:2": [1.2833, -0.7477]
-    }),
-    ([0.1571, -0.8435, 0.5136], {
-        "2:-2": [-2.5459, -0.9246], "2:0": [-0.7225, 0.335], "2:2": [-0.0801, -1.0133]
-    }),
-    ([-0.1664, 0.6738, -0.72], {
-        "2:-2": [-1.0518, 0.8083], "2:0": [-2.5138, 3.3521], "2:2": [-1.1711, 1.3167]
-    }),
-    ([-0.0091, -0.9908, -0.1351], {
-        "2:-2": [-0.1811, -0.7996], "2:0": [0.2269, -1.3446], "2:2": [-0.0306, 1.027]
-    }),
-    ([0.9186, 0.3752, 0.1241], {
-        "2:-2": [0.0878, -0.4994], "2:0": [0.9849, 1.8646], "2:2": [0.766, -0.7095]
-    }),
-    ([0.6668, 0.3486, 0.6586], {
-        "2:-2": [-0.0227, 0.4386], "2:0": [0.08, 0.147], "2:2": [-0.0354, -1.6156]
-    }),
-    ([-0.0992, 0.9606, 0.2596], {
-        "2:-2": [-0.2442, -0.2207], "2:0": [0.5076, -0.1502], "2:2": [0.6498, 0.7002]
-    }),
-    ([-0.8311, -0.4326, 0.3494], {
-        "2:-2": [1.5704, -1.4565], "2:0": [-0.4584, -1.0535], "2:2": [-1.4087, -1.4227]
-    }),
-]
-# one SHA-256 per output, in the order of _SINGLE_DIRECTION_PINS
-_OFF_AXIS_PINS = [
-    (
-        "daeb03500c1a15029179a90bb383a315ed51fdf0efa5f306908843675d6479dd",
-        "5c05aee239001b7a28b2e94e28ca1ee3193f3b83a49c7c6c23a0a8ba432efbf8",
-        "3fa91f7d8f834a1912b15bf2a3199f789182a477968f55e3d971b0b7e982fc25",
-        "44dedfbeb2e5e0687a251f6fa7c407c9721c32dae26b51093f889648b6b7467e",
-        "fbd915c4d80479aaaee843fc4d3a2ac7e12b0a8001b93266023a4b2e4403bc50",
-        "8f1a21c2839bcaddfc1535f46fdb4d039db78cfe86a2a0b48d2c69028dc1323a",
-    ),
-    (
-        "475349a1dcb88feeb22323555e41c58022e91796f9601653145f74e6770eda9f",
-        "f05ea6083505cbd14e59971f58da403bfce695fb74d042327e16e3818bb22ec3",
-        "6b35f23ee8df025219e99065e16532ec08e688b012882577239ddb8ad1d97a42",
-        "fbef7b741996689dd54aaaf1982921d096718c6db8c559ef40b82535b8f9e170",
-        "58dc6de991a774f24b956c0d5c0a2c0d3a7ecae3389af3a459c08a97e59a4c01",
-        "4b72dec4d5175d145f521b906dc274ea38b3dc89ff7cc02bf6ef193ec427cf8c",
-    ),
-    (
-        "385cf6a3d8f525db4b78cb476ccaf78275e25829088921e30637d71f0672a565",
-        "60b075fa3c8f24eeec2c75c81b2f9ca4f489c5e17872ea8b5b7c9c249d8bdaa6",
-        "cf59ec89cfafbeaedccec8c90ef0d9321fbc258326415d502da854e9f59df334",
-        "c18cc0b617ab1bbdcd7ea9b946b139fdb3825f51537f480c7d2951e15181d456",
-        "5550aed0a398eff57ee196fc3b17c984c821c8f81bb02088a0faad9aee88d016",
-        "3e890aa19879ab7c62d68f9452b5c9e1de5ca072eb2b8915918844e3c6a26bce",
-    ),
-    (
-        "af54c2340c582a133a6fac4af22978026710912d374e1a896c26c0d7b60c6afa",
-        "0bf3e68d605143e900776cbb0d1046a862f96357b913d65538adc1fffabf86c2",
-        "95ddd48734c16082a748c5d4937b965f30f0b9ec615298db861bf53c798b3257",
-        "555d7e56e006929efb4473e5e62e431194538d5aa43b707077b0114bb09a2473",
-        "9301900221d0faefb49caf134b04fc0540ac4b0b0f4e1a144d00b1a7dd016ba3",
-        "5a3a54cc0653d21a76a159a8c10de06dcc27eb75f4e6c8b6bc48c60a9a5831ce",
-    ),
-    (
-        "015462507f70153d82f7ff3f65fadbe231b8bc0cac6375caab307ec7ba865364",
-        "1e856e05520791276b9ed56eb1fa856eaaebb65e686db65266c0ed50dbc091fe",
-        "21108ee12a13506d1f9c2fe099928a8d89242bdb03fd9186a5e83916a3258743",
-        "18cdc5614a62d478389d72109d2317699c94a91550de8bebeb0dcd343c967ba6",
-        "74d657bd7ab203f18ea6d3ac01991259260eb9f10e1658d483eef29e8dae5a0c",
-        "10c5a7aa4aaddbb605e7e166b24a0c178455d75f87256a193ad428d18d51724d",
-    ),
-    (
-        "05cffdf09ba19d357d4ea2531cb68250b8a4c1a2eea7ea37e39c0f7969d76503",
-        "0d1f90247aba471f92a1b2224331a3b36c956edb2c7020b67ff3d21e2a1c3a7c",
-        "55ae911414c0233baff2a61f46fd10aefa24c36a91893f7663f2fe204232302b",
-        "1a73598664a2b6ba2fc41186ad3689e55d450a5ceeb7cdcd6a7bae049ed5f0f5",
-        "61dbe8d2ed825f2b206491a5fe5255e1802d6367cc3e2d5933806c7a3a513b9e",
-        "98457f4dbd211429746e1a9eea7e1d47b3c640af852f8eadc5b0895d521f5bb1",
-    ),
-    (
-        "370d40984310c70d70def6dc096f8ec06c7643b7b603ee8044bfa3d1a8f01f24",
-        "a4beabdc612b5343be962660446327ecf13f6ceed929ab4e61b2d920e30dedc1",
-        "0cdefceebe5633d55ce0b9ed017c7c4254f701a4c55e1b9c0702af2b235f3593",
-        "d718144bbc73fb4e9d2bf72ad04c681251561bf36832eba2d9fcfe4eb1131020",
-        "82ed7a1a43ef5e2ab259de2a7c6a836331ae1d8cbd0c67e5dac33ce7942d2ab0",
-        "6259d59023b074a21c308ebd71d27d8b437e0e0238bcfcf295a9d10ee3416cb0",
-    ),
-    (
-        "d42ac4a801953fea47810aabfcb2e874153f0f6b4093da248fad42582df34d74",
-        "69a6f7409ac0257226031d51ef5d041e103a53c3aefb4aa0d2326df51a697e7d",
-        "89fe31919aa25d22cb00a31d389005772977e70c08d5c668590199f023696ac6",
-        "8ff1b113c82934ed37050db6a25747503c146680e8627297659263564261a773",
-        "b96720b94af7d27e7fa79249eeb0e267325248adf680778459c33cf24136e956",
-        "e9a1b5585fbedc527f066ebe651b880e14070ddb4a846d53fd3c5197eb6a9f0d",
-    ),
-    (
-        "1204c7f16280922658cf371d945c15b4008a41252d13a0b49a8ce1e5ba1d0582",
-        "e1255366c42855a041f9fbf8f9f5a833418a603424caff3fb68f41499592cf30",
-        "673e35a14da4d1b2d483c74ade87df37b4f40d1b67752f41cf9af2eb78b84ec0",
-        "aba67ed20db4ed22a5c86999f0a7d840352b80918c87bced0681c796ea03087c",
-        "00794a91985417d066088aafed2e29d855f7fc1feb2e9f8dfb6e3934cae90040",
-        "8c389c09cdfdad68afa2ade700f7f5dbc72833beda3e04e5431d0cf816ddfaff",
-    ),
-    (
-        "88d7f9a52562af40fe05dad988524347fbfda4718c1f6a3b1cfcb48432fc8af7",
-        "46c40534c858000dbb58b1f4e22ddf1134ad8533269850e1b0fc5a7e39eb18b7",
-        "9f294a2b0891f25a9b516b9058a142fa37ae5138499423dfb44b3a95c0b455d5",
-        "90213e7cbfdf1b25eb6d0d48403c614de3a8100de06d8050c27cc00e6ce8a7ba",
-        "d60949a3645d12c5edfdf49710961272c70b26c89168c5a252373324eaf9e63f",
-        "3011b28d940895f25a6d949c36d321a48aebe4fb3082671ef602e4f1b3a8a7c8",
-    ),
-    (
-        "2485830311233422a0d0ec4eb7d8f1ac068768a3f059e1606cb1b7e5dbaada34",
-        "9704b96d73254d034c4d72a56f5f7412c9639567b8d27ee22b05a1a33645c23f",
-        "cf163d375fe2c9a10c3b50ab6c772194551441fb31b43f6e49125fa6995b8ae6",
-        "bb220fcf6b148b09bb8c7916fe2e819d418f7473ff468a72bc39aeca1dcdcbdc",
-        "bb8e9c1fe554b7b3508e991594d4d970de9c43f58d8aeca50608d840fe8fe943",
-        "5facee59258879fc4faabcb64a4b1938087270dcf3453afe7d407c0a0e9ddf2a",
-    ),
-    (
-        "28466d76900be6d9e49016c6f6512dba50e9d3e4d0a554a9ac51246b6dfe9417",
-        "7e8416def598bb001ed0b05f4546b8777102fa04c302bf08b9f6639933ad9d3b",
-        "33efbf62e1ea9b98296663ea4c8bf8336270604b38fbd2f7db97919ab41ff9a6",
-        "484fcd132117501e923bc04983a29f1e573a1c921a80378d995a587d13c6b7cd",
-        "260d6a0e836a5e4a846ea77d0041630d29005f9a25d2d6121eddc2c1b0aa5699",
-        "5d35029072bc03629885f58a2bf08cf575efb4c897b2a61b826495f29395b28a",
-    ),
-]
-
-
-@pytest.mark.parametrize("args", _SINGLE_DIRECTION_PINS, ids=" ".join)
-@pytest.mark.parametrize("index", range(len(_OFF_AXIS_CONFIGS)))
-def test_off_axis_pinned_bytes(index, args, state_config, capsys):
-    direction, amplitudes = _OFF_AXIS_CONFIGS[index]
-
-    def mutate(c):
-        c["detection"]["direction"] = direction
-        c["condensate"]["amplitudes"] = amplitudes
-
-    edit_config(state_config, mutate)
-    code, out, _ = run([args[0], "--config", str(state_config), *args[1:]], capsys)
-    assert code == 0
-    pin = _OFF_AXIS_PINS[index][list(_SINGLE_DIRECTION_PINS).index(args)]
-    assert hashlib.sha256(out.encode()).hexdigest() == pin
+@pytest.mark.parametrize("args", _SINGLE_DIRECTION, ids=" ".join)
+@pytest.mark.parametrize("index", range(len(same_bytes.OFF_AXIS)))
+def test_off_axis_pinned_bytes(index, args, fixed_digest):
+    # seeded random detection directions and condensates over 2:-2, 2:0 and 2:2
+    name = f"off axis {index} {_SINGLE_DIRECTION[args]}"
+    assert fixed_digest(name) == MANIFEST[name]
 
 
 @pytest.mark.parametrize(
@@ -778,17 +592,22 @@ def test_equal_ground_splittings_exit_2(state_config, capsys):
     assert "distinct splittings" in err and "F'=1: 0.0 rad/s, F'=2: 0.0 rad/s" in err
 
 
-def test_state_json_refuses_levels_of_one_float_frequency(state_config, capsys):
+def test_state_json_keeps_levels_of_one_float_frequency(state_config, capsys):
     # splittings of 0 and 1 mHz are distinct, but the photon frequencies round
-    # to one float: the JSON would key two levels' channels alike and drop one
-    # level, where the CSV keeps a row per amplitude
+    # to one float: channels named by level keep both levels apart, in the
+    # JSON as in the CSV's row per amplitude
     spec = json.loads((DATA / "sodium.json").read_text())
     spec["ground_splittings_hz"]["4"] = 1e-3
     (state_config.parent / "close.json").write_text(json.dumps(spec))
     edit_config(state_config, lambda raw: raw.update(atom_spec_path="close.json"))
     code, out, err = run(["state", "--config", str(state_config)], capsys)
-    assert code == 3 and out == ""
-    assert "2F=2 and 2F=4" in err and "equal as floats" in err
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    channels = doc["channels"]
+    assert {ch["doubled_f"] for ch in channels} == {2, 4}
+    assert len({ch["key"] for ch in channels}) == len(channels) == len(doc["amplitudes"])
+    assert len({ch["omega_hz"] for ch in channels}) == 1
+    assert doc["unresolved_channel_pairs"] == [[2, 4]]
     code, out, _ = run(["state", "--config", str(state_config), "--format", "csv"], capsys)
     assert code == 0
     assert len([line for line in out.splitlines() if not line.startswith("#")]) == 5
@@ -818,6 +637,27 @@ def test_atom_spec_numbers_are_strict(state_config, capsys, key, value):
     code, out, err = run(["state", "--config", str(state_config)], capsys)
     assert code == 2 and out == ""
     assert f"'{key}" in err
+
+
+@pytest.mark.parametrize("file, key", [
+    ("config", "validity_threshold"), ("config", "filter_f"),
+    ("species", "doubled_I"), ("species", "name"),
+])
+def test_long_rejected_value_is_named_not_copied(file, key, state_config, capsys):
+    # a message echoed a rejected value whole: a million characters once made a
+    # megabyte of stderr; a short value keeps its exact message
+    long = "\x01" + "x" * 999_999  # no printable name either
+    for value, shown in (("\x01", "'\\x01'"), (long, f"{repr(long)[:100]}... (1000005 characters)")):
+        if file == "config":
+            edit_config(state_config, lambda raw: raw.update({key: value}))
+        else:
+            spec = json.loads((DATA / "sodium.json").read_text())
+            (state_config.parent / "long.json").write_text(json.dumps({**spec, key: value}))
+            edit_config(state_config, lambda raw: raw.update(atom_spec_path="long.json"))
+        code, out, err = run(["filter", "--config", str(state_config), "--f-select", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert f"'{key}' must be " in err and f", got {shown}" in err
+        assert len(err.encode()) < 1000
 
 
 def test_atom_spec_that_is_not_json_exits_2(state_config, capsys):

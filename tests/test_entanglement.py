@@ -192,24 +192,25 @@ def test_schmidt_exact_rank_one_block(spec, pump):
 
 
 def test_schmidt_block_with_one_photon_row():
-    # F=1 has only its lambda=2 row, F=2 both rows; columns per level differ
+    # F=1 has only its lambda=2 row, F=2 both rows; columns per level differ.
+    # Rows come in (lambda, level) order, whatever the frequencies.
     from raman_pairs.pair_state import Channel
 
     rng = np.random.default_rng(83)
     labels = (
         Channel(omega=2.0, lam=1, doubled_f=4),
-        Channel(omega=2.0, lam=2, doubled_f=4),
         Channel(omega=3.0, lam=2, doubled_f=2),
+        Channel(omega=2.0, lam=2, doubled_f=4),
     )
     atoms = ((2, -2), (2, 0), (4, -2), (4, 0), (4, 2), (4, 4))
     matrix = np.zeros((3, 6), dtype=complex)
-    matrix[:2, 2:] = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
-    matrix[2, :2] = rng.normal(size=2) + 1j * rng.normal(size=2)
+    matrix[[0, 2], 2:] = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+    matrix[1, :2] = rng.normal(size=2) + 1j * rng.normal(size=2)
     matrix /= np.linalg.norm(matrix)
     # levels (2F = 2, 4): sublevels (2,-2) (2,0) (2,2) then (4,-4) ... (4,4)
     amplitudes = np.zeros((2, 8), dtype=complex)
-    amplitudes[:, 4:] = matrix[:2, 2:]
-    amplitudes[1, :2] = matrix[2, :2]
+    amplitudes[:, 4:] = matrix[[0, 2], 2:]
+    amplitudes[1, :2] = matrix[1, :2]
     state = hand_state((2, 4), (3.0, 2.0), amplitudes)
     got, photon_labels, atom_labels = state.matrix()
     np.testing.assert_array_equal(got, matrix)
@@ -218,7 +219,7 @@ def test_schmidt_block_with_one_photon_row():
     np.testing.assert_allclose(
         np.square(result.coefficients), oracle_schmidt_sq(matrix), atol=1e-15
     )
-    assert min(abs(c - np.linalg.norm(matrix[2])) for c in result.coefficients) <= 1e-15
+    assert min(abs(c - np.linalg.norm(matrix[1])) for c in result.coefficients) <= 1e-15
     _assert_schmidt_exact(result, matrix)
 
 

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -31,7 +32,13 @@ from raman_pairs.geometry_explorer import (
     scan_sphere,
     write_scan,
 )
-from raman_pairs.pair_state import _EMPTY_CHANNEL, CondensateSpinor, PumpConfig, build_pair_state
+from raman_pairs.pair_state import (
+    _EMPTY_CHANNEL,
+    CondensateSpinor,
+    PumpConfig,
+    build_pair_state,
+    pair_state_to_json,
+)
 
 COARSE = math.pi / 6.0
 TWO_PI = 2.0 * math.pi
@@ -169,6 +176,27 @@ def _property_configs(spec, pump):
     rng = np.random.default_rng(107)
     configs = [(random_pump(spec, rng), random_condensate(spec, rng)) for _ in range(3)]
     return configs + [(_sigma_plus(pump), CondensateSpinor.single(2, 2))]
+
+
+def test_state_channels_are_its_scan_nodes_columns(spec):
+    # a channel is named by level and polarization alike in both outputs: the
+    # state document lists the occupied p_2F{tf}_lambda{lam} columns of its
+    # node, in column order, and its channel probabilities are the node's weights
+    rng = np.random.default_rng(67)
+    for _ in range(4):
+        rpump, rphi = random_pump(spec, rng), random_condensate(spec, rng)
+        scan = scan_sphere(spec, rpump, rphi, COARSE, "entropy")
+        names = [re.fullmatch(r"p_2F(\d+)_lambda([12])", c) for c in scan.columns]
+        keys = [f"{m[1]}:{m[2]}" for m in names if m]
+        assert len(keys) == scan.channel_weights.shape[1]
+        for n in np.flatnonzero(scan.flag_reasons != NO_SCATTERING):
+            state = build_pair_state(spec, rpump, rphi, scan.directions[n])
+            weights = scan.channel_weights[n].tolist()
+            occupied = [(key, w) for key, w in zip(keys, weights) if w > 0.0]
+            doc = pair_state_to_json(state)
+            assert [ch["key"] for ch in doc["channels"]] == [key for key, _ in occupied]
+            got = [(ch.key(), p) for ch, p in state.channel_probabilities()]
+            assert got == occupied
 
 
 def test_scan_nodes_equal_single_direction_calls(spec, pump):

@@ -2,7 +2,8 @@
 
 The fixed calls are those of ``tools/same_bytes.py`` without seeded variants:
 ``state``, ``filter``, ``chsh``, ``scan`` and ``tables`` on the shipped
-configs, and each physics refusal once.  Each call's digest covers its exit
+configs, ``state`` and ``filter`` at 12 off-axis directions, a state whose
+levels share one float frequency, and each physics refusal once.  Each call's digest covers its exit
 code, stdout, stderr and every file it wrote.  A change that alters output on
 purpose re-records the manifest once,
 

@@ -405,8 +405,19 @@ def test_global_phase_convention(spec, state_z):
     (first_key, first_amp), *_ = entries(state_z).items()
     assert first_amp.imag == 0.0
     assert first_amp.real > 0.0
-    # lexicographically first channel is the lower frequency (F=2), lambda=1
-    assert first_key[0].doubled_f == 4 and first_key[0].lam == 1
+    # channels come in (lambda, level) order: the first is F=1, lambda=1
+    assert first_key[0].doubled_f == 2 and first_key[0].lam == 1
+    # on random states, built and filtered, the first amplitude that the CSV
+    # and the JSON's channel list publish is real positive
+    rng = np.random.default_rng(47)
+    for _ in range(20):
+        pump = random_pump(spec, rng)
+        state = build_pair_state(spec, pump, random_condensate(spec, rng), random_direction(rng))
+        for published in (state, spectral_filter(state, 1), spectral_filter(state, 2)):
+            rows = pair_state._pair_state_csv(published, {}).splitlines()[1:]
+            _, lam, tf, _, re, im = rows[0].split(",")
+            assert float(re) > 0.0 and float(im) == 0.0
+            assert pair_state_to_json(published)["channels"][0]["key"] == f"{tf}:{lam}"
 
 
 def test_branch_reconstruction(spec, pump, phi0):
@@ -431,26 +442,30 @@ def test_branch_reconstruction(spec, pump, phi0):
 
 def test_momentum_bookkeeping(spec, pump, phi0):
     rng = np.random.default_rng(37)
+    pump_momentum = HBAR * pump.direction * (pump.omega_laser / SPEED_OF_LIGHT)
     for _ in range(10):
         k = random_direction(rng)
         state = build_pair_state(spec, pump, phi0, k)
-        pump_momentum = HBAR * pump.direction * (pump.omega_laser / SPEED_OF_LIGHT)
-        np.testing.assert_allclose(
-            state.recoil_momentum + HBAR * state.photon_wavevector,
-            pump_momentum,
-            rtol=1e-15,
-            atol=0.0,
-        )
-        # the stored photon wavevector has the elastic-channel magnitude
-        w1 = photon_omega(spec, pump, k, 1)
-        np.testing.assert_allclose(
-            state.photon_wavevector, k * w1 / SPEED_OF_LIGHT, rtol=1e-15
-        )
+        assert state.photon_wavevector.shape == state.recoil_momentum.shape == (2, 3)
+        for i, f in enumerate(spec.ground_levels()):
+            # each level's channel conserves momentum with its own photon
+            balance = state.recoil_momentum[i] + HBAR * state.photon_wavevector[i] - pump_momentum
+            assert np.linalg.norm(balance) <= 1e-15 * np.linalg.norm(pump_momentum)
+            omega = photon_omega(spec, pump, k, f)
+            assert np.linalg.norm(state.photon_wavevector[i]) == pytest.approx(
+                omega / SPEED_OF_LIGHT, rel=1e-15, abs=0.0
+            )
+            np.testing.assert_allclose(
+                state.photon_wavevector[i], k * omega / SPEED_OF_LIGHT, rtol=1e-15
+            )
+        # the levels' photons differ: sodium's channels lie 3.5e-6 apart
+        ratio = np.linalg.norm(state.photon_wavevector[1]) / np.linalg.norm(state.photon_wavevector[0])
+        assert ratio == pytest.approx(1.0 - 3.48e-6, abs=1e-8)
 
 
 def test_every_state_conserves_momentum(spec, pump, phi0, state_z):
-    # recoil + hbar k = hbar K and |k| = omega/c of the lowest channel, for built
-    # and filtered states and for the states that fixtures assemble by hand
+    # recoil + hbar k = hbar K and |k| = omega/c for each level's channel, for
+    # built and filtered states and for the states that fixtures assemble by hand
     from test_bell_sim import synth_state
 
     rng = np.random.default_rng(43)
@@ -462,11 +477,11 @@ def test_every_state_conserves_momentum(spec, pump, phi0, state_z):
     ]
     for state in states:
         pump_momentum = HBAR * state.pump.direction * (state.pump.omega_laser / SPEED_OF_LIGHT)
-        balance = state.recoil_momentum + HBAR * state.photon_wavevector - pump_momentum
-        assert np.linalg.norm(balance) <= 1e-15 * np.linalg.norm(pump_momentum)
-        assert np.linalg.norm(state.photon_wavevector) == pytest.approx(
-            state.omega[0] / SPEED_OF_LIGHT, rel=1e-15, abs=0.0
-        )
+        assert len(state.recoil_momentum) == len(state.photon_wavevector) == len(state.levels)
+        for recoil, k, omega in zip(state.recoil_momentum, state.photon_wavevector, state.omega):
+            balance = recoil + HBAR * k - pump_momentum
+            assert np.linalg.norm(balance) <= 1e-15 * np.linalg.norm(pump_momentum)
+            assert np.linalg.norm(k) == pytest.approx(omega / SPEED_OF_LIGHT, rel=1e-15, abs=0.0)
 
 
 def test_emission_weight_scaling(spec, pump, phi0):
@@ -616,10 +631,17 @@ def test_json_deterministic(state_z):
 
 def test_json_schema_shapes(state_z):
     doc = pair_state_to_json(state_z)
-    assert doc["format"] == "raman-pairs/pair-state/1"
+    assert doc["format"] == "raman-pairs/pair-state/2"
+    assert "recoil_momentum_kg_m_per_s" not in doc and "photon_wavevector_rad_per_m" not in doc
+    for channel in doc["channels"]:
+        assert channel["key"] == f"{channel['doubled_f']}:{channel['lambda']}"
+        assert channel["omega_hz"] > 0
+        assert len(channel["photon_wavevector_rad_per_m"]) == 3
+        assert len(channel["recoil_momentum_kg_m_per_s"]) == 3
+    assert list(doc["amplitudes"]) == [channel["key"] for channel in doc["channels"]]
     for key, channel_amps in doc["amplitudes"].items():
-        omega_hz, lam = key.rsplit(":", 1)
-        assert float(omega_hz) > 0 and lam in ("1", "2")
+        tf, lam = key.split(":")
+        assert int(tf) in state_z.levels and lam in ("1", "2")
         for atom_key, pair in channel_amps.items():
             tf, tm = (int(x) for x in atom_key.split(":"))
             assert abs(tm) <= tf

@@ -4,14 +4,19 @@ Each tree is a checkout root with ``src/raman_pairs``.  The calls, the same
 for every tree, run through ``raman_pairs.cli.main`` in one fresh
 interpreter per tree:
 
-* ``state`` (JSON and CSV), ``filter`` (both levels and the config's) and
-  ``chsh`` (analytic, and seeded with ``--events-csv``) on the tree's shipped
-  configs, ``scan`` at 30 degrees with each measure and at 5 degrees (2,664
-  nodes in 3 chunks, so rows cross chunk boundaries), and ``tables``;
+* ``state`` (JSON and CSV), ``filter`` (each level, JSON and CSV, and the
+  config's) and ``chsh`` (analytic, and seeded with ``--events-csv``) on the
+  tree's shipped configs, ``scan`` at 30 degrees with each measure, at 6
+  degrees with each measure and at 5 degrees (2,664 nodes in 3 chunks, so
+  rows cross chunk boundaries), and ``tables``;
+* ``state`` on a species whose two levels' photon frequencies are one float,
+  so that channels named by level, not by frequency, are compared;
 * each physics refusal once, so that every exit-3 message is compared: a
   resonant pump, an emission weight that underflows and one that is not
-  finite, two levels of one float frequency, a laser below a ground
-  splitting, an empty filter channel and a scan whose every node is flagged;
+  finite, a laser below a ground splitting, an empty filter channel and a
+  scan whose every node is flagged;
+* ``state`` and ``filter`` (each level, JSON and CSV) at 12 fixed off-axis
+  detection directions, each with its own F=1 condensate;
 * per seeded variant of the shipped configs, with a random unit detection
   direction, a random F=1 condensate and a random transverse pump
   polarization: ``state`` (JSON, and CSV into a file), ``filter`` at each
@@ -32,7 +37,8 @@ tree's digest and names the calls whose digests differ between trees; exits
 1 if any does.  With ``--record FILE`` it instead writes the digest of each
 fixed call (the plan of ``--variants 0``) on one tree to FILE, as a JSON
 object from call name to SHA-256; ``tests/output_digests.json`` is that
-manifest of this checkout.  Standard library only:
+manifest of this checkout, and :func:`fixed_digest` runs one fixed call in
+the calling process, for a test to compare with it.  Standard library only:
 
     python tools/same_bytes.py TREE [TREE ...] [--variants N] [--seed S]
     python tools/same_bytes.py TREE --record FILE
@@ -41,7 +47,9 @@ manifest of this checkout.  Standard library only:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -49,39 +57,66 @@ import random
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 MEASURES = ("entropy", "concurrence_after_filter", "conditional_overlap")
+# the fixed off-axis calls: seeded random detection directions and F=1
+# condensates, rounded to 4 digits; the CLI scales the direction to unit length
+OFF_AXIS = [
+    ([0.0538, -0.9317, 0.3591], {
+        "2:-2": [0.6536, -0.4628], "2:0": [-0.8648, -0.5474], "2:2": [0.6422, 0.2318]
+    }),
+    ([0.1842, 0.9727, -0.1409], {
+        "2:-2": [-0.0077, 1.0441], "2:0": [-0.3645, 1.0698], "2:2": [1.1524, -0.6568]
+    }),
+    ([0.1262, -0.2817, 0.9512], {
+        "2:-2": [1.6913, -0.66], "2:0": [-0.3493, -0.6012], "2:2": [-2.8455, 0.7827]
+    }),
+    ([-0.2099, 0.0131, 0.9776], {
+        "2:-2": [0.2242, -0.7838], "2:0": [0.0487, -0.2146], "2:2": [-1.0801, -0.5855]
+    }),
+    ([0.5849, -0.407, 0.7016], {
+        "2:-2": [0.1259, -0.381], "2:0": [-1.4426, -0.3712], "2:2": [1.2833, -0.7477]
+    }),
+    ([0.1571, -0.8435, 0.5136], {
+        "2:-2": [-2.5459, -0.9246], "2:0": [-0.7225, 0.335], "2:2": [-0.0801, -1.0133]
+    }),
+    ([-0.1664, 0.6738, -0.72], {
+        "2:-2": [-1.0518, 0.8083], "2:0": [-2.5138, 3.3521], "2:2": [-1.1711, 1.3167]
+    }),
+    ([-0.0091, -0.9908, -0.1351], {
+        "2:-2": [-0.1811, -0.7996], "2:0": [0.2269, -1.3446], "2:2": [-0.0306, 1.027]
+    }),
+    ([0.9186, 0.3752, 0.1241], {
+        "2:-2": [0.0878, -0.4994], "2:0": [0.9849, 1.8646], "2:2": [0.766, -0.7095]
+    }),
+    ([0.6668, 0.3486, 0.6586], {
+        "2:-2": [-0.0227, 0.4386], "2:0": [0.08, 0.147], "2:2": [-0.0354, -1.6156]
+    }),
+    ([-0.0992, 0.9606, 0.2596], {
+        "2:-2": [-0.2442, -0.2207], "2:0": [0.5076, -0.1502], "2:2": [0.6498, 0.7002]
+    }),
+    ([-0.8311, -0.4326, 0.3494], {
+        "2:-2": [1.5704, -1.4565], "2:0": [-0.4584, -1.0535], "2:2": [-1.4087, -1.4227]
+    }),
+]
+# the single-direction outputs of one config: call-name suffix and arguments
+SINGLE_DIRECTION = {
+    "state": ["state"],
+    "state csv": ["state", "--format", "csv"],
+    "filter 1": ["filter", "--f-select", "1"],
+    "filter 1 csv": ["filter", "--f-select", "1", "--format", "csv"],
+    "filter 2": ["filter", "--f-select", "2"],
+    "filter 2 csv": ["filter", "--f-select", "2", "--format", "csv"],
+}
+# a fresh interpreter that runs the calls of a job (see _job) with this module
 CHILD = """\
-import contextlib, hashlib, io, json, sys, warnings
-from pathlib import Path
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import same_bytes
 from raman_pairs import cli
-plan = json.load(sys.stdin)
-masks = [(path.encode(), name.encode()) for path, name in plan["masks"]]
-
-def masked(data):
-    for path, name in masks:
-        data = data.replace(path, name)
-    return data
-
-digests = []
-warnings.simplefilter("always")
-for argv, out in plan["calls"]:
-    Path(out).mkdir(parents=True)
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    files = [
-        [path.name, hashlib.sha256(masked(path.read_bytes())).hexdigest()]
-        for path in sorted(Path(out).iterdir())
-    ]
-    texts = [masked(stream.getvalue().encode()).decode() for stream in (stdout, stderr)]
-    record = [code, *texts, files]
-    digests.append(hashlib.sha256(json.dumps(record).encode()).hexdigest())
-print(json.dumps([cli.__file__, digests]))
+print(json.dumps([cli.__file__, same_bytes.run_calls(json.load(sys.stdin))]))
 """
 
 
@@ -158,11 +193,9 @@ def plan(first: Path, configs: Path, variants: int, seed: int) -> list[tuple[str
         return {**base, "detection": {"scan": block}}
 
     state, chsh = "{data}/sodium_state.json", "{data}/sodium_chsh.json"
+    single = {name: [args[0], "--config", state, *args[1:]] for name, args in SINGLE_DIRECTION.items()}
     calls = [
-        ("state", ["state", "--config", state]),
-        ("state csv", ["state", "--config", state, "--format", "csv"]),
-        ("filter 1", ["filter", "--config", state, "--f-select", "1"]),
-        ("filter 2 csv", ["filter", "--config", state, "--f-select", "2", "--format", "csv"]),
+        *((name, single[name]) for name in ("state", "state csv", "filter 1", "filter 2 csv")),
         ("filter config", ["filter", "--config", chsh, "--output", "{out}/filter.json"]),
         ("chsh", ["chsh", "--config", chsh]),
         ("chsh sampled", ["chsh", "--config", chsh, "--samples", "2000", "--seed", "7",
@@ -179,6 +212,9 @@ def plan(first: Path, configs: Path, variants: int, seed: int) -> list[tuple[str
                        ("inverted", {"doubled_I": 0, "doubled_ground_J": 3,
                                      "doubled_excited_J": 1, "ground_splittings_hz": {"3": 0.0}})):
         (configs / f"{name}.json").write_text(json.dumps({**species, **atom}), encoding="utf-8")
+    # splittings of 0 and 1 mHz: distinct levels whose photon frequencies are one float
+    path = write("one_float_frequency", {**shipped["state"], "atom_spec_path": "close.json"})
+    calls.append(("one float frequency", ["state", "--config", path]))
     pump = shipped["state"]["pump"]
     sigma_plus = {**pump, "direction": [0.0, 0.0, 1.0],
                   "polarization": [[-1.0, 0.0], [0.0, -1.0], [0.0, 0.0]]}
@@ -187,7 +223,6 @@ def plan(first: Path, configs: Path, variants: int, seed: int) -> list[tuple[str
         ("weight underflow", {"pump": {**pump, "amplitude": [1e-160, 0.0]}}, ["state"]),
         ("weight not finite",
          {"pump": {**pump, "amplitude": [1e20, 0.0], "atom_number": 1e308}}, ["state"]),
-        ("one float frequency", {"atom_spec_path": "close.json"}, ["state"]),
         ("laser below a splitting", {"pump": {**pump, "laser_hz": 1e9}}, ["state"]),
         ("empty filter channel",
          {"pump": sigma_plus, "condensate": {"amplitudes": {"4:4": [1.0, 0.0]}}},
@@ -200,6 +235,16 @@ def plan(first: Path, configs: Path, variants: int, seed: int) -> list[tuple[str
                "condensate": {"amplitudes": {"3:3": [1.0, 0.0]}}}
     path = write("all_flagged", scan(flagged, "entropy"))
     calls.append(("all-flagged scan", ["scan", "--config", path, "--output", "{out}/scan"]))
+    calls += [(name, single[name]) for name in ("filter 1 csv", "filter 2")]
+    for measure in MEASURES:
+        path = write(f"scan_6_{measure}", scan(shipped["scan"], measure, degrees=6.0))
+        calls.append((f"scan 6 degrees {measure}", ["scan", "--config", path, "--output", "{out}/scan"]))
+    for i, (direction, amplitudes) in enumerate(OFF_AXIS):
+        doc = {**shipped["state"], "detection": {"direction": direction},
+               "condensate": {"amplitudes": amplitudes}}
+        path = write(f"off_axis{i}", doc)
+        calls += [(f"off axis {i} {name}", [args[0], "--config", path, *args[1:]])
+                  for name, args in SINGLE_DIRECTION.items()]
     for i in range(variants):
         doc = json.loads(json.dumps(shipped["state"]))
         doc["pump"]["polarization"] = _transverse(rng, doc["pump"]["direction"])
@@ -242,9 +287,9 @@ def plan(first: Path, configs: Path, variants: int, seed: int) -> list[tuple[str
     return calls
 
 
-def digests(tree: Path, calls: list[tuple[str, list[str]]], configs: Path, out: Path) -> list[str]:
-    """Each call's digest, from one fresh interpreter on ``tree``; call ``i``
-    writes into ``out/i``."""
+def _job(tree: Path, calls: list[tuple[str, list[str]]], configs: Path, out: Path) -> dict:
+    """The calls on ``tree`` with their places filled, call ``i`` writing into
+    ``out/i``, and the masks of the three directories."""
     resolved = []
     for number, (_, argv) in enumerate(calls):
         places = {"{data}": str(_data(tree)), "{configs}": str(configs), "{out}": f"{out}/{number}"}
@@ -252,9 +297,67 @@ def digests(tree: Path, calls: list[tuple[str, list[str]]], configs: Path, out: 
     # the longest path first, in case one holds another
     masks = [(str(_data(tree)), "<data>"), (str(configs), "<configs>"), (str(out), "<out>")]
     masks.sort(key=lambda mask: -len(mask[0]))
+    return {"calls": resolved, "masks": masks}
+
+
+def run_calls(job: dict) -> list[str]:
+    """Each call's digest, run in this process through ``raman_pairs.cli.main``.
+
+    A digest covers the exit code, stdout, stderr (warnings included, each
+    shown every time) and every file the call wrote, with the masks applied."""
+    from raman_pairs import cli
+
+    masks = [(path.encode(), name.encode()) for path, name in job["masks"]]
+
+    def masked(data: bytes) -> bytes:
+        for path, name in masks:
+            data = data.replace(path, name)
+        return data
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+    result = []
+    for argv, out in job["calls"]:
+        Path(out).mkdir(parents=True)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            with warnings.catch_warnings():
+                warnings.simplefilter("always")
+                warnings.showwarning = show
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        files = [
+            [path.name, hashlib.sha256(masked(path.read_bytes())).hexdigest()]
+            for path in sorted(Path(out).iterdir())
+        ]
+        texts = [masked(stream.getvalue().encode()).decode() for stream in (stdout, stderr)]
+        record = [code, *texts, files]
+        result.append(hashlib.sha256(json.dumps(record).encode()).hexdigest())
+    return result
+
+
+def fixed_digest(tree: Path, name: str, tmp: Path) -> str:
+    """The digest of the fixed call ``name`` on ``tree``, run in this process
+    with the empty directory ``tmp`` for its configs and output; it equals the
+    digest that ``--record`` writes for the call."""
+    configs = tmp / "configs"
+    configs.mkdir()
+    calls = plan(tree, configs, 0, 0)
+    job = _job(tree, calls, configs, tmp / "out")
+    number = [call for call, _ in calls].index(name)
+    return run_calls({**job, "calls": [job["calls"][number]]})[0]
+
+
+def digests(tree: Path, calls: list[tuple[str, list[str]]], configs: Path, out: Path) -> list[str]:
+    """Each call's digest, from one fresh interpreter on ``tree``; call ``i``
+    writes into ``out/i``."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD], input=json.dumps({"calls": resolved, "masks": masks}),
+        [sys.executable, "-c", CHILD, str(Path(__file__).resolve().parent)],
+        input=json.dumps(_job(tree, calls, configs, out)),
         capture_output=True, text=True, env=env, cwd=out.parent,
     )
     if proc.returncode != 0:
