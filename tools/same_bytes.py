@@ -207,7 +207,7 @@ def plan(first: Path, configs: Path, variants: int, seed: int) -> list[tuple[str
         calls.append((f"scan {measure}", ["scan", "--config", path, "--output", "{out}/scan"]))
     path = write("scan_chunks", scan(shipped["scan"], "conditional_overlap", degrees=5.0))
     calls.append(("scan 3 chunks", ["scan", "--config", path, "--output", "{out}/scan"]))
-    # one call per physics refusal (exit 3), on the config of the test that pins it
+    # two species: levels of almost one splitting, and an inverted one whose nodes are all flagged
     for name, atom in (("close", {"ground_splittings_hz": {"2": 0.0, "4": 1e-3}}),
                        ("inverted", {"doubled_I": 0, "doubled_ground_J": 3,
                                      "doubled_excited_J": 1, "ground_splittings_hz": {"3": 0.0}})):
@@ -215,6 +215,7 @@ def plan(first: Path, configs: Path, variants: int, seed: int) -> list[tuple[str
     # splittings of 0 and 1 mHz: distinct levels whose photon frequencies are one float
     path = write("one_float_frequency", {**shipped["state"], "atom_spec_path": "close.json"})
     calls.append(("one float frequency", ["state", "--config", path]))
+    # one call per physics refusal (exit 3), on the config of the test that pins it
     pump = shipped["state"]["pump"]
     sigma_plus = {**pump, "direction": [0.0, 0.0, 1.0],
                   "polarization": [[-1.0, 0.0], [0.0, -1.0], [0.0, 0.0]]}
@@ -235,6 +236,8 @@ def plan(first: Path, configs: Path, variants: int, seed: int) -> list[tuple[str
                "condensate": {"amplitudes": {"3:3": [1.0, 0.0]}}}
     path = write("all_flagged", scan(flagged, "entropy"))
     calls.append(("all-flagged scan", ["scan", "--config", path, "--output", "{out}/scan"]))
+    # appended after the calls above, so that each of those keeps its output
+    # directory's number, which a path in its output (and so its digest) shows
     calls += [(name, single[name]) for name in ("filter 1 csv", "filter 2")]
     for measure in MEASURES:
         path = write(f"scan_6_{measure}", scan(shipped["scan"], measure, degrees=6.0))
