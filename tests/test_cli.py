@@ -25,15 +25,15 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 import same_bytes  # noqa: E402
 
-# the recorded digest of each fixed call of tools/same_bytes.py
+# the recorded parts of each fixed call of tools/same_bytes.py
 MANIFEST = json.loads((ROOT / "tests" / "output_digests.json").read_text(encoding="utf-8"))
 
 
 @pytest.fixture()
-def fixed_digest(tmp_path):
-    """The digest of a fixed call of ``tools/same_bytes.py``, by name, run in
-    this process: the bytes that the manifest records for the call."""
-    return lambda name: same_bytes.fixed_digest(ROOT, name, tmp_path)
+def fixed_parts(tmp_path):
+    """The parts of a fixed call of ``tools/same_bytes.py``, by name, run in
+    this process: what the manifest records for the call."""
+    return lambda name: same_bytes.fixed_parts(ROOT, name, tmp_path)
 
 
 @pytest.fixture()
@@ -262,10 +262,10 @@ def test_scan_rerun_byte_identical(scan_config, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("measure", same_bytes.MEASURES)
-def test_scan_pinned_bytes(measure, fixed_digest):
+def test_scan_pinned_bytes(measure, fixed_parts):
     # stdout, CSV and JSON of sodium_scan.json at 6 degrees
     name = f"scan 6 degrees {measure}"
-    assert fixed_digest(name) == MANIFEST[name]
+    assert fixed_parts(name) == MANIFEST[name]
 
 
 def test_scan_resolution_out_of_range_exits_2(scan_config, tmp_path, capsys):
@@ -433,25 +433,11 @@ def test_chsh_off_axis_with_filter_f_set_does_not_advise_setting_it(tmp_path, ca
     assert "Set 'filter_f'" not in err
 
 
-def test_chsh_pinned_bytes(tmp_path, monkeypatch, capsys):
-    # seeded settings, past the 65536-trial chunk boundary: stdout and events
-    # CSV keep these exact bytes
-    raw = json.loads((DATA / "sodium_chsh.json").read_text())
-    raw["chsh"] = {"settings_rad": [0.0, math.pi / 4.0, math.pi / 8.0, 3.0 * math.pi / 8.0]}
-    (tmp_path / "config.json").write_text(json.dumps(raw, indent=1))
-    monkeypatch.chdir(tmp_path)
-    code, out, _ = run(
-        ["chsh", "--config", "config.json", "--samples", "65636", "--seed", "3",
-         "--events-csv", "events.csv"],
-        capsys,
-    )
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "e384603f808638da941e270ab1b49cff48cfbaa30c7ef8f42f507cc16b152508"
-    )
-    assert hashlib.sha256((tmp_path / "events.csv").read_bytes()).hexdigest() == (
-        "02d876b73394f9525ed56f752cff3a23dd9dfc7d81b53d021995361204f0e65c"
-    )
+def test_chsh_pinned_bytes(fixed_parts):
+    # seeded settings, past the 65536-trial chunk boundary: the exit code,
+    # stdout, stderr and events CSV that the manifest records
+    name = "chsh 65636 samples"
+    assert fixed_parts(name) == MANIFEST[name]
 
 
 @pytest.mark.parametrize("settings", [None, [0.0, math.pi / 4.0, math.pi / 8.0, 0.3]])
@@ -478,17 +464,17 @@ _SINGLE_DIRECTION = {tuple(args): name for name, args in same_bytes.SINGLE_DIREC
 
 
 @pytest.mark.parametrize("args", _SINGLE_DIRECTION, ids=" ".join)
-def test_single_direction_pinned_bytes(args, fixed_digest):
+def test_single_direction_pinned_bytes(args, fixed_parts):
     name = _SINGLE_DIRECTION[args]
-    assert fixed_digest(name) == MANIFEST[name]
+    assert fixed_parts(name) == MANIFEST[name]
 
 
 @pytest.mark.parametrize("args", _SINGLE_DIRECTION, ids=" ".join)
 @pytest.mark.parametrize("index", range(len(same_bytes.OFF_AXIS)))
-def test_off_axis_pinned_bytes(index, args, fixed_digest):
+def test_off_axis_pinned_bytes(index, args, fixed_parts):
     # seeded random detection directions and condensates over 2:-2, 2:0 and 2:2
     name = f"off axis {index} {_SINGLE_DIRECTION[args]}"
-    assert fixed_digest(name) == MANIFEST[name]
+    assert fixed_parts(name) == MANIFEST[name]
 
 
 @pytest.mark.parametrize(
@@ -1202,47 +1188,11 @@ def test_tables_values_cross_match_library(tmp_path, capsys):
         assert int(row[7]) == value.sign
 
 
-def test_tables_pinned_bytes(capsys):
-    # recorded while the CG and 3-j tables still walked their index set apart
-    code, out, _ = run(["tables", "--max-doubled-j", "6"], capsys)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "7f6f0fa71995f09069af13561a6a013696a556ba6c5d2723a52f883f0cfcf74c"
-    )
-
-
-def test_tables_pinned_bytes_at_the_cap(capsys):
-    # the largest table the CLI allows, recorded while every symbol was
-    # still summed in fractions.Fraction
-    code, out, _ = run(["tables", "--max-doubled-j", "12"], capsys)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "35b25b901c59564ad91f42671733711112660eef2a568c76315e1e5096dad2d8"
-    )
-
-
-TABLES_SHA256 = {  # stdout of `tables --max-doubled-j J`, recorded with two index walks
-    0: "882153f079f18c499a702f394e353d08dcb418788ba894c4518caa4faa27d43a",
-    1: "493244a590647e7863fe7b6cded0d6ae3ceaa10ae20666c8a39b2740db40f082",
-    2: "ede8e5e9157466bf5e1b0186ac5f3a3669280f52613be33c854f9a2b5336a478",
-    3: "82a4176867f127ad984c7ef55d9609611ca495b52c8d3d266cd5c120fb076086",
-    4: "9d012aa6b2ed6e903f78b8fd66380f900be5fb13a597f741a1f65c775cbf4c5a",
-    5: "9a4bc0451b90859b2bd4309426857ca494e14a968f098b8af3cc59cb5cf79a4a",
-    6: "7f6f0fa71995f09069af13561a6a013696a556ba6c5d2723a52f883f0cfcf74c",
-    7: "d494fd691a7ec43703a9ee17af12834f3fa5743aa67c8aa1411cf3fbeaf3d878",
-    8: "87b686ba166eda8c801d59e251348ce43d81f41ef57efc6a6546630caf05b29a",
-    9: "fdc85c33cdfb15b25c2e26fe7f4e889b3fc4d63d63c04bf2e62b887282ccb929",
-    10: "42677dab4fc5e9e4dc61df7694ec103f7c5e25e1450b106c921b0059724802ac",
-    11: "2550818c5bec47ae0a8cb69789241ce3dd70d2cd820b9c3d9374669875cc9449",
-    12: "35b25b901c59564ad91f42671733711112660eef2a568c76315e1e5096dad2d8",
-}
-
-
-@pytest.mark.parametrize("max_doubled_j", sorted(TABLES_SHA256))
-def test_tables_pinned_bytes_every_j(max_doubled_j, capsys):
-    code, out, _ = run(["tables", "--max-doubled-j", str(max_doubled_j)], capsys)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == TABLES_SHA256[max_doubled_j]
+@pytest.mark.parametrize("max_doubled_j", range(13))
+def test_tables_pinned_bytes_every_j(max_doubled_j, fixed_parts):
+    # stdout of `tables --max-doubled-j J` up to the cap, as the manifest records it
+    name = f"tables {max_doubled_j}"
+    assert fixed_parts(name) == MANIFEST[name]
 
 
 def test_tables_sum_one_symbol_per_symmetry_class(tmp_path, capsys):

@@ -17,6 +17,10 @@ import raman_pairs
 from raman_pairs.cli import main
 
 SRC = Path(raman_pairs.__file__).parents[1]
+# the recorded parts of each fixed call of tools/same_bytes.py
+MANIFEST = json.loads(
+    (Path(__file__).resolve().parent / "output_digests.json").read_text(encoding="utf-8")
+)
 WATCHED = {"numpy", "fractions", "decimal", "dataclasses", "inspect"}
 LOADED = f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in {WATCHED})), file=sys.stderr)"
 DATA = SRC / "raman_pairs" / "data"
@@ -53,9 +57,8 @@ def test_tables_imports_no_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stderr) == []  # no numpy, fractions, decimal, dataclasses, inspect
-    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (  # the J = 2 pin
-        "ede8e5e9157466bf5e1b0186ac5f3a3669280f52613be33c854f9a2b5336a478"
-    )
+    # the lazy imports change no byte: the fresh process prints the recorded stdout
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == MANIFEST["tables 2"]["stdout"]
 
 
 def test_state_imports_no_fractions(capsys):

@@ -52,9 +52,10 @@ def test_same_bytes_finds_the_checkout_identical_to_itself():
     lines = out.splitlines()
     digests = [line.split()[0] for line in lines[:2]]
     # 10 on the shipped configs, 7 scans, one state of one float frequency, 6
-    # physics refusals, 6 at each of 12 off-axis directions, and per variant 7
-    # on sodium and 3 on a drawn species
-    assert lines[0].endswith(f"  {ROOT}  (116 calls)") and digests[0] == digests[1]
+    # physics refusals, 6 at each of 12 off-axis directions, a chsh of 65,636
+    # trials, tables to stdout at 13 J, and per variant 7 on sodium and 3 on a
+    # drawn species
+    assert lines[0].endswith(f"  {ROOT}  (130 calls)") and digests[0] == digests[1]
     assert len(digests[0]) == 64 and lines[2:] == ["identical"]
 
 
@@ -76,7 +77,7 @@ def test_same_bytes_draws_species_its_other_calls_do_not_see(tmp_path, monkeypat
         if "_species" not in path.name:
             assert path.read_text() == (tmp_path / "more" / path.name).read_text()
     species = [name for name, _ in calls if " species " in name]
-    assert len(calls) == 96 + 6 * 10 and len(species) == 6 * 3
+    assert len(calls) == 110 + 6 * 10 and len(species) == 6 * 3
     drawn = set()
     for i in range(6):
         atom = json.loads((tmp_path / f"variant{i}_species.json").read_text())

@@ -1,4 +1,4 @@
-"""Whether source trees write the same bytes: one digest per tree over every call.
+"""Whether source trees write the same bytes: a digest per output of every call.
 
 Each tree is a checkout root with ``src/raman_pairs``.  The calls, the same
 for every tree, run through ``raman_pairs.cli.main`` in one fresh
@@ -17,6 +17,9 @@ interpreter per tree:
   scan whose every node is flagged;
 * ``state`` and ``filter`` (each level, JSON and CSV) at 12 fixed off-axis
   detection directions, each with its own F=1 condensate;
+* ``chsh`` at the analyzer angles (0, pi/4, pi/8, 3pi/8) with 65,636 seeded
+  trials, so that the events CSV crosses the 65,536-trial chunk, and
+  ``tables`` to stdout at each ``--max-doubled-j`` from 0 to 12;
 * per seeded variant of the shipped configs, with a random unit detection
   direction, a random F=1 condensate and a random transverse pump
   polarization: ``state`` (JSON, and CSV into a file), ``filter`` at each
@@ -30,15 +33,17 @@ interpreter per tree:
   ``scan``.  These draws come from a generator of their own, so a seed
   gives the other calls the configs it gave them before.
 
-A call's digest covers its exit code, stdout, stderr and every file it
-wrote, with the shipped-config, config and output directories masked.  The
-variants are built from the first tree's shipped configs.  Prints each
-tree's digest and names the calls whose digests differ between trees; exits
-1 if any does.  With ``--record FILE`` it instead writes the digest of each
-fixed call (the plan of ``--variants 0``) on one tree to FILE, as a JSON
-object from call name to SHA-256; ``tests/output_digests.json`` is that
-manifest of this checkout, and :func:`fixed_digest` runs one fixed call in
-the calling process, for a test to compare with it.  Standard library only:
+A call's parts are its exit code and the SHA-256 of each of its outputs:
+``stdout``, ``stderr`` and every file it wrote, by name, with the
+shipped-config, config and output directories masked.  The variants are
+built from the first tree's shipped configs.  Prints one digest per tree
+over all the parts and names each part that differs between trees, as
+``differs: <call>: <part>``; exits 1 if any does.  With ``--record FILE`` it
+instead writes the parts of each fixed call (the plan of ``--variants 0``)
+on one tree to FILE, as a JSON object from call name to parts;
+``tests/output_digests.json`` is that manifest of this checkout, and
+:func:`fixed_parts` runs one fixed call in the calling process, for a test
+to compare with it.  Standard library only:
 
     python tools/same_bytes.py TREE [TREE ...] [--variants N] [--seed S]
     python tools/same_bytes.py TREE --record FILE
@@ -182,8 +187,8 @@ def plan(first: Path, configs: Path, variants: int, seed: int) -> list[tuple[str
     species = json.loads((_data(first) / "sodium.json").read_text(encoding="utf-8"))
     rng, species_rng = random.Random(seed), random.Random(f"species {seed}")
 
-    def write(name: str, doc: dict) -> str:
-        (configs / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+    def write(name: str, doc: dict, indent: int | None = None) -> str:
+        (configs / f"{name}.json").write_text(json.dumps(doc, indent=indent), encoding="utf-8")
         return f"{{configs}}/{name}.json"
 
     def scan(base: dict, measure: str, level: str = "1", degrees: float = 30.0) -> dict:
@@ -248,6 +253,12 @@ def plan(first: Path, configs: Path, variants: int, seed: int) -> list[tuple[str
         path = write(f"off_axis{i}", doc)
         calls += [(f"off axis {i} {name}", [args[0], "--config", path, *args[1:]])
                   for name, args in SINGLE_DIRECTION.items()]
+    # indented as the config whose stdout was first pinned, so config_sha256 is the same
+    settings = [0.0, math.pi / 4, math.pi / 8, 3 * math.pi / 8]
+    path = write("chsh_settings", {**shipped["chsh"], "chsh": {"settings_rad": settings}}, indent=1)
+    calls.append(("chsh 65636 samples", ["chsh", "--config", path, "--samples", "65636",
+                                         "--seed", "3", "--events-csv", "{out}/events.csv"]))
+    calls += [(f"tables {j}", ["tables", "--max-doubled-j", str(j)]) for j in range(13)]
     for i in range(variants):
         doc = json.loads(json.dumps(shipped["state"]))
         doc["pump"]["polarization"] = _transverse(rng, doc["pump"]["direction"])
@@ -303,19 +314,19 @@ def _job(tree: Path, calls: list[tuple[str, list[str]]], configs: Path, out: Pat
     return {"calls": resolved, "masks": masks}
 
 
-def run_calls(job: dict) -> list[str]:
-    """Each call's digest, run in this process through ``raman_pairs.cli.main``.
-
-    A digest covers the exit code, stdout, stderr (warnings included, each
-    shown every time) and every file the call wrote, with the masks applied."""
+def run_calls(job: dict) -> list[dict]:
+    """Each call's parts, run in this process through ``raman_pairs.cli.main``:
+    its exit code, and the SHA-256 of its stdout, its stderr (warnings
+    included, each shown every time) and each file it wrote, by name, with the
+    masks applied."""
     from raman_pairs import cli
 
     masks = [(path.encode(), name.encode()) for path, name in job["masks"]]
 
-    def masked(data: bytes) -> bytes:
+    def digest(data: bytes) -> str:
         for path, name in masks:
             data = data.replace(path, name)
-        return data
+        return hashlib.sha256(data).hexdigest()
 
     def show(message, category, filename, lineno, file=None, line=None):
         sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
@@ -332,20 +343,17 @@ def run_calls(job: dict) -> list[str]:
                     code = cli.main(argv)
                 except SystemExit as exc:
                     code = exc.code
-        files = [
-            [path.name, hashlib.sha256(masked(path.read_bytes())).hexdigest()]
-            for path in sorted(Path(out).iterdir())
-        ]
-        texts = [masked(stream.getvalue().encode()).decode() for stream in (stdout, stderr)]
-        record = [code, *texts, files]
-        result.append(hashlib.sha256(json.dumps(record).encode()).hexdigest())
+        parts = {"exit": code, "stdout": digest(stdout.getvalue().encode()),
+                 "stderr": digest(stderr.getvalue().encode())}
+        parts.update((path.name, digest(path.read_bytes())) for path in sorted(Path(out).iterdir()))
+        result.append(parts)
     return result
 
 
-def fixed_digest(tree: Path, name: str, tmp: Path) -> str:
-    """The digest of the fixed call ``name`` on ``tree``, run in this process
-    with the empty directory ``tmp`` for its configs and output; it equals the
-    digest that ``--record`` writes for the call."""
+def fixed_parts(tree: Path, name: str, tmp: Path) -> dict:
+    """The parts of the fixed call ``name`` on ``tree``, run in this process
+    with the empty directory ``tmp`` for its configs and output; they equal
+    the parts that ``--record`` writes for the call."""
     configs = tmp / "configs"
     configs.mkdir()
     calls = plan(tree, configs, 0, 0)
@@ -354,8 +362,8 @@ def fixed_digest(tree: Path, name: str, tmp: Path) -> str:
     return run_calls({**job, "calls": [job["calls"][number]]})[0]
 
 
-def digests(tree: Path, calls: list[tuple[str, list[str]]], configs: Path, out: Path) -> list[str]:
-    """Each call's digest, from one fresh interpreter on ``tree``; call ``i``
+def digests(tree: Path, calls: list[tuple[str, list[str]]], configs: Path, out: Path) -> list[dict]:
+    """Each call's parts, from one fresh interpreter on ``tree``; call ``i``
     writes into ``out/i``."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     proc = subprocess.run(
@@ -377,15 +385,26 @@ def _fill(arg: str, places: dict[str, str]) -> str:
     return arg
 
 
-def _runs(trees: list[Path], variants: int, seed: int) -> tuple[list[str], list[list[str]]]:
-    """The names of the calls of the plan and, per tree, their digests."""
+def _runs(trees: list[Path], variants: int, seed: int) -> list[dict[str, dict]]:
+    """Per tree, the parts of each call of the plan, by call name."""
     with tempfile.TemporaryDirectory() as tmp:
         configs = Path(tmp) / "configs"
         configs.mkdir()
         calls = plan(trees[0], configs, variants, seed)
-        runs = [digests(tree, calls, configs, Path(tmp) / f"out{i}")
+        names = [name for name, _ in calls]
+        return [dict(zip(names, digests(tree, calls, configs, Path(tmp) / f"out{i}")))
                 for i, tree in enumerate(trees)]
-    return [name for name, _ in calls], runs
+
+
+def differing(runs: list[dict[str, dict]]) -> list[tuple[str, str]]:
+    """Each ``(call, part)`` whose value is not the same in every run, a part
+    that a run lacks included; a run maps call names to parts."""
+    differ = []
+    for name in dict.fromkeys(name for run in runs for name in run):
+        calls = [run.get(name, {}) for run in runs]
+        parts = dict.fromkeys(part for call in calls for part in call)
+        differ += [(name, part) for part in parts if len({call.get(part) for call in calls}) > 1]
+    return differ
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -394,7 +413,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--variants", type=int, default=10, help="seeded variants (default 10)")
     parser.add_argument("--seed", type=int, default=0, help="seed of the variants (default 0)")
     parser.add_argument("--record", type=Path, metavar="FILE",
-                        help="write each fixed call's digest on the one TREE to FILE")
+                        help="write each fixed call's parts on the one TREE to FILE")
     args = parser.parse_args(argv)
     trees = [tree.resolve() for tree in args.trees]
     for tree in trees:
@@ -403,18 +422,18 @@ def main(argv: list[str] | None = None) -> int:
     if args.record:
         if len(trees) != 1:
             parser.error("--record takes one tree")
-        names, (run,) = _runs(trees, 0, 0)  # the fixed calls alone
-        manifest = dict(zip(names, run))
+        (manifest,) = _runs(trees, 0, 0)  # the fixed calls alone
         args.record.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
         print(f"{len(manifest)} calls recorded in {args.record}")
         return 0
-    names, runs = _runs(trees, max(0, args.variants), args.seed)
+    runs = _runs(trees, max(0, args.variants), args.seed)
     for tree, run in zip(trees, runs):
-        print(f"{hashlib.sha256(''.join(run).encode()).hexdigest()}  {tree}  ({len(run)} calls)")
-    differ = [name for name, *digest in zip(names, *runs) if len(set(digest)) > 1]
-    for name in differ:
-        print(f"differs: {name}")
-    print("identical" if not differ else f"{len(differ)} of {len(names)} calls differ")
+        print(f"{hashlib.sha256(json.dumps(run).encode()).hexdigest()}  {tree}  ({len(run)} calls)")
+    differ = differing(runs)
+    for name, part in differ:
+        print(f"differs: {name}: {part}")
+    calls = len({name for name, _ in differ})
+    print("identical" if not differ else f"{calls} of {len(runs[0])} calls differ")
     return 1 if differ else 0
 
 
