@@ -24,7 +24,10 @@ package code:
   (the package contracts a Pauli correlation matrix).
 * ``oracle_sampled_events`` replays the documented random stream in plain
   Python and inverts each trial's uniform with ``bisect`` (the package
-  compares whole chunks against each cumulative bound); ``events_csv_text``
+  compares whole chunks against each cumulative bound);
+  ``oracle_raw_stream_codes`` derives the same trials from the bit
+  generator's raw 64-bit words alone, with no ``Generator`` method;
+  ``events_csv_text``
   writes the events with the ``csv`` module from the labels (the package
   fills byte matrices from a padded tail table).
 * ``wigner_d`` evaluates Wigner's closed formula for the rotation matrix
@@ -410,6 +413,30 @@ def oracle_sampled_events(
             setting_index.append(setting)
             outcome_index.append(bisect.bisect_right(cumulative[setting], uniform, hi=3))
     return setting_index, outcome_index
+
+
+def oracle_raw_stream_codes(bounds, n: int, seed: int, chunk: int = 65536) -> list[int]:
+    """The code ``4 * setting + outcome`` of each of ``n`` trials, from the raw
+    words of chunk i's ``PCG64(SeedSequence(seed, spawn_key=(i,)))``.
+
+    A chunk of ``size`` trials reads ``size // 2`` rounded up words for its
+    settings: each setting is the top 2 bits of a 32-bit half of a word, low
+    half first, and an odd chunk drops its last half-word.  Each of the next
+    ``size`` words w gives the trial's uniform ``(w >> 11) * 2**-53``, and the
+    outcome is how many of the setting's cumulative bounds ``bounds[setting]``
+    it reaches.
+    """
+    codes = []
+    for i, first in enumerate(range(0, n, chunk)):
+        size = min(chunk, n - first)
+        half = -(-size // 2)
+        bits = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,)))
+        words = bits.random_raw(half + size).tolist()
+        halves = [w >> shift & 0xFFFFFFFF for w in words[:half] for shift in (0, 32)]
+        for setting, w in zip((h >> 30 for h in halves[:size]), words[half:]):
+            uniform = (w >> 11) * 2.0**-53
+            codes.append(4 * setting + sum(uniform >= bound for bound in bounds[setting]))
+    return codes
 
 
 def events_csv_text(setting_index, outcome_index) -> str:

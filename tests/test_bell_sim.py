@@ -1,5 +1,6 @@
 """Analytic and sampled CHSH correlations."""
 
+import itertools
 import math
 import re
 import tracemalloc
@@ -12,6 +13,7 @@ from oracles import (
     oracle_chsh,
     oracle_correlation,
     oracle_outcome_probabilities,
+    oracle_raw_stream_codes,
     oracle_sampled_events,
 )
 from raman_pairs import bell_sim
@@ -410,6 +412,19 @@ def test_sampling_matches_inverse_transform_oracle(spec, pump, phi0):
         oracle = oracle_sampled_events(state.matrix()[0], settings, n, seed)
         assert result.setting_index.tolist() == oracle[0]
         assert result.outcome_index.tolist() == oracle[1]
+
+
+@pytest.mark.parametrize("n", [65_636, 1_001, 65_537])
+def test_sampled_codes_follow_the_raw_bit_stream(n, bell):
+    # the codes depend on the bit generator's raw words, not on how a numpy
+    # release maps them through Generator.integers and Generator.random:
+    # across the chunk boundary, and with an odd chunk in either place
+    settings = (0.0, math.pi / 4.0, math.pi / 8.0, 3.0 * math.pi / 8.0)
+    moments = bell_sim._moments(bell_sim._support_matrix(bell))
+    probabilities = bell_sim._joint_distributions(moments, settings).tolist()
+    bounds = [list(itertools.accumulate(row))[:-1] for row in probabilities]
+    codes = np.concatenate([codes for _, codes in bell_sim._sampled(moments, settings, n, 3)])
+    assert codes.tolist() == oracle_raw_stream_codes(bounds, n, 3)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e308, -9e307])
