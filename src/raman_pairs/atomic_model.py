@@ -322,7 +322,9 @@ def finite_number(value, key: str) -> float:
             number = math.inf
         if math.isfinite(number):
             return number
-    raise InputDomainError(f"'{key}' must be a finite number, got {bounded_repr(value)}")
+    raise InputDomainError(
+        f"{bounded_repr(key)} must be a finite number, got {bounded_repr(value)}"
+    )
 
 
 def unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -362,7 +364,7 @@ def check_keys(obj, path: str, required: tuple, optional: tuple) -> None:
     dotted = f"{path}." if path else ""
     for key in obj:
         if key not in required and key not in optional:
-            raise InputDomainError(f"unknown key '{dotted}{key}'")
+            raise InputDomainError(f"unknown key {bounded_repr(dotted + key)}")
     for key in required:
         if key not in obj:
             raise InputDomainError(f"missing required key '{dotted}{key}'")
@@ -380,10 +382,14 @@ def integer_keys(obj, path: str, form: str) -> dict[tuple[int, ...], tuple[str, 
         try:
             ints = (integer(head), integer(tail)) if ":" in form else (integer(key),)
         except InputDomainError:
-            raise InputDomainError(f"'{path}.{key}' must spell '{form}' in ASCII digits") from None
+            raise InputDomainError(
+                f"{bounded_repr(f'{path}.{key}')} must spell '{form}' in ASCII digits"
+            ) from None
         first, _ = keyed.setdefault(ints, (key, value))
         if first != key:
-            raise InputDomainError(f"'{path}' keys {first!r} and {key!r} spell one '{form}'")
+            raise InputDomainError(
+                f"'{path}' keys {bounded_repr(first)} and {bounded_repr(key)} spell one '{form}'"
+            )
     return keyed
 
 

@@ -70,7 +70,7 @@ def _as_complex(value, path: str) -> complex:
     if isinstance(value, list) and len(value) == 2:
         return complex(finite_number(value[0], path), finite_number(value[1], path))
     if isinstance(value, list):
-        raise InputDomainError(f"'{path}' must be a number or an [re, im] pair")
+        raise InputDomainError(f"{bounded_repr(path)} must be a number or an [re, im] pair")
     return complex(finite_number(value, path))
 
 
@@ -100,7 +100,9 @@ class RunConfig:
                 check_keys(raw[key], key, *keys)
 
         self.atom_path = self._atom_path(raw["atom_spec_path"])
-        data, self.atom_sha256 = self._read("'atom_spec_path'", self.atom_path)
+        data, self.atom_sha256 = self._read(
+            "'atom_spec_path'", self.atom_path, bounded_repr(str(self.atom_path))
+        )
         self.spec = _species(data, self.atom_sha256, self.atom_path)
         self.pump = self._parse_pump(raw["pump"])
         self.condensate = self._parse_condensate(raw["condensate"])
@@ -139,20 +141,23 @@ class RunConfig:
             raise InputDomainError("'validity_threshold' must not be negative")
 
     @staticmethod
-    def _read(flag: str, path: Path) -> tuple[bytes, str]:
-        """The bytes of the file at ``path`` and their SHA-256; an error names ``flag``."""
-        data = _io(flag, path, Path.read_bytes)
+    def _read(flag: str, path: Path, shown: str | None = None) -> tuple[bytes, str]:
+        """The bytes of the file at ``path`` and their SHA-256; an error names
+        ``flag`` and the path, as ``shown`` if given."""
+        data = _io(flag, path, Path.read_bytes, shown)
         return data, hashlib.sha256(data).hexdigest()
 
     def _atom_path(self, value) -> Path:
-        """The species file that the ``atom_spec_path`` ``value`` names."""
+        """The species file that the ``atom_spec_path`` ``value`` names; a
+        message shows the value or path through ``bounded_repr``, as the
+        config's text gave it."""
         if not isinstance(value, str):
             raise InputDomainError("'atom_spec_path' must be a string")
         if value.startswith("builtin:"):
             name = value[len("builtin:"):]
             if not name or set(name) & {"/", "\\", "."}:
                 raise InputDomainError(
-                    f"'atom_spec_path' {value!r} must name a shipped species, "
+                    f"'atom_spec_path' {bounded_repr(value)} must name a shipped species, "
                     "with no '/', '\\' or '.' after 'builtin:'"
                 )
             path = _BUILTIN_DIR / f"{name}.json"
@@ -160,8 +165,9 @@ class RunConfig:
             path = Path(value)
             if not path.is_absolute():
                 path = self.path.parent / path
-        if not _io("'atom_spec_path'", path, Path.is_file):
-            raise InputDomainError(f"'atom_spec_path' names no file: '{path}'")
+        shown = bounded_repr(str(path))
+        if not _io("'atom_spec_path'", path, Path.is_file, shown):
+            raise InputDomainError(f"'atom_spec_path' names no file: {shown}")
         return path
 
     def _parse_scan(self, scan) -> dict:
@@ -231,7 +237,7 @@ class RunConfig:
             try:  # a sublevel of the species, zero amplitude or not
                 _ground_index(self.spec, sublevel)
             except InputDomainError as exc:
-                raise InputDomainError(f"'condensate.amplitudes.{key}': {exc}")
+                raise InputDomainError(f"{bounded_repr(f'condensate.amplitudes.{key}')}: {exc}")
             parsed[sublevel] = _as_complex(value, f"condensate.amplitudes.{key}")
         # a square that overflows, a norm of zero, or one whose squares fall in
         # the subnormal range and leave the spinor off the unit norm that

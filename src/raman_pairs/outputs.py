@@ -25,20 +25,23 @@ def _prefix_path(prefix: str | os.PathLike, name: str = "output prefix") -> Path
     return Path(text)
 
 
-def _io(flag: str, path, action):
-    """``action(path)``; an OS error becomes a configuration error naming ``flag`` and the path."""
+def _io(flag: str, path, action, shown: str | None = None):
+    """``action(path)``; an OS error becomes a configuration error naming ``flag``
+    and the path, as ``shown`` if given."""
     try:
         return action(path)
     except OSError as exc:
-        raise _named(flag, path, exc)
+        raise _named(flag, path, exc, shown)
 
 
-def _named(flag: str, path, exc: OSError) -> InputDomainError:
-    """``exc`` as a configuration error naming ``flag`` and ``path``, or the
-    directory in the way, which may be a sibling of ``path``."""
+def _named(flag: str, path, exc: OSError, shown: str | None = None) -> InputDomainError:
+    """``exc`` as a configuration error naming ``flag`` and ``path`` (as
+    ``shown`` if given, else quoted), or the directory in the way, which may be
+    a sibling of ``path``."""
     if isinstance(exc, IsADirectoryError) and exc.filename:
-        path = exc.filename
-    return InputDomainError(f"{flag} '{path}': {exc.strerror or exc}")
+        path, shown = exc.filename, None
+    shown = shown or f"'{path}'"
+    return InputDomainError(f"{flag} {shown}: {exc.strerror or exc}")
 
 
 def _on(path: Path, target: Path, action: Callable[[Path], Path | None] | None = None):

@@ -18,6 +18,7 @@ import pytest
 import raman_pairs
 from oracles import oracle_3j_classes, oracle_6j_classes
 from raman_pairs import angular_momentum, bell_sim
+from raman_pairs.atomic_model import bounded_repr
 from raman_pairs.cli import main
 
 DATA = Path(raman_pairs.__file__).parent / "data"
@@ -992,16 +993,72 @@ _IO_CASES = {
 
 @pytest.mark.parametrize("value", ["x" * 300, "builtin:" + "x" * 300])
 def test_atom_spec_path_too_long_to_stat_exits_2(value, state_config, tmp_path, capsys):
-    # the name is longer than a file name may be: stat fails with ENAMETOOLONG
+    # the name is longer than a file name may be: stat fails with ENAMETOOLONG,
+    # and the message shows the path as a refused value, cut to its head
     edit_config(state_config, lambda c: c.__setitem__("atom_spec_path", value))
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     argv = ["state", "--config", str(state_config), "--output", str(tmp_path / "s.json")]
     code, out, err = run(argv, capsys)
     assert (code, out) == (2, "")
-    assert err.startswith("configuration error: 'atom_spec_path' '")
-    assert err.endswith(f"': {os.strerror(errno.ENAMETOOLONG)}\n")
-    assert "Traceback" not in err
+    name = value.removeprefix("builtin:")
+    path = DATA / f"{name}.json" if name != value else state_config.parent / value
+    shown = bounded_repr(str(path))
+    assert shown.endswith(" characters)")
+    assert err == (
+        f"configuration error: 'atom_spec_path' {shown}: {os.strerror(errno.ENAMETOOLONG)}\n"
+    )
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+_LONG = 1_000_000
+# an input text that a refusal once echoed whole, by the config edit that puts
+# it there, and the key that the message names
+_ECHOED_INPUTS = {
+    "unknown key": (lambda c: c.__setitem__("k" * _LONG, 1), "unknown key 'kkk"),
+    "unknown key in a block": (
+        lambda c: c["pump"].__setitem__("k" * _LONG, 1), "unknown key 'pump.kkk"
+    ),
+    "builtin species": (
+        lambda c: c.__setitem__("atom_spec_path", "builtin:" + "x" * _LONG), "'atom_spec_path' '"
+    ),
+    "builtin species with a slash": (
+        lambda c: c.__setitem__("atom_spec_path", "builtin:/" + "x" * _LONG),
+        "'atom_spec_path' 'builtin:/xxx",
+    ),
+    "species path of two lines": (
+        lambda c: c.__setitem__("atom_spec_path", "a\nb"), "'atom_spec_path' names no file: '"
+    ),
+    "condensate key of more digits than int reads": (
+        lambda c: c["condensate"]["amplitudes"].__setitem__("2:" + "0" * 100_000 + "9", 1.0),
+        "'condensate.amplitudes.2:000",
+    ),
+    # 4,000 digits: under int's limit of 4,300, so read as the integer 9 or 0
+    "condensate key of no sublevel": (
+        lambda c: c["condensate"]["amplitudes"].__setitem__("2:" + "0" * 4_000 + "9", 1.0),
+        "'condensate.amplitudes.2:000",
+    ),
+    "condensate key spelled twice": (
+        lambda c: c["condensate"]["amplitudes"].__setitem__("2:" + "0" * 4_000, 1.0),
+        "'condensate.amplitudes' keys '2:0' and '2:000",
+    ),
+    "condensate value at a long key": (
+        lambda c: c["condensate"]["amplitudes"].__setitem__("2:" + "0" * 4_000 + "2", "1"),
+        "'condensate.amplitudes.2:000",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _ECHOED_INPUTS)
+def test_refusal_names_its_key_in_one_short_line(case, state_config, capsys):
+    # a refusal shows a long or multi-line key or path as a refused value is
+    # shown: cut to its head and escaped, so stderr stays one short line
+    edit, named = _ECHOED_INPUTS[case]
+    edit_config(state_config, edit)
+    code, out, err = run(["state", "--config", str(state_config)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("configuration error: ") and named in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert len(err.encode()) < 400
 
 
 @pytest.mark.parametrize("case", _IO_CASES)
