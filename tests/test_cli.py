@@ -1245,6 +1245,26 @@ def test_tables_values_cross_match_library(tmp_path, capsys):
         assert int(row[7]) == value.sign
 
 
+def test_tables_pinned_bytes(capsys):
+    # recorded while the CG and 3-j tables still walked their index set apart;
+    # a literal, so re-recording the manifest cannot move it
+    code, out, _ = run(["tables", "--max-doubled-j", "6"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7f6f0fa71995f09069af13561a6a013696a556ba6c5d2723a52f883f0cfcf74c"
+    )
+
+
+def test_tables_pinned_bytes_at_the_cap(capsys):
+    # the largest table the CLI allows, recorded while every symbol was
+    # still summed in fractions.Fraction; a literal, like the one above
+    code, out, _ = run(["tables", "--max-doubled-j", "12"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "35b25b901c59564ad91f42671733711112660eef2a568c76315e1e5096dad2d8"
+    )
+
+
 @pytest.mark.parametrize("max_doubled_j", range(13))
 def test_tables_pinned_bytes_every_j(max_doubled_j, fixed_parts):
     # stdout of `tables --max-doubled-j J` up to the cap, as the manifest records it
